@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <numbers>
@@ -111,6 +112,26 @@ class Rng {
 
   double Gaussian(double mean, double stddev) {
     return mean + stddev * Gaussian();
+  }
+
+  // Leave the generator exactly as `k` calls to Gaussian() would, without
+  // paying for the transcendentals of the variates nobody reads: the cached
+  // variate goes first, whole Box-Muller pairs only advance the uniform
+  // stream (rejection loop included), and an odd remainder evaluates its
+  // pair in full so the cached second variate the next caller reads is
+  // exact.
+  void DiscardGaussians(std::size_t k) {
+    if (k == 0) return;
+    if (have_gaussian_) {
+      have_gaussian_ = false;
+      --k;
+    }
+    for (; k >= 2; k -= 2) {
+      double u1 = NextDouble();
+      while (u1 <= std::numeric_limits<double>::min()) u1 = NextDouble();
+      NextU64();  // u2
+    }
+    if (k == 1) Gaussian();
   }
 
   // Lognormal parameterized by the underlying normal's mu/sigma; used for

@@ -209,22 +209,25 @@ void Crossbar::ForwardAccumulateReference(const DrivePattern& drive, Rng& rng,
   }
 }
 
-void Crossbar::ForwardAccumulateFast(const DrivePattern& drive, Rng& rng,
+void Crossbar::ForwardAccumulateFast(const DrivePattern& drive,
+                                     std::size_t sensed_cols, Rng& rng,
                                      std::span<double> currents,
                                      double& energy_pj) {
   const std::size_t cols = params_.cols;
   const double sigma = params_.cell.read_noise_sigma;
   const double ceiling = params_.cell.g_on_siemens * 1.5;
-  // Per driven row: draw the row's noise factors into a scratch buffer —
-  // under the bit-exact policies in the same order the reference kernel
-  // consumes the stream (row-major, every column of an active row), under
-  // kFastNoise from the NoiseModel's counter-based streams — then run a
-  // dense accumulate over the contiguous conductance mirror. The two loops
-  // split the sampling from the arithmetic, so the second loop
-  // auto-vectorizes; each column owns an independent accumulator chain, so
-  // vectorizing across columns cannot reorder any FP sum.
+  // Per driven row: draw the sensed prefix's noise factors into a scratch
+  // buffer — under the bit-exact policies in the same order the reference
+  // kernel consumes the stream (row-major, advancing past every column of
+  // a driven row, sensed or not), under kFastNoise as one tile window per
+  // row — then run a dense accumulate over the contiguous conductance
+  // mirror for columns [0, sensed_cols) only: the ADC never converts the
+  // rest, so their currents are never read. The two loops split the
+  // sampling from the arithmetic, so the second loop auto-vectorizes; each
+  // column owns an independent accumulator chain, so vectorizing across
+  // columns cannot reorder any FP sum.
   thread_local std::vector<double> factors;
-  if (sigma > 0.0 && factors.size() < cols) factors.resize(cols);
+  if (sigma > 0.0 && factors.size() < sensed_cols) factors.resize(sensed_cols);
   for (std::size_t r = 0; r < params_.rows; ++r) {
     const double v = drive.voltages[r];
     if (v == 0.0) continue;
@@ -235,17 +238,18 @@ void Crossbar::ForwardAccumulateFast(const DrivePattern& drive, Rng& rng,
     double* __restrict cur = currents.data();
     if (sigma > 0.0) {
       double* __restrict f = factors.data();
-      noise_.FillFactors(rng, f, cols);
-      for (std::size_t c = 0; c < cols; ++c) {
+      noise_.FillFactors(rng, f, sensed_cols, cols);
+      for (std::size_t c = 0; c < sensed_cols; ++c) {
         const double g = std::clamp(g_row[c] * f[c], 0.0, ceiling);
         cur[c] += v * g;
       }
     } else {
-      for (std::size_t c = 0; c < cols; ++c) {
+      for (std::size_t c = 0; c < sensed_cols; ++c) {
         const double g = std::clamp(g_row[c], 0.0, ceiling);
         cur[c] += v * g;
       }
     }
+    // Every cell on a driven row conducts, sensed or not.
     energy_pj += row_read_energy_pj_[r];
     energy_pj += params_.dac.drive_energy.pj;
   }
@@ -269,30 +273,32 @@ void Crossbar::TransposeAccumulateReference(const DrivePattern& drive,
   }
 }
 
-void Crossbar::TransposeAccumulateFast(const DrivePattern& drive, Rng& rng,
+void Crossbar::TransposeAccumulateFast(const DrivePattern& drive,
+                                       std::size_t sensed_rows, Rng& rng,
                                        std::span<double> currents,
                                        double& energy_pj) {
   const std::size_t rows = params_.rows;
   const double sigma = params_.cell.read_noise_sigma;
   const double ceiling = params_.cell.g_on_siemens * 1.5;
   thread_local std::vector<double> factors;
-  if (sigma > 0.0 && factors.size() < rows) factors.resize(rows);
+  if (sigma > 0.0 && factors.size() < sensed_rows) factors.resize(sensed_rows);
   for (std::size_t c = 0; c < params_.cols; ++c) {
     const double v = drive.voltages[c];
     if (v == 0.0) continue;
     // The transposed mirror keeps a column's conductances contiguous, so
-    // the backward direction gets the same dense kernel as the forward one.
+    // the backward direction gets the same sense-gated dense kernel as the
+    // forward one.
     const double* __restrict g_col = gain_transposed_.data() + c * rows;
     double* __restrict cur = currents.data();
     if (sigma > 0.0) {
       double* __restrict f = factors.data();
-      noise_.FillFactors(rng, f, rows);
-      for (std::size_t r = 0; r < rows; ++r) {
+      noise_.FillFactors(rng, f, sensed_rows, rows);
+      for (std::size_t r = 0; r < sensed_rows; ++r) {
         const double g = std::clamp(g_col[r] * f[r], 0.0, ceiling);
         cur[r] += v * g;
       }
     } else {
-      for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t r = 0; r < sensed_rows; ++r) {
         const double g = std::clamp(g_col[r], 0.0, ceiling);
         cur[r] += v * g;
       }
@@ -333,13 +339,14 @@ Expected<AnalogCycleResult> Crossbar::CycleDriven(const DrivePattern& drive,
   result.column_codes.assign(params_.cols, 0);
 
   // Accumulate noisy column currents. Every cell on an active row draws
-  // (conductance-proportional) read energy; only gated columns get sensed.
+  // (conductance-proportional) read energy and read noise; only gated
+  // columns get sensed, so the fast kernel evaluates only those.
   std::vector<double> currents(params_.cols, 0.0);
   double energy_pj = 0.0;
   if (params_.kernel == device::KernelPolicy::kReference) {
     ForwardAccumulateReference(drive, rng, currents, energy_pj);
   } else {
-    ForwardAccumulateFast(drive, rng, currents, energy_pj);
+    ForwardAccumulateFast(drive, active_cols, rng, currents, energy_pj);
   }
   result.cost.energy_pj = energy_pj;
   const std::size_t active_rows = drive.active;
@@ -406,7 +413,7 @@ Expected<AnalogCycleResult> Crossbar::CycleTransposeDriven(
   if (params_.kernel == device::KernelPolicy::kReference) {
     TransposeAccumulateReference(drive, rng, currents, energy_pj);
   } else {
-    TransposeAccumulateFast(drive, rng, currents, energy_pj);
+    TransposeAccumulateFast(drive, active_rows, rng, currents, energy_pj);
   }
   result.cost.energy_pj = energy_pj;
   const std::size_t active_cols = drive.active;

@@ -113,7 +113,8 @@ class Crossbar {
   // One analog cycle: drive every row with a DAC code (row_codes.size() ==
   // rows, each < 2^dac_bits), sense and digitize the first `active_cols`
   // columns (0 = all). Column gating lets narrow logical matrices skip ADC
-  // conversions for unused columns.
+  // conversions for unused columns — and, under the fast kernels, the host
+  // work for them; the noise stream advances as if every column were read.
   //
   // `noise_rng` selects the stream the cell read noise draws from. When
   // null the crossbar's internal stream is used (and advanced). When
@@ -204,16 +205,23 @@ class Crossbar {
   // kFastNoise — noise_.FillFactors owns the sampling difference; identical
   // column codes between kReference and kFastBitExact by construction (the
   // differential test, mvm_kernel_test, enforces it), statistical
-  // equivalence for kFastNoise (noise_equivalence_test + bench gate).
+  // equivalence for kFastNoise (noise_equivalence_test + bench gate). The
+  // Fast variants are sense-gated: they evaluate only the currents of the
+  // sensed prefix [0, sensed_cols) / [0, sensed_rows) the ADC digitises,
+  // while the noise stream still advances for every cell of a driven line,
+  // so the sensed codes and the post-cycle stream match the Reference
+  // kernels, which read every cell.
   void ForwardAccumulateReference(const DrivePattern& drive, Rng& rng,
                                   std::span<double> currents,
                                   double& energy_pj);
-  void ForwardAccumulateFast(const DrivePattern& drive, Rng& rng,
+  void ForwardAccumulateFast(const DrivePattern& drive,
+                             std::size_t sensed_cols, Rng& rng,
                              std::span<double> currents, double& energy_pj);
   void TransposeAccumulateReference(const DrivePattern& drive, Rng& rng,
                                     std::span<double> currents,
                                     double& energy_pj);
-  void TransposeAccumulateFast(const DrivePattern& drive, Rng& rng,
+  void TransposeAccumulateFast(const DrivePattern& drive,
+                               std::size_t sensed_rows, Rng& rng,
                                std::span<double> currents, double& energy_pj);
 
   CrossbarParams params_;

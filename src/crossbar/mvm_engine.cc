@@ -279,9 +279,11 @@ Expected<MvmResult> MvmEngine::Compute(std::span<const double> x,
   double accum_guard = 0.0;
   std::vector<std::uint64_t> row_codes(array.rows, 0);
   // Sensing the guard costs one extra ADC conversion per cycle but leaves
-  // the noise stream unchanged: Crossbar::Cycle draws read noise for every
-  // cell on an active row regardless of how many columns are digitized, so
-  // guard-on and guard-off runs stay bit-identical on the logical outputs.
+  // the noise stream unchanged: Crossbar::Cycle advances the read-noise
+  // stream for every cell of a driven row and evaluates only the sensed
+  // prefix, so the stream does not depend on how many columns are
+  // digitized and guard-on and guard-off runs stay bit-identical on the
+  // logical outputs.
   const std::size_t sense_cols =
       params_.guard_column ? out_dim_ + 1 : out_dim_;
 

@@ -154,7 +154,9 @@ std::string KernelPolicyName(KernelPolicy policy) {
   return "unknown";
 }
 
-void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n) const {
+void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n_used,
+                             std::size_t n_total) const {
+  CIM_DCHECK(n_used <= n_total);
   if (policy_ == KernelPolicy::kFastNoise) {
     CIM_DCHECK(!tile_.empty());
     // One serial draw per call rotates the tile to a fresh window, so
@@ -165,8 +167,8 @@ void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n) const {
     std::size_t offset =
         static_cast<std::size_t>(rng.NextU64()) & (kTileSize - 1);
     std::size_t written = 0;
-    while (written < n) {
-      const std::size_t take = std::min(n - written, kTileSize - offset);
+    while (written < n_used) {
+      const std::size_t take = std::min(n_used - written, kTileSize - offset);
       std::memcpy(out + written, tile_.data() + offset,
                   take * sizeof(double));
       written += take;
@@ -175,8 +177,11 @@ void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n) const {
     return;
   }
   // Bit-exact contract: reproduce the reference kernel's LogNormal stream
-  // draw for draw.
-  for (std::size_t i = 0; i < n; ++i) out[i] = rng.LogNormal(0.0, sigma_);
+  // draw for draw; the unsensed tail only advances it.
+  for (std::size_t i = 0; i < n_used; ++i) {
+    out[i] = rng.LogNormal(0.0, sigma_);
+  }
+  rng.DiscardGaussians(n_total - n_used);
 }
 
 void NoiseModel::BuildTile() {

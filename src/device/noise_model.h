@@ -66,17 +66,28 @@ class NoiseModel {
     return policy_ != KernelPolicy::kFastNoise;
   }
 
-  // Fill out[0..n) with multiplicative read-noise factors.
+  // Fill out[0..n_used) with the multiplicative read-noise factors of the
+  // first n_used cells of a driven line of n_total cells, advancing `rng`
+  // exactly as sampling all n_total would. The stream advances for every
+  // cell of a driven line; only the sensed prefix is evaluated.
   //
-  //   kReference / kFastBitExact: consumes exactly n LogNormal draws from
-  //     `rng`, in order — bit-identical to the reference kernel's stream.
+  //   kReference / kFastBitExact: draws n_used LogNormals from `rng`, in
+  //     order, then discards the Gaussians of the remaining n_total - n_used
+  //     cells (Rng::DiscardGaussians) — bit-identical to the reference
+  //     kernel's stream, which reads every cell.
   //   kFastNoise: consumes exactly ONE u64 from `rng` (the tile rotation)
-  //     and copies n consecutive entries of the precomputed noise tile,
-  //     wrapping around — per-factor cost is an L2 load, not libm.
+  //     whatever the widths, and copies n_used consecutive entries of the
+  //     precomputed noise tile, wrapping around — per-factor cost is an L2
+  //     load, not libm.
   //
-  // Callers pass one call per active row; the serial draw keeps successive
-  // rows (and successive cycles) on decorrelated tile windows.
-  void FillFactors(Rng& rng, double* out, std::size_t n) const;
+  // Callers pass one call per driven line; the serial draw keeps successive
+  // lines (and successive cycles) on decorrelated tile windows.
+  void FillFactors(Rng& rng, double* out, std::size_t n_used,
+                   std::size_t n_total) const;
+  // Every cell of the line sensed.
+  void FillFactors(Rng& rng, double* out, std::size_t n) const {
+    FillFactors(rng, out, n, n);
+  }
 
   // ---- The statistical-equivalence contract -------------------------------
 

@@ -109,6 +109,29 @@ TEST(RngTest, GaussianMoments) {
   EXPECT_NEAR(stat.stddev(), 2.0, 0.05);
 }
 
+// DiscardGaussians(k) must leave the generator exactly where k Gaussian()
+// calls would: same next variates, same raw stream — starting with and
+// without a cached second variate, for even and odd k.
+TEST(RngTest, DiscardGaussiansMatchesDrawing) {
+  for (const bool cached : {false, true}) {
+    for (std::size_t k = 0; k <= 5; ++k) {
+      Rng drawn(23 + k);
+      Rng discarded(23 + k);
+      if (cached) {
+        EXPECT_EQ(drawn.Gaussian(), discarded.Gaussian());
+      }
+      for (std::size_t i = 0; i < k; ++i) drawn.Gaussian();
+      discarded.DiscardGaussians(k);
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(drawn.Gaussian(), discarded.Gaussian())
+            << "k=" << k << " cached=" << cached << " draw " << i;
+      }
+      EXPECT_EQ(drawn.NextU64(), discarded.NextU64())
+          << "k=" << k << " cached=" << cached;
+    }
+  }
+}
+
 TEST(RngTest, ExponentialMean) {
   Rng rng(17);
   RunningStat stat;

@@ -15,8 +15,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
+#include "common/contracts.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "crossbar/crossbar.h"
@@ -198,43 +201,126 @@ std::vector<std::uint64_t> RandomLevels(const CrossbarParams& p, Rng& rng) {
   return levels;
 }
 
-TEST(KernelDifferentialTest, RawCycleColumnCodesBitIdentical) {
-  auto fast = Crossbar::Create(
-      NoisyArrayParams(device::KernelPolicy::kFastBitExact), Rng(kSeed));
-  auto reference = Crossbar::Create(
-      NoisyArrayParams(device::KernelPolicy::kReference), Rng(kSeed));
-  ASSERT_TRUE(fast.ok() && reference.ok());
+// Same seed, same cells: a fast/reference crossbar pair of the given shape
+// with one stuck-on cell, programmed with identical random levels.
+struct CrossbarPair {
+  Crossbar fast;
+  Crossbar reference;
+};
+
+CrossbarPair MakeCrossbarTwins(std::size_t rows, std::size_t cols) {
+  CrossbarParams fast_params =
+      NoisyArrayParams(device::KernelPolicy::kFastBitExact);
+  CrossbarParams ref_params =
+      NoisyArrayParams(device::KernelPolicy::kReference);
+  fast_params.rows = ref_params.rows = rows;
+  fast_params.cols = ref_params.cols = cols;
+  auto fast = Crossbar::Create(fast_params, Rng(kSeed));
+  auto reference = Crossbar::Create(ref_params, Rng(kSeed));
+  CIM_CHECK(fast.ok() && reference.ok());
   Rng lrng(kSeed + 7);
   const auto levels = RandomLevels(fast->params(), lrng);
-  ASSERT_TRUE(fast->ProgramLevels(levels).ok());
-  ASSERT_TRUE(reference->ProgramLevels(levels).ok());
+  CIM_CHECK(fast->ProgramLevels(levels).ok());
+  CIM_CHECK(reference->ProgramLevels(levels).ok());
   fast->InjectCellFault(2, 3, device::CellFault::kStuckOn);
   reference->InjectCellFault(2, 3, device::CellFault::kStuckOn);
+  return {std::move(fast).value(), std::move(reference).value()};
+}
 
-  std::vector<std::uint64_t> row_codes(fast->rows(), 0);
+// After a gated cycle the two external streams must sit at the same point:
+// the sense-gated fast kernel still advances past every unsensed cell of a
+// driven line, cached Box-Muller variate included.
+void ExpectSameStreamState(Rng fast_rng, Rng ref_rng, const char* context,
+                           std::size_t width) {
+  EXPECT_EQ(fast_rng.Gaussian(), ref_rng.Gaussian())
+      << context << ", active width " << width;
+  EXPECT_EQ(fast_rng.NextU64(), ref_rng.NextU64())
+      << context << ", active width " << width;
+}
+
+// Forward and transpose cycles at each active width: identical codes (the
+// sensed prefix; unsensed entries stay 0 on both), costs and post-cycle
+// stream state between the fast and reference kernels.
+void ExpectGatedCyclesBitIdentical(std::size_t rows, std::size_t cols,
+                                   std::initializer_list<std::size_t> widths,
+                                   std::initializer_list<std::size_t> heights) {
+  CrossbarPair twins = MakeCrossbarTwins(rows, cols);
+  std::vector<std::uint64_t> row_codes(rows, 0);
   for (std::size_t r = 0; r < row_codes.size(); r += 2) row_codes[r] = 1;
-  // Partial column gating: the noise stream still covers every column of an
-  // active row, so codes for the sensed prefix must match exactly.
-  for (std::size_t active_cols : {std::size_t{0}, std::size_t{7}}) {
+  for (std::size_t active_cols : widths) {
     Rng fast_rng(DeriveSeed(kSeed, active_cols));
     Rng ref_rng(DeriveSeed(kSeed, active_cols));
-    auto f = fast->Cycle(row_codes, active_cols, &fast_rng);
-    auto r = reference->Cycle(row_codes, active_cols, &ref_rng);
+    auto f = twins.fast.Cycle(row_codes, active_cols, &fast_rng);
+    auto r = twins.reference.Cycle(row_codes, active_cols, &ref_rng);
     ASSERT_TRUE(f.ok() && r.ok());
-    EXPECT_EQ(f->column_codes, r->column_codes);
+    EXPECT_EQ(f->column_codes, r->column_codes) << "active_cols "
+                                                << active_cols;
     EXPECT_EQ(f->cost.latency_ns, r->cost.latency_ns);
     EXPECT_EQ(f->cost.operations, r->cost.operations);
+    ExpectSameStreamState(fast_rng, ref_rng, "forward", active_cols);
   }
 
-  std::vector<std::uint64_t> col_codes(fast->cols(), 0);
+  std::vector<std::uint64_t> col_codes(cols, 0);
   for (std::size_t c = 0; c < col_codes.size(); c += 3) col_codes[c] = 1;
-  for (std::size_t active_rows : {std::size_t{0}, std::size_t{11}}) {
+  for (std::size_t active_rows : heights) {
     Rng fast_rng(DeriveSeed(kSeed + 1, active_rows));
     Rng ref_rng(DeriveSeed(kSeed + 1, active_rows));
-    auto f = fast->CycleTranspose(col_codes, active_rows, &fast_rng);
-    auto r = reference->CycleTranspose(col_codes, active_rows, &ref_rng);
+    auto f = twins.fast.CycleTranspose(col_codes, active_rows, &fast_rng);
+    auto r = twins.reference.CycleTranspose(col_codes, active_rows, &ref_rng);
     ASSERT_TRUE(f.ok() && r.ok());
-    EXPECT_EQ(f->column_codes, r->column_codes);
+    EXPECT_EQ(f->column_codes, r->column_codes) << "active_rows "
+                                                << active_rows;
+    ExpectSameStreamState(fast_rng, ref_rng, "transpose", active_rows);
+  }
+}
+
+TEST(KernelDifferentialTest, RawCycleColumnCodesBitIdentical) {
+  // Partial column gating: the noise stream still covers every column of an
+  // active row, so codes for the sensed prefix must match exactly.
+  ExpectGatedCyclesBitIdentical(24, 20, {0, 7}, {0, 11});
+  // Odd line lengths: a Box-Muller pair straddles every second line
+  // boundary, so the unsensed tail must leave the cached second variate
+  // exactly as the reference's full-line read does. Widths 1, odd and even
+  // middles, one short of full, and 0 (= all).
+  ExpectGatedCyclesBitIdentical(13, 21, {1, 7, 6, 20, 0}, {1, 5, 6, 12, 0});
+}
+
+// kFastNoise draws one tile rotation per driven line whatever the sensed
+// width, so a gated cycle's sensed prefix equals the full-width cycle's.
+TEST(KernelDifferentialTest, FastNoiseGatedPrefixMatchesFullWidth) {
+  CrossbarParams p = NoisyArrayParams(device::KernelPolicy::kFastNoise);
+  p.rows = 13;
+  p.cols = 21;
+  auto created = Crossbar::Create(p, Rng(kSeed));
+  ASSERT_TRUE(created.ok());
+  Crossbar& xbar = created.value();
+  Rng lrng(kSeed + 7);
+  ASSERT_TRUE(xbar.ProgramLevels(RandomLevels(p, lrng)).ok());
+
+  std::vector<std::uint64_t> row_codes(p.rows, 0);
+  for (std::size_t r = 0; r < row_codes.size(); r += 2) row_codes[r] = 1;
+  std::vector<std::uint64_t> col_codes(p.cols, 0);
+  for (std::size_t c = 0; c < col_codes.size(); c += 3) col_codes[c] = 1;
+  for (std::size_t width : {std::size_t{1}, std::size_t{6}, std::size_t{12}}) {
+    Rng full_rng(DeriveSeed(kSeed, width));
+    Rng gated_rng(DeriveSeed(kSeed, width));
+    auto full = xbar.Cycle(row_codes, 0, &full_rng);
+    auto gated = xbar.Cycle(row_codes, width, &gated_rng);
+    ASSERT_TRUE(full.ok() && gated.ok());
+    for (std::size_t c = 0; c < width; ++c) {
+      EXPECT_EQ(gated->column_codes[c], full->column_codes[c])
+          << "forward width " << width << ", column " << c;
+    }
+    ExpectSameStreamState(gated_rng, full_rng, "fast-noise forward", width);
+
+    auto full_t = xbar.CycleTranspose(col_codes, 0, &full_rng);
+    auto gated_t = xbar.CycleTranspose(col_codes, width, &gated_rng);
+    ASSERT_TRUE(full_t.ok() && gated_t.ok());
+    for (std::size_t r = 0; r < width; ++r) {
+      EXPECT_EQ(gated_t->column_codes[r], full_t->column_codes[r])
+          << "transpose width " << width << ", row " << r;
+    }
+    ExpectSameStreamState(gated_rng, full_rng, "fast-noise transpose", width);
   }
 }
 
