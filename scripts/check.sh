@@ -60,27 +60,20 @@ run_preset() {
     # smoke the concurrency filter would skip.
     echo "==> [$preset] ctest (concurrency label)"
     ctest --preset "$preset"
-    echo "==> [$preset] ctest (serve label)"
-    ctest --test-dir "build/$preset" -L serve --output-on-failure
-    echo "==> [$preset] ctest (fabric label)"
-    ctest --test-dir "build/$preset" -L fabric --output-on-failure
-    echo "==> [$preset] ctest (dse label)"
-    ctest --test-dir "build/$preset" -L dse --output-on-failure
+    for label in serve fabric dse; do
+      echo "==> [$preset] ctest ($label label)"
+      ctest --test-dir "build/$preset" -L "$label" --output-on-failure
+    done
     return 0
   fi
   echo "==> [$preset] ctest"
   ctest --preset "$preset"
-  echo "==> [$preset] ctest (serve label)"
-  ctest --preset "$preset" -L serve
-  echo "==> [$preset] ctest (fabric label)"
-  ctest --preset "$preset" -L fabric
-  echo "==> [$preset] ctest (dse label)"
-  ctest --preset "$preset" -L dse
+  for label in serve fabric dse; do
+    echo "==> [$preset] ctest ($label label)"
+    ctest --preset "$preset" -L "$label"
+  done
   if [[ "$preset" == "relwithdebinfo" ]]; then
-    run_fault_determinism_gate "$preset"
-    run_serve_determinism_gate "$preset"
-    run_fabric_determinism_gate "$preset"
-    run_dse_determinism_gate "$preset"
+    run_replay_gates "$preset"
     run_perf_gate "$preset"
   fi
 }
@@ -99,102 +92,56 @@ run_perf_gate() {
   scripts/bench_json.sh
 }
 
-# Serving replay gate: every figure bench_serve_latency reports is derived
-# from the service's virtual clock, so two runs at the same seed must write
-# byte-identical JSON. A diff means batching, backoff, WFQ or the SLA loop
-# picked up hidden wall-clock or scheduling dependence.
-run_serve_determinism_gate() {
-  local preset="$1"
-  local bench="./build/$preset/bench/bench_serve_latency"
+# Replay gates: each bench below derives every figure it writes from
+# virtual time and fixed seeds, so two runs must produce byte-identical
+# output. A diff means the layer picked up hidden wall-clock, scheduling or
+# iteration-order dependence:
+#   fault   bench_ablation_faults stdout: scenario-seeded injection, ABFT
+#           detection and retry/remap/degrade recovery end to end
+#   serve   bench_serve_latency smoke JSON: batching, backoff, WFQ, SLA loop
+#   fabric  bench_fabric_cosim smoke JSON (virtual-time numbers and gate
+#           verdicts only): epoch barrier, flat NoC path, partitioner
+#   dse     bench_dse_sweep smoke JSON: every design point derives its own
+#           RNG streams from the spec and the root seed
+# Table rows: <name> <bench binary> <mode>, where mode is "stdout" (the
+# bench prints its figures) or "json" (--smoke --json <file>).
+REPLAY_GATES=(
+  "fault bench_ablation_faults stdout"
+  "serve bench_serve_latency json"
+  "fabric bench_fabric_cosim json"
+  "dse bench_dse_sweep json"
+)
+
+run_replay_gate() {
+  local preset="$1" name="$2" bench="./build/$1/bench/$3" mode="$4"
   if [[ ! -x "$bench" ]]; then
-    echo "==> [$preset] serve determinism gate: bench not built; skipping"
+    echo "==> [$preset] $name determinism gate: bench not built; skipping"
     return 0
   fi
-  echo "==> [$preset] serve determinism gate (two identical replays)"
+  echo "==> [$preset] $name determinism gate (two identical replays)"
   local run1 run2
   run1="$(mktemp)" && run2="$(mktemp)"
-  "$bench" --smoke --json "$run1" > /dev/null
-  "$bench" --smoke --json "$run2" > /dev/null
+  if [[ "$mode" == "stdout" ]]; then
+    "$bench" > "$run1"
+    "$bench" > "$run2"
+  else
+    "$bench" --smoke --json "$run1" > /dev/null
+    "$bench" --smoke --json "$run2" > /dev/null
+  fi
   if ! diff -u "$run1" "$run2"; then
-    echo "FAIL: serve bench JSON diverged between identical runs"
+    echo "FAIL: $name replay ($3) diverged between identical runs"
     rm -f "$run1" "$run2"
     return 1
   fi
   rm -f "$run1" "$run2"
 }
 
-# Fabric replay gate: the fabric co-simulation's smoke JSON holds only
-# virtual-time numbers and gate verdicts (wall-clock figures are full-mode
-# only), so two runs must write byte-identical JSON. A diff means the
-# epoch-barrier scheme, the flat NoC path or the partitioner picked up
-# hidden scheduling or iteration-order dependence.
-run_fabric_determinism_gate() {
-  local preset="$1"
-  local bench="./build/$preset/bench/bench_fabric_cosim"
-  if [[ ! -x "$bench" ]]; then
-    echo "==> [$preset] fabric determinism gate: bench not built; skipping"
-    return 0
-  fi
-  echo "==> [$preset] fabric determinism gate (two identical replays)"
-  local run1 run2
-  run1="$(mktemp)" && run2="$(mktemp)"
-  "$bench" --smoke --json "$run1" > /dev/null
-  "$bench" --smoke --json "$run2" > /dev/null
-  if ! diff -u "$run1" "$run2"; then
-    echo "FAIL: fabric bench JSON diverged between identical runs"
-    rm -f "$run1" "$run2"
-    return 1
-  fi
-  rm -f "$run1" "$run2"
-}
-
-# DSE replay gate: the sweep artifact is a pure function of the spec and
-# the root seed (every point derives its own RNG streams), so two full
-# sweeps must write byte-identical JSON. A diff means a design point picked
-# up state from thread scheduling or from a neighbouring point.
-run_dse_determinism_gate() {
-  local preset="$1"
-  local bench="./build/$preset/bench/bench_dse_sweep"
-  if [[ ! -x "$bench" ]]; then
-    echo "==> [$preset] dse determinism gate: bench not built; skipping"
-    return 0
-  fi
-  echo "==> [$preset] dse determinism gate (two identical replays)"
-  local run1 run2
-  run1="$(mktemp)" && run2="$(mktemp)"
-  "$bench" --smoke --json "$run1" > /dev/null
-  "$bench" --smoke --json "$run2" > /dev/null
-  if ! diff -u "$run1" "$run2"; then
-    echo "FAIL: dse sweep JSON diverged between identical runs"
-    rm -f "$run1" "$run2"
-    return 1
-  fi
-  rm -f "$run1" "$run2"
-}
-
-# Replay determinism gate: the fault ablation drives scenario-seeded
-# injection, ABFT detection and retry/remap/degrade recovery end to end and
-# prints every availability/accuracy figure it derives. Same seeds + same
-# scenarios must reproduce the exact same bytes on a second run — any diff
-# means a FaultLog or recovery path picked up hidden nondeterminism.
-run_fault_determinism_gate() {
-  local preset="$1"
-  local bench="./build/$preset/bench/bench_ablation_faults"
-  if [[ ! -x "$bench" ]]; then
-    echo "==> [$preset] fault determinism gate: bench not built; skipping"
-    return 0
-  fi
-  echo "==> [$preset] fault determinism gate (two identical replays)"
-  local run1 run2
-  run1="$(mktemp)" && run2="$(mktemp)"
-  "$bench" > "$run1"
-  "$bench" > "$run2"
-  if ! diff -u "$run1" "$run2"; then
-    echo "FAIL: fault-injection replay diverged between identical runs"
-    rm -f "$run1" "$run2"
-    return 1
-  fi
-  rm -f "$run1" "$run2"
+run_replay_gates() {
+  local preset="$1" row
+  for row in "${REPLAY_GATES[@]}"; do
+    # Unquoted on purpose: the row word-splits into its fields.
+    run_replay_gate "$preset" $row
+  done
 }
 
 run_clang_tidy() {

@@ -11,9 +11,7 @@
 //   ScheduleTagAt/TagAfter     allocation-free: the event stores only a
 //                              TagHandler* and an opaque 64-bit tag, and the
 //                              handler decodes the tag on dispatch. This is
-//                              the packet-granular NoC hot path; combined
-//                              with Reserve() a burst of N events inserts
-//                              with zero per-event allocation.
+//                              the packet-granular NoC hot path.
 // Because both flavours draw from the same sequence counter, a simulation
 // that mixes them (or is ported from one to the other call-for-call) keeps
 // the exact same execution order.
@@ -70,10 +68,6 @@ class EventQueue {
   void ScheduleTagAfter(TimeNs delay, TagHandler* handler, std::uint64_t tag) {
     ScheduleTagAt(now_ + delay, handler, tag);
   }
-
-  // Pre-size the heap for a burst of `extra` insertions (batched injection:
-  // one reallocation up front instead of amortized growth mid-burst).
-  void Reserve(std::size_t extra) { heap_.reserve(heap_.size() + extra); }
 
   [[nodiscard]] TimeNs now() const { return now_; }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
@@ -143,9 +137,9 @@ class EventQueue {
   }
 
   // Explicit binary min-heap over a vector (std::priority_queue hides the
-  // container, which rules out Reserve, cheap front() peeks and the
-  // monotone-append fast path). Sifts use hole insertion: the moving event
-  // is copied out once and parents/children shift into the hole.
+  // container, which rules out cheap front() peeks and the monotone-append
+  // fast path). Sifts use hole insertion: the moving event is copied out
+  // once and parents/children shift into the hole.
   void SiftUp(std::size_t i) {
     const Event ev = heap_[i];
     while (i > 0) {

@@ -54,8 +54,15 @@ Expected<std::unique_ptr<FabricCoSim>> FabricCoSim::Create(
                                              Rng(DeriveSeed(params.seed, i)));
     if (!accel.ok()) return accel.status();
     sim->tiles_.push_back(Tile{std::move(*accel)});
-    sim->noc_->SetDeliverySink(spec.node, sim.get());
+    sim->noc_->SetDeliveryHandler(
+        spec.node, [raw = sim.get()](const noc::Delivery& delivery) {
+          raw->OnDelivery(delivery);
+        });
   }
+  sim->noc_->SetDropHandler(
+      [raw = sim.get()](const noc::Packet& packet, noc::DropReason) {
+        raw->OnDrop(packet);
+      });
 
   const std::size_t threads = params.worker_threads == 0
                                   ? HardwareConcurrency()
@@ -75,15 +82,15 @@ std::size_t FabricCoSim::ElementOf(std::uint64_t packet_id) const {
   return static_cast<std::size_t>(packet_id / per_element);
 }
 
-void FabricCoSim::OnDelivery(noc::Delivery&& delivery) {
-  const std::size_t K = plan_.splits_per_stage;
-  const std::uint64_t per_element =
-      static_cast<std::uint64_t>(plan_.stage_count) * K * K;
-  const auto b = static_cast<std::size_t>(delivery.packet.id / per_element);
+void FabricCoSim::OnDelivery(const noc::Delivery& delivery) {
+  const std::size_t b = ElementOf(delivery.packet.id);
   if (b >= elements_.size()) return;  // not fabric traffic
-  const std::uint64_t rem = delivery.packet.id % per_element;
-  const auto stage = static_cast<std::size_t>(rem / (K * K));
-  const auto src = static_cast<std::size_t>((rem / K) % K);
+  // id = ((b * S + stage) * K + src) * K + dst, as minted by InferBatch.
+  const std::size_t K = plan_.splits_per_stage;
+  const std::uint64_t id = delivery.packet.id;
+  const auto stage =
+      static_cast<std::size_t>((id / (K * K)) % plan_.stage_count);
+  const auto src = static_cast<std::size_t>((id / K) % K);
   const TileSpec& src_tile = plan_.tile(stage, src);
   ElementState& el = elements_[b];
 
@@ -116,7 +123,7 @@ void FabricCoSim::OnDelivery(noc::Delivery&& delivery) {
   el.result.cost.operations += static_cast<std::uint64_t>(delivery.hops);
 }
 
-void FabricCoSim::OnDrop(const noc::Packet& packet, noc::DropReason) {
+void FabricCoSim::OnDrop(const noc::Packet& packet) {
   const std::size_t b = ElementOf(packet.id);
   if (b >= elements_.size()) return;
   ElementState& el = elements_[b];
@@ -248,7 +255,7 @@ Expected<std::vector<dpe::InferResult>> FabricCoSim::InferBatch(
     // delivery time is a pure function of this epoch's canonical sequence.
     queue_.RunUntil(epoch_start + TimeNs(max_compute_ns));
     if (!packets.empty()) {
-      // Owned burst: the mesh takes the whole buffer, so injection is
+      // One burst: the mesh takes the whole buffer, so injection is
       // validation + one event; `packets` is left moved-from and the
       // clear() at the top of the next epoch re-arms it.
       Status s = noc_->InjectBurst(std::move(packets));

@@ -70,10 +70,14 @@ struct FabricParams {
   }
 };
 
-class FabricCoSim : public noc::DeliverySink {
+class FabricCoSim {
  public:
   [[nodiscard]] static Expected<std::unique_ptr<FabricCoSim>> Create(
       const FabricParams& params, const nn::Network& net);
+
+  // The mesh's handlers and event queue hold this object's address.
+  FabricCoSim(const FabricCoSim&) = delete;
+  FabricCoSim& operator=(const FabricCoSim&) = delete;
 
   // Pipelined batch inference. Per element, InferResult::cost accumulates
   // every stage's compute cost plus the element's NoC transfer cost (also
@@ -101,10 +105,6 @@ class FabricCoSim : public noc::DeliverySink {
     return noc_->SetNodeFailed(node, failed);
   }
 
-  // DeliverySink — the co-simulator is the receiver on every tile node.
-  void OnDelivery(noc::Delivery&& delivery) override;
-  void OnDrop(const noc::Packet& packet, noc::DropReason reason) override;
-
  private:
   struct Tile {
     std::unique_ptr<dpe::DpeAccelerator> accel;
@@ -123,6 +123,11 @@ class FabricCoSim : public noc::DeliverySink {
 
   // Decode a packet id minted by InferBatch back to its batch element.
   [[nodiscard]] std::size_t ElementOf(std::uint64_t packet_id) const;
+
+  // Mesh hooks: the co-simulator receives on every tile node, and every
+  // drop (all of its packets are addressed to tile nodes).
+  void OnDelivery(const noc::Delivery& delivery);
+  void OnDrop(const noc::Packet& packet);
 
   FabricParams params_;
   FabricPlan plan_;

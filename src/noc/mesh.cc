@@ -42,11 +42,6 @@ void MeshNoc::SetDeliveryHandler(NodeId node, DeliveryHandler handler) {
   nodes_[NodeIndex(node)].handler = std::move(handler);
 }
 
-void MeshNoc::SetDeliverySink(NodeId node, DeliverySink* sink) {
-  CIM_CHECK(InBounds(node));
-  nodes_[NodeIndex(node)].sink = sink;
-}
-
 Status MeshNoc::AdmitPacket(Packet& packet) {
   if (!InBounds(packet.source) || !InBounds(packet.destination)) {
     return InvalidArgument("packet endpoints outside mesh");
@@ -96,84 +91,31 @@ Status MeshNoc::Inject(Packet packet) {
   return Status::Ok();
 }
 
-Status MeshNoc::InjectBurst(std::span<Packet> packets) {
-  queue_->Reserve(packets.size());
-  if (params_.path == NocPath::kFlat) {
-    // Batched event insertion: admitted packets go straight into flight
-    // slots and one tagged event covers the whole burst. Its dispatch
-    // replays the staged arrivals in injection order at the injection
-    // timestamp — the same processing order, times and decisions as N
-    // individual arrival events, for one heap entry instead of N.
-    if (flight_free_.size() < packets.size()) {
-      flights_.reserve(flights_.size() + packets.size() - flight_free_.size());
-    }
-    burst_staged_.reserve(burst_staged_.size() + packets.size());
-    Status first = Status::Ok();
-    std::uint64_t staged = 0;
-    if (!any_failure_) {
-      // Healthy fast loop: AdmitPacket's fault probes are vacuous and its
-      // status is always Ok here, so admission reduces to the bounds
-      // checks, one shared timestamp and a bulk telemetry add.
-      const TimeNs now = queue_->now();
-      for (Packet& packet : packets) {
-        if (!InBounds(packet.source) || !InBounds(packet.destination)) {
-          if (first.ok()) first = InvalidArgument("packet endpoints outside mesh");
-          continue;
-        }
-        packet.injected_at = now;
-        const NodeId source = packet.source;
-        burst_staged_.push_back(AllocFlight(std::move(packet), source, 0));
-        ++staged;
-      }
-      telemetry_.injected += staged;
-    } else {
-      for (Packet& packet : packets) {
-        if (Status s = AdmitPacket(packet); !s.ok()) {
-          if (first.ok()) first = std::move(s);
-          continue;
-        }
-        const NodeId source = packet.source;
-        burst_staged_.push_back(AllocFlight(std::move(packet), source, 0));
-        ++staged;
-      }
-    }
-    if (staged > 0) {
-      queue_->ScheduleTagAfter(TimeNs(0.0), this, kTagBurstBit | staged);
+Status MeshNoc::InjectBurst(std::vector<Packet>&& packets) {
+  Status first = Status::Ok();
+  if (params_.path == NocPath::kReference) {
+    for (Packet& packet : packets) {
+      Status s = Inject(std::move(packet));
+      if (!s.ok() && first.ok()) first = std::move(s);
     }
     return first;
   }
-  Status first = Status::Ok();
+  // Per-packet admission, as in Inject; the admitted packets are compacted
+  // to the front of the caller's buffer, which one tagged event then
+  // replays in injection order.
+  auto kept = packets.begin();
   for (Packet& packet : packets) {
-    Status s = Inject(std::move(packet));
-    if (!s.ok() && first.ok()) first = std::move(s);
-  }
-  return first;
-}
-
-Status MeshNoc::InjectBurst(std::vector<Packet>&& packets) {
-  if (params_.path != NocPath::kFlat || any_failure_) {
-    // Per-packet admission covers the fault probes and the reference
-    // path's closure scheduling; zero-copy staging only pays — and is only
-    // decision-equivalent without re-probing — on the healthy flat path.
-    return InjectBurst(std::span<Packet>(packets));
-  }
-  const TimeNs now = queue_->now();
-  std::uint64_t admitted = 0;
-  Status first = Status::Ok();
-  for (Packet& packet : packets) {
-    if (!InBounds(packet.source) || !InBounds(packet.destination)) {
-      // Left uncounted here and re-skipped by the same test at dispatch,
-      // so out-of-bounds packets need no per-packet marker.
-      if (first.ok()) first = InvalidArgument("packet endpoints outside mesh");
+    if (Status s = AdmitPacket(packet); !s.ok()) {
+      if (first.ok()) first = std::move(s);
       continue;
     }
-    packet.injected_at = now;
-    ++admitted;
+    if (&*kept != &packet) *kept = std::move(packet);
+    ++kept;
   }
-  telemetry_.injected += admitted;
-  if (admitted > 0) {
-    owned_bursts_.push_back(std::move(packets));
-    queue_->ScheduleTagAfter(TimeNs(0.0), this, kTagOwnedBurstBit);
+  if (kept != packets.begin()) {
+    packets.erase(kept, packets.end());
+    bursts_.push_back(std::move(packets));
+    queue_->ScheduleTagAfter(TimeNs(0.0), this, kTagBurstBit);
   }
   return first;
 }
@@ -266,11 +208,6 @@ void MeshNoc::Drop(const Packet& packet, DropReason reason) {
   // Counted unconditionally, before any handler check: a missing handler
   // must never make telemetry lie about conservation.
   ++telemetry_.dropped;
-  if (InBounds(packet.destination)) {
-    if (DeliverySink* sink = nodes_[NodeIndex(packet.destination)].sink) {
-      sink->OnDrop(packet, reason);
-    }
-  }
   if (on_drop_) on_drop_(packet, reason);
 }
 
@@ -282,9 +219,7 @@ void MeshNoc::Deliver(Packet&& packet, int hops) {
       latency);
   StreamSlot(packet.stream_id).Add(latency);
   const Node& dst = nodes_[NodeIndex(packet.destination)];
-  if (dst.sink != nullptr) {
-    dst.sink->OnDelivery(Delivery{std::move(packet), queue_->now(), hops});
-  } else if (dst.handler) {
+  if (dst.handler) {
     dst.handler(Delivery{std::move(packet), queue_->now(), hops});
   }
 }
@@ -403,36 +338,22 @@ void MeshNoc::DrainLink(std::size_t link_idx, NodeId from, Direction dir) {
 void MeshNoc::OnTagEvent(std::uint64_t tag) {
   if ((tag & kTagDrainBit) != 0) {
     FlatDrain(static_cast<std::size_t>(tag & ~kTagDrainBit));
-  } else if ((tag & kTagOwnedBurstBit) != 0) {
-    // An owned burst replays its buffer's arrivals in injection order;
-    // packets move into flight slots here, at dispatch, so injection
-    // itself never copies them. Admission already counted the in-bounds
-    // packets and the same bounds test skips the rest.
-    std::vector<Packet> burst = std::move(owned_bursts_[owned_cursor_++]);
-    if (owned_cursor_ == owned_bursts_.size()) {
-      owned_bursts_.clear();
-      owned_cursor_ = 0;
+  } else if ((tag & kTagBurstBit) != 0) {
+    // One burst event stands in for one arrival event per admitted packet
+    // and replays them in injection order. Packets move into flight slots
+    // here, at dispatch, so injection itself never copies them. Bursts are
+    // consumed in schedule order.
+    std::vector<Packet> burst = std::move(bursts_[burst_head_++]);
+    if (burst_head_ == bursts_.size()) {
+      bursts_.clear();
+      burst_head_ = 0;
     }
     if (flight_free_.size() < burst.size()) {
       flights_.reserve(flights_.size() + burst.size() - flight_free_.size());
     }
     for (Packet& packet : burst) {
-      if (!InBounds(packet.source) || !InBounds(packet.destination)) continue;
       const NodeId source = packet.source;
       FlatArrive(AllocFlight(std::move(packet), source, 0));
-    }
-  } else if ((tag & kTagBurstBit) != 0) {
-    // One burst event stands in for `count` individual arrival events;
-    // staged flights replay in injection (FIFO) order. Bursts are consumed
-    // in schedule order, so the cursor always points at this burst's first
-    // flight even when several bursts are pending.
-    const std::uint64_t count = tag & ~kTagBurstBit;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      FlatArrive(burst_staged_[burst_cursor_++]);
-    }
-    if (burst_cursor_ == burst_staged_.size()) {
-      burst_staged_.clear();
-      burst_cursor_ = 0;
     }
   } else {
     FlatArrive(static_cast<std::uint32_t>(tag));

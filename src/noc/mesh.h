@@ -14,6 +14,10 @@
 // pooled flight table through tagged events. Results are bit-identical; the
 // flat path is what lets fabric-scale co-simulation push millions of packets
 // per run (see bench_fabric_cosim).
+//
+// Packets enter through Inject (one packet) or InjectBurst (a whole buffer
+// admitted at one instant) and leave through the per-node delivery handler
+// or the mesh-wide drop handler.
 #pragma once
 
 #include <array>
@@ -34,8 +38,8 @@ namespace cim::noc {
 // Injection-path policy (same shape as crossbar::KernelPolicy): kReference
 // keeps the original closure-per-hop / deque-of-Packet implementation as the
 // golden model; kFlat (the default) is the SoA hot path — pooled flight
-// slots, per-link index queues, allocation-free tagged events, batched heap
-// reservation. Both paths draw events from one (when, sequence) order, so
+// slots, per-link index queues, allocation-free tagged events, one event
+// per burst. Both paths draw events from one (when, sequence) order, so
 // deliveries, drops, timestamps and telemetry are bit-identical — pinned by
 // the noc_test differential suite and re-checked by bench_fabric_cosim.
 enum class NocPath : std::uint8_t {
@@ -78,21 +82,6 @@ enum class DropReason : std::uint8_t {
   kNodeFailed,      // destination node marked failed
 };
 
-// Allocation-free receiver for fabric-scale consumers: one object serves
-// many nodes and decodes the packet itself, instead of binding a
-// std::function per node. When both a sink and a handler are registered for
-// a node, the sink wins. OnDrop is routed to the *destination* node's sink
-// (the consumer that was waiting for the packet), for drops anywhere along
-// the route.
-class DeliverySink {
- public:
-  virtual void OnDelivery(Delivery&& delivery) = 0;
-  virtual void OnDrop(const Packet& packet, DropReason reason) = 0;
-
- protected:
-  ~DeliverySink() = default;
-};
-
 struct NocTelemetry {
   std::uint64_t injected = 0;
   std::uint64_t delivered = 0;
@@ -114,11 +103,10 @@ class MeshNoc : public EventQueue::TagHandler {
 
   [[nodiscard]] const MeshParams& params() const { return params_; }
 
-  // Receiver registration. A node without a handler or sink silently
-  // consumes. The sink must outlive the mesh (raw pointer; pass nullptr to
-  // unregister).
+  // Receiver registration. A node without a delivery handler silently
+  // consumes. The drop handler is mesh-wide: it sees every drop, wherever
+  // along the route it happens.
   void SetDeliveryHandler(NodeId node, DeliveryHandler handler);
-  void SetDeliverySink(NodeId node, DeliverySink* sink);
   void SetDropHandler(DropHandler handler) { on_drop_ = std::move(handler); }
 
   // Inject a packet at its source at the current simulated time. Faults
@@ -131,28 +119,20 @@ class MeshNoc : public EventQueue::TagHandler {
   //                                  injected == delivered + dropped holds
   //   no usable link at source    -> kFailedPrecondition; counted injected
   //                                  AND dropped (DropReason::kUnroutable)
-  // Faults that develop mid-route surface through the drop handler/sink
-  // only. Every drop is counted in NocTelemetry whether or not a handler is
+  // Faults that develop mid-route surface through the drop handler only.
+  // Every drop is counted in NocTelemetry whether or not a handler is
   // registered.
   [[nodiscard]] Status Inject(Packet packet);
 
-  // Batched injection for epoch-barrier producers: reserves event-heap and
-  // flight-pool space once, then injects in span order (packets are
-  // consumed). On the flat path the whole burst is staged into flight slots
-  // behind a single tagged event whose dispatch replays the arrivals in
-  // injection order — identical processing order/times/decisions to N
-  // per-packet events at a fraction of the insertion cost. Per-packet drops
-  // are individually accounted as in Inject; the first non-ok status is
-  // returned after the whole span is processed.
-  [[nodiscard]] Status InjectBurst(std::span<Packet> packets);
-
-  // Zero-copy burst: takes the caller's buffer wholesale. On the healthy
-  // flat path admission is just bounds checks + timestamps — packets move
-  // into flight slots at dispatch, not at injection — so the injection
-  // path is O(n) validation plus one event for the whole burst. Faulted
-  // meshes and the reference path fall back to the span overload.
-  // Epoch-barrier producers that mint a fresh packet vector per exchange
-  // (fabric::FabricCoSim) should prefer this form.
+  // Batched injection for epoch-barrier producers (fabric::FabricCoSim):
+  // takes the caller's buffer wholesale. Every packet is admitted exactly as
+  // by Inject, in buffer order, with the same status and drop accounting;
+  // the first non-ok status is returned after the whole buffer is processed.
+  // On the flat path the admitted packets stay in the buffer behind a
+  // single tagged event whose dispatch moves them into flight slots and
+  // replays their arrivals in injection order — the same processing order,
+  // times and decisions as per-packet Inject, for one event instead of N.
+  // On the reference path it is a loop over Inject.
   [[nodiscard]] Status InjectBurst(std::vector<Packet>&& packets);
 
   // Fault hooks: fail/restore a node or one directed link.
@@ -183,7 +163,6 @@ class MeshNoc : public EventQueue::TagHandler {
   struct Node {
     bool failed = false;
     DeliveryHandler handler;
-    DeliverySink* sink = nullptr;
   };
 
   // --- flat-path state: a packet in flight owns one pooled slot; link
@@ -202,12 +181,10 @@ class MeshNoc : public EventQueue::TagHandler {
     std::array<std::size_t, kQosClassCount> head{};
   };
   // Tag encoding for EventQueue::TagHandler dispatch: drain events set the
-  // top bit and carry the link index; staged-burst events set bit 62 and
-  // carry the staged-arrival count; owned-burst events set bit 61 (bursts
-  // are consumed FIFO); bare tags are single-flight arrival slots.
+  // top bit and carry the link index; burst events set bit 62 (bursts are
+  // consumed FIFO); bare tags are single-flight arrival slots.
   static constexpr std::uint64_t kTagDrainBit = 1ULL << 63;
   static constexpr std::uint64_t kTagBurstBit = 1ULL << 62;
-  static constexpr std::uint64_t kTagOwnedBurstBit = 1ULL << 61;
 
   MeshNoc(const MeshParams& params, EventQueue* queue);
 
@@ -238,7 +215,9 @@ class MeshNoc : public EventQueue::TagHandler {
   RunningStat& StreamSlot(std::uint64_t stream);
   // Validation + injected/drop accounting shared by Inject and InjectBurst;
   // on Ok the packet is stamped, counted and cleared to enter the network.
-  [[nodiscard]] Status AdmitPacket(Packet& packet);
+  // Always inlined (defined in mesh.cc, its only user): it runs once per
+  // packet on the injection hot path.
+  [[nodiscard, gnu::always_inline]] inline Status AdmitPacket(Packet& packet);
   void RecomputeAnyFailure();
 
   // Reference path.
@@ -263,12 +242,10 @@ class MeshNoc : public EventQueue::TagHandler {
   std::vector<FlatLink> flat_links_;
   std::vector<Flight> flights_;
   std::vector<std::uint32_t> flight_free_;
-  // Flights staged by InjectBurst, consumed FIFO by their burst tag event.
-  std::vector<std::uint32_t> burst_staged_;
-  std::size_t burst_cursor_ = 0;
-  // Whole buffers handed over by the owned InjectBurst, consumed FIFO.
-  std::vector<std::vector<Packet>> owned_bursts_;
-  std::size_t owned_cursor_ = 0;
+  // Admitted buffers handed over by InjectBurst, consumed FIFO by their
+  // burst tag events.
+  std::vector<std::vector<Packet>> bursts_;
+  std::size_t burst_head_ = 0;
   // True iff any node or link is currently failed; lets the healthy
   // injection path skip its fault probes (see AdmitPacket).
   bool any_failure_ = false;

@@ -1,6 +1,7 @@
 // Tests for the event-driven mesh interconnect.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/event_queue.h"
@@ -298,17 +299,26 @@ TEST_P(NocDeliveryProperty, AllPacketsDeliveredExactlyOnce) {
 INSTANTIATE_TEST_SUITE_P(TrafficLoads, NocDeliveryProperty,
                          ::testing::Values(10, 100, 1000));
 
-// The zero-copy owned burst must be indistinguishable from per-packet
-// injection: same deliveries, same times, same telemetry — on the flat
-// path (which stages the whole buffer behind one event) and on the
-// reference path (which falls back to per-packet admission).
+// A burst must be indistinguishable from per-packet injection: same
+// deliveries, drops, times and telemetry — on the flat path (one event
+// replays the admitted buffer) and on the reference path (a loop over
+// Inject). The faulted mesh rejects packets mid-burst: a failed source is
+// refused uncounted, a failed destination drops at admission, a dead-end
+// node drops as unroutable at its source and mid-route, and failed links on
+// XY routes force detours.
 TEST(MeshNocTest, OwnedBurstMatchesPerPacketInjection) {
   struct Outcome {
     std::vector<std::uint64_t> ids;
     std::vector<double> times;
-    std::uint64_t injected = 0, delivered = 0;
+    std::vector<int> hops;
+    std::vector<std::uint64_t> drop_ids;
+    std::vector<DropReason> drop_reasons;
+    std::uint64_t injected = 0, delivered = 0, dropped = 0, rerouted = 0;
+    double energy_pj = 0.0;
+    ErrorCode first_error = ErrorCode::kOk;
   };
-  const auto run = [](NocPath path, bool owned_burst) {
+  const auto run = [](NocPath path, bool burst_inject, bool faulted,
+                      std::uint64_t packets) {
     EventQueue queue;
     MeshParams params = SmallMesh();
     params.path = path;
@@ -319,42 +329,90 @@ TEST(MeshNocTest, OwnedBurstMatchesPerPacketInjection) {
         noc->SetDeliveryHandler({x, y}, [&out](const Delivery& d) {
           out.ids.push_back(d.packet.id);
           out.times.push_back(d.delivered_at.ns);
+          out.hops.push_back(d.hops);
         });
       }
     }
+    noc->SetDropHandler([&out](const Packet& p, DropReason reason) {
+      out.drop_ids.push_back(p.id);
+      out.drop_reasons.push_back(reason);
+    });
+    if (faulted) {
+      EXPECT_TRUE(noc->SetNodeFailed({2, 2}, true).ok());
+      EXPECT_TRUE(noc->SetNodeFailed({0, 3}, true).ok());
+      EXPECT_TRUE(noc->SetLinkFailed({1, 0}, Direction::kEast, true).ok());
+      EXPECT_TRUE(noc->SetLinkFailed({1, 0}, Direction::kNorth, true).ok());
+      EXPECT_TRUE(noc->SetLinkFailed({2, 1}, Direction::kNorth, true).ok());
+    }
     std::vector<Packet> burst;
     Rng rng(41);
-    for (std::uint64_t i = 1; i <= 40; ++i) {
+    for (std::uint64_t i = 1; i <= packets; ++i) {
       const NodeId src{static_cast<std::uint16_t>(rng.NextBounded(4)),
                        static_cast<std::uint16_t>(rng.NextBounded(4))};
       const NodeId dst{static_cast<std::uint16_t>(rng.NextBounded(4)),
                        static_cast<std::uint16_t>(rng.NextBounded(4))};
       burst.push_back(MakePacket(i, src, dst));
     }
-    if (owned_burst) {
-      EXPECT_TRUE(noc->InjectBurst(std::move(burst)).ok());
+    if (burst_inject) {
+      out.first_error = noc->InjectBurst(std::move(burst)).code();
     } else {
-      for (Packet& p : burst) EXPECT_TRUE(noc->Inject(std::move(p)).ok());
+      for (Packet& p : burst) {
+        const Status s = noc->Inject(std::move(p));
+        if (out.first_error == ErrorCode::kOk) out.first_error = s.code();
+      }
     }
     queue.Run();
-    out.injected = noc->telemetry().injected;
-    out.delivered = noc->telemetry().delivered;
+    const NocTelemetry& t = noc->telemetry();
+    out.injected = t.injected;
+    out.delivered = t.delivered;
+    out.dropped = t.dropped;
+    out.rerouted = t.rerouted_hops;
+    out.energy_pj = t.cost.energy_pj;
     return out;
   };
-  const Outcome flat_single = run(NocPath::kFlat, false);
-  const Outcome flat_owned = run(NocPath::kFlat, true);
-  const Outcome ref_owned = run(NocPath::kReference, true);
-  EXPECT_EQ(flat_single.injected, 40u);
-  EXPECT_EQ(flat_single.delivered, 40u);
-  for (const Outcome* other : {&flat_owned, &ref_owned}) {
-    EXPECT_EQ(flat_single.ids, other->ids);
-    EXPECT_EQ(flat_single.times, other->times);
-    EXPECT_EQ(flat_single.injected, other->injected);
-    EXPECT_EQ(flat_single.delivered, other->delivered);
+  for (const bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "faulted mesh" : "healthy mesh");
+    const std::uint64_t packets = faulted ? 60 : 40;
+    const Outcome flat_single = run(NocPath::kFlat, false, faulted, packets);
+    const Outcome flat_burst = run(NocPath::kFlat, true, faulted, packets);
+    const Outcome ref_burst = run(NocPath::kReference, true, faulted, packets);
+    EXPECT_EQ(flat_single.injected,
+              flat_single.delivered + flat_single.dropped);
+    if (faulted) {
+      // Every fault kind fires: refused sources, admission drops of both
+      // reasons, mid-route drops and detours.
+      EXPECT_LT(flat_single.injected, packets);
+      EXPECT_NE(flat_single.first_error, ErrorCode::kOk);
+      EXPECT_GT(flat_single.dropped, 0u);
+      EXPECT_GT(flat_single.rerouted, 0u);
+      for (const DropReason reason :
+           {DropReason::kNodeFailed, DropReason::kUnroutable}) {
+        EXPECT_NE(std::find(flat_single.drop_reasons.begin(),
+                            flat_single.drop_reasons.end(), reason),
+                  flat_single.drop_reasons.end());
+      }
+    } else {
+      EXPECT_EQ(flat_single.injected, packets);
+      EXPECT_EQ(flat_single.delivered, packets);
+      EXPECT_EQ(flat_single.first_error, ErrorCode::kOk);
+    }
+    for (const Outcome* other : {&flat_burst, &ref_burst}) {
+      EXPECT_EQ(flat_single.ids, other->ids);
+      EXPECT_EQ(flat_single.times, other->times);
+      EXPECT_EQ(flat_single.hops, other->hops);
+      EXPECT_EQ(flat_single.drop_ids, other->drop_ids);
+      EXPECT_EQ(flat_single.drop_reasons, other->drop_reasons);
+      EXPECT_EQ(flat_single.injected, other->injected);
+      EXPECT_EQ(flat_single.delivered, other->delivered);
+      EXPECT_EQ(flat_single.dropped, other->dropped);
+      EXPECT_EQ(flat_single.rerouted, other->rerouted);
+      EXPECT_EQ(flat_single.energy_pj, other->energy_pj);
+      EXPECT_EQ(flat_single.first_error, other->first_error);
+    }
   }
 }
 
-// Out-of-bounds packets in an owned burst surface kInvalidArgument and are
+// Out-of-bounds packets in a burst surface kInvalidArgument and are
 // never counted; the in-bounds remainder still flows.
 TEST(MeshNocTest, OwnedBurstSkipsOutOfBoundsUncounted) {
   EventQueue queue;
