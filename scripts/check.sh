@@ -51,43 +51,24 @@ run_preset() {
     # -Werror -Wconversion clean.
     return 0
   fi
-  if [[ "$preset" == "tsan" ]]; then
-    # tsan builds everything but runs only the concurrency-labeled suites
-    # (the preset's test filter): ThreadSanitizer on the thread pool and
-    # the batched DPE runtime. The serve label runs explicitly on top —
-    # the dispatcher thread and re-entrant handlers are the most
-    # concurrency-dense code in the repo, and the label reaches the bench
-    # smoke the concurrency filter would skip.
-    echo "==> [$preset] ctest (concurrency label)"
-    ctest --preset "$preset"
-    for label in serve fabric dse; do
-      echo "==> [$preset] ctest ($label label)"
-      ctest --test-dir "build/$preset" -L "$label" --output-on-failure
-    done
-    return 0
-  fi
+  # One ctest run per leg: the relwithdebinfo and asan-ubsan presets have
+  # no filter, so every labelled suite runs here once; the tsan preset's
+  # filter selects the concurrency, serve, fabric and dse labels.
   echo "==> [$preset] ctest"
   ctest --preset "$preset"
-  for label in serve fabric dse; do
-    echo "==> [$preset] ctest ($label label)"
-    ctest --preset "$preset" -L "$label"
-  done
   if [[ "$preset" == "relwithdebinfo" ]]; then
     run_replay_gates "$preset"
     run_perf_gate "$preset"
   fi
 }
 
-# Perf gate: the perf-labeled suites (fast-vs-reference differential tests
-# + the kFastNoise statistical-equivalence suite + both bench smokes) plus
-# the full bench artifact build (scripts/bench_json.sh), which enforces the
-# kernel speedup gates and the serving availability/recovery gates and
-# writes the merged BENCH_PR10.json — the artifact CI uploads and
-# EXPERIMENTS.md documents.
+# Perf gate: the full bench artifact build (scripts/bench_json.sh), which
+# enforces the kernel speedup gates and the serving availability/recovery
+# gates and writes the merged BENCH_PR10.json — the artifact CI uploads and
+# EXPERIMENTS.md documents. (The perf-labelled suites already ran in the
+# preset's ctest.)
 run_perf_gate() {
   local preset="$1"
-  echo "==> [$preset] ctest (perf label)"
-  ctest --preset "$preset" -L perf
   echo "==> [$preset] bench artifact (speedup + availability gates, BENCH_PR10.json)"
   scripts/bench_json.sh
 }

@@ -171,8 +171,8 @@ Expected<CostReport> Crossbar::ProgramCell(std::size_t row, std::size_t col,
   return cost;
 }
 
-double Crossbar::FullScaleCurrent() const {
-  return static_cast<double>(params_.rows) * params_.dac.v_read *
+double Crossbar::FullScaleCurrent(CycleDirection dir) const {
+  return static_cast<double>(DrivenLines(dir)) * params_.dac.v_read *
          params_.cell.g_on_siemens;
 }
 
@@ -192,118 +192,79 @@ std::vector<double> Crossbar::IdealColumnCurrents(
   return currents;
 }
 
-void Crossbar::ForwardAccumulateReference(const DrivePattern& drive, Rng& rng,
-                                          std::span<double> currents,
-                                          double& energy_pj) {
-  const std::size_t cols = params_.cols;
-  for (std::size_t r = 0; r < params_.rows; ++r) {
-    const double v = drive.voltages[r];
+void Crossbar::AccumulateReference(const DrivePattern& drive,
+                                   CycleDirection dir, Rng& rng,
+                                   std::span<double> currents,
+                                   double& energy_pj) {
+  // Driven line l starts at cells_[l * line_stride] and its cells sit
+  // cell_stride apart: a row of adjacent cells forward, a column of
+  // cols-strided cells transposed.
+  const bool forward = dir == CycleDirection::kForward;
+  const std::size_t line_stride = forward ? params_.cols : 1;
+  const std::size_t cell_stride = forward ? 1 : params_.cols;
+  const std::size_t line_cells = SensedLines(dir);
+  for (std::size_t l = 0; l < DrivenLines(dir); ++l) {
+    const double v = drive.voltages[l];
     if (v == 0.0) continue;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const device::ReadResult rr = cells_[r * cols + c].Read(params_.cell,
-                                                              rng);
-      currents[c] += v * rr.conductance_siemens;
+    const device::MemristorCell* line = cells_.data() + l * line_stride;
+    for (std::size_t k = 0; k < line_cells; ++k) {
+      const device::ReadResult rr = line[k * cell_stride].Read(params_.cell,
+                                                               rng);
+      currents[k] += v * rr.conductance_siemens;
       energy_pj += rr.energy.pj;
     }
     energy_pj += params_.dac.drive_energy.pj;
   }
 }
 
-void Crossbar::ForwardAccumulateFast(const DrivePattern& drive,
-                                     std::size_t sensed_cols, Rng& rng,
-                                     std::span<double> currents,
-                                     double& energy_pj) {
-  const std::size_t cols = params_.cols;
+void Crossbar::AccumulateFast(const DrivePattern& drive, CycleDirection dir,
+                              std::size_t sensed, Rng& rng,
+                              std::span<double> currents, double& energy_pj) {
+  // The mirror plane whose lines are contiguous in this direction (the
+  // column-major copy keeps a transposed line unit stride too) and its
+  // per-line read-energy sums.
+  const bool forward = dir == CycleDirection::kForward;
+  const double* gain = forward ? gain_.data() : gain_transposed_.data();
+  const double* line_energy_pj = forward ? row_read_energy_pj_.data()
+                                         : col_read_energy_pj_.data();
+  const std::size_t line_cells = SensedLines(dir);
   const double sigma = params_.cell.read_noise_sigma;
   const double ceiling = params_.cell.g_on_siemens * 1.5;
-  // Per driven row: draw the sensed prefix's noise factors into a scratch
+  // Per driven line: draw the sensed prefix's noise factors into a scratch
   // buffer — under the bit-exact policies in the same order the reference
-  // kernel consumes the stream (row-major, advancing past every column of
-  // a driven row, sensed or not), under kFastNoise as one tile window per
-  // row — then run a dense accumulate over the contiguous conductance
-  // mirror for columns [0, sensed_cols) only: the ADC never converts the
-  // rest, so their currents are never read. The two loops split the
-  // sampling from the arithmetic, so the second loop auto-vectorizes; each
-  // column owns an independent accumulator chain, so vectorizing across
-  // columns cannot reorder any FP sum.
+  // kernel consumes the stream (advancing past every cell of a driven
+  // line, sensed or not), under kFastNoise as one tile window per line —
+  // then run a dense accumulate over the contiguous conductance mirror for
+  // cells [0, sensed) only: the ADC never converts the rest, so their
+  // currents are never read. The two loops split the sampling from the
+  // arithmetic, so the second loop auto-vectorizes; each sensed line owns
+  // an independent accumulator chain, so vectorizing across them cannot
+  // reorder any FP sum.
   thread_local std::vector<double> factors;
-  if (sigma > 0.0 && factors.size() < sensed_cols) factors.resize(sensed_cols);
-  for (std::size_t r = 0; r < params_.rows; ++r) {
-    const double v = drive.voltages[r];
+  if (sigma > 0.0 && factors.size() < sensed) factors.resize(sensed);
+  for (std::size_t l = 0; l < DrivenLines(dir); ++l) {
+    const double v = drive.voltages[l];
     if (v == 0.0) continue;
     // __restrict: the mirror, the scratch buffer and the accumulator never
     // alias, and saying so is what lets the dense loops below vectorize
     // without runtime overlap checks.
-    const double* __restrict g_row = gain_.data() + r * cols;
+    const double* __restrict g_line = gain + l * line_cells;
     double* __restrict cur = currents.data();
     if (sigma > 0.0) {
       double* __restrict f = factors.data();
-      noise_.FillFactors(rng, f, sensed_cols, cols);
-      for (std::size_t c = 0; c < sensed_cols; ++c) {
-        const double g = std::clamp(g_row[c] * f[c], 0.0, ceiling);
-        cur[c] += v * g;
+      noise_.FillFactors(rng, f, sensed, line_cells);
+      for (std::size_t k = 0; k < sensed; ++k) {
+        const double g = std::clamp(g_line[k] * f[k], 0.0, ceiling);
+        cur[k] += v * g;
       }
     } else {
-      for (std::size_t c = 0; c < sensed_cols; ++c) {
-        const double g = std::clamp(g_row[c], 0.0, ceiling);
-        cur[c] += v * g;
+      for (std::size_t k = 0; k < sensed; ++k) {
+        const double g = std::clamp(g_line[k], 0.0, ceiling);
+        cur[k] += v * g;
       }
     }
-    // Every cell on a driven row conducts, sensed or not.
-    energy_pj += row_read_energy_pj_[r];
-    energy_pj += params_.dac.drive_energy.pj;
-  }
-}
-
-void Crossbar::TransposeAccumulateReference(const DrivePattern& drive,
-                                            Rng& rng,
-                                            std::span<double> currents,
-                                            double& energy_pj) {
-  const std::size_t cols = params_.cols;
-  for (std::size_t c = 0; c < cols; ++c) {
-    const double v = drive.voltages[c];
-    if (v == 0.0) continue;
-    for (std::size_t r = 0; r < params_.rows; ++r) {
-      const device::ReadResult rr = cells_[r * cols + c].Read(params_.cell,
-                                                              rng);
-      currents[r] += v * rr.conductance_siemens;
-      energy_pj += rr.energy.pj;
-    }
-    energy_pj += params_.dac.drive_energy.pj;
-  }
-}
-
-void Crossbar::TransposeAccumulateFast(const DrivePattern& drive,
-                                       std::size_t sensed_rows, Rng& rng,
-                                       std::span<double> currents,
-                                       double& energy_pj) {
-  const std::size_t rows = params_.rows;
-  const double sigma = params_.cell.read_noise_sigma;
-  const double ceiling = params_.cell.g_on_siemens * 1.5;
-  thread_local std::vector<double> factors;
-  if (sigma > 0.0 && factors.size() < sensed_rows) factors.resize(sensed_rows);
-  for (std::size_t c = 0; c < params_.cols; ++c) {
-    const double v = drive.voltages[c];
-    if (v == 0.0) continue;
-    // The transposed mirror keeps a column's conductances contiguous, so
-    // the backward direction gets the same sense-gated dense kernel as the
-    // forward one.
-    const double* __restrict g_col = gain_transposed_.data() + c * rows;
-    double* __restrict cur = currents.data();
-    if (sigma > 0.0) {
-      double* __restrict f = factors.data();
-      noise_.FillFactors(rng, f, sensed_rows, rows);
-      for (std::size_t r = 0; r < sensed_rows; ++r) {
-        const double g = std::clamp(g_col[r] * f[r], 0.0, ceiling);
-        cur[r] += v * g;
-      }
-    } else {
-      for (std::size_t r = 0; r < sensed_rows; ++r) {
-        const double g = std::clamp(g_col[r], 0.0, ceiling);
-        cur[r] += v * g;
-      }
-    }
-    energy_pj += col_read_energy_pj_[c];
+    // Every cell on a driven line conducts, sensed or not.
+    energy_pj += line_energy_pj[l];
     energy_pj += params_.dac.drive_energy.pj;
   }
 }
@@ -311,133 +272,87 @@ void Crossbar::TransposeAccumulateFast(const DrivePattern& drive,
 Expected<AnalogCycleResult> Crossbar::Cycle(
     std::span<const std::uint64_t> row_codes, std::size_t active_cols,
     Rng* noise_rng) {
-  CIM_REQUIRE(row_codes.size() == params_.rows,
-              InvalidArgument("row drive vector size mismatch"));
-  // 0 means "sense every column"; asking for more columns than exist was
-  // previously clamped silently, which hid caller bugs.
-  CIM_REQUIRE(active_cols <= params_.cols,
-              InvalidArgument("active_cols exceeds crossbar width"));
+  return CycleCodes(row_codes, CycleDirection::kForward, active_cols,
+                    noise_rng);
+}
+
+Expected<AnalogCycleResult> Crossbar::CycleTranspose(
+    std::span<const std::uint64_t> col_codes, std::size_t active_rows,
+    Rng* noise_rng) {
+  return CycleCodes(col_codes, CycleDirection::kTranspose, active_rows,
+                    noise_rng);
+}
+
+Expected<AnalogCycleResult> Crossbar::CycleCodes(
+    std::span<const std::uint64_t> codes, CycleDirection dir,
+    std::size_t sensed, Rng* noise_rng) {
+  // Shape errors are reported before code errors. `sensed` 0 means "sense
+  // every line"; more lines than exist is a caller bug, not a clamp.
+  CIM_REQUIRE(codes.size() == DrivenLines(dir),
+              InvalidArgument("drive vector size mismatch"));
+  CIM_REQUIRE(sensed <= SensedLines(dir),
+              InvalidArgument("sensed line count exceeds the array"));
   thread_local DrivePattern drive;
-  if (Status status = PrepareDrive(params_.dac, row_codes, &drive);
-      !status.ok()) {
-    return status;
-  }
-  return CycleDriven(drive, active_cols, noise_rng);
+  CIM_RETURN_IF_ERROR(PrepareDrive(params_.dac, codes, &drive));
+  return CycleDriven(drive, dir, sensed, noise_rng);
 }
 
 Expected<AnalogCycleResult> Crossbar::CycleDriven(const DrivePattern& drive,
-                                                  std::size_t active_cols,
+                                                  CycleDirection dir,
+                                                  std::size_t sensed,
                                                   Rng* noise_rng) {
   Rng& rng = noise_rng != nullptr ? *noise_rng : rng_;
-  CIM_REQUIRE(drive.voltages.size() == params_.rows,
-              InvalidArgument("row drive pattern size mismatch"));
-  CIM_REQUIRE(active_cols <= params_.cols,
-              InvalidArgument("active_cols exceeds crossbar width"));
-  if (active_cols == 0) active_cols = params_.cols;
+  const std::size_t driven_lines = DrivenLines(dir);
+  const std::size_t sensed_lines = SensedLines(dir);
+  CIM_REQUIRE(drive.voltages.size() == driven_lines,
+              InvalidArgument("drive pattern size mismatch"));
+  CIM_REQUIRE(sensed <= sensed_lines,
+              InvalidArgument("sensed line count exceeds the array"));
+  if (sensed == 0) sensed = sensed_lines;
 
   AnalogCycleResult result;
-  result.column_codes.assign(params_.cols, 0);
+  result.column_codes.assign(sensed_lines, 0);
 
-  // Accumulate noisy column currents. Every cell on an active row draws
-  // (conductance-proportional) read energy and read noise; only gated
-  // columns get sensed, so the fast kernel evaluates only those.
-  std::vector<double> currents(params_.cols, 0.0);
+  // Accumulate noisy sensed-line currents. Every cell on a driven line
+  // draws (conductance-proportional) read energy and read noise; only gated
+  // lines get sensed, so the fast kernel evaluates only those.
+  std::vector<double> currents(sensed_lines, 0.0);
   double energy_pj = 0.0;
   if (params_.kernel == device::KernelPolicy::kReference) {
-    ForwardAccumulateReference(drive, rng, currents, energy_pj);
+    AccumulateReference(drive, dir, rng, currents, energy_pj);
   } else {
-    ForwardAccumulateFast(drive, active_cols, rng, currents, energy_pj);
+    AccumulateFast(drive, dir, sensed, rng, currents, energy_pj);
   }
   result.cost.energy_pj = energy_pj;
-  const std::size_t active_rows = drive.active;
+  const std::size_t active = drive.active;
 
   // First-order IR drop: attenuate with the fraction of simultaneously
-  // active rows.
+  // driven lines.
   const double attenuation =
-      1.0 - params_.ir_drop_alpha * static_cast<double>(active_rows) /
-                static_cast<double>(params_.rows);
-  const double full_scale = FullScaleCurrent();
-  for (std::size_t c = 0; c < active_cols; ++c) {
-    result.column_codes[c] =
-        params_.adc.Encode(currents[c] * attenuation, full_scale);
+      1.0 - params_.ir_drop_alpha * static_cast<double>(active) /
+                static_cast<double>(driven_lines);
+  const double full_scale = FullScaleCurrent(dir);
+  for (std::size_t k = 0; k < sensed; ++k) {
+    result.column_codes[k] =
+        params_.adc.Encode(currents[k] * attenuation, full_scale);
     result.cost.energy_pj += params_.adc.conversion_energy().pj;
   }
 
-  // Latency: one DAC settle + cell read pulse happens for all rows in
-  // parallel; ADC conversions serialize within each ADC group.
-  // Number of ADCs = ceil(cols / columns_per_adc); each converts its share
-  // serially while all ADCs run in parallel, so the critical path is the
-  // share of one ADC.
+  // Latency: one DAC settle + cell read pulse happens for all driven lines
+  // in parallel; ADC conversions serialize within each ADC group. Number of
+  // ADCs = ceil(lines / columns_per_adc); each converts its share serially
+  // while all ADCs run in parallel, so the critical path is the share of
+  // one ADC.
   const double serial_conversions =
       std::min(static_cast<double>(params_.columns_per_adc),
-               static_cast<double>(active_cols));
+               static_cast<double>(sensed));
   result.cost.latency_ns = params_.dac.settle_latency.ns +
                            params_.cell.read_latency.ns +
                            serial_conversions *
                                params_.adc.conversion_latency().ns;
   result.cost.bytes_moved = 0.0;  // nothing crossed a package boundary
   result.cost.operations =
-      static_cast<std::uint64_t>(active_rows) * active_cols * 2;  // MAC=2ops
-  return result;
-}
-
-Expected<AnalogCycleResult> Crossbar::CycleTranspose(
-    std::span<const std::uint64_t> col_codes, std::size_t active_rows,
-    Rng* noise_rng) {
-  CIM_REQUIRE(col_codes.size() == params_.cols,
-              InvalidArgument("column drive vector size mismatch"));
-  CIM_REQUIRE(active_rows <= params_.rows,
-              InvalidArgument("active_rows exceeds crossbar height"));
-  thread_local DrivePattern drive;
-  if (Status status = PrepareDrive(params_.dac, col_codes, &drive);
-      !status.ok()) {
-    return status;
-  }
-  return CycleTransposeDriven(drive, active_rows, noise_rng);
-}
-
-Expected<AnalogCycleResult> Crossbar::CycleTransposeDriven(
-    const DrivePattern& drive, std::size_t active_rows, Rng* noise_rng) {
-  Rng& rng = noise_rng != nullptr ? *noise_rng : rng_;
-  CIM_REQUIRE(drive.voltages.size() == params_.cols,
-              InvalidArgument("column drive pattern size mismatch"));
-  CIM_REQUIRE(active_rows <= params_.rows,
-              InvalidArgument("active_rows exceeds crossbar height"));
-  if (active_rows == 0) active_rows = params_.rows;
-
-  AnalogCycleResult result;
-  result.column_codes.assign(params_.rows, 0);  // row codes here
-
-  std::vector<double> currents(params_.rows, 0.0);
-  double energy_pj = 0.0;
-  if (params_.kernel == device::KernelPolicy::kReference) {
-    TransposeAccumulateReference(drive, rng, currents, energy_pj);
-  } else {
-    TransposeAccumulateFast(drive, active_rows, rng, currents, energy_pj);
-  }
-  result.cost.energy_pj = energy_pj;
-  const std::size_t active_cols = drive.active;
-
-  const double attenuation =
-      1.0 - params_.ir_drop_alpha * static_cast<double>(active_cols) /
-                static_cast<double>(params_.cols);
-  // Full scale along the transpose direction is set by the column count.
-  const double full_scale = static_cast<double>(params_.cols) *
-                            params_.dac.v_read * params_.cell.g_on_siemens;
-  for (std::size_t r = 0; r < active_rows; ++r) {
-    result.column_codes[r] =
-        params_.adc.Encode(currents[r] * attenuation, full_scale);
-    result.cost.energy_pj += params_.adc.conversion_energy().pj;
-  }
-  const double serial_conversions =
-      std::min(static_cast<double>(params_.columns_per_adc),
-               static_cast<double>(active_rows));
-  result.cost.latency_ns = params_.dac.settle_latency.ns +
-                           params_.cell.read_latency.ns +
-                           serial_conversions *
-                               params_.adc.conversion_latency().ns;
-  result.cost.operations =
-      static_cast<std::uint64_t>(active_cols) * active_rows * 2;
+      static_cast<std::uint64_t>(active) * sensed * 2;  // MAC = 2 ops
   return result;
 }
 

@@ -1,11 +1,14 @@
 // Analog memristor crossbar array.
 //
-// A rows x cols grid of MemristorCell with row DACs and column-shared ADCs.
+// A rows x cols grid of MemristorCell with line DACs and shared ADCs.
 // One analog cycle applies voltages on all rows simultaneously and senses
 // every column current — a full matrix-vector multiply in O(1) array time,
 // which is the physical basis of the paper's CIM performance claims: the
 // weights never move, so the "memory bandwidth" of the operation is the
-// whole array refreshed every cycle.
+// whole array refreshed every cycle. The array is bidirectional: the same
+// cycle run the other way drives the columns and senses the rows (the DPE
+// in-situ training property), so one kernel and one cycle driver serve both
+// directions, parameterised by CycleDirection.
 //
 // Kernel structure: the cell grid is the array-of-structs source of truth
 // (program/verify, wear, drift, faults all live on MemristorCell), but the
@@ -66,7 +69,15 @@ struct CrossbarParams {
   [[nodiscard]] Status Validate() const;
 };
 
-// Result of one analog MVM cycle: raw ADC codes per column and the cost.
+// Which way a cycle runs through the array. kForward drives the rows and
+// senses the columns (y = W^T x); kTranspose drives the columns and senses
+// the rows (g = W e). Everything direction-dependent — drive width, sensed
+// width, full scale, IR-drop divisor, which mirror plane is contiguous —
+// follows from it.
+enum class CycleDirection { kForward, kTranspose };
+
+// Result of one analog MVM cycle: raw ADC codes per sensed line (columns
+// forward, rows transposed) and the cost.
 struct AnalogCycleResult {
   std::vector<std::uint64_t> column_codes;
   CostReport cost;
@@ -127,12 +138,6 @@ class Crossbar {
       std::span<const std::uint64_t> row_codes, std::size_t active_cols = 0,
       Rng* noise_rng = nullptr);
 
-  // Cycle with a pre-validated drive pattern (see PrepareDrive) — the MVM
-  // engine's fused bit-sweep entry point.
-  [[nodiscard]] Expected<AnalogCycleResult> CycleDriven(
-      const DrivePattern& drive, std::size_t active_cols = 0,
-      Rng* noise_rng = nullptr);
-
   // Transpose cycle: drive the columns, sense the rows (y -> W y). The
   // crossbar is bidirectional — the property the DPE lineage exploits for
   // in-situ backpropagation. Returns `active_rows` row codes. `noise_rng`
@@ -143,13 +148,19 @@ class Crossbar {
       std::span<const std::uint64_t> col_codes, std::size_t active_rows = 0,
       Rng* noise_rng = nullptr);
 
-  // Transpose cycle with a pre-validated drive pattern.
-  [[nodiscard]] Expected<AnalogCycleResult> CycleTransposeDriven(
-      const DrivePattern& drive, std::size_t active_rows = 0,
+  // The one cycle driver behind Cycle and CycleTranspose, taking a
+  // pre-validated drive pattern (see PrepareDrive) — the MVM engine's fused
+  // bit-sweep entry point. `drive` holds one voltage per driven line of
+  // `dir`; the first `sensed` lines of the other side are digitised
+  // (0 = all).
+  [[nodiscard]] Expected<AnalogCycleResult> CycleDriven(
+      const DrivePattern& drive, CycleDirection dir, std::size_t sensed = 0,
       Rng* noise_rng = nullptr);
 
-  // Full-scale column current the ADC range is calibrated to.
-  [[nodiscard]] double FullScaleCurrent() const;
+  // Full-scale sensed current the ADC range is calibrated to: every driven
+  // line of `dir` at v_read through a g_on cell.
+  [[nodiscard]] double FullScaleCurrent(
+      CycleDirection dir = CycleDirection::kForward) const;
 
   // Noise-free expected column currents for a drive vector — used by tests
   // and golden models to bound quantization error. Reflects stuck-cell
@@ -199,30 +210,40 @@ class Crossbar {
   void RefreshMirror();
   void RefreshMirrorCell(std::size_t row, std::size_t col);
 
-  // The kernel twins behind CycleDriven/CycleTransposeDriven: walk the
-  // driven lines, accumulate noisy currents into `currents` and read+drive
-  // energy into `energy_pj`. The Fast variants serve both kFastBitExact and
-  // kFastNoise — noise_.FillFactors owns the sampling difference; identical
-  // column codes between kReference and kFastBitExact by construction (the
-  // differential test, mvm_kernel_test, enforces it), statistical
-  // equivalence for kFastNoise (noise_equivalence_test + bench gate). The
-  // Fast variants are sense-gated: they evaluate only the currents of the
-  // sensed prefix [0, sensed_cols) / [0, sensed_rows) the ADC digitises,
-  // while the noise stream still advances for every cell of a driven line,
-  // so the sensed codes and the post-cycle stream match the Reference
-  // kernels, which read every cell.
-  void ForwardAccumulateReference(const DrivePattern& drive, Rng& rng,
-                                  std::span<double> currents,
-                                  double& energy_pj);
-  void ForwardAccumulateFast(const DrivePattern& drive,
-                             std::size_t sensed_cols, Rng& rng,
-                             std::span<double> currents, double& energy_pj);
-  void TransposeAccumulateReference(const DrivePattern& drive, Rng& rng,
-                                    std::span<double> currents,
-                                    double& energy_pj);
-  void TransposeAccumulateFast(const DrivePattern& drive,
-                               std::size_t sensed_rows, Rng& rng,
-                               std::span<double> currents, double& energy_pj);
+  // Cycle / CycleTranspose: validate and expand raw drive codes, then run
+  // CycleDriven.
+  [[nodiscard]] Expected<AnalogCycleResult> CycleCodes(
+      std::span<const std::uint64_t> codes, CycleDirection dir,
+      std::size_t sensed, Rng* noise_rng);
+
+  // Drive and sense widths of one direction: rows x cols forward, cols x
+  // rows transposed.
+  [[nodiscard]] std::size_t DrivenLines(CycleDirection dir) const {
+    return dir == CycleDirection::kForward ? params_.rows : params_.cols;
+  }
+  [[nodiscard]] std::size_t SensedLines(CycleDirection dir) const {
+    return dir == CycleDirection::kForward ? params_.cols : params_.rows;
+  }
+
+  // The two kernels behind CycleDriven, one per correctness contract, each
+  // serving both directions: walk the driven lines, accumulate the sensed
+  // lines' noisy currents into `currents` and read+drive energy into
+  // `energy_pj`. AccumulateReference reads cells_ (the source of truth, not
+  // the mirror), so it stays an independent oracle. AccumulateFast serves
+  // kFastBitExact (identical codes to kReference, enforced by
+  // mvm_kernel_test) and kFastNoise (statistically equivalent,
+  // noise_equivalence_test + bench gate); noise_.FillFactors owns the
+  // difference. It runs on the mirror plane whose lines are contiguous in
+  // `dir` and is sense-gated: it evaluates only the sensed prefix
+  // [0, sensed) the ADC digitises, while the noise stream still advances
+  // for every cell of a driven line, so the codes and the post-cycle stream
+  // match the reference kernel, which reads every cell.
+  void AccumulateReference(const DrivePattern& drive, CycleDirection dir,
+                           Rng& rng, std::span<double> currents,
+                           double& energy_pj);
+  void AccumulateFast(const DrivePattern& drive, CycleDirection dir,
+                      std::size_t sensed, Rng& rng,
+                      std::span<double> currents, double& energy_pj);
 
   CrossbarParams params_;
   // Sampling strategy for the fast kernels' read-noise factors, fixed at

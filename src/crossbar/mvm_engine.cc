@@ -8,14 +8,6 @@
 namespace cim::crossbar {
 namespace {
 
-// Attenuation the analog array applies (mirrors Crossbar::Cycle); the
-// digital periphery calibrates it out because it depends only on the known
-// number of active rows.
-double IrAttenuation(const CrossbarParams& p, std::size_t active_rows) {
-  return 1.0 - p.ir_drop_alpha * static_cast<double>(active_rows) /
-                   static_cast<double>(p.rows);
-}
-
 // Exact 2^e for the shift-and-add weights: every (bit, slice) exponent fits
 // a shift, and the conversion to double is exact, so this is bit-identical
 // to the std::pow(2.0, e) calls it replaced — without the libm call in the
@@ -23,6 +15,13 @@ double IrAttenuation(const CrossbarParams& p, std::size_t active_rows) {
 double Pow2(int e) {
   CIM_DCHECK(e >= 0 && e < 63);
   return static_cast<double>(std::uint64_t{1} << e);
+}
+
+// Conductance step between adjacent cell levels: one weight digit's worth
+// of cell current per volt of drive.
+double GStep(const device::MemristorParams& cell) {
+  return (cell.g_on_siemens - cell.g_off_siemens) /
+         static_cast<double>(cell.levels() - 1);
 }
 
 }  // namespace
@@ -256,6 +255,77 @@ Expected<CostReport> MvmEngine::UpdateWeights(
   return total;
 }
 
+double MvmEngine::OutputScale() const {
+  const auto max_w_code =
+      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
+  const auto max_x_code =
+      static_cast<double>((1ULL << params_.input_bits) - 1);
+  return (params_.weight_range / max_w_code) *
+         (params_.input_range / max_x_code);
+}
+
+Status MvmEngine::BitSweep(CycleDirection dir,
+                           std::span<const std::uint64_t> codes, double sign,
+                           Rng* noise_rng, std::span<double> accum,
+                           CostReport& cost) {
+  const CrossbarParams& array = params_.array;
+  const std::size_t lines =
+      dir == CycleDirection::kForward ? array.rows : array.cols;
+  const double v_read = array.dac.v_read;
+  const double g_step = GStep(array.cell);
+  const double full_scale = positive_planes_.front().FullScaleCurrent(dir);
+  std::vector<std::uint64_t> line_codes(lines, 0);
+
+  // Fused bit-sweep: one drive pattern per input bit, validated and
+  // expanded to voltages once, then shared by every (slice, plane) array's
+  // cycle — instead of each of the 2 * slices arrays re-validating the
+  // same codes.
+  DrivePattern drive;
+  for (int b = 0; b < params_.input_bits; ++b) {
+    for (std::size_t l = 0; l < lines; ++l) {
+      line_codes[l] = l < codes.size() ? ((codes[l] >> b) & 1ULL) : 0ULL;
+    }
+    CIM_RETURN_IF_ERROR(PrepareDrive(array.dac, line_codes, &drive));
+    // The digital periphery calibrates the array's IR-drop attenuation out:
+    // it depends only on the known number of driven lines.
+    const std::size_t active = drive.active;
+    const double attenuation =
+        1.0 - array.ir_drop_alpha * static_cast<double>(active) /
+                  static_cast<double>(lines);
+    const double bit_weight = Pow2(b);
+
+    double cycle_latency = 0.0;
+    for (int s = 0; s < params_.slices(); ++s) {
+      const double slice_weight =
+          bit_weight * slice_pow_[static_cast<std::size_t>(s)];
+      for (int plane = 0; plane < 2; ++plane) {
+        Crossbar& xbar =
+            plane == 0 ? positive_planes_[s] : negative_planes_[s];
+        auto cycle = xbar.CycleDriven(drive, dir, accum.size(), noise_rng);
+        if (!cycle.ok()) return cycle.status();
+        // All (slice, plane) arrays fire in parallel within the bit cycle.
+        cycle_latency = std::max(cycle_latency, cycle->cost.latency_ns);
+        cost.energy_pj += cycle->cost.energy_pj;
+        cost.operations += cycle->cost.operations;
+        const double line_sign = (plane == 0 ? 1.0 : -1.0) * sign;
+        for (std::size_t k = 0; k < accum.size(); ++k) {
+          const double sensed =
+              array.adc.Decode(cycle->column_codes[k], full_scale);
+          const double corrected = sensed / attenuation -
+                                   static_cast<double>(active) * v_read *
+                                       array.cell.g_off_siemens;
+          const double digit_sum =
+              std::max(0.0, std::round(corrected / (v_read * g_step)));
+          accum[k] += line_sign * slice_weight * digit_sum;
+          cost.energy_pj += params_.shift_add_energy.pj;
+        }
+      }
+    }
+    cost.latency_ns += cycle_latency + params_.shift_add_latency.ns;
+  }
+  return Status::Ok();
+}
+
 Expected<MvmResult> MvmEngine::Compute(std::span<const double> x,
                                        Rng* noise_rng) {
   if (!programmed_) {
@@ -266,98 +336,35 @@ Expected<MvmResult> MvmEngine::Compute(std::span<const double> x,
   std::vector<std::uint64_t> codes(in_dim_);
   for (std::size_t i = 0; i < in_dim_; ++i) codes[i] = QuantizeInput(x[i]);
 
-  const CrossbarParams& array = params_.array;
-  const double v_read = array.dac.v_read;
-  const double g_step = (array.cell.g_on_siemens - array.cell.g_off_siemens) /
-                        static_cast<double>(array.cell.levels() - 1);
-  const double full_scale = static_cast<double>(array.rows) * v_read *
-                            array.cell.g_on_siemens;
-
+  // The guard column, when enabled, is sensed as accum[out_dim_]. Sensing
+  // it costs one extra ADC conversion per cycle but leaves the noise stream
+  // unchanged: Crossbar::CycleDriven advances the read-noise stream for
+  // every cell of a driven row and evaluates only the sensed prefix, so the
+  // stream does not depend on how many columns are digitized and guard-on
+  // and guard-off runs stay bit-identical on the logical outputs.
   MvmResult result;
-  result.y.assign(out_dim_, 0.0);
-  std::vector<double> accum(out_dim_, 0.0);
-  double accum_guard = 0.0;
-  std::vector<std::uint64_t> row_codes(array.rows, 0);
-  // Sensing the guard costs one extra ADC conversion per cycle but leaves
-  // the noise stream unchanged: Crossbar::Cycle advances the read-noise
-  // stream for every cell of a driven row and evaluates only the sensed
-  // prefix, so the stream does not depend on how many columns are
-  // digitized and guard-on and guard-off runs stay bit-identical on the
-  // logical outputs.
-  const std::size_t sense_cols =
-      params_.guard_column ? out_dim_ + 1 : out_dim_;
+  std::vector<double> accum(params_.guard_column ? out_dim_ + 1 : out_dim_,
+                            0.0);
+  CIM_RETURN_IF_ERROR(BitSweep(CycleDirection::kForward, codes, 1.0,
+                               noise_rng, accum, result.cost));
 
-  // Fused bit-sweep: one drive pattern per input bit, validated and
-  // expanded to voltages once, then shared by every (slice, plane) array's
-  // cycle — instead of each of the 2 * slices arrays re-validating the
-  // same codes.
-  DrivePattern drive;
-  for (int b = 0; b < params_.input_bits; ++b) {
-    for (std::size_t r = 0; r < array.rows; ++r) {
-      row_codes[r] = r < in_dim_ ? ((codes[r] >> b) & 1ULL) : 0ULL;
-    }
-    if (Status status = PrepareDrive(array.dac, row_codes, &drive);
-        !status.ok()) {
-      return status;
-    }
-    const std::size_t active = drive.active;
-    const double attenuation = IrAttenuation(array, active);
-    const double bit_weight = Pow2(b);
-
-    double cycle_latency = 0.0;
-    for (int s = 0; s < params_.slices(); ++s) {
-      const double slice_weight =
-          bit_weight * slice_pow_[static_cast<std::size_t>(s)];
-      for (int plane = 0; plane < 2; ++plane) {
-        Crossbar& xbar =
-            plane == 0 ? positive_planes_[s] : negative_planes_[s];
-        auto cycle = xbar.CycleDriven(drive, sense_cols, noise_rng);
-        if (!cycle.ok()) return cycle.status();
-        // All (slice, plane) arrays fire in parallel within the bit cycle.
-        cycle_latency = std::max(cycle_latency, cycle->cost.latency_ns);
-        result.cost.energy_pj += cycle->cost.energy_pj;
-        result.cost.operations += cycle->cost.operations;
-        const double sign = plane == 0 ? 1.0 : -1.0;
-        for (std::size_t c = 0; c < sense_cols; ++c) {
-          const double sensed =
-              array.adc.Decode(cycle->column_codes[c], full_scale);
-          const double corrected = sensed / attenuation -
-                                   static_cast<double>(active) * v_read *
-                                       array.cell.g_off_siemens;
-          const double digit_sum =
-              std::max(0.0, std::round(corrected / (v_read * g_step)));
-          if (c < out_dim_) {
-            accum[c] += sign * slice_weight * digit_sum;
-          } else {
-            accum_guard += sign * slice_weight * digit_sum;
-          }
-          result.cost.energy_pj += params_.shift_add_energy.pj;
-        }
-      }
-    }
-    result.cost.latency_ns += cycle_latency + params_.shift_add_latency.ns;
-  }
-
-  const auto max_w_code =
-      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
-  const auto max_x_code =
-      static_cast<double>((1ULL << params_.input_bits) - 1);
-  const double scale = (params_.weight_range / max_w_code) *
-                       (params_.input_range / max_x_code);
+  const double scale = OutputScale();
+  result.y.resize(out_dim_);
   for (std::size_t c = 0; c < out_dim_; ++c) result.y[c] = accum[c] * scale;
 
   if (params_.guard_column) {
     // ABFT check: guard holds row sums / guard_scale_, so in exact
     // arithmetic guard_scale_ * y_guard == sum_c y_c for any input.
     double y_sum = 0.0;
-    for (double a : accum) y_sum += a;
+    for (std::size_t c = 0; c < out_dim_; ++c) y_sum += accum[c];
     double sum_x_codes = 0.0;
     for (std::uint64_t code : codes) {
       sum_x_codes += static_cast<double>(code);
     }
     result.guard_checked = true;
     result.guard_residual =
-        std::abs(static_cast<double>(guard_scale_) * accum_guard - y_sum) *
+        std::abs(static_cast<double>(guard_scale_) * accum[out_dim_] -
+                 y_sum) *
         scale;
     result.guard_threshold = GuardThreshold(sum_x_codes);
     result.guard_ok = result.guard_residual <= result.guard_threshold;
@@ -373,10 +380,8 @@ double MvmEngine::GuardThreshold(double sum_x_codes) const {
   //     summing in quadrature down the column.
   const CrossbarParams& array = params_.array;
   const double v_read = array.dac.v_read;
-  const double g_step = (array.cell.g_on_siemens - array.cell.g_off_siemens) /
-                        static_cast<double>(array.cell.levels() - 1);
-  const double full_scale = static_cast<double>(array.rows) * v_read *
-                            array.cell.g_on_siemens;
+  const double g_step = GStep(array.cell);
+  const double full_scale = positive_planes_.front().FullScaleCurrent();
   const double adc_lsb_digits =
       full_scale / static_cast<double>((1ULL << array.adc.bits) - 1) /
       (1.0 - array.ir_drop_alpha) / (v_read * g_step);
@@ -403,13 +408,7 @@ double MvmEngine::GuardThreshold(double sum_x_codes) const {
   const double s = static_cast<double>(guard_scale_);
   const double column_mix =
       std::sqrt(static_cast<double>(out_dim_) + s * s);
-  const auto max_w_code =
-      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
-  const auto max_x_code =
-      static_cast<double>((1ULL << params_.input_bits) - 1);
-  const double scale = (params_.weight_range / max_w_code) *
-                       (params_.input_range / max_x_code);
-  return params_.guard_margin * scale *
+  return params_.guard_margin * OutputScale() *
          (rho * column_mix * w_rms + 0.5 * s * sum_x_codes);
 }
 
@@ -422,82 +421,22 @@ Expected<MvmResult> MvmEngine::ComputeTranspose(std::span<const double> e,
   if (e.size() != out_dim_) return InvalidArgument("error size mismatch");
 
   // Split the signed error into non-negative halves; each half runs a full
-  // bit-serial transpose pass.
+  // bit-serial transpose sweep, the negative one subtracting.
   std::vector<std::uint64_t> pos_codes(out_dim_), neg_codes(out_dim_);
   for (std::size_t i = 0; i < out_dim_; ++i) {
     pos_codes[i] = QuantizeInput(std::max(e[i], 0.0));
     neg_codes[i] = QuantizeInput(std::max(-e[i], 0.0));
   }
 
-  const CrossbarParams& array = params_.array;
-  const double v_read = array.dac.v_read;
-  const double g_step = (array.cell.g_on_siemens - array.cell.g_off_siemens) /
-                        static_cast<double>(array.cell.levels() - 1);
-  const double full_scale = static_cast<double>(array.cols) * v_read *
-                            array.cell.g_on_siemens;
-
   MvmResult result;
-  result.y.assign(in_dim_, 0.0);
   std::vector<double> accum(in_dim_, 0.0);
-  std::vector<std::uint64_t> col_codes(array.cols, 0);
+  CIM_RETURN_IF_ERROR(BitSweep(CycleDirection::kTranspose, pos_codes, 1.0,
+                               noise_rng, accum, result.cost));
+  CIM_RETURN_IF_ERROR(BitSweep(CycleDirection::kTranspose, neg_codes, -1.0,
+                               noise_rng, accum, result.cost));
 
-  // Same fused bit-sweep as Compute: one drive pattern per (half, bit),
-  // shared across every (slice, plane) array.
-  DrivePattern drive;
-  for (int half = 0; half < 2; ++half) {
-    const std::vector<std::uint64_t>& codes =
-        half == 0 ? pos_codes : neg_codes;
-    const double half_sign = half == 0 ? 1.0 : -1.0;
-    for (int b = 0; b < params_.input_bits; ++b) {
-      for (std::size_t c = 0; c < array.cols; ++c) {
-        col_codes[c] = c < out_dim_ ? ((codes[c] >> b) & 1ULL) : 0ULL;
-      }
-      if (Status status = PrepareDrive(array.dac, col_codes, &drive);
-          !status.ok()) {
-        return status;
-      }
-      const std::size_t active = drive.active;
-      const double attenuation =
-          1.0 - array.ir_drop_alpha * static_cast<double>(active) /
-                    static_cast<double>(array.cols);
-      const double bit_weight = Pow2(b);
-
-      double cycle_latency = 0.0;
-      for (int s = 0; s < params_.slices(); ++s) {
-        const double slice_weight =
-            bit_weight * slice_pow_[static_cast<std::size_t>(s)];
-        for (int plane = 0; plane < 2; ++plane) {
-          Crossbar& xbar =
-              plane == 0 ? positive_planes_[s] : negative_planes_[s];
-          auto cycle = xbar.CycleTransposeDriven(drive, in_dim_, noise_rng);
-          if (!cycle.ok()) return cycle.status();
-          cycle_latency = std::max(cycle_latency, cycle->cost.latency_ns);
-          result.cost.energy_pj += cycle->cost.energy_pj;
-          result.cost.operations += cycle->cost.operations;
-          const double sign = (plane == 0 ? 1.0 : -1.0) * half_sign;
-          for (std::size_t r = 0; r < in_dim_; ++r) {
-            const double sensed =
-                array.adc.Decode(cycle->column_codes[r], full_scale);
-            const double corrected = sensed / attenuation -
-                                     static_cast<double>(active) * v_read *
-                                         array.cell.g_off_siemens;
-            const double digit_sum =
-                std::max(0.0, std::round(corrected / (v_read * g_step)));
-            accum[r] += sign * slice_weight * digit_sum;
-            result.cost.energy_pj += params_.shift_add_energy.pj;
-          }
-        }
-      }
-      result.cost.latency_ns += cycle_latency + params_.shift_add_latency.ns;
-    }
-  }
-
-  const auto max_w_code =
-      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
-  const auto max_x_code =
-      static_cast<double>((1ULL << params_.input_bits) - 1);
-  const double scale = (params_.weight_range / max_w_code) *
-                       (params_.input_range / max_x_code);
+  const double scale = OutputScale();
+  result.y.resize(in_dim_);
   for (std::size_t r = 0; r < in_dim_; ++r) result.y[r] = accum[r] * scale;
   return result;
 }
@@ -509,12 +448,7 @@ Expected<std::vector<double>> MvmEngine::GoldenComputeTranspose(
                               "GoldenComputeTranspose");
   }
   if (e.size() != out_dim_) return InvalidArgument("error size mismatch");
-  const auto max_w_code =
-      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
-  const auto max_x_code =
-      static_cast<double>((1ULL << params_.input_bits) - 1);
-  const double scale = (params_.weight_range / max_w_code) *
-                       (params_.input_range / max_x_code);
+  const double scale = OutputScale();
   std::vector<double> g(in_dim_, 0.0);
   for (std::size_t c = 0; c < out_dim_; ++c) {
     const double pos = static_cast<double>(
@@ -537,12 +471,7 @@ Expected<std::vector<double>> MvmEngine::GoldenCompute(
     return FailedPrecondition("ProgramWeights must run before GoldenCompute");
   }
   if (x.size() != in_dim_) return InvalidArgument("input size mismatch");
-  const auto max_w_code =
-      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
-  const auto max_x_code =
-      static_cast<double>((1ULL << params_.input_bits) - 1);
-  const double scale = (params_.weight_range / max_w_code) *
-                       (params_.input_range / max_x_code);
+  const double scale = OutputScale();
   std::vector<double> y(out_dim_, 0.0);
   for (std::size_t r = 0; r < in_dim_; ++r) {
     const auto xcode = static_cast<double>(QuantizeInput(x[r]));
@@ -562,10 +491,8 @@ double MvmEngine::AdcErrorBound() const {
   // over planes. Assumes read noise and faults are disabled.
   const CrossbarParams& array = params_.array;
   const double v_read = array.dac.v_read;
-  const double g_step = (array.cell.g_on_siemens - array.cell.g_off_siemens) /
-                        static_cast<double>(array.cell.levels() - 1);
-  const double full_scale = static_cast<double>(array.rows) * v_read *
-                            array.cell.g_on_siemens;
+  const double g_step = GStep(array.cell);
+  const double full_scale = positive_planes_.front().FullScaleCurrent();
   const double adc_lsb_current =
       full_scale / static_cast<double>((1ULL << array.adc.bits) - 1);
   // Worst-case attenuation correction amplifies the ADC error by at most
@@ -581,12 +508,7 @@ double MvmEngine::AdcErrorBound() const {
       weight_sum += 2.0 * Pow2(b + s * cell_bits);  // two planes
     }
   }
-  const auto max_w_code =
-      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
-  const auto max_x_code =
-      static_cast<double>((1ULL << params_.input_bits) - 1);
-  const double scale = (params_.weight_range / max_w_code) *
-                       (params_.input_range / max_x_code);
+  const double scale = OutputScale();
   return weight_sum * digit_error_per_cycle * scale;
 }
 

@@ -161,6 +161,22 @@ class MvmEngine {
   [[nodiscard]] std::int64_t QuantizeWeight(double w) const;
   [[nodiscard]] std::uint64_t QuantizeInput(double x) const;
 
+  // One bit-serial sweep of `codes` (one entry per logical driven line)
+  // through every (slice, plane) array in direction `dir`: per input bit, a
+  // shared drive pattern, one analog cycle per array sensing accum.size()
+  // lines, and the shift-and-add of sign * 2^(bit + slice*cell_bits) *
+  // digit sum (negated on the negative plane) into `accum`. Cycle cost adds
+  // into `cost`. Compute runs one forward sweep; ComputeTranspose runs a
+  // transpose sweep per sign of the error.
+  [[nodiscard]] Status BitSweep(CycleDirection dir,
+                                std::span<const std::uint64_t> codes,
+                                double sign, Rng* noise_rng,
+                                std::span<double> accum, CostReport& cost);
+
+  // Weight step x input step: what one unit of accumulated digit sum is
+  // worth in output units.
+  [[nodiscard]] double OutputScale() const;
+
   // Fault-free residual spread estimate behind the guard threshold;
   // `sum_x_codes` is the current input's total code mass.
   [[nodiscard]] double GuardThreshold(double sum_x_codes) const;

@@ -257,6 +257,8 @@ void ExpectGatedCyclesBitIdentical(std::size_t rows, std::size_t cols,
                                                 << active_cols;
     EXPECT_EQ(f->cost.latency_ns, r->cost.latency_ns);
     EXPECT_EQ(f->cost.operations, r->cost.operations);
+    EXPECT_NEAR(f->cost.energy_pj, r->cost.energy_pj,
+                1e-9 * std::abs(r->cost.energy_pj));
     ExpectSameStreamState(fast_rng, ref_rng, "forward", active_cols);
   }
 
@@ -270,6 +272,10 @@ void ExpectGatedCyclesBitIdentical(std::size_t rows, std::size_t cols,
     ASSERT_TRUE(f.ok() && r.ok());
     EXPECT_EQ(f->column_codes, r->column_codes) << "active_rows "
                                                 << active_rows;
+    EXPECT_EQ(f->cost.latency_ns, r->cost.latency_ns);
+    EXPECT_EQ(f->cost.operations, r->cost.operations);
+    EXPECT_NEAR(f->cost.energy_pj, r->cost.energy_pj,
+                1e-9 * std::abs(r->cost.energy_pj));
     ExpectSameStreamState(fast_rng, ref_rng, "transpose", active_rows);
   }
 }
@@ -283,6 +289,64 @@ TEST(KernelDifferentialTest, RawCycleColumnCodesBitIdentical) {
   // exactly as the reference's full-line read does. Widths 1, odd and even
   // middles, one short of full, and 0 (= all).
   ExpectGatedCyclesBitIdentical(13, 21, {1, 7, 6, 20, 0}, {1, 5, 6, 12, 0});
+}
+
+// The array is bidirectional: a transpose cycle on W is a forward cycle on
+// W^T, codes and cost alike. Both directions run through one cycle driver
+// and one kernel per policy, so the fast-vs-reference suites cannot see a
+// direction mistake in the shared driver (full scale, IR-drop divisor,
+// sensed width); this orientation property can. Noise is off so the two
+// arrays' cells read identically; the stuck-on cell moves with the
+// transpose. A 12-bit ADC resolves the sub-percent current shift a wrong
+// IR-drop divisor would cause.
+TEST(KernelDifferentialTest, TransposeEqualsForwardOnTransposedArray) {
+  constexpr std::size_t kRows = 13;
+  constexpr std::size_t kCols = 21;
+  for (device::KernelPolicy kernel :
+       {device::KernelPolicy::kReference, device::KernelPolicy::kFastBitExact}) {
+    CrossbarParams p = NoisyArrayParams(kernel);
+    p.rows = kRows;
+    p.cols = kCols;
+    p.cell.read_noise_sigma = 0.0;
+    p.cell.write_noise_sigma = 0.0;
+    p.adc.bits = 12;
+    CrossbarParams flipped_params = p;
+    flipped_params.rows = kCols;
+    flipped_params.cols = kRows;
+    auto array = Crossbar::Create(p, Rng(kSeed));
+    auto flipped = Crossbar::Create(flipped_params, Rng(kSeed));
+    ASSERT_TRUE(array.ok() && flipped.ok());
+
+    Rng lrng(kSeed + 7);
+    const std::vector<std::uint64_t> levels = RandomLevels(p, lrng);
+    std::vector<std::uint64_t> levels_t(levels.size());
+    for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t c = 0; c < kCols; ++c) {
+        levels_t[c * kRows + r] = levels[r * kCols + c];
+      }
+    }
+    ASSERT_TRUE(array->ProgramLevels(levels).ok());
+    ASSERT_TRUE(flipped->ProgramLevels(levels_t).ok());
+    array->InjectCellFault(2, 3, device::CellFault::kStuckOn);
+    flipped->InjectCellFault(3, 2, device::CellFault::kStuckOn);
+
+    std::vector<std::uint64_t> drive(kCols, 0);
+    for (std::size_t c = 0; c < drive.size(); c += 3) drive[c] = 1;
+    for (std::size_t sensed : {std::size_t{0}, std::size_t{5}}) {
+      Rng transpose_rng(kSeed);
+      Rng forward_rng(kSeed);
+      auto t = array->CycleTranspose(drive, sensed, &transpose_rng);
+      auto f = flipped->Cycle(drive, sensed, &forward_rng);
+      ASSERT_TRUE(t.ok() && f.ok());
+      const char* policy =
+          kernel == device::KernelPolicy::kReference ? "reference" : "fast";
+      EXPECT_EQ(t->column_codes, f->column_codes)
+          << policy << ", sensed " << sensed;
+      EXPECT_EQ(t->cost.latency_ns, f->cost.latency_ns) << policy;
+      EXPECT_EQ(t->cost.operations, f->cost.operations) << policy;
+      EXPECT_EQ(t->cost.energy_pj, f->cost.energy_pj) << policy;
+    }
+  }
 }
 
 // kFastNoise draws one tile rotation per driven line whatever the sensed
