@@ -31,12 +31,18 @@ Status PrepareDrive(const DacParams& dac,
     CIM_REQUIRE(code <= max_code, OutOfRange("DAC code exceeds dac.bits"));
   }
   out->voltages.resize(codes.size());
-  out->active = 0;
+  // Branch-free list build: every index is written, and only a driven
+  // line's advances the count — bit-serial drive bits are coin flips, so a
+  // data-dependent branch here would mispredict on half the lines.
+  out->lines.resize(codes.size());
+  std::size_t driven = 0;
   for (std::size_t i = 0; i < codes.size(); ++i) {
     const double v = dac.LevelVoltage(codes[i]);
     out->voltages[i] = v;
-    if (v != 0.0) ++out->active;
+    out->lines[driven] = i;
+    driven += v != 0.0 ? 1 : 0;
   }
+  out->lines.resize(driven);
   return Status::Ok();
 }
 
@@ -230,21 +236,22 @@ void Crossbar::AccumulateFast(const DrivePattern& drive, CycleDirection dir,
   const std::size_t line_cells = SensedLines(dir);
   const double sigma = params_.cell.read_noise_sigma;
   const double ceiling = params_.cell.g_on_siemens * 1.5;
-  // Per driven line: draw the sensed prefix's noise factors into a scratch
-  // buffer — under the bit-exact policies in the same order the reference
-  // kernel consumes the stream (advancing past every cell of a driven
-  // line, sensed or not), under kFastNoise as one tile window per line —
-  // then run a dense accumulate over the contiguous conductance mirror for
-  // cells [0, sensed) only: the ADC never converts the rest, so their
-  // currents are never read. The two loops split the sampling from the
+  // Per driven line (drive.lines, ascending — exactly the lines the
+  // reference kernel's `v == 0.0` test lets through, in its order): draw
+  // the sensed prefix's noise factors into a scratch buffer — under the
+  // bit-exact policies in the same order the reference kernel consumes the
+  // stream (advancing past every cell of a driven line, sensed or not),
+  // under kFastNoise as one tile window per line — then run a dense
+  // accumulate over the contiguous conductance mirror for cells
+  // [0, sensed) only: the ADC never converts the rest, so their currents
+  // are never read. The two loops split the sampling from the
   // arithmetic, so the second loop auto-vectorizes; each sensed line owns
   // an independent accumulator chain, so vectorizing across them cannot
   // reorder any FP sum.
   thread_local std::vector<double> factors;
   if (sigma > 0.0 && factors.size() < sensed) factors.resize(sensed);
-  for (std::size_t l = 0; l < DrivenLines(dir); ++l) {
+  for (const std::size_t l : drive.lines) {
     const double v = drive.voltages[l];
-    if (v == 0.0) continue;
     // __restrict: the mirror, the scratch buffer and the accumulator never
     // alias, and saying so is what lets the dense loops below vectorize
     // without runtime overlap checks.
@@ -294,13 +301,19 @@ Expected<AnalogCycleResult> Crossbar::CycleCodes(
               InvalidArgument("sensed line count exceeds the array"));
   thread_local DrivePattern drive;
   CIM_RETURN_IF_ERROR(PrepareDrive(params_.dac, codes, &drive));
-  return CycleDriven(drive, dir, sensed, noise_rng);
+  AnalogCycleResult result;
+  result.column_codes.assign(SensedLines(dir), 0);
+  auto cost = CycleDriven(drive, dir, sensed, result.column_codes, noise_rng);
+  if (!cost.ok()) return cost.status();
+  result.cost = *cost;
+  return result;
 }
 
-Expected<AnalogCycleResult> Crossbar::CycleDriven(const DrivePattern& drive,
-                                                  CycleDirection dir,
-                                                  std::size_t sensed,
-                                                  Rng* noise_rng) {
+Expected<CostReport> Crossbar::CycleDriven(const DrivePattern& drive,
+                                           CycleDirection dir,
+                                           std::size_t sensed,
+                                           std::span<std::uint64_t> codes,
+                                           Rng* noise_rng) {
   Rng& rng = noise_rng != nullptr ? *noise_rng : rng_;
   const std::size_t driven_lines = DrivenLines(dir);
   const std::size_t sensed_lines = SensedLines(dir);
@@ -309,22 +322,31 @@ Expected<AnalogCycleResult> Crossbar::CycleDriven(const DrivePattern& drive,
   CIM_REQUIRE(sensed <= sensed_lines,
               InvalidArgument("sensed line count exceeds the array"));
   if (sensed == 0) sensed = sensed_lines;
-
-  AnalogCycleResult result;
-  result.column_codes.assign(sensed_lines, 0);
+  CIM_REQUIRE(codes.size() >= sensed,
+              InvalidArgument("code buffer smaller than the sensed lines"));
 
   // Accumulate noisy sensed-line currents. Every cell on a driven line
   // draws (conductance-proportional) read energy and read noise; only gated
-  // lines get sensed, so the fast kernel evaluates only those.
-  std::vector<double> currents(sensed_lines, 0.0);
+  // lines get sensed, so the fast kernel evaluates only those, and only
+  // that prefix of the scratch is zeroed (the reference kernel accumulates
+  // every sensed line). The scratch is per thread, so concurrent cycles
+  // (each with its own Rng) share no state, crossbar or otherwise.
+  const bool reference = params_.kernel == device::KernelPolicy::kReference;
+  thread_local std::vector<double> currents;
+  if (currents.size() < sensed_lines) currents.resize(sensed_lines);
+  std::fill_n(currents.begin(), reference ? sensed_lines : sensed, 0.0);
+  CostReport cost;
   double energy_pj = 0.0;
-  if (params_.kernel == device::KernelPolicy::kReference) {
-    AccumulateReference(drive, dir, rng, currents, energy_pj);
+  if (reference) {
+    AccumulateReference(drive, dir, rng,
+                        std::span<double>(currents).first(sensed_lines),
+                        energy_pj);
   } else {
-    AccumulateFast(drive, dir, sensed, rng, currents, energy_pj);
+    AccumulateFast(drive, dir, sensed, rng,
+                   std::span<double>(currents).first(sensed), energy_pj);
   }
-  result.cost.energy_pj = energy_pj;
-  const std::size_t active = drive.active;
+  cost.energy_pj = energy_pj;
+  const std::size_t active = drive.active();
 
   // First-order IR drop: attenuate with the fraction of simultaneously
   // driven lines.
@@ -333,9 +355,8 @@ Expected<AnalogCycleResult> Crossbar::CycleDriven(const DrivePattern& drive,
                 static_cast<double>(driven_lines);
   const double full_scale = FullScaleCurrent(dir);
   for (std::size_t k = 0; k < sensed; ++k) {
-    result.column_codes[k] =
-        params_.adc.Encode(currents[k] * attenuation, full_scale);
-    result.cost.energy_pj += params_.adc.conversion_energy().pj;
+    codes[k] = params_.adc.Encode(currents[k] * attenuation, full_scale);
+    cost.energy_pj += params_.adc.conversion_energy().pj;
   }
 
   // Latency: one DAC settle + cell read pulse happens for all driven lines
@@ -346,14 +367,13 @@ Expected<AnalogCycleResult> Crossbar::CycleDriven(const DrivePattern& drive,
   const double serial_conversions =
       std::min(static_cast<double>(params_.columns_per_adc),
                static_cast<double>(sensed));
-  result.cost.latency_ns = params_.dac.settle_latency.ns +
-                           params_.cell.read_latency.ns +
-                           serial_conversions *
-                               params_.adc.conversion_latency().ns;
-  result.cost.bytes_moved = 0.0;  // nothing crossed a package boundary
-  result.cost.operations =
+  cost.latency_ns = params_.dac.settle_latency.ns +
+                    params_.cell.read_latency.ns +
+                    serial_conversions * params_.adc.conversion_latency().ns;
+  cost.bytes_moved = 0.0;  // nothing crossed a package boundary
+  cost.operations =
       static_cast<std::uint64_t>(active) * sensed * 2;  // MAC = 2 ops
-  return result;
+  return cost;
 }
 
 void Crossbar::Age(TimeNs elapsed) {

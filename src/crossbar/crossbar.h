@@ -84,17 +84,21 @@ struct AnalogCycleResult {
 };
 
 // Precomputed drive pattern for one analog cycle: per-line DAC voltages
-// plus the count of active (nonzero-voltage) lines. The MVM engine builds
-// one pattern per input bit and shares it across every (slice, plane)
-// array, so code validation and voltage expansion are paid once per bit
-// instead of once per array per bit.
+// plus the driven-line list — the ascending indices of the nonzero-voltage
+// lines. The MVM engine builds one pattern per input bit and shares it
+// across every (slice, plane) array, so code validation, voltage expansion
+// and finding the driven lines are paid once per bit instead of once per
+// array per bit; the fast kernel then walks only the listed lines.
 struct DrivePattern {
   std::vector<double> voltages;
-  std::size_t active = 0;
+  std::vector<std::size_t> lines;
+  // Number of driven (nonzero-voltage) lines.
+  [[nodiscard]] std::size_t active() const { return lines.size(); }
 };
 
 // Validate `codes` against `dac` (every code < 2^dac.bits) and expand them
-// into per-line voltages in `out` (reusing its storage).
+// into per-line voltages and the driven-line list in `out` (reusing its
+// storage).
 [[nodiscard]] Status PrepareDrive(const DacParams& dac,
                                   std::span<const std::uint64_t> codes,
                                   DrivePattern* out);
@@ -152,10 +156,14 @@ class Crossbar {
   // pre-validated drive pattern (see PrepareDrive) — the MVM engine's fused
   // bit-sweep entry point. `drive` holds one voltage per driven line of
   // `dir`; the first `sensed` lines of the other side are digitised
-  // (0 = all).
-  [[nodiscard]] Expected<AnalogCycleResult> CycleDriven(
-      const DrivePattern& drive, CycleDirection dir, std::size_t sensed = 0,
-      Rng* noise_rng = nullptr);
+  // (0 = all) and their ADC codes written to codes[0, sensed), which must
+  // fit (entries past `sensed` are left as they are). Returns the cycle's
+  // cost. Allocation-free once warm: the caller owns the code buffer and
+  // the sensed currents live in per-thread scratch, so an engine sweeping
+  // many cycles reuses one buffer. `noise_rng` carries Cycle's contract.
+  [[nodiscard]] Expected<CostReport> CycleDriven(
+      const DrivePattern& drive, CycleDirection dir, std::size_t sensed,
+      std::span<std::uint64_t> codes, Rng* noise_rng = nullptr);
 
   // Full-scale sensed current the ADC range is calibrated to: every driven
   // line of `dir` at v_read through a g_on cell.
@@ -229,7 +237,10 @@ class Crossbar {
   // serving both directions: walk the driven lines, accumulate the sensed
   // lines' noisy currents into `currents` and read+drive energy into
   // `energy_pj`. AccumulateReference reads cells_ (the source of truth, not
-  // the mirror), so it stays an independent oracle. AccumulateFast serves
+  // the mirror) and scans every line's voltage, so it stays an independent
+  // oracle. AccumulateFast walks only drive.lines — the same lines in the
+  // same ascending order the scan visits, so the noise draws and every FP
+  // sum keep their order. It serves
   // kFastBitExact (identical codes to kReference, enforced by
   // mvm_kernel_test) and kFastNoise (statistically equivalent,
   // noise_equivalence_test + bench gate); noise_.FillFactors owns the

@@ -275,11 +275,13 @@ Status MvmEngine::BitSweep(CycleDirection dir,
   const double g_step = GStep(array.cell);
   const double full_scale = positive_planes_.front().FullScaleCurrent(dir);
   std::vector<std::uint64_t> line_codes(lines, 0);
+  // One code buffer for every cycle of the sweep.
+  std::vector<std::uint64_t> sensed_codes(accum.size(), 0);
 
   // Fused bit-sweep: one drive pattern per input bit, validated and
-  // expanded to voltages once, then shared by every (slice, plane) array's
-  // cycle — instead of each of the 2 * slices arrays re-validating the
-  // same codes.
+  // expanded to voltages and the driven-line list once, then shared by
+  // every (slice, plane) array's cycle — instead of each of the 2 * slices
+  // arrays re-validating the same codes.
   DrivePattern drive;
   for (int b = 0; b < params_.input_bits; ++b) {
     for (std::size_t l = 0; l < lines; ++l) {
@@ -288,7 +290,7 @@ Status MvmEngine::BitSweep(CycleDirection dir,
     CIM_RETURN_IF_ERROR(PrepareDrive(array.dac, line_codes, &drive));
     // The digital periphery calibrates the array's IR-drop attenuation out:
     // it depends only on the known number of driven lines.
-    const std::size_t active = drive.active;
+    const std::size_t active = drive.active();
     const double attenuation =
         1.0 - array.ir_drop_alpha * static_cast<double>(active) /
                   static_cast<double>(lines);
@@ -301,16 +303,17 @@ Status MvmEngine::BitSweep(CycleDirection dir,
       for (int plane = 0; plane < 2; ++plane) {
         Crossbar& xbar =
             plane == 0 ? positive_planes_[s] : negative_planes_[s];
-        auto cycle = xbar.CycleDriven(drive, dir, accum.size(), noise_rng);
+        auto cycle = xbar.CycleDriven(drive, dir, accum.size(), sensed_codes,
+                                      noise_rng);
         if (!cycle.ok()) return cycle.status();
         // All (slice, plane) arrays fire in parallel within the bit cycle.
-        cycle_latency = std::max(cycle_latency, cycle->cost.latency_ns);
-        cost.energy_pj += cycle->cost.energy_pj;
-        cost.operations += cycle->cost.operations;
+        cycle_latency = std::max(cycle_latency, cycle->latency_ns);
+        cost.energy_pj += cycle->energy_pj;
+        cost.operations += cycle->operations;
         const double line_sign = (plane == 0 ? 1.0 : -1.0) * sign;
         for (std::size_t k = 0; k < accum.size(); ++k) {
           const double sensed =
-              array.adc.Decode(cycle->column_codes[k], full_scale);
+              array.adc.Decode(sensed_codes[k], full_scale);
           const double corrected = sensed / attenuation -
                                    static_cast<double>(active) * v_read *
                                        array.cell.g_off_siemens;

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <mutex>
 #include <numbers>
+#include <unordered_map>
 
 #include "common/contracts.h"
 
@@ -45,15 +47,9 @@ constexpr double kD3 = 3.754408661907416e+00;
 constexpr double kPLow = 0.02425;
 constexpr double kPHigh = 1.0 - kPLow;
 
-// Cody-Waite split of ln 2 so the range reduction stays accurate for the
-// small multiples of ln 2 the sampler produces.
-constexpr double kLn2Hi = 6.93147180369123816490e-01;
-constexpr double kLn2Lo = 1.90821492927058770002e-10;
-constexpr double kLog2E = 1.44269504088896338700e+00;
-
-// The helpers below build the noise tile (one pass per NoiseModel) and back
-// the detail:: test hooks; they are not on the per-cell serving path, which
-// is a plain tile copy.
+// The helpers below build the noise tile (one pass per sigma per process)
+// and back the detail:: test hooks; they are not on the per-cell serving
+// path, which is a plain tile copy.
 
 // Central-region rational polynomial; accurate for |q| <= 0.5 - kPLow
 // (the region InverseNormalCdfImpl routes here).
@@ -77,35 +73,6 @@ inline double TailInverseCdf(double u) {
   return upper ? -x : x;
 }
 
-// exp(x) for |x| <= 0.3466 (= ln2/2) without range reduction: degree-7
-// Taylor, relative error < 5e-9; FastExpImpl's range reduction feeds it.
-[[gnu::always_inline]] inline double ExpPoly(double r) {
-  double p = 1.0 / 5040.0;
-  p = p * r + 1.0 / 720.0;
-  p = p * r + 1.0 / 120.0;
-  p = p * r + 1.0 / 24.0;
-  p = p * r + 1.0 / 6.0;
-  p = p * r + 0.5;
-  p = p * r + 1.0;
-  p = p * r + 1.0;
-  return p;
-}
-
-[[gnu::always_inline]] inline double FastExpImpl(double x) {
-  // General-range exp: Cody-Waite reduction to |r| <= ln2/2, ExpPoly, then
-  // multiply by 2^k by adding k to the exponent field — p is in
-  // [exp(-ln2/2), exp(ln2/2)] ~ [0.707, 1.415] and the clamp bounds |k| by
-  // 24, so the result exponent stays far from overflow and subnormals.
-  x = std::clamp(x, -16.0, 16.0);
-  const double kd = std::floor(x * kLog2E + 0.5);
-  const double r = (x - kd * kLn2Hi) - kd * kLn2Lo;
-  const double p = ExpPoly(r);
-  const auto k = static_cast<std::int64_t>(kd);
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(p) +
-                             (static_cast<std::uint64_t>(k) << 52);
-  return std::bit_cast<double>(bits);
-}
-
 [[gnu::always_inline]] inline double CounterUniformImpl(std::uint64_t stream,
                                                         std::uint64_t index) {
   // Splitmix64 finalizer over (stream, index): no serial dependency
@@ -122,14 +89,63 @@ inline double TailInverseCdf(double u) {
   return CentralInverseCdf(u - 0.5);
 }
 
+// The kFastNoise tile for `sigma`, a pure function of it.
+std::vector<double> BuildTile(double sigma) {
+  constexpr std::size_t kTileSize = NoiseModel::kTileSize;
+  std::vector<double> tile(kTileSize);
+  // Midpoint-quantile lattice: tile[i] = exp(sigma * Phi^-1((i+0.5)/N)).
+  // Its empirical CDF tracks the contract distribution within 1/(2N) —
+  // orders of magnitude below the KS gate — and unlike an iid-sampled pool
+  // it carries no sampling error of its own. Built once per sigma with
+  // full-accuracy libm exp; serving never touches libm again.
+  for (std::size_t i = 0; i < kTileSize; ++i) {
+    const double u = (static_cast<double>(i) + 0.5) /
+                     static_cast<double>(kTileSize);
+    tile[i] = std::exp(sigma * InverseNormalCdfImpl(u));
+  }
+  // Fisher-Yates with counter-based hashes (fixed seed: the tile is a
+  // deterministic function of sigma alone; all run-to-run variation comes
+  // from the per-call rotation draw). After the shuffle any contiguous
+  // window is a simple random sample of the lattice, so a row's factors
+  // are exchangeable draws from the contract distribution.
+  constexpr std::uint64_t kShuffleSeed = 0x9D5C0F2B43E18A67ULL;
+  for (std::size_t i = kTileSize - 1; i > 0; --i) {
+    const std::size_t j = static_cast<std::size_t>(
+        DeriveSeed(kShuffleSeed, static_cast<std::uint64_t>(i)) % (i + 1));
+    std::swap(tile[i], tile[j]);
+  }
+  return tile;
+}
+
+// The process-wide tile for `sigma`: the live one if any model still holds
+// it, else a fresh build. Keyed by sigma's bit pattern (the builder's only
+// input), and guarded by one mutex because accelerators — and so their
+// crossbars' noise models — are created from pool threads. The build runs
+// under the lock, so concurrent first users of a sigma wait for one build
+// instead of racing several.
+std::shared_ptr<const std::vector<double>> SharedTile(double sigma) {
+  static std::mutex mu;
+  static std::unordered_map<std::uint64_t,
+                            std::weak_ptr<const std::vector<double>>>
+      tiles;
+  const auto key = std::bit_cast<std::uint64_t>(sigma);
+  const std::lock_guard<std::mutex> lock(mu);
+  if (auto live = tiles[key].lock()) return live;
+  auto tile = std::make_shared<const std::vector<double>>(BuildTile(sigma));
+  // Forget tiles nobody holds any more, so the cache itself stays bounded
+  // by the live sigma values too.
+  std::erase_if(tiles,
+                [](const auto& entry) { return entry.second.expired(); });
+  tiles[key] = tile;
+  return tile;
+}
+
 }  // namespace
 
 namespace detail {
 
-// Out-of-line wrappers so tests can pin the building blocks; the sampling
-// loop uses the always-inline implementations above.
-
-double FastExp(double x) { return FastExpImpl(x); }
+// Out-of-line wrappers so tests can pin the building blocks; the tile
+// builder uses the always-inline implementations above.
 
 double InverseNormalCdf(double u) {
   CIM_DCHECK(u > 0.0 && u < 1.0);
@@ -154,11 +170,18 @@ std::string KernelPolicyName(KernelPolicy policy) {
   return "unknown";
 }
 
+NoiseModel::NoiseModel(double sigma, KernelPolicy policy)
+    : sigma_(sigma), policy_(policy) {
+  if (policy_ == KernelPolicy::kFastNoise && enabled()) {
+    tile_ = SharedTile(sigma_);
+  }
+}
+
 void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n_used,
                              std::size_t n_total) const {
   CIM_DCHECK(n_used <= n_total);
   if (policy_ == KernelPolicy::kFastNoise) {
-    CIM_DCHECK(!tile_.empty());
+    CIM_DCHECK(tile_ != nullptr);
     // One serial draw per call rotates the tile to a fresh window, so
     // successive rows and cycles see decorrelated factor sequences; the
     // per-factor cost is an L2-resident copy instead of a libm pipeline.
@@ -169,7 +192,7 @@ void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n_used,
     std::size_t written = 0;
     while (written < n_used) {
       const std::size_t take = std::min(n_used - written, kTileSize - offset);
-      std::memcpy(out + written, tile_.data() + offset,
+      std::memcpy(out + written, tile_->data() + offset,
                   take * sizeof(double));
       written += take;
       offset = 0;
@@ -182,31 +205,6 @@ void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n_used,
     out[i] = rng.LogNormal(0.0, sigma_);
   }
   rng.DiscardGaussians(n_total - n_used);
-}
-
-void NoiseModel::BuildTile() {
-  tile_.resize(kTileSize);
-  // Midpoint-quantile lattice: tile_[i] = exp(sigma * Phi^-1((i+0.5)/N)).
-  // Its empirical CDF tracks the contract distribution within 1/(2N) —
-  // orders of magnitude below the KS gate — and unlike an iid-sampled pool
-  // it carries no sampling error of its own. Built once per model with
-  // full-accuracy libm exp; serving never touches libm again.
-  for (std::size_t i = 0; i < kTileSize; ++i) {
-    const double u = (static_cast<double>(i) + 0.5) /
-                     static_cast<double>(kTileSize);
-    tile_[i] = std::exp(sigma_ * InverseNormalCdfImpl(u));
-  }
-  // Fisher-Yates with counter-based hashes (fixed seed: the tile is a
-  // deterministic function of sigma alone; all run-to-run variation comes
-  // from the per-call rotation draw). After the shuffle any contiguous
-  // window is a simple random sample of the lattice, so a row's factors
-  // are exchangeable draws from the contract distribution.
-  constexpr std::uint64_t kShuffleSeed = 0x9D5C0F2B43E18A67ULL;
-  for (std::size_t i = kTileSize - 1; i > 0; --i) {
-    const std::size_t j = static_cast<std::size_t>(
-        DeriveSeed(kShuffleSeed, static_cast<std::uint64_t>(i)) % (i + 1));
-    std::swap(tile_[i], tile_[j]);
-  }
 }
 
 double NoiseModel::LogNormalCdf(double x, double mu, double sigma) {

@@ -24,10 +24,20 @@
 // NoiseModel owns both halves: FillFactors() is the sampler the fast
 // kernels call, and CheckEquivalence() is the gate the differential suite
 // and the bench use to enforce the kFastNoise contract.
+//
+// The kFastNoise tile is a pure function of sigma, so there is one tile per
+// sigma per process: every model with that sigma holds the same immutable
+// tile, handed out by a mutex-guarded process-wide cache keyed by sigma's
+// bit pattern. The cache keeps only weak references — a tile lives while
+// some model (some crossbar) uses it, so tile memory is bounded by the
+// distinct live sigma values, and an accelerator's arrays, spares and remaps
+// all read one L2-resident tile instead of a private copy each.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,14 +57,14 @@ class NoiseModel {
  public:
   // One tile entry per quantile of the contract distribution; 2^16 entries
   // (512 KiB) keeps the lattice's own KS distance (~1/2^17) four orders of
-  // magnitude under the gate threshold while the tile stays L2-resident.
+  // magnitude under the gate threshold while the one shared tile per sigma
+  // stays L2-resident.
   static constexpr std::size_t kTileSize = std::size_t{1} << 16;
 
   NoiseModel() = default;
-  NoiseModel(double sigma, KernelPolicy policy)
-      : sigma_(sigma), policy_(policy) {
-    if (policy_ == KernelPolicy::kFastNoise && enabled()) BuildTile();
-  }
+  // Under kFastNoise with sigma > 0, takes the process-wide tile for sigma
+  // (building it on first use).
+  NoiseModel(double sigma, KernelPolicy policy);
 
   [[nodiscard]] double sigma() const { return sigma_; }
   [[nodiscard]] KernelPolicy policy() const { return policy_; }
@@ -64,6 +74,12 @@ class NoiseModel {
   // distributional only.
   [[nodiscard]] bool bit_exact() const {
     return policy_ != KernelPolicy::kFastNoise;
+  }
+  // The shared noise tile this model serves from (empty unless kFastNoise
+  // with sigma > 0). Read-only: models with equal sigma see the same span.
+  [[nodiscard]] std::span<const double> tile() const {
+    if (!tile_) return {};
+    return *tile_;
   }
 
   // Fill out[0..n_used) with the multiplicative read-noise factors of the
@@ -77,8 +93,8 @@ class NoiseModel {
   //     kernel's stream, which reads every cell.
   //   kFastNoise: consumes exactly ONE u64 from `rng` (the tile rotation)
   //     whatever the widths, and copies n_used consecutive entries of the
-  //     precomputed noise tile, wrapping around — per-factor cost is an L2
-  //     load, not libm.
+  //     shared noise tile, wrapping around — per-factor cost is an L2 load,
+  //     not libm.
   //
   // Callers pass one call per driven line; the serial draw keeps successive
   // lines (and successive cycles) on decorrelated tile windows.
@@ -115,24 +131,14 @@ class NoiseModel {
   [[nodiscard]] static double LogNormalCdf(double x, double mu, double sigma);
 
  private:
-  // Fills tile_ with exp(sigma * Phi^-1((i + 0.5) / kTileSize)) — the exact
-  // midpoint-quantile lattice of LogNormal(0, sigma) — then Fisher-Yates
-  // shuffles it with counter-based hashes so any contiguous window is a
-  // simple random sample of the lattice.
-  void BuildTile();
-
   double sigma_ = 0.0;
   KernelPolicy policy_ = KernelPolicy::kFastBitExact;
-  std::vector<double> tile_;
+  // Shared with every other model of the same sigma; never written after
+  // construction, so concurrent FillFactors calls need no synchronisation.
+  std::shared_ptr<const std::vector<double>> tile_;
 };
 
 namespace detail {
-// Branch-free polynomial exp: Cody-Waite range reduction to
-// [-ln2/2, ln2/2], degree-7 Taylor, exponent reassembly via bit twiddling.
-// Relative error < 6e-9 over |x| <= 16; input is clamped to that domain
-// (the sampler only ever needs |x| <= sigma * 9).
-[[nodiscard]] double FastExp(double x);
-
 // Acklam's rational approximation of the inverse standard-normal CDF,
 // u in (0, 1); relative error ~1.15e-9. The central region
 // |u - 0.5| <= 0.47575 (~95% of draws) is branchless polynomial work; the

@@ -291,6 +291,72 @@ TEST(KernelDifferentialTest, RawCycleColumnCodesBitIdentical) {
   ExpectGatedCyclesBitIdentical(13, 21, {1, 7, 6, 20, 0}, {1, 5, 6, 12, 0});
 }
 
+// The fast kernel walks DrivePattern::lines instead of scanning every
+// voltage, so the list must name exactly the nonzero-voltage lines, in
+// ascending (reference scan) order, and a reused pattern must forget the
+// previous drive's lines.
+TEST(DrivePatternTest, PrepareDriveListsExactlyTheDrivenLinesInOrder) {
+  DacParams dac;
+  dac.bits = 2;
+  DrivePattern drive;
+  const std::vector<std::uint64_t> codes = {0, 3, 0, 1, 2, 0, 0, 3};
+  ASSERT_TRUE(PrepareDrive(dac, codes, &drive).ok());
+  ASSERT_EQ(drive.voltages.size(), codes.size());
+  std::vector<std::size_t> nonzero;
+  for (std::size_t l = 0; l < codes.size(); ++l) {
+    EXPECT_EQ(drive.voltages[l], dac.LevelVoltage(codes[l]));
+    if (drive.voltages[l] != 0.0) nonzero.push_back(l);
+  }
+  EXPECT_EQ(drive.lines, (std::vector<std::size_t>{1, 3, 4, 7}));
+  EXPECT_EQ(drive.lines, nonzero);
+  EXPECT_EQ(drive.active(), drive.lines.size());
+
+  const std::vector<std::uint64_t> sparse = {0, 0, 0, 0, 0, 1, 0, 0};
+  ASSERT_TRUE(PrepareDrive(dac, sparse, &drive).ok());
+  EXPECT_EQ(drive.lines, (std::vector<std::size_t>{5}));
+  EXPECT_EQ(drive.active(), 1U);
+}
+
+// An all-zero drive lists no line, so no cell conducts: the cycle costs
+// only its ADC conversions (no read or drive energy, no MACs) and every
+// sensed code is 0, in both directions and under both kernels.
+TEST(DrivePatternTest, AllZeroDriveHasNoDrivenLinesAndNoReadEnergy) {
+  CrossbarPair twins = MakeCrossbarTwins(13, 21);
+  for (Crossbar* array : {&twins.fast, &twins.reference}) {
+    const CrossbarParams& p = array->params();
+    for (const CycleDirection dir :
+         {CycleDirection::kForward, CycleDirection::kTranspose}) {
+      const bool forward = dir == CycleDirection::kForward;
+      const std::size_t driven = forward ? p.rows : p.cols;
+      const std::size_t sensed_lines = forward ? p.cols : p.rows;
+      DrivePattern drive;
+      ASSERT_TRUE(PrepareDrive(p.dac,
+                               std::vector<std::uint64_t>(driven, 0), &drive)
+                      .ok());
+      EXPECT_TRUE(drive.lines.empty());
+      EXPECT_EQ(drive.active(), 0U);
+      for (const std::size_t sensed : {std::size_t{0}, std::size_t{5}}) {
+        const std::size_t digitised = sensed == 0 ? sensed_lines : sensed;
+        std::vector<std::uint64_t> codes(sensed_lines, 7);
+        Rng rng(kSeed);
+        auto cost = array->CycleDriven(drive, dir, sensed, codes, &rng);
+        ASSERT_TRUE(cost.ok());
+        EXPECT_DOUBLE_EQ(cost->energy_pj, static_cast<double>(digitised) *
+                                       p.adc.conversion_energy().pj);
+        EXPECT_EQ(cost->operations, 0U);
+        for (std::size_t k = 0; k < digitised; ++k) EXPECT_EQ(codes[k], 0U);
+        // Entries past the sensed prefix are the caller's, untouched.
+        for (std::size_t k = digitised; k < codes.size(); ++k) {
+          EXPECT_EQ(codes[k], 7U);
+        }
+        // No line driven, no cell read: the noise stream did not move.
+        Rng untouched(kSeed);
+        EXPECT_EQ(rng.NextU64(), untouched.NextU64());
+      }
+    }
+  }
+}
+
 // The array is bidirectional: a transpose cycle on W is a forward cycle on
 // W^T, codes and cost alike. Both directions run through one cycle driver
 // and one kernel per policy, so the fast-vs-reference suites cannot see a

@@ -11,15 +11,23 @@
 //                       biases);
 //   3. network level  — end-to-end DPE top-1 agreement with the golden
 //                       digital model matches the bit-exact kernel's.
-// Plus pinned accuracy checks for the detail:: building blocks the noise
-// tile is constructed from.
+// Plus the one-tile-per-sigma sharing contract (pinned tile bytes, sharing
+// across models and across concurrently constructing threads) and pinned
+// accuracy checks for the detail:: building blocks the noise tile is
+// constructed from.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <future>
+#include <latch>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "crossbar/mvm_engine.h"
 #include "device/noise_model.h"
 #include "dpe/accelerator.h"
@@ -124,6 +132,71 @@ TEST(NoiseEquivalence, TileWraparoundAndDeterminism) {
   EXPECT_EQ(rng.NextU64(), manual.NextU64());
 }
 
+// FNV-1a over the tile's IEEE-754 bytes (little-endian per entry).
+std::uint64_t TileChecksum(std::span<const double> tile) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double x : tile) {
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xFFU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(NoiseEquivalence, TileBytesArePinned) {
+  // The tile is a pure function of sigma; these checksums were taken from
+  // the per-model tile builder before tiles were shared, so sharing (and
+  // any later change to the cache) must leave every served factor as it
+  // was.
+  const NoiseModel a(0.02, KernelPolicy::kFastNoise);
+  const NoiseModel b(0.05, KernelPolicy::kFastNoise);
+  ASSERT_EQ(a.tile().size(), NoiseModel::kTileSize);
+  ASSERT_EQ(b.tile().size(), NoiseModel::kTileSize);
+  EXPECT_EQ(TileChecksum(a.tile()), 0xA11D2D222546FA0DULL);
+  EXPECT_EQ(TileChecksum(b.tile()), 0xCF9312F5CC0FC29DULL);
+  // Only the fast-noise policy with sigma > 0 serves from a tile.
+  EXPECT_TRUE(NoiseModel(0.02, KernelPolicy::kFastBitExact).tile().empty());
+  EXPECT_TRUE(NoiseModel(0.0, KernelPolicy::kFastNoise).tile().empty());
+}
+
+TEST(NoiseEquivalence, EqualSigmaSharesOneTile) {
+  const NoiseModel a(kSigma, KernelPolicy::kFastNoise);
+  const NoiseModel b(kSigma, KernelPolicy::kFastNoise);
+  const NoiseModel copy = a;
+  EXPECT_EQ(a.tile().data(), b.tile().data());
+  EXPECT_EQ(a.tile().data(), copy.tile().data());
+  const NoiseModel other(1.5 * kSigma, KernelPolicy::kFastNoise);
+  EXPECT_NE(a.tile().data(), other.tile().data());
+  EXPECT_NE(TileChecksum(a.tile()), TileChecksum(other.tile()));
+}
+
+TEST(NoiseEquivalence, ConcurrentConstructionBuildsOneTile) {
+  // Eight pool workers construct a model of a sigma no other test uses, all
+  // released at once, so they race for the first build; every model must
+  // end up on the same tile, and a later model must find it still live.
+  constexpr std::size_t kWorkers = 8;
+  constexpr double kFreshSigma = 0.0375;
+  ThreadPool pool(kWorkers);
+  std::latch start(kWorkers);
+  std::vector<std::future<NoiseModel>> models;
+  for (std::size_t i = 0; i < kWorkers; ++i) {
+    models.push_back(pool.Submit([&start] {
+      start.arrive_and_wait();
+      return NoiseModel(kFreshSigma, KernelPolicy::kFastNoise);
+    }));
+  }
+  std::vector<NoiseModel> built;
+  for (auto& model : models) built.push_back(model.get());
+  for (const NoiseModel& model : built) {
+    ASSERT_EQ(model.tile().size(), NoiseModel::kTileSize);
+    EXPECT_EQ(model.tile().data(), built.front().tile().data());
+  }
+  const NoiseModel serial(kFreshSigma, KernelPolicy::kFastNoise);
+  EXPECT_EQ(serial.tile().data(), built.front().tile().data());
+}
+
 TEST(NoiseEquivalence, NoisyMvmStaysCentredOnQuietReference) {
   // Kernel level: over repeated noisy MVMs the per-output mean converges on
   // the quiet output (multiplicative noise with E[factor] ~ 1), for the
@@ -226,11 +299,6 @@ TEST(NoiseEquivalence, DetailBuildingBlocksArePinned) {
   EXPECT_NEAR(device::detail::InverseNormalCdf(0.975), 1.959964, 1e-6);
   EXPECT_NEAR(device::detail::InverseNormalCdf(0.025), -1.959964, 1e-6);
   EXPECT_NEAR(device::detail::InverseNormalCdf(0.001), -3.090232, 1e-5);
-  // FastExp against libm over the range the tile builder exercises.
-  for (double x = -4.0; x <= 4.0; x += 0.37) {
-    EXPECT_NEAR(device::detail::FastExp(x), std::exp(x),
-                6e-9 * std::exp(x));
-  }
   // CounterUniform: deterministic, in (0, 1), and stream-separated.
   const double u = device::detail::CounterUniform(7, 9);
   EXPECT_EQ(u, device::detail::CounterUniform(7, 9));
