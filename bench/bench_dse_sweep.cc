@@ -17,15 +17,14 @@
 //                    monotone increasing — bigger arrays cost silicon.
 //   bit-identity     the whole sweep re-run serially must serialize to the
 //                    byte-identical artifact JSON as the threaded run
-//                    (DeriveSeed-per-point determinism; scripts/check.sh
-//                    additionally replays the full artifact end to end).
+//                    (DeriveSeed-per-point determinism; the replay_dse
+//                    ctest additionally replays the artifact end to end).
 //   frontier         the Pareto front holds >= 4 (full) / >= 2 (smoke)
 //                    non-dominated configurations.
 //
 // Flags:
 //   --smoke        coarse grid (SweepSpec::Smoke()); same gates
-//   --json <path>  write the sweep artifact (scripts/bench_json.sh merges
-//                  this into BENCH_PR10.json). Never contains wall-clock
+//   --json <path>  write the sweep artifact. Never contains wall-clock
 //                  values, so two runs are byte-identical in either mode.
 #include <cstdio>
 #include <cstring>

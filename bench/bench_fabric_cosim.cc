@@ -13,10 +13,10 @@
 //                 time) and exits 1 on any divergence.
 //   speedup       wall-clock serial / threaded co-simulation time must be
 //                 >= 3x when the host has >= 4 hardware threads (full mode
-//                 only; on narrower hosts the ratio is reported, not
-//                 gated — a 1-core host is allowed its flat 1x). Each leg
-//                 is timed as the best of 3 repetitions, and every
-//                 repetition must pass the bit-identity check.
+//                 only; on narrower hosts the gate reports SKIPPED with
+//                 the thread count — a 1-core host is allowed its flat
+//                 1x). Each leg is timed as the best of 3 repetitions, and
+//                 every repetition must pass the bit-identity check.
 //   injection     the SoA flat NoC path (NocPath::kFlat: pooled flight
 //                 slots, index queues, allocation-free tagged events) must
 //                 sustain >= 4x the packets/sec of the reference path
@@ -26,13 +26,14 @@
 //   noc-cost      every multi-tile element reports nonzero NoC
 //                 latency/energy, folded into InferResult::cost, with
 //                 epochs_run exactly B + S - 1 per batch.
+// Each wall-clock gate prints one PASS, FAIL or SKIPPED (<reason>) line.
 //
 // Flags:
-//   --smoke        tiny batches; wall-clock gates skipped and wall-clock
-//                  numbers left out of the JSON so two smoke runs are
-//                  byte-identical (scripts/check.sh replays this)
-//   --json <path>  write measurements as JSON (scripts/bench_json.sh
-//                  merges this into BENCH_PR10.json)
+//   --smoke        tiny batches; wall-clock gates SKIPPED
+//   --json <path>  write the virtual-time numbers and gate verdicts as
+//                  JSON. It holds no wall-clock value, so two runs are
+//                  byte-identical (the replay_fabric ctest diffs two
+//                  smoke runs)
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -364,7 +365,7 @@ int main(int argc, char** argv) {
           ? ref.total_wall_s / flat.total_wall_s
           : 0.0;
 
-  // --- wall-clock gates (full mode only) ----------------------------------
+  // --- wall-clock gates: one PASS / FAIL / SKIPPED line each -------------
   const double cosim_speedup =
       threaded.wall_s > 0.0 ? serial.wall_s / threaded.wall_s : 0.0;
   if (!smoke) {
@@ -378,25 +379,33 @@ int main(int argc, char** argv) {
     std::printf("noc end-to-end: reference %.0f pkt/s, flat %.0f pkt/s "
                 "(%.2fx)\n",
                 ref.total_pkts_per_s, flat.total_pkts_per_s, noc_e2e_speedup);
-    if (hw >= 4 && cosim_speedup < 3.0) {
-      std::printf("FAIL: co-sim speedup %.2fx < 3x on %zu hardware "
-                  "threads\n",
-                  cosim_speedup, hw);
-      ok = false;
-    }
-    if (injection_speedup < 4.0) {
-      std::printf("FAIL: flat injection path %.2fx < 4x reference\n",
-                  injection_speedup);
-      ok = false;
-    }
   }
+  const auto wall_gate = [&ok](const char* name, double ratio, double bound,
+                               const std::string& skip_reason) {
+    std::printf("%s >= %.0fx: ", name, bound);
+    if (!skip_reason.empty()) {
+      std::printf("SKIPPED (%s)\n", skip_reason.c_str());
+      return;
+    }
+    const bool pass = ratio >= bound;
+    std::printf("%s (%.2fx)\n", pass ? "PASS" : "FAIL", ratio);
+    ok = ok && pass;
+  };
+  const std::string smoke_skip =
+      smoke ? "smoke mode: short timing windows" : "";
+  const std::string cosim_skip =
+      !smoke && hw < 4 ? std::to_string(hw) + " hardware threads < 4"
+                       : smoke_skip;
+  wall_gate("co-sim speedup", cosim_speedup, 3.0, cosim_skip);
+  wall_gate("flat injection path speedup", injection_speedup, 4.0,
+            smoke_skip);
   std::printf("gates: %s\n", ok ? "PASS" : "FAIL");
 
   if (!json_path.empty()) {
     std::FILE* out = std::fopen(json_path.c_str(), "w");
     CIM_CHECK(out != nullptr);
-    // Smoke JSON holds only virtual-time numbers and gate verdicts, so two
-    // smoke runs are byte-identical (scripts/check.sh replay gate).
+    // Virtual-time numbers and gate verdicts only, so the file replays
+    // byte for byte.
     std::fprintf(out,
                  "{\n  \"bench\": \"bench_fabric_cosim\",\n"
                  "  \"bit_identity_gate\": \"%s\",\n"
@@ -421,23 +430,7 @@ int main(int argc, char** argv) {
                    r.mean_energy_pj, r.noc_latency_share, r.noc_energy_share,
                    i + 1 < sweep.size() ? "," : "");
     }
-    std::fprintf(out, "  ]");
-    if (!smoke) {
-      std::fprintf(out,
-                   ",\n  \"hardware_threads\": %zu,\n"
-                   "  \"cosim_speedup\": %.3f,\n"
-                   "  \"injection_reference_pkts_per_s\": %.0f,\n"
-                   "  \"injection_flat_pkts_per_s\": %.0f,\n"
-                   "  \"injection_speedup\": %.3f,\n"
-                   "  \"noc_e2e_reference_pkts_per_s\": %.0f,\n"
-                   "  \"noc_e2e_flat_pkts_per_s\": %.0f,\n"
-                   "  \"noc_e2e_speedup\": %.3f",
-                   hw, cosim_speedup, ref.inject_pkts_per_s,
-                   flat.inject_pkts_per_s, injection_speedup,
-                   ref.total_pkts_per_s, flat.total_pkts_per_s,
-                   noc_e2e_speedup);
-    }
-    std::fprintf(out, "\n}\n");
+    std::fprintf(out, "  ]\n}\n");
     CIM_CHECK(std::fclose(out) == 0);
     std::printf("wrote %s\n", json_path.c_str());
   }

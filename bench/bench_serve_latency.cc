@@ -3,8 +3,8 @@
 // Every number reported here is *virtual*: arrivals, dispatches and
 // completions live on the service's deterministic virtual clock (simulated
 // accelerator latencies, not wall time), so two runs at the same seed
-// produce byte-identical JSON. scripts/check.sh exploits that as a replay
-// gate, and CI uploads the JSON as the PR's perf artifact.
+// produce byte-identical JSON. The replay_serve ctest exploits that as a
+// replay gate.
 //
 // Four load runs:
 //   open-quiet     open-loop Poisson-ish arrivals at a rate the batching
@@ -24,8 +24,7 @@
 // Flags:
 //   --smoke        smaller request counts (CI smoke); gates still run at
 //                  full strength because nothing here depends on wall time
-//   --json <path>  write the measurements as JSON (scripts/bench_json.sh
-//                  merges this into the PR bench artifact)
+//   --json <path>  write the measurements as JSON
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>

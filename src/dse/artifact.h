@@ -1,7 +1,7 @@
 // Byte-stable JSON artifact for a completed sweep.
 //
-// The artifact is the bench's recorded output (BENCH_PR10.json) and the
-// payload of the check.sh two-run replay gate: two runs of the same sweep
+// The artifact is the bench's recorded output (bench_dse_sweep --json) and
+// the payload of the replay_dse two-run ctest: two runs of the same sweep
 // must serialize to byte-identical strings. That forces the writer's rules:
 // fixed field order, fixed float formatting (snprintf with explicit
 // precision), no wall-clock values, no pointers, no locale dependence.

@@ -8,7 +8,7 @@
 // cim::ThreadPool, but every point draws its randomness from
 // Rng(DeriveSeed(root seed, point.index)), so a sweep's results are
 // bit-identical at any thread count (including fully serial), which is what
-// the artifact's two-run byte-diff gate in scripts/check.sh replays.
+// the artifact's two-run byte-diff gate (the replay_dse ctest) replays.
 #pragma once
 
 #include <cstdint>

@@ -24,7 +24,8 @@
 //
 // Every injected event lands in a FaultLog whose canonical order and
 // fingerprint are independent of thread scheduling: same seed + same
-// scenario ⇒ identical log. That property is CI-gated (scripts/check.sh).
+// scenario ⇒ identical log. That property is CI-gated (the replay_fault
+// ctest).
 #pragma once
 
 #include <cstdint>

@@ -7,8 +7,8 @@
 //      property: the emitted front is exactly the brute-force non-dominated
 //      set (no emitted point dominated, every excluded point dominated).
 //   3. Artifact writer — golden byte-for-byte JSON (same pattern as the
-//      cimlint SARIF goldens): any formatting drift breaks the check.sh
-//      replay gate, so it must fail a test first.
+//      cimlint SARIF goldens): any formatting drift breaks the replay_dse
+//      gate, so it must fail a test first.
 //   4. SweepDriver — per-point DeriveSeed streams make the whole sweep
 //      artifact byte-identical at any worker_threads setting.
 #include "dse/artifact.h"
@@ -171,7 +171,7 @@ TEST(Pareto, FrontMatchesBruteForceNonDominance) {
 
 TEST(Artifact, GoldenJsonIsByteStable) {
   // Hand-built artifact with pinned values: the serialized bytes are the
-  // contract the check.sh replay gate diffs, so drift must fail here first.
+  // contract the replay_dse gate diffs, so drift must fail here first.
   SweepArtifact artifact;
   artifact.mode = "smoke";
   artifact.seed = 7;
