@@ -139,17 +139,6 @@ Status Fabric::RedirectStream(std::uint64_t stream_id,
   return Status::Ok();
 }
 
-namespace {
-
-// Per-payload context threaded through the processing chain.
-struct ChainContext {
-  std::uint64_t stream_id;
-  std::size_t path_index;  // index of the node now holding the payload
-  TimeNs start;
-};
-
-}  // namespace
-
 Status Fabric::InjectData(std::uint64_t stream_id,
                           std::vector<double> payload) {
   auto it = streams_.find(stream_id);

@@ -81,24 +81,14 @@ MvmEngine::MvmEngine(const MvmEngineParams& params, std::size_t in_dim,
     : params_(params), in_dim_(in_dim), out_dim_(out_dim) {}
 
 std::int64_t MvmEngine::QuantizeWeight(double w) const {
-  const auto max_code =
-      static_cast<std::int64_t>((1LL << (params_.weight_bits - 1)) - 1);
-  const double step =
-      params_.weight_range / static_cast<double>(max_code);
-  const double clamped =
-      std::clamp(w, -params_.weight_range, params_.weight_range);
-  return std::clamp<std::int64_t>(
-      static_cast<std::int64_t>(std::llround(clamped / step)), -max_code,
-      max_code);
+  return SymmetricQuantizer{params_.weight_bits, params_.weight_range}.Encode(
+      w);
 }
 
 std::uint64_t MvmEngine::QuantizeInput(double x) const {
-  const auto max_code =
-      static_cast<std::uint64_t>((1ULL << params_.input_bits) - 1);
-  const double step = params_.input_range / static_cast<double>(max_code);
-  const double clamped = std::clamp(x, 0.0, params_.input_range);
-  return std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(std::llround(clamped / step)), max_code);
+  const UnsignedQuantizer q{params_.input_bits, params_.input_range};
+  // The code must fit the input_bits bits the DAC streams.
+  return std::min<std::uint64_t>(q.Encode(x), q.levels() - 1);
 }
 
 Expected<CostReport> MvmEngine::ProgramWeights(

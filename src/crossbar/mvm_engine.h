@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "common/quantize.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "crossbar/crossbar.h"
@@ -51,8 +52,7 @@ struct MvmEngineParams {
 
   [[nodiscard]] Status Validate() const;
   [[nodiscard]] int slices() const {
-    return (weight_bits - 1 + array.cell.cell_bits - 1) /
-           array.cell.cell_bits;
+    return SlicesNeeded(weight_bits, array.cell.cell_bits);
   }
 };
 

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/contracts.h"
-
 namespace cim::dataflow {
 
 Expected<std::unique_ptr<DataflowExecutor>> DataflowExecutor::Create(
@@ -46,6 +44,9 @@ Expected<std::unique_ptr<DataflowExecutor>> DataflowExecutor::Create(
   if (!order.ok()) return order.status();
   DataflowExecutor* self = exec.get();
   const std::vector<std::string> node_order = *order;
+  for (std::size_t i = 0; i < node_order.size(); ++i) {
+    exec->states_.at(node_order[i]).topo_index = i;
+  }
   for (std::uint16_t y = 0; y < params.mesh.height; ++y) {
     for (std::uint16_t x = 0; x < params.mesh.width; ++x) {
       exec->noc_->SetDeliveryHandler(
@@ -145,22 +146,11 @@ void DataflowExecutor::FireNode(const std::string& node) {
     sink_outputs_[node] = std::move(output.value());
     return;
   }
-  // Emit to every successor after the node's processing latency. The graph
-  // validated as a DAG at Create() time, so the topological order exists.
-  auto order = graph_.TopologicalOrder();
-  CIM_CHECK(order.ok());
-  const std::vector<std::string>& node_order = *order;
+  // Emit to every successor after the node's processing latency.
   for (const std::string& succ : successors) {
-    std::size_t succ_index = node_order.size();
-    for (std::size_t i = 0; i < node_order.size(); ++i) {
-      if (node_order[i] == succ) succ_index = i;
-    }
-    // A successor missing from the topological order would previously fall
-    // back to index 0 and silently misroute its payload.
-    CIM_CHECK(succ_index < node_order.size());
     noc::Packet packet;
     packet.id = next_packet_id_++;
-    packet.stream_id = succ_index;
+    packet.stream_id = states_.at(succ).topo_index;
     packet.source = state.tile;
     packet.destination = placement_.tiles.at(succ);
     packet.kind = noc::PayloadKind::kData;

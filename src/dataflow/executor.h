@@ -54,6 +54,9 @@ class DataflowExecutor {
   struct NodeState {
     std::unique_ptr<arch::MicroUnit> unit;
     noc::NodeId tile;
+    // Topological position; packets carry it as their stream_id so the
+    // delivery handler can name the destination node.
+    std::size_t topo_index = 0;
     std::size_t pending_inputs = 0;   // remaining for the current wave
     std::vector<double> accumulator;  // element-wise summed inputs
     bool fired = false;

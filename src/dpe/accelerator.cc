@@ -1,7 +1,6 @@
 #include "dpe/accelerator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <utility>
 #include <variant>
@@ -17,20 +16,6 @@ namespace {
 // claim order — so recovery is deterministic at any thread count.
 constexpr std::uint64_t kRemapEngineSalt = 0x52454d31ULL;  // "REM1"
 constexpr std::uint64_t kRemapNoiseSalt = 0x52454d32ULL;   // "REM2"
-
-std::size_t OutDim(std::size_t in, std::size_t kernel, std::size_t stride,
-                   std::size_t padding) {
-  return (in + 2 * padding - kernel) / stride + 1;
-}
-
-double Activate(double v, nn::Activation act) {
-  switch (act) {
-    case nn::Activation::kNone: return v;
-    case nn::Activation::kRelu: return std::max(v, 0.0);
-    case nn::Activation::kSigmoid: return 1.0 / (1.0 + std::exp(-v));
-  }
-  return v;
-}
 
 crossbar::MvmEngineParams MakeEngineParams(const DpeParams& params) {
   crossbar::MvmEngineParams engine_params;
@@ -54,8 +39,10 @@ DpeAccelerator::DpeAccelerator(const DpeParams& params,
 Expected<std::unique_ptr<DpeAccelerator>> DpeAccelerator::Create(
     const DpeParams& params, const nn::Network& net, Rng rng) {
   if (Status s = params.Validate(); !s.ok()) return s;
-  if (Status s = net.Validate(); !s.ok()) return s;
+  auto profiles = nn::ProfileNetwork(net);  // validates the network
+  if (!profiles.ok()) return profiles.status();
   std::unique_ptr<DpeAccelerator> acc(new DpeAccelerator(params, net));
+  acc->profiles_ = std::move(*profiles);
   // Root of every per-tile noise-stream family; drawn first so the tile
   // seeds do not depend on how the programming path consumes the rng.
   acc->root_seed_ = rng.NextU64();
@@ -67,9 +54,13 @@ Expected<std::unique_ptr<DpeAccelerator>> DpeAccelerator::Create(
     acc->monitor_.emplace(std::move(monitor.value()));
   }
 
-  for (const nn::Layer& layer : net.layers) {
+  for (std::size_t li = 0; li < net.layers.size(); ++li) {
+    const nn::Layer& layer = net.layers[li];
+    MappedMvmLayer mapped;
+    // MVM invocations per inference: the stride between batch elements in
+    // the per-tile noise-stream numbering.
+    mapped.calls_per_inference = acc->profiles_[li].mvm_calls;
     if (const auto* dense = std::get_if<nn::DenseLayer>(&layer)) {
-      MappedMvmLayer mapped;
       if (Status s = acc->MapMatrix(dense->weights, dense->in_features,
                                     dense->out_features, rng, &mapped);
           !s.ok()) {
@@ -93,7 +84,6 @@ Expected<std::unique_ptr<DpeAccelerator>> DpeAccelerator::Create(
           }
         }
       }
-      MappedMvmLayer mapped;
       if (Status s = acc->MapMatrix(matrix, in_dim, conv->out_channels, rng,
                                     &mapped);
           !s.ok()) {
@@ -116,31 +106,6 @@ Expected<std::unique_ptr<DpeAccelerator>> DpeAccelerator::Create(
           !s.ok()) {
         return s;
       }
-    }
-  }
-
-  // Walk the shapes once to fix each layer's calls-per-inference (the
-  // stride between batch elements in the per-tile noise-stream numbering).
-  std::vector<std::size_t> shape = net.input_shape;
-  std::size_t mvm_index = 0;
-  for (const nn::Layer& layer : net.layers) {
-    if (std::holds_alternative<nn::DenseLayer>(layer) && shape.size() == 3) {
-      shape = {shape[0] * shape[1] * shape[2]};
-    }
-    if (const auto* dense = std::get_if<nn::DenseLayer>(&layer)) {
-      acc->mvm_layers_[mvm_index++].calls_per_inference = 1;
-      shape = {dense->out_features};
-    } else if (const auto* conv = std::get_if<nn::Conv2dLayer>(&layer)) {
-      const std::size_t oh =
-          OutDim(shape[1], conv->kernel, conv->stride, conv->padding);
-      const std::size_t ow =
-          OutDim(shape[2], conv->kernel, conv->stride, conv->padding);
-      acc->mvm_layers_[mvm_index++].calls_per_inference =
-          static_cast<std::uint64_t>(oh) * ow;
-      shape = {conv->out_channels, oh, ow};
-    } else if (const auto* pool = std::get_if<nn::MaxPoolLayer>(&layer)) {
-      shape = {shape[0], OutDim(shape[1], pool->window, pool->stride, 0),
-               OutDim(shape[2], pool->window, pool->stride, 0)};
     }
   }
 
@@ -427,10 +392,11 @@ Expected<InferResult> DpeAccelerator::RunElement(
         static_cast<double>(bytes) * params_.buffer_energy_per_byte_pj;
   };
 
-  for (const nn::Layer& layer : net_.layers) {
-    if (std::holds_alternative<nn::DenseLayer>(layer) &&
-        current.rank() == 3) {
-      current = nn::Tensor({current.size()}, current.vec());
+  for (std::size_t li = 0; li < net_.layers.size(); ++li) {
+    const nn::Layer& layer = net_.layers[li];
+    const nn::LayerProfile& p = profiles_[li];
+    if (current.shape() != p.in_shape) {
+      current = nn::Tensor(p.in_shape, std::move(current.vec()));
     }
     if (const auto* dense = std::get_if<nn::DenseLayer>(&layer)) {
       const MappedMvmLayer& mapped = mvm_layers_[mvm_index++];
@@ -444,18 +410,18 @@ Expected<InferResult> DpeAccelerator::RunElement(
       cost.latency_ns += mvm->cost.latency_ns;
       std::vector<double> y = std::move(mvm->y);
       for (std::size_t o = 0; o < dense->out_features; ++o) {
-        y[o] = Activate(y[o] + dense->bias[o], dense->activation);
+        y[o] = nn::Activate(y[o] + dense->bias[o], dense->activation);
       }
       account_activation(dense->out_features);
-      current = nn::Tensor({dense->out_features}, std::move(y));
+      current = nn::Tensor(p.out_shape, std::move(y));
     } else if (const auto* conv = std::get_if<nn::Conv2dLayer>(&layer)) {
       const MappedMvmLayer& mapped = mvm_layers_[mvm_index++];
       const std::size_t k = conv->kernel;
-      const std::size_t ih = current.shape()[1];
-      const std::size_t iw = current.shape()[2];
-      const std::size_t oh = OutDim(ih, k, conv->stride, conv->padding);
-      const std::size_t ow = OutDim(iw, k, conv->stride, conv->padding);
-      nn::Tensor out({conv->out_channels, oh, ow});
+      const std::size_t ih = p.in_shape[1];
+      const std::size_t iw = p.in_shape[2];
+      const std::size_t oh = p.out_shape[1];
+      const std::size_t ow = p.out_shape[2];
+      nn::Tensor out(p.out_shape);
       std::vector<double> column(mapped.in_dim, 0.0);
       // Latency model mirrors the analytical pipeline: pixels serialize in
       // groups of conv_replication; energy counts every pixel.
@@ -495,39 +461,19 @@ Expected<InferResult> DpeAccelerator::RunElement(
           ++pixels;
           for (std::size_t oc = 0; oc < conv->out_channels; ++oc) {
             out.at3(oc, oy, ox) =
-                Activate(mvm->y[oc] + conv->bias[oc], conv->activation);
+                nn::Activate(mvm->y[oc] + conv->bias[oc], conv->activation);
           }
         }
       }
       const std::uint64_t serialized =
           (pixels + params_.conv_replication - 1) / params_.conv_replication;
       cost.latency_ns += static_cast<double>(serialized) * pixel_latency;
-      account_activation(conv->out_channels * oh * ow);
+      account_activation(p.out_elements);
       account_buffer((mapped.in_dim + conv->out_channels) * pixels);
       current = std::move(out);
     } else if (const auto* pool = std::get_if<nn::MaxPoolLayer>(&layer)) {
-      const std::size_t channels = current.shape()[0];
-      const std::size_t ih = current.shape()[1];
-      const std::size_t iw = current.shape()[2];
-      const std::size_t oh = OutDim(ih, pool->window, pool->stride, 0);
-      const std::size_t ow = OutDim(iw, pool->window, pool->stride, 0);
-      nn::Tensor out({channels, oh, ow});
-      for (std::size_t c = 0; c < channels; ++c) {
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            double best = -1e300;
-            for (std::size_t ky = 0; ky < pool->window; ++ky) {
-              for (std::size_t kx = 0; kx < pool->window; ++kx) {
-                best = std::max(best, current.at3(c, oy * pool->stride + ky,
-                                                  ox * pool->stride + kx));
-              }
-            }
-            out.at3(c, oy, ox) = best;
-          }
-        }
-      }
-      account_activation(channels * oh * ow);
-      current = std::move(out);
+      current = nn::MaxPool(current, *pool);
+      account_activation(p.out_elements);
     }
   }
   return InferResult{std::move(current), cost, FaultReport{}, CostReport{}};
@@ -641,34 +587,9 @@ DpeAccelerator::RecoverAtBoundary() {
 }
 
 Expected<InferResult> DpeAccelerator::Infer(const nn::Tensor& input) {
-  if (input.shape() != net_.input_shape) {
-    return InvalidArgument("input shape mismatch");
-  }
-  if (injector_ != nullptr && injector_->armed()) {
-    injector_->AdvanceTo(committed_elements_);
-  }
-  ElementTrace trace;
-  auto result = RunElement(input, 0, &trace);
-  if (result.ok()) {
-    if (ft_enabled()) {
-      const auto remapped = RecoverAtBoundary();
-      for (const auto& flagged : trace.flagged) {
-        if (std::find(remapped.begin(), remapped.end(), flagged) !=
-            remapped.end()) {
-          ++trace.report.remapped;
-        }
-      }
-    }
-    result->fault_report = trace.report;
-    // remapped is tallied by RecoverAtBoundary itself (one count per remap
-    // operation; per-element attribution can legitimately exceed it).
-    recovery_stats_.detected += trace.report.detected;
-    recovery_stats_.retried += trace.report.retried;
-    recovery_stats_.degraded += trace.report.degraded;
-    CommitCalls(1);
-    ++committed_elements_;
-  }
-  return result;
+  auto results = InferBatch(std::span<const nn::Tensor>(&input, 1));
+  if (!results.ok()) return results.status();
+  return std::move(results->front());
 }
 
 Expected<std::vector<InferResult>> DpeAccelerator::InferBatch(

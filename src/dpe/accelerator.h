@@ -78,8 +78,8 @@ class DpeAccelerator {
   [[nodiscard]] static Expected<std::unique_ptr<DpeAccelerator>> Create(
       const DpeParams& params, const nn::Network& net, Rng rng);
 
-  // Batch-1 inference. Engine tiles within each layer run in parallel on
-  // the pool (params.worker_threads).
+  // Batch-1 inference: InferBatch of one input. Engine tiles within each
+  // layer run in parallel on the pool (params.worker_threads).
   [[nodiscard]] Expected<InferResult> Infer(const nn::Tensor& input);
 
   // Batched inference: batch elements run in parallel across the pool.
@@ -231,6 +231,7 @@ class DpeAccelerator {
 
   DpeParams params_;
   nn::Network net_;
+  std::vector<nn::LayerProfile> profiles_;  // one per net_ layer
   std::vector<MappedMvmLayer> mvm_layers_;  // one per dense/conv layer
   CostReport program_cost_;
   std::size_t arrays_used_ = 0;

@@ -1,16 +1,10 @@
 #include "dpe/analytical.h"
 
 #include <algorithm>
-#include <cmath>
 #include <variant>
 
 namespace cim::dpe {
 namespace {
-
-std::size_t OutDim(std::size_t in, std::size_t kernel, std::size_t stride,
-                   std::size_t padding) {
-  return (in + 2 * padding - kernel) / stride + 1;
-}
 
 std::size_t CeilDiv(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
@@ -19,52 +13,39 @@ std::size_t CeilDiv(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 Expected<std::vector<LayerMapping>> AnalyticalDpeModel::MapNetwork(
     const nn::Network& net) const {
   if (Status s = params_.Validate(); !s.ok()) return s;
-  if (Status s = net.Validate(); !s.ok()) return s;
+  auto profiles = nn::ProfileNetwork(net);  // validates the network
+  if (!profiles.ok()) return profiles.status();
 
   const std::size_t rows = params_.array.rows;
   const std::size_t cols = params_.array.cols;
   const std::size_t arrays_per_engine = 2 * params_.slices();
 
   std::vector<LayerMapping> mappings;
-  std::vector<std::size_t> shape = net.input_shape;
-  for (const nn::Layer& layer : net.layers) {
-    if (std::holds_alternative<nn::DenseLayer>(layer) && shape.size() == 3) {
-      shape = {shape[0] * shape[1] * shape[2]};
-    }
+  for (std::size_t i = 0; i < net.layers.size(); ++i) {
+    const nn::Layer& layer = net.layers[i];
+    const nn::LayerProfile& p = (*profiles)[i];
     LayerMapping m;
+    m.kind = p.kind;
+    m.mvm_invocations = p.mvm_calls;
     if (const auto* dense = std::get_if<nn::DenseLayer>(&layer)) {
-      m.kind = "dense";
       m.in_dim = dense->in_features;
       m.out_dim = dense->out_features;
       m.row_tiles = CeilDiv(m.in_dim, rows);
       m.col_tiles = CeilDiv(m.out_dim, cols);
       m.arrays = m.row_tiles * m.col_tiles * arrays_per_engine;
-      m.mvm_invocations = 1;
-      shape = {dense->out_features};
     } else if (const auto* conv = std::get_if<nn::Conv2dLayer>(&layer)) {
-      const std::size_t oh =
-          OutDim(shape[1], conv->kernel, conv->stride, conv->padding);
-      const std::size_t ow =
-          OutDim(shape[2], conv->kernel, conv->stride, conv->padding);
-      m.kind = "conv";
       m.in_dim = conv->in_channels * conv->kernel * conv->kernel;
       m.out_dim = conv->out_channels;
       m.row_tiles = CeilDiv(m.in_dim, rows);
       m.col_tiles = CeilDiv(m.out_dim, cols);
       m.arrays = m.row_tiles * m.col_tiles * arrays_per_engine *
                  params_.conv_replication;
-      m.mvm_invocations = static_cast<std::uint64_t>(oh) * ow;
-      shape = {conv->out_channels, oh, ow};
-    } else if (const auto* pool = std::get_if<nn::MaxPoolLayer>(&layer)) {
-      m.kind = "pool";
-      m.in_dim = shape[0];
-      m.out_dim = shape[0];
+    } else {
+      // Pool: a digital comparator pass, one invocation per output pixel.
+      m.in_dim = p.in_shape[0];
+      m.out_dim = p.out_shape[0];
       m.mvm_invocations =
-          static_cast<std::uint64_t>(OutDim(shape[1], pool->window,
-                                            pool->stride, 0)) *
-          OutDim(shape[2], pool->window, pool->stride, 0);
-      shape = {shape[0], OutDim(shape[1], pool->window, pool->stride, 0),
-               OutDim(shape[2], pool->window, pool->stride, 0)};
+          static_cast<std::uint64_t>(p.out_shape[1]) * p.out_shape[2];
     }
     mappings.push_back(m);
   }

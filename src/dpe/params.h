@@ -8,6 +8,7 @@
 // constants preserve.
 #pragma once
 
+#include "common/quantize.h"
 #include "common/status.h"
 #include "crossbar/crossbar.h"
 #include "reliability/aging_monitor.h"
@@ -120,8 +121,7 @@ struct DpeParams {
   }
 
   [[nodiscard]] int slices() const {
-    return (weight_bits - 1 + array.cell.cell_bits - 1) /
-           array.cell.cell_bits;
+    return SlicesNeeded(weight_bits, array.cell.cell_bits);
   }
 
   // Latency of one analog bit-cycle (DAC settle + read pulse + the serial

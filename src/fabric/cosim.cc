@@ -10,12 +10,6 @@
 namespace cim::fabric {
 namespace {
 
-std::size_t Flattened(const std::vector<std::size_t>& shape) {
-  std::size_t n = 1;
-  for (std::size_t d : shape) n *= d;
-  return n;
-}
-
 void AddFaults(dpe::FaultReport* into, const dpe::FaultReport& from) {
   into->detected += from.detected;
   into->retried += from.retried;
@@ -140,7 +134,7 @@ Expected<std::vector<dpe::InferResult>> FabricCoSim::InferBatch(
   const std::size_t K = plan_.splits_per_stage;
   const std::size_t B = inputs.size();
   if (B == 0) return std::vector<dpe::InferResult>{};
-  const std::size_t in_dim = Flattened(plan_.stage_input_shape[0]);
+  const std::size_t in_dim = nn::ElementCount(plan_.stage_input_shape[0]);
   for (const nn::Tensor& input : inputs) {
     if (input.size() != in_dim) {
       return InvalidArgument("input size does not match partitioned network");

@@ -5,30 +5,16 @@
 #include <variant>
 
 namespace cim::fabric {
-namespace {
-
-bool IsMvm(const nn::Layer& layer) {
-  return std::holds_alternative<nn::DenseLayer>(layer) ||
-         std::holds_alternative<nn::Conv2dLayer>(layer);
-}
-
-std::size_t Flattened(const std::vector<std::size_t>& shape) {
-  std::size_t n = 1;
-  for (std::size_t d : shape) n *= d;
-  return n;
-}
-
-}  // namespace
 
 Expected<FabricPlan> PartitionNetwork(const nn::Network& net,
                                       const FabricPartitionParams& params) {
   if (Status s = params.Validate(); !s.ok()) return s;
-  auto shapes = nn::LayerInputShapes(net);  // validates the network
-  if (!shapes.ok()) return shapes.status();
+  auto profiles = nn::ProfileNetwork(net);  // validates the network
+  if (!profiles.ok()) return profiles.status();
 
   std::vector<std::size_t> mvm_layers;
   for (std::size_t i = 0; i < net.layers.size(); ++i) {
-    if (IsMvm(net.layers[i])) mvm_layers.push_back(i);
+    if ((*profiles)[i].mvm_calls > 0) mvm_layers.push_back(i);
   }
   if (mvm_layers.empty()) {
     return InvalidArgument("network has no dense/conv layers to partition");
@@ -66,8 +52,8 @@ Expected<FabricPlan> PartitionNetwork(const nn::Network& net,
   for (std::size_t s = 0; s < plan.stage_count; ++s) {
     const std::size_t begin = stage_start[s];
     const std::size_t end = stage_start[s + 1];
-    plan.stage_input_shape[s] = (*shapes)[begin];
-    plan.stage_out_dim[s] = Flattened((*shapes)[end]);
+    plan.stage_input_shape[s] = (*profiles)[begin].in_shape;
+    plan.stage_out_dim[s] = (*profiles)[end - 1].out_elements;
 
     const nn::DenseLayer* dense = nullptr;
     if (plan.splits_per_stage > 1) {
@@ -111,7 +97,7 @@ Expected<FabricPlan> PartitionNetwork(const nn::Network& net,
       plan.tiles.push_back(std::move(tile));
     }
   }
-  plan.output_shape = (*shapes)[net.layers.size()];
+  plan.output_shape = profiles->back().out_shape;
   return plan;
 }
 

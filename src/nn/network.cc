@@ -6,68 +6,80 @@
 namespace cim::nn {
 namespace {
 
-double Activate(double v, Activation act) {
-  switch (act) {
-    case Activation::kNone: return v;
-    case Activation::kRelu: return std::max(v, 0.0);
-    case Activation::kSigmoid: return 1.0 / (1.0 + std::exp(-v));
-  }
-  return v;
-}
-
 // Output spatial size of a conv/pool stage.
 std::size_t OutDim(std::size_t in, std::size_t kernel, std::size_t stride,
                    std::size_t padding) {
   return (in + 2 * padding - kernel) / stride + 1;
 }
 
-struct ShapeVisitor {
-  // Returns the output shape for the given input shape, or empty on error.
-  std::vector<std::size_t> operator()(const DenseLayer& l) const {
-    if (in.size() != 1 || in[0] != l.in_features) return {};
-    return {l.out_features};
+// Geometry of `layer` fed `in`; out_shape stays empty when the layer cannot
+// consume that shape.
+LayerProfile ProfileLayer(const Layer& layer, std::vector<std::size_t> in) {
+  LayerProfile p;
+  // A dense layer after a conv stack implicitly flattens.
+  if (std::holds_alternative<DenseLayer>(layer) && in.size() == 3) {
+    in = {ElementCount(in)};
   }
-  std::vector<std::size_t> operator()(const Conv2dLayer& l) const {
-    if (in.size() != 3 || in[0] != l.in_channels) return {};
-    if (in[1] + 2 * l.padding < l.kernel || in[2] + 2 * l.padding < l.kernel) {
-      return {};
+  p.in_shape = std::move(in);
+  const std::vector<std::size_t>& s = p.in_shape;
+  if (const auto* dense = std::get_if<DenseLayer>(&layer)) {
+    p.kind = "dense";
+    if (s.size() == 1 && s[0] == dense->in_features) {
+      p.out_shape = {dense->out_features};
     }
-    return {l.out_channels, OutDim(in[1], l.kernel, l.stride, l.padding),
-            OutDim(in[2], l.kernel, l.stride, l.padding)};
+    p.mvm_calls = 1;
+    p.macs = static_cast<std::uint64_t>(dense->in_features) *
+             dense->out_features;
+    p.weight_count = dense->weights.size() + dense->bias.size();
+  } else if (const auto* conv = std::get_if<Conv2dLayer>(&layer)) {
+    p.kind = "conv";
+    if (s.size() == 3 && s[0] == conv->in_channels &&
+        s[1] + 2 * conv->padding >= conv->kernel &&
+        s[2] + 2 * conv->padding >= conv->kernel) {
+      const std::size_t oh =
+          OutDim(s[1], conv->kernel, conv->stride, conv->padding);
+      const std::size_t ow =
+          OutDim(s[2], conv->kernel, conv->stride, conv->padding);
+      p.out_shape = {conv->out_channels, oh, ow};
+      p.mvm_calls = static_cast<std::uint64_t>(oh) * ow;
+      p.macs = p.mvm_calls * conv->out_channels * conv->in_channels *
+               conv->kernel * conv->kernel;
+    }
+    p.weight_count = conv->weights.size() + conv->bias.size();
+  } else if (const auto* pool = std::get_if<MaxPoolLayer>(&layer)) {
+    p.kind = "pool";
+    if (s.size() == 3 && s[1] >= pool->window && s[2] >= pool->window) {
+      p.out_shape = {s[0], OutDim(s[1], pool->window, pool->stride, 0),
+                     OutDim(s[2], pool->window, pool->stride, 0)};
+    }
   }
-  std::vector<std::size_t> operator()(const MaxPoolLayer& l) const {
-    if (in.size() != 3 || in[1] < l.window || in[2] < l.window) return {};
-    return {in[0], OutDim(in[1], l.window, l.stride, 0),
-            OutDim(in[2], l.window, l.stride, 0)};
-  }
-  std::vector<std::size_t> in;
-};
+  p.in_elements = ElementCount(p.in_shape);
+  p.out_elements = ElementCount(p.out_shape);
+  return p;
+}
 
 }  // namespace
 
-Status Network::Validate() const {
-  if (input_shape.empty()) return InvalidArgument("missing input shape");
-  std::vector<std::size_t> shape = input_shape;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    // A dense layer after a conv stack implicitly flattens.
-    if (std::holds_alternative<DenseLayer>(layers[i]) && shape.size() == 3) {
-      shape = {shape[0] * shape[1] * shape[2]};
-    }
-    std::vector<std::size_t> next =
-        std::visit(ShapeVisitor{shape}, layers[i]);
-    if (next.empty()) {
+Expected<std::vector<LayerProfile>> ProfileNetwork(const Network& net) {
+  if (net.input_shape.empty()) return InvalidArgument("missing input shape");
+  std::vector<LayerProfile> profiles;
+  profiles.reserve(net.layers.size());
+  for (std::size_t i = 0; i < net.layers.size(); ++i) {
+    const Layer& layer = net.layers[i];
+    LayerProfile p = ProfileLayer(
+        layer, profiles.empty() ? net.input_shape : profiles.back().out_shape);
+    if (p.out_shape.empty()) {
       return InvalidArgument("layer " + std::to_string(i) +
                              " incompatible with input shape");
     }
-    // Check weight array sizes.
-    if (const auto* dense = std::get_if<DenseLayer>(&layers[i])) {
+    if (const auto* dense = std::get_if<DenseLayer>(&layer)) {
       if (dense->weights.size() != dense->in_features * dense->out_features ||
           dense->bias.size() != dense->out_features) {
         return InvalidArgument("dense layer " + std::to_string(i) +
                                " weight/bias size mismatch");
       }
     }
-    if (const auto* conv = std::get_if<Conv2dLayer>(&layers[i])) {
+    if (const auto* conv = std::get_if<Conv2dLayer>(&layer)) {
       if (conv->weights.size() != conv->out_channels * conv->in_channels *
                                       conv->kernel * conv->kernel ||
           conv->bias.size() != conv->out_channels) {
@@ -75,35 +87,18 @@ Status Network::Validate() const {
                                " weight/bias size mismatch");
       }
     }
-    shape = std::move(next);
+    profiles.push_back(std::move(p));
   }
-  return Status::Ok();
+  return profiles;
 }
 
+Status Network::Validate() const { return ProfileNetwork(*this).status(); }
+
 std::uint64_t Network::TotalMacs() const {
+  auto profiles = ProfileNetwork(*this);
+  if (!profiles.ok()) return 0;
   std::uint64_t macs = 0;
-  std::vector<std::size_t> shape = input_shape;
-  for (const Layer& layer : layers) {
-    if (std::holds_alternative<DenseLayer>(layer) && shape.size() == 3) {
-      shape = {shape[0] * shape[1] * shape[2]};
-    }
-    if (const auto* dense = std::get_if<DenseLayer>(&layer)) {
-      macs += static_cast<std::uint64_t>(dense->in_features) *
-              dense->out_features;
-      shape = {dense->out_features};
-    } else if (const auto* conv = std::get_if<Conv2dLayer>(&layer)) {
-      const std::size_t oh = OutDim(shape[1], conv->kernel, conv->stride,
-                                    conv->padding);
-      const std::size_t ow = OutDim(shape[2], conv->kernel, conv->stride,
-                                    conv->padding);
-      macs += static_cast<std::uint64_t>(oh) * ow * conv->out_channels *
-              conv->in_channels * conv->kernel * conv->kernel;
-      shape = {conv->out_channels, oh, ow};
-    } else if (const auto* pool = std::get_if<MaxPoolLayer>(&layer)) {
-      shape = {shape[0], OutDim(shape[1], pool->window, pool->stride, 0),
-               OutDim(shape[2], pool->window, pool->stride, 0)};
-    }
-  }
+  for (const LayerProfile& p : *profiles) macs += p.macs;
   return macs;
 }
 
@@ -119,18 +114,43 @@ std::uint64_t Network::TotalWeights() const {
   return weights;
 }
 
+Tensor MaxPool(const Tensor& input, const MaxPoolLayer& pool) {
+  const std::size_t channels = input.shape()[0];
+  const std::size_t oh = OutDim(input.shape()[1], pool.window, pool.stride, 0);
+  const std::size_t ow = OutDim(input.shape()[2], pool.window, pool.stride, 0);
+  Tensor out({channels, oh, ow});
+  for (std::size_t c = 0; c < channels; ++c) {
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        double best = -1e300;
+        for (std::size_t ky = 0; ky < pool.window; ++ky) {
+          for (std::size_t kx = 0; kx < pool.window; ++kx) {
+            best = std::max(best, input.at3(c, oy * pool.stride + ky,
+                                            ox * pool.stride + kx));
+          }
+        }
+        out.at3(c, oy, ox) = best;
+      }
+    }
+  }
+  return out;
+}
+
 Expected<Tensor> Forward(const Network& net, const Tensor& input) {
-  if (Status s = net.Validate(); !s.ok()) return s;
+  auto profiles = ProfileNetwork(net);
+  if (!profiles.ok()) return profiles.status();
   if (input.shape() != net.input_shape) {
     return InvalidArgument("input shape mismatch");
   }
   Tensor current = input;
-  for (const Layer& layer : net.layers) {
-    if (std::holds_alternative<DenseLayer>(layer) && current.rank() == 3) {
-      current = Tensor({current.size()}, current.vec());
+  for (std::size_t li = 0; li < net.layers.size(); ++li) {
+    const Layer& layer = net.layers[li];
+    const LayerProfile& p = (*profiles)[li];
+    if (current.shape() != p.in_shape) {
+      current = Tensor(p.in_shape, std::move(current.vec()));
     }
     if (const auto* dense = std::get_if<DenseLayer>(&layer)) {
-      Tensor out({dense->out_features});
+      Tensor out(p.out_shape);
       for (std::size_t o = 0; o < dense->out_features; ++o) {
         double sum = dense->bias[o];
         for (std::size_t i = 0; i < dense->in_features; ++i) {
@@ -140,13 +160,11 @@ Expected<Tensor> Forward(const Network& net, const Tensor& input) {
       }
       current = std::move(out);
     } else if (const auto* conv = std::get_if<Conv2dLayer>(&layer)) {
-      const std::size_t ih = current.shape()[1];
-      const std::size_t iw = current.shape()[2];
-      const std::size_t oh = OutDim(ih, conv->kernel, conv->stride,
-                                    conv->padding);
-      const std::size_t ow = OutDim(iw, conv->kernel, conv->stride,
-                                    conv->padding);
-      Tensor out({conv->out_channels, oh, ow});
+      const std::size_t ih = p.in_shape[1];
+      const std::size_t iw = p.in_shape[2];
+      const std::size_t oh = p.out_shape[1];
+      const std::size_t ow = p.out_shape[2];
+      Tensor out(p.out_shape);
       const std::size_t k = conv->kernel;
       for (std::size_t oc = 0; oc < conv->out_channels; ++oc) {
         for (std::size_t oy = 0; oy < oh; ++oy) {
@@ -181,89 +199,10 @@ Expected<Tensor> Forward(const Network& net, const Tensor& input) {
       }
       current = std::move(out);
     } else if (const auto* pool = std::get_if<MaxPoolLayer>(&layer)) {
-      const std::size_t channels = current.shape()[0];
-      const std::size_t ih = current.shape()[1];
-      const std::size_t iw = current.shape()[2];
-      const std::size_t oh = OutDim(ih, pool->window, pool->stride, 0);
-      const std::size_t ow = OutDim(iw, pool->window, pool->stride, 0);
-      Tensor out({channels, oh, ow});
-      for (std::size_t c = 0; c < channels; ++c) {
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            double best = -1e300;
-            for (std::size_t ky = 0; ky < pool->window; ++ky) {
-              for (std::size_t kx = 0; kx < pool->window; ++kx) {
-                best = std::max(best, current.at3(c, oy * pool->stride + ky,
-                                                  ox * pool->stride + kx));
-              }
-            }
-            out.at3(c, oy, ox) = best;
-          }
-        }
-      }
-      current = std::move(out);
+      current = MaxPool(current, *pool);
     }
   }
   return current;
-}
-
-Expected<std::vector<LayerProfile>> ProfileNetwork(const Network& net) {
-  if (Status s = net.Validate(); !s.ok()) return s;
-  std::vector<LayerProfile> profiles;
-  std::vector<std::size_t> shape = net.input_shape;
-  const auto elems = [](const std::vector<std::size_t>& s) {
-    std::size_t n = 1;
-    for (std::size_t d : s) n *= d;
-    return static_cast<std::uint64_t>(n);
-  };
-  for (const Layer& layer : net.layers) {
-    if (std::holds_alternative<DenseLayer>(layer) && shape.size() == 3) {
-      shape = {shape[0] * shape[1] * shape[2]};
-    }
-    LayerProfile p;
-    p.in_elements = elems(shape);
-    if (const auto* dense = std::get_if<DenseLayer>(&layer)) {
-      p.kind = "dense";
-      p.macs = static_cast<std::uint64_t>(dense->in_features) *
-               dense->out_features;
-      p.weight_count = dense->weights.size() + dense->bias.size();
-      shape = {dense->out_features};
-    } else if (const auto* conv = std::get_if<Conv2dLayer>(&layer)) {
-      const std::size_t oh =
-          OutDim(shape[1], conv->kernel, conv->stride, conv->padding);
-      const std::size_t ow =
-          OutDim(shape[2], conv->kernel, conv->stride, conv->padding);
-      p.kind = "conv";
-      p.macs = static_cast<std::uint64_t>(oh) * ow * conv->out_channels *
-               conv->in_channels * conv->kernel * conv->kernel;
-      p.weight_count = conv->weights.size() + conv->bias.size();
-      shape = {conv->out_channels, oh, ow};
-    } else if (const auto* pool = std::get_if<MaxPoolLayer>(&layer)) {
-      p.kind = "pool";
-      shape = {shape[0], OutDim(shape[1], pool->window, pool->stride, 0),
-               OutDim(shape[2], pool->window, pool->stride, 0)};
-    }
-    p.out_elements = elems(shape);
-    profiles.push_back(std::move(p));
-  }
-  return profiles;
-}
-
-Expected<std::vector<std::vector<std::size_t>>> LayerInputShapes(
-    const Network& net) {
-  if (Status s = net.Validate(); !s.ok()) return s;
-  std::vector<std::vector<std::size_t>> shapes;
-  shapes.reserve(net.layers.size() + 1);
-  std::vector<std::size_t> shape = net.input_shape;
-  for (const Layer& layer : net.layers) {
-    if (std::holds_alternative<DenseLayer>(layer) && shape.size() == 3) {
-      shape = {shape[0] * shape[1] * shape[2]};
-    }
-    shapes.push_back(shape);
-    shape = std::visit(ShapeVisitor{shape}, layer);
-  }
-  shapes.push_back(std::move(shape));
-  return shapes;
 }
 
 Expected<DenseLayer> SliceDenseOutputs(const DenseLayer& layer,

@@ -5,6 +5,8 @@
 // this module's float forward pass is the accuracy reference.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -17,6 +19,17 @@
 namespace cim::nn {
 
 enum class Activation : std::uint8_t { kNone = 0, kRelu, kSigmoid };
+
+// Digital activation unit; inline because the DPE applies it once per output
+// element after its bias add.
+[[nodiscard]] inline double Activate(double v, Activation act) {
+  switch (act) {
+    case Activation::kNone: return v;
+    case Activation::kRelu: return std::max(v, 0.0);
+    case Activation::kSigmoid: return 1.0 / (1.0 + std::exp(-v));
+  }
+  return v;
+}
 
 // Fully connected: y = W^T x + b. Weights stored row-major [in x out].
 struct DenseLayer {
@@ -54,10 +67,11 @@ struct Network {
   std::vector<std::size_t> input_shape;
   std::vector<Layer> layers;
 
+  // Shape and weight-array checks; ProfileNetwork's walk without the result.
   [[nodiscard]] Status Validate() const;
 
   // Total multiply-accumulate count for one inference (used by the
-  // analytical models and baselines).
+  // analytical models and baselines); 0 for an invalid network.
   [[nodiscard]] std::uint64_t TotalMacs() const;
   // Total weight parameters.
   [[nodiscard]] std::uint64_t TotalWeights() const;
@@ -67,22 +81,30 @@ struct Network {
 [[nodiscard]] Expected<Tensor> Forward(const Network& net,
                                        const Tensor& input);
 
-// Per-layer operation/traffic profile used by the analytical cost models.
+// Max pooling of a CHW tensor; the float model and the DPE's digital pool
+// unit share it.
+[[nodiscard]] Tensor MaxPool(const Tensor& input, const MaxPoolLayer& pool);
+
+// Geometry and operation/traffic profile of one layer. ProfileNetwork is the
+// one walk over a network's shapes: the float model, the behavioural and
+// analytical DPE, the fabric partitioner and the baselines all read layer
+// geometry from it.
 struct LayerProfile {
   std::string kind;            // "dense" / "conv" / "pool"
+  // Shape the layer consumes, after the implicit conv→dense flatten, and
+  // the shape it produces.
+  std::vector<std::size_t> in_shape;
+  std::vector<std::size_t> out_shape;
+  // Crossbar MVM calls per inference: 1 for dense, oh·ow for conv, 0 for
+  // pool.
+  std::uint64_t mvm_calls = 0;
   std::uint64_t macs = 0;
   std::uint64_t weight_count = 0;
   std::uint64_t in_elements = 0;
   std::uint64_t out_elements = 0;
 };
+// Validates the network (shapes and weight-array sizes) while it walks.
 [[nodiscard]] Expected<std::vector<LayerProfile>> ProfileNetwork(
-    const Network& net);
-
-// Shape walk: result[i] is the shape layer i consumes (after the implicit
-// conv→dense flatten) and result[layers.size()] is the network output shape.
-// The fabric partitioner uses this to give each pipeline stage its input
-// shape without re-deriving layer semantics.
-[[nodiscard]] Expected<std::vector<std::vector<std::size_t>>> LayerInputShapes(
     const Network& net);
 
 // Slice a dense layer to the output features [begin, begin + count): weight

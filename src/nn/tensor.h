@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -11,14 +12,19 @@
 
 namespace cim::nn {
 
+// Element count of a shape — the size a tensor of that shape holds, and the
+// width of the vector it flattens to.
+[[nodiscard]] inline std::size_t ElementCount(
+    const std::vector<std::size_t>& shape) {
+  return std::accumulate(shape.begin(), shape.end(), std::size_t{1},
+                         std::multiplies<>());
+}
+
 class Tensor {
  public:
   Tensor() = default;
   explicit Tensor(std::vector<std::size_t> shape)
-      : shape_(std::move(shape)),
-        data_(std::accumulate(shape_.begin(), shape_.end(),
-                              std::size_t{1}, std::multiplies<>()),
-              0.0) {}
+      : shape_(std::move(shape)), data_(ElementCount(shape_), 0.0) {}
   Tensor(std::vector<std::size_t> shape, std::vector<double> data)
       : shape_(std::move(shape)), data_(std::move(data)) {}
 
@@ -28,10 +34,7 @@ class Tensor {
   [[nodiscard]] std::size_t rank() const { return shape_.size(); }
   [[nodiscard]] std::size_t size() const { return data_.size(); }
   [[nodiscard]] bool valid() const {
-    const std::size_t expected =
-        std::accumulate(shape_.begin(), shape_.end(), std::size_t{1},
-                        std::multiplies<>());
-    return expected == data_.size();
+    return ElementCount(shape_) == data_.size();
   }
 
   [[nodiscard]] double* data() { return data_.data(); }

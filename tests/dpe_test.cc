@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "dpe/accelerator.h"
 #include "dpe/analytical.h"
@@ -173,6 +175,36 @@ TEST(AcceleratorTest, AnalyticalModelTracksBehaviouralCosts) {
       << "analytical " << est->energy_pj << " vs behavioural "
       << behavioural.energy_pj;
   EXPECT_EQ(est->arrays_used, (*acc)->arrays_used());
+}
+
+TEST(AcceleratorTest, BehaviouralAndAnalyticalAgreeOnArrayCounts) {
+  // Both models tile every MVM layer over rows x cols arrays with 2 planes
+  // x slices arrays per engine. The analytical model also replicates conv
+  // layers conv_replication times; the behavioural one programs each conv
+  // matrix once. Fault tolerance stays off: its guard column narrows the
+  // behavioural tiles to cols - 1 (see ROADMAP items 1 and 7).
+  DpeParams params = DpeParams::Isaac();
+  params.fault_tolerance.enabled = false;
+  params.worker_threads = 1;
+  const AnalyticalDpeModel model(params);
+  Rng rng(21);
+  const std::vector<std::pair<nn::Network, std::size_t>> cases = {
+      {nn::BuildMlp("mlp", {192, 256, 128, 32}, rng), 56},
+      {nn::BuildMlp("small", {16, 24, 8}, rng), 16},
+      {nn::BuildCnn("cnn", 1, 12, 12, 10, rng), 40}};
+  for (const auto& [net, expected] : cases) {
+    auto mappings = model.MapNetwork(net);
+    ASSERT_TRUE(mappings.ok()) << net.name;
+    std::size_t analytical = 0;
+    for (const LayerMapping& m : *mappings) {
+      analytical +=
+          m.kind == "conv" ? m.arrays / params.conv_replication : m.arrays;
+    }
+    auto acc = DpeAccelerator::Create(params, net, Rng(22));
+    ASSERT_TRUE(acc.ok()) << net.name;
+    EXPECT_EQ((*acc)->arrays_used(), analytical) << net.name;
+    EXPECT_EQ(analytical, expected) << net.name;
+  }
 }
 
 TEST(AcceleratorTest, FaultInjectionPerturbsOutput) {

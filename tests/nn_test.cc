@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/network.h"
@@ -196,6 +198,28 @@ TEST(ProfileTest, ElementsChainBetweenLayers) {
   EXPECT_EQ((*profiles)[0].out_elements, 20u);
   EXPECT_EQ((*profiles)[1].in_elements, 20u);
   EXPECT_EQ((*profiles)[1].out_elements, 5u);
+}
+
+TEST(ProfileTest, CnnGeometryFlattensBeforeDense) {
+  // BuildCnn: conv(same) -> pool -> conv(same) -> pool -> dense -> dense.
+  Rng rng(8);
+  const Network net = BuildCnn("c", 1, 12, 12, 4, rng);
+  auto profiles = ProfileNetwork(net);
+  ASSERT_TRUE(profiles.ok());
+  ASSERT_EQ(profiles->size(), 6u);
+  using Shape = std::vector<std::size_t>;
+  const std::vector<std::pair<Shape, Shape>> shapes = {
+      {{1, 12, 12}, {8, 12, 12}}, {{8, 12, 12}, {8, 6, 6}},
+      {{8, 6, 6}, {16, 6, 6}},    {{16, 6, 6}, {16, 3, 3}},
+      {{144}, {64}},              {{64}, {4}}};
+  const std::vector<std::uint64_t> mvm_calls = {144, 0, 36, 0, 1, 1};
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    EXPECT_EQ((*profiles)[i].in_shape, shapes[i].first) << "layer " << i;
+    EXPECT_EQ((*profiles)[i].out_shape, shapes[i].second) << "layer " << i;
+    EXPECT_EQ((*profiles)[i].mvm_calls, mvm_calls[i]) << "layer " << i;
+  }
+  // The flatten keeps the element count: layer 4 reads what layer 3 wrote.
+  EXPECT_EQ((*profiles)[4].in_elements, (*profiles)[3].out_elements);
 }
 
 TEST(BenchmarkSuiteTest, AllNetworksValidate) {
