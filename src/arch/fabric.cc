@@ -62,10 +62,7 @@ Expected<std::unique_ptr<Fabric>> Fabric::Create(const FabricParams& params) {
   Fabric* self = fabric.get();
   fabric->noc_->SetDropHandler(
       [self](const noc::Packet& packet, noc::DropReason) {
-        auto it = self->inflight_start_.find(packet.id);
-        if (it != self->inflight_start_.end()) {
-          self->inflight_start_.erase(it);
-        }
+        self->inflight_.erase(packet.id);
         ++self->stats_[packet.stream_id].failed;
       });
   return fabric;
@@ -232,17 +229,13 @@ void Fabric::ProcessAt(std::uint64_t stream_id, noc::NodeId node,
           cipher_.Apply(packet.inline_payload, packet.id);
       stats_[stream_id].compute_cost += cipher_cost;
     }
-    inflight_start_[packet.id] = start;
-    inflight_index_[packet.id] = next_index;
+    inflight_[packet.id] = InFlight{start, next_index};
     const std::uint64_t packet_id = packet.id;
     if (Status s = noc_->Inject(std::move(packet)); !s.ok()) {
       // Injection-time drops (failed destination, cut-off source) already
       // ran the drop handler, which erased the inflight entry and counted
       // the failure; count here only when the mesh never saw the packet.
-      if (inflight_start_.erase(packet_id) > 0) {
-        ++stats_[stream_id].failed;
-      }
-      inflight_index_.erase(packet_id);
+      if (inflight_.erase(packet_id) > 0) ++stats_[stream_id].failed;
     }
   });
 }
@@ -257,16 +250,12 @@ void Fabric::OnDelivery(const noc::Delivery& delivery) {
 
 void Fabric::HandleDataPacket(const noc::Delivery& delivery) {
   noc::Packet packet = delivery.packet;
-  const auto start_it = inflight_start_.find(packet.id);
-  const auto index_it = inflight_index_.find(packet.id);
-  if (start_it == inflight_start_.end() ||
-      index_it == inflight_index_.end()) {
+  const auto it = inflight_.find(packet.id);
+  if (it == inflight_.end()) {
     return;  // unknown packet (e.g. injected directly into the NoC)
   }
-  const TimeNs start = start_it->second;
-  const std::size_t path_index = index_it->second;
-  inflight_start_.erase(start_it);
-  inflight_index_.erase(index_it);
+  const InFlight hop = it->second;
+  inflight_.erase(it);
 
   if (packet.encrypted) {
     const CostReport cipher_cost =
@@ -278,8 +267,8 @@ void Fabric::HandleDataPacket(const noc::Delivery& delivery) {
     ++stats_[packet.stream_id].failed;
     return;
   }
-  ProcessAt(packet.stream_id, packet.destination, path_index,
-            std::move(payload.value()), start);
+  ProcessAt(packet.stream_id, packet.destination, hop.path_index,
+            std::move(payload.value()), hop.start);
 }
 
 Status Fabric::SendProgram(noc::NodeId source, noc::NodeId dst,
@@ -336,13 +325,6 @@ Status Fabric::FailTile(noc::NodeId node) {
   if (!tile.ok()) return tile.status();
   (*tile)->SetFailed(true);
   return noc_->SetNodeFailed(node, true);
-}
-
-Status Fabric::RestoreTile(noc::NodeId node) {
-  auto tile = TileAt(node);
-  if (!tile.ok()) return tile.status();
-  (*tile)->SetFailed(false);
-  return noc_->SetNodeFailed(node, false);
 }
 
 const StreamStats* Fabric::StatsFor(std::uint64_t stream_id) const {

@@ -127,7 +127,6 @@ class Fabric {
 
   // --- faults ----------------------------------------------------------------
   Status FailTile(noc::NodeId node);
-  Status RestoreTile(noc::NodeId node);
 
   // --- introspection -----------------------------------------------------
   [[nodiscard]] const StreamStats* StatsFor(std::uint64_t stream_id) const;
@@ -160,6 +159,11 @@ class Fabric {
     Sink sink;
     bool dynamic = false;
   };
+  // A data packet on the mesh between two hops of its stream.
+  struct InFlight {
+    TimeNs start;            // stream inject time
+    std::size_t path_index;  // hop the packet is heading to
+  };
 
   FabricParams params_;
   EventQueue queue_;
@@ -172,8 +176,7 @@ class Fabric {
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t rejected_injections_ = 0;
   std::uint64_t rejected_code_loads_ = 0;
-  std::map<std::uint64_t, TimeNs> inflight_start_;  // packet id -> inject time
-  std::map<std::uint64_t, std::size_t> inflight_index_;  // packet id -> hop
+  std::map<std::uint64_t, InFlight> inflight_;  // keyed by packet id
 };
 
 }  // namespace cim::arch

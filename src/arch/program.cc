@@ -61,22 +61,6 @@ Expected<Program> DeserializeProgram(std::span<const std::uint8_t> bytes) {
   return p;
 }
 
-std::string OpCodeName(OpCode op) {
-  switch (op) {
-    case OpCode::kNop: return "nop";
-    case OpCode::kAddScalar: return "add_scalar";
-    case OpCode::kMulScalar: return "mul_scalar";
-    case OpCode::kRelu: return "relu";
-    case OpCode::kSigmoid: return "sigmoid";
-    case OpCode::kMvm: return "mvm";
-    case OpCode::kStoreLocal: return "store_local";
-    case OpCode::kAddLocal: return "add_local";
-    case OpCode::kLoadLocal: return "load_local";
-    case OpCode::kClamp01: return "clamp01";
-  }
-  return "invalid";
-}
-
 std::vector<std::uint8_t> SerializeVector(std::span<const double> values) {
   std::vector<std::uint8_t> out;
   out.reserve(4 + values.size() * 8);

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -45,8 +44,6 @@ using Program = std::vector<Instruction>;
 [[nodiscard]] std::vector<std::uint8_t> SerializeProgram(const Program& p);
 [[nodiscard]] Expected<Program> DeserializeProgram(
     std::span<const std::uint8_t> bytes);
-
-[[nodiscard]] std::string OpCodeName(OpCode op);
 
 // Vector payload <-> bytes helpers for data packets.
 [[nodiscard]] std::vector<std::uint8_t> SerializeVector(

@@ -48,8 +48,4 @@ std::string FormatPowerWatts(double watts) {
   return WithSiPrefix(watts, "W");
 }
 
-std::string FormatBytesPerSec(double bps) {
-  return WithSiPrefix(bps, "B/s");
-}
-
 }  // namespace cim

@@ -123,6 +123,5 @@ struct EnergyPj {
 [[nodiscard]] std::string FormatTime(TimeNs t);
 [[nodiscard]] std::string FormatEnergy(EnergyPj e);
 [[nodiscard]] std::string FormatPowerWatts(double watts);
-[[nodiscard]] std::string FormatBytesPerSec(double bps);
 
 }  // namespace cim

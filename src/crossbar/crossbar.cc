@@ -142,11 +142,8 @@ Expected<CostReport> Crossbar::ProgramLevels(
       ++write_attempts_;
       if (!pr.verified) ++write_verify_failures_;
       total.energy_pj += pr.energy.pj;
-      if (params_.parallel_row_write) {
-        row_latency = std::max(row_latency, pr.latency.ns);
-      } else {
-        row_latency += pr.latency.ns;
-      }
+      // A row's cells program in parallel (write verify is per row).
+      row_latency = std::max(row_latency, pr.latency.ns);
       ++total.operations;
     }
     total.latency_ns += row_latency;  // rows are written serially

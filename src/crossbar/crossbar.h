@@ -49,9 +49,6 @@ struct CrossbarParams {
   // (1 - alpha * active_row_fraction), capturing wire resistance loss that
   // grows with simultaneously driven rows.
   double ir_drop_alpha = 0.02;
-  // Rows programmed in parallel during a weight write (write verify is
-  // per-row in this model).
-  bool parallel_row_write = true;
   // Which cycle kernel runs and which correctness contract it carries:
   //   kReference    — original array-of-structs per-cell walk (golden).
   //   kFastBitExact — SoA fast path, bit-identical column codes / transpose

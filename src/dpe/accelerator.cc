@@ -22,6 +22,7 @@ crossbar::MvmEngineParams MakeEngineParams(const DpeParams& params) {
   engine_params.array = params.array;
   engine_params.weight_bits = params.weight_bits;
   engine_params.input_bits = params.input_bits;
+  engine_params.shift_add_energy = EnergyPj(params.shift_add_energy_pj);
   if (params.fault_tolerance.enabled &&
       params.fault_tolerance.guard_column) {
     engine_params.guard_column = true;
@@ -285,7 +286,9 @@ Expected<crossbar::MvmResult> DpeAccelerator::RunMvm(
   // latency is the slowest tile (they fire concurrently in hardware).
   // This is the tile boundary of §V.A: each partial is checked (guard
   // column verdict + transfer checksum) before it may touch the merged
-  // output, and retries re-run the tile serially right here.
+  // output, and retries re-run the tile serially right here. Without fault
+  // tolerance no guard column or checksum is engaged and no tile can die,
+  // so every ok partial merges as-is and any error is returned.
   crossbar::MvmResult merged;
   merged.y.assign(mapped.out_dim, 0.0);
   double max_tile_latency = 0.0;
@@ -293,17 +296,6 @@ Expected<crossbar::MvmResult> DpeAccelerator::RunMvm(
   for (std::size_t t = 0; t < tiles; ++t) {
     Expected<crossbar::MvmResult>& partial = *partials[t].result;
     auto& tile = const_cast<EngineTile&>(mapped.tiles[t]);
-
-    if (!ft) {
-      if (!partial.ok()) return partial.status();
-      for (std::size_t c = 0; c < tile.out; ++c) {
-        merged.y[tile.col_offset + c] += partial->y[c];
-      }
-      merged.cost.energy_pj += partial->cost.energy_pj;
-      merged.cost.operations += partial->cost.operations;
-      max_tile_latency = std::max(max_tile_latency, partial->cost.latency_ns);
-      continue;
-    }
 
     const auto note_guard = [&](const crossbar::MvmResult& r) {
       if (!r.guard_checked) return;
@@ -324,7 +316,7 @@ Expected<crossbar::MvmResult> DpeAccelerator::RunMvm(
       merged.cost.energy_pj += partial->cost.energy_pj;
       merged.cost.operations += partial->cost.operations;
       max_tile_latency = std::max(max_tile_latency, partial->cost.latency_ns);
-    } else if (partial.status().code() == ErrorCode::kUnavailable) {
+    } else if (ft && partial.status().code() == ErrorCode::kUnavailable) {
       dead = true;  // dead tile: detect, contribute zeros, flag for remap
     } else {
       return partial.status();
@@ -548,14 +540,13 @@ DpeAccelerator::RecoverAtBoundary() {
         tile.ft->drained_guard_failures = failures;
       }
     }
-    if (params_.fault_tolerance.proactive_retirement) {
-      const reliability::MonitorReport report = monitor_->Evaluate();
-      for (std::uint32_t unit : report.newly_retired) {
-        for (MappedMvmLayer& layer : mvm_layers_) {
-          for (EngineTile& tile : layer.tiles) {
-            if (tile.unit_id == unit) {
-              tile.ft->needs_remap.store(true, std::memory_order_release);
-            }
+    // Remap tiles the monitor retires before they fail.
+    const reliability::MonitorReport report = monitor_->Evaluate();
+    for (std::uint32_t unit : report.newly_retired) {
+      for (MappedMvmLayer& layer : mvm_layers_) {
+        for (EngineTile& tile : layer.tiles) {
+          if (tile.unit_id == unit) {
+            tile.ft->needs_remap.store(true, std::memory_order_release);
           }
         }
       }

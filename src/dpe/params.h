@@ -35,9 +35,6 @@ struct FaultToleranceParams {
   // Checksum the tile partial sums across the tile -> merge transfer
   // (catches transient in-flight corruption the in-array guard cannot).
   bool checksums = true;
-  // Feed write/verify telemetry into the aging monitor and remap tiles it
-  // retires before they fail.
-  bool proactive_retirement = true;
   reliability::AgingParams aging;
 
   [[nodiscard]] Status Validate() const {

@@ -30,7 +30,7 @@ Expected<std::unique_ptr<FabricCoSim>> FabricCoSim::Create(
   auto sim =
       std::unique_ptr<FabricCoSim>(new FabricCoSim(params, std::move(*plan)));
 
-  noc::MeshParams mesh = params.mesh;
+  noc::MeshParams mesh;
   mesh.width = params.partition.grid_width;
   mesh.height = params.partition.grid_height;
   auto noc = noc::MeshNoc::Create(mesh, &sim->queue_);
@@ -213,7 +213,7 @@ Expected<std::vector<dpe::InferResult>> FabricCoSim::InferBatch(
         el.transfer_ns_max = 0.0;
         for (std::size_t src = 0; src < K; ++src) {
           const TileSpec& src_tile = plan_.tile(s, src);
-          const std::size_t payload_doubles = src_tile.out_count;
+          const std::size_t payload_bytes = src_tile.out_count * sizeof(double);
           for (std::size_t dst = 0; dst < K; ++dst) {
             noc::Packet p;
             p.id = ((static_cast<std::uint64_t>(b) * S + s) * K + src) * K +
@@ -223,11 +223,10 @@ Expected<std::vector<dpe::InferResult>> FabricCoSim::InferBatch(
             p.destination = plan_.tile(s + 1, dst).node;
             p.qos = params_.activation_qos;
             p.kind = noc::PayloadKind::kData;
-            p.payload_bytes = static_cast<std::uint32_t>(
-                payload_doubles * params_.bytes_per_activation);
-            p.inline_payload.resize(payload_doubles * sizeof(double));
+            p.payload_bytes = static_cast<std::uint32_t>(payload_bytes);
+            p.inline_payload.resize(payload_bytes);
             std::memcpy(p.inline_payload.data(), split_out[src].data(),
-                        payload_doubles * sizeof(double));
+                        payload_bytes);
             packets.push_back(std::move(p));
           }
         }

@@ -42,32 +42,26 @@
 
 namespace cim::fabric {
 
+// The co-simulated mesh is noc::MeshParams defaults sized to the partition
+// grid (partition.grid_width x partition.grid_height).
 struct FabricParams {
   FabricPartitionParams partition;
   // Per-tile accelerator config. worker_threads is forced to 1: tiles are
   // the unit of host parallelism, and a serial accelerator per tile is what
   // keeps the epoch schedule deterministic.
   dpe::DpeParams dpe = dpe::DpeParams::Isaac();
-  // Mesh config; width/height are overridden from the partition grid.
-  noc::MeshParams mesh;
   // Host threads co-simulating tiles (1 = serial, 0 = hardware concurrency).
   // Purely a simulation-speed knob; results are bit-identical at every
   // setting.
   std::size_t worker_threads = 0;
-  // QoS class and modeled wire width of activation traffic.
+  // QoS class of activation traffic; each activation travels as one
+  // 8-byte double.
   noc::QosClass activation_qos = noc::QosClass::kBulk;
-  std::uint32_t bytes_per_activation = 8;
   // Root seed; tile accelerators derive their programming/noise streams
   // from (seed, tile index).
   std::uint64_t seed = 0x5EEDFAB;
 
-  [[nodiscard]] Status Validate() const {
-    if (Status s = partition.Validate(); !s.ok()) return s;
-    if (bytes_per_activation == 0) {
-      return InvalidArgument("bytes_per_activation must be positive");
-    }
-    return Status::Ok();
-  }
+  [[nodiscard]] Status Validate() const { return partition.Validate(); }
 };
 
 class FabricCoSim {

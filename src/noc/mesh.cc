@@ -142,10 +142,6 @@ void MeshNoc::RecomputeAnyFailure() {
   for (const Link& link : links_) any_failure_ = any_failure_ || link.failed;
 }
 
-bool MeshNoc::IsNodeFailed(NodeId node) const {
-  return InBounds(node) && nodes_[NodeIndex(node)].failed;
-}
-
 const RunningStat* MeshNoc::StreamLatency(std::uint64_t stream) const {
   const auto it = std::lower_bound(
       stream_latency_.begin(), stream_latency_.end(), stream,
@@ -215,8 +211,6 @@ void MeshNoc::Deliver(Packet&& packet, int hops) {
   ++telemetry_.delivered;
   const double latency = (queue_->now() - packet.injected_at).ns;
   telemetry_.latency_ns.Add(latency);
-  telemetry_.latency_by_class[static_cast<std::size_t>(packet.qos)].Add(
-      latency);
   StreamSlot(packet.stream_id).Add(latency);
   const Node& dst = nodes_[NodeIndex(packet.destination)];
   if (dst.handler) {

@@ -89,8 +89,6 @@ struct NocTelemetry {
   std::uint64_t rerouted_hops = 0;  // hops taken off the XY path
   CostReport cost;
   RunningStat latency_ns;
-  // Per-QoS latency, indexed by QosClass.
-  std::array<RunningStat, kQosClassCount> latency_by_class;
 };
 
 class MeshNoc : public EventQueue::TagHandler {
@@ -138,7 +136,6 @@ class MeshNoc : public EventQueue::TagHandler {
   // Fault hooks: fail/restore a node or one directed link.
   Status SetNodeFailed(NodeId node, bool failed);
   Status SetLinkFailed(NodeId from, Direction dir, bool failed);
-  [[nodiscard]] bool IsNodeFailed(NodeId node) const;
 
   [[nodiscard]] const NocTelemetry& telemetry() const { return telemetry_; }
   // Per-stream latency stats.

@@ -4,16 +4,6 @@
 
 namespace cim::reliability {
 
-std::string HealthStateName(HealthState state) {
-  switch (state) {
-    case HealthState::kHealthy: return "healthy";
-    case HealthState::kDegraded: return "degraded";
-    case HealthState::kRetired: return "retired";
-    case HealthState::kFailed: return "failed";
-  }
-  return "?";
-}
-
 Expected<AgingMonitor> AgingMonitor::Create(const AgingParams& params) {
   if (Status s = params.Validate(); !s.ok()) return s;
   return AgingMonitor(params);

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -25,7 +24,6 @@ enum class HealthState : std::uint8_t {
   kRetired,    // proactively switched out of the active configuration
   kFailed,     // fault happened before (or despite) retirement
 };
-[[nodiscard]] std::string HealthStateName(HealthState state);
 
 // Escalation targets per §V.D's closed loops.
 enum class EscalationLevel : std::uint8_t {

@@ -33,18 +33,6 @@ void HashU64(std::uint64_t& h, std::uint64_t v) {
 
 }  // namespace
 
-std::string_view FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kStuckOnCell: return "stuck-on-cell";
-    case FaultKind::kStuckOffCell: return "stuck-off-cell";
-    case FaultKind::kDriftBurst: return "drift-burst";
-    case FaultKind::kTransientMvm: return "transient-mvm";
-    case FaultKind::kTileDeath: return "tile-death";
-    case FaultKind::kLinkLoss: return "link-loss";
-  }
-  return "?";
-}
-
 Status FaultScenario::Validate() const {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const FaultSpec& spec = specs[i];

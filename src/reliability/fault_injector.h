@@ -50,7 +50,6 @@ enum class FaultKind : std::uint8_t {
   kTileDeath,        // whole engine tile stops responding
   kLinkLoss,         // interconnect link drops (fabric targets)
 };
-[[nodiscard]] std::string_view FaultKindName(FaultKind kind);
 
 // Sentinel for "let the scenario seed choose".
 inline constexpr std::size_t kAnyIndex = static_cast<std::size_t>(-1);

@@ -38,16 +38,6 @@ enum class Outcome : std::uint8_t {
   kFailed,        // accelerator refused the batch (malformed input)
 };
 
-[[nodiscard]] constexpr const char* OutcomeName(Outcome outcome) {
-  switch (outcome) {
-    case Outcome::kOk: return "ok";
-    case Outcome::kOkDegraded: return "ok_degraded";
-    case Outcome::kShedDeadline: return "shed_deadline";
-    case Outcome::kFailed: return "failed";
-  }
-  return "unknown";
-}
-
 struct Response {
   RequestId id = 0;
   TenantId tenant = 0;

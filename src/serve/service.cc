@@ -8,6 +8,13 @@
 #include "common/contracts.h"
 
 namespace cim::serve {
+namespace {
+
+// Real-time bound on one idle poll of the background dispatcher and of
+// WaitUntilIdle — liveness only, never observable in results.
+constexpr std::int64_t kIdlePollNs = 2'000'000;
+
+}  // namespace
 
 Status BatchingParams::Validate() const {
   if (max_batch == 0) return InvalidArgument("max_batch must be > 0");
@@ -74,7 +81,6 @@ Status ServeParams::Validate() const {
   if (Status s = admission.Validate(); !s.ok()) return s;
   if (Status s = retry.Validate(); !s.ok()) return s;
   if (Status s = sla.Validate(); !s.ok()) return s;
-  if (idle_poll_ns <= 0) return InvalidArgument("idle_poll_ns must be > 0");
   return Status::Ok();
 }
 
@@ -223,20 +229,18 @@ bool DpeService::PumpOnce() {
 
   // Shed visible requests whose deadline expired before dispatch.
   std::vector<Response> shed;
-  if (params_.admission.shed_expired) {
-    PendingRequest expired;
-    while (scheduler_.PopExpired(virtual_now_, &expired)) {
-      Response response;
-      response.id = expired.id;
-      response.tenant = expired.tenant;
-      response.outcome = Outcome::kShedDeadline;
-      response.attempts = expired.attempt;
-      response.arrival_ns = expired.first_arrival_ns;
-      response.dispatch_ns = virtual_now_;
-      response.completion_ns = virtual_now_;
-      ++stats_.shed_deadline;
-      shed.push_back(std::move(response));
-    }
+  PendingRequest expired;
+  while (scheduler_.PopExpired(virtual_now_, &expired)) {
+    Response response;
+    response.id = expired.id;
+    response.tenant = expired.tenant;
+    response.outcome = Outcome::kShedDeadline;
+    response.attempts = expired.attempt;
+    response.arrival_ns = expired.first_arrival_ns;
+    response.dispatch_ns = virtual_now_;
+    response.completion_ns = virtual_now_;
+    ++stats_.shed_deadline;
+    shed.push_back(std::move(response));
   }
 
   // Weighted-fair pop of up to max_batch visible requests.
@@ -432,7 +436,7 @@ void DpeService::DispatcherLoop() {
     if (scheduler_.TotalDepth() != 0) continue;  // raced a Submit
     if (stopping_) return;
     // Bounded idle poll (blocking-in-server-loop: no unbounded waits).
-    gate_.WaitBounded(lock, params_.idle_poll_ns, [this] {
+    gate_.WaitBounded(lock, kIdlePollNs, [this] {
       return stopping_ || scheduler_.TotalDepth() != 0;
     });
   }
@@ -456,11 +460,11 @@ bool DpeService::Idle() const {
 }
 
 Status DpeService::WaitUntilIdle(std::int64_t max_wait_ns) {
-  const std::int64_t poll = params_.idle_poll_ns;
-  const std::int64_t attempts = std::max<std::int64_t>(1, max_wait_ns / poll);
+  const std::int64_t attempts =
+      std::max<std::int64_t>(1, max_wait_ns / kIdlePollNs);
   for (std::int64_t i = 0; i < attempts; ++i) {
     std::unique_lock<std::mutex> lock(mutex_);
-    const bool idle = gate_.WaitBounded(lock, poll, [this] {
+    const bool idle = gate_.WaitBounded(lock, kIdlePollNs, [this] {
       return scheduler_.TotalDepth() == 0 && !dispatching_;
     });
     if (idle) return Status::Ok();

@@ -8,8 +8,9 @@
 //     of the queue contents.
 //   * Admission control / backpressure: Submit rejects with kUnavailable
 //     once total queue depth reaches the watermark, with kCapacityExceeded
-//     when the tenant's own bounded queue is full, and sheds (without
-//     executing) any request whose deadline expired before dispatch.
+//     when the tenant's own bounded queue is full, and always sheds
+//     (without executing) any request whose deadline expired before
+//     dispatch.
 //   * Retry with deterministic exponential backoff + jitter: a result whose
 //     FaultReport is not clean re-enters the queue at
 //     completion + BackoffNs(retry, seed, id, attempt); the jitter stream
@@ -73,7 +74,6 @@ struct AdmissionParams {
   // Bounds for the SLA loop's watermark adaptation.
   std::size_t min_watermark = 8;
   std::size_t max_watermark = 256;
-  bool shed_expired = true;
 
   [[nodiscard]] Status Validate() const;
 };
@@ -117,9 +117,6 @@ struct ServeParams {
   // at Submit (kInvalidArgument) so it cannot poison a whole batch. 0
   // disables the check.
   std::size_t expected_input_elements = 0;
-  // Real-time bound on one idle poll of the background dispatcher — a
-  // liveness knob only, never observable in results.
-  std::int64_t idle_poll_ns = 2'000'000;
 
   [[nodiscard]] Status Validate() const;
 };
@@ -193,7 +190,8 @@ class DpeService {
   // kCapacityExceeded (tenant queue full).
   [[nodiscard]] Expected<RequestId> Submit(const SubmitArgs& args);
 
-  // Background mode: a dedicated dispatcher thread pumps the loop.
+  // Background mode: a dedicated dispatcher thread pumps the loop, waking
+  // at least every 2 ms real time while idle.
   [[nodiscard]] Status Start();
   // Drains every queued request (retries included), then joins.
   [[nodiscard]] Status Stop();
@@ -204,7 +202,7 @@ class DpeService {
 
   // True when no request is queued or executing.
   [[nodiscard]] bool Idle() const;
-  // Block (bounded real-time polls) until Idle(); kUnavailable on timeout.
+  // Block (2 ms real-time polls) until Idle(); kUnavailable on timeout.
   [[nodiscard]] Status WaitUntilIdle(std::int64_t max_wait_ns);
 
   [[nodiscard]] ServiceStats stats() const;

@@ -146,9 +146,4 @@ bool TenantScheduler::PopExpired(double now, PendingRequest* out) {
   return false;
 }
 
-std::size_t TenantScheduler::DepthOf(TenantId id) const {
-  const auto it = tenants_.find(id);
-  return it == tenants_.end() ? 0 : it->second.queue.size();
-}
-
 }  // namespace cim::serve

@@ -97,7 +97,6 @@ class TenantScheduler {
   [[nodiscard]] bool PopExpired(double now, PendingRequest* out);
 
   [[nodiscard]] std::size_t TotalDepth() const { return total_depth_; }
-  [[nodiscard]] std::size_t DepthOf(TenantId id) const;
 
  private:
   struct TenantState {

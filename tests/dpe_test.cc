@@ -146,6 +146,32 @@ TEST(AcceleratorTest, CostReportedPerInference) {
   EXPECT_GT((*acc)->program_cost().latency_ns, result->cost.latency_ns);
 }
 
+TEST(AcceleratorTest, ShiftAddEnergyReachesBehaviouralEngine) {
+  // DpeParams::shift_add_energy_pj is the one shift-add energy for both
+  // cost models: raising it costs the behavioural accelerator more energy
+  // per inference and changes no output bit or latency.
+  Rng rng(13);
+  const nn::Network net = SmallMlp(rng);
+  nn::Tensor input({16});
+  for (auto& v : input.vec()) v = rng.Uniform(0.0, 1.0);
+
+  const DpeParams base = QuietIsaac();
+  DpeParams raised = base;
+  raised.shift_add_energy_pj = 10.0 * base.shift_add_energy_pj;
+  auto base_acc = DpeAccelerator::Create(base, net, Rng(14));
+  auto raised_acc = DpeAccelerator::Create(raised, net, Rng(14));
+  ASSERT_TRUE(base_acc.ok());
+  ASSERT_TRUE(raised_acc.ok());
+  auto base_result = (*base_acc)->Infer(input);
+  auto raised_result = (*raised_acc)->Infer(input);
+  ASSERT_TRUE(base_result.ok());
+  ASSERT_TRUE(raised_result.ok());
+
+  EXPECT_GT(raised_result->cost.energy_pj, base_result->cost.energy_pj);
+  EXPECT_EQ(raised_result->cost.latency_ns, base_result->cost.latency_ns);
+  EXPECT_EQ(raised_result->output.vec(), base_result->output.vec());
+}
+
 TEST(AcceleratorTest, AnalyticalModelTracksBehaviouralCosts) {
   // The analytical estimate and the behavioural accelerator must agree
   // within a factor of ~2 on both latency and energy (same constants,

@@ -436,14 +436,13 @@ void CheckBannedFunctions(FileContext& ctx, std::vector<Finding>& findings) {
       break;
     }
   }
-  // Library code must route output through the logger; bench/ and examples/
-  // executables exist to print tables.
-  const bool printf_allowed = !StartsWith(ctx.file->repo_path, "src/") ||
-                              ctx.file->repo_path == "src/common/log.cc";
+  // Library code returns results and Status to its callers instead of
+  // printing; bench/ and examples/ executables exist to print tables.
+  const bool printf_allowed = !StartsWith(ctx.file->repo_path, "src/");
   for (std::size_t i = 0; i < ctx.stripped.code.size(); ++i) {
     if (!printf_allowed && std::regex_search(ctx.stripped.code[i], kPrintf)) {
       Report(ctx, i, "banned-function", "printf",
-             "printf-family output outside common/log.cc; use LogMessage",
+             "printf-family output in library code; return it to the caller",
              findings);
     }
     if (!defines_main && std::regex_search(ctx.stripped.code[i], kExit)) {

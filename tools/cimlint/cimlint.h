@@ -52,10 +52,10 @@
 //                          outside src/dpe/params.h and src/common/units.h.
 //                          Hardware timing/energy constants belong in named
 //                          parameter fields, not inline in model code.
-//   banned-function        printf/fprintf in library code (src/) outside
-//                          src/common/log.cc — executables under bench/
-//                          and examples/ print their tables freely;
-//                          exit() in a file that does not define main().
+//   banned-function        printf/fprintf in library code (src/) —
+//                          executables under bench/ and examples/ print
+//                          their tables freely; exit() in a file that
+//                          does not define main().
 //   discarded-status       A `(void)` / `static_cast<void>` cast of a call
 //                          to a function returning Status/Expected, outside
 //                          tests. Casting satisfies [[nodiscard]] but still
