@@ -1,5 +1,6 @@
 #include "arch/fabric.h"
 
+#include <limits>
 #include <utility>
 
 #include "common/contracts.h"
@@ -275,6 +276,10 @@ Status Fabric::SendProgram(noc::NodeId source, noc::NodeId dst,
                            std::size_t mu_index, const Program& program) {
   if (auto tile = TileAt(dst); !tile.ok()) return tile.status();
   if (auto tile = TileAt(source); !tile.ok()) return tile.status();
+  // The code-packet header carries the micro-unit index in one byte.
+  if (mu_index > std::numeric_limits<std::uint8_t>::max()) {
+    return OutOfRange("micro-unit index does not fit the code header");
+  }
   noc::Packet packet;
   packet.id = next_packet_id_++;
   packet.stream_id = 0;  // control plane

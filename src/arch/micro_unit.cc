@@ -2,8 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 namespace cim::arch {
+namespace {
+
+// The slot a code-packet operand names: its truncation, or nullopt when
+// that is no valid slot. Negative, NaN and huge operands are refused before
+// the conversion, which would be undefined for them.
+std::optional<std::size_t> SlotOf(double operand, std::size_t slots) {
+  if (!(operand > -1.0 && operand < static_cast<double>(slots))) {
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(operand);
+}
+
+}  // namespace
 
 Expected<MicroUnit> MicroUnit::Create(const MicroUnitParams& params) {
   if (Status s = params.Validate(); !s.ok()) return s;
@@ -95,26 +109,27 @@ Expected<std::vector<double>> MicroUnit::Execute(
         break;
       }
       case OpCode::kStoreLocal: {
-        const auto slot = static_cast<std::size_t>(inst.operand);
-        if (slot >= slots_.size()) return OutOfRange("store slot");
-        slots_[slot] = acc;
+        const auto slot = SlotOf(inst.operand, slots_.size());
+        if (!slot) return OutOfRange("store slot");
+        slots_[*slot] = acc;
         alu_pass(acc.size());
         break;
       }
       case OpCode::kAddLocal: {
-        const auto slot = static_cast<std::size_t>(inst.operand);
-        if (slot >= slots_.size()) return OutOfRange("add slot");
-        if (slots_[slot].size() != acc.size()) {
+        const auto slot = SlotOf(inst.operand, slots_.size());
+        if (!slot) return OutOfRange("add slot");
+        if (slots_[*slot].size() != acc.size()) {
           return InvalidArgument("kAddLocal dimension mismatch");
         }
-        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += slots_[slot][i];
+        const std::vector<double>& addend = slots_[*slot];
+        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += addend[i];
         alu_pass(acc.size());
         break;
       }
       case OpCode::kLoadLocal: {
-        const auto slot = static_cast<std::size_t>(inst.operand);
-        if (slot >= slots_.size()) return OutOfRange("load slot");
-        acc = slots_[slot];
+        const auto slot = SlotOf(inst.operand, slots_.size());
+        if (!slot) return OutOfRange("load slot");
+        acc = slots_[*slot];
         alu_pass(acc.size());
         break;
       }

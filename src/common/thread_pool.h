@@ -40,29 +40,6 @@ namespace cim {
   return n == 0 ? 1 : static_cast<std::size_t>(n);
 }
 
-// A dedicated long-lived thread for background service loops (e.g. the
-// cim::serve dispatcher). Unlike ThreadPool::Submit, the loop is not a
-// data-parallel work item: it runs outside any parallel region
-// (ThreadPool::InParallelRegion() stays false inside it), so the loop body
-// may freely drive ParallelFor-based runtimes underneath without tripping
-// the nested-region guard. The loop function must return on its own
-// shutdown signal; the destructor joins and therefore blocks until it does.
-class ServiceThread {
- public:
-  explicit ServiceThread(std::function<void()> loop)
-      : thread_(std::move(loop)) {}
-
-  ServiceThread(const ServiceThread&) = delete;
-  ServiceThread& operator=(const ServiceThread&) = delete;
-
-  ~ServiceThread() {
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  std::thread thread_;
-};
-
 class ThreadPool {
  public:
   // Per-worker counters since construction, exposed so the runtime's load

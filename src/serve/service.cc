@@ -8,13 +8,6 @@
 #include "common/contracts.h"
 
 namespace cim::serve {
-namespace {
-
-// Real-time bound on one idle poll of the background dispatcher and of
-// WaitUntilIdle — liveness only, never observable in results.
-constexpr std::int64_t kIdlePollNs = 2'000'000;
-
-}  // namespace
 
 Status BatchingParams::Validate() const {
   if (max_batch == 0) return InvalidArgument("max_batch must be > 0");
@@ -113,22 +106,7 @@ DpeService::DpeService(const ServeParams& params,
       window_ns_(params.batching.window_ns),
       watermark_(params.admission.watermark) {}
 
-DpeService::~DpeService() {
-  if (dispatcher_ != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stopping_ = true;
-    }
-    gate_.NotifyAll();
-    dispatcher_.reset();  // joins after the drain
-  }
-}
-
 Status DpeService::AddTenant(const TenantConfig& config) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (started_) {
-    return FailedPrecondition("cannot add tenants while started");
-  }
   if (Status s = scheduler_.AddTenant(config); !s.ok()) return s;
   if (params_.sla.enabled) {
     runtime::SlaTarget target;
@@ -142,16 +120,11 @@ Status DpeService::AddTenant(const TenantConfig& config) {
 }
 
 Status DpeService::SetResponseHandler(ResponseHandler handler) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (started_) {
-    return FailedPrecondition("cannot change handler while started");
-  }
   handler_ = std::move(handler);
   return Status::Ok();
 }
 
 Expected<RequestId> DpeService::Submit(const SubmitArgs& args) {
-  std::unique_lock<std::mutex> lock(mutex_);
   const TenantConfig* tenant = scheduler_.Find(args.tenant);
   if (tenant == nullptr) return NotFound("unknown tenant");
   ++stats_.submitted;
@@ -206,15 +179,11 @@ Expected<RequestId> DpeService::Submit(const SubmitArgs& args) {
   }
   const RequestId id = next_id_++;
   ++stats_.admitted;
-  lock.unlock();
-  gate_.NotifyAll();
   return id;
 }
 
 bool DpeService::PumpOnce() {
-  std::unique_lock<std::mutex> lock(mutex_);
   if (scheduler_.TotalDepth() == 0) return false;
-  dispatching_ = true;
 
   // Batch formation is a discrete-event jump: dispatch when the oldest
   // queued request has waited window_ns, or as soon as a full batch has
@@ -255,16 +224,9 @@ bool DpeService::PumpOnce() {
     ++stats_.batches;
     stats_.batched_elements += batch.size();
   }
-  lock.unlock();
 
   for (const Response& response : shed) Deliver(response);
-  if (batch.empty()) {
-    lock.lock();
-    dispatching_ = false;
-    lock.unlock();
-    gate_.NotifyAll();
-    return true;
-  }
+  if (batch.empty()) return true;
 
   std::vector<nn::Tensor> inputs;
   inputs.reserve(batch.size());
@@ -273,7 +235,6 @@ bool DpeService::PumpOnce() {
 
   std::vector<Response> done;
   std::vector<PendingRequest> retries;
-  lock.lock();
   if (!results.ok()) {
     // The accelerator refused the whole batch (malformed input slipped
     // past admission). Fail the elements; the service stays up.
@@ -333,7 +294,6 @@ bool DpeService::PumpOnce() {
       }
       sla_.Observe(request.tenant, response.latency_ns());
       sla_.ObserveQuality(request.tenant, !clean);
-      load_info_.RecordLatency(request.tenant, response.latency_ns());
       ++responses_since_eval_;
       done.push_back(std::move(response));
     }
@@ -345,23 +305,15 @@ bool DpeService::PumpOnce() {
     }
     if (params_.sla.enabled &&
         responses_since_eval_ >= params_.sla.evaluate_every) {
-      RunSlaLoopLocked();
+      RunSlaLoop();
     }
   }
-  dispatching_ = false;
-  lock.unlock();
-  gate_.NotifyAll();
   for (const Response& response : done) Deliver(response);
   return true;
 }
 
-void DpeService::RunSlaLoopLocked() {
+void DpeService::RunSlaLoop() {
   responses_since_eval_ = 0;
-  // Real measured utilization from the accelerator's own pool — the load
-  // information §IV.C asks for before any action is undertaken.
-  if (const ThreadPool* pool = accelerator_->thread_pool()) {
-    load_info_.IngestPool(*pool);
-  }
   for (const runtime::SlaDecision& decision : sla_.Evaluate()) {
     switch (decision.action) {
       case runtime::SlaAction::kScaleUp: {
@@ -403,86 +355,17 @@ void DpeService::Deliver(const Response& response) {
   if (handler_) handler_(response);
 }
 
-Status DpeService::Start() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (started_) return FailedPrecondition("already started");
-    started_ = true;
-    stopping_ = false;
-  }
-  dispatcher_ =
-      std::make_unique<ServiceThread>([this] { DispatcherLoop(); });
-  return Status::Ok();
-}
-
-Status DpeService::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!started_) return FailedPrecondition("not started");
-    stopping_ = true;
-  }
-  gate_.NotifyAll();
-  dispatcher_.reset();  // joins after the dispatcher drains every queue
-  std::lock_guard<std::mutex> lock(mutex_);
-  started_ = false;
-  stopping_ = false;
-  return Status::Ok();
-}
-
-void DpeService::DispatcherLoop() {
-  for (;;) {
-    if (PumpOnce()) continue;
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (scheduler_.TotalDepth() != 0) continue;  // raced a Submit
-    if (stopping_) return;
-    // Bounded idle poll (blocking-in-server-loop: no unbounded waits).
-    gate_.WaitBounded(lock, kIdlePollNs, [this] {
-      return stopping_ || scheduler_.TotalDepth() != 0;
-    });
-  }
-}
-
 std::size_t DpeService::RunUntilIdle() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Serial pumping while a background dispatcher runs would interleave
-    // two dispatchers; the API forbids it.
-    CIM_CHECK(!started_);
-  }
   std::size_t pumped = 0;
   while (PumpOnce()) ++pumped;
   return pumped;
 }
 
-bool DpeService::Idle() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return scheduler_.TotalDepth() == 0 && !dispatching_;
-}
-
-Status DpeService::WaitUntilIdle(std::int64_t max_wait_ns) {
-  const std::int64_t attempts =
-      std::max<std::int64_t>(1, max_wait_ns / kIdlePollNs);
-  for (std::int64_t i = 0; i < attempts; ++i) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    const bool idle = gate_.WaitBounded(lock, kIdlePollNs, [this] {
-      return scheduler_.TotalDepth() == 0 && !dispatching_;
-    });
-    if (idle) return Status::Ok();
-  }
-  return Unavailable("service still busy after max_wait_ns");
-}
-
 ServiceStats DpeService::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   ServiceStats snapshot = stats_;
   snapshot.window_ns = window_ns_;
   snapshot.watermark = watermark_;
   return snapshot;
-}
-
-double DpeService::virtual_now_ns() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return virtual_now_;
 }
 
 }  // namespace cim::serve

@@ -19,41 +19,34 @@
 //     the accelerator's own retry -> spare-tile remap -> degrade escalation
 //     (dpe/accelerator.h) has by then already run underneath.
 //   * SLA closed loop: per-response latency/quality feeds SlaController;
-//     every evaluate_every responses the service ingests real pool
-//     utilization (LoadInformationManager::IngestPool) and applies the
-//     controller's verdicts — kScaleUp shrinks the batching window and
-//     lowers the admission watermark (shed load, cut queueing delay),
-//     kScaleDown relaxes both, kRelocate quarantines the offending stream.
+//     every evaluate_every responses the service applies the controller's
+//     verdicts — kScaleUp shrinks the batching window and lowers the
+//     admission watermark (shed load, cut queueing delay), kScaleDown
+//     relaxes both, kRelocate quarantines the offending stream.
 //   * Multi-tenant isolation: per-tenant bounded queues under stride-WFQ
 //     (tenant.h), with capability-token checks (security/capability.h)
 //     when an authority is wired.
 //
-// Execution plane: formed batches run on the accelerator's own thread pool.
-// Because batch partitioning never affects output bits (noise streams are
-// keyed by global call index, dpe/accelerator.h), outputs AND virtual
-// latencies are bit-identical between RunUntilIdle (caller-pumped) and the
-// Start/Stop background dispatcher, provided submissions are themselves
-// deterministic (pre-enqueued arrivals, or closed-loop submission from the
-// response handler, which runs on the dispatcher thread). External threads
-// racing Submit against a live dispatcher get linearized at the mutex —
-// safe, but the interleaving is theirs to make deterministic.
+// Threading: DpeService is called from one thread, which pumps the loop
+// with RunUntilIdle; the response handler runs on that thread and may
+// Submit re-entrantly. Host parallelism lives only in the accelerator's
+// own thread pool, which runs each formed batch. Because batch partitioning
+// never affects output bits (noise streams are keyed by global call index,
+// dpe/accelerator.h), outputs AND virtual latencies are bit-identical at
+// any accelerator thread count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "dpe/accelerator.h"
-#include "runtime/load_balancer.h"
 #include "runtime/sla.h"
 #include "security/capability.h"
-#include "serve/clock.h"
 #include "serve/request.h"
 #include "serve/tenant.h"
 
@@ -163,9 +156,9 @@ struct ServiceStats {
 [[nodiscard]] double BackoffNs(const RetryParams& retry, std::uint64_t seed,
                                RequestId id, std::uint32_t attempt);
 
-// Called once per terminal Response. Runs on the dispatching thread (the
-// caller of RunUntilIdle, or the background dispatcher) in deterministic
-// order; it may call Submit re-entrantly (closed-loop clients).
+// Called once per terminal Response. Runs on the caller of RunUntilIdle in
+// deterministic order; it may call Submit re-entrantly (closed-loop
+// clients).
 using ResponseHandler = std::function<void(const Response&)>;
 
 class DpeService {
@@ -175,42 +168,26 @@ class DpeService {
       const ServeParams& params, dpe::DpeAccelerator* accelerator,
       const security::CapabilityAuthority* authority = nullptr);
 
-  ~DpeService();
   DpeService(const DpeService&) = delete;
   DpeService& operator=(const DpeService&) = delete;
 
-  // Registers a tenant and its SLA target. Not allowed while started.
+  // Registers a tenant and its SLA target.
   [[nodiscard]] Status AddTenant(const TenantConfig& config);
-  // Must be set before the first Submit; not allowed while started.
+  // Must be set before the first Submit.
   [[nodiscard]] Status SetResponseHandler(ResponseHandler handler);
 
-  // Admission-checked enqueue; thread-safe. Errors: kNotFound (unknown
-  // tenant), kInvalidArgument (malformed input), kPermissionDenied
-  // (capability), kUnavailable (watermark or quarantine),
-  // kCapacityExceeded (tenant queue full).
+  // Admission-checked enqueue. Errors: kNotFound (unknown tenant),
+  // kInvalidArgument (malformed input), kPermissionDenied (capability),
+  // kUnavailable (watermark or quarantine), kCapacityExceeded (tenant queue
+  // full).
   [[nodiscard]] Expected<RequestId> Submit(const SubmitArgs& args);
 
-  // Background mode: a dedicated dispatcher thread pumps the loop, waking
-  // at least every 2 ms real time while idle.
-  [[nodiscard]] Status Start();
-  // Drains every queued request (retries included), then joins.
-  [[nodiscard]] Status Stop();
-
-  // Serial mode (not allowed while started): pump batches on the calling
-  // thread until every queue is empty; returns batches dispatched.
+  // Pumps batches on the calling thread until every queue is empty (retries
+  // included); returns batches dispatched.
   [[nodiscard]] std::size_t RunUntilIdle();
 
-  // True when no request is queued or executing.
-  [[nodiscard]] bool Idle() const;
-  // Block (2 ms real-time polls) until Idle(); kUnavailable on timeout.
-  [[nodiscard]] Status WaitUntilIdle(std::int64_t max_wait_ns);
-
   [[nodiscard]] ServiceStats stats() const;
-  [[nodiscard]] double virtual_now_ns() const;
-  // Load telemetry the SLA loop ingested (utilization per pool worker).
-  [[nodiscard]] const runtime::LoadInformationManager& load_info() const {
-    return load_info_;
-  }
+  [[nodiscard]] double virtual_now_ns() const { return virtual_now_; }
 
  private:
   DpeService(const ServeParams& params, dpe::DpeAccelerator* accelerator,
@@ -220,9 +197,8 @@ class DpeService {
   // instant, shed expired requests, pop a weighted-fair batch, execute it,
   // deliver responses and queue retries. Returns false when idle.
   bool PumpOnce();
-  void DispatcherLoop();
-  // Applies SlaController verdicts; called with mutex_ held.
-  void RunSlaLoopLocked();
+  // Applies SlaController verdicts.
+  void RunSlaLoop();
   void Deliver(const Response& response);
 
   const ServeParams params_;
@@ -230,23 +206,16 @@ class DpeService {
   const security::CapabilityAuthority* const authority_;  // not owned
 
   runtime::SlaController sla_;
-  runtime::LoadInformationManager load_info_;
 
-  mutable std::mutex mutex_;
-  DeadlineGate gate_;
   TenantScheduler scheduler_;
   std::map<TenantId, double> quarantined_until_;
   double virtual_now_ = 0.0;
   RequestId next_id_ = 1;
-  bool started_ = false;
-  bool stopping_ = false;
-  bool dispatching_ = false;
   double window_ns_ = 0.0;       // adaptive
   std::size_t watermark_ = 0;    // adaptive
   std::uint64_t responses_since_eval_ = 0;
   ServiceStats stats_;
   ResponseHandler handler_;
-  std::unique_ptr<ServiceThread> dispatcher_;
 };
 
 }  // namespace cim::serve

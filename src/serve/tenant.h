@@ -71,7 +71,7 @@ struct PendingRequest {
 };
 
 // Per-tenant queues plus the stride scheduler. Not thread-safe — the
-// owning DpeService serializes access under its own mutex.
+// owning DpeService is called from one thread.
 class TenantScheduler {
  public:
   [[nodiscard]] Status AddTenant(const TenantConfig& config);

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "arch/micro_unit.h"
 #include "arch/program.h"
+#include "byte_mutator.h"
+#include "common/rng.h"
 
 namespace cim::arch {
 namespace {
@@ -185,6 +188,63 @@ TEST(MicroUnitTest, SlotBoundsChecked) {
   EXPECT_FALSE(mu->WriteSlot(99, std::vector<double>{1.0}).ok());
   ASSERT_TRUE(mu->LoadProgram({{OpCode::kLoadLocal, 99.0}}).ok());
   EXPECT_FALSE(mu->Execute(std::vector<double>{1.0}).ok());
+  // Operands arrive as raw doubles in kCode payloads: negative, NaN and
+  // huge ones must be refused before any integer conversion.
+  for (const OpCode op :
+       {OpCode::kStoreLocal, OpCode::kAddLocal, OpCode::kLoadLocal}) {
+    for (const double operand :
+         {-1.0, std::numeric_limits<double>::quiet_NaN(), 1e300}) {
+      ASSERT_TRUE(mu->LoadProgram({{op, operand}}).ok());
+      auto result = mu->Execute(std::vector<double>{1.0});
+      ASSERT_FALSE(result.ok()) << static_cast<int>(op) << " " << operand;
+      EXPECT_EQ(result.status().code(), ErrorCode::kOutOfRange);
+    }
+  }
+}
+
+// Seeded mutation fuzzing of the byte parsers kCode/kData packets reach:
+// whatever a mutant decodes to must re-serialise to exactly its bytes, so
+// no accepted payload is silently reinterpreted.
+constexpr std::uint64_t kFuzzSeeds[] = {1, 2};
+constexpr int kMutantsPerSeed = 2000;
+
+TEST(ProgramSerdesTest, MutatedEncodingsDecodeExactlyOrAreRejected) {
+  const auto valid = SerializeProgram({{OpCode::kMulScalar, 2.5},
+                                       {OpCode::kStoreLocal, 1.0},
+                                       {OpCode::kAddLocal, 1.0},
+                                       {OpCode::kLoadLocal, 3.0},
+                                       {OpCode::kClamp01, 0.0}});
+  for (const std::uint64_t seed : kFuzzSeeds) {
+    Rng rng(seed);
+    int accepted = 0;
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const auto mutant = fuzz::Mutate(valid, 0, rng);
+      auto decoded = DeserializeProgram(mutant);
+      if (!decoded.ok()) continue;
+      ++accepted;
+      EXPECT_EQ(SerializeProgram(*decoded), mutant)
+          << "seed " << seed << " mutant " << i;
+    }
+    EXPECT_GT(accepted, 0) << "seed " << seed;
+  }
+}
+
+TEST(VectorSerdesTest, MutatedEncodingsDecodeExactlyOrAreRejected) {
+  const auto valid = SerializeVector(std::vector<double>{1.5, -2.25, 0.0,
+                                                         1e-9, 1e12});
+  for (const std::uint64_t seed : kFuzzSeeds) {
+    Rng rng(seed);
+    int accepted = 0;
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const auto mutant = fuzz::Mutate(valid, 0, rng);
+      auto decoded = DeserializeVector(mutant);
+      if (!decoded.ok()) continue;
+      ++accepted;
+      EXPECT_EQ(SerializeVector(*decoded), mutant)
+          << "seed " << seed << " mutant " << i;
+    }
+    EXPECT_GT(accepted, 0) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 // streams, security enforcement, and tile failures.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "arch/fabric.h"
+#include "byte_mutator.h"
+#include "common/rng.h"
 
 namespace cim::arch {
 namespace {
@@ -157,6 +160,89 @@ TEST(FabricTest, UnauthenticatedCodeRejected) {
   ASSERT_TRUE(f.noc().Inject(packet).ok());
   f.queue().Run();
   EXPECT_EQ(f.rejected_code_loads(), 1u);
+}
+
+TEST(FabricTest, SendProgramRejectsMicroUnitIndexBeyondHeader) {
+  auto fabric = Fabric::Create(SmallFabric());
+  ASSERT_TRUE(fabric.ok());
+  Fabric& f = **fabric;
+  LoadScaleProgram(f, {2, 0}, 1.0);
+  // The header holds the index in one byte: 256 must not wrap to 0.
+  EXPECT_EQ(
+      f.SendProgram({0, 0}, {2, 0}, 256, {{OpCode::kMulScalar, 7.0}}).code(),
+      ErrorCode::kOutOfRange);
+  f.queue().Run();
+  auto tile = f.TileAt({2, 0});
+  ASSERT_TRUE(tile.ok());
+  EXPECT_EQ((*tile)->micro_unit(0).program(),
+            (Program{{OpCode::kMulScalar, 1.0}}));
+  EXPECT_EQ(f.rejected_code_loads(), 0u);
+}
+
+// Seeded mutation fuzzing of unauthenticated kCode payloads: each mutant is
+// either loaded verbatim or counted as a rejected code load, and the tile
+// keeps serving data afterwards.
+TEST(FabricTest, MutatedCodePacketsAreLoadedOrRejected) {
+  FabricParams params = SmallFabric();
+  params.micro_units_per_tile = 2;
+  params.authenticate_code = false;
+  auto fabric = Fabric::Create(params);
+  ASSERT_TRUE(fabric.ok());
+  Fabric& f = **fabric;
+  const noc::NodeId target{1, 0};
+  ASSERT_TRUE(f.ConfigureStream(1, {target}).ok());
+  ASSERT_TRUE(f.SetStreamSink(1, [](std::vector<double>, TimeNs) {}).ok());
+  auto tile = f.TileAt(target);
+  ASSERT_TRUE(tile.ok());
+
+  std::vector<std::uint8_t> valid = {1};  // micro-unit index byte
+  const auto body = SerializeProgram({{OpCode::kMulScalar, 2.0},
+                                      {OpCode::kStoreLocal, 0.0},
+                                      {OpCode::kAddLocal, 0.0},
+                                      {OpCode::kLoadLocal, 1.0}});
+  valid.insert(valid.end(), body.begin(), body.end());
+
+  std::uint64_t packet_id = std::uint64_t{1} << 32;  // clear of fabric ids
+  std::uint64_t served = 0;
+  std::uint64_t loaded = 0;
+  for (const std::uint64_t seed : {1, 2}) {
+    Rng rng(seed);
+    for (int i = 0; i < 1000; ++i) {
+      noc::Packet packet;
+      packet.id = packet_id++;
+      packet.source = {0, 0};
+      packet.destination = target;
+      packet.qos = noc::QosClass::kControl;
+      packet.kind = noc::PayloadKind::kCode;
+      packet.inline_payload = fuzz::Mutate(valid, 1, rng);
+      packet.payload_bytes =
+          static_cast<std::uint32_t>(packet.inline_payload.size());
+      const std::vector<std::uint8_t> payload = packet.inline_payload;
+      const std::uint64_t rejected_before = f.rejected_code_loads();
+      ASSERT_TRUE(f.noc().Inject(std::move(packet)).ok());
+      f.queue().Run();
+      if (f.rejected_code_loads() == rejected_before) {
+        ASSERT_FALSE(payload.empty());
+        ASSERT_LT(payload[0], (*tile)->micro_unit_count());
+        ++loaded;
+        // Compared as bytes: a flipped operand may be a NaN.
+        EXPECT_EQ(SerializeProgram((*tile)->micro_unit(payload[0]).program()),
+                  std::vector<std::uint8_t>(payload.begin() + 1, payload.end()))
+            << "seed " << seed << " mutant " << i;
+      } else {
+        EXPECT_EQ(f.rejected_code_loads(), rejected_before + 1);
+      }
+
+      ASSERT_TRUE(f.InjectData(1, {1.0, -2.0}).ok());
+      f.queue().Run();
+      const StreamStats* stats = f.StatsFor(1);
+      ASSERT_NE(stats, nullptr);
+      EXPECT_EQ(stats->completed + stats->failed, ++served);
+    }
+  }
+  // Both outcomes occur, so neither branch above is vacuous.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(f.rejected_code_loads(), 0u);
 }
 
 TEST(FabricTest, PartitionEnforcementBlocksCrossTraffic) {

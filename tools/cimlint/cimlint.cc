@@ -570,11 +570,11 @@ void CheckBlockingInServerLoop(FileContext& ctx,
                                std::vector<Finding>& findings) {
   // The serving loop (src/serve/) must never block without a deadline: a
   // sleep_for/sleep_until nap cannot observe shutdown or shed expired
-  // work, and an unbounded condition_variable::wait can hang the
-  // dispatcher forever. Real-time waits go through the bounded
-  // serve::DeadlineGate wrapper (wait_for/wait_until underneath are the
-  // deadline-aware forms and do not match); a genuinely justified block
-  // carries the `// cimlint: allow-block` escape.
+  // work, and an unbounded condition_variable::wait can hang the loop
+  // forever. A real-time wait, if one is ever needed, must be bounded
+  // (the deadline-aware wait_for/wait_until forms do not match); a
+  // genuinely justified block carries the `// cimlint: allow-block`
+  // escape.
   if (!StartsWith(ctx.file->repo_path, "src/serve/")) return;
   static const std::regex kBlocking(
       R"(\bsleep_(for|until)\s*\(|(\.|->)\s*wait\s*\()");
@@ -582,9 +582,9 @@ void CheckBlockingInServerLoop(FileContext& ctx,
     if (!std::regex_search(ctx.stripped.code[i], kBlocking)) continue;
     if (MarkerAllows(ctx, i, "allow-block")) continue;
     Report(ctx, i, "blocking-in-server-loop", "",
-           "unbounded blocking in the serving loop; use the deadline-aware "
-           "serve::DeadlineGate wrappers (bounded wait_for/wait_until), or "
-           "justify with `// cimlint: allow-block`",
+           "unbounded blocking in the serving loop; use a deadline-aware "
+           "bounded wait (wait_for/wait_until), or justify with "
+           "`// cimlint: allow-block`",
            findings);
   }
 }

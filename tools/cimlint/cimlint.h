@@ -89,10 +89,10 @@
 //                          in src/serve/. The serving loop must never block
 //                          without a deadline — a nap cannot observe
 //                          shutdown or shed expired requests, and an
-//                          unbounded wait can hang the dispatcher. Waits go
-//                          through the bounded serve::DeadlineGate wrappers
-//                          (the deadline-aware wait_for/wait_until forms do
-//                          not match); a justified block carries
+//                          unbounded wait can hang the loop. A wait must
+//                          be bounded (the deadline-aware
+//                          wait_for/wait_until forms do not match); a
+//                          justified block carries
 //                          `// cimlint: allow-block` on the same or
 //                          previous line.
 //   layer-upward-include   An `#include` under src/ whose target module
