@@ -14,6 +14,17 @@ Status Configurator::Validate(Fabric& fabric, const FabricConfig& config) {
           std::to_string(tile_config.node.x) + "," +
           std::to_string(tile_config.node.y) + ")");
     }
+    // Apply's LoadProgram would refuse a failed unit only after earlier
+    // tiles were loaded; refuse the whole config here instead.
+    for (std::size_t i = 0; i < tile_config.unit_programs.size(); ++i) {
+      if (tile_config.unit_programs[i].has_value() &&
+          (*tile)->micro_unit(i).failed()) {
+        return Unavailable("micro-unit " + std::to_string(i) +
+                           " at tile (" + std::to_string(tile_config.node.x) +
+                           "," + std::to_string(tile_config.node.y) +
+                           ") has failed");
+      }
+    }
   }
   std::set<std::uint64_t> stream_ids;
   for (const StreamConfigEntry& stream : config.streams) {

@@ -55,7 +55,9 @@ struct ConfigReport {
 class Configurator {
  public:
   // Validate without side effects: every referenced tile/unit exists,
-  // stream ids are unique within the config, paths are on-fabric.
+  // no program targets a failed micro-unit (a failed tile fails all of
+  // its units), stream ids are unique within the config, paths are
+  // on-fabric.
   [[nodiscard]] static Status Validate(Fabric& fabric,
                                        const FabricConfig& config);
 

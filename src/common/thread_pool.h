@@ -11,9 +11,9 @@
 //
 // This header is the only place in the repository allowed to touch
 // std::thread (enforced by the cimlint `raw-thread` rule): every other
-// component expresses parallelism through Submit/ParallelFor so that
-// shutdown, exception propagation and utilization accounting stay in one
-// audited spot.
+// component expresses parallelism through ParallelFor so that shutdown,
+// exception propagation and per-worker accounting stay in one audited
+// spot.
 #pragma once
 
 #include <atomic>
@@ -23,12 +23,10 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace cim {
@@ -42,8 +40,9 @@ namespace cim {
 
 class ThreadPool {
  public:
-  // Per-worker counters since construction, exposed so the runtime's load
-  // balancer can see real utilization instead of guessed numbers.
+  // Per-worker counters since construction, exposed so a host-time
+  // benchmark can read how many tasks each worker ran and how long it was
+  // busy.
   struct WorkerStats {
     std::uint64_t tasks = 0;
     double busy_ns = 0.0;
@@ -51,12 +50,11 @@ class ThreadPool {
 
   // `workers` background threads. The caller of ParallelFor participates in
   // the loop as well, so total concurrency is workers + 1. A pool with zero
-  // workers is valid: ParallelFor runs entirely on the caller and Submit
-  // executes inline — the serial fallback used by batch-1 configurations.
+  // workers is valid: ParallelFor runs entirely on the caller — the
+  // serial fallback used by batch-1 configurations.
   explicit ThreadPool(std::size_t workers)
       : slots_(workers > 0 ? std::make_unique<Slot[]>(workers) : nullptr),
-        worker_count_(workers),
-        start_time_(std::chrono::steady_clock::now()) {
+        worker_count_(workers) {
     threads_.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       threads_.emplace_back([this, w] { WorkerLoop(w); });
@@ -66,10 +64,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Drains every already-submitted task, then joins all workers. Safe to
-  // destroy while ParallelFor helpers are queued (the caller of ParallelFor
-  // always returns before the pool can be destroyed on another thread —
-  // the pool is not itself thread-safe against concurrent destruction).
+  // Joins all workers. No task is queued by then: ParallelFor returns only
+  // after every helper it enqueued has run (the pool is not itself
+  // thread-safe against destruction concurrent with a ParallelFor).
   ~ThreadPool() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -85,22 +82,6 @@ class ThreadPool {
   // task or ParallelFor drain loop. Used by callers to pick the serial path
   // instead of nesting parallel regions (nested ParallelFor throws).
   [[nodiscard]] static bool InParallelRegion() { return tl_in_parallel_; }
-
-  // Enqueue one task and return a future for its result. With zero workers
-  // the task runs inline on the calling thread.
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    if (worker_count_ == 0) {
-      (*task)();
-      return future;
-    }
-    Enqueue([task] { (*task)(); });
-    return future;
-  }
 
   // Run body(i) for every i in [0, n). Blocks until all iterations finish.
   // The calling thread participates, so the call makes progress even with
@@ -160,18 +141,6 @@ class ThreadPool {
     return stats;
   }
 
-  // Fraction of wall-clock time worker `w` spent executing tasks since the
-  // pool was constructed, clamped to [0, 1].
-  [[nodiscard]] double Utilization(std::size_t w) const {
-    const auto wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - start_time_)
-                          .count();
-    if (wall <= 0) return 0.0;
-    const double fraction =
-        StatsOf(w).busy_ns / static_cast<double>(wall);
-    return fraction > 1.0 ? 1.0 : fraction;
-  }
-
  private:
   struct Slot {
     std::atomic<std::uint64_t> tasks{0};
@@ -225,11 +194,12 @@ class ThreadPool {
       }
       const auto begin = std::chrono::steady_clock::now();
       tl_in_parallel_ = true;
-      // Counted before the body runs: task() may fulfil a Submit future,
-      // and a caller returning from .get() must observe this task in the
-      // worker's totals.
+      // Counted before the body runs: ParallelFor returns as soon as the
+      // helper's pending_helpers.fetch_sub inside task() is seen, so an
+      // increment after task() could race a StatsOf read that follows the
+      // loop (perfbench's dpe.pool.tasks).
       slots_[w].tasks.fetch_add(1, std::memory_order_relaxed);
-      task();  // packaged_task / Drain absorb exceptions
+      task();  // Drain absorbs exceptions
       tl_in_parallel_ = false;
       const auto elapsed =
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -244,7 +214,6 @@ class ThreadPool {
 
   std::unique_ptr<Slot[]> slots_;
   std::size_t worker_count_;
-  std::chrono::steady_clock::time_point start_time_;
   std::mutex mutex_;
   std::condition_variable queue_cv_;
   std::deque<std::function<void()>> queue_;

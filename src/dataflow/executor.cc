@@ -80,6 +80,21 @@ DataflowExecutor::DataflowExecutor(const ExecutorParams& params,
 Expected<std::map<std::string, std::vector<double>>>
 DataflowExecutor::RunWave(
     const std::map<std::string, std::vector<double>>& source_inputs) {
+  // Check every name before delivering any: a rejected wave must not fire
+  // a micro-unit or leave packets queued for the next wave.
+  for (const std::string& source : graph_.Sources()) {
+    if (!source_inputs.contains(source)) {
+      return InvalidArgument("missing input for source '" + source + "'");
+    }
+  }
+  for (const auto& [name, payload] : source_inputs) {
+    if (graph_.FindNode(name) == nullptr) {
+      return InvalidArgument("'" + name + "' is not a graph node");
+    }
+    if (graph_.InDegree(name) != 0) {
+      return InvalidArgument("'" + name + "' is not a source node");
+    }
+  }
   // Reset wave state.
   sink_outputs_.clear();
   for (auto& [name, state] : states_) {
@@ -87,16 +102,7 @@ DataflowExecutor::RunWave(
     state.accumulator.clear();
     state.fired = false;
   }
-  const std::vector<std::string> sources = graph_.Sources();
-  for (const std::string& source : sources) {
-    if (!source_inputs.contains(source)) {
-      return InvalidArgument("missing input for source '" + source + "'");
-    }
-  }
   for (const auto& [name, payload] : source_inputs) {
-    if (graph_.InDegree(name) != 0) {
-      return InvalidArgument("'" + name + "' is not a source node");
-    }
     DeliverInput(name, payload);
   }
   queue_.Run();

@@ -33,6 +33,8 @@ class DataflowExecutor {
 
   // Run one wave: seed every source node with its input vector, then drive
   // the event queue until the wave drains. Returns sink outputs by name.
+  // InvalidArgument, with nothing delivered, when a source has no input or
+  // an input names anything but a source node.
   [[nodiscard]] Expected<std::map<std::string, std::vector<double>>> RunWave(
       const std::map<std::string, std::vector<double>>& source_inputs);
 

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -140,12 +139,6 @@ class MeshNoc : public EventQueue::TagHandler {
   [[nodiscard]] const NocTelemetry& telemetry() const { return telemetry_; }
   // Per-stream latency stats.
   [[nodiscard]] const RunningStat* StreamLatency(std::uint64_t stream) const;
-  // All per-stream stats, sorted by stream id — deterministic and
-  // byte-stable to iterate for telemetry dumps (never hash order).
-  [[nodiscard]] std::span<const std::pair<std::uint64_t, RunningStat>>
-  stream_latencies() const {
-    return stream_latency_;
-  }
 
  private:
   struct Link {
@@ -248,8 +241,7 @@ class MeshNoc : public EventQueue::TagHandler {
   bool any_failure_ = false;
   DropHandler on_drop_;
   NocTelemetry telemetry_;
-  // Sorted by stream id (binary-search insert): deterministic iteration,
-  // nothing for the unordered-iteration lint rule to flag.
+  // Sorted by stream id; inserts and StreamLatency binary-search it.
   std::vector<std::pair<std::uint64_t, RunningStat>> stream_latency_;
 };
 

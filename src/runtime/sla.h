@@ -1,21 +1,25 @@
 // Closed-loop SLA controller (§IV.C "enabling closed loops ... can be used
 // to manage performance according to given SLA agreements").
 //
-// Periodically compares each stream's observed latency against its target
-// and issues scaling actions: add capacity (provision another worker or
-// raise QoS) when violating, release capacity when comfortably under.
+// Periodically compares each stream's observed latency and result quality
+// against its target and returns verdicts: scale up when violating, scale
+// down when comfortably under, relocate when too many results degraded.
+// The caller decides what a verdict does; serve::DpeService shrinks or
+// relaxes its batching window and admission watermark and quarantines a
+// relocated tenant.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
 #include "common/stats.h"
 #include "common/status.h"
-#include "runtime/load_balancer.h"
 
 namespace cim::runtime {
+
+// The unit an SLA is kept for; a serve tenant id is one (serve/request.h).
+using StreamId = std::uint64_t;
 
 enum class SlaAction : std::uint8_t {
   kNone = 0,

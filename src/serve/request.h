@@ -19,8 +19,7 @@
 namespace cim::serve {
 
 // Tenants are SLA streams: the id doubles as the runtime::StreamId fed to
-// SlaController / LoadInformationManager, and as the virtualization
-// stream id when the tenant is built from a VirtualFunction.
+// SlaController.
 using TenantId = std::uint64_t;
 using RequestId = std::uint64_t;
 

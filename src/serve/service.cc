@@ -8,17 +8,28 @@
 #include "common/contracts.h"
 
 namespace cim::serve {
+namespace {
+
+// SLA-loop adaptation: a kScaleUp verdict multiplies the batching window by
+// kWindowShrink and lowers the watermark by kWatermarkStep; kScaleDown
+// multiplies by kWindowGrow (up to kMaxWindowNs) and raises it by the step.
+constexpr double kMaxWindowNs = 800e3;
+constexpr std::size_t kWatermarkStep = 8;
+constexpr double kWindowShrink = 0.5;
+constexpr double kWindowGrow = 1.5;
+
+}  // namespace
 
 Status BatchingParams::Validate() const {
   if (max_batch == 0) return InvalidArgument("max_batch must be > 0");
   if (window_ns < 0.0 || min_window_ns < 0.0) {
     return InvalidArgument("batching windows must be >= 0");
   }
-  if (min_window_ns > max_window_ns) {
-    return InvalidArgument("min_window_ns > max_window_ns");
+  if (min_window_ns > kMaxWindowNs) {
+    return InvalidArgument("min_window_ns > 800 us");
   }
-  if (window_ns < min_window_ns || window_ns > max_window_ns) {
-    return InvalidArgument("window_ns outside [min_window_ns, max_window_ns]");
+  if (window_ns < min_window_ns || window_ns > kMaxWindowNs) {
+    return InvalidArgument("window_ns outside [min_window_ns, 800 us]");
   }
   return Status::Ok();
 }
@@ -62,10 +73,6 @@ Status SlaLoopParams::Validate() const {
   if (quarantine_ns < 0.0) {
     return InvalidArgument("quarantine_ns must be >= 0");
   }
-  if (window_shrink <= 0.0 || window_shrink >= 1.0) {
-    return InvalidArgument("window_shrink must be in (0, 1)");
-  }
-  if (window_grow <= 1.0) return InvalidArgument("window_grow must be > 1");
   return Status::Ok();
 }
 
@@ -320,21 +327,20 @@ void DpeService::RunSlaLoop() {
         // Violating latency: cut queueing delay (smaller window) and shed
         // load earlier (lower watermark).
         window_ns_ = std::max(params_.batching.min_window_ns,
-                              window_ns_ * params_.sla.window_shrink);
-        const std::size_t step = params_.sla.watermark_step;
-        watermark_ = watermark_ > params_.admission.min_watermark + step
-                         ? watermark_ - step
-                         : params_.admission.min_watermark;
+                              window_ns_ * kWindowShrink);
+        watermark_ =
+            watermark_ > params_.admission.min_watermark + kWatermarkStep
+                ? watermark_ - kWatermarkStep
+                : params_.admission.min_watermark;
         ++stats_.sla_scale_up;
         break;
       }
       case runtime::SlaAction::kScaleDown:
         // Comfortably under target: recover batching efficiency and admit
         // more load.
-        window_ns_ = std::min(params_.batching.max_window_ns,
-                              window_ns_ * params_.sla.window_grow);
+        window_ns_ = std::min(kMaxWindowNs, window_ns_ * kWindowGrow);
         watermark_ = std::min(params_.admission.max_watermark,
-                              watermark_ + params_.sla.watermark_step);
+                              watermark_ + kWatermarkStep);
         ++stats_.sla_scale_down;
         break;
       case runtime::SlaAction::kRelocate:

@@ -55,9 +55,9 @@ namespace cim::serve {
 struct BatchingParams {
   std::size_t max_batch = 8;
   double window_ns = 200e3;  // initial coalescing window
-  // Bounds for the SLA loop's window adaptation.
+  // Lower bound for the SLA loop's window adaptation; the upper bound is
+  // fixed at 800 us (service.cc).
   double min_window_ns = 25e3;
-  double max_window_ns = 800e3;
 
   [[nodiscard]] Status Validate() const;
 };
@@ -92,9 +92,6 @@ struct SlaLoopParams {
   // kRelocate quarantine: submissions for the stream are rejected
   // (kUnavailable) until virtual time passes the quarantine horizon.
   double quarantine_ns = 2e6;
-  std::size_t watermark_step = 8;
-  double window_shrink = 0.5;
-  double window_grow = 1.5;
 
   [[nodiscard]] Status Validate() const;
 };

@@ -8,27 +8,6 @@
 
 namespace cim::serve {
 
-double WeightForQos(noc::QosClass qos) {
-  switch (qos) {
-    case noc::QosClass::kControl: return 4.0;
-    case noc::QosClass::kRealtime: return 2.0;
-    case noc::QosClass::kBulk: return 1.0;
-  }
-  return 1.0;
-}
-
-TenantConfig TenantFromFunction(const runtime::VirtualFunction& fn,
-                                const runtime::VirtualFunctionSpec& spec,
-                                std::size_t queue_capacity) {
-  TenantConfig config;
-  config.id = fn.stream_id;
-  config.name = fn.name;
-  config.weight = WeightForQos(spec.qos);
-  config.queue_capacity = queue_capacity;
-  config.partition = fn.partition;
-  return config;
-}
-
 Status TenantScheduler::AddTenant(const TenantConfig& config) {
   if (Status s = config.Validate(); !s.ok()) return s;
   if (tenants_.count(config.id) != 0) {

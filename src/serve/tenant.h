@@ -18,8 +18,6 @@
 
 #include "common/status.h"
 #include "nn/tensor.h"
-#include "noc/packet.h"
-#include "runtime/virtualization.h"
 #include "serve/request.h"
 
 namespace cim::serve {
@@ -44,18 +42,6 @@ struct TenantConfig {
     return Status::Ok();
   }
 };
-
-// Default fair-share weight for a virtualization QoS class: control-plane
-// streams preempt realtime, realtime preempts bulk (noc/packet.h keeps the
-// same ordering for virtual channels).
-[[nodiscard]] double WeightForQos(noc::QosClass qos);
-
-// Wire a tenant to an instantiated VirtualFunction: the function's stream
-// id becomes the tenant id (and so its SLA stream), its partition becomes
-// the capability domain, and its spec's QoS class picks the weight.
-[[nodiscard]] TenantConfig TenantFromFunction(
-    const runtime::VirtualFunction& fn,
-    const runtime::VirtualFunctionSpec& spec, std::size_t queue_capacity);
 
 // One admitted request waiting for dispatch (service-internal). Retries
 // re-enter the queue with `arrival_ns` pushed out by the backoff schedule

@@ -115,6 +115,23 @@ TEST(ConfiguratorTest, InvalidConfigAppliesNothing) {
             noc::PartitionManager::kUnassigned);
 }
 
+TEST(ConfiguratorTest, ConfigProgrammingAFailedTileAppliesNothing) {
+  auto fabric = Fabric::Create(SmallFabric());
+  ASSERT_TRUE(fabric.ok());
+  ASSERT_TRUE((*fabric)->FailTile({1, 0}).ok());
+  const FabricConfig config = BasicConfig();  // programs (0,0), then (1,0)
+  EXPECT_EQ(Configurator::Validate(**fabric, config).code(),
+            ErrorCode::kUnavailable);
+  EXPECT_FALSE(Configurator::Apply(**fabric, config).ok());
+  // Tile (0,0), listed before the failed tile, kept its empty programs.
+  auto tile = (*fabric)->TileAt({0, 0});
+  ASSERT_TRUE(tile.ok());
+  EXPECT_TRUE((*tile)->micro_unit(0).program().empty());
+  EXPECT_TRUE((*tile)->micro_unit(1).program().empty());
+  EXPECT_EQ((*fabric)->partitions().PartitionOf({0, 0}),
+            noc::PartitionManager::kUnassigned);
+}
+
 TEST(ConfiguratorTest, SkippedSlotsLeaveUnitsAlone) {
   auto fabric = Fabric::Create(SmallFabric());
   ASSERT_TRUE(fabric.ok());

@@ -162,6 +162,32 @@ TEST(ExecutorTest, MissingSourceInputRejected) {
   EXPECT_FALSE((*exec)->RunWave({{"out", {1.0}}}).ok());
 }
 
+TEST(ExecutorTest, RejectedWaveDeliversNothing) {
+  // "out" sorts after "in", so a wave that delivered before checking would
+  // fire "in" and leave its packet queued for the next wave.
+  auto pipeline = MakePipeline({ScaleNode("in", 2.0), ScaleNode("out", 5.0)});
+  ASSERT_TRUE(pipeline.ok());
+  auto placement = PlaceGraph(*pipeline, PlacerParams{2, 2, 1});
+  ASSERT_TRUE(placement.ok());
+  auto exec = DataflowExecutor::Create(SmallExecutor(), *pipeline,
+                                       *placement, Rng(6));
+  ASSERT_TRUE(exec.ok());
+  EXPECT_EQ((*exec)->RunWave({{"in", {1.0}}, {"out", {7.0}}}).status().code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ((*exec)->compute_cost().energy_pj, 0.0);
+
+  auto outputs = (*exec)->RunWave({{"in", {3.0}}});
+  ASSERT_TRUE(outputs.ok());
+  EXPECT_DOUBLE_EQ(outputs->at("out")[0], 30.0);
+  EXPECT_EQ((*exec)->wave_errors(), 0u);
+
+  // A name that is no graph node is rejected too, not ignored.
+  const double energy_pj = (*exec)->compute_cost().energy_pj;
+  EXPECT_EQ((*exec)->RunWave({{"in", {1.0}}, {"zz", {7.0}}}).status().code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ((*exec)->compute_cost().energy_pj, energy_pj);
+}
+
 TEST(ExecutorTest, FailedNodeDropsWave) {
   auto pipeline = MakePipeline({ScaleNode("in", 1.0), ScaleNode("out", 1.0)});
   ASSERT_TRUE(pipeline.ok());

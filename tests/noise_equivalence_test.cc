@@ -21,7 +21,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <latch>
 #include <span>
 #include <vector>
@@ -173,22 +172,20 @@ TEST(NoiseEquivalence, EqualSigmaSharesOneTile) {
 }
 
 TEST(NoiseEquivalence, ConcurrentConstructionBuildsOneTile) {
-  // Eight pool workers construct a model of a sigma no other test uses, all
-  // released at once, so they race for the first build; every model must
-  // end up on the same tile, and a later model must find it still live.
+  // Eight loop iterations construct a model of a sigma no other test uses,
+  // all released at once, so they race for the first build; every model
+  // must end up on the same tile, and a later model must find it still
+  // live. An iteration blocks its thread at the latch until all eight have
+  // arrived, so the eight run on eight distinct threads of the pool.
   constexpr std::size_t kWorkers = 8;
   constexpr double kFreshSigma = 0.0375;
   ThreadPool pool(kWorkers);
   std::latch start(kWorkers);
-  std::vector<std::future<NoiseModel>> models;
-  for (std::size_t i = 0; i < kWorkers; ++i) {
-    models.push_back(pool.Submit([&start] {
-      start.arrive_and_wait();
-      return NoiseModel(kFreshSigma, KernelPolicy::kFastNoise);
-    }));
-  }
-  std::vector<NoiseModel> built;
-  for (auto& model : models) built.push_back(model.get());
+  std::vector<NoiseModel> built(kWorkers);
+  pool.ParallelFor(kWorkers, [&](std::size_t i) {
+    start.arrive_and_wait();
+    built[i] = NoiseModel(kFreshSigma, KernelPolicy::kFastNoise);
+  });
   for (const NoiseModel& model : built) {
     ASSERT_EQ(model.tile().size(), NoiseModel::kTileSize);
     EXPECT_EQ(model.tile().data(), built.front().tile().data());

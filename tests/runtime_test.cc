@@ -3,139 +3,10 @@
 
 #include "common/rng.h"
 #include "runtime/integration.h"
-#include "runtime/load_balancer.h"
 #include "runtime/sla.h"
 
 namespace cim::runtime {
 namespace {
-
-TEST(LoadInformationTest, TracksLatencyDemandUtilization) {
-  LoadInformationManager lim;
-  lim.RecordLatency(1, 100.0);
-  lim.RecordLatency(1, 200.0);
-  lim.RecordDemand(1, 500.0);
-  lim.RecordUtilization(3, 0.7);
-  ASSERT_NE(lim.LatencyOf(1), nullptr);
-  EXPECT_DOUBLE_EQ(lim.LatencyOf(1)->mean(), 150.0);
-  EXPECT_EQ(lim.LatencyOf(2), nullptr);
-  EXPECT_DOUBLE_EQ(lim.DemandOf(1), 500.0);
-  EXPECT_DOUBLE_EQ(lim.DemandOf(9), 0.0);
-  EXPECT_DOUBLE_EQ(lim.UtilizationOf(3), 0.7);
-}
-
-TEST(LoadInformationTest, IngestsRealPoolUtilization) {
-  // Feed utilization measured by an actual host thread pool instead of
-  // hand-entered numbers.
-  ThreadPool pool(2);
-  for (int i = 0; i < 4; ++i) pool.Submit([] {}).get();
-  LoadInformationManager lim;
-  lim.IngestPool(pool, /*first_worker=*/10);
-  for (WorkerId w = 10; w < 12; ++w) {
-    EXPECT_GE(lim.UtilizationOf(w), 0.0);
-    EXPECT_LE(lim.UtilizationOf(w), 1.0);
-  }
-  // Unrelated workers stay unknown.
-  EXPECT_DOUBLE_EQ(lim.UtilizationOf(0), 0.0);
-}
-
-TEST(LoadInformationTest, IngestPoolOffsetsKeepTwoPoolsDisjoint) {
-  // The serving plane ingests the accelerator's pool next to the host pool;
-  // the first_worker offset is what keeps the two utilization ranges from
-  // clobbering each other in the shared worker namespace.
-  ThreadPool host_pool(2);
-  ThreadPool accel_pool(3);
-  for (int i = 0; i < 4; ++i) host_pool.Submit([] {}).get();
-  for (int i = 0; i < 4; ++i) accel_pool.Submit([] {}).get();
-  LoadInformationManager lim;
-  lim.IngestPool(host_pool);                       // workers 0..1
-  lim.IngestPool(accel_pool, /*first_worker=*/16); // workers 16..18
-  for (WorkerId w : {WorkerId{0}, WorkerId{1}, WorkerId{16}, WorkerId{17},
-                     WorkerId{18}}) {
-    EXPECT_GE(lim.UtilizationOf(w), 0.0);
-    EXPECT_LE(lim.UtilizationOf(w), 1.0);
-  }
-  // The gap between the two ranges stays unknown: neither ingest may bleed
-  // outside its own [first_worker, first_worker + worker_count) span.
-  for (WorkerId w : {WorkerId{2}, WorkerId{15}, WorkerId{19}}) {
-    EXPECT_DOUBLE_EQ(lim.UtilizationOf(w), 0.0);
-  }
-}
-
-TEST(LoadBalancerTest, AssignsToLeastLoaded) {
-  LoadBalancer balancer;
-  ASSERT_TRUE(balancer.AddWorker({1, 100.0, true}).ok());
-  ASSERT_TRUE(balancer.AddWorker({2, 100.0, true}).ok());
-  auto w1 = balancer.Assign(10, 60.0);
-  ASSERT_TRUE(w1.ok());
-  auto w2 = balancer.Assign(11, 10.0);
-  ASSERT_TRUE(w2.ok());
-  EXPECT_NE(*w1, *w2);  // second stream goes to the emptier worker
-  auto w3 = balancer.Assign(12, 10.0);
-  ASSERT_TRUE(w3.ok());
-  EXPECT_EQ(*w3, *w2);  // still the lighter one
-}
-
-TEST(LoadBalancerTest, DuplicateWorkerRejected) {
-  LoadBalancer balancer;
-  ASSERT_TRUE(balancer.AddWorker({1, 100.0, true}).ok());
-  EXPECT_EQ(balancer.AddWorker({1, 50.0, true}).code(),
-            ErrorCode::kAlreadyExists);
-  EXPECT_FALSE(balancer.AddWorker({2, 0.0, true}).ok());
-}
-
-TEST(LoadBalancerTest, PinnedStreamStaysPut) {
-  LoadBalancer balancer;
-  ASSERT_TRUE(balancer.AddWorker({1, 100.0, true}).ok());
-  ASSERT_TRUE(balancer.AddWorker({2, 100.0, true}).ok());
-  auto w = balancer.Assign(10, 90.0, /*pinned=*/true);
-  ASSERT_TRUE(w.ok());
-  // Reassigning a pinned stream is refused.
-  EXPECT_EQ(balancer.Assign(10, 90.0).status().code(),
-            ErrorCode::kFailedPrecondition);
-  ASSERT_TRUE(balancer.Unpin(10).ok());
-  EXPECT_TRUE(balancer.Assign(10, 90.0).ok());
-}
-
-TEST(LoadBalancerTest, RebalanceMovesStreamsOffUnhealthyWorkers) {
-  LoadBalancer balancer;
-  ASSERT_TRUE(balancer.AddWorker({1, 100.0, true}).ok());
-  ASSERT_TRUE(balancer.AddWorker({2, 100.0, true}).ok());
-  auto w = balancer.Assign(10, 50.0);
-  ASSERT_TRUE(w.ok());
-  ASSERT_TRUE(balancer.SetWorkerHealthy(*w, false).ok());
-  auto moved = balancer.Rebalance();
-  ASSERT_TRUE(moved.ok());
-  EXPECT_EQ(*moved, 1);
-  EXPECT_NE(*balancer.WorkerOf(10), *w);
-}
-
-TEST(LoadBalancerTest, NoHealthyWorkersReported) {
-  LoadBalancer balancer;
-  ASSERT_TRUE(balancer.AddWorker({1, 100.0, true}).ok());
-  ASSERT_TRUE(balancer.SetWorkerHealthy(1, false).ok());
-  EXPECT_EQ(balancer.Assign(10, 1.0).status().code(),
-            ErrorCode::kUnavailable);
-}
-
-TEST(LoadBalancerTest, ImbalanceMetric) {
-  LoadBalancer balancer;
-  ASSERT_TRUE(balancer.AddWorker({1, 100.0, true}).ok());
-  ASSERT_TRUE(balancer.AddWorker({2, 100.0, true}).ok());
-  EXPECT_DOUBLE_EQ(balancer.Imbalance(), 0.0);
-  ASSERT_TRUE(balancer.Assign(10, 80.0).ok());
-  EXPECT_DOUBLE_EQ(balancer.Imbalance(), 0.8);
-  ASSERT_TRUE(balancer.Assign(11, 80.0).ok());
-  EXPECT_DOUBLE_EQ(balancer.Imbalance(), 0.0);
-}
-
-TEST(LoadBalancerTest, RemoveWorkerDropsItsStreams) {
-  LoadBalancer balancer;
-  ASSERT_TRUE(balancer.AddWorker({1, 100.0, true}).ok());
-  ASSERT_TRUE(balancer.Assign(10, 10.0).ok());
-  ASSERT_TRUE(balancer.RemoveWorker(1).ok());
-  EXPECT_FALSE(balancer.WorkerOf(10).has_value());
-  EXPECT_FALSE(balancer.LoadOf(1).ok());
-}
 
 TEST(SlaControllerTest, ScaleUpOnViolation) {
   SlaController sla;

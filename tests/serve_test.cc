@@ -514,29 +514,5 @@ TEST(DpeServiceTest, QualityViolationQuarantinesTenant) {
   EXPECT_EQ(h.service->stats().rejected_quarantine, 1u);
 }
 
-TEST(TenantTest, WeightForQosOrdersControlAboveRealtimeAboveBulk) {
-  EXPECT_GT(serve::WeightForQos(noc::QosClass::kControl),
-            serve::WeightForQos(noc::QosClass::kRealtime));
-  EXPECT_GT(serve::WeightForQos(noc::QosClass::kRealtime),
-            serve::WeightForQos(noc::QosClass::kBulk));
-}
-
-TEST(TenantTest, TenantFromFunctionInheritsStreamPartitionAndQos) {
-  runtime::VirtualFunction fn;
-  fn.name = "vision";
-  fn.stream_id = 17;
-  fn.partition = 5;
-  runtime::VirtualFunctionSpec spec;
-  spec.name = "vision";
-  spec.qos = noc::QosClass::kRealtime;
-  const TenantConfig config = serve::TenantFromFunction(fn, spec, 32);
-  EXPECT_EQ(config.id, 17u);
-  EXPECT_EQ(config.partition, 5u);
-  EXPECT_EQ(config.queue_capacity, 32u);
-  EXPECT_DOUBLE_EQ(config.weight,
-                   serve::WeightForQos(noc::QosClass::kRealtime));
-  EXPECT_TRUE(config.Validate().ok());
-}
-
 }  // namespace
 }  // namespace cim
