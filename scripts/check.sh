@@ -7,14 +7,14 @@
 #   scripts/check.sh                 # relwithdebinfo (the tier-1 gate)
 #   scripts/check.sh asan-ubsan      # sanitizer matrix leg
 #   scripts/check.sh all             # every CI leg in sequence
-#   scripts/check.sh --lint-only     # cimlint diff-baseline gate, nothing else
+#   scripts/check.sh --lint-only     # cimlint scan + docs links, nothing else
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# The cimlint diff-baseline gate: new findings fail, individually justified
-# ones (tools/cimlint/baseline.json) pass, stale entries fail. Builds only
-# the linter, so it runs in seconds and fronts the expensive build legs.
+# The cimlint gate: any finding fails, and so does a stale allow comment.
+# Builds only the linter, so it runs in seconds and fronts the expensive
+# build legs.
 run_lint() {
   local preset="${1:-relwithdebinfo}"
   local build_dir="build/$preset"
@@ -30,9 +30,8 @@ run_lint() {
       cmake --build "$build_dir" --target cimlint -j "$(nproc)"
     fi
   fi
-  echo "==> [$preset] cimlint (diff-baseline)"
-  "$build_dir/tools/cimlint/cimlint" --root . --diff-baseline \
-      src bench examples tests tools
+  echo "==> [$preset] cimlint"
+  "$build_dir/tools/cimlint/cimlint" --root . src bench examples tests tools
   echo "==> [$preset] docs link check"
   scripts/check_docs_links.sh
 }

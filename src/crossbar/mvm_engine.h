@@ -43,12 +43,6 @@ struct MvmEngineParams {
   // because the guard weighs every logical column at once. Costs one extra
   // ADC conversion per analog cycle; requires out_dim < array.cols.
   bool guard_column = false;
-  // Threshold multiplier over the analytic fault-free residual envelope
-  // (itself ~3 sigma of the measured noise-only residual). Larger = fewer
-  // false alarms, smaller = finer faults detected. The 1.5 default keeps
-  // ~2x headroom over the observed fault-free maximum while catching
-  // multi-cell stuck clusters (~24 cells on 64-row tiles, ~48 on 128x128).
-  double guard_margin = 1.5;
 
   [[nodiscard]] Status Validate() const;
   [[nodiscard]] int slices() const {

@@ -16,6 +16,8 @@ namespace {
 // claim order — so recovery is deterministic at any thread count.
 constexpr std::uint64_t kRemapEngineSalt = 0x52454d31ULL;  // "REM1"
 constexpr std::uint64_t kRemapNoiseSalt = 0x52454d32ULL;   // "REM2"
+// Re-executions of a detected-bad tile MVM before the element degrades.
+constexpr int kMaxRetries = 1;
 
 crossbar::MvmEngineParams MakeEngineParams(const DpeParams& params) {
   crossbar::MvmEngineParams engine_params;
@@ -23,11 +25,7 @@ crossbar::MvmEngineParams MakeEngineParams(const DpeParams& params) {
   engine_params.weight_bits = params.weight_bits;
   engine_params.input_bits = params.input_bits;
   engine_params.shift_add_energy = EnergyPj(params.shift_add_energy_pj);
-  if (params.fault_tolerance.enabled &&
-      params.fault_tolerance.guard_column) {
-    engine_params.guard_column = true;
-    engine_params.guard_margin = params.fault_tolerance.guard_margin;
-  }
+  engine_params.guard_column = params.fault_tolerance.enabled;
   return engine_params;
 }
 
@@ -328,7 +326,7 @@ Expected<crossbar::MvmResult> DpeAccelerator::RunMvm(
     // transient (gone on re-run) passes on the first retry; stuck cells
     // keep tripping the guard and fall through to degrade.
     if (!tile_ok && !dead) {
-      for (int a = 1; a <= ftp.max_retries && !tile_ok; ++a) {
+      for (int a = 1; a <= kMaxRetries && !tile_ok; ++a) {
         ++trace->report.retried;
         Rng noise(DeriveSeed(DeriveSeed(tile.noise_seed, call),
                              static_cast<std::uint64_t>(a)));
@@ -664,13 +662,8 @@ std::size_t DpeAccelerator::spares_available() const {
 }
 
 Status DpeAccelerator::InjectFault(std::size_t layer_index, std::size_t row,
-                                   std::size_t col, device::CellFault fault,
-                                   int plane, int slice) {
+                                   std::size_t col, device::CellFault fault) {
   if (layer_index >= mvm_layers_.size()) return OutOfRange("layer index");
-  if (plane != 0 && plane != 1) return InvalidArgument("plane must be 0 or 1");
-  if (slice != kAllSlices && (slice < 0 || slice >= params_.slices())) {
-    return OutOfRange("slice index");
-  }
   MappedMvmLayer& layer = mvm_layers_[layer_index];
   if (row >= layer.in_dim || col >= layer.out_dim) {
     return OutOfRange("cell coordinate outside the layer's weight matrix");
@@ -683,11 +676,7 @@ Status DpeAccelerator::InjectFault(std::size_t layer_index, std::size_t row,
     }
     const std::size_t r = row - tile.row_offset;
     const std::size_t c = col - tile.col_offset;
-    if (slice == kAllSlices) {
-      tile.engine.InjectCellFaultAllSlices(plane, r, c, fault);
-    } else {
-      tile.engine.InjectCellFault(plane, slice, r, c, fault);
-    }
+    tile.engine.InjectCellFaultAllSlices(/*plane=*/0, r, c, fault);
     return Status::Ok();
   }
   return NotFound("no engine tile owns the requested cell");

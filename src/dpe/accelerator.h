@@ -104,14 +104,10 @@ class DpeAccelerator {
   Status AttachFaultInjector(reliability::FaultInjector* injector);
 
   // Fault-injection hook: flip the logical cell (row, col) — coordinates
-  // global to the layer's weight matrix — in the owning engine tile.
-  // `plane` selects the differential plane; `slice` a single bit-slice
-  // array, or kAllSlices for every slice of the logical cell (a physical
-  // crosspoint defect).
-  static constexpr int kAllSlices = -1;
+  // global to the layer's weight matrix — in every bit-slice array of the
+  // owning engine tile's positive plane (a physical crosspoint defect).
   Status InjectFault(std::size_t layer_index, std::size_t row,
-                     std::size_t col, device::CellFault fault, int plane = 0,
-                     int slice = kAllSlices);
+                     std::size_t col, device::CellFault fault);
 
   // Aggregate recovery activity since Create (all elements, all batches).
   [[nodiscard]] const FaultReport& recovery_stats() const {

@@ -18,32 +18,23 @@ namespace cim::dpe {
 // Fault tolerance for the behavioural accelerator (§V.A): detection at
 // engine-tile boundaries, retry/remap/degrade recovery, and a proactive
 // aging loop. Off by default — the fault-free fast path is byte-for-byte
-// the pre-existing runtime.
+// the pre-existing runtime. When enabled, every engine carries the ABFT
+// guard column (§V.A "extra bits on data": one extra physical column holds
+// scaled row sums, and every MVM checks the sensed guard output against
+// the sum of the logical outputs), and a detected-bad tile MVM is
+// re-executed once before the element degrades.
 struct FaultToleranceParams {
   bool enabled = false;
   // Spare engine tiles pre-provisioned at Create; a detected-bad or retired
   // tile is reprogrammed onto one at the next wave boundary. 0 = recovery
   // degrades only (retry still runs).
   std::size_t spare_tiles = 0;
-  // Re-executions of a detected-bad tile MVM before the element degrades.
-  int max_retries = 1;
-  // ABFT guard column per engine (§V.A "extra bits on data"): one extra
-  // physical column holds scaled row sums; every MVM checks the sensed
-  // guard output against the sum of the logical outputs.
-  bool guard_column = true;
-  double guard_margin = 1.5;  // see MvmEngineParams::guard_margin
   // Checksum the tile partial sums across the tile -> merge transfer
   // (catches transient in-flight corruption the in-array guard cannot).
   bool checksums = true;
   reliability::AgingParams aging;
 
-  [[nodiscard]] Status Validate() const {
-    if (max_retries < 0) return InvalidArgument("max_retries must be >= 0");
-    if (guard_margin <= 0.0) {
-      return InvalidArgument("guard_margin must be positive");
-    }
-    return aging.Validate();
-  }
+  [[nodiscard]] Status Validate() const { return aging.Validate(); }
 };
 
 struct DpeParams {
@@ -53,7 +44,6 @@ struct DpeParams {
 
   // eDRAM activation buffer.
   double buffer_energy_per_byte_pj = 0.5;
-  double buffer_bandwidth_gbps = 160.0;  // per tile
 
   // Digital periphery.
   double shift_add_energy_pj = 0.05;     // per output per cycle
@@ -62,7 +52,6 @@ struct DpeParams {
 
   // On-chip H-tree interconnect between tiles.
   double htree_energy_per_byte_pj = 1.5;
-  double htree_latency_ns = 20.0;        // per inter-layer transfer
 
   // Static (leakage + clocking) power per active array, watts.
   double static_power_per_array_w = 2.4e-4;
@@ -88,7 +77,6 @@ struct DpeParams {
   // Board-to-board interconnect.
   double board_link_bandwidth_gbps = 25.0;
   double board_link_latency_ns = 500.0;
-  double board_link_energy_per_byte_pj = 10.0;
 
   [[nodiscard]] static DpeParams Isaac() {
     DpeParams p;
@@ -112,6 +100,14 @@ struct DpeParams {
     }
     if (arrays_per_board == 0) {
       return InvalidArgument("arrays_per_board == 0");
+    }
+    // Both divide: conv MVM waves are CeilDiv(pixels, conv_replication),
+    // and a board crossing takes bytes / board_link_bandwidth_gbps ns.
+    if (conv_replication == 0) {
+      return InvalidArgument("conv_replication == 0");
+    }
+    if (board_link_bandwidth_gbps <= 0.0) {
+      return InvalidArgument("board_link_bandwidth_gbps must be positive");
     }
     if (Status s = fault_tolerance.Validate(); !s.ok()) return s;
     return array.Validate();

@@ -131,9 +131,8 @@ Expected<PointResult> SweepDriver::EvaluatePoint(
             static_cast<std::size_t>(fault_rng.NextBounded(first.in_features));
         const auto col = static_cast<std::size_t>(
             fault_rng.NextBounded(first.out_features));
-        if (Status s = target->InjectFault(0, row, col,
-                                           device::CellFault::kStuckOn, 0,
-                                           dpe::DpeAccelerator::kAllSlices);
+        if (Status s =
+                target->InjectFault(0, row, col, device::CellFault::kStuckOn);
             !s.ok()) {
           return s;
         }

@@ -140,12 +140,6 @@ Status FaultInjector::Arm() {
                                     "' lacks a kill_tile hook");
         }
         break;
-      case FaultKind::kLinkLoss:
-        if (!hooks.fail_link) {
-          return FailedPrecondition("target '" + spec.target +
-                                    "' lacks a fail_link hook");
-        }
-        break;
       case FaultKind::kTransientMvm:
         break;  // consulted via TransientPerturbation, no hook needed
     }
@@ -223,10 +217,6 @@ void FaultInjector::Fire(std::size_t spec_index, const FaultSpec& spec) {
       log_.Record(event);
       break;
     }
-    case FaultKind::kLinkLoss:
-      hooks.fail_link();
-      log_.Record(event);
-      break;
     case FaultKind::kTransientMvm:
       break;  // not structural
   }

@@ -11,7 +11,7 @@
 // registered injection hooks:
 //
 //   * structural faults (stuck-at cells, conductance-drift bursts, tile
-//     death, link loss) mutate component state. They fire at *step
+//     death) mutate component state. They fire at *step
 //     boundaries* — AdvanceTo(step) is called by the runtime from
 //     single-threaded code between batch waves, so the mutation never races
 //     with in-flight compute and every run applies the same faults before
@@ -48,7 +48,6 @@ enum class FaultKind : std::uint8_t {
   kDriftBurst,       // a burst of conductance drift (accelerated aging)
   kTransientMvm,     // one MVM result corrupted in flight (SEU analogue)
   kTileDeath,        // whole engine tile stops responding
-  kLinkLoss,         // interconnect link drops (fabric targets)
 };
 
 // Sentinel for "let the scenario seed choose".
@@ -133,7 +132,6 @@ struct InjectionHooks {
       inject_cell;
   std::function<void(std::size_t tile)> kill_tile;
   std::function<void(std::size_t tile, double drift_ns)> drift;
-  std::function<void()> fail_link;
 };
 
 class FaultInjector {

@@ -20,10 +20,8 @@ namespace cim::runtime {
 
 struct MemoParams {
   std::size_t capacity_entries = 1024;
-  // NVM access costs.
-  double lookup_latency_ns = 50.0;
+  // NVM access energy; asymmetric: writes are expensive.
   double lookup_energy_pj = 20.0;
-  double write_latency_ns = 500.0;   // asymmetric: writes are expensive
   double write_energy_pj = 400.0;
   // Only memoize results whose recompute cost exceeds this multiple of the
   // write cost (the space/compute trade §II.A describes).

@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -904,97 +902,8 @@ TEST(StaleSuppression, DocumentationMentionsAreNotSuppressions) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass C: baseline parsing, diffing, and the emitters
+// Pass C: the SARIF emitter
 // ---------------------------------------------------------------------------
-
-TEST(Baseline, ParsesWhatWriteBaselineEmits) {
-  const std::vector<Finding> findings = {
-      {"src/a.cc", 3, "raw-rng", "msg", ""},
-      {"src/a.cc", 9, "raw-rng", "msg", ""},  // same identity: deduped
-      {"src/b.cc", 1, "layer-upward-include", "msg", "high/api.h"}};
-  const std::string json = BaselineJson(findings);
-  Baseline baseline;
-  std::string error;
-  ASSERT_TRUE(ParseBaseline(json, &baseline, &error)) << error;
-  ASSERT_EQ(baseline.entries.size(), 2u);
-  EXPECT_EQ(baseline.entries[0].file, "src/a.cc");
-  EXPECT_EQ(baseline.entries[1].key, "high/api.h");
-  EXPECT_EQ(baseline.entries[1].reason, "TODO: justify");
-}
-
-TEST(Baseline, RejectsMissingReasonAndMalformedJson) {
-  Baseline baseline;
-  std::string error;
-  EXPECT_FALSE(ParseBaseline(
-      R"({"findings": [{"file": "a", "rule": "r", "reason": ""}]})",
-      &baseline, &error));
-  EXPECT_NE(error.find("reason"), std::string::npos);
-  EXPECT_FALSE(ParseBaseline("{nope", &baseline, &error));
-  EXPECT_FALSE(ParseBaseline(R"({"version": 1})", &baseline, &error));
-}
-
-TEST(Baseline, DiffSplitsFreshMatchedAndStale) {
-  Baseline baseline;
-  baseline.entries = {
-      {"src/a.cc", "raw-rng", "", "keyless: matches any key"},
-      {"src/b.cc", "layer-upward-include", "high/api.h", "justified"},
-      {"src/gone.cc", "raw-rng", "", "file was deleted"},
-      {"vendor/x.cc", "raw-rng", "", "outside the scanned tree"}};
-  const std::vector<Finding> findings = {
-      {"src/a.cc", 3, "raw-rng", "msg", "whatever"},
-      {"src/b.cc", 1, "layer-upward-include", "msg", "high/api.h"},
-      {"src/c.cc", 7, "raw-thread", "msg", ""}};
-  const BaselineDiff diff = DiffBaseline(findings, baseline, {"src"});
-  ASSERT_EQ(diff.fresh.size(), 1u);
-  EXPECT_EQ(diff.fresh[0].file, "src/c.cc");
-  ASSERT_EQ(diff.stale.size(), 1u);
-  EXPECT_EQ(diff.stale[0].file, "src/gone.cc");
-}
-
-TEST(Baseline, KeyMismatchIsFresh) {
-  Baseline baseline;
-  baseline.entries = {
-      {"src/b.cc", "layer-upward-include", "high/api.h", "justified"}};
-  const std::vector<Finding> findings = {
-      {"src/b.cc", 1, "layer-upward-include", "msg", "high/other.h"}};
-  const BaselineDiff diff = DiffBaseline(findings, baseline, {"src"});
-  EXPECT_EQ(diff.fresh.size(), 1u);
-  EXPECT_EQ(diff.stale.size(), 1u);
-}
-
-TEST(JsonEmitter, GoldenEmpty) {
-  EXPECT_EQ(ToJson({}),
-            "{\n"
-            "  \"tool\": \"cimlint\",\n"
-            "  \"count\": 0,\n"
-            "  \"findings\": []\n"
-            "}\n");
-}
-
-TEST(JsonEmitter, GoldenSingleFindingWithEscaping) {
-  const std::vector<Finding> findings = {
-      {"src/a.cc", 3, "raw-rng", "say \"hi\"\n", "k"}};
-  EXPECT_EQ(ToJson(findings),
-            "{\n"
-            "  \"tool\": \"cimlint\",\n"
-            "  \"count\": 1,\n"
-            "  \"findings\": [\n"
-            "    {\n"
-            "      \"file\": \"src/a.cc\",\n"
-            "      \"line\": 3,\n"
-            "      \"rule\": \"raw-rng\",\n"
-            "      \"key\": \"k\",\n"
-            "      \"message\": \"say \\\"hi\\\"\\n\"\n"
-            "    }\n"
-            "  ]\n"
-            "}\n");
-}
-
-TEST(JsonEmitter, OutputIsIndependentOfInputOrder) {
-  const Finding a{"src/a.cc", 3, "raw-rng", "m1", ""};
-  const Finding b{"src/b.cc", 1, "raw-thread", "m2", ""};
-  EXPECT_EQ(ToJson({a, b}), ToJson({b, a}));
-}
 
 TEST(SarifEmitter, SkeletonRuleIndexAndFingerprint) {
   const std::vector<Finding> findings = {
@@ -1016,7 +925,7 @@ TEST(SarifEmitter, SkeletonRuleIndexAndFingerprint) {
   for (const char* rule :
        {"layer-upward-include", "layer-cycle", "unordered-iteration",
         "nested-parallel-region", "blocking-in-server-loop",
-        "stale-baseline-entry", "stale-suppression"}) {
+        "stale-suppression"}) {
     EXPECT_NE(out.find(std::string("\"id\": \"") + rule + "\""),
               std::string::npos)
         << rule;
@@ -1030,32 +939,17 @@ TEST(SarifEmitter, ByteStableAcrossInputOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// The real tree, gated exactly like CI: zero findings outside the baseline
-// and zero stale baseline entries.
+// The real tree, gated exactly like CI: zero findings. A finding can only be
+// accepted by an allow comment at its site.
 // ---------------------------------------------------------------------------
 
 #ifdef CIMLINT_REPO_ROOT
-TEST(RepoTree, IsCleanUnderDiffBaseline) {
-  const std::vector<std::string> subdirs = {"src", "bench", "examples",
-                                            "tests", "tools"};
-  const std::vector<Finding> findings = LintTree(CIMLINT_REPO_ROOT, subdirs);
-  std::ifstream in(std::string(CIMLINT_REPO_ROOT) +
-                       "/tools/cimlint/baseline.json",
-                   std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing tools/cimlint/baseline.json";
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  Baseline baseline;
-  std::string error;
-  ASSERT_TRUE(ParseBaseline(buffer.str(), &baseline, &error)) << error;
-  const BaselineDiff diff = DiffBaseline(findings, baseline, subdirs);
-  for (const Finding& f : diff.fresh) {
+TEST(RepoTree, IsClean) {
+  const std::vector<Finding> findings = LintTree(
+      CIMLINT_REPO_ROOT, {"src", "bench", "examples", "tests", "tools"});
+  for (const Finding& f : findings) {
     ADD_FAILURE() << f.file << ":" << f.line << " [" << f.rule << "] "
                   << f.message;
-  }
-  for (const BaselineEntry& e : diff.stale) {
-    ADD_FAILURE() << "stale baseline entry: (" << e.file << ", " << e.rule
-                  << ", " << e.key << ")";
   }
 }
 #endif

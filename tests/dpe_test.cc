@@ -35,6 +35,34 @@ TEST(DpeParamsTest, IsaacDefaultsValidate) {
   EXPECT_EQ(DpeParams::Isaac().slices(), 4);  // 7 magnitude bits / 2
 }
 
+// Both values are divisors downstream (conv MVM waves, board-crossing
+// time), so the models must refuse them at their entry points. Only the
+// returned status is checked: nothing here runs an inference.
+TEST(DpeParamsTest, RejectsZeroConvReplicationAndNonPositiveBoardLink) {
+  Rng rng(19);
+  const nn::Network cnn = nn::BuildCnn("tiny", 1, 8, 8, 4, rng);
+  DpeParams zero_replication = QuietIsaac();
+  zero_replication.conv_replication = 0;
+  EXPECT_EQ(zero_replication.Validate().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(DpeAccelerator::Create(zero_replication, cnn, Rng(20))
+                .status()
+                .code(),
+            ErrorCode::kInvalidArgument);
+
+  const nn::Network mlp = nn::BuildMlp("m", {512, 1024, 512, 128}, rng);
+  for (const double gbps : {0.0, -25.0}) {
+    DpeParams link = QuietIsaac();
+    link.arrays_per_board = 64;  // force the network across boards
+    link.board_link_bandwidth_gbps = gbps;
+    EXPECT_EQ(link.Validate().code(), ErrorCode::kInvalidArgument) << gbps;
+    EXPECT_EQ(MultiBoardModel(link).Evaluate(mlp, 16, 0.0, false)
+                  .status()
+                  .code(),
+              ErrorCode::kInvalidArgument)
+        << gbps;
+  }
+}
+
 TEST(DpeParamsTest, CycleCostsPositiveAndAdcDominated) {
   const DpeParams p = DpeParams::Isaac();
   EXPECT_GT(p.CycleLatencyNs(), 0.0);

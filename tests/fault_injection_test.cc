@@ -499,28 +499,5 @@ TEST(FaultInjectorTest, TransientDecisionIsPure) {
   EXPECT_EQ(a.log().Fingerprint(), b.log().Fingerprint());
 }
 
-TEST(FaultInjectorTest, LinkLossFiresRegisteredHookOnce) {
-  FaultScenario scenario;
-  FaultSpec loss;
-  loss.kind = FaultKind::kLinkLoss;
-  loss.target = "fabric";
-  loss.at_step = 3;
-  scenario.specs.push_back(loss);
-  FaultInjector injector(scenario);
-  int failures = 0;
-  InjectionHooks hooks;
-  hooks.fail_link = [&failures] { ++failures; };
-  ASSERT_TRUE(injector.RegisterHooks("fabric", std::move(hooks)).ok());
-  ASSERT_TRUE(injector.Arm().ok());
-  injector.AdvanceTo(2);
-  EXPECT_EQ(failures, 0);
-  injector.AdvanceTo(3);
-  EXPECT_EQ(failures, 1);
-  injector.AdvanceTo(10);  // structural specs fire exactly once
-  EXPECT_EQ(failures, 1);
-  ASSERT_EQ(injector.log().size(), 1u);
-  EXPECT_EQ(injector.log().Events()[0].kind, FaultKind::kLinkLoss);
-}
-
 }  // namespace
 }  // namespace cim::dpe

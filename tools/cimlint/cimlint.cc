@@ -1087,183 +1087,12 @@ bool ParseLayerSpec(const std::string& text, LayerSpec* spec,
 }
 
 // ---------------------------------------------------------------------------
-// Pass C: a minimal JSON reader (for baseline.json) and deterministic
-// JSON/SARIF writers. Hand-rolled on purpose: no third-party deps, and the
-// writers emit fields in a fixed order so golden tests can compare bytes.
+// Pass C: the deterministic SARIF writer. Hand-rolled on purpose: no
+// third-party deps, and it emits fields in a fixed order so golden tests can
+// compare bytes.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> members;
-
-  [[nodiscard]] const JsonValue* Get(std::string_view key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  [[nodiscard]] bool Parse(JsonValue* out, std::string* error) {
-    const bool ok = ParseValue(out) && (SkipWs(), pos_ == s_.size());
-    if (!ok && error != nullptr) {
-      *error = err_.empty() ? "trailing characters at offset " +
-                                  std::to_string(pos_)
-                            : err_;
-    }
-    return ok;
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool Fail(const std::string& what) {
-    if (err_.empty()) {
-      err_ = what + " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  bool Expect(char c) {
-    SkipWs();
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Expect('"')) return false;
-    out->clear();
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        const char e = s_[pos_++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u':
-            pos_ = std::min(pos_ + 4, s_.size());  // keep scanning, drop it
-            c = '?';
-            break;
-          default: c = e; break;
-        }
-      }
-      *out += c;
-    }
-    if (pos_ >= s_.size()) return Fail("unterminated string");
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipWs();
-    if (pos_ >= s_.size()) return Fail("unexpected end of input");
-    const char c = s_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kObject;
-      SkipWs();
-      if (pos_ < s_.size() && s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        std::string key;
-        if (!ParseString(&key)) return false;
-        if (!Expect(':')) return false;
-        JsonValue v;
-        if (!ParseValue(&v)) return false;
-        out->members.emplace_back(std::move(key), std::move(v));
-        SkipWs();
-        if (pos_ < s_.size() && s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        return Expect('}');
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kArray;
-      SkipWs();
-      if (pos_ < s_.size() && s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        JsonValue v;
-        if (!ParseValue(&v)) return false;
-        out->items.push_back(std::move(v));
-        SkipWs();
-        if (pos_ < s_.size() && s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        return Expect(']');
-      }
-    }
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->str);
-    }
-    if (s_.compare(pos_, 4, "true") == 0) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = false;
-      pos_ += 5;
-      return true;
-    }
-    if (s_.compare(pos_, 4, "null") == 0) {
-      out->kind = JsonValue::Kind::kNull;
-      pos_ += 4;
-      return true;
-    }
-    if (c == '-' || (std::isdigit(static_cast<unsigned char>(c)) != 0)) {
-      const std::size_t start = pos_;
-      while (pos_ < s_.size() &&
-             (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-              s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-              s_[pos_] == 'e' || s_[pos_] == 'E')) {
-        ++pos_;
-      }
-      out->kind = JsonValue::Kind::kNumber;
-      out->number = std::strtod(s_.substr(start, pos_ - start).c_str(),
-                                nullptr);
-      return true;
-    }
-    return Fail("unexpected character");
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-  std::string err_;
-};
 
 [[nodiscard]] std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -1321,7 +1150,6 @@ constexpr RuleInfo kRules[] = {
     {"pragma-once", "header missing #pragma once"},
     {"raw-rng", "RNG source outside common/rng.h"},
     {"raw-thread", "thread primitive outside common/thread_pool.h"},
-    {"stale-baseline-entry", "baseline entry matching no finding"},
     {"stale-suppression", "suppression comment matching no finding"},
     {"thread-local-in-parallel", "thread_local use inside a parallel region"},
     {"unordered-iteration", "order-dependent write under unordered iteration"},
@@ -1337,120 +1165,6 @@ constexpr RuleInfo kRules[] = {
 }
 
 }  // namespace
-
-bool ParseBaseline(const std::string& json_text, Baseline* baseline,
-                   std::string* error) {
-  baseline->entries.clear();
-  JsonValue root;
-  JsonParser parser(json_text);
-  if (!parser.Parse(&root, error)) return false;
-  if (root.kind != JsonValue::Kind::kObject) {
-    *error = "baseline root must be an object";
-    return false;
-  }
-  const JsonValue* findings = root.Get("findings");
-  if (findings == nullptr || findings->kind != JsonValue::Kind::kArray) {
-    *error = "baseline is missing the 'findings' array";
-    return false;
-  }
-  for (std::size_t i = 0; i < findings->items.size(); ++i) {
-    const JsonValue& item = findings->items[i];
-    if (item.kind != JsonValue::Kind::kObject) {
-      *error = "findings[" + std::to_string(i) + "] is not an object";
-      return false;
-    }
-    BaselineEntry entry;
-    const auto read = [&](std::string_view key, std::string* out) {
-      const JsonValue* v = item.Get(key);
-      if (v != nullptr && v->kind == JsonValue::Kind::kString) *out = v->str;
-    };
-    read("file", &entry.file);
-    read("rule", &entry.rule);
-    read("key", &entry.key);
-    read("reason", &entry.reason);
-    if (entry.file.empty() || entry.rule.empty()) {
-      *error = "findings[" + std::to_string(i) +
-               "] needs non-empty 'file' and 'rule'";
-      return false;
-    }
-    if (entry.reason.empty()) {
-      *error = "findings[" + std::to_string(i) + "] (" + entry.file + ", " +
-               entry.rule +
-               ") needs a non-empty 'reason': every baselined violation is "
-               "individually justified";
-      return false;
-    }
-    baseline->entries.push_back(std::move(entry));
-  }
-  return true;
-}
-
-BaselineDiff DiffBaseline(const std::vector<Finding>& findings,
-                          const Baseline& baseline,
-                          const std::vector<std::string>& scanned_subdirs) {
-  BaselineDiff diff;
-  std::vector<bool> used(baseline.entries.size(), false);
-  for (const Finding& f : findings) {
-    bool matched = false;
-    for (std::size_t i = 0; i < baseline.entries.size(); ++i) {
-      const BaselineEntry& e = baseline.entries[i];
-      if (e.file != f.file || e.rule != f.rule) continue;
-      if (!e.key.empty() && e.key != f.key) continue;
-      used[i] = true;
-      matched = true;
-    }
-    if (!matched) diff.fresh.push_back(f);
-  }
-  for (std::size_t i = 0; i < baseline.entries.size(); ++i) {
-    if (used[i]) continue;
-    const std::string& file = baseline.entries[i].file;
-    const bool scanned =
-        std::any_of(scanned_subdirs.begin(), scanned_subdirs.end(),
-                    [&](const std::string& dir) {
-                      return file == dir || StartsWith(file, dir + "/");
-                    });
-    if (scanned) diff.stale.push_back(baseline.entries[i]);
-  }
-  return diff;
-}
-
-std::string BaselineJson(const std::vector<Finding>& findings) {
-  std::vector<Finding> sorted = Sorted(findings);
-  std::ostringstream out;
-  out << "{\n  \"version\": 1,\n  \"findings\": [";
-  std::set<std::string> seen;
-  bool first = true;
-  for (const Finding& f : sorted) {
-    const std::string identity = f.file + "\n" + f.rule + "\n" + f.key;
-    if (!seen.insert(identity).second) continue;
-    out << (first ? "" : ",") << "\n    {\n"
-        << "      \"file\": \"" << JsonEscape(f.file) << "\",\n"
-        << "      \"rule\": \"" << JsonEscape(f.rule) << "\",\n"
-        << "      \"key\": \"" << JsonEscape(f.key) << "\",\n"
-        << "      \"reason\": \"TODO: justify\"\n    }";
-    first = false;
-  }
-  out << (first ? "]\n}\n" : "\n  ]\n}\n");
-  return out.str();
-}
-
-std::string ToJson(const std::vector<Finding>& findings) {
-  const std::vector<Finding> sorted = Sorted(findings);
-  std::ostringstream out;
-  out << "{\n  \"tool\": \"cimlint\",\n  \"count\": " << sorted.size()
-      << ",\n  \"findings\": [";
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const Finding& f = sorted[i];
-    out << (i == 0 ? "" : ",") << "\n    {\n"
-        << "      \"file\": \"" << JsonEscape(f.file) << "\",\n"
-        << "      \"line\": " << f.line << ",\n"
-        << "      \"rule\": \"" << JsonEscape(f.rule) << "\",\n"
-        << "      \"key\": \"" << JsonEscape(f.key) << "\",\n"
-        << "      \"message\": \"" << JsonEscape(f.message) << "\"\n    }";
-  }
-  out << (sorted.empty() ? "]\n}\n" : "\n  ]\n}\n");
-  return out.str();
-}
 
 std::string ToSarif(const std::vector<Finding>& findings) {
   const std::vector<Finding> sorted = Sorted(findings);

@@ -14,11 +14,10 @@
 //   B. Determinism & concurrency rules backing DESIGN.md § Threading:
 //      unordered-iteration, nondeterministic-seed, thread-local-in-parallel,
 //      nested-parallel-region (see the rule table below).
-//   C. Machine-readable reporting and incremental adoption — JSON and SARIF
-//      2.1.0 emitters, a checked-in baseline (tools/cimlint/baseline.json)
-//      of individually justified findings, a diff-baseline mode that fails
-//      only on findings absent from the baseline, and staleness detection
-//      for both baseline entries and suppression comments.
+//   C. Machine-readable reporting — a deterministic SARIF 2.1.0 emitter
+//      for CI annotation. A finding is accepted only at its site, by a
+//      `// cimlint: allow(<rule>)` comment with its reason on the line
+//      above; an allow comment that stops matching is itself a finding.
 //
 // Rules (suppress one occurrence with `// cimlint: allow(<rule>)` on the
 // same line or the line above; suppress for a whole file with
@@ -132,9 +131,6 @@
 //                          the serial path instead. src/ only.
 //   stale-suppression      A `cimlint: allow*` comment that no longer
 //                          suppresses any finding. Not itself suppressible.
-//   stale-baseline-entry   A baseline.json entry (diff-baseline mode) that
-//                          no longer matches any finding in the scanned
-//                          tree.
 #pragma once
 
 #include <filesystem>
@@ -150,9 +146,9 @@ struct Finding {
   std::size_t line = 0;   // 1-based
   std::string rule;
   std::string message;
-  // Line-stable identity token used for baseline matching (the included
-  // path for layering rules, the callee for status rules, ...); empty when
-  // the rule has no better key than (file, rule).
+  // Line-stable identity token for the SARIF fingerprint (the included path
+  // for layering rules, the callee for status rules, ...); empty when the
+  // rule has no better key than (file, rule).
   std::string key;
 };
 
@@ -183,49 +179,13 @@ struct LayerSpec {
                                   std::string* error);
 
 // ---------------------------------------------------------------------------
-// Pass C: baseline and machine-readable output
+// Pass C: machine-readable output
 // ---------------------------------------------------------------------------
 
-// One justified pre-existing finding. Matches a finding when file and rule
-// are equal and key is equal (an empty entry key matches any finding key —
-// use that sparingly, it grandfathers future findings in the same file).
-struct BaselineEntry {
-  std::string file;
-  std::string rule;
-  std::string key;
-  std::string reason;
-};
-
-struct Baseline {
-  std::vector<BaselineEntry> entries;
-};
-
-// Parses tools/cimlint/baseline.json. Returns false and sets *error on
-// malformed JSON or a missing required field (file, rule, reason).
-[[nodiscard]] bool ParseBaseline(const std::string& json_text,
-                                 Baseline* baseline, std::string* error);
-
-struct BaselineDiff {
-  std::vector<Finding> fresh;         // findings absent from the baseline
-  std::vector<BaselineEntry> stale;   // entries that matched no finding
-};
-
-// Splits findings into fresh-vs-baselined and detects stale entries. Stale
-// detection only considers entries whose file lies under one of
-// `scanned_subdirs` — a partial-tree run cannot prove an entry stale.
-[[nodiscard]] BaselineDiff DiffBaseline(
-    const std::vector<Finding>& findings, const Baseline& baseline,
-    const std::vector<std::string>& scanned_subdirs);
-
-// Serializes findings as a baseline skeleton (reason = "TODO: justify") for
-// incremental adoption; hand-edit the reasons before checking it in.
-[[nodiscard]] std::string BaselineJson(const std::vector<Finding>& findings);
-
-// Deterministic emitters: findings are ordered (file, line, rule, key) and
-// field order is fixed, so output is byte-stable for golden tests.
-[[nodiscard]] std::string ToJson(const std::vector<Finding>& findings);
-// SARIF 2.1.0; every known rule is listed in tool.driver.rules, results
-// carry a partialFingerprints entry derived from the baseline key.
+// SARIF 2.1.0. Findings are ordered (file, line, rule, key) and field order
+// is fixed, so output is byte-stable for golden tests. Every known rule is
+// listed in tool.driver.rules; results carry a partialFingerprints entry
+// derived from Finding::key.
 [[nodiscard]] std::string ToSarif(const std::vector<Finding>& findings);
 
 // ---------------------------------------------------------------------------

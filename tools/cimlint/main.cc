@@ -1,26 +1,17 @@
 // cimlint CLI.
 //
-//   cimlint --root <repo> [options] [subdir...]
+//   cimlint --root <repo> [--format=text|sarif] [subdir...]
 //
-// Options:
-//   --format=text|json|sarif   report format (default text)
-//   --output <file>            write the report to a file instead of stdout
-//   --baseline <file>          baseline path (default
-//                              <root>/tools/cimlint/baseline.json)
-//   --diff-baseline            fail only on findings absent from the
-//                              baseline; stale baseline entries are findings
-//   --write-baseline           print a baseline skeleton for the current
-//                              findings and exit 0 (adoption workflow)
+// The report goes to stdout (redirect it to keep a SARIF file); the verdict
+// line goes to stderr. A finding is accepted only by an include-site
+// `// cimlint: allow(<rule>)` comment, never by a flag.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/config error (so a typo'd --root
-// or an unreadable baseline cannot pass as a clean scan).
+// or a removed option cannot pass as a clean scan).
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cimlint.h"
@@ -28,9 +19,7 @@
 namespace {
 
 int Usage() {
-  std::cerr << "usage: cimlint --root <repo-root> [--format=text|json|sarif]\n"
-               "               [--output <file>] [--baseline <file>]\n"
-               "               [--diff-baseline] [--write-baseline]\n"
+  std::cerr << "usage: cimlint --root <repo-root> [--format=text|sarif]\n"
                "               [subdir...]\n"
                "default subdirs: src bench examples tests tools\n";
   return 2;
@@ -41,10 +30,6 @@ int Usage() {
 int main(int argc, char** argv) {
   std::string root;
   std::string format = "text";
-  std::string output_path;
-  std::string baseline_path;
-  bool diff_baseline = false;
-  bool write_baseline = false;
   std::vector<std::string> subdirs;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -52,14 +37,6 @@ int main(int argc, char** argv) {
       root = argv[++i];
     } else if (arg.rfind("--format=", 0) == 0) {
       format = arg.substr(std::strlen("--format="));
-    } else if (arg == "--output" && i + 1 < argc) {
-      output_path = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (arg == "--diff-baseline") {
-      diff_baseline = true;
-    } else if (arg == "--write-baseline") {
-      write_baseline = true;
     } else if (arg == "--help" || arg == "-h") {
       return Usage();
     } else if (arg.rfind("--", 0) == 0) {
@@ -70,7 +47,7 @@ int main(int argc, char** argv) {
     }
   }
   if (root.empty()) return Usage();
-  if (format != "text" && format != "json" && format != "sarif") {
+  if (format != "text" && format != "sarif") {
     std::cerr << "cimlint: unknown format '" << format << "'\n";
     return Usage();
   }
@@ -92,71 +69,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<cimlint::Finding> findings = cimlint::LintTree(root, subdirs);
-
-  if (write_baseline) {
-    std::cout << cimlint::BaselineJson(findings);
-    return 0;
-  }
-
-  if (diff_baseline) {
-    if (baseline_path.empty()) {
-      baseline_path = root + "/tools/cimlint/baseline.json";
-    }
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::cerr << "cimlint: cannot read baseline '" << baseline_path << "'\n";
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    cimlint::Baseline baseline;
-    std::string error;
-    if (!cimlint::ParseBaseline(buffer.str(), &baseline, &error)) {
-      std::cerr << "cimlint: bad baseline '" << baseline_path << "': " << error
-                << "\n";
-      return 2;
-    }
-    cimlint::BaselineDiff diff =
-        cimlint::DiffBaseline(findings, baseline, subdirs);
-    findings = std::move(diff.fresh);
-    for (const cimlint::BaselineEntry& entry : diff.stale) {
-      findings.push_back(cimlint::Finding{
-          "tools/cimlint/baseline.json", 1, "stale-baseline-entry",
-          "baseline entry (" + entry.file + ", " + entry.rule +
-              (entry.key.empty() ? "" : ", " + entry.key) +
-              ") matches no finding; delete it",
-          entry.file + ":" + entry.rule + ":" + entry.key});
-    }
-  }
-
-  std::string report;
-  if (format == "json") {
-    report = cimlint::ToJson(findings);
-  } else if (format == "sarif") {
-    report = cimlint::ToSarif(findings);
+  const std::vector<cimlint::Finding> findings =
+      cimlint::LintTree(root, subdirs);
+  if (format == "sarif") {
+    std::cout << cimlint::ToSarif(findings);
   } else {
-    std::ostringstream out;
     for (const cimlint::Finding& f : findings) {
-      out << f.file << ":" << f.line << ": [" << f.rule << "] " << f.message
-          << "\n";
+      std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
+                << f.message << "\n";
     }
-    report = out.str();
   }
-
-  if (!output_path.empty()) {
-    std::ofstream out(output_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "cimlint: cannot write '" << output_path << "'\n";
-      return 2;
-    }
-    out << report;
-  } else {
-    std::cout << report;
-  }
-  // Keep the pass/fail verdict visible even when the report is a machine
-  // format or went to a file.
-  std::cerr << "cimlint: " << findings.size()
-            << (diff_baseline ? " new finding(s)" : " finding(s)") << "\n";
+  // Keep the pass/fail verdict visible even when stdout is a machine format
+  // redirected to a file.
+  std::cerr << "cimlint: " << findings.size() << " finding(s)\n";
   return findings.empty() ? 0 : 1;
 }
