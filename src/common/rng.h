@@ -156,7 +156,8 @@ class Rng {
     // Simple inverse-CDF over precomputable harmonic weights would need
     // state per (n, skew); instead use the rejection method of Devroye.
     // Non-integer exponent: this is a real power, not a shift in disguise.
-    const double b = std::pow(2.0, skew - 1.0);  // cimlint: allow-pow2
+    // cimlint: allow(pow2-in-hot-path)
+    const double b = std::pow(2.0, skew - 1.0);
     while (true) {
       const double u = NextDouble();
       const double v = NextDouble();

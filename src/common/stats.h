@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
 namespace cim {
 
@@ -46,64 +45,6 @@ class RunningStat {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Fixed-bucket histogram over [lo, hi) with overflow/underflow buckets, plus
-// quantile estimation by linear interpolation within buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), counts_(buckets, 0) {}
-
-  void Add(double x) {
-    ++total_;
-    stat_.Add(x);
-    if (x < lo_) {
-      ++underflow_;
-      return;
-    }
-    if (x >= hi_) {
-      ++overflow_;
-      return;
-    }
-    const auto idx = static_cast<std::size_t>(
-        (x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size()));
-    ++counts_[std::min(idx, counts_.size() - 1)];
-  }
-
-  // Quantile q in [0,1]; clamps to the histogram range when mass falls in
-  // the under/overflow buckets.
-  [[nodiscard]] double Quantile(double q) const {
-    if (total_ == 0) return 0.0;
-    const double target = q * static_cast<double>(total_);
-    double cumulative = static_cast<double>(underflow_);
-    if (cumulative >= target) return lo_;
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      const double next = cumulative + static_cast<double>(counts_[i]);
-      if (next >= target && counts_[i] > 0) {
-        const double frac =
-            (target - cumulative) / static_cast<double>(counts_[i]);
-        return lo_ + (static_cast<double>(i) + frac) * width;
-      }
-      cumulative = next;
-    }
-    return hi_;
-  }
-
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] const RunningStat& stat() const { return stat_; }
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-  RunningStat stat_;
 };
 
 // Shared accounting record threaded through simulated operations: every

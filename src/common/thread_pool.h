@@ -11,9 +11,9 @@
 //
 // This header is the only place in the repository allowed to touch
 // std::thread (enforced by the cimlint `raw-thread` rule): every other
-// component expresses parallelism through ParallelFor so that shutdown,
-// exception propagation and per-worker accounting stay in one audited
-// spot.
+// component expresses parallelism through ParallelFor so that the
+// serial-or-parallel decision, shutdown, exception propagation and
+// per-worker accounting stay in one audited spot.
 #pragma once
 
 #include <atomic>
@@ -25,7 +25,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -36,6 +35,13 @@ namespace cim {
 [[nodiscard]] inline std::size_t HardwareConcurrency() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
+}
+
+// Background workers for a total of `threads` host threads (0 = hardware
+// concurrency). The caller of ParallelFor is one of them, so the serial
+// setting (1) gets a pool with no workers.
+[[nodiscard]] inline std::size_t WorkersForThreads(std::size_t threads) {
+  return (threads == 0 ? HardwareConcurrency() : threads) - 1;
 }
 
 class ThreadPool {
@@ -50,8 +56,7 @@ class ThreadPool {
 
   // `workers` background threads. The caller of ParallelFor participates in
   // the loop as well, so total concurrency is workers + 1. A pool with zero
-  // workers is valid: ParallelFor runs entirely on the caller — the
-  // serial fallback used by batch-1 configurations.
+  // workers is valid: ParallelFor runs entirely on the caller.
   explicit ThreadPool(std::size_t workers)
       : slots_(workers > 0 ? std::make_unique<Slot[]>(workers) : nullptr),
         worker_count_(workers) {
@@ -78,28 +83,23 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t worker_count() const { return worker_count_; }
 
-  // True while the current thread is executing inside any pool's worker
-  // task or ParallelFor drain loop. Used by callers to pick the serial path
-  // instead of nesting parallel regions (nested ParallelFor throws).
-  [[nodiscard]] static bool InParallelRegion() { return tl_in_parallel_; }
-
   // Run body(i) for every i in [0, n). Blocks until all iterations finish.
-  // The calling thread participates, so the call makes progress even with
-  // zero workers. The first exception thrown by any iteration is rethrown
-  // on the calling thread after every in-flight iteration has completed;
-  // remaining unclaimed iterations are abandoned.
   //
-  // Nested calls (from inside a pool task or another ParallelFor) throw
-  // std::logic_error: nesting would deadlock-prone-ly tie up workers, and
-  // every caller in this codebase has a serial fallback instead.
+  // This is the one place that decides where host work runs. The loop runs
+  // inline on the calling thread, in index order, when the pool has no
+  // workers, when n <= 1, or when called from inside a parallel region (a
+  // pool task or another ParallelFor's loop): a nested loop would only tie
+  // up workers, and no result depends on which thread runs an iteration.
+  // Otherwise min(workers, n) helper tasks drain the loop together with the
+  // caller, and the first exception thrown by any iteration is rethrown on
+  // the calling thread after every in-flight iteration has completed. On
+  // either path an exception abandons the unclaimed iterations.
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t)>& body) {
-    if (tl_in_parallel_) {
-      throw std::logic_error(
-          "nested ThreadPool::ParallelFor (use the serial path when "
-          "InParallelRegion() is true)");
+    if (worker_count_ == 0 || n <= 1 || tl_in_parallel_) {
+      for (std::size_t i = 0; i < n; ++i) body(i);
+      return;
     }
-    if (n == 0) return;
     auto state = std::make_shared<LoopState>();
     state->n = n;
     state->body = &body;
@@ -210,6 +210,7 @@ class ThreadPool {
     }
   }
 
+  // True while this thread runs a pool task or a ParallelFor drain loop.
   static thread_local bool tl_in_parallel_;
 
   std::unique_ptr<Slot[]> slots_;

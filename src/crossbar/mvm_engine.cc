@@ -509,15 +509,8 @@ double MvmEngine::AdcErrorBound() const {
   return weight_sum * digit_error_per_cycle * scale;
 }
 
-void MvmEngine::InjectCellFault(int plane, int slice, std::size_t row,
-                                std::size_t col, device::CellFault fault) {
-  auto& planes = plane == 0 ? positive_planes_ : negative_planes_;
-  planes.at(static_cast<std::size_t>(slice)).InjectCellFault(row, col, fault);
-}
-
-void MvmEngine::InjectCellFaultAllSlices(int plane, std::size_t row,
-                                         std::size_t col,
-                                         device::CellFault fault) {
+void MvmEngine::InjectCellFault(int plane, std::size_t row, std::size_t col,
+                                device::CellFault fault) {
   auto& planes = plane == 0 ? positive_planes_ : negative_planes_;
   for (auto& xbar : planes) xbar.InjectCellFault(row, col, fault);
 }

@@ -128,15 +128,12 @@ class MvmEngine {
   // error per (slice, bit) cycle. Used by property tests.
   [[nodiscard]] double AdcErrorBound() const;
 
-  // Fault injection passthrough: plane 0 = positive, 1 = negative.
-  void InjectCellFault(int plane, int slice, std::size_t row, std::size_t col,
-                       device::CellFault fault);
-
   // Fault the logical cell (row, col) in every bit-slice array of one
-  // plane — what a physical defect at one crosspoint looks like after
-  // bit-slicing replicates the position across arrays.
-  void InjectCellFaultAllSlices(int plane, std::size_t row, std::size_t col,
-                                device::CellFault fault);
+  // plane (0 = positive, 1 = negative) — what a physical defect at one
+  // crosspoint looks like after bit-slicing replicates the position across
+  // arrays.
+  void InjectCellFault(int plane, std::size_t row, std::size_t col,
+                       device::CellFault fault);
 
   // Program-verify telemetry summed over every plane/slice array.
   [[nodiscard]] EngineWriteStats write_stats() const;

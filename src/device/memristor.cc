@@ -99,7 +99,8 @@ ReadResult MemristorCell::Read(const MemristorParams& p,
     // The golden per-cell reference draw: this call DEFINES the noise
     // stream the bit-exact kernels must reproduce, so it stays a direct
     // draw rather than routing through NoiseModel::FillFactors.
-    g *= rng.LogNormal(0.0, p.read_noise_sigma);  // cimlint: allow-lognormal
+    // cimlint: allow(lognormal-in-hot-path)
+    g *= rng.LogNormal(0.0, p.read_noise_sigma);
   }
   result.conductance_siemens =
       std::clamp(g, 0.0, p.g_on_siemens * 1.5);  // soft physical ceiling

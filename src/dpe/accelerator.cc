@@ -33,7 +33,9 @@ crossbar::MvmEngineParams MakeEngineParams(const DpeParams& params) {
 
 DpeAccelerator::DpeAccelerator(const DpeParams& params,
                                const nn::Network& net)
-    : params_(params), net_(net) {}
+    : params_(params),
+      net_(net),
+      pool_(WorkersForThreads(params.worker_threads)) {}
 
 Expected<std::unique_ptr<DpeAccelerator>> DpeAccelerator::Create(
     const DpeParams& params, const nn::Network& net, Rng rng) {
@@ -92,7 +94,6 @@ Expected<std::unique_ptr<DpeAccelerator>> DpeAccelerator::Create(
     }
   }
   for (std::size_t i = 0; i < acc->mvm_layers_.size(); ++i) {
-    acc->mvm_layers_[i].layer_index = i;
     acc->mvm_layers_[i].target = "dpe.layer" + std::to_string(i);
   }
 
@@ -108,14 +109,6 @@ Expected<std::unique_ptr<DpeAccelerator>> DpeAccelerator::Create(
     }
   }
 
-  const std::size_t threads = params.worker_threads == 0
-                                  ? HardwareConcurrency()
-                                  : params.worker_threads;
-  if (threads > 1) {
-    // The calling thread participates in every parallel region, so the
-    // pool holds one fewer background worker than the requested total.
-    acc->pool_ = std::make_unique<ThreadPool>(threads - 1);
-  }
   return acc;
 }
 
@@ -187,7 +180,7 @@ Status DpeAccelerator::AttachFaultInjector(
     };
     hooks.inject_cell = [lp](std::size_t t, std::size_t row, std::size_t col,
                              int plane, bool stuck_on) {
-      lp->tiles.at(t).engine.InjectCellFaultAllSlices(
+      lp->tiles.at(t).engine.InjectCellFault(
           plane, row, col,
           stuck_on ? device::CellFault::kStuckOn
                    : device::CellFault::kStuckOff);
@@ -203,9 +196,7 @@ Status DpeAccelerator::AttachFaultInjector(
       hooks.kill_tile = [self, lp](std::size_t t) {
         EngineTile& tile = lp->tiles.at(t);
         tile.ft->dead.store(true, std::memory_order_release);
-        if (self->monitor_) {
-          CIM_CHECK(self->monitor_->RecordFailure(tile.unit_id).ok());
-        }
+        CIM_CHECK(self->monitor_->RecordFailure(tile.unit_id).ok());
       };
     }
     if (Status s = injector->RegisterHooks(layer.target, std::move(hooks));
@@ -220,7 +211,7 @@ Status DpeAccelerator::AttachFaultInjector(
 Expected<crossbar::MvmResult> DpeAccelerator::RunMvm(
     const MappedMvmLayer& mapped, std::span<const double> x,
     std::uint64_t stream_offset, std::uint64_t element_step,
-    ElementTrace* trace) {
+    FaultReport* report) {
   if (x.size() != mapped.in_dim) {
     return InvalidArgument("MVM input dimension mismatch");
   }
@@ -273,15 +264,11 @@ Expected<crossbar::MvmResult> DpeAccelerator::RunMvm(
     partials[t].result.emplace(std::move(computed));
   };
 
-  if (pool_ != nullptr && tiles > 1 && !ThreadPool::InParallelRegion()) {
-    pool_->ParallelFor(tiles, run_tile);
-  } else {
-    for (std::size_t t = 0; t < tiles; ++t) run_tile(t);
-  }
+  pool_.ParallelFor(tiles, run_tile);
 
   // Deterministic merge in tile order: partial sums, energy and operation
-  // counts accumulate in the same order the serial path used, and the MVM
-  // latency is the slowest tile (they fire concurrently in hardware).
+  // counts accumulate in the same order whichever thread ran each tile,
+  // and the MVM latency is the slowest tile (they fire concurrently in hardware).
   // This is the tile boundary of §V.A: each partial is checked (guard
   // column verdict + transfer checksum) before it may touch the merged
   // output, and retries re-run the tile serially right here. Without fault
@@ -320,14 +307,14 @@ Expected<crossbar::MvmResult> DpeAccelerator::RunMvm(
       return partial.status();
     }
 
-    if (!tile_ok) ++trace->report.detected;
+    if (!tile_ok) ++report->detected;
 
     // Retry on the same engine with an attempt-salted noise stream. A
     // transient (gone on re-run) passes on the first retry; stuck cells
     // keep tripping the guard and fall through to degrade.
     if (!tile_ok && !dead) {
       for (int a = 1; a <= kMaxRetries && !tile_ok; ++a) {
-        ++trace->report.retried;
+        ++report->retried;
         Rng noise(DeriveSeed(DeriveSeed(tile.noise_seed, call),
                              static_cast<std::uint64_t>(a)));
         auto retry =
@@ -355,9 +342,8 @@ Expected<crossbar::MvmResult> DpeAccelerator::RunMvm(
       }
     }
     if (!tile_ok) {
-      ++trace->report.degraded;
+      ++report->degraded;
       tile.ft->needs_remap.store(true, std::memory_order_release);
-      trace->flagged.emplace_back(mapped.layer_index, t);
     }
   }
   merged.cost.latency_ns = max_tile_latency + retry_latency;
@@ -366,7 +352,7 @@ Expected<crossbar::MvmResult> DpeAccelerator::RunMvm(
 
 Expected<InferResult> DpeAccelerator::RunElement(
     const nn::Tensor& input, std::uint64_t element_index,
-    ElementTrace* trace) {
+    FaultReport* report) {
   nn::Tensor current = input;
   std::size_t mvm_index = 0;
   CostReport cost;
@@ -393,7 +379,7 @@ Expected<InferResult> DpeAccelerator::RunElement(
       account_buffer(mapped.in_dim + mapped.out_dim);
       auto mvm = RunMvm(mapped, current.vec(),
                         element_index * mapped.calls_per_inference,
-                        element_step, trace);
+                        element_step, report);
       if (!mvm.ok()) return mvm.status();
       cost.energy_pj += mvm->cost.energy_pj;
       cost.operations += mvm->cost.operations;
@@ -443,7 +429,7 @@ Expected<InferResult> DpeAccelerator::RunElement(
           auto mvm = RunMvm(mapped, column,
                             element_index * mapped.calls_per_inference +
                                 pixels,
-                            element_step, trace);
+                            element_step, report);
           if (!mvm.ok()) return mvm.status();
           cost.energy_pj += mvm->cost.energy_pj;
           cost.operations += mvm->cost.operations;
@@ -503,49 +489,44 @@ Status DpeAccelerator::RemapTile(EngineTile& tile,
   return Status::Ok();
 }
 
-std::vector<std::pair<std::size_t, std::size_t>>
-DpeAccelerator::RecoverAtBoundary() {
-  std::vector<std::pair<std::size_t, std::size_t>> remapped;
-  if (!ft_enabled()) return remapped;
+void DpeAccelerator::RecoverAtBoundary() {
+  if (!ft_enabled()) return;
 
   // Drain write/verify and guard-check telemetry into the aging monitor.
   // Guard-check failures feed the verify-failure channel: a tile whose
   // guard keeps tripping is failing its read-out contract.
-  if (monitor_) {
+  for (MappedMvmLayer& layer : mvm_layers_) {
+    for (EngineTile& tile : layer.tiles) {
+      const crossbar::EngineWriteStats stats = tile.engine.write_stats();
+      const std::uint64_t checks =
+          tile.ft->guard_checks.load(std::memory_order_relaxed);
+      const std::uint64_t failures =
+          tile.ft->guard_failures.load(std::memory_order_relaxed);
+      const std::uint64_t d_writes =
+          stats.attempts - tile.ft->drained_write_attempts;
+      const std::uint64_t d_wfail =
+          stats.verify_failures - tile.ft->drained_verify_failures;
+      const std::uint64_t d_checks = checks - tile.ft->drained_guard_checks;
+      const std::uint64_t d_gfail = failures - tile.ft->drained_guard_failures;
+      if (d_writes != 0 || d_checks != 0) {
+        CIM_CHECK(monitor_
+                      ->RecordWrites(tile.unit_id, d_writes,
+                                     d_writes + d_checks, d_wfail + d_gfail)
+                      .ok());
+      }
+      tile.ft->drained_write_attempts = stats.attempts;
+      tile.ft->drained_verify_failures = stats.verify_failures;
+      tile.ft->drained_guard_checks = checks;
+      tile.ft->drained_guard_failures = failures;
+    }
+  }
+  // Remap tiles the monitor retires before they fail.
+  const reliability::MonitorReport report = monitor_->Evaluate();
+  for (std::uint32_t unit : report.newly_retired) {
     for (MappedMvmLayer& layer : mvm_layers_) {
       for (EngineTile& tile : layer.tiles) {
-        const crossbar::EngineWriteStats stats = tile.engine.write_stats();
-        const std::uint64_t checks =
-            tile.ft->guard_checks.load(std::memory_order_relaxed);
-        const std::uint64_t failures =
-            tile.ft->guard_failures.load(std::memory_order_relaxed);
-        const std::uint64_t d_writes =
-            stats.attempts - tile.ft->drained_write_attempts;
-        const std::uint64_t d_wfail =
-            stats.verify_failures - tile.ft->drained_verify_failures;
-        const std::uint64_t d_checks = checks - tile.ft->drained_guard_checks;
-        const std::uint64_t d_gfail =
-            failures - tile.ft->drained_guard_failures;
-        if (d_writes != 0 || d_checks != 0) {
-          CIM_CHECK(monitor_
-                        ->RecordWrites(tile.unit_id, d_writes,
-                                       d_writes + d_checks, d_wfail + d_gfail)
-                        .ok());
-        }
-        tile.ft->drained_write_attempts = stats.attempts;
-        tile.ft->drained_verify_failures = stats.verify_failures;
-        tile.ft->drained_guard_checks = checks;
-        tile.ft->drained_guard_failures = failures;
-      }
-    }
-    // Remap tiles the monitor retires before they fail.
-    const reliability::MonitorReport report = monitor_->Evaluate();
-    for (std::uint32_t unit : report.newly_retired) {
-      for (MappedMvmLayer& layer : mvm_layers_) {
-        for (EngineTile& tile : layer.tiles) {
-          if (tile.unit_id == unit) {
-            tile.ft->needs_remap.store(true, std::memory_order_release);
-          }
+        if (tile.unit_id == unit) {
+          tile.ft->needs_remap.store(true, std::memory_order_release);
         }
       }
     }
@@ -554,25 +535,21 @@ DpeAccelerator::RecoverAtBoundary() {
   // Remap flagged tiles onto spares in deterministic (layer, tile) order;
   // with the pool exhausted the tile stays flagged and keeps degrading —
   // the graceful floor of the recovery ladder.
-  for (std::size_t li = 0; li < mvm_layers_.size(); ++li) {
-    MappedMvmLayer& layer = mvm_layers_[li];
-    for (std::size_t t = 0; t < layer.tiles.size(); ++t) {
-      EngineTile& tile = layer.tiles[t];
+  for (MappedMvmLayer& layer : mvm_layers_) {
+    for (EngineTile& tile : layer.tiles) {
       if (!tile.ft->needs_remap.load(std::memory_order_acquire) &&
           !tile.ft->dead.load(std::memory_order_acquire)) {
         continue;
       }
-      if (!monitor_ || monitor_->available_spares() == 0) continue;
+      if (monitor_->available_spares() == 0) continue;
       auto spare = monitor_->ClaimSpare();
       if (!spare.ok()) continue;
       if (Status s = RemapTile(tile, spare.value()); !s.ok()) {
-        return remapped;  // keep already-done remaps; tile stays degraded
+        return;  // keep already-done remaps; tile stays degraded
       }
-      remapped.emplace_back(li, t);
       ++recovery_stats_.remapped;
     }
   }
-  return remapped;
 }
 
 Expected<InferResult> DpeAccelerator::Infer(const nn::Tensor& input) {
@@ -592,7 +569,7 @@ Expected<std::vector<InferResult>> DpeAccelerator::InferBatch(
 
   const std::size_t batch = inputs.size();
   std::vector<std::optional<Expected<InferResult>>> elements(batch);
-  std::vector<ElementTrace> traces(batch);
+  std::vector<FaultReport> reports(batch);
 
   // Structural faults fire only between waves: the batch is split at every
   // scheduled fault step, so tile state is constant while any element is in
@@ -614,30 +591,13 @@ Expected<std::vector<InferResult>> DpeAccelerator::InferBatch(
     const auto hi = static_cast<std::size_t>(wave_end - base);
     const auto run_element = [&](std::size_t i) {
       const std::size_t b = lo + i;
-      elements[b].emplace(RunElement(inputs[b], b, &traces[b]));
+      elements[b].emplace(RunElement(inputs[b], b, &reports[b]));
     };
-    // Batch elements are the outer parallel axis; inside a parallel region
-    // RunMvm automatically takes its serial path (no nesting). With one
-    // element the batch axis degenerates and the tile axis parallelizes
-    // instead.
-    if (pool_ != nullptr && hi - lo > 1 && !ThreadPool::InParallelRegion()) {
-      pool_->ParallelFor(hi - lo, run_element);
-    } else {
-      for (std::size_t i = 0; i < hi - lo; ++i) run_element(i);
-    }
-    if (ft_enabled()) {
-      const auto remapped = RecoverAtBoundary();
-      if (!remapped.empty()) {
-        for (std::size_t b = lo; b < hi; ++b) {
-          for (const auto& flagged : traces[b].flagged) {
-            if (std::find(remapped.begin(), remapped.end(), flagged) !=
-                remapped.end()) {
-              ++traces[b].report.remapped;
-            }
-          }
-        }
-      }
-    }
+    // Batch elements are the outer parallel axis, so RunMvm's tile loop
+    // runs inline inside it. With one element the batch loop runs inline
+    // and the tile axis parallelizes instead.
+    pool_.ParallelFor(hi - lo, run_element);
+    RecoverAtBoundary();
     wave_start = wave_end;
   }
 
@@ -647,10 +607,10 @@ Expected<std::vector<InferResult>> DpeAccelerator::InferBatch(
     Expected<InferResult>& element = *elements[b];
     if (!element.ok()) return element.status();
     results.push_back(std::move(element.value()));
-    results.back().fault_report = traces[b].report;
-    recovery_stats_.detected += traces[b].report.detected;
-    recovery_stats_.retried += traces[b].report.retried;
-    recovery_stats_.degraded += traces[b].report.degraded;
+    results.back().fault_report = reports[b];
+    recovery_stats_.detected += reports[b].detected;
+    recovery_stats_.retried += reports[b].retried;
+    recovery_stats_.degraded += reports[b].degraded;
   }
   CommitCalls(static_cast<std::uint64_t>(batch));
   committed_elements_ += static_cast<std::uint64_t>(batch);
@@ -676,7 +636,7 @@ Status DpeAccelerator::InjectFault(std::size_t layer_index, std::size_t row,
     }
     const std::size_t r = row - tile.row_offset;
     const std::size_t c = col - tile.col_offset;
-    tile.engine.InjectCellFaultAllSlices(/*plane=*/0, r, c, fault);
+    tile.engine.InjectCellFault(/*plane=*/0, r, c, fault);
     return Status::Ok();
   }
   return NotFound("no engine tile owns the requested cell");

@@ -32,7 +32,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -46,11 +45,13 @@
 
 namespace cim::dpe {
 
-// Per-element recovery outcome (§V.A): how many tile MVMs were flagged at a
-// boundary, how many re-executions ran, how many of the element's flagged
-// tiles were subsequently remapped onto spares, and how many tile results
-// were accepted degraded (retries exhausted, or a dead tile contributing
-// zeros). clean() elements are bit-identical to a fault-free run.
+// Recovery outcome (§V.A): how many tile MVMs were flagged at a boundary,
+// how many re-executions ran, how many tile results were accepted degraded
+// (retries exhausted, or a dead tile contributing zeros), and how many
+// tiles were remapped onto spares. A remap is a tile operation done at a
+// wave boundary, not an element's, so `remapped` is counted only in
+// DpeAccelerator::recovery_stats() and is 0 in a per-element report.
+// clean() elements are bit-identical to a fault-free run.
 struct FaultReport {
   std::uint64_t detected = 0;
   std::uint64_t retried = 0;
@@ -79,10 +80,11 @@ class DpeAccelerator {
       const DpeParams& params, const nn::Network& net, Rng rng);
 
   // Batch-1 inference: InferBatch of one input. Engine tiles within each
-  // layer run in parallel on the pool (params.worker_threads).
+  // layer run through the pool's ParallelFor (params.worker_threads).
   [[nodiscard]] Expected<InferResult> Infer(const nn::Tensor& input);
 
-  // Batched inference: batch elements run in parallel across the pool.
+  // Batched inference: batch elements run through the pool's ParallelFor,
+  // and each element's tile loop runs inline inside it.
   // Outputs and per-element costs are bit-identical to calling Infer once
   // per input in order, at any thread count. With an armed fault injector
   // the batch is split into waves at structural fault steps; elements
@@ -94,8 +96,9 @@ class DpeAccelerator {
     return program_cost_;
   }
   [[nodiscard]] std::size_t arrays_used() const { return arrays_used_; }
-  // The pool executing tile/batch work; null when worker_threads == 1.
-  [[nodiscard]] const ThreadPool* thread_pool() const { return pool_.get(); }
+  // The pool executing tile/batch work; never null. It has no workers when
+  // worker_threads == 1, and ParallelFor then runs on the caller.
+  [[nodiscard]] const ThreadPool* thread_pool() const { return &pool_; }
 
   // Register this accelerator's layers as injection targets named
   // "dpe.layer<k>" (k = mvm-layer index). The injector must outlive the
@@ -163,10 +166,9 @@ class DpeAccelerator {
     std::vector<EngineTile> tiles;
     std::size_t in_dim;
     std::size_t out_dim;
-    // Injection-target name ("dpe.layer<k>") and index, precomputed so the
-    // hot path never formats strings.
+    // Injection-target name ("dpe.layer<k>"), precomputed so the hot path
+    // never formats strings.
     std::string target;
-    std::size_t layer_index = 0;
     // MVM invocations one inference makes on this layer (1 for dense,
     // oh*ow pixels for conv) — the stride between batch elements in the
     // per-tile call numbering.
@@ -174,14 +176,6 @@ class DpeAccelerator {
     // Calls already consumed by completed Infer/InferBatch requests.
     std::uint64_t committed_calls = 0;
   };
-  // Per-element recovery trace: the report plus which (layer, tile) pairs
-  // this element flagged for remap — used to attribute boundary remaps
-  // back to the elements whose detections triggered them.
-  struct ElementTrace {
-    FaultReport report;
-    std::vector<std::pair<std::size_t, std::size_t>> flagged;
-  };
-
   DpeAccelerator(const DpeParams& params, const nn::Network& net);
 
   // Split an (in_dim x out_dim) matrix over crossbar-sized engine tiles.
@@ -191,17 +185,17 @@ class DpeAccelerator {
   // Run one tiled MVM for call number `stream_offset` (relative to the
   // layer's committed_calls); returns out_dim partial sums (bias not
   // applied) plus the MVM's cost (latency = slowest tile, the tiles fire
-  // concurrently in hardware). Tiles execute in parallel on the pool when
-  // called outside an enclosing parallel region; the merge is serial in
+  // concurrently in hardware). Tiles run through the pool's ParallelFor
+  // (inline when called from a batch-element loop); the merge is serial in
   // tile order either way — which is also where tile-boundary detection
   // and retry run — so results never depend on scheduling. `element_step`
-  // is the global batch-element index (transient-fault keying); `trace`
-  // collects recovery counts (may be null iff fault tolerance is off).
+  // is the global batch-element index (transient-fault keying); `report`
+  // collects the element's recovery counts.
   Expected<crossbar::MvmResult> RunMvm(const MappedMvmLayer& mapped,
                                        std::span<const double> x,
                                        std::uint64_t stream_offset,
                                        std::uint64_t element_step,
-                                       ElementTrace* trace);
+                                       FaultReport* report);
 
   // Whole-network forward pass for one batch element. `element_index`
   // offsets every layer's noise-stream numbering by
@@ -209,14 +203,14 @@ class DpeAccelerator {
   // afterwards via CommitCalls.
   Expected<InferResult> RunElement(const nn::Tensor& input,
                                    std::uint64_t element_index,
-                                   ElementTrace* trace);
+                                   FaultReport* report);
 
   void CommitCalls(std::uint64_t elements);
 
   // Single-threaded wave-boundary recovery: drain write/guard telemetry
   // into the aging monitor, evaluate proactive retirement, and reprogram
-  // flagged tiles onto spares. Returns the (layer, tile) pairs remapped.
-  std::vector<std::pair<std::size_t, std::size_t>> RecoverAtBoundary();
+  // flagged tiles onto spares. A no-op without fault tolerance.
+  void RecoverAtBoundary();
 
   // Reprogram one tile onto a fresh engine (spare claim already done).
   Status RemapTile(EngineTile& tile, std::uint32_t spare_unit);
@@ -233,7 +227,7 @@ class DpeAccelerator {
   std::size_t arrays_used_ = 0;
   std::uint64_t root_seed_ = 0;
   std::uint64_t next_tile_index_ = 0;  // used during Create only
-  std::unique_ptr<ThreadPool> pool_;
+  ThreadPool pool_;
 
   // Fault-tolerance machinery (engaged when params_.fault_tolerance.enabled).
   reliability::FaultInjector* injector_ = nullptr;  // not owned

@@ -64,9 +64,10 @@ struct DpeParams {
   // Host-side concurrency of the behavioural accelerator: total number of
   // threads (including the calling thread) the inference runtime may use
   // for independent engine-tile MVMs and batch elements. 0 means "use the
-  // host's hardware concurrency"; 1 forces the serial path. Purely a
-  // simulation-speed knob — results are bit-identical at every setting
-  // (see DESIGN.md § Threading and determinism).
+  // host's hardware concurrency"; 1 gives a pool with no workers, so every
+  // loop runs on the caller. Purely a simulation-speed knob — results are
+  // bit-identical at every setting (see DESIGN.md § Threading and
+  // determinism).
   std::size_t worker_threads = 0;
 
   // §V.A fault tolerance (disabled by default).

@@ -1,5 +1,6 @@
 #include "dse/driver.h"
 
+#include <algorithm>
 #include <span>
 #include <utility>
 #include <variant>
@@ -194,17 +195,10 @@ Expected<std::vector<PointResult>> SweepDriver::Run(
     }
   };
 
-  std::size_t threads = params_.worker_threads == 0 ? HardwareConcurrency()
-                                                    : params_.worker_threads;
-  if (threads > n) threads = n;
-  if (threads <= 1 || ThreadPool::InParallelRegion()) {
-    for (std::size_t i = 0; i < n; ++i) eval(i);
-  } else {
-    // Caller participates, so `threads - 1` background workers gives the
-    // requested total concurrency (same convention as DpeAccelerator).
-    ThreadPool pool(threads - 1);
-    pool.ParallelFor(n, eval);
-  }
+  // No more threads than points: the caller drains one, each worker
+  // another (a grid always has at least one point).
+  ThreadPool pool(std::min(WorkersForThreads(params_.worker_threads), n - 1));
+  pool.ParallelFor(n, eval);
 
   // First error in grid order wins, independent of evaluation order.
   for (const Status& s : statuses) {

@@ -13,14 +13,15 @@ namespace {
 void AddFaults(dpe::FaultReport* into, const dpe::FaultReport& from) {
   into->detected += from.detected;
   into->retried += from.retried;
-  into->remapped += from.remapped;
   into->degraded += from.degraded;
 }
 
 }  // namespace
 
 FabricCoSim::FabricCoSim(const FabricParams& params, FabricPlan plan)
-    : params_(params), plan_(std::move(plan)) {}
+    : params_(params),
+      plan_(std::move(plan)),
+      pool_(WorkersForThreads(params.worker_threads)) {}
 
 Expected<std::unique_ptr<FabricCoSim>> FabricCoSim::Create(
     const FabricParams& params, const nn::Network& net) {
@@ -58,14 +59,6 @@ Expected<std::unique_ptr<FabricCoSim>> FabricCoSim::Create(
         raw->OnDrop(packet);
       });
 
-  const std::size_t threads = params.worker_threads == 0
-                                  ? HardwareConcurrency()
-                                  : params.worker_threads;
-  if (threads > 1) {
-    // The calling thread participates in every parallel region, so the
-    // pool holds one fewer background worker than the requested total.
-    sim->pool_ = std::make_unique<ThreadPool>(threads - 1);
-  }
   return sim;
 }
 
@@ -174,11 +167,7 @@ Expected<std::vector<dpe::InferResult>> FabricCoSim::InferBatch(
                     elements_[t.element].next_input);
       task_results[i] = tiles_[t.stage * K + t.split].accel->Infer(in);
     };
-    if (pool_) {
-      pool_->ParallelFor(tasks.size(), run_task);
-    } else {
-      for (std::size_t i = 0; i < tasks.size(); ++i) run_task(i);
-    }
+    pool_.ParallelFor(tasks.size(), run_task);
 
     // Barrier: merge in canonical (stage, split) order, mint packets in
     // canonical (stage, src, dst) order.

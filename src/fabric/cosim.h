@@ -5,10 +5,11 @@
 //
 // Epoch-barrier conservative scheme (the determinism contract of PRs 2–4,
 // extended to a distributed simulation):
-//   1. compute  — every tile with work this epoch runs its stage on the
-//                 thread pool. Tiles are the unit of parallelism; each tile
-//                 appears at most once per epoch and its accelerator is
-//                 serial (worker_threads = 1), so no state is shared.
+//   1. compute  — every tile with work this epoch runs its stage through
+//                 the thread pool's ParallelFor (a one-task epoch runs on
+//                 the calling thread). Tiles are the unit of parallelism;
+//                 each tile appears at most once per epoch and its
+//                 accelerator's own loops run inline, so no state is shared.
 //   2. barrier  — on the calling thread, tile results are merged in
 //                 canonical (stage, split) order, the virtual clock advances
 //                 to epoch_start + max tile latency, and every inter-stage
@@ -128,7 +129,7 @@ class FabricCoSim {
   EventQueue queue_;
   std::optional<noc::MeshNoc> noc_;
   std::vector<Tile> tiles_;  // same order as plan_.tiles
-  std::unique_ptr<ThreadPool> pool_;
+  ThreadPool pool_;
   std::vector<ElementState> elements_;
   std::uint64_t epochs_run_ = 0;
 };

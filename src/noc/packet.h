@@ -33,7 +33,6 @@ inline constexpr int kQosClassCount = 3;
 // model (§III.B): packets that reprogram micro-units on arrival.
 enum class PayloadKind : std::uint8_t {
   kData = 0,
-  kConfig = 1,
   kCode = 2,
 };
 

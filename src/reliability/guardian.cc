@@ -120,7 +120,7 @@ void StreamGuardian::Poll() {
     // Best-effort re-injection: the enqueue happens at the (healthy) source
     // node, and a loss downstream is what the next Poll() detects and
     // retries anyway, so a failure here must not abort the recovery loop.
-    // cimlint: allow-discard
+    // cimlint: allow(discarded-status)
     (void)fabric_->InjectData(stream_id_, std::move(payload));
   }
 }

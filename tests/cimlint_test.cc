@@ -317,17 +317,20 @@ TEST(DiscardedStatusRule, SkipsTestsAndNonStatusCallees) {
   EXPECT_TRUE(RuleFindings(LintFiles(files), "discarded-status").empty());
 }
 
-TEST(DiscardedStatusRule, AllowDiscardMarkerSuppresses) {
+TEST(DiscardedStatusRule, AllowCommentSuppressesAndOldMarkerDoesNot) {
   const Files files = {
       {"src/engine.h", kStatusHeader},
       {"src/use.cc",
        "void Run(Engine& e) {\n"
-       "  // best effort; failure resurfaces later. cimlint: allow-discard\n"
-       "  (void)e.Start();\n"
        "  static_cast<void>(Calibrate());  // cimlint: allow-discard\n"
+       "  // best effort; failure resurfaces later.\n"
+       "  // cimlint: allow(discarded-status)\n"
+       "  (void)e.Start();\n"
        "  (void)e.Measure();  // cimlint: allow(discarded-status)\n"
        "}\n"}};
-  EXPECT_TRUE(RuleFindings(LintFiles(files), "discarded-status").empty());
+  const auto findings = RuleFindings(LintFiles(files), "discarded-status");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -361,16 +364,23 @@ TEST(Pow2InHotPathRule, SkipsOtherBasesAndNonSrcCode) {
   EXPECT_TRUE(RuleFindings(LintFiles(files), "pow2-in-hot-path").empty());
 }
 
-TEST(Pow2InHotPathRule, AllowPow2MarkerSuppresses) {
+TEST(Pow2InHotPathRule, AllowCommentSuppressesAndOldMarkerDoesNot) {
   const Files files = {
       {"src/model.cc",
-       "// genuinely non-integer exponent. cimlint: allow-pow2\n"
+       "double C(double s) { return std::pow(2.0, s); }  "
+       "// cimlint: allow-pow2\n"
+       "// genuinely non-integer exponent.\n"
+       "// cimlint: allow(pow2-in-hot-path)\n"
        "double A(double s) { return std::pow(2.0, s - 1.0); }\n"
        "double B(double s) { return std::pow(2.0, s); }  "
-       "// cimlint: allow-pow2\n"
-       "double C(double s) { return std::pow(2.0, s); }  "
-       "// cimlint: allow(pow2-in-hot-path)\n"}};
-  EXPECT_TRUE(RuleFindings(LintFiles(files), "pow2-in-hot-path").empty());
+       "// cimlint: allow(pow2-in-hot-path)\n"},
+      {"src/other.cc",
+       "// cimlint: allow-file(pow2-in-hot-path)\n"
+       "double D(double s) { return std::pow(2.0, s); }\n"}};
+  const auto findings = RuleFindings(LintFiles(files), "pow2-in-hot-path");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "src/model.cc");
+  EXPECT_EQ(findings[0].line, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -410,17 +420,20 @@ TEST(LogNormalInHotPathRule, SkipsNoiseModelAndOtherModules) {
       RuleFindings(LintFiles(files), "lognormal-in-hot-path").empty());
 }
 
-TEST(LogNormalInHotPathRule, AllowLogNormalMarkerSuppresses) {
+TEST(LogNormalInHotPathRule, AllowCommentSuppressesAndOldMarkerDoesNot) {
   const Files files = {
       {"src/device/cell.cc",
-       "// the golden reference draw. cimlint: allow-lognormal\n"
+       "void C(Rng& rng) { g *= rng.LogNormal(0.0, s); }  "
+       "// cimlint: allow-lognormal\n"
+       "// the golden reference draw.\n"
+       "// cimlint: allow(lognormal-in-hot-path)\n"
        "void A(Rng& rng) { g *= rng.LogNormal(0.0, s); }\n"
        "void B(Rng& rng) { g *= rng.LogNormal(0.0, s); }  "
-       "// cimlint: allow-lognormal\n"
-       "void C(Rng& rng) { g *= rng.LogNormal(0.0, s); }  "
        "// cimlint: allow(lognormal-in-hot-path)\n"}};
-  EXPECT_TRUE(
-      RuleFindings(LintFiles(files), "lognormal-in-hot-path").empty());
+  const auto findings =
+      RuleFindings(LintFiles(files), "lognormal-in-hot-path");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -464,23 +477,26 @@ TEST(BlockingInServerLoopRule, BoundedWaitsAndOtherModulesAreClean) {
       RuleFindings(LintFiles(files), "blocking-in-server-loop").empty());
 }
 
-TEST(BlockingInServerLoopRule, AllowBlockMarkerSuppresses) {
+TEST(BlockingInServerLoopRule, AllowCommentSuppressesAndOldMarkerDoesNot) {
   const Files files = {
       {"src/serve/service.cc",
-       "// startup barrier, no deadline exists yet. cimlint: allow-block\n"
+       "void C() { cv_.wait(lock); }  // cimlint: allow-block\n"
+       "// startup barrier, no deadline exists yet.\n"
+       "// cimlint: allow(blocking-in-server-loop)\n"
        "void A() { cv_.wait(lock); }\n"
        "void B() { cv_.wait(lock); }  "
-       "// cimlint: allow(blocking-in-server-loop)\n"
-       "void C() { cv_.wait(lock); }  // cimlint: allow-block\n"}};
+       "// cimlint: allow(blocking-in-server-loop)\n"}};
   const auto findings = LintFiles(files);
-  EXPECT_TRUE(RuleFindings(findings, "blocking-in-server-loop").empty());
+  const auto blocking = RuleFindings(findings, "blocking-in-server-loop");
+  ASSERT_EQ(blocking.size(), 1u);
+  EXPECT_EQ(blocking[0].line, 1u);
   EXPECT_TRUE(RuleFindings(findings, "stale-suppression").empty());
 }
 
-TEST(BlockingInServerLoopRule, StaleAllowBlockIsFlagged) {
+TEST(BlockingInServerLoopRule, StaleAllowIsFlagged) {
   const Files files = {
       {"src/serve/service.cc",
-       "// cimlint: allow-block\n"
+       "// cimlint: allow(blocking-in-server-loop)\n"
        "void A() { gate_.WaitBounded(lock, budget_ns, pred); }\n"}};
   const auto findings = RuleFindings(LintFiles(files), "stale-suppression");
   ASSERT_EQ(findings.size(), 1u);
@@ -711,15 +727,19 @@ TEST(NestedParallelRule, FiresOnSyntacticNesting) {
   EXPECT_EQ(findings[0].key, "ParallelFor");
 }
 
-TEST(NestedParallelRule, FiresOnSubmitInsideParallelFor) {
+TEST(NestedParallelRule, SubmitIsNotAParallelRegion) {
+  // Only ParallelFor opens a parallel region; a Submit call (such as
+  // serve::DpeService::Submit) neither opens one nor nests in one.
   const Files files = {{"src/par.cc",
-                        "void F(cim::ThreadPool& pool) {\n"
+                        "void F(cim::ThreadPool& pool, Service& svc) {\n"
                         "  pool.ParallelFor(8, [&](std::size_t i) {\n"
-                        "    pool.Submit([] {});\n"
+                        "    svc.Submit([] {});\n"
                         "  });\n"
+                        "  svc.Submit([&] { thread_local int n = 0; });\n"
                         "}\n"}};
-  EXPECT_EQ(RuleFindings(LintFiles(files), "nested-parallel-region").size(),
-            1u);
+  const auto findings = LintFiles(files);
+  EXPECT_TRUE(RuleFindings(findings, "nested-parallel-region").empty());
+  EXPECT_TRUE(RuleFindings(findings, "thread-local-in-parallel").empty());
 }
 
 TEST(NestedParallelRule, CleanOnSequentialRegionsAndNonSrc) {
@@ -877,13 +897,13 @@ TEST(StaleSuppression, FlagsUnusedAllowComments) {
   const Files files = {{"src/ok.cc",
                         "// cimlint: allow(raw-rng)\n"
                         "int x = 1;\n"
-                        "int y = 2;  // cimlint: allow-discard\n"}};
+                        "int y = 2;  // cimlint: allow-file(raw-thread)\n"}};
   const auto findings = RuleFindings(LintFiles(files), "stale-suppression");
   ASSERT_EQ(findings.size(), 2u);
   EXPECT_EQ(findings[0].line, 1u);
   EXPECT_EQ(findings[0].key, "allow(raw-rng)");
   EXPECT_EQ(findings[1].line, 3u);
-  EXPECT_EQ(findings[1].key, "allow-discard");
+  EXPECT_EQ(findings[1].key, "allow-file(raw-thread)");
 }
 
 TEST(StaleSuppression, QuietWhenSuppressionIsConsumed) {
@@ -896,7 +916,7 @@ TEST(StaleSuppression, QuietWhenSuppressionIsConsumed) {
 TEST(StaleSuppression, DocumentationMentionsAreNotSuppressions) {
   const Files files = {{"src/doc.cc",
                         "// See `cimlint: allow(raw-rng)` for the syntax.\n"
-                        "// Justify with `// cimlint: allow-discard` instead.\n"
+                        "// Justify with `// cimlint: allow(raw-rng)` instead.\n"
                         "int x = 1;\n"}};
   EXPECT_TRUE(RuleFindings(LintFiles(files), "stale-suppression").empty());
 }

@@ -200,24 +200,6 @@ TEST(RunningStatTest, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(stat.variance(), 0.0);
 }
 
-TEST(HistogramTest, QuantilesOfUniformData) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.Add(i + 0.5);
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 2.0);
-  EXPECT_EQ(h.total(), 100u);
-}
-
-TEST(HistogramTest, OverflowUnderflowTracked) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(-5.0);
-  h.Add(15.0);
-  h.Add(5.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
 TEST(CostReportTest, AccumulationAndDerived) {
   CostReport a{.latency_ns = 100.0, .energy_pj = 200.0, .bytes_moved = 64.0,
                .operations = 10};

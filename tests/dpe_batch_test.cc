@@ -172,16 +172,16 @@ TEST(InferBatchTest, ShapeMismatchRejectedWithoutAdvancingStreams) {
   ExpectBitIdentical(*after, *fresh);
 }
 
-TEST(InferBatchTest, PoolOnlyExistsWhenRequested) {
+TEST(InferBatchTest, PoolWorkersFollowWorkerThreads) {
   Rng rng(33);
   const nn::Network net = nn::BuildMlp("p", {8, 4}, rng, 0.3);
   auto serial = DpeAccelerator::Create(NoisyParams(1), net, Rng(34));
   auto parallel = DpeAccelerator::Create(NoisyParams(4), net, Rng(34));
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ((*serial)->thread_pool(), nullptr);
-  ASSERT_NE((*parallel)->thread_pool(), nullptr);
-  // worker_threads counts the calling thread too.
+  // worker_threads counts the calling thread too, so the serial setting
+  // holds a pool with no workers.
+  EXPECT_EQ((*serial)->thread_pool()->worker_count(), 0u);
   EXPECT_EQ((*parallel)->thread_pool()->worker_count(), 3u);
 }
 

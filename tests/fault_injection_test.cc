@@ -130,15 +130,14 @@ TEST_P(ChaosMidBatch, RecoveryIsDeterministicAndScoped) {
   }
 
   // Elements 2..3: the stuck cluster trips the guard, the retry re-hits
-  // the same stuck cells, the element degrades, and the boundary remap
-  // (first spare) is attributed back to it.
+  // the same stuck cells, the element degrades, and the boundary remaps
+  // the tile onto the first spare.
   for (std::size_t b = 2; b < 4; ++b) {
     const FaultReport& report = (*results)[b].fault_report;
     EXPECT_FALSE(report.clean()) << "element " << b;
     EXPECT_EQ(report.detected, 1u) << "element " << b;
     EXPECT_EQ(report.retried, 1u) << "element " << b;
     EXPECT_EQ(report.degraded, 1u) << "element " << b;
-    EXPECT_EQ(report.remapped, 1u) << "element " << b;
   }
   // Elements 4..5: layer 1's tile is dead — detected without retry (there
   // is nothing to re-run), degraded, then remapped onto the second spare.
@@ -148,7 +147,6 @@ TEST_P(ChaosMidBatch, RecoveryIsDeterministicAndScoped) {
     EXPECT_EQ(report.detected, 1u) << "element " << b;
     EXPECT_EQ(report.retried, 0u) << "element " << b;
     EXPECT_EQ(report.degraded, 1u) << "element " << b;
-    EXPECT_EQ(report.remapped, 1u) << "element " << b;
   }
 
   const FaultReport& stats = (*faulted)->recovery_stats();
@@ -271,7 +269,7 @@ TEST(FaultRecoveryTest, RemapRestoresCleanOperation) {
   auto first = (*acc)->Infer(input);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->fault_report.clean());
-  EXPECT_EQ(first->fault_report.remapped, 1u);
+  EXPECT_EQ((*acc)->recovery_stats().remapped, 1u);
   EXPECT_EQ((*acc)->spares_available(), 0u);
   // Remap rides the slow write path: reprogramming cost is charged.
   EXPECT_GT((*acc)->recovery_cost().energy_pj, 0.0);
@@ -310,7 +308,6 @@ TEST(FaultRecoveryTest, SpareExhaustionDegradesGracefully) {
     auto result = (*acc)->Infer(input);
     ASSERT_TRUE(result.ok()) << "inference " << i;
     EXPECT_FALSE(result->fault_report.clean()) << "inference " << i;
-    EXPECT_EQ(result->fault_report.remapped, 0u) << "inference " << i;
     EXPECT_GE(result->fault_report.degraded, 1u) << "inference " << i;
   }
   EXPECT_EQ((*acc)->recovery_stats().remapped, 0u);

@@ -162,8 +162,7 @@ TEST(MvmEngineTest, StuckFaultPerturbsOutput) {
   };
   MvmEngine clean = make();
   MvmEngine faulty = make();
-  faulty.InjectCellFault(/*plane=*/0, /*slice=*/0, 0, 0,
-                         device::CellFault::kStuckOn);
+  faulty.InjectCellFault(/*plane=*/0, 0, 0, device::CellFault::kStuckOn);
   const std::vector<double> x(8, 1.0);
   auto clean_y = clean.Compute(x);
   auto faulty_y = faulty.Compute(x);

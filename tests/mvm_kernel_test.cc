@@ -124,9 +124,9 @@ TEST(KernelDifferentialTest, ForwardBitIdenticalWithGuardColumn) {
 TEST(KernelDifferentialTest, ForwardBitIdenticalUnderFaultsAndAging) {
   EnginePair twins = MakeTwins(/*guard=*/true, 24, 20);
   auto corrupt = [](MvmEngine& engine) {
-    engine.InjectCellFaultAllSlices(0, 3, 7, device::CellFault::kStuckOn);
-    engine.InjectCellFaultAllSlices(1, 9, 2, device::CellFault::kStuckOff);
-    engine.InjectCellFault(0, 0, 15, 15, device::CellFault::kStuckOn);
+    engine.InjectCellFault(0, 3, 7, device::CellFault::kStuckOn);
+    engine.InjectCellFault(1, 9, 2, device::CellFault::kStuckOff);
+    engine.InjectCellFault(0, 15, 15, device::CellFault::kStuckOn);
     engine.Age(TimeNs::Micros(50.0));
   };
   corrupt(twins.fast);
@@ -145,9 +145,8 @@ TEST(KernelDifferentialTest, ForwardBitIdenticalUnderFaultsAndAging) {
 
 TEST(KernelDifferentialTest, TransposeBitIdentical) {
   EnginePair twins = MakeTwins(/*guard=*/false, 24, 20);
-  twins.fast.InjectCellFaultAllSlices(1, 5, 5, device::CellFault::kStuckOff);
-  twins.reference.InjectCellFaultAllSlices(1, 5, 5,
-                                           device::CellFault::kStuckOff);
+  twins.fast.InjectCellFault(1, 5, 5, device::CellFault::kStuckOff);
+  twins.reference.InjectCellFault(1, 5, 5, device::CellFault::kStuckOff);
   Rng in_rng(kSeed + 5);
   for (int trial = 0; trial < 8; ++trial) {
     std::vector<double> e(20);

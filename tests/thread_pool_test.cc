@@ -8,6 +8,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace cim {
@@ -58,25 +59,66 @@ TEST(ThreadPoolTest, ExceptionPropagatesAndPoolStaysUsable) {
   EXPECT_EQ(count.load(), 32);
 }
 
-TEST(ThreadPoolTest, NestedParallelForIsRejected) {
+TEST(ThreadPoolTest, NestedParallelForRunsInlineOnTheOuterThread) {
   ThreadPool pool(2);
-  EXPECT_FALSE(ThreadPool::InParallelRegion());
-  std::atomic<bool> saw_logic_error{false};
-  pool.ParallelFor(4, [&](std::size_t) {
-    EXPECT_TRUE(ThreadPool::InParallelRegion());
-    try {
-      pool.ParallelFor(2, [](std::size_t) {});
-    } catch (const std::logic_error&) {
-      saw_logic_error.store(true, std::memory_order_relaxed);
-    }
+  constexpr std::size_t kOuter = 4;
+  constexpr std::size_t kInner = 8;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> off_thread{0};
+  pool.ParallelFor(kOuter, [&](std::size_t i) {
+    const auto outer_thread = std::this_thread::get_id();
+    pool.ParallelFor(kInner, [&](std::size_t j) {
+      if (std::this_thread::get_id() != outer_thread) {
+        off_thread.fetch_add(1, std::memory_order_relaxed);
+      }
+      hits[i * kInner + j].fetch_add(1, std::memory_order_relaxed);
+    });
   });
-  EXPECT_TRUE(saw_logic_error.load());
-  EXPECT_FALSE(ThreadPool::InParallelRegion());
+  EXPECT_EQ(off_thread.load(), 0);
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    EXPECT_EQ(hits[k].load(), 1) << "index " << k;
+  }
+
+  // An inner iteration's exception reaches the outer caller.
+  EXPECT_THROW(pool.ParallelFor(kOuter,
+                                [&](std::size_t i) {
+                                  pool.ParallelFor(kInner, [&](std::size_t j) {
+                                    if (i == 2 && j == 5) {
+                                      throw std::runtime_error("inner");
+                                    }
+                                  });
+                                }),
+               std::runtime_error);
+}
+
+TEST(ThreadPoolTest, InlineLoopExceptionAbandonsRemainingIterations) {
+  // Zero workers: the loop runs on the caller in index order and stops at
+  // the throwing iteration.
+  ThreadPool serial(0);
+  std::vector<int> ran(16, 0);
+  EXPECT_THROW(serial.ParallelFor(ran.size(),
+                                  [&](std::size_t i) {
+                                    ran[i] = 1;
+                                    if (i == 5) throw std::runtime_error("x");
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(std::accumulate(ran.begin(), ran.end(), 0), 6);
+
+  // One iteration runs on the caller even when workers exist: no helper is
+  // enqueued, and its exception still reaches the caller.
+  ThreadPool pool(2);
+  EXPECT_THROW(pool.ParallelFor(
+                   1, [](std::size_t) { throw std::runtime_error("y"); }),
+               std::runtime_error);
+  for (std::size_t w = 0; w < pool.worker_count(); ++w) {
+    EXPECT_EQ(pool.StatsOf(w).tasks, 0u) << "worker " << w;
+  }
 }
 
 TEST(ThreadPoolTest, WorkerStatsCountCompletedTasks) {
-  // Each ParallelFor enqueues min(workers, n) helper tasks, and every
-  // helper has been counted by the time the loop returns.
+  // Each ParallelFor over n > 1 iterations enqueues min(workers, n) helper
+  // tasks, and every helper has been counted by the time the loop returns.
+  // A one-iteration loop runs on the caller and enqueues none.
   ThreadPool pool(2);
   for (int i = 0; i < 4; ++i) pool.ParallelFor(8, [](std::size_t) {});
   pool.ParallelFor(1, [](std::size_t) {});
@@ -84,7 +126,13 @@ TEST(ThreadPoolTest, WorkerStatsCountCompletedTasks) {
   for (std::size_t w = 0; w < pool.worker_count(); ++w) {
     total += pool.StatsOf(w).tasks;
   }
-  EXPECT_EQ(total, 4u * 2u + 1u);
+  EXPECT_EQ(total, 4u * 2u);
+}
+
+TEST(ThreadPoolTest, WorkersForThreadsCountsTheCaller) {
+  EXPECT_EQ(WorkersForThreads(1), 0u);
+  EXPECT_EQ(WorkersForThreads(4), 3u);
+  EXPECT_EQ(WorkersForThreads(0), HardwareConcurrency() - 1);
 }
 
 TEST(HardwareConcurrencyTest, ReportsAtLeastOne) {

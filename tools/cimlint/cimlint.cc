@@ -171,18 +171,17 @@ StrippedFile Strip(const std::string& content) {
 }
 
 // ---------------------------------------------------------------------------
-// Suppressions. Three comment forms (see cimlint.h for the user-facing
-// syntax): a per-line rule allowance, a whole-file rule allowance, and the
-// bare markers allow-discard / allow-pow2 consumed by their specific rules.
+// Suppressions. Two comment forms (see cimlint.h for the user-facing
+// syntax): a per-line rule allowance and a whole-file rule allowance.
 // Every parsed suppression carries a `used` flag; whatever is still unused
 // after all passes is reported as stale-suppression.
 // ---------------------------------------------------------------------------
 
 struct Suppression {
-  enum class Kind { kRule, kFileRule, kMarker };
+  enum class Kind { kRule, kFileRule };
   std::size_t line = 0;  // 0-based line index of the comment
   Kind kind = Kind::kRule;
-  std::string name;  // rule name or marker name ("allow-discard", ...)
+  std::string name;
   bool used = false;
 };
 
@@ -229,27 +228,6 @@ std::vector<Suppression> ParseSuppressions(
       if (parse_paren_name("allow-file(", Suppression::Kind::kFileRule)) {
         continue;
       }
-      if (text.compare(p, 13, "allow-discard") == 0) {
-        sups.push_back(
-            Suppression{line, Suppression::Kind::kMarker, "allow-discard",
-                        false});
-        continue;
-      }
-      if (text.compare(p, 10, "allow-pow2") == 0) {
-        sups.push_back(Suppression{line, Suppression::Kind::kMarker,
-                                   "allow-pow2", false});
-        continue;
-      }
-      if (text.compare(p, 15, "allow-lognormal") == 0) {
-        sups.push_back(Suppression{line, Suppression::Kind::kMarker,
-                                   "allow-lognormal", false});
-        continue;
-      }
-      if (text.compare(p, 11, "allow-block") == 0) {
-        sups.push_back(Suppression{line, Suppression::Kind::kMarker,
-                                   "allow-block", false});
-        continue;
-      }
       (void)parse_paren_name("allow(", Suppression::Kind::kRule);
     }
   }
@@ -294,21 +272,6 @@ FileContext MakeContext(const SourceFile& file) {
       allowed = true;
     } else if (sup.kind == Suppression::Kind::kRule && sup.name == rule &&
                (sup.line == line_index || sup.line + 1 == line_index)) {
-      sup.used = true;
-      allowed = true;
-    }
-  }
-  return allowed;
-}
-
-// Marker form consumed by a specific rule (allow-discard, allow-pow2), valid
-// on the finding's line or the line above.
-[[nodiscard]] bool MarkerAllows(FileContext& ctx, std::size_t line_index,
-                                std::string_view marker) {
-  bool allowed = false;
-  for (Suppression& sup : ctx.sups) {
-    if (sup.kind == Suppression::Kind::kMarker && sup.name == marker &&
-        (sup.line == line_index || sup.line + 1 == line_index)) {
       sup.used = true;
       allowed = true;
     }
@@ -491,8 +454,8 @@ void CheckDiscardedStatus(FileContext& ctx,
   // A `(void)` / `static_cast<void>` cast of a call whose callee is declared
   // to return Status/Expected<T>. The cast satisfies [[nodiscard]] but still
   // drops the error; production code must handle it or justify the discard
-  // with the `// cimlint: allow-discard` marker. Tests exercise failure
-  // paths on purpose, so tests/ and *_test.cc are out of scope.
+  // with an allow comment. Tests exercise failure paths on purpose, so
+  // tests/ and *_test.cc are out of scope.
   if (StartsWith(ctx.file->repo_path, "tests/") ||
       EndsWith(ctx.file->repo_path, "_test.cc")) {
     return;
@@ -508,12 +471,11 @@ void CheckDiscardedStatus(FileContext& ctx,
          it != end; ++it) {
       const std::string callee = (*it)[1].str();
       if (status_functions.count(callee) == 0) continue;
-      if (MarkerAllows(ctx, i, "allow-discard")) continue;
       Report(ctx, i, "discarded-status", callee,
              "'" + callee +
                  "' returns Status/Expected but the result is cast to void; "
                  "handle the error or justify with `// cimlint: "
-                 "allow-discard`",
+                 "allow(discarded-status)`",
              findings);
       break;
     }
@@ -524,17 +486,16 @@ void CheckPow2InHotPath(FileContext& ctx, std::vector<Finding>& findings) {
   // Model code only: std::pow(2.0, integer) is an exact shift wearing a
   // libm costume, and the analog cycle / shift-and-add loops it showed up
   // in are the hottest code in the repo. bench/, examples/ and tests/ keep
-  // their freedom. Non-integer exponents stay legitimate via the
-  // `// cimlint: allow-pow2` escape.
+  // their freedom. Non-integer exponents stay legitimate via an allow
+  // comment.
   if (!StartsWith(ctx.file->repo_path, "src/")) return;
   static const std::regex kPow2(R"(\bstd\s*::\s*pow\s*\(\s*2(\.0*f?)?\s*,)");
   for (std::size_t i = 0; i < ctx.stripped.code.size(); ++i) {
     if (!std::regex_search(ctx.stripped.code[i], kPow2)) continue;
-    if (MarkerAllows(ctx, i, "allow-pow2")) continue;
     Report(ctx, i, "pow2-in-hot-path", "",
            "std::pow(2, ...) in model code; use a shift-derived constant or "
            "std::ldexp(1.0, n), or justify a non-integer exponent with "
-           "`// cimlint: allow-pow2`",
+           "`// cimlint: allow(pow2-in-hot-path)`",
            findings);
   }
 }
@@ -547,7 +508,7 @@ void CheckLogNormalInHotPath(FileContext& ctx,
   // fast-bit-exact / fast-noise — stays in control of the sampler and its
   // equivalence contract. noise_model.cc is the sanctioned home of the
   // direct draw; the golden per-cell reference path justifies its own draw
-  // with the `// cimlint: allow-lognormal` escape.
+  // with an allow comment.
   const std::string& path = ctx.file->repo_path;
   if (path == "src/device/noise_model.cc") return;
   if (!StartsWith(path, "src/crossbar/") &&
@@ -557,11 +518,11 @@ void CheckLogNormalInHotPath(FileContext& ctx,
   static const std::regex kLogNormal(R"((\.|->)\s*LogNormal\s*\()");
   for (std::size_t i = 0; i < ctx.stripped.code.size(); ++i) {
     if (!std::regex_search(ctx.stripped.code[i], kLogNormal)) continue;
-    if (MarkerAllows(ctx, i, "allow-lognormal")) continue;
     Report(ctx, i, "lognormal-in-hot-path", "",
            "direct LogNormal draw in an analog hot path; route sampling "
            "through device::NoiseModel::FillFactors so the kernel policy "
-           "owns the sampler, or justify with `// cimlint: allow-lognormal`",
+           "owns the sampler, or justify with `// cimlint: "
+           "allow(lognormal-in-hot-path)`",
            findings);
   }
 }
@@ -573,18 +534,16 @@ void CheckBlockingInServerLoop(FileContext& ctx,
   // work, and an unbounded condition_variable::wait can hang the loop
   // forever. A real-time wait, if one is ever needed, must be bounded
   // (the deadline-aware wait_for/wait_until forms do not match); a
-  // genuinely justified block carries the `// cimlint: allow-block`
-  // escape.
+  // genuinely justified block carries an allow comment.
   if (!StartsWith(ctx.file->repo_path, "src/serve/")) return;
   static const std::regex kBlocking(
       R"(\bsleep_(for|until)\s*\(|(\.|->)\s*wait\s*\()");
   for (std::size_t i = 0; i < ctx.stripped.code.size(); ++i) {
     if (!std::regex_search(ctx.stripped.code[i], kBlocking)) continue;
-    if (MarkerAllows(ctx, i, "allow-block")) continue;
     Report(ctx, i, "blocking-in-server-loop", "",
            "unbounded blocking in the serving loop; use a deadline-aware "
            "bounded wait (wait_for/wait_until), or justify with "
-           "`// cimlint: allow-block`",
+           "`// cimlint: allow(blocking-in-server-loop)`",
            findings);
   }
 }
@@ -592,18 +551,17 @@ void CheckBlockingInServerLoop(FileContext& ctx,
 // ---------------------------------------------------------------------------
 // Pass B: determinism & concurrency rules (src/ only). These are extent-based
 // passes over the joined code text: a "parallel extent" is the argument list
-// of a ParallelFor/Submit call, bracket-matched so lambda bodies are covered.
+// of a ParallelFor call, bracket-matched so lambda bodies are covered.
 // ---------------------------------------------------------------------------
 
 struct Extent {
   std::size_t name_pos = 0;  // position of the callee name
   std::size_t open = 0;      // '(' of the argument list
   std::size_t close = 0;     // matching ')'
-  std::string name;
 };
 
 std::vector<Extent> ParallelExtents(const FileContext& ctx) {
-  static const std::regex kParallelCall(R"(\b(ParallelFor|Submit)\s*\()");
+  static const std::regex kParallelCall(R"(\bParallelFor\s*\()");
   std::vector<Extent> extents;
   for (std::sregex_iterator it(ctx.joined.begin(), ctx.joined.end(),
                                kParallelCall),
@@ -613,7 +571,6 @@ std::vector<Extent> ParallelExtents(const FileContext& ctx) {
     e.name_pos = static_cast<std::size_t>(it->position(0));
     e.open = e.name_pos + static_cast<std::size_t>(it->length(0)) - 1;
     e.close = MatchingClose(ctx.joined, e.open);
-    e.name = (*it)[1].str();
     if (e.close != std::string::npos) extents.push_back(e);
   }
   return extents;
@@ -628,11 +585,10 @@ void CheckNestedParallel(FileContext& ctx, std::vector<Finding>& findings) {
       if (outer.open < inner.name_pos && inner.name_pos < outer.close) {
         if (!reported.insert(inner.name_pos).second) break;
         Report(ctx, ctx.line_of[inner.name_pos], "nested-parallel-region",
-               inner.name,
-               inner.name + " inside a " + outer.name +
-                   " argument list; cim::ThreadPool rejects nested parallel "
-                   "regions at runtime — check InParallelRegion() and take "
-                   "the serial path",
+               "ParallelFor",
+               "ParallelFor inside a ParallelFor argument list; a nested "
+               "ParallelFor always runs inline on the calling thread, so "
+               "write a plain loop",
                findings);
         break;
       }
@@ -1144,7 +1100,7 @@ constexpr RuleInfo kRules[] = {
     {"lognormal-in-hot-path",
      "direct LogNormal draw outside NoiseModel in analog hot paths"},
     {"magic-unit-literal", "inline TimeNs/EnergyPj constant in model code"},
-    {"nested-parallel-region", "ParallelFor/Submit inside a parallel region"},
+    {"nested-parallel-region", "ParallelFor inside a parallel region"},
     {"nondeterministic-seed", "seed from wall clock or object address"},
     {"pow2-in-hot-path", "std::pow(2, ...) in model code"},
     {"pragma-once", "header missing #pragma once"},
@@ -1314,9 +1270,7 @@ std::vector<Finding> LintFiles(const std::vector<SourceFile>& files,
       const std::string display =
           sup.kind == Suppression::Kind::kFileRule
               ? "allow-file(" + sup.name + ")"
-              : sup.kind == Suppression::Kind::kRule
-                    ? "allow(" + sup.name + ")"
-                    : sup.name;
+              : "allow(" + sup.name + ")";
       findings.push_back(Finding{
           ctx.file->repo_path, sup.line + 1, "stale-suppression",
           "suppression '" + display +

@@ -59,9 +59,8 @@
 //                          to a function returning Status/Expected, outside
 //                          tests. Casting satisfies [[nodiscard]] but still
 //                          drops the error on the floor; production code
-//                          must handle it, or justify the discard with a
-//                          `// cimlint: allow-discard` comment on the same
-//                          or previous line. Test code exercises failure
+//                          must handle it, or justify the discard with an
+//                          allow comment. Test code exercises failure
 //                          paths deliberately, so tests/ and *_test.cc are
 //                          out of scope.
 //   pow2-in-hot-path       `std::pow(2, ...)` / `std::pow(2.0, ...)` in
@@ -70,9 +69,8 @@
 //                          exponents) — a libm call in the analog cycle /
 //                          shift-and-add hot loops is measurable overhead.
 //                          A genuinely non-integer exponent is justified
-//                          with `// cimlint: allow-pow2` on the same or
-//                          previous line. bench/, examples/ and tests/ are
-//                          out of scope.
+//                          with an allow comment. bench/, examples/ and
+//                          tests/ are out of scope.
 //   lognormal-in-hot-path  A direct `.LogNormal(`/`->LogNormal(` draw in
 //                          src/crossbar/ or src/device/ outside
 //                          device/noise_model.cc. Read-noise sampling in
@@ -81,8 +79,7 @@
 //                          (reference / fast-bit-exact / fast-noise) owns
 //                          the sampler and its equivalence contract. The
 //                          golden per-cell reference draw is justified
-//                          with `// cimlint: allow-lognormal` on the same
-//                          or previous line.
+//                          with an allow comment.
 //   blocking-in-server-loop  A `sleep_for(`/`sleep_until(` call or an
 //                          unbounded `.wait(`/`->wait(` (condition_variable)
 //                          in src/serve/. The serving loop must never block
@@ -91,9 +88,7 @@
 //                          unbounded wait can hang the loop. A wait must
 //                          be bounded (the deadline-aware
 //                          wait_for/wait_until forms do not match); a
-//                          justified block carries
-//                          `// cimlint: allow-block` on the same or
-//                          previous line.
+//                          justified block carries an allow comment.
 //   layer-upward-include   An `#include` under src/ whose target module
 //                          sits in a higher layer of layers.txt than the
 //                          including module. A module may include itself,
@@ -118,17 +113,17 @@
 //                          bit-identically. src/ only.
 //   thread-local-in-parallel  `thread_local` declared, or a file-level
 //                          thread_local variable written, syntactically
-//                          inside a ParallelFor/Submit argument list.
+//                          inside a ParallelFor argument list.
 //                          Per-call scratch state belongs in function-scope
 //                          thread_local caches of the callee (the
 //                          scratch-buffer idiom, DESIGN.md § Threading) or
 //                          in per-slot storage merged in canonical order.
 //                          src/ only.
-//   nested-parallel-region A ParallelFor/Submit call syntactically inside
-//                          another ParallelFor/Submit argument list.
-//                          cim::ThreadPool rejects nested parallel regions
-//                          at runtime; check InParallelRegion() and take
-//                          the serial path instead. src/ only.
+//   nested-parallel-region A ParallelFor call syntactically inside
+//                          another ParallelFor argument list. A nested
+//                          ParallelFor always runs inline on the calling
+//                          thread, so the inner call is dead parallelism;
+//                          write a plain loop instead. src/ only.
 //   stale-suppression      A `cimlint: allow*` comment that no longer
 //                          suppresses any finding. Not itself suppressible.
 #pragma once
