@@ -17,11 +17,6 @@ struct EngineCost {
   double dram_bytes = 0.0;  // data crossing the off-chip memory interface
   std::uint64_t macs = 0;
 
-  // pJ/ns = 1e-12 J / 1e-9 s = 1e-3 W, so the ratio is in milliwatts and
-  // the 1e-3 factor converts to watts. Pinned by baseline_test.cc.
-  [[nodiscard]] double average_power_watts() const {
-    return latency_ns > 0.0 ? energy_pj / latency_ns * 1e-3 : 0.0;
-  }
   // Effective bandwidth at which the engine touched weights/activations.
   // bytes/ns = 1e9 bytes/s, so the ratio is already in gigaBYTES per second
   // (GB/s, not gigabits) — no scale factor needed. Pinned by

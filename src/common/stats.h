@@ -67,14 +67,6 @@ struct CostReport {
     a += b;
     return a;
   }
-
-  [[nodiscard]] double average_power_watts() const {
-    return latency_ns > 0.0 ? (energy_pj / latency_ns) * 1e-3 : 0.0;
-  }
-  // Effective bandwidth of data touched during the operation.
-  [[nodiscard]] double bandwidth_bytes_per_sec() const {
-    return latency_ns > 0.0 ? bytes_moved / (latency_ns * 1e-9) : 0.0;
-  }
 };
 
 }  // namespace cim

@@ -70,16 +70,11 @@ struct EnergyPj {
   [[nodiscard]] static constexpr EnergyPj Nano(double nj) {
     return EnergyPj(nj * 1e3);
   }
-  [[nodiscard]] static constexpr EnergyPj Micro(double uj) {
-    return EnergyPj(uj * 1e6);
-  }
   [[nodiscard]] static constexpr EnergyPj Milli(double mj) {
     return EnergyPj(mj * 1e9);
   }
 
   [[nodiscard]] constexpr double joules() const { return pj * 1e-12; }
-  [[nodiscard]] constexpr double nanojoules() const { return pj * 1e-3; }
-  [[nodiscard]] constexpr double microjoules() const { return pj * 1e-6; }
 
   constexpr EnergyPj& operator+=(EnergyPj other) {
     pj += other.pj;

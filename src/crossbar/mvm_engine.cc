@@ -24,6 +24,16 @@ double GStep(const device::MemristorParams& cell) {
          static_cast<double>(cell.levels() - 1);
 }
 
+// Sign-magnitude split of a weight code over the differential pair: digit
+// `slice` (base 2^cell_bits) of |code| sits on the plane matching the
+// code's sign (0 = positive, 1 = negative); the other plane holds 0.
+std::uint64_t PlaneDigit(std::int64_t code, int plane, int slice,
+                         int cell_bits) {
+  if ((code < 0) != (plane == 1)) return 0;
+  const auto magnitude = static_cast<std::uint64_t>(code >= 0 ? code : -code);
+  return (magnitude >> (slice * cell_bits)) & ((1ULL << cell_bits) - 1);
+}
+
 // ABFT guard threshold multiplier over the analytic fault-free residual
 // envelope (itself ~3 sigma of the measured noise-only residual). Larger =
 // fewer false alarms, smaller = finer faults detected. 1.5 keeps ~2x
@@ -65,17 +75,11 @@ Expected<MvmEngine> MvmEngine::Create(const MvmEngineParams& params,
                            "out_dim must be < array.cols");
   }
   MvmEngine engine(params, in_dim, out_dim);
-  engine.slice_pow_.reserve(static_cast<std::size_t>(params.slices()));
-  for (int s = 0; s < params.slices(); ++s) {
-    engine.slice_pow_.push_back(Pow2(s * params.array.cell.cell_bits));
-  }
-  for (int s = 0; s < params.slices(); ++s) {
-    auto pos = Crossbar::Create(params.array, rng.Fork());
-    auto neg = Crossbar::Create(params.array, rng.Fork());
-    if (!pos.ok()) return pos.status();
-    if (!neg.ok()) return neg.status();
-    engine.positive_planes_.push_back(std::move(pos.value()));
-    engine.negative_planes_.push_back(std::move(neg.value()));
+  engine.arrays_.reserve(static_cast<std::size_t>(2 * params.slices()));
+  for (int a = 0; a < 2 * params.slices(); ++a) {
+    auto xbar = Crossbar::Create(params.array, rng.Fork());
+    if (!xbar.ok()) return xbar.status();
+    engine.arrays_.push_back(std::move(xbar.value()));
   }
   return engine;
 }
@@ -133,50 +137,37 @@ Expected<CostReport> MvmEngine::ProgramWeights(
   }
 
   const int cell_bits = params_.array.cell.cell_bits;
-  const std::uint64_t digit_mask = (1ULL << cell_bits) - 1;
-  const std::size_t rows = params_.array.rows;
   const std::size_t cols = params_.array.cols;
 
   CostReport total;
   for (int s = 0; s < params_.slices(); ++s) {
-    std::vector<std::uint64_t> pos_levels(rows * cols, 0);
-    std::vector<std::uint64_t> neg_levels(rows * cols, 0);
-    for (std::size_t r = 0; r < in_dim_; ++r) {
-      for (std::size_t c = 0; c < out_dim_; ++c) {
-        const std::int64_t code = weight_codes_[r * out_dim_ + c];
-        const auto magnitude =
-            static_cast<std::uint64_t>(code >= 0 ? code : -code);
-        const std::uint64_t digit = (magnitude >> (s * cell_bits)) & digit_mask;
-        if (code >= 0) {
-          pos_levels[r * cols + c] = digit;
-        } else {
-          neg_levels[r * cols + c] = digit;
+    CostReport plane_cost[2];
+    for (int plane = 0; plane < 2; ++plane) {
+      std::vector<std::uint64_t> levels(params_.array.rows * cols, 0);
+      for (std::size_t r = 0; r < in_dim_; ++r) {
+        for (std::size_t c = 0; c < out_dim_; ++c) {
+          levels[r * cols + c] = PlaneDigit(weight_codes_[r * out_dim_ + c],
+                                            plane, s, cell_bits);
+        }
+        if (params_.guard_column) {
+          // The guard lives in the first physical column past the logical
+          // matrix and programs exactly like a weight.
+          levels[r * cols + out_dim_] =
+              PlaneDigit(guard_codes_[r], plane, s, cell_bits);
         }
       }
-      if (params_.guard_column) {
-        // The guard lives in the first physical column past the logical
-        // matrix and programs exactly like a weight.
-        const std::int64_t code = guard_codes_[r];
-        const auto magnitude =
-            static_cast<std::uint64_t>(code >= 0 ? code : -code);
-        const std::uint64_t digit = (magnitude >> (s * cell_bits)) & digit_mask;
-        if (code >= 0) {
-          pos_levels[r * cols + out_dim_] = digit;
-        } else {
-          neg_levels[r * cols + out_dim_] = digit;
-        }
-      }
+      auto cost = ArrayAt(s, plane).ProgramLevels(levels);
+      if (!cost.ok()) return cost.status();
+      plane_cost[plane] = *cost;
     }
-    auto pos_cost = positive_planes_[s].ProgramLevels(pos_levels);
-    if (!pos_cost.ok()) return pos_cost.status();
-    auto neg_cost = negative_planes_[s].ProgramLevels(neg_levels);
-    if (!neg_cost.ok()) return neg_cost.status();
     // The two planes of a slice program in parallel in hardware; slices
     // share the write drivers and go one after another.
-    total.energy_pj += pos_cost->energy_pj + neg_cost->energy_pj;
-    total.latency_ns += std::max(pos_cost->latency_ns, neg_cost->latency_ns);
-    total.bytes_moved += pos_cost->bytes_moved + neg_cost->bytes_moved;
-    total.operations += pos_cost->operations + neg_cost->operations;
+    const CostReport& pos = plane_cost[0];
+    const CostReport& neg = plane_cost[1];
+    total.energy_pj += pos.energy_pj + neg.energy_pj;
+    total.latency_ns += std::max(pos.latency_ns, neg.latency_ns);
+    total.bytes_moved += pos.bytes_moved + neg.bytes_moved;
+    total.operations += pos.operations + neg.operations;
   }
   programmed_ = true;
   return total;
@@ -197,13 +188,11 @@ Expected<CostReport> MvmEngine::UpdateWeights(
     return InvalidArgument("weight matrix size mismatch");
   }
   const int cell_bits = params_.array.cell.cell_bits;
-  const std::uint64_t digit_mask = (1ULL << cell_bits) - 1;
 
   CostReport total;
   // Per array: serialized cell rewrites; arrays update in parallel, so the
   // update latency is the worst array's sum.
-  std::vector<double> per_array_latency(
-      static_cast<std::size_t>(params_.slices()) * 2, 0.0);
+  std::vector<double> per_array_latency(arrays_.size(), 0.0);
 
   for (std::size_t r = 0; r < in_dim_; ++r) {
     for (std::size_t c = 0; c < out_dim_; ++c) {
@@ -211,33 +200,16 @@ Expected<CostReport> MvmEngine::UpdateWeights(
       const std::int64_t old_code = weight_codes_[r * out_dim_ + c];
       if (new_code == old_code) continue;
       weight_codes_[r * out_dim_ + c] = new_code;
-      const auto new_mag =
-          static_cast<std::uint64_t>(new_code >= 0 ? new_code : -new_code);
-      const auto old_mag =
-          static_cast<std::uint64_t>(old_code >= 0 ? old_code : -old_code);
       for (int s = 0; s < params_.slices(); ++s) {
-        const std::uint64_t new_pos_digit =
-            new_code >= 0 ? (new_mag >> (s * cell_bits)) & digit_mask : 0;
-        const std::uint64_t new_neg_digit =
-            new_code < 0 ? (new_mag >> (s * cell_bits)) & digit_mask : 0;
-        const std::uint64_t old_pos_digit =
-            old_code >= 0 ? (old_mag >> (s * cell_bits)) & digit_mask : 0;
-        const std::uint64_t old_neg_digit =
-            old_code < 0 ? (old_mag >> (s * cell_bits)) & digit_mask : 0;
-        if (new_pos_digit != old_pos_digit) {
-          auto cost = positive_planes_[s].ProgramCell(r, c, new_pos_digit);
+        for (int plane = 0; plane < 2; ++plane) {
+          const std::uint64_t digit =
+              PlaneDigit(new_code, plane, s, cell_bits);
+          if (digit == PlaneDigit(old_code, plane, s, cell_bits)) continue;
+          auto cost = ArrayAt(s, plane).ProgramCell(r, c, digit);
           if (!cost.ok()) return cost.status();
           total.energy_pj += cost->energy_pj;
           total.operations += 1;
-          per_array_latency[static_cast<std::size_t>(s) * 2] +=
-              cost->latency_ns;
-        }
-        if (new_neg_digit != old_neg_digit) {
-          auto cost = negative_planes_[s].ProgramCell(r, c, new_neg_digit);
-          if (!cost.ok()) return cost.status();
-          total.energy_pj += cost->energy_pj;
-          total.operations += 1;
-          per_array_latency[static_cast<std::size_t>(s) * 2 + 1] +=
+          per_array_latency[static_cast<std::size_t>(2 * s + plane)] +=
               cost->latency_ns;
         }
       }
@@ -267,7 +239,8 @@ Status MvmEngine::BitSweep(CycleDirection dir,
       dir == CycleDirection::kForward ? array.rows : array.cols;
   const double v_read = array.dac.v_read;
   const double g_step = GStep(array.cell);
-  const double full_scale = positive_planes_.front().FullScaleCurrent(dir);
+  const int cell_bits = array.cell.cell_bits;
+  const double full_scale = arrays_.front().FullScaleCurrent(dir);
   std::vector<std::uint64_t> line_codes(lines, 0);
   // One code buffer for every cycle of the sweep.
   std::vector<std::uint64_t> sensed_codes(accum.size(), 0);
@@ -292,13 +265,10 @@ Status MvmEngine::BitSweep(CycleDirection dir,
 
     double cycle_latency = 0.0;
     for (int s = 0; s < params_.slices(); ++s) {
-      const double slice_weight =
-          bit_weight * slice_pow_[static_cast<std::size_t>(s)];
+      const double slice_weight = bit_weight * Pow2(s * cell_bits);
       for (int plane = 0; plane < 2; ++plane) {
-        Crossbar& xbar =
-            plane == 0 ? positive_planes_[s] : negative_planes_[s];
-        auto cycle = xbar.CycleDriven(drive, dir, accum.size(), sensed_codes,
-                                      noise_rng);
+        auto cycle = ArrayAt(s, plane).CycleDriven(drive, dir, accum.size(),
+                                                   sensed_codes, noise_rng);
         if (!cycle.ok()) return cycle.status();
         // All (slice, plane) arrays fire in parallel within the bit cycle.
         cycle_latency = std::max(cycle_latency, cycle->latency_ns);
@@ -378,7 +348,7 @@ double MvmEngine::GuardThreshold(double sum_x_codes) const {
   const CrossbarParams& array = params_.array;
   const double v_read = array.dac.v_read;
   const double g_step = GStep(array.cell);
-  const double full_scale = positive_planes_.front().FullScaleCurrent();
+  const double full_scale = arrays_.front().FullScaleCurrent();
   const double adc_lsb_digits =
       full_scale / static_cast<double>((1ULL << array.adc.bits) - 1) /
       (1.0 - array.ir_drop_alpha) / (v_read * g_step);
@@ -489,7 +459,7 @@ double MvmEngine::AdcErrorBound() const {
   const CrossbarParams& array = params_.array;
   const double v_read = array.dac.v_read;
   const double g_step = GStep(array.cell);
-  const double full_scale = positive_planes_.front().FullScaleCurrent();
+  const double full_scale = arrays_.front().FullScaleCurrent();
   const double adc_lsb_current =
       full_scale / static_cast<double>((1ULL << array.adc.bits) - 1);
   // Worst-case attenuation correction amplifies the ADC error by at most
@@ -511,17 +481,14 @@ double MvmEngine::AdcErrorBound() const {
 
 void MvmEngine::InjectCellFault(int plane, std::size_t row, std::size_t col,
                                 device::CellFault fault) {
-  auto& planes = plane == 0 ? positive_planes_ : negative_planes_;
-  for (auto& xbar : planes) xbar.InjectCellFault(row, col, fault);
+  for (int s = 0; s < params_.slices(); ++s) {
+    ArrayAt(s, plane).InjectCellFault(row, col, fault);
+  }
 }
 
 EngineWriteStats MvmEngine::write_stats() const {
   EngineWriteStats stats;
-  for (const auto& xbar : positive_planes_) {
-    stats.attempts += xbar.write_attempts();
-    stats.verify_failures += xbar.write_verify_failures();
-  }
-  for (const auto& xbar : negative_planes_) {
+  for (const auto& xbar : arrays_) {
     stats.attempts += xbar.write_attempts();
     stats.verify_failures += xbar.write_verify_failures();
   }
@@ -529,8 +496,7 @@ EngineWriteStats MvmEngine::write_stats() const {
 }
 
 void MvmEngine::Age(TimeNs elapsed) {
-  for (auto& xbar : positive_planes_) xbar.Age(elapsed);
-  for (auto& xbar : negative_planes_) xbar.Age(elapsed);
+  for (auto& xbar : arrays_) xbar.Age(elapsed);
 }
 
 }  // namespace cim::crossbar

@@ -138,11 +138,6 @@ class MvmEngine {
   // Program-verify telemetry summed over every plane/slice array.
   [[nodiscard]] EngineWriteStats write_stats() const;
 
-  [[nodiscard]] bool guard_enabled() const { return params_.guard_column; }
-  // Integer downscale applied to the guard column's row sums so they fit a
-  // weight code (1 until row sums overflow). 0 before ProgramWeights.
-  [[nodiscard]] std::int64_t guard_scale() const { return guard_scale_; }
-
   void Age(TimeNs elapsed);
 
  private:
@@ -172,18 +167,22 @@ class MvmEngine {
   // `sum_x_codes` is the current input's total code mass.
   [[nodiscard]] double GuardThreshold(double sum_x_codes) const;
 
+  // The array holding digit `slice` of plane `plane` (0 = positive,
+  // 1 = negative).
+  [[nodiscard]] Crossbar& ArrayAt(int slice, int plane) {
+    return arrays_[static_cast<std::size_t>(2 * slice + plane)];
+  }
+
   MvmEngineParams params_;
   std::size_t in_dim_;
   std::size_t out_dim_;
-  // positive_planes_[s] and negative_planes_[s] hold digit s.
-  std::vector<Crossbar> positive_planes_;
-  std::vector<Crossbar> negative_planes_;
+  // Every (slice, plane) array in (slice, plane) order: index 2*s + plane.
+  std::vector<Crossbar> arrays_;
   std::vector<std::int64_t> weight_codes_;  // in_dim x out_dim, row-major
   std::vector<std::int64_t> guard_codes_;   // in_dim row sums / guard_scale_
+  // Integer downscale applied to the guard column's row sums so they fit a
+  // weight code (1 until row sums overflow).
   std::int64_t guard_scale_ = 0;
-  // slice_pow_[s] = 2^(s * cell_bits), hoisted out of the per-cycle
-  // shift-and-add (these used to be std::pow calls in the hot loop).
-  std::vector<double> slice_pow_;
   bool programmed_ = false;
 };
 

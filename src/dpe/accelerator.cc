@@ -218,7 +218,6 @@ Expected<crossbar::MvmResult> DpeAccelerator::RunMvm(
   const std::uint64_t call = mapped.committed_calls + stream_offset;
   const std::size_t tiles = mapped.tiles.size();
   const bool ft = ft_enabled();
-  const FaultToleranceParams& ftp = params_.fault_tolerance;
 
   struct TilePartial {
     std::optional<Expected<crossbar::MvmResult>> result;
@@ -242,7 +241,7 @@ Expected<crossbar::MvmResult> DpeAccelerator::RunMvm(
     auto computed =
         tile.engine.Compute(x.subspan(tile.row_offset, tile.in), &noise);
     if (computed.ok()) {
-      if (ft && ftp.checksums) {
+      if (ft) {
         // Seal models the tile -> merge transfer; corruption injected
         // below lands "in flight" and is caught at the merge boundary.
         partials[t].payload =

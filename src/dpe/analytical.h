@@ -32,9 +32,6 @@ struct InferenceEstimate {
   [[nodiscard]] double effective_weight_bandwidth_gbps() const {
     return latency_ns > 0.0 ? weight_bytes_touched / latency_ns : 0.0;
   }
-  [[nodiscard]] double average_power_watts() const {
-    return latency_ns > 0.0 ? energy_pj / latency_ns * 1e-3 : 0.0;
-  }
 };
 
 // Per-layer mapping decisions, exposed for DESIGN.md-style introspection

@@ -21,17 +21,16 @@ namespace cim::dpe {
 // the pre-existing runtime. When enabled, every engine carries the ABFT
 // guard column (§V.A "extra bits on data": one extra physical column holds
 // scaled row sums, and every MVM checks the sensed guard output against
-// the sum of the logical outputs), and a detected-bad tile MVM is
-// re-executed once before the element degrades.
+// the sum of the logical outputs), every tile's partial sums are
+// checksummed across the tile -> merge transfer (catching transient
+// in-flight corruption the in-array guard cannot), and a detected-bad tile
+// MVM is re-executed once before the element degrades.
 struct FaultToleranceParams {
   bool enabled = false;
   // Spare engine tiles pre-provisioned at Create; a detected-bad or retired
   // tile is reprogrammed onto one at the next wave boundary. 0 = recovery
   // degrades only (retry still runs).
   std::size_t spare_tiles = 0;
-  // Checksum the tile partial sums across the tile -> merge transfer
-  // (catches transient in-flight corruption the in-array guard cannot).
-  bool checksums = true;
   reliability::AgingParams aging;
 
   [[nodiscard]] Status Validate() const { return aging.Validate(); }

@@ -48,7 +48,7 @@ Expected<std::unique_ptr<FabricCoSim>> FabricCoSim::Create(
     auto accel = dpe::DpeAccelerator::Create(tile_params, spec.subnet,
                                              Rng(DeriveSeed(params.seed, i)));
     if (!accel.ok()) return accel.status();
-    sim->tiles_.push_back(Tile{std::move(*accel)});
+    sim->tiles_.push_back(std::move(*accel));
     sim->noc_->SetDeliveryHandler(
         spec.node, [raw = sim.get()](const noc::Delivery& delivery) {
           raw->OnDelivery(delivery);
@@ -165,7 +165,7 @@ Expected<std::vector<dpe::InferResult>> FabricCoSim::InferBatch(
       const Task& t = tasks[i];
       nn::Tensor in(plan_.stage_input_shape[t.stage],
                     elements_[t.element].next_input);
-      task_results[i] = tiles_[t.stage * K + t.split].accel->Infer(in);
+      task_results[i] = tiles_[t.stage * K + t.split]->Infer(in);
     };
     pool_.ParallelFor(tasks.size(), run_task);
 
@@ -210,7 +210,8 @@ Expected<std::vector<dpe::InferResult>> FabricCoSim::InferBatch(
             p.stream_id = b;
             p.source = src_tile.node;
             p.destination = plan_.tile(s + 1, dst).node;
-            p.qos = params_.activation_qos;
+            // Every activation is one class, so QoS never arbitrates.
+            p.qos = noc::QosClass::kBulk;
             p.kind = noc::PayloadKind::kData;
             p.payload_bytes = static_cast<std::uint32_t>(payload_bytes);
             p.inline_payload.resize(payload_bytes);

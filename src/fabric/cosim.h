@@ -55,9 +55,6 @@ struct FabricParams {
   // Purely a simulation-speed knob; results are bit-identical at every
   // setting.
   std::size_t worker_threads = 0;
-  // QoS class of activation traffic; each activation travels as one
-  // 8-byte double.
-  noc::QosClass activation_qos = noc::QosClass::kBulk;
   // Root seed; tile accelerators derive their programming/noise streams
   // from (seed, tile index).
   std::uint64_t seed = 0x5EEDFAB;
@@ -101,9 +98,6 @@ class FabricCoSim {
   }
 
  private:
-  struct Tile {
-    std::unique_ptr<dpe::DpeAccelerator> accel;
-  };
   // Per-batch-element pipeline state. An element sits in exactly one stage
   // per epoch, so one input buffer and one running result suffice.
   struct ElementState {
@@ -128,7 +122,8 @@ class FabricCoSim {
   FabricPlan plan_;
   EventQueue queue_;
   std::optional<noc::MeshNoc> noc_;
-  std::vector<Tile> tiles_;  // same order as plan_.tiles
+  // One serial accelerator per tile, in plan_.tiles order.
+  std::vector<std::unique_ptr<dpe::DpeAccelerator>> tiles_;
   ThreadPool pool_;
   std::vector<ElementState> elements_;
   std::uint64_t epochs_run_ = 0;

@@ -18,8 +18,8 @@
 
 namespace cim::serve {
 
-// Tenants are SLA streams: the id doubles as the runtime::StreamId fed to
-// SlaController.
+// A tenant is the unit the SLA loop judges: each has its own SlaWindow
+// (service.h).
 using TenantId = std::uint64_t;
 using RequestId = std::uint64_t;
 

@@ -93,6 +93,27 @@ double BackoffNs(const RetryParams& retry, std::uint64_t seed, RequestId id,
   return wait * (1.0 + retry.jitter_fraction * rng.NextDouble());
 }
 
+SlaAction JudgeSla(const SlaLoopParams& sla, SlaWindow& window) {
+  const std::uint64_t results = window.latency_ns.count();
+  if (results < static_cast<std::uint64_t>(sla.min_samples)) {
+    return SlaAction::kNone;
+  }
+  SlaAction action = SlaAction::kNone;
+  const double mean_ns = window.latency_ns.mean();
+  if (mean_ns > sla.target_latency_ns) {
+    action = SlaAction::kScaleUp;
+  } else if (mean_ns < sla.release_fraction * sla.target_latency_ns) {
+    action = SlaAction::kScaleDown;
+  }
+  const double degraded_fraction = static_cast<double>(window.degraded) /
+                                   static_cast<double>(results);
+  if (degraded_fraction > sla.max_degraded_fraction) {
+    action = SlaAction::kRelocate;
+  }
+  window = SlaWindow{};
+  return action;
+}
+
 Expected<std::unique_ptr<DpeService>> DpeService::Create(
     const ServeParams& params, dpe::DpeAccelerator* accelerator,
     const security::CapabilityAuthority* authority) {
@@ -114,16 +135,7 @@ DpeService::DpeService(const ServeParams& params,
       watermark_(params.admission.watermark) {}
 
 Status DpeService::AddTenant(const TenantConfig& config) {
-  if (Status s = scheduler_.AddTenant(config); !s.ok()) return s;
-  if (params_.sla.enabled) {
-    runtime::SlaTarget target;
-    target.target_latency_ns = params_.sla.target_latency_ns;
-    target.release_fraction = params_.sla.release_fraction;
-    target.min_samples = params_.sla.min_samples;
-    target.max_degraded_fraction = params_.sla.max_degraded_fraction;
-    if (Status s = sla_.SetTarget(config.id, target); !s.ok()) return s;
-  }
-  return Status::Ok();
+  return scheduler_.AddTenant(config);
 }
 
 Status DpeService::SetResponseHandler(ResponseHandler handler) {
@@ -299,8 +311,7 @@ bool DpeService::PumpOnce() {
       } else {
         ++stats_.completed_degraded;
       }
-      sla_.Observe(request.tenant, response.latency_ns());
-      sla_.ObserveQuality(request.tenant, !clean);
+      sla_windows_[request.tenant].Add(response.latency_ns(), !clean);
       ++responses_since_eval_;
       done.push_back(std::move(response));
     }
@@ -321,9 +332,9 @@ bool DpeService::PumpOnce() {
 
 void DpeService::RunSlaLoop() {
   responses_since_eval_ = 0;
-  for (const runtime::SlaDecision& decision : sla_.Evaluate()) {
-    switch (decision.action) {
-      case runtime::SlaAction::kScaleUp: {
+  for (auto& [tenant, window] : sla_windows_) {
+    switch (JudgeSla(params_.sla, window)) {
+      case SlaAction::kScaleUp: {
         // Violating latency: cut queueing delay (smaller window) and shed
         // load earlier (lower watermark).
         window_ns_ = std::max(params_.batching.min_window_ns,
@@ -335,7 +346,7 @@ void DpeService::RunSlaLoop() {
         ++stats_.sla_scale_up;
         break;
       }
-      case runtime::SlaAction::kScaleDown:
+      case SlaAction::kScaleDown:
         // Comfortably under target: recover batching efficiency and admit
         // more load.
         window_ns_ = std::min(kMaxWindowNs, window_ns_ * kWindowGrow);
@@ -343,15 +354,15 @@ void DpeService::RunSlaLoop() {
                               watermark_ + kWatermarkStep);
         ++stats_.sla_scale_down;
         break;
-      case runtime::SlaAction::kRelocate:
+      case SlaAction::kRelocate:
         // Quality floor violated: move the stream off the degraded
         // hardware — here, stop feeding it until the quarantine passes
         // (the accelerator's spare-tile remap repairs underneath).
-        quarantined_until_[decision.stream] =
+        quarantined_until_[tenant] =
             virtual_now_ + params_.sla.quarantine_ns;
         ++stats_.sla_relocations;
         break;
-      case runtime::SlaAction::kNone:
+      case SlaAction::kNone:
         break;
     }
   }

@@ -18,11 +18,11 @@
 //     exhausted the flagged-degrade result is delivered as kOkDegraded —
 //     the accelerator's own retry -> spare-tile remap -> degrade escalation
 //     (dpe/accelerator.h) has by then already run underneath.
-//   * SLA closed loop: per-response latency/quality feeds SlaController;
-//     every evaluate_every responses the service applies the controller's
-//     verdicts — kScaleUp shrinks the batching window and lowers the
-//     admission watermark (shed load, cut queueing delay), kScaleDown
-//     relaxes both, kRelocate quarantines the offending stream.
+//   * SLA closed loop (§IV.C): every response's latency and quality lands
+//     in its tenant's SlaWindow; every evaluate_every responses JudgeSla
+//     gives each tenant a verdict — kScaleUp shrinks the batching window
+//     and lowers the admission watermark (shed load, cut queueing delay),
+//     kScaleDown relaxes both, kRelocate quarantines the tenant.
 //   * Multi-tenant isolation: per-tenant bounded queues under stride-WFQ
 //     (tenant.h), with capability-token checks (security/capability.h)
 //     when an authority is wired.
@@ -43,9 +43,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "dpe/accelerator.h"
-#include "runtime/sla.h"
 #include "security/capability.h"
 #include "serve/request.h"
 #include "serve/tenant.h"
@@ -81,13 +81,20 @@ struct RetryParams {
   [[nodiscard]] Status Validate() const;
 };
 
+// The one SLA target, shared by every tenant.
 struct SlaLoopParams {
   bool enabled = true;
+  // Hysteresis: scale up above the target mean latency, scale down below
+  // release_fraction * target.
   double target_latency_ns = 2e6;
   double release_fraction = 0.5;
+  // Quality floor: the fraction of a window's results that may be degraded
+  // (non-clean fault report) before the tenant is relocated. 0.0 relocates
+  // on any degraded result; 1.0 turns quality enforcement off.
   double max_degraded_fraction = 0.25;
+  // Responses a tenant's window must hold before it is judged.
   int min_samples = 16;
-  // Responses between SlaController::Evaluate rounds.
+  // Responses between SLA evaluation rounds.
   std::uint64_t evaluate_every = 32;
   // kRelocate quarantine: submissions for the stream are rejected
   // (kUnavailable) until virtual time passes the quarantine horizon.
@@ -145,6 +152,34 @@ struct ServiceStats {
   std::size_t watermark = 0;
 };
 
+enum class SlaAction : std::uint8_t {
+  kNone = 0,
+  kScaleUp,    // mean latency above target
+  kScaleDown,  // mean latency below release_fraction * target
+  // Too many degraded results: move the tenant off the failing hardware
+  // rather than adding more of it.
+  kRelocate,
+};
+
+// One tenant's responses since its last SLA verdict.
+struct SlaWindow {
+  RunningStat latency_ns;  // its count() is the window's result count
+  std::uint64_t degraded = 0;
+
+  void Add(double latency, bool was_degraded) {
+    latency_ns.Add(latency);
+    if (was_degraded) ++degraded;
+  }
+};
+
+// The SLA rule. A window is judged only once it holds sla.min_samples
+// results, and is reset then; a smaller one gets kNone and keeps
+// filling. A degraded share above the quality floor overrides the latency
+// verdict: a tenant can be fast *because* its tiles degraded, and adding
+// capacity on faulty hardware just produces degraded results faster.
+[[nodiscard]] SlaAction JudgeSla(const SlaLoopParams& sla,
+                                 SlaWindow& window);
+
 // Deterministic retry backoff: base * 2^(attempt-1) plus a jitter drawn
 // from Rng(DeriveSeed(DeriveSeed(seed, request id), attempt)) —
 // replay-stable and independent of every other stream in the run. attempt
@@ -168,7 +203,7 @@ class DpeService {
   DpeService(const DpeService&) = delete;
   DpeService& operator=(const DpeService&) = delete;
 
-  // Registers a tenant and its SLA target.
+  // Registers a tenant; every tenant is held to params.sla.
   [[nodiscard]] Status AddTenant(const TenantConfig& config);
   // Must be set before the first Submit.
   [[nodiscard]] Status SetResponseHandler(ResponseHandler handler);
@@ -194,7 +229,8 @@ class DpeService {
   // instant, shed expired requests, pop a weighted-fair batch, execute it,
   // deliver responses and queue retries. Returns false when idle.
   bool PumpOnce();
-  // Applies SlaController verdicts.
+  // Judges every tenant's window, in ascending id order, and applies the
+  // verdicts.
   void RunSlaLoop();
   void Deliver(const Response& response);
 
@@ -202,9 +238,8 @@ class DpeService {
   dpe::DpeAccelerator* const accelerator_;        // not owned
   const security::CapabilityAuthority* const authority_;  // not owned
 
-  runtime::SlaController sla_;
-
   TenantScheduler scheduler_;
+  std::map<TenantId, SlaWindow> sla_windows_;
   std::map<TenantId, double> quarantined_until_;
   double virtual_now_ = 0.0;
   RequestId next_id_ = 1;

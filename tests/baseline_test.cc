@@ -7,6 +7,7 @@
 #include "baseline/gpu_model.h"
 #include "baseline/pim_model.h"
 #include "common/rng.h"
+#include "common/units.h"
 #include "dpe/analytical.h"
 #include "dpe/engine_adapter.h"
 
@@ -186,7 +187,9 @@ TEST(EngineCostTest, UnitConversionsPinned) {
   cost.energy_pj = 2000.0;
   cost.dram_bytes = 8000.0;
   // 2000 pJ over 1000 ns = 2 pJ/ns = 2 mW = 2e-3 W.
-  EXPECT_DOUBLE_EQ(cost.average_power_watts(), 2e-3);
+  EXPECT_DOUBLE_EQ(
+      AveragePowerWatts(EnergyPj(cost.energy_pj), TimeNs(cost.latency_ns)),
+      2e-3);
   // 8000 bytes over 1000 ns = 8 bytes/ns = 8e9 bytes/s = 8 GB/s
   // (gigabytes, not gigabits).
   EXPECT_DOUBLE_EQ(cost.weight_bandwidth_gbps(), 8.0);
@@ -194,7 +197,9 @@ TEST(EngineCostTest, UnitConversionsPinned) {
   EngineCost idle;  // zero latency must not divide by zero
   idle.energy_pj = 5.0;
   idle.dram_bytes = 5.0;
-  EXPECT_DOUBLE_EQ(idle.average_power_watts(), 0.0);
+  EXPECT_DOUBLE_EQ(
+      AveragePowerWatts(EnergyPj(idle.energy_pj), TimeNs(idle.latency_ns)),
+      0.0);
   EXPECT_DOUBLE_EQ(idle.weight_bandwidth_gbps(), 0.0);
 }
 

@@ -673,8 +673,8 @@ TEST(Layering, SuppressibleAtTheIncludeSite) {
 
 TEST(Layering, ServeSitsAloneOnTopOfTheRepoSpec) {
   // Mirrors tools/cimlint/layers.txt: serve is its own top layer, so the
-  // service may include runtime and security, while nothing below may
-  // reach up into it.
+  // service may include dpe and security, while nothing below may reach up
+  // into it.
   const LayerSpec spec = SpecOf(
       "layer common\n"
       "layer device crossbar noc logic\n"
@@ -682,11 +682,11 @@ TEST(Layering, ServeSitsAloneOnTopOfTheRepoSpec) {
       "layer runtime reliability security workloads\n"
       "layer serve\n");
   const Files files = {
-      {"src/runtime/sla.h", "#pragma once\nint S();\n"},
+      {"src/dpe/accelerator.h", "#pragma once\nint A();\n"},
       {"src/security/capability.h", "#pragma once\nint C();\n"},
       {"src/serve/service.h", "#pragma once\nint Svc();\n"},
       {"src/serve/service.cc",
-       "#include \"runtime/sla.h\"\n"
+       "#include \"dpe/accelerator.h\"\n"
        "#include \"security/capability.h\"\n"},
       // workloads sits a layer below serve and is not included back by it,
       // so this upward include is flagged without also forming a cycle.

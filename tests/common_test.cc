@@ -209,8 +209,11 @@ TEST(CostReportTest, AccumulationAndDerived) {
   EXPECT_DOUBLE_EQ(sum.latency_ns, 150.0);
   EXPECT_DOUBLE_EQ(sum.energy_pj, 300.0);
   EXPECT_EQ(sum.operations, 15u);
-  EXPECT_DOUBLE_EQ(sum.average_power_watts(), 300.0 / 150.0 * 1e-3);
-  EXPECT_DOUBLE_EQ(sum.bandwidth_bytes_per_sec(), 64.0 / 150e-9);
+  const TimeNs duration(sum.latency_ns);
+  EXPECT_DOUBLE_EQ(AveragePowerWatts(EnergyPj(sum.energy_pj), duration),
+                   300.0 / 150.0 * 1e-3);
+  EXPECT_DOUBLE_EQ(BandwidthBytesPerSec(sum.bytes_moved, duration),
+                   64.0 / 150e-9);
 }
 
 TEST(EventQueueTest, RunsInTimestampOrder) {

@@ -233,7 +233,6 @@ TEST_P(FabricFaults, ConservationAndGracefulDegradeUnderFailures) {
   FabricParams params = NoiselessParams();
   params.partition.column_splits = 2;
   params.worker_threads = GetParam();
-  params.activation_qos = noc::QosClass::kRealtime;
   auto fabric = FabricCoSim::Create(params, net);
   ASSERT_TRUE(fabric.ok());
 

@@ -1,6 +1,6 @@
 // Cross-module integration tests: neural networks compiled onto the
 // dataflow fabric, secured streams with failures and recovery, and the
-// runtime closed loop driving real fabric telemetry.
+// SLA rule judging real fabric telemetry.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,7 @@
 #include "dpe/accelerator.h"
 #include "nn/network.h"
 #include "reliability/guardian.h"
-#include "runtime/sla.h"
+#include "serve/service.h"
 
 namespace cim {
 namespace {
@@ -149,9 +149,9 @@ TEST(Integration, SecuredGuardedStreamSurvivesTileFailure) {
   }
 }
 
-// Closed loop: fabric stream latencies feed the SLA controller, which
-// detects a violation when the stream is lengthened and clears after it is
-// shortened (capacity "added").
+// Closed loop: fabric stream latencies feed an SLA window, and the SLA
+// rule detects a violation when the stream is lengthened and clears after
+// it is shortened (capacity "added").
 TEST(Integration, SlaClosedLoopReactsToFabricLatency) {
   arch::FabricParams params;
   params.mesh.width = 6;
@@ -166,7 +166,7 @@ TEST(Integration, SlaClosedLoopReactsToFabricLatency) {
       ASSERT_TRUE((*tile)->micro_unit(0).LoadProgram({}).ok());
     }
   }
-  runtime::SlaController sla;
+  serve::SlaWindow window;
 
   const auto run_batch = [&](std::uint64_t stream) {
     for (int i = 0; i < 8; ++i) {
@@ -175,7 +175,7 @@ TEST(Integration, SlaClosedLoopReactsToFabricLatency) {
     }
     const arch::StreamStats* stats = f.StatsFor(stream);
     ASSERT_NE(stats, nullptr);
-    sla.Observe(stream, stats->end_to_end_latency_ns.mean());
+    window.Add(stats->end_to_end_latency_ns.mean(), /*was_degraded=*/false);
   };
 
   // Long path first: violates a tight target.
@@ -185,7 +185,7 @@ TEST(Integration, SlaClosedLoopReactsToFabricLatency) {
   auto probe_stats = [&] {
     run_batch(1);
     for (int i = 0; i < 7; ++i) {
-      sla.Observe(1, f.StatsFor(1)->end_to_end_latency_ns.mean());
+      window.Add(f.StatsFor(1)->end_to_end_latency_ns.mean(), false);
     }
   };
   const arch::StreamStats* warm = nullptr;
@@ -193,11 +193,13 @@ TEST(Integration, SlaClosedLoopReactsToFabricLatency) {
   warm = f.StatsFor(1);
   ASSERT_NE(warm, nullptr);
   const double long_latency = warm->end_to_end_latency_ns.mean();
-  ASSERT_TRUE(sla.SetTarget(1, {long_latency * 0.5, 0.25, 8}).ok());
+  serve::SlaLoopParams sla;
+  sla.target_latency_ns = long_latency * 0.5;
+  sla.release_fraction = 0.25;
+  sla.min_samples = 8;
+  ASSERT_TRUE(sla.Validate().ok());
   probe_stats();
-  auto decisions = sla.Evaluate();
-  ASSERT_EQ(decisions.size(), 1u);
-  EXPECT_EQ(decisions[0].action, runtime::SlaAction::kScaleUp);
+  EXPECT_EQ(serve::JudgeSla(sla, window), serve::SlaAction::kScaleUp);
 
   // "Add capacity": shorten the path, latency falls under target.
   ASSERT_TRUE(f.RedirectStream(1, {{0, 0}, {1, 0}}).ok());
@@ -208,10 +210,8 @@ TEST(Integration, SlaClosedLoopReactsToFabricLatency) {
   // Short-path latency samples (approximate with fresh mean of the merged
   // stat; the mean falls well below the long-path latency).
   const double merged = f.StatsFor(1)->end_to_end_latency_ns.min();
-  for (int i = 0; i < 8; ++i) sla.Observe(1, merged);
-  decisions = sla.Evaluate();
-  ASSERT_EQ(decisions.size(), 1u);
-  EXPECT_EQ(decisions[0].action, runtime::SlaAction::kScaleDown);
+  for (int i = 0; i < 8; ++i) window.Add(merged, false);
+  EXPECT_EQ(serve::JudgeSla(sla, window), serve::SlaAction::kScaleDown);
 }
 
 // The DPE accelerator with realistic (noisy) device parameters still

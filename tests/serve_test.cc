@@ -1,8 +1,9 @@
 // cim::serve::DpeService pins: dynamic-batching coalescing, watermark
 // rejection under overload, expired-deadline shedding, the deterministic
 // retry-backoff schedule, per-tenant weighted-fair isolation, capability
-// enforcement, the SLA closed loop, and bit-identity of outputs AND
-// virtual latencies across accelerator thread counts.
+// enforcement, the SLA rule (JudgeSla) and its closed loop, and
+// bit-identity of outputs AND virtual latencies across accelerator thread
+// counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,7 +30,11 @@ using reliability::FaultSpec;
 using serve::DpeService;
 using serve::Outcome;
 using serve::Response;
+using serve::JudgeSla;
 using serve::ServeParams;
+using serve::SlaAction;
+using serve::SlaLoopParams;
+using serve::SlaWindow;
 using serve::SubmitArgs;
 using serve::TenantConfig;
 
@@ -512,6 +517,140 @@ TEST(DpeServiceTest, QualityViolationQuarantinesTenant) {
   ASSERT_FALSE(id.ok());
   EXPECT_EQ(id.status().code(), ErrorCode::kUnavailable);
   EXPECT_EQ(h.service->stats().rejected_quarantine, 1u);
+}
+
+// The SLA rule alone: a target of `target_ns` with release_fraction 0.5,
+// judged every `min_samples` results against a quality floor of
+// `max_degraded` (1.0 = quality off).
+SlaLoopParams SlaRule(double target_ns, int min_samples,
+                      double max_degraded = 1.0) {
+  SlaLoopParams sla;
+  sla.target_latency_ns = target_ns;
+  sla.release_fraction = 0.5;
+  sla.min_samples = min_samples;
+  sla.max_degraded_fraction = max_degraded;
+  return sla;
+}
+
+void AddResults(SlaWindow& window, int n, double latency_ns,
+                bool degraded = false) {
+  for (int i = 0; i < n; ++i) window.Add(latency_ns, degraded);
+}
+
+TEST(SlaRuleTest, ScaleUpOnViolation) {
+  SlaWindow window;
+  AddResults(window, 4, 2000.0);
+  EXPECT_EQ(JudgeSla(SlaRule(1000.0, 4), window), SlaAction::kScaleUp);
+}
+
+TEST(SlaRuleTest, ScaleDownWhenFarUnder) {
+  SlaWindow window;
+  AddResults(window, 4, 100.0);
+  EXPECT_EQ(JudgeSla(SlaRule(1000.0, 4), window), SlaAction::kScaleDown);
+}
+
+TEST(SlaRuleTest, HysteresisBandTakesNoAction) {
+  SlaWindow window;
+  window.Add(700.0, false);
+  window.Add(800.0, false);
+  EXPECT_EQ(JudgeSla(SlaRule(1000.0, 2), window), SlaAction::kNone);
+  // A judged window resets even when the verdict is kNone.
+  EXPECT_EQ(window.latency_ns.count(), 0u);
+}
+
+TEST(SlaRuleTest, NeedsMinimumSamples) {
+  const SlaLoopParams sla = SlaRule(1000.0, 8);
+  SlaWindow window;
+  AddResults(window, 7, 9999.0);
+  EXPECT_EQ(JudgeSla(sla, window), SlaAction::kNone);
+  // An unjudged window keeps filling.
+  EXPECT_EQ(window.latency_ns.count(), 7u);
+  window.Add(9999.0, false);
+  EXPECT_EQ(JudgeSla(sla, window), SlaAction::kScaleUp);
+}
+
+TEST(SlaRuleTest, WindowResetsAfterEvaluation) {
+  const SlaLoopParams sla = SlaRule(1000.0, 2);
+  SlaWindow window;
+  AddResults(window, 2, 5000.0);
+  EXPECT_EQ(JudgeSla(sla, window), SlaAction::kScaleUp);
+  // Old samples are gone; a single new sample is below min_samples.
+  window.Add(5000.0, false);
+  EXPECT_EQ(JudgeSla(sla, window), SlaAction::kNone);
+}
+
+TEST(SlaRuleTest, ParamsValidateTheTarget) {
+  EXPECT_TRUE(SlaRule(100.0, 2).Validate().ok());
+  EXPECT_FALSE(SlaRule(-5.0, 2).Validate().ok());
+  EXPECT_FALSE(SlaRule(0.0, 2).Validate().ok());
+  SlaLoopParams release = SlaRule(100.0, 2);
+  release.release_fraction = 1.5;
+  EXPECT_FALSE(release.Validate().ok());
+  release.release_fraction = 1.0;
+  EXPECT_FALSE(release.Validate().ok());
+  release.release_fraction = 0.0;
+  EXPECT_FALSE(release.Validate().ok());
+  EXPECT_FALSE(SlaRule(100.0, 2, -0.1).Validate().ok());
+  EXPECT_FALSE(SlaRule(100.0, 2, 1.5).Validate().ok());
+  EXPECT_TRUE(SlaRule(100.0, 2, 0.0).Validate().ok());  // strict floor
+}
+
+TEST(SlaRuleTest, RelocateWhenQualityFloorBreached) {
+  const SlaLoopParams sla = SlaRule(1000.0, 4, 0.25);
+  // Latency inside the hysteresis band: quality alone drives the verdict.
+  SlaWindow window;
+  AddResults(window, 2, 800.0, /*degraded=*/true);
+  AddResults(window, 2, 800.0, /*degraded=*/false);
+  EXPECT_EQ(JudgeSla(sla, window), SlaAction::kRelocate);
+  // A degraded share equal to the floor is still within it.
+  AddResults(window, 1, 800.0, /*degraded=*/true);
+  AddResults(window, 3, 800.0, /*degraded=*/false);
+  EXPECT_EQ(JudgeSla(sla, window), SlaAction::kNone);
+}
+
+TEST(SlaRuleTest, QualityFloorDominatesLatencyVerdict) {
+  // A tenant can be fast *because* its tiles degraded; relocation must win
+  // over the scale-down the latency alone would issue.
+  SlaWindow window;
+  AddResults(window, 2, 100.0, /*degraded=*/true);
+  EXPECT_EQ(JudgeSla(SlaRule(1000.0, 2, 0.25), window),
+            SlaAction::kRelocate);
+}
+
+TEST(SlaRuleTest, QualityWindowResetsAfterEvaluation) {
+  const SlaLoopParams sla = SlaRule(1000.0, 2, 0.25);
+  SlaWindow window;
+  AddResults(window, 2, 800.0, /*degraded=*/true);
+  EXPECT_EQ(JudgeSla(sla, window), SlaAction::kRelocate);
+  EXPECT_EQ(window.degraded, 0u);
+  // Old quality samples are gone; one new sample is below min_samples.
+  window.Add(800.0, /*was_degraded=*/true);
+  EXPECT_EQ(JudgeSla(sla, window), SlaAction::kNone);
+}
+
+TEST(SlaRuleTest, SustainedDegradationRelocatesUntilQualityRecovers) {
+  // The hysteresis contract the serving loop's quarantine path leans on:
+  // every window that stays above the quality floor demands relocation
+  // again, and the first clean window after the tenant lands on healthy
+  // hardware takes no action at all (no lingering state from the
+  // violating windows).
+  const SlaLoopParams sla = SlaRule(1000.0, 4, 0.25);
+  SlaWindow window;
+  for (int round = 0; round < 3; ++round) {
+    AddResults(window, 4, 800.0, /*degraded=*/true);
+    EXPECT_EQ(JudgeSla(sla, window), SlaAction::kRelocate)
+        << "window " << round;
+  }
+  // Post-relocation: clean results at a latency inside the hysteresis
+  // band (between 0.5 * target and target) -> no action.
+  AddResults(window, 4, 800.0, /*degraded=*/false);
+  EXPECT_EQ(JudgeSla(sla, window), SlaAction::kNone);
+}
+
+TEST(SlaRuleTest, FloorOfOneTurnsQualityOff) {
+  SlaWindow window;
+  AddResults(window, 2, 800.0, /*degraded=*/true);
+  EXPECT_EQ(JudgeSla(SlaRule(1000.0, 2, 1.0), window), SlaAction::kNone);
 }
 
 }  // namespace

@@ -76,6 +76,41 @@ TEST(UpdateWeightsTest, UpdateMatchesFullReprogramResult) {
   for (std::size_t c = 0; c < 16; ++c) {
     EXPECT_DOUBLE_EQ(golden_updated->at(c), golden_reprogrammed->at(c));
   }
+
+  // The golden product reads only the weight codes; the analog paths read
+  // the arrays, so a digit on the wrong plane shows up here. Some weights
+  // must flip sign for that to be exercised.
+  std::size_t sign_flips = 0;
+  for (std::size_t i = 0; i < w0.size(); ++i) {
+    if ((w0[i] > 0.05 && w1[i] < -0.05) || (w0[i] < -0.05 && w1[i] > 0.05)) {
+      ++sign_flips;
+    }
+  }
+  ASSERT_GT(sign_flips, 0u);
+  const auto expect_same = [](const crossbar::MvmResult& a,
+                              const crossbar::MvmResult& b) {
+    ASSERT_EQ(a.y.size(), b.y.size());
+    for (std::size_t i = 0; i < a.y.size(); ++i) EXPECT_EQ(a.y[i], b.y[i]);
+    EXPECT_EQ(a.cost.latency_ns, b.cost.latency_ns);
+    EXPECT_EQ(a.cost.energy_pj, b.cost.energy_pj);
+    EXPECT_EQ(a.cost.bytes_moved, b.cost.bytes_moved);
+    EXPECT_EQ(a.cost.operations, b.cost.operations);
+  };
+  Rng noise_updated(8), noise_reprogrammed(8);
+  auto analog_updated = updated->Compute(x, &noise_updated);
+  auto analog_reprogrammed = reprogrammed->Compute(x, &noise_reprogrammed);
+  ASSERT_TRUE(analog_updated.ok());
+  ASSERT_TRUE(analog_reprogrammed.ok());
+  expect_same(*analog_updated, *analog_reprogrammed);
+
+  std::vector<double> e(16);
+  for (auto& v : e) v = data_rng.Uniform(-1.0, 1.0);
+  auto back_updated = updated->ComputeTranspose(e, &noise_updated);
+  auto back_reprogrammed =
+      reprogrammed->ComputeTranspose(e, &noise_reprogrammed);
+  ASSERT_TRUE(back_updated.ok());
+  ASSERT_TRUE(back_reprogrammed.ok());
+  expect_same(*back_updated, *back_reprogrammed);
 }
 
 TEST(UpdateWeightsTest, SparseUpdateCheaperThanFullReprogram) {
