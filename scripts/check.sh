@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-shot local mirror of CI: configure + build + ctest + cimlint for a
-# preset, plus clang-tidy over src/ when it is installed. Reproduces a red
-# CI run in one command.
+# preset, plus clang-tidy over src/ when it is installed; the
+# relwithdebinfo leg adds the full-mode bench gates and the perfbench
+# digest gate. Reproduces a red CI run in one command.
 #
 # Usage:
 #   scripts/check.sh                 # relwithdebinfo (the tier-1 gate)
@@ -58,6 +59,7 @@ run_preset() {
   ctest --preset "$preset"
   if [[ "$preset" == "relwithdebinfo" ]]; then
     run_perf_gate "$preset"
+    run_digest_gate
   fi
 }
 
@@ -72,6 +74,31 @@ run_perf_gate() {
                bench_dse_sweep; do
     echo "==> [$preset] $bench (full mode)"
     "./build/$preset/bench/$bench"
+  done
+}
+
+# Repo benchmark digest gate, as CI runs it: every perfbench workload's
+# fixed work must hash to its perfbench/expected_digests.json entry for
+# both pinned seeds, which is what proves a kernel optimisation bit-exact.
+# Exit 3 (SKIPPED: fewer usable CPUs than the workload's fixed thread
+# count) prints its reason and passes; any other nonzero exit fails. The
+# result lines are kept in perfbench-<workload>-seed<n>.out.
+run_digest_gate() {
+  local seed w rc out
+  for seed in 1 2; do
+    for w in infer-noisy fabric-pipeline serve-openloop stream-dataflow; do
+      echo "==> perfbench digest gate: $w seed $seed"
+      rc=0
+      out="perfbench-$w-seed$seed.out"
+      python3 perfbench/run.py --workload "$w" --seed "$seed" \
+        --seconds 1 --trace 0 > "$out" || rc=$?
+      cat "$out"
+      case "$rc" in
+        0) ;;
+        3) echo "perfbench $w seed $seed skipped: $(grep -m1 SKIPPED "$out")" ;;
+        *) echo "perfbench $w seed $seed failed with exit code $rc"; return 1 ;;
+      esac
+    done
   done
 }
 

@@ -15,8 +15,22 @@
 
 namespace cim::crossbar {
 
+// Round half away from zero for the digital periphery's non-negative
+// quantities (ADC codes, digit sums): truncate, then carry 1 when the exact
+// remainder is at least one half. The remainder x - trunc(x) is exact for
+// every finite x >= 0 (Sterbenz), so on [0, 2^63) this equals
+// std::llround(x) and std::round(x), without the libm call in the
+// per-conversion loop. A negative x, -0.0 or NaN gives 0, as
+// std::max(0.0, std::round(x)) does; x >= 2^63 is outside the domain (ADC
+// codes are below 2^16, and digit sums are bounded by the array's cells).
+[[nodiscard]] inline std::uint64_t RoundHalfAway(double x) {
+  if (!(x > 0.0)) return 0;
+  const auto whole = static_cast<std::uint64_t>(x);
+  return whole + (x - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+}
+
 struct AdcParams {
-  int bits = 8;
+  int bits = 8;  // in [1, 16] (CrossbarParams::Validate)
   // SAR-class ADC at 1.28 GS/s (ISAAC's operating point): ~0.78 ns and
   // ~12.5 pJ per conversion at 8 bits. Energy scales ~2^bits, latency is
   // roughly linear in bits for a SAR.
@@ -39,8 +53,7 @@ struct AdcParams {
   [[nodiscard]] std::uint64_t Encode(double current, double full_scale) const {
     const std::uint64_t max_code = (std::uint64_t{1} << bits) - 1;
     const double clamped = std::clamp(current, 0.0, full_scale);
-    return static_cast<std::uint64_t>(
-        std::llround(clamped / full_scale * static_cast<double>(max_code)));
+    return RoundHalfAway(clamped / full_scale * static_cast<double>(max_code));
   }
   [[nodiscard]] double Decode(std::uint64_t code, double full_scale) const {
     const std::uint64_t max_code = (std::uint64_t{1} << bits) - 1;
@@ -50,7 +63,9 @@ struct AdcParams {
 };
 
 struct DacParams {
-  int bits = 1;  // ISAAC streams inputs bit-serially through 1-bit DACs
+  // ISAAC streams inputs bit-serially through 1-bit DACs; in [1, 16]
+  // (CrossbarParams::Validate).
+  int bits = 1;
   TimeNs settle_latency{1.0};
   EnergyPj drive_energy{0.2};  // per row per pulse
   double v_read = 0.2;         // read voltage in volts

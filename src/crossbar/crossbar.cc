@@ -1,11 +1,32 @@
 #include "crossbar/crossbar.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 
 #include "common/contracts.h"
 
 namespace cim::crossbar {
+namespace {
+
+// Quiet-kernel register block: adds every driven line's terms to sensed
+// lines [k0, k0 + W) of a pre-clamped mirror plane, keeping the W
+// accumulators in registers across all driven lines. Each accumulator still
+// adds the lines in drive.lines order, so no FP sum changes.
+template <std::size_t W>
+void AccumulateQuietBlock(const DrivePattern& drive, const double* gain,
+                          std::size_t line_cells, std::size_t k0,
+                          double* __restrict cur) {
+  double acc[W];
+  for (std::size_t j = 0; j < W; ++j) acc[j] = cur[k0 + j];
+  for (const std::size_t l : drive.lines) {
+    const double v = drive.voltages[l];
+    const double* __restrict g = gain + l * line_cells + k0;
+    for (std::size_t j = 0; j < W; ++j) acc[j] += v * g[j];
+  }
+  for (std::size_t j = 0; j < W; ++j) cur[k0 + j] = acc[j];
+}
+
+}  // namespace
 
 Status CrossbarParams::Validate() const {
   if (rows == 0 || cols == 0) {
@@ -20,15 +41,45 @@ Status CrossbarParams::Validate() const {
   if (ir_drop_alpha < 0.0 || ir_drop_alpha >= 1.0) {
     return InvalidArgument("ir_drop_alpha must be in [0, 1)");
   }
+  // A 0-bit converter has no code range (Decode would divide by a max code
+  // of 0) and 64 bits would shift a uint64_t by its full width; 16 bits is
+  // past any crossbar periphery the models describe.
+  if (adc.bits < 1 || adc.bits > 16) {
+    return InvalidArgument("adc.bits must be in [1, 16]");
+  }
+  if (dac.bits < 1 || dac.bits > 16) {
+    return InvalidArgument("dac.bits must be in [1, 16]");
+  }
   return cell.Validate();
 }
 
 Status PrepareDrive(const DacParams& dac,
                     std::span<const std::uint64_t> codes, DrivePattern* out) {
   CIM_CHECK(out != nullptr);
+  CIM_REQUIRE(dac.bits >= 1 && dac.bits <= 16,
+              InvalidArgument("dac.bits must be in [1, 16]"));
   const std::uint64_t max_code = (std::uint64_t{1} << dac.bits) - 1;
   for (std::uint64_t code : codes) {
     CIM_REQUIRE(code <= max_code, OutOfRange("DAC code exceeds dac.bits"));
+  }
+  // Every level's voltage, computed once per thread and DAC instead of one
+  // division per line: the entries are LevelVoltage's own results, so the
+  // lookup is bit-identical to it. The key compares v_read bitwise, so a
+  // table is reused only for exactly the DAC that built it.
+  struct LevelTable {
+    int bits = 0;
+    std::uint64_t v_read_bits = 0;
+    std::vector<double> voltages;
+  };
+  thread_local LevelTable table;
+  const auto v_read_bits = std::bit_cast<std::uint64_t>(dac.v_read);
+  if (table.bits != dac.bits || table.v_read_bits != v_read_bits) {
+    table.voltages.resize(max_code + 1);
+    for (std::uint64_t code = 0; code <= max_code; ++code) {
+      table.voltages[code] = dac.LevelVoltage(code);
+    }
+    table.bits = dac.bits;
+    table.v_read_bits = v_read_bits;
   }
   out->voltages.resize(codes.size());
   // Branch-free list build: every index is written, and only a driven
@@ -37,7 +88,7 @@ Status PrepareDrive(const DacParams& dac,
   out->lines.resize(codes.size());
   std::size_t driven = 0;
   for (std::size_t i = 0; i < codes.size(); ++i) {
-    const double v = dac.LevelVoltage(codes[i]);
+    const double v = table.voltages[codes[i]];
     out->voltages[i] = v;
     out->lines[driven] = i;
     driven += v != 0.0 ? 1 : 0;
@@ -75,6 +126,14 @@ double Crossbar::EffectiveConductance(const device::MemristorCell& cell) const {
   return g;
 }
 
+double Crossbar::MirrorConductance(const device::MemristorCell& cell) const {
+  const double g = EffectiveConductance(cell);
+  // A noisy read clamps g * factor, so it needs the raw g; a quiet read is
+  // the clamped g itself, so a quiet array stores it pre-clamped.
+  if (noise_.enabled()) return g;
+  return std::clamp(g, 0.0, ReadCeiling());
+}
+
 void Crossbar::RefreshMirror() {
   const std::size_t rows = params_.rows;
   const std::size_t cols = params_.cols;
@@ -85,7 +144,7 @@ void Crossbar::RefreshMirror() {
     double row_energy = 0.0;
     for (std::size_t c = 0; c < cols; ++c) {
       const device::MemristorCell& cell = cells_[r * cols + c];
-      const double g = EffectiveConductance(cell);
+      const double g = MirrorConductance(cell);
       gain_[r * cols + c] = g;
       gain_transposed_[c * rows + r] = g;
       // Read energy is ohmic off the stored (pre-fault-override)
@@ -103,7 +162,7 @@ void Crossbar::RefreshMirrorCell(std::size_t row, std::size_t col) {
   const std::size_t cols = params_.cols;
   const double energy_per_gon =
       params_.cell.read_energy.pj / params_.cell.g_on_siemens;
-  const double g = EffectiveConductance(cells_[row * cols + col]);
+  const double g = MirrorConductance(cells_[row * cols + col]);
   gain_[row * cols + col] = g;
   gain_transposed_[col * rows + row] = g;
   // Re-sum the touched row/column energies from scratch (instead of a
@@ -231,43 +290,66 @@ void Crossbar::AccumulateFast(const DrivePattern& drive, CycleDirection dir,
   const double* line_energy_pj = forward ? row_read_energy_pj_.data()
                                          : col_read_energy_pj_.data();
   const std::size_t line_cells = SensedLines(dir);
-  const double sigma = params_.cell.read_noise_sigma;
-  const double ceiling = params_.cell.g_on_siemens * 1.5;
-  // Per driven line (drive.lines, ascending — exactly the lines the
-  // reference kernel's `v == 0.0` test lets through, in its order): draw
-  // the sensed prefix's noise factors into a scratch buffer — under the
-  // bit-exact policies in the same order the reference kernel consumes the
-  // stream (advancing past every cell of a driven line, sensed or not),
-  // under kFastNoise as one tile window per line — then run a dense
-  // accumulate over the contiguous conductance mirror for cells
-  // [0, sensed) only: the ADC never converts the rest, so their currents
-  // are never read. The two loops split the sampling from the
-  // arithmetic, so the second loop auto-vectorizes; each sensed line owns
-  // an independent accumulator chain, so vectorizing across them cannot
-  // reorder any FP sum.
-  thread_local std::vector<double> factors;
-  if (sigma > 0.0 && factors.size() < sensed) factors.resize(sensed);
-  for (const std::size_t l : drive.lines) {
-    const double v = drive.voltages[l];
-    // __restrict: the mirror, the scratch buffer and the accumulator never
-    // alias, and saying so is what lets the dense loops below vectorize
-    // without runtime overlap checks.
-    const double* __restrict g_line = gain + l * line_cells;
-    double* __restrict cur = currents.data();
-    if (sigma > 0.0) {
-      double* __restrict f = factors.data();
+  // __restrict: the mirror, the scratch buffer and the accumulator never
+  // alias, and saying so is what lets the dense loops below vectorize
+  // without runtime overlap checks.
+  double* __restrict cur = currents.data();
+  // Every sensed line owns an independent accumulator chain that adds the
+  // driven lines' terms in drive.lines order (ascending — exactly the lines
+  // the reference kernel's `v == 0.0` test lets through, in its order), so
+  // vectorizing across sensed lines or blocking them cannot reorder any FP
+  // sum.
+  if (noise_.enabled()) {
+    // Per driven line: draw the sensed prefix's noise factors into a
+    // scratch buffer — under kFastBitExact in the same order the reference
+    // kernel consumes the stream (advancing past every cell of a driven
+    // line, sensed or not), under kFastNoise as one tile window per line —
+    // then run a dense accumulate over the contiguous conductance mirror
+    // for cells [0, sensed) only: the ADC never converts the rest, so their
+    // currents are never read. The two loops split the sampling from the
+    // arithmetic, so the second loop auto-vectorizes.
+    const double ceiling = ReadCeiling();
+    thread_local std::vector<double> factors;
+    if (factors.size() < sensed) factors.resize(sensed);
+    double* __restrict f = factors.data();
+    for (const std::size_t l : drive.lines) {
+      const double v = drive.voltages[l];
+      const double* __restrict g_line = gain + l * line_cells;
       noise_.FillFactors(rng, f, sensed, line_cells);
       for (std::size_t k = 0; k < sensed; ++k) {
-        const double g = std::clamp(g_line[k] * f[k], 0.0, ceiling);
-        cur[k] += v * g;
-      }
-    } else {
-      for (std::size_t k = 0; k < sensed; ++k) {
-        const double g = std::clamp(g_line[k], 0.0, ceiling);
-        cur[k] += v * g;
+        cur[k] += v * std::clamp(g_line[k] * f[k], 0.0, ceiling);
       }
     }
-    // Every cell on a driven line conducts, sensed or not.
+  } else {
+    // Quiet: the mirror holds the read conductance pre-clamped, so a cell's
+    // term is one multiply-add. Register-blocked over the sensed lines, so
+    // the accumulators are loaded and stored once per cycle instead of once
+    // per driven line: blocks of 16 (eight SSE2 registers), then one block
+    // per set bit of the remainder (8, 4, 2, 1), so a narrow sensed width
+    // such as a DPE tile's 12 or 24 logical columns stays blocked too.
+    std::size_t k = 0;
+    for (; k + 16 <= sensed; k += 16) {
+      AccumulateQuietBlock<16>(drive, gain, line_cells, k, cur);
+    }
+    const std::size_t rest = sensed - k;
+    if ((rest & 8) != 0) {
+      AccumulateQuietBlock<8>(drive, gain, line_cells, k, cur);
+      k += 8;
+    }
+    if ((rest & 4) != 0) {
+      AccumulateQuietBlock<4>(drive, gain, line_cells, k, cur);
+      k += 4;
+    }
+    if ((rest & 2) != 0) {
+      AccumulateQuietBlock<2>(drive, gain, line_cells, k, cur);
+      k += 2;
+    }
+    if ((rest & 1) != 0) {
+      AccumulateQuietBlock<1>(drive, gain, line_cells, k, cur);
+    }
+  }
+  // Every cell on a driven line conducts, sensed or not.
+  for (const std::size_t l : drive.lines) {
     energy_pj += line_energy_pj[l];
     energy_pj += params_.dac.drive_energy.pj;
   }
@@ -351,9 +433,10 @@ Expected<CostReport> Crossbar::CycleDriven(const DrivePattern& drive,
       1.0 - params_.ir_drop_alpha * static_cast<double>(active) /
                 static_cast<double>(driven_lines);
   const double full_scale = FullScaleCurrent(dir);
+  const double conversion_pj = params_.adc.conversion_energy().pj;
   for (std::size_t k = 0; k < sensed; ++k) {
     codes[k] = params_.adc.Encode(currents[k] * attenuation, full_scale);
-    cost.energy_pj += params_.adc.conversion_energy().pj;
+    cost.energy_pj += conversion_pj;
   }
 
   // Latency: one DAC settle + cell read pulse happens for all driven lines

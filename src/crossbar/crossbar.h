@@ -13,9 +13,10 @@
 // Kernel structure: the cell grid is the array-of-structs source of truth
 // (program/verify, wear, drift, faults all live on MemristorCell), but the
 // cycle hot loop runs on a structure-of-arrays mirror — a contiguous
-// fault-adjusted conductance plane plus per-row/per-column read-energy sums
-// — refreshed whenever a mutation (ProgramLevels / ProgramCell / Age /
-// InjectCellFault) dirties it. Which kernel runs — and which correctness
+// fault-adjusted conductance plane (pre-clamped to the read ceiling on a
+// quiet array) plus per-row/per-column read-energy sums — refreshed
+// whenever a mutation (ProgramLevels / ProgramCell / Age / InjectCellFault)
+// dirties it. Which kernel runs — and which correctness
 // contract it carries — is selected by CrossbarParams::kernel (see
 // device::KernelPolicy): the per-cell reference walk, the bit-identical SoA
 // fast path, or the statistically-equivalent fast-noise path whose lognormal
@@ -93,9 +94,10 @@ struct DrivePattern {
   [[nodiscard]] std::size_t active() const { return lines.size(); }
 };
 
-// Validate `codes` against `dac` (every code < 2^dac.bits) and expand them
-// into per-line voltages and the driven-line list in `out` (reusing its
-// storage).
+// Validate `dac.bits` (in [1, 16]) and `codes` against it (every code <
+// 2^dac.bits) and expand them into per-line voltages (looked up in a
+// per-thread table of the DAC's level voltages) and the driven-line list in
+// `out` (reusing its storage).
 [[nodiscard]] Status PrepareDrive(const DacParams& dac,
                                   std::span<const std::uint64_t> codes,
                                   DrivePattern* out);
@@ -202,10 +204,19 @@ class Crossbar {
  private:
   Crossbar(const CrossbarParams& params, Rng rng);
 
-  // Fault-adjusted conductance a read of this cell sees before noise —
-  // the value the SoA mirror caches per cell.
+  // Fault-adjusted conductance a read of this cell sees before noise.
   [[nodiscard]] double EffectiveConductance(
       const device::MemristorCell& cell) const;
+  // The value the SoA mirror caches per cell: EffectiveConductance, clamped
+  // to [0, ReadCeiling()] on a quiet array (read_noise_sigma 0), where that
+  // clamped value is exactly what every read returns.
+  [[nodiscard]] double MirrorConductance(
+      const device::MemristorCell& cell) const;
+  // Soft physical ceiling on a read's conductance, as MemristorCell::Read
+  // applies it.
+  [[nodiscard]] double ReadCeiling() const {
+    return params_.cell.g_on_siemens * 1.5;
+  }
 
   // Rebuild the whole SoA mirror from cells_ (after ProgramLevels / Age),
   // or just the entries touched by cell (row, col) (after ProgramCell /
@@ -236,8 +247,8 @@ class Crossbar {
   // `energy_pj`. AccumulateReference reads cells_ (the source of truth, not
   // the mirror) and scans every line's voltage, so it stays an independent
   // oracle. AccumulateFast walks only drive.lines — the same lines in the
-  // same ascending order the scan visits, so the noise draws and every FP
-  // sum keep their order. It serves
+  // same ascending order the scan visits, so the noise draws and every
+  // sensed line's FP sum keep their order. It serves
   // kFastBitExact (identical codes to kReference, enforced by
   // mvm_kernel_test) and kFastNoise (statistically equivalent,
   // noise_equivalence_test + bench gate); noise_.FillFactors owns the
@@ -245,7 +256,10 @@ class Crossbar {
   // `dir` and is sense-gated: it evaluates only the sensed prefix
   // [0, sensed) the ADC digitises, while the noise stream still advances
   // for every cell of a driven line, so the codes and the post-cycle stream
-  // match the reference kernel, which reads every cell.
+  // match the reference kernel, which reads every cell. On a quiet array
+  // it is a register-blocked multiply-add over the pre-clamped mirror:
+  // each block of sensed-line accumulators stays in registers across every
+  // driven line.
   void AccumulateReference(const DrivePattern& drive, CycleDirection dir,
                            Rng& rng, std::span<double> currents,
                            double& energy_pj);
@@ -258,11 +272,12 @@ class Crossbar {
   // construction from (cell.read_noise_sigma, kernel policy).
   device::NoiseModel noise_;
   std::vector<device::MemristorCell> cells_;
-  // SoA mirror of cells_: contiguous fault-adjusted conductances (row
-  // major, plus a column-major copy so the transpose direction also walks
-  // unit stride) and per-row / per-column read-energy sums (a cycle's
-  // ohmic read energy depends only on the stored conductances, so it folds
-  // into one add per driven line instead of one multiply-add per cell).
+  // SoA mirror of cells_: contiguous MirrorConductance values (row major,
+  // plus a column-major copy so the transpose direction also walks unit
+  // stride; pre-clamped on a quiet array, so its cycle needs no clamp) and
+  // per-row / per-column read-energy sums (a cycle's ohmic read energy
+  // depends only on the stored conductances, so it folds into one add per
+  // driven line instead of one multiply-add per cell).
   std::vector<double> gain_;
   std::vector<double> gain_transposed_;
   std::vector<double> row_read_energy_pj_;

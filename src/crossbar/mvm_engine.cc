@@ -251,8 +251,10 @@ Status MvmEngine::BitSweep(CycleDirection dir,
   // arrays re-validating the same codes.
   DrivePattern drive;
   for (int b = 0; b < params_.input_bits; ++b) {
-    for (std::size_t l = 0; l < lines; ++l) {
-      line_codes[l] = l < codes.size() ? ((codes[l] >> b) & 1ULL) : 0ULL;
+    // Only the engine's logical lines carry input; the physical lines past
+    // codes.size() stay at their initial 0.
+    for (std::size_t l = 0; l < codes.size(); ++l) {
+      line_codes[l] = (codes[l] >> b) & 1ULL;
     }
     CIM_RETURN_IF_ERROR(PrepareDrive(array.dac, line_codes, &drive));
     // The digital periphery calibrates the array's IR-drop attenuation out:
@@ -281,8 +283,9 @@ Status MvmEngine::BitSweep(CycleDirection dir,
           const double corrected = sensed / attenuation -
                                    static_cast<double>(active) * v_read *
                                        array.cell.g_off_siemens;
-          const double digit_sum =
-              std::max(0.0, std::round(corrected / (v_read * g_step)));
+          // A negative corrected sum is a zero digit sum.
+          const auto digit_sum = static_cast<double>(
+              RoundHalfAway(corrected / (v_read * g_step)));
           accum[k] += line_sign * slice_weight * digit_sum;
           cost.energy_pj += params_.shift_add_energy.pj;
         }

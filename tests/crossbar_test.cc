@@ -1,7 +1,11 @@
 // Unit tests for the analog crossbar array and its periphery models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -52,6 +56,69 @@ TEST(AdcTest, EnergyScalesExponentiallyWithBits) {
               1e-9);
 }
 
+// RoundHalfAway replaces std::llround in AdcParams::Encode and
+// std::max(0.0, std::round(x)) in the MVM engine's digit sums, so it must
+// agree with both everywhere those callers can land: exactly, including
+// +0.0 (never -0.0) for negative inputs.
+class RoundHalfAwayTest : public ::testing::Test {
+ protected:
+  void Check(double x) {
+    ++checked_;
+    const std::uint64_t rounded = RoundHalfAway(x);
+    const double expected = std::max(0.0, std::round(x));
+    const auto got = static_cast<double>(rounded);
+    bool ok = got == expected && !std::signbit(got) && !std::signbit(expected);
+    if (x >= 0.0) {
+      ok = ok && rounded == static_cast<std::uint64_t>(std::llround(x));
+    }
+    if (!ok && mismatches_++ == 0) first_ = x;
+  }
+  void ExpectNoMismatch() const {
+    EXPECT_EQ(mismatches_, 0u) << "of " << checked_ << " values; first at "
+                               << std::setprecision(17) << first_;
+  }
+
+ private:
+  std::size_t checked_ = 0;
+  std::size_t mismatches_ = 0;
+  double first_ = 0.0;
+};
+
+TEST_F(RoundHalfAwayTest, ZeroNegativesAndMaxCode) {
+  for (const double x :
+       {0.0, -0.0, -0.25, -0.5, -0.5000000000000001, -0.75, -1.0, -2.5,
+        -65535.5, -1e300, -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), 65535.0, 65534.5,
+        65535.49999999999, 65535.5}) {
+    Check(x);
+  }
+  EXPECT_EQ(RoundHalfAway(65535.0), 65535u);
+  EXPECT_EQ(RoundHalfAway(-0.75), 0u);
+  ExpectNoMismatch();
+}
+
+TEST_F(RoundHalfAwayTest, EveryHalfwayPointBelowSixteenBitsAndItsNeighbours) {
+  for (std::uint64_t n = 0; n < (std::uint64_t{1} << 16); ++n) {
+    const double half = static_cast<double>(n) + 0.5;
+    Check(half);
+    Check(std::nextafter(half, 0.0));
+    Check(std::nextafter(half, std::numeric_limits<double>::infinity()));
+    Check(static_cast<double>(n));
+  }
+  // The largest double below one half: x + 0.5 rounds up to 1.0, so a
+  // "truncate x + 0.5" shortcut returns 1 where llround returns 0.
+  Check(0.49999999999999994);
+  EXPECT_EQ(RoundHalfAway(0.49999999999999994), 0u);
+  ExpectNoMismatch();
+}
+
+TEST_F(RoundHalfAwayTest, SeededUniforms) {
+  Rng rng(0x5EED'0A0CULL);
+  for (int i = 0; i < 100'000; ++i) Check(rng.Uniform(0.0, 65536.0));
+  for (int i = 0; i < 100'000; ++i) Check(rng.Uniform(-4.0, 4.0));
+  ExpectNoMismatch();
+}
+
 TEST(DacTest, OneBitLevels) {
   DacParams dac;
   EXPECT_DOUBLE_EQ(dac.LevelVoltage(0), 0.0);
@@ -69,6 +136,34 @@ TEST(CrossbarParamsTest, Validation) {
   p = QuietParams();
   p.ir_drop_alpha = 1.0;
   EXPECT_FALSE(p.Validate().ok());
+}
+
+// Converter widths outside [1, 16] have no valid code range: 0 bits makes
+// Decode divide by a max code of 0, 64 bits shifts a uint64_t by its full
+// width. Both ends of the range stay valid.
+TEST(CrossbarParamsTest, ConverterBitsBoundedToOneThroughSixteen) {
+  for (const int bits : {1, 8, 16}) {
+    CrossbarParams p = QuietParams();
+    p.adc.bits = bits;
+    EXPECT_TRUE(p.Validate().ok()) << "adc.bits " << bits;
+    p = QuietParams();
+    p.dac.bits = bits;
+    EXPECT_TRUE(p.Validate().ok()) << "dac.bits " << bits;
+  }
+  for (const int bits : {-1, 0, 17, 63, 64}) {
+    CrossbarParams p = QuietParams();
+    p.adc.bits = bits;
+    EXPECT_FALSE(p.Validate().ok()) << "adc.bits " << bits;
+    EXPECT_FALSE(Crossbar::Create(p, Rng(1)).ok()) << "adc.bits " << bits;
+    p = QuietParams();
+    p.dac.bits = bits;
+    EXPECT_FALSE(p.Validate().ok()) << "dac.bits " << bits;
+    EXPECT_FALSE(Crossbar::Create(p, Rng(1)).ok()) << "dac.bits " << bits;
+    DrivePattern drive;
+    EXPECT_FALSE(
+        PrepareDrive(p.dac, std::vector<std::uint64_t>(4, 0), &drive).ok())
+        << "dac.bits " << bits;
+  }
 }
 
 TEST(CrossbarTest, CreateRejectsBadParams) {

@@ -41,6 +41,11 @@ MvmEngineParams NoisyEngineParams(device::KernelPolicy kernel, bool guard) {
   return p;
 }
 
+// Which device the twins model: the default noisy one, or a quiet one
+// (read_noise_sigma 0), whose fast kernel runs the register-blocked
+// multiply-add over the pre-clamped mirror instead of the noisy loop.
+enum class Device { kNoisy, kQuiet };
+
 std::vector<double> RandomWeights(std::size_t n, Rng& rng) {
   std::vector<double> w(n);
   for (double& v : w) v = rng.Uniform(-1.0, 1.0);
@@ -60,13 +65,18 @@ struct EnginePair {
   MvmEngine reference;
 };
 
-EnginePair MakeTwins(bool guard, std::size_t in_dim, std::size_t out_dim) {
-  auto fast = MvmEngine::Create(
-      NoisyEngineParams(device::KernelPolicy::kFastBitExact, guard), in_dim,
-      out_dim, Rng(kSeed));
-  auto reference = MvmEngine::Create(
-      NoisyEngineParams(device::KernelPolicy::kReference, guard), in_dim,
-      out_dim, Rng(kSeed));
+EnginePair MakeTwins(bool guard, std::size_t in_dim, std::size_t out_dim,
+                     Device device = Device::kNoisy) {
+  MvmEngineParams fast_params =
+      NoisyEngineParams(device::KernelPolicy::kFastBitExact, guard);
+  MvmEngineParams ref_params =
+      NoisyEngineParams(device::KernelPolicy::kReference, guard);
+  if (device == Device::kQuiet) {
+    fast_params.array.cell.read_noise_sigma = 0.0;
+    ref_params.array.cell.read_noise_sigma = 0.0;
+  }
+  auto fast = MvmEngine::Create(fast_params, in_dim, out_dim, Rng(kSeed));
+  auto reference = MvmEngine::Create(ref_params, in_dim, out_dim, Rng(kSeed));
   EXPECT_TRUE(fast.ok() && reference.ok());
   Rng wrng(kSeed + 1);
   const std::vector<double> w = RandomWeights(in_dim * out_dim, wrng);
@@ -181,6 +191,66 @@ TEST(KernelDifferentialTest, InternalNoiseStreamsStayInLockstep) {
   }
 }
 
+// Forward (with and without the guard column) and transpose sweeps of a
+// fast/reference twin pair: bit-identical outputs, latency and operations.
+void ExpectSweepsBitIdentical(EnginePair& twins, std::size_t in_dim,
+                              std::size_t out_dim, std::uint64_t seed,
+                              const char* context) {
+  Rng in_rng(seed);
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE(::testing::Message() << context << ", trial " << trial);
+    const std::vector<double> x = RandomInput(in_dim, in_rng);
+    Rng fast_rng(DeriveSeed(seed, static_cast<std::uint64_t>(trial)));
+    Rng ref_rng(DeriveSeed(seed, static_cast<std::uint64_t>(trial)));
+    auto fast = twins.fast.Compute(x, &fast_rng);
+    auto reference = twins.reference.Compute(x, &ref_rng);
+    ASSERT_TRUE(fast.ok() && reference.ok());
+    ExpectBitIdentical(*fast, *reference);
+
+    std::vector<double> e(out_dim);
+    for (double& v : e) v = in_rng.Uniform(-1.0, 1.0);
+    auto fast_t = twins.fast.ComputeTranspose(e, &fast_rng);
+    auto reference_t = twins.reference.ComputeTranspose(e, &ref_rng);
+    ASSERT_TRUE(fast_t.ok() && reference_t.ok());
+    ExpectBitIdentical(*fast_t, *reference_t);
+  }
+}
+
+// Quiet devices take the fast kernel's other branch (no noise factors, a
+// pre-clamped mirror, register-blocked accumulators), which the noisy
+// suites above never reach.
+TEST(KernelDifferentialTest, QuietForwardAndTransposeBitIdentical) {
+  for (const bool guard : {false, true}) {
+    EnginePair twins = MakeTwins(guard, 24, 20, Device::kQuiet);
+    ExpectSweepsBitIdentical(twins, 24, 20, kSeed + 13,
+                             guard ? "guard column" : "no guard column");
+  }
+}
+
+// Every mutation kind reaches the quiet mirror: single-cell programs (via
+// UpdateWeights), stuck-on and stuck-off faults refresh one cell and its
+// line energies, aging refreshes the whole plane.
+TEST(KernelDifferentialTest, QuietBitIdenticalAfterEveryMutationKind) {
+  EnginePair twins = MakeTwins(/*guard=*/false, 24, 20, Device::kQuiet);
+  Rng wrng(kSeed + 14);
+  const std::vector<double> w = RandomWeights(24 * 20, wrng);
+  ASSERT_TRUE(twins.fast.UpdateWeights(w).ok());
+  ASSERT_TRUE(twins.reference.UpdateWeights(w).ok());
+  ExpectSweepsBitIdentical(twins, 24, 20, kSeed + 15, "after UpdateWeights");
+
+  for (MvmEngine* engine : {&twins.fast, &twins.reference}) {
+    engine->InjectCellFault(0, 3, 7, device::CellFault::kStuckOn);
+    engine->InjectCellFault(1, 3, 7, device::CellFault::kStuckOn);
+    engine->InjectCellFault(0, 9, 2, device::CellFault::kStuckOff);
+    engine->InjectCellFault(1, 15, 15, device::CellFault::kStuckOff);
+  }
+  ExpectSweepsBitIdentical(twins, 24, 20, kSeed + 16, "after faults");
+
+  twins.fast.Age(TimeNs::Micros(50.0));
+  twins.reference.Age(TimeNs::Micros(50.0));
+  ExpectSweepsBitIdentical(twins, 24, 20, kSeed + 17, "after Age");
+}
+
 // -- Raw crossbar codes -----------------------------------------------------
 
 CrossbarParams NoisyArrayParams(device::KernelPolicy kernel) {
@@ -207,13 +277,17 @@ struct CrossbarPair {
   Crossbar reference;
 };
 
-CrossbarPair MakeCrossbarTwins(std::size_t rows, std::size_t cols) {
+CrossbarPair MakeCrossbarTwins(std::size_t rows, std::size_t cols,
+                               Device device = Device::kNoisy) {
   CrossbarParams fast_params =
       NoisyArrayParams(device::KernelPolicy::kFastBitExact);
   CrossbarParams ref_params =
       NoisyArrayParams(device::KernelPolicy::kReference);
   fast_params.rows = ref_params.rows = rows;
   fast_params.cols = ref_params.cols = cols;
+  if (device == Device::kQuiet) {
+    fast_params.cell.read_noise_sigma = ref_params.cell.read_noise_sigma = 0.0;
+  }
   auto fast = Crossbar::Create(fast_params, Rng(kSeed));
   auto reference = Crossbar::Create(ref_params, Rng(kSeed));
   CIM_CHECK(fast.ok() && reference.ok());
@@ -239,11 +313,13 @@ void ExpectSameStreamState(Rng fast_rng, Rng ref_rng, const char* context,
 
 // Forward and transpose cycles at each active width: identical codes (the
 // sensed prefix; unsensed entries stay 0 on both), costs and post-cycle
-// stream state between the fast and reference kernels.
-void ExpectGatedCyclesBitIdentical(std::size_t rows, std::size_t cols,
-                                   std::initializer_list<std::size_t> widths,
-                                   std::initializer_list<std::size_t> heights) {
-  CrossbarPair twins = MakeCrossbarTwins(rows, cols);
+// stream state between the fast and reference kernels. Forward cycles drive
+// the even rows, transpose cycles every third column.
+void ExpectGatedCyclesBitIdentical(CrossbarPair& twins,
+                                   const std::vector<std::size_t>& widths,
+                                   const std::vector<std::size_t>& heights) {
+  const std::size_t rows = twins.fast.rows();
+  const std::size_t cols = twins.fast.cols();
   std::vector<std::uint64_t> row_codes(rows, 0);
   for (std::size_t r = 0; r < row_codes.size(); r += 2) row_codes[r] = 1;
   for (std::size_t active_cols : widths) {
@@ -282,12 +358,58 @@ void ExpectGatedCyclesBitIdentical(std::size_t rows, std::size_t cols,
 TEST(KernelDifferentialTest, RawCycleColumnCodesBitIdentical) {
   // Partial column gating: the noise stream still covers every column of an
   // active row, so codes for the sensed prefix must match exactly.
-  ExpectGatedCyclesBitIdentical(24, 20, {0, 7}, {0, 11});
+  CrossbarPair square = MakeCrossbarTwins(24, 20);
+  ExpectGatedCyclesBitIdentical(square, {0, 7}, {0, 11});
   // Odd line lengths: a Box-Muller pair straddles every second line
   // boundary, so the unsensed tail must leave the cached second variate
   // exactly as the reference's full-line read does. Widths 1, odd and even
   // middles, one short of full, and 0 (= all).
-  ExpectGatedCyclesBitIdentical(13, 21, {1, 7, 6, 20, 0}, {1, 5, 6, 12, 0});
+  CrossbarPair odd = MakeCrossbarTwins(13, 21);
+  ExpectGatedCyclesBitIdentical(odd, {1, 7, 6, 20, 0}, {1, 5, 6, 12, 0});
+}
+
+// The quiet kernel accumulates the sensed lines in register blocks plus a
+// scalar tail. Sensed widths below, at and past one block, and not a
+// multiple of it, in both directions (the 37-row array gives the transpose
+// two blocks and a tail), each checked again after every mutation kind: a
+// mirror entry a mutation left stale shows as a code mismatch, since the
+// reference kernel reads the cells themselves.
+TEST(KernelDifferentialTest, QuietRawCyclesBitIdenticalAcrossBlockWidths) {
+  for (const std::size_t rows : {std::size_t{13}, std::size_t{37}}) {
+    SCOPED_TRACE(::testing::Message() << rows << "x21 array");
+    CrossbarPair twins = MakeCrossbarTwins(rows, 21, Device::kQuiet);
+    const std::vector<std::size_t> widths = {1, 7, 13, 16, 17, 21, 0};
+    std::vector<std::size_t> heights = {1, 7, 13, 0};
+    if (rows > 33) heights.insert(heights.end(), {16, 17, 33});
+    ExpectGatedCyclesBitIdentical(twins, widths, heights);
+    const std::uint64_t top = twins.fast.params().cell.levels() - 1;
+    // Cells on driven lines in both directions (even row, column a
+    // multiple of 3), moved to the opposite end of the level range so each
+    // mutation changes a sensed code.
+    for (Crossbar* array : {&twins.fast, &twins.reference}) {
+      ASSERT_TRUE(array->ProgramCell(4, 6, 0).ok());
+      ASSERT_TRUE(array->ProgramCell(6, 9, top).ok());
+      ASSERT_TRUE(array->ProgramCell(10, 18, top).ok());
+    }
+    {
+      SCOPED_TRACE("after ProgramCell");
+      ExpectGatedCyclesBitIdentical(twins, widths, heights);
+    }
+    for (Crossbar* array : {&twins.fast, &twins.reference}) {
+      array->InjectCellFault(4, 6, device::CellFault::kStuckOn);
+      array->InjectCellFault(6, 9, device::CellFault::kStuckOff);
+    }
+    {
+      SCOPED_TRACE("after InjectCellFault");
+      ExpectGatedCyclesBitIdentical(twins, widths, heights);
+    }
+    twins.fast.Age(TimeNs::Micros(100.0));
+    twins.reference.Age(TimeNs::Micros(100.0));
+    {
+      SCOPED_TRACE("after Age");
+      ExpectGatedCyclesBitIdentical(twins, widths, heights);
+    }
+  }
 }
 
 // The fast kernel walks DrivePattern::lines instead of scanning every
