@@ -9,6 +9,9 @@
 #   scripts/check.sh asan-ubsan      # sanitizer matrix leg
 #   scripts/check.sh all             # every CI leg in sequence
 #   scripts/check.sh --lint-only     # cimlint scan + docs links, nothing else
+#   scripts/check.sh --bench-gates   # full-mode bench gates + perfbench digest
+#                                    # gate on an existing relwithdebinfo
+#                                    # build (what CI's optimized leg runs)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -79,10 +82,12 @@ run_perf_gate() {
 
 # Repo benchmark digest gate, as CI runs it: every perfbench workload's
 # fixed work must hash to its perfbench/expected_digests.json entry for
-# both pinned seeds, which is what proves a kernel optimisation bit-exact.
-# Exit 3 (SKIPPED: fewer usable CPUs than the workload's fixed thread
-# count) prints its reason and passes; any other nonzero exit fails. The
-# result lines are kept in perfbench-<workload>-seed<n>.out.
+# both pinned seeds (and replay at another thread count), which is what
+# proves a kernel optimisation bit-exact. Exit 3 (SKIPPED: fewer usable
+# CPUs than the workload's fixed thread count) prints its reason and
+# passes; any other nonzero exit fails: 1 (correctness or digest check
+# failed), 2 (build/usage error), 4 (metrics do not match BENCHMARK.json).
+# The result lines are kept in perfbench-<workload>-seed<n>.out.
 run_digest_gate() {
   local seed w rc out
   for seed in 1 2; do
@@ -119,6 +124,12 @@ case "$target" in
   --lint-only)
     run_lint relwithdebinfo
     echo "==> lint gate passed"
+    exit 0
+    ;;
+  --bench-gates)
+    run_perf_gate relwithdebinfo
+    run_digest_gate
+    echo "==> bench gates passed"
     exit 0
     ;;
   all)

@@ -7,8 +7,10 @@
 // is an energy divided by the time over which it was spent.
 #pragma once
 
+#include <cmath>
 #include <compare>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
 namespace cim {
@@ -113,6 +115,16 @@ struct EnergyPj {
                                                     TimeNs duration) {
   if (duration.ns <= 0.0) return 0.0;
   return bytes / duration.seconds();
+}
+
+// True when no value is NaN or infinite. Parameter Validate methods check
+// it because NaN passes every `x < bound` test, and an infinite latency or
+// energy poisons every cost it reaches.
+[[nodiscard]] inline bool AllFinite(std::initializer_list<double> values) {
+  for (const double v : values) {
+    if (!std::isfinite(v)) return false;
+  }
+  return true;
 }
 
 [[nodiscard]] std::string FormatTime(TimeNs t);

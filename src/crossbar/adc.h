@@ -42,11 +42,15 @@ struct AdcParams {
     return base_latency * (static_cast<double>(bits) /
                            static_cast<double>(reference_bits));
   }
+  // How a converter's energy and area scale with resolution around the
+  // reference point: 2^(bits - reference_bits). Exact (the exponent can be
+  // negative); bit-identical to the std::pow(2.0, n) it replaced, minus the
+  // libm call — conversion_energy runs once per sensed line per cycle.
+  [[nodiscard]] double ResolutionScale() const {
+    return std::ldexp(1.0, bits - reference_bits);
+  }
   [[nodiscard]] EnergyPj conversion_energy() const {
-    // Exact scale-by-2^n (the exponent can be negative); bit-identical to
-    // the std::pow(2.0, n) it replaced, minus the libm call — this runs
-    // once per sensed column per analog cycle.
-    return base_energy * std::ldexp(1.0, bits - reference_bits);
+    return base_energy * ResolutionScale();
   }
 
   // Quantize a current in [0, full_scale] to a code, then back to amperes.

@@ -38,6 +38,10 @@ Status CrossbarParams::Validate() const {
   if (columns_per_adc == 0) {
     return InvalidArgument("columns_per_adc must be non-zero");
   }
+  if (!AllFinite({ir_drop_alpha, adc.base_latency.ns, adc.base_energy.pj,
+                  dac.settle_latency.ns, dac.drive_energy.pj, dac.v_read})) {
+    return InvalidArgument("crossbar parameters must be finite");
+  }
   if (ir_drop_alpha < 0.0 || ir_drop_alpha >= 1.0) {
     return InvalidArgument("ir_drop_alpha must be in [0, 1)");
   }
@@ -47,8 +51,18 @@ Status CrossbarParams::Validate() const {
   if (adc.bits < 1 || adc.bits > 16) {
     return InvalidArgument("adc.bits must be in [1, 16]");
   }
+  // The reference point divides the conversion latency and is subtracted
+  // from bits in the resolution scale (INT_MIN would overflow there).
+  if (adc.reference_bits < 1 || adc.reference_bits > 16) {
+    return InvalidArgument("adc.reference_bits must be in [1, 16]");
+  }
   if (dac.bits < 1 || dac.bits > 16) {
     return InvalidArgument("dac.bits must be in [1, 16]");
+  }
+  // A negative read voltage makes the ADC's full scale negative (Encode's
+  // clamp range inverted); zero drives no current, so every MVM reads 0.
+  if (dac.v_read <= 0.0) {
+    return InvalidArgument("dac.v_read must be positive");
   }
   return cell.Validate();
 }
@@ -439,17 +453,7 @@ Expected<CostReport> Crossbar::CycleDriven(const DrivePattern& drive,
     cost.energy_pj += conversion_pj;
   }
 
-  // Latency: one DAC settle + cell read pulse happens for all driven lines
-  // in parallel; ADC conversions serialize within each ADC group. Number of
-  // ADCs = ceil(lines / columns_per_adc); each converts its share serially
-  // while all ADCs run in parallel, so the critical path is the share of
-  // one ADC.
-  const double serial_conversions =
-      std::min(static_cast<double>(params_.columns_per_adc),
-               static_cast<double>(sensed));
-  cost.latency_ns = params_.dac.settle_latency.ns +
-                    params_.cell.read_latency.ns +
-                    serial_conversions * params_.adc.conversion_latency().ns;
+  cost.latency_ns = params_.CycleLatencyNs(sensed);
   cost.bytes_moved = 0.0;  // nothing crossed a package boundary
   cost.operations =
       static_cast<std::uint64_t>(active) * sensed * 2;  // MAC = 2 ops

@@ -23,6 +23,7 @@
 // sampling is owned by device::NoiseModel.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -65,6 +66,19 @@ struct CrossbarParams {
   device::KernelPolicy kernel = device::KernelPolicy::kFastBitExact;
 
   [[nodiscard]] Status Validate() const;
+
+  // Latency of one analog cycle that senses `sensed` lines: one DAC settle
+  // and read pulse for every driven line in parallel, then the serial
+  // conversions of one shared ADC. Each of the ceil(sensed /
+  // columns_per_adc) ADCs converts its share while all run in parallel, so
+  // the critical path is one ADC's share. Crossbar::CycleDriven reports it
+  // and the analytical DPE model prices its invocations with it.
+  [[nodiscard]] double CycleLatencyNs(std::size_t sensed) const {
+    const double serial_conversions = std::min(
+        static_cast<double>(columns_per_adc), static_cast<double>(sensed));
+    return dac.settle_latency.ns + cell.read_latency.ns +
+           serial_conversions * adc.conversion_latency().ns;
+  }
 };
 
 // Which way a cycle runs through the array. kForward drives the rows and

@@ -17,13 +17,6 @@ double Pow2(int e) {
   return static_cast<double>(std::uint64_t{1} << e);
 }
 
-// Conductance step between adjacent cell levels: one weight digit's worth
-// of cell current per volt of drive.
-double GStep(const device::MemristorParams& cell) {
-  return (cell.g_on_siemens - cell.g_off_siemens) /
-         static_cast<double>(cell.levels() - 1);
-}
-
 // Sign-magnitude split of a weight code over the differential pair: digit
 // `slice` (base 2^cell_bits) of |code| sits on the plane matching the
 // code's sign (0 = positive, 1 = negative); the other plane holds 0.
@@ -238,7 +231,7 @@ Status MvmEngine::BitSweep(CycleDirection dir,
   const std::size_t lines =
       dir == CycleDirection::kForward ? array.rows : array.cols;
   const double v_read = array.dac.v_read;
-  const double g_step = GStep(array.cell);
+  const double g_step = array.cell.LevelStep();
   const int cell_bits = array.cell.cell_bits;
   const double full_scale = arrays_.front().FullScaleCurrent(dir);
   std::vector<std::uint64_t> line_codes(lines, 0);
@@ -350,7 +343,7 @@ double MvmEngine::GuardThreshold(double sum_x_codes) const {
   //     summing in quadrature down the column.
   const CrossbarParams& array = params_.array;
   const double v_read = array.dac.v_read;
-  const double g_step = GStep(array.cell);
+  const double g_step = array.cell.LevelStep();
   const double full_scale = arrays_.front().FullScaleCurrent();
   const double adc_lsb_digits =
       full_scale / static_cast<double>((1ULL << array.adc.bits) - 1) /
@@ -461,7 +454,7 @@ double MvmEngine::AdcErrorBound() const {
   // over planes. Assumes read noise and faults are disabled.
   const CrossbarParams& array = params_.array;
   const double v_read = array.dac.v_read;
-  const double g_step = GStep(array.cell);
+  const double g_step = array.cell.LevelStep();
   const double full_scale = arrays_.front().FullScaleCurrent();
   const double adc_lsb_current =
       full_scale / static_cast<double>((1ULL << array.adc.bits) - 1);

@@ -19,6 +19,12 @@ double MemristorParams::LevelConductance(std::uint64_t level) const {
 }
 
 Status MemristorParams::Validate() const {
+  if (!AllFinite({g_on_siemens, g_off_siemens, read_latency.ns,
+                  set_latency.ns, reset_latency.ns, read_energy.pj,
+                  write_energy.pj, read_noise_sigma, write_tolerance,
+                  write_noise_sigma, drift_nu, drift_t0.ns})) {
+    return InvalidArgument("memristor parameters must be finite");
+  }
   if (g_on_siemens <= g_off_siemens) {
     return InvalidArgument("g_on must exceed g_off");
   }
@@ -29,9 +35,13 @@ Status MemristorParams::Validate() const {
   if (read_noise_sigma < 0.0 || write_noise_sigma < 0.0) {
     return InvalidArgument("noise sigmas must be non-negative");
   }
-  if (max_write_iterations < 1) {
-    return InvalidArgument("max_write_iterations must be >= 1");
+  // The cap bounds every program call: past it, a loop that cannot verify
+  // (a tolerance below the write noise) would pulse each cell ~2^31 times.
+  if (max_write_iterations < 1 || max_write_iterations > 64) {
+    return InvalidArgument("max_write_iterations must be in [1, 64]");
   }
+  // Age divides by it, and a negative one raises a negative base to -nu.
+  if (drift_t0.ns <= 0.0) return InvalidArgument("drift_t0 must be positive");
   return Status::Ok();
 }
 
@@ -39,8 +49,7 @@ ProgramResult MemristorCell::Program(const MemristorParams& p,
                                      std::uint64_t level, Rng& rng) {
   CIM_DCHECK(level < p.levels());
   const double target = p.LevelConductance(level);
-  const double step =
-      (p.g_on_siemens - p.g_off_siemens) / static_cast<double>(p.levels() - 1);
+  const double step = p.LevelStep();
   const double tolerance = p.write_tolerance * step;
 
   ProgramResult result;

@@ -63,6 +63,13 @@ struct MemristorParams {
   [[nodiscard]] std::uint64_t levels() const {
     return std::uint64_t{1} << cell_bits;
   }
+  // Conductance step between adjacent levels: the write-verify tolerance
+  // and programming noise are fractions of it, and one weight digit is
+  // worth one step of cell current per volt of drive.
+  [[nodiscard]] double LevelStep() const {
+    return (g_on_siemens - g_off_siemens) /
+           static_cast<double>(levels() - 1);
+  }
   // Conductance of a given level (linearly spaced between g_off and g_on).
   [[nodiscard]] double LevelConductance(std::uint64_t level) const;
   [[nodiscard]] Status Validate() const;

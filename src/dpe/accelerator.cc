@@ -19,16 +19,6 @@ constexpr std::uint64_t kRemapNoiseSalt = 0x52454d32ULL;   // "REM2"
 // Re-executions of a detected-bad tile MVM before the element degrades.
 constexpr int kMaxRetries = 1;
 
-crossbar::MvmEngineParams MakeEngineParams(const DpeParams& params) {
-  crossbar::MvmEngineParams engine_params;
-  engine_params.array = params.array;
-  engine_params.weight_bits = params.weight_bits;
-  engine_params.input_bits = params.input_bits;
-  engine_params.shift_add_energy = EnergyPj(params.shift_add_energy_pj);
-  engine_params.guard_column = params.fault_tolerance.enabled;
-  return engine_params;
-}
-
 }  // namespace
 
 DpeAccelerator::DpeAccelerator(const DpeParams& params,
@@ -119,7 +109,7 @@ Status DpeAccelerator::MapMatrix(std::span<const double> matrix,
   mapped->in_dim = in_dim;
   mapped->out_dim = out_dim;
 
-  const crossbar::MvmEngineParams engine_params = MakeEngineParams(params_);
+  const crossbar::MvmEngineParams engine_params = params_.EngineParams();
   // The guard column occupies one physical column per engine, so guarded
   // tiles carry one fewer logical output each.
   const std::size_t cols =
@@ -211,7 +201,7 @@ Status DpeAccelerator::AttachFaultInjector(
 Expected<crossbar::MvmResult> DpeAccelerator::RunMvm(
     const MappedMvmLayer& mapped, std::span<const double> x,
     std::uint64_t stream_offset, std::uint64_t element_step,
-    FaultReport* report) {
+    ElementFaultReport* report) {
   if (x.size() != mapped.in_dim) {
     return InvalidArgument("MVM input dimension mismatch");
   }
@@ -351,21 +341,11 @@ Expected<crossbar::MvmResult> DpeAccelerator::RunMvm(
 
 Expected<InferResult> DpeAccelerator::RunElement(
     const nn::Tensor& input, std::uint64_t element_index,
-    FaultReport* report) {
+    ElementFaultReport* report) {
   nn::Tensor current = input;
   std::size_t mvm_index = 0;
   CostReport cost;
   const std::uint64_t element_step = committed_elements_ + element_index;
-
-  const auto account_activation = [&](std::size_t elements) {
-    cost.energy_pj +=
-        static_cast<double>(elements) * params_.activation_energy_pj;
-    cost.latency_ns += params_.activation_latency_ns;
-  };
-  const auto account_buffer = [&](std::size_t bytes) {
-    cost.energy_pj +=
-        static_cast<double>(bytes) * params_.buffer_energy_per_byte_pj;
-  };
 
   for (std::size_t li = 0; li < net_.layers.size(); ++li) {
     const nn::Layer& layer = net_.layers[li];
@@ -375,7 +355,8 @@ Expected<InferResult> DpeAccelerator::RunElement(
     }
     if (const auto* dense = std::get_if<nn::DenseLayer>(&layer)) {
       const MappedMvmLayer& mapped = mvm_layers_[mvm_index++];
-      account_buffer(mapped.in_dim + mapped.out_dim);
+      cost.energy_pj += params_.BufferEnergyPj(
+          static_cast<double>(mapped.in_dim + mapped.out_dim));
       auto mvm = RunMvm(mapped, current.vec(),
                         element_index * mapped.calls_per_inference,
                         element_step, report);
@@ -387,7 +368,9 @@ Expected<InferResult> DpeAccelerator::RunElement(
       for (std::size_t o = 0; o < dense->out_features; ++o) {
         y[o] = nn::Activate(y[o] + dense->bias[o], dense->activation);
       }
-      account_activation(dense->out_features);
+      cost.energy_pj += params_.ActivationEnergyPj(
+          static_cast<double>(dense->out_features));
+      cost.latency_ns += params_.activation_latency_ns;
       current = nn::Tensor(p.out_shape, std::move(y));
     } else if (const auto* conv = std::get_if<nn::Conv2dLayer>(&layer)) {
       const MappedMvmLayer& mapped = mvm_layers_[mvm_index++];
@@ -440,18 +423,22 @@ Expected<InferResult> DpeAccelerator::RunElement(
           }
         }
       }
-      const std::uint64_t serialized =
-          (pixels + params_.conv_replication - 1) / params_.conv_replication;
-      cost.latency_ns += static_cast<double>(serialized) * pixel_latency;
-      account_activation(p.out_elements);
-      account_buffer((mapped.in_dim + conv->out_channels) * pixels);
+      cost.latency_ns +=
+          static_cast<double>(params_.ConvWaves(pixels)) * pixel_latency;
+      cost.energy_pj +=
+          params_.ActivationEnergyPj(static_cast<double>(p.out_elements));
+      cost.latency_ns += params_.activation_latency_ns;
+      cost.energy_pj += params_.BufferEnergyPj(
+          static_cast<double>((mapped.in_dim + conv->out_channels) * pixels));
       current = std::move(out);
     } else if (const auto* pool = std::get_if<nn::MaxPoolLayer>(&layer)) {
       current = nn::MaxPool(current, *pool);
-      account_activation(p.out_elements);
+      cost.energy_pj +=
+          params_.ActivationEnergyPj(static_cast<double>(p.out_elements));
+      cost.latency_ns += params_.activation_latency_ns;
     }
   }
-  return InferResult{std::move(current), cost, FaultReport{}, CostReport{}};
+  return InferResult{std::move(current), cost, {}, {}};
 }
 
 void DpeAccelerator::CommitCalls(std::uint64_t elements) {
@@ -465,7 +452,7 @@ Status DpeAccelerator::RemapTile(EngineTile& tile,
   ++tile.generation;
   Rng engine_rng(DeriveSeed(DeriveSeed(tile.base_seed, kRemapEngineSalt),
                             tile.generation));
-  auto engine = crossbar::MvmEngine::Create(MakeEngineParams(params_),
+  auto engine = crossbar::MvmEngine::Create(params_.EngineParams(),
                                             tile.in, tile.out, engine_rng);
   if (!engine.ok()) return engine.status();
   auto cost = engine->ProgramWeights(tile.submatrix);
@@ -568,7 +555,7 @@ Expected<std::vector<InferResult>> DpeAccelerator::InferBatch(
 
   const std::size_t batch = inputs.size();
   std::vector<std::optional<Expected<InferResult>>> elements(batch);
-  std::vector<FaultReport> reports(batch);
+  std::vector<ElementFaultReport> reports(batch);
 
   // Structural faults fire only between waves: the batch is split at every
   // scheduled fault step, so tile state is constant while any element is in
@@ -607,9 +594,7 @@ Expected<std::vector<InferResult>> DpeAccelerator::InferBatch(
     if (!element.ok()) return element.status();
     results.push_back(std::move(element.value()));
     results.back().fault_report = reports[b];
-    recovery_stats_.detected += reports[b].detected;
-    recovery_stats_.retried += reports[b].retried;
-    recovery_stats_.degraded += reports[b].degraded;
+    recovery_stats_ += reports[b];
   }
   CommitCalls(static_cast<std::uint64_t>(batch));
   committed_elements_ += static_cast<std::uint64_t>(batch);

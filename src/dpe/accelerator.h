@@ -45,20 +45,29 @@
 
 namespace cim::dpe {
 
-// Recovery outcome (§V.A): how many tile MVMs were flagged at a boundary,
-// how many re-executions ran, how many tile results were accepted degraded
-// (retries exhausted, or a dead tile contributing zeros), and how many
-// tiles were remapped onto spares. A remap is a tile operation done at a
-// wave boundary, not an element's, so `remapped` is counted only in
-// DpeAccelerator::recovery_stats() and is 0 in a per-element report.
+// One inference's recovery outcome (§V.A): how many tile MVMs were flagged
+// at a boundary, how many re-executions ran, and how many tile results were
+// accepted degraded (retries exhausted, or a dead tile contributing zeros).
 // clean() elements are bit-identical to a fault-free run.
-struct FaultReport {
+struct ElementFaultReport {
   std::uint64_t detected = 0;
   std::uint64_t retried = 0;
-  std::uint64_t remapped = 0;
   std::uint64_t degraded = 0;
 
   [[nodiscard]] bool clean() const { return detected == 0 && degraded == 0; }
+  ElementFaultReport& operator+=(const ElementFaultReport& other) {
+    detected += other.detected;
+    retried += other.retried;
+    degraded += other.degraded;
+    return *this;
+  }
+};
+
+// An accelerator's recovery activity since Create: every element's counts,
+// plus the tiles remapped onto spares. A remap is a tile operation done at a
+// wave boundary, not an element's, so only this aggregate counts it.
+struct FaultReport : ElementFaultReport {
+  std::uint64_t remapped = 0;
 };
 
 // One inference's output together with its fully accounted cost — the same
@@ -66,7 +75,7 @@ struct FaultReport {
 struct InferResult {
   nn::Tensor output;
   CostReport cost;
-  FaultReport fault_report;
+  ElementFaultReport fault_report;
   // The share of `cost` attributable to interconnect traffic. Zero for a
   // lone accelerator; fabric::FabricCoSim fills it in (and folds it into
   // `cost`) when inter-tile activations ride the mesh NoC.
@@ -195,7 +204,7 @@ class DpeAccelerator {
                                        std::span<const double> x,
                                        std::uint64_t stream_offset,
                                        std::uint64_t element_step,
-                                       FaultReport* report);
+                                       ElementFaultReport* report);
 
   // Whole-network forward pass for one batch element. `element_index`
   // offsets every layer's noise-stream numbering by
@@ -203,7 +212,7 @@ class DpeAccelerator {
   // afterwards via CommitCalls.
   Expected<InferResult> RunElement(const nn::Tensor& input,
                                    std::uint64_t element_index,
-                                   FaultReport* report);
+                                   ElementFaultReport* report);
 
   void CommitCalls(std::uint64_t elements);
 

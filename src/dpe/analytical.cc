@@ -73,7 +73,7 @@ Expected<InferenceEstimate> AnalyticalDpeModel::EstimateInference(
       // Digital comparator pass, pipelined with the conv layers.
       const double elements = static_cast<double>(m.mvm_invocations) *
                               static_cast<double>(m.out_dim);
-      est.energy_pj += elements * params_.activation_energy_pj;
+      est.energy_pj += params_.ActivationEnergyPj(elements);
       est.buffer_bytes += elements;  // one byte per activation through eDRAM
       continue;
     }
@@ -86,14 +86,15 @@ Expected<InferenceEstimate> AnalyticalDpeModel::EstimateInference(
     // One MVM invocation: input_bits analog cycles across all the layer's
     // engines in parallel.
     const double inv_latency =
-        params_.input_bits * params_.CycleLatencyNs(used_cols) +
+        params_.input_bits * params_.array.CycleLatencyNs(used_cols) +
         params_.activation_latency_ns;
 
     // Serialized invocations after replication.
     const std::size_t replication =
         m.kind == "conv" ? params_.conv_replication : 1;
-    const std::uint64_t serialized =
-        CeilDiv(m.mvm_invocations, replication);
+    const std::uint64_t serialized = m.kind == "conv"
+                                         ? params_.ConvWaves(m.mvm_invocations)
+                                         : m.mvm_invocations;
 
     fill_latency += inv_latency;
     bottleneck_latency = std::max(
@@ -116,12 +117,12 @@ Expected<InferenceEstimate> AnalyticalDpeModel::EstimateInference(
         static_cast<double>(m.out_dim * m.row_tiles) * params_.input_bits *
         params_.shift_add_energy_pj;
     const double activation_per_inv =
-        static_cast<double>(m.out_dim) * params_.activation_energy_pj;
+        params_.ActivationEnergyPj(static_cast<double>(m.out_dim));
     // Buffer + H-tree traffic (8-bit activations).
     const double buffer_bytes_per_inv =
         static_cast<double>(m.in_dim) + static_cast<double>(m.out_dim);
     const double buffer_energy_per_inv =
-        buffer_bytes_per_inv * params_.buffer_energy_per_byte_pj +
+        params_.BufferEnergyPj(buffer_bytes_per_inv) +
         static_cast<double>(m.out_dim) * params_.htree_energy_per_byte_pj;
 
     est.energy_pj += static_cast<double>(m.mvm_invocations) *

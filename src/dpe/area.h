@@ -18,8 +18,9 @@ namespace cim::dpe {
 
 struct AreaParams {
   double cell_pitch_um = 0.2;        // crossbar cell pitch
-  double adc_area_um2 = 3000.0;      // 8-bit SAR at the reference node
-  int adc_reference_bits = 8;        // ADC area ~2^bits around this point
+  // SAR at the ADC's reference resolution; area scales as its energy does
+  // (AdcParams::ResolutionScale).
+  double adc_area_um2 = 3000.0;
   double dac_area_per_row_um2 = 4.0;
   double shift_add_area_um2 = 1100.0;
   double tile_overhead_um2_per_array = 2000.0;  // eDRAM + router share
@@ -38,8 +39,7 @@ class AreaModel {
     const double adcs =
         std::ceil(static_cast<double>(dpe_.array.cols) /
                   static_cast<double>(dpe_.array.columns_per_adc)) *
-        area_.adc_area_um2 *
-        std::ldexp(1.0, dpe_.array.adc.bits - area_.adc_reference_bits);
+        area_.adc_area_um2 * dpe_.array.adc.ResolutionScale();
     const double dacs = static_cast<double>(dpe_.array.rows) *
                         area_.dac_area_per_row_um2;
     return crossbar + adcs + dacs + area_.shift_add_area_um2 +

@@ -10,7 +10,8 @@
 
 #include "common/quantize.h"
 #include "common/status.h"
-#include "crossbar/crossbar.h"
+#include "common/units.h"
+#include "crossbar/mvm_engine.h"
 #include "reliability/aging_monitor.h"
 
 namespace cim::dpe {
@@ -33,7 +34,13 @@ struct FaultToleranceParams {
   std::size_t spare_tiles = 0;
   reliability::AgingParams aging;
 
-  [[nodiscard]] Status Validate() const { return aging.Validate(); }
+  [[nodiscard]] Status Validate() const {
+    // Spares are pre-provisioned one monitored unit each at Create.
+    if (spare_tiles > 4096) {
+      return InvalidArgument("spare_tiles above 4096 are not modelled");
+    }
+    return aging.Validate();
+  }
 };
 
 struct DpeParams {
@@ -94,9 +101,23 @@ struct DpeParams {
     return p;
   }
 
+  // The MVM engine every tile of the behavioural accelerator runs.
+  [[nodiscard]] crossbar::MvmEngineParams EngineParams() const {
+    crossbar::MvmEngineParams engine;
+    engine.array = array;
+    engine.weight_bits = weight_bits;
+    engine.input_bits = input_bits;
+    engine.shift_add_energy = EnergyPj(shift_add_energy_pj);
+    engine.guard_column = fault_tolerance.enabled;
+    return engine;
+  }
+
   [[nodiscard]] Status Validate() const {
-    if (weight_bits < 2 || input_bits < 1) {
-      return InvalidArgument("bad precision configuration");
+    if (!AllFinite({buffer_energy_per_byte_pj, shift_add_energy_pj,
+                    activation_energy_pj, activation_latency_ns,
+                    htree_energy_per_byte_pj, static_power_per_array_w,
+                    board_link_bandwidth_gbps, board_link_latency_ns})) {
+      return InvalidArgument("DPE parameters must be finite");
     }
     if (arrays_per_board == 0) {
       return InvalidArgument("arrays_per_board == 0");
@@ -110,21 +131,31 @@ struct DpeParams {
       return InvalidArgument("board_link_bandwidth_gbps must be positive");
     }
     if (Status s = fault_tolerance.Validate(); !s.ok()) return s;
-    return array.Validate();
+    if (fault_tolerance.enabled && array.cols < 2) {
+      return InvalidArgument("the guard column needs a second array column");
+    }
+    // Accept only what the engines run (precision, 1-bit DACs, the array).
+    return EngineParams().Validate();
   }
 
   [[nodiscard]] int slices() const {
     return SlicesNeeded(weight_bits, array.cell.cell_bits);
   }
 
-  // Latency of one analog bit-cycle (DAC settle + read pulse + the serial
-  // conversions of one shared ADC over the gated columns).
-  [[nodiscard]] double CycleLatencyNs(std::size_t used_cols = 0) const {
-    if (used_cols == 0 || used_cols > array.cols) used_cols = array.cols;
-    const double conversions =
-        static_cast<double>(std::min(array.columns_per_adc, used_cols));
-    return array.dac.settle_latency.ns + array.cell.read_latency.ns +
-           conversions * array.adc.conversion_latency().ns;
+  // Charges of the digital periphery, shared by the behavioural
+  // accelerator and the analytical model: activation units per element and
+  // the eDRAM buffer per byte.
+  [[nodiscard]] double ActivationEnergyPj(double elements) const {
+    return elements * activation_energy_pj;
+  }
+  [[nodiscard]] double BufferEnergyPj(double bytes) const {
+    return bytes * buffer_energy_per_byte_pj;
+  }
+  // Serialized MVM waves of a conv layer: its pixels run conv_replication
+  // at a time.
+  [[nodiscard]] std::uint64_t ConvWaves(std::uint64_t pixels) const {
+    return pixels / conv_replication +
+           (pixels % conv_replication != 0 ? 1 : 0);
   }
 
   // Energy of one analog bit-cycle of one array with `active_rows` driven

@@ -8,15 +8,6 @@
 #include "common/rng.h"
 
 namespace cim::fabric {
-namespace {
-
-void AddFaults(dpe::FaultReport* into, const dpe::FaultReport& from) {
-  into->detected += from.detected;
-  into->retried += from.retried;
-  into->degraded += from.degraded;
-}
-
-}  // namespace
 
 FabricCoSim::FabricCoSim(const FabricParams& params, FabricPlan plan)
     : params_(params),
@@ -95,12 +86,10 @@ void FabricCoSim::OnDelivery(const noc::Delivery& delivery) {
       (delivery.delivered_at - delivery.packet.injected_at).ns;
   el.transfer_ns_max = std::max(el.transfer_ns_max, latency);
 
-  // Per-element energy attribution mirrors the mesh's per-hop accounting.
-  const noc::MeshParams& mp = noc_->params();
+  // Per-element energy attribution: the mesh's per-hop charge, once per hop.
   const double hops = static_cast<double>(delivery.hops);
   const double energy =
-      hops * (mp.hop_energy_per_byte.pj * delivery.packet.payload_bytes +
-              mp.router_energy.pj);
+      hops * noc_->params().HopEnergyPj(delivery.packet.payload_bytes);
   const double bytes = hops * delivery.packet.payload_bytes;
   el.result.noc_cost.energy_pj += energy;
   el.result.cost.energy_pj += energy;
@@ -189,7 +178,7 @@ Expected<std::vector<dpe::InferResult>> FabricCoSim::InferBatch(
         el.result.cost.energy_pj += r.cost.energy_pj;
         el.result.cost.bytes_moved += r.cost.bytes_moved;
         el.result.cost.operations += r.cost.operations;
-        AddFaults(&el.result.fault_report, r.fault_report);
+        el.result.fault_report += r.fault_report;
         split_out[k] = std::move(r.output);
       }
       el.result.cost.latency_ns += stage_latency_ns;

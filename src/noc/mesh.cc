@@ -264,6 +264,17 @@ void MeshNoc::TraverseLink(Packet packet, NodeId from, Direction dir,
   }
 }
 
+TimeNs MeshNoc::ServiceHop(std::uint32_t payload_bytes, TimeNs& busy_until) {
+  const TimeNs serialization = SerializationDelay(payload_bytes);
+  busy_until = queue_->now() + serialization;
+  telemetry_.cost.energy_pj += params_.HopEnergyPj(payload_bytes);
+  telemetry_.cost.bytes_moved += payload_bytes;
+  telemetry_.cost.latency_ns += serialization.ns;
+  ++telemetry_.cost.operations;
+  return queue_->now() + params_.router_latency + params_.link_latency +
+         serialization;
+}
+
 void MeshNoc::DrainLink(std::size_t link_idx, NodeId from, Direction dir) {
   Link& link = links_[link_idx];
   link.drain_scheduled = false;
@@ -290,18 +301,8 @@ void MeshNoc::DrainLink(std::size_t link_idx, NodeId from, Direction dir) {
     const int hops = link.queued_hops[cls].front();
     link.queued_hops[cls].pop_front();
 
-    const TimeNs serialization = SerializationDelay(packet.payload_bytes);
-    link.busy_until = queue_->now() + serialization;
-    telemetry_.cost.energy_pj +=
-        params_.hop_energy_per_byte.pj * packet.payload_bytes +
-        params_.router_energy.pj;
-    telemetry_.cost.bytes_moved += packet.payload_bytes;
-    telemetry_.cost.latency_ns += serialization.ns;
-    ++telemetry_.cost.operations;
-
+    const TimeNs arrival = ServiceHop(packet.payload_bytes, link.busy_until);
     const NodeId next = Neighbor(from, dir);
-    const TimeNs arrival = queue_->now() + params_.router_latency +
-                           params_.link_latency + serialization;
     queue_->ScheduleAt(arrival,
                        [this, packet = std::move(packet), next, hops] {
                          ArriveAt(packet, next, hops + 1);
@@ -447,18 +448,8 @@ void MeshNoc::FlatDrain(std::size_t link_idx) {
     }
     Flight& flight = flights_[idx];
 
-    const TimeNs serialization =
-        SerializationDelay(flight.packet.payload_bytes);
-    link.busy_until = queue_->now() + serialization;
-    telemetry_.cost.energy_pj +=
-        params_.hop_energy_per_byte.pj * flight.packet.payload_bytes +
-        params_.router_energy.pj;
-    telemetry_.cost.bytes_moved += flight.packet.payload_bytes;
-    telemetry_.cost.latency_ns += serialization.ns;
-    ++telemetry_.cost.operations;
-
-    const TimeNs arrival = queue_->now() + params_.router_latency +
-                           params_.link_latency + serialization;
+    const TimeNs arrival =
+        ServiceHop(flight.packet.payload_bytes, link.busy_until);
     flight.at = Neighbor(from, dir);
     flight.hops += 1;
     queue_->ScheduleTagAt(arrival, this, idx);

@@ -56,6 +56,13 @@ struct MeshParams {
   EnergyPj router_energy{10.0};       // per packet per hop
   NocPath path = NocPath::kFlat;
 
+  // Energy one packet of `payload_bytes` costs per hop: link energy per
+  // byte plus the router's per-packet energy. Both drains charge it per
+  // serviced hop, and the fabric co-sim attributes hops x it per element.
+  [[nodiscard]] double HopEnergyPj(std::uint32_t payload_bytes) const {
+    return hop_energy_per_byte.pj * payload_bytes + router_energy.pj;
+  }
+
   [[nodiscard]] Status Validate() const {
     if (width == 0 || height == 0) return InvalidArgument("empty mesh");
     if (link_bandwidth_gbps <= 0.0) {
@@ -208,6 +215,11 @@ class MeshNoc : public EventQueue::TagHandler {
   // Always inlined (defined in mesh.cc, its only user): it runs once per
   // packet on the injection hot path.
   [[nodiscard, gnu::always_inline]] inline Status AdmitPacket(Packet& packet);
+  // One serviced hop, shared by both drains: hold the link for the
+  // packet's serialization, charge the hop to the telemetry, and return
+  // when the packet reaches the next node.
+  [[gnu::always_inline]] inline TimeNs ServiceHop(std::uint32_t payload_bytes,
+                                                  TimeNs& busy_until);
   void RecomputeAnyFailure();
 
   // Reference path.

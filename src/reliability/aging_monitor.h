@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/units.h"
 
 namespace cim::reliability {
 
@@ -44,6 +45,10 @@ struct AgingParams {
 
   [[nodiscard]] Status Validate() const {
     if (endurance_cycles == 0) return InvalidArgument("endurance == 0");
+    if (!AllFinite({degraded_wear_fraction, retire_wear_fraction,
+                    verify_failure_warn_rate, systemic_fraction})) {
+      return InvalidArgument("aging parameters must be finite");
+    }
     if (degraded_wear_fraction <= 0.0 ||
         retire_wear_fraction <= degraded_wear_fraction ||
         retire_wear_fraction > 1.0) {

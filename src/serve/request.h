@@ -44,7 +44,7 @@ struct Response {
   nn::Tensor output;  // empty when shed or failed
   // Accelerator-accounted cost of the final attempt (zero when shed).
   CostReport cost;
-  dpe::FaultReport fault_report;
+  dpe::ElementFaultReport fault_report;
   // Dispatches this request consumed; 1 = served on the first attempt.
   std::uint32_t attempts = 1;
   double arrival_ns = 0.0;     // virtual submission time

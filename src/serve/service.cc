@@ -18,6 +18,22 @@ constexpr std::size_t kWatermarkStep = 8;
 constexpr double kWindowShrink = 0.5;
 constexpr double kWindowGrow = 1.5;
 
+// The terminal response for `request`: it consumed `attempts` dispatches,
+// the last at `dispatch_ns`, and left the service at `completion_ns`.
+Response MakeResponse(const PendingRequest& request, Outcome outcome,
+                      std::uint32_t attempts, double dispatch_ns,
+                      double completion_ns) {
+  Response response;
+  response.id = request.id;
+  response.tenant = request.tenant;
+  response.outcome = outcome;
+  response.attempts = attempts;
+  response.arrival_ns = request.first_arrival_ns;
+  response.dispatch_ns = dispatch_ns;
+  response.completion_ns = completion_ns;
+  return response;
+}
+
 }  // namespace
 
 Status BatchingParams::Validate() const {
@@ -219,16 +235,10 @@ bool DpeService::PumpOnce() {
   std::vector<Response> shed;
   PendingRequest expired;
   while (scheduler_.PopExpired(virtual_now_, &expired)) {
-    Response response;
-    response.id = expired.id;
-    response.tenant = expired.tenant;
-    response.outcome = Outcome::kShedDeadline;
-    response.attempts = expired.attempt;
-    response.arrival_ns = expired.first_arrival_ns;
-    response.dispatch_ns = virtual_now_;
-    response.completion_ns = virtual_now_;
     ++stats_.shed_deadline;
-    shed.push_back(std::move(response));
+    shed.push_back(MakeResponse(expired, Outcome::kShedDeadline,
+                                expired.attempt, virtual_now_,
+                                virtual_now_));
   }
 
   // Weighted-fair pop of up to max_batch visible requests.
@@ -257,17 +267,11 @@ bool DpeService::PumpOnce() {
   if (!results.ok()) {
     // The accelerator refused the whole batch (malformed input slipped
     // past admission). Fail the elements; the service stays up.
-    for (PendingRequest& request : batch) {
-      Response response;
-      response.id = request.id;
-      response.tenant = request.tenant;
-      response.outcome = Outcome::kFailed;
-      response.attempts = request.attempt + 1;
-      response.arrival_ns = request.first_arrival_ns;
-      response.dispatch_ns = dispatch;
-      response.completion_ns = virtual_now_;
+    for (const PendingRequest& request : batch) {
       ++stats_.failed;
-      done.push_back(std::move(response));
+      done.push_back(MakeResponse(request, Outcome::kFailed,
+                                  request.attempt + 1, dispatch,
+                                  virtual_now_));
     }
   } else {
     // Batch elements execute concurrently on replicated tile sets in the
@@ -295,17 +299,12 @@ bool DpeService::PumpOnce() {
         retries.push_back(std::move(retry));
         continue;
       }
-      Response response;
-      response.id = request.id;
-      response.tenant = request.tenant;
-      response.outcome = clean ? Outcome::kOk : Outcome::kOkDegraded;
+      Response response = MakeResponse(
+          request, clean ? Outcome::kOk : Outcome::kOkDegraded,
+          request.attempt + 1, dispatch, completion);
       response.output = std::move(result.output);
       response.cost = result.cost;
       response.fault_report = result.fault_report;
-      response.attempts = request.attempt + 1;
-      response.arrival_ns = request.first_arrival_ns;
-      response.dispatch_ns = dispatch;
-      response.completion_ns = completion;
       if (clean) {
         ++stats_.completed_clean;
       } else {

@@ -12,7 +12,7 @@
 //     (without executing) any request whose deadline expired before
 //     dispatch.
 //   * Retry with deterministic exponential backoff + jitter: a result whose
-//     FaultReport is not clean re-enters the queue at
+//     fault report is not clean re-enters the queue at
 //     completion + BackoffNs(retry, seed, id, attempt); the jitter stream
 //     is DeriveSeed-keyed so replays are bit-identical. When retries are
 //     exhausted the flagged-degrade result is delivered as kOkDegraded —

@@ -138,6 +138,53 @@ TEST(CrossbarParamsTest, Validation) {
   EXPECT_FALSE(p.Validate().ok());
 }
 
+// A read voltage <= 0 inverts the ADC's clamp range (negative) or drives
+// no current (zero: every MVM reads 0), and NaN passes every `x < bound`
+// comparison. Each case here returned OK before Validate checked it.
+TEST(CrossbarParamsTest, RejectsNonPositiveReadVoltageAndNonFiniteValues) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double v : {0.0, -0.0, -0.2, kNaN, kInf}) {
+    CrossbarParams p = QuietParams();
+    p.dac.v_read = v;
+    EXPECT_FALSE(p.Validate().ok()) << "v_read " << v;
+    EXPECT_FALSE(Crossbar::Create(p, Rng(1)).ok()) << "v_read " << v;
+  }
+  const std::vector<std::pair<const char*, void (*)(CrossbarParams&)>>
+      cases = {
+          {"ir_drop_alpha NaN",
+           [](CrossbarParams& p) { p.ir_drop_alpha = kNaN; }},
+          {"g_on NaN", [](CrossbarParams& p) { p.cell.g_on_siemens = kNaN; }},
+          {"g_on inf", [](CrossbarParams& p) { p.cell.g_on_siemens = kInf; }},
+          {"g_off NaN",
+           [](CrossbarParams& p) { p.cell.g_off_siemens = kNaN; }},
+          {"read sigma NaN",
+           [](CrossbarParams& p) { p.cell.read_noise_sigma = kNaN; }},
+          {"write sigma NaN",
+           [](CrossbarParams& p) { p.cell.write_noise_sigma = kNaN; }},
+          {"read latency inf",
+           [](CrossbarParams& p) { p.cell.read_latency = TimeNs(kInf); }},
+          {"adc energy NaN",
+           [](CrossbarParams& p) { p.adc.base_energy = EnergyPj(kNaN); }},
+          {"dac settle -inf",
+           [](CrossbarParams& p) { p.dac.settle_latency = TimeNs(-kInf); }},
+          {"adc reference bits 0",
+           [](CrossbarParams& p) { p.adc.reference_bits = 0; }},
+          {"adc reference bits INT_MIN",
+           [](CrossbarParams& p) {
+             p.adc.reference_bits = std::numeric_limits<int>::min();
+           }},
+          {"drift t0 0", [](CrossbarParams& p) { p.cell.drift_t0 = TimeNs(); }},
+          {"65 write iterations",
+           [](CrossbarParams& p) { p.cell.max_write_iterations = 65; }},
+      };
+  for (const auto& [name, mutate] : cases) {
+    CrossbarParams p = QuietParams();
+    mutate(p);
+    EXPECT_FALSE(p.Validate().ok()) << name;
+  }
+}
+
 // Converter widths outside [1, 16] have no valid code range: 0 bits makes
 // Decode divide by a max code of 0, 64 bits shifts a uint64_t by its full
 // width. Both ends of the range stay valid.
@@ -336,6 +383,35 @@ TEST(CrossbarTest, MvmCycleLatencyIndependentOfRows) {
   ASSERT_TRUE(small_cycle.ok() && large_cycle.ok());
   EXPECT_DOUBLE_EQ(small_cycle->cost.latency_ns,
                    large_cycle->cost.latency_ns);
+}
+
+// The cycle latency a crossbar reports is the one rule the analytical DPE
+// model also prices with, bit for bit, at every sensed width — forward and
+// transposed — and the rule is the settle + read + serial-conversion sum.
+TEST(CrossbarTest, CycleLatencyIsTheSharedRule) {
+  CrossbarParams p = QuietParams(128, 128);
+  p.adc.bits = 8;
+  auto xbar = Crossbar::Create(p, Rng(12));
+  ASSERT_TRUE(xbar.ok());
+  ASSERT_TRUE(
+      xbar->ProgramLevels(std::vector<std::uint64_t>(128 * 128, 1)).ok());
+  const std::vector<std::uint64_t> drive(128, 1);
+  for (const std::size_t sensed : {1u, 24u, 128u}) {
+    auto forward = xbar->Cycle(drive, sensed);
+    auto transposed = xbar->CycleTranspose(drive, sensed);
+    ASSERT_TRUE(forward.ok() && transposed.ok());
+    EXPECT_EQ(forward->cost.latency_ns, p.CycleLatencyNs(sensed)) << sensed;
+    EXPECT_EQ(transposed->cost.latency_ns, p.CycleLatencyNs(sensed))
+        << sensed;
+    EXPECT_EQ(p.CycleLatencyNs(sensed),
+              p.dac.settle_latency.ns + p.cell.read_latency.ns +
+                  static_cast<double>(sensed) * p.adc.conversion_latency().ns)
+        << sensed;
+  }
+  // Past columns_per_adc the conversions split across parallel ADCs.
+  p.columns_per_adc = 16;
+  EXPECT_EQ(p.CycleLatencyNs(24), p.CycleLatencyNs(16));
+  EXPECT_EQ(p.CycleLatencyNs(128), p.CycleLatencyNs(16));
 }
 
 }  // namespace

@@ -4,7 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <iomanip>
+#include <limits>
 #include <numeric>
+#include <set>
+#include <sstream>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -63,12 +70,57 @@ TEST(DpeParamsTest, RejectsZeroConvReplicationAndNonPositiveBoardLink) {
   }
 }
 
+// What the boundary fuzz below found: configurations Validate accepted but
+// DpeAccelerator::Create refused (engine precision and DAC limits, a guard
+// column with no spare column) or could not finish (spare ids past 32 bits
+// allocate until bad_alloc).
+TEST(DpeParamsTest, RejectsWhatTheAcceleratorCannotRun) {
+  Rng rng(21);
+  const nn::Network net = SmallMlp(rng);
+  const std::vector<std::pair<const char*, void (*)(DpeParams&)>> cases = {
+      {"weight_bits 17", [](DpeParams& p) { p.weight_bits = 17; }},
+      {"input_bits 17", [](DpeParams& p) { p.input_bits = 17; }},
+      {"2-bit DAC", [](DpeParams& p) { p.array.dac.bits = 2; }},
+      {"guard column on a 1-column array",
+       [](DpeParams& p) {
+         p.array.cols = 1;
+         p.fault_tolerance.enabled = true;
+       }},
+      {"4097 spare tiles",
+       [](DpeParams& p) {
+         p.fault_tolerance.enabled = true;
+         p.fault_tolerance.spare_tiles = 4097;
+       }},
+      {"activation energy NaN",
+       [](DpeParams& p) {
+         p.activation_energy_pj = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"board link latency inf",
+       [](DpeParams& p) {
+         p.board_link_latency_ns = std::numeric_limits<double>::infinity();
+       }},
+      {"aging warn rate NaN",
+       [](DpeParams& p) {
+         p.fault_tolerance.aging.verify_failure_warn_rate =
+             std::numeric_limits<double>::quiet_NaN();
+       }},
+  };
+  for (const auto& [name, mutate] : cases) {
+    DpeParams p = QuietIsaac();
+    mutate(p);
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << name;
+    EXPECT_EQ(DpeAccelerator::Create(p, net, Rng(22)).status().code(),
+              ErrorCode::kInvalidArgument)
+        << name;
+  }
+}
+
 TEST(DpeParamsTest, CycleCostsPositiveAndAdcDominated) {
   const DpeParams p = DpeParams::Isaac();
-  EXPECT_GT(p.CycleLatencyNs(), 0.0);
+  EXPECT_GT(p.array.CycleLatencyNs(p.array.cols), 0.0);
   // At ISAAC geometry the shared ADC dominates cycle latency.
   EXPECT_GT(128.0 * p.array.adc.conversion_latency().ns,
-            0.5 * p.CycleLatencyNs());
+            0.5 * p.array.CycleLatencyNs(p.array.cols));
   EXPECT_GT(p.CycleEnergyPj(128), p.CycleEnergyPj(1));
 }
 
@@ -350,6 +402,237 @@ TEST(ScalingTest, WriteHidingTradesArraysForThroughput) {
   // ...but delivers more effective throughput under heavy updates.
   EXPECT_GT(hidden->effective_throughput_per_sec,
             exposed->effective_throughput_per_sec);
+}
+
+// --- Validate boundary-value fuzz -------------------------------------------
+//
+// Every numeric CrossbarParams / DpeParams field (cell, ADC, DAC and fault
+// tolerance included) takes 0, -1, NaN and +/-inf (an integer field: 0, -1
+// and its type's min and max), and each of its bounds with the bound's
+// neighbours (+/-1, and +/-1 ulp for a real). A configuration Validate
+// accepts must build an accelerator and run one inference with finite
+// outputs and costs, and the analytical model must price it finitely.
+// Arrays run at most 64x64 and worker_threads stays 1, so no case
+// allocates much or starts a thread; a wider accepted array is counted but
+// not built.
+
+struct FuzzValue {
+  std::string label;  // "<field>=<value>"
+  std::function<void(DpeParams&)> apply;
+};
+using FuzzField = std::vector<FuzzValue>;
+
+template <typename T>
+std::vector<T> BoundaryValues(std::initializer_list<T> bounds) {
+  std::vector<T> values;
+  if constexpr (std::is_floating_point_v<T>) {
+    constexpr T kInf = std::numeric_limits<T>::infinity();
+    values = {0.0, -1.0, std::numeric_limits<T>::quiet_NaN(), kInf, -kInf};
+    for (const T b : bounds) {
+      values.insert(values.end(), {b, std::nextafter(b, -kInf),
+                                   std::nextafter(b, kInf), b - 1, b + 1});
+    }
+  } else {
+    values = {T{0}, static_cast<T>(-1), std::numeric_limits<T>::min(),
+              std::numeric_limits<T>::max()};
+    for (const T b : bounds) {
+      values.insert(values.end(), {b, static_cast<T>(b - 1),
+                                   static_cast<T>(b + 1)});
+    }
+  }
+  return values;
+}
+
+template <typename T, typename Get>
+FuzzField Field(const char* name, Get get, std::initializer_list<T> bounds) {
+  FuzzField field;
+  std::set<std::string> seen;
+  for (const T v : BoundaryValues<T>(bounds)) {
+    std::ostringstream label;
+    label << name << "=" << std::setprecision(17) << +v;
+    if (!seen.insert(label.str()).second) continue;
+    field.push_back({label.str(), [get, v](DpeParams& p) { get(p) = v; }});
+  }
+  return field;
+}
+
+#define CIM_FUZZ_FIELD(T, path, ...)                                  \
+  Field<T>(#path, [](DpeParams& p) -> T& { return p.path; }, \
+           {__VA_ARGS__})
+
+std::vector<FuzzField> FuzzFields() {
+  std::vector<FuzzField> fields = {
+      CIM_FUZZ_FIELD(std::size_t, array.rows, 1, 4096),
+      CIM_FUZZ_FIELD(std::size_t, array.cols, 1, 2, 4096),
+      CIM_FUZZ_FIELD(std::size_t, array.columns_per_adc, 1),
+      CIM_FUZZ_FIELD(double, array.ir_drop_alpha, 0.0, 1.0),
+      CIM_FUZZ_FIELD(int, array.adc.bits, 1, 16),
+      CIM_FUZZ_FIELD(int, array.adc.reference_bits, 1, 16),
+      CIM_FUZZ_FIELD(double, array.adc.base_latency.ns),
+      CIM_FUZZ_FIELD(double, array.adc.base_energy.pj),
+      CIM_FUZZ_FIELD(int, array.dac.bits, 1, 16),
+      CIM_FUZZ_FIELD(double, array.dac.settle_latency.ns),
+      CIM_FUZZ_FIELD(double, array.dac.drive_energy.pj),
+      CIM_FUZZ_FIELD(double, array.dac.v_read, 0.0),
+      CIM_FUZZ_FIELD(double, array.cell.g_on_siemens, 1.0 / 2e6),
+      CIM_FUZZ_FIELD(double, array.cell.g_off_siemens, 0.0, 1.0 / 2e3),
+      CIM_FUZZ_FIELD(int, array.cell.cell_bits, 1, 8),
+      CIM_FUZZ_FIELD(double, array.cell.read_latency.ns),
+      CIM_FUZZ_FIELD(double, array.cell.set_latency.ns),
+      CIM_FUZZ_FIELD(double, array.cell.reset_latency.ns),
+      CIM_FUZZ_FIELD(double, array.cell.read_energy.pj),
+      CIM_FUZZ_FIELD(double, array.cell.write_energy.pj),
+      CIM_FUZZ_FIELD(double, array.cell.read_noise_sigma, 0.0),
+      CIM_FUZZ_FIELD(double, array.cell.write_tolerance),
+      CIM_FUZZ_FIELD(int, array.cell.max_write_iterations, 1, 64),
+      CIM_FUZZ_FIELD(double, array.cell.write_noise_sigma, 0.0),
+      CIM_FUZZ_FIELD(std::uint64_t, array.cell.endurance_cycles, 1),
+      CIM_FUZZ_FIELD(double, array.cell.drift_nu),
+      CIM_FUZZ_FIELD(double, array.cell.drift_t0.ns, 0.0),
+      CIM_FUZZ_FIELD(int, weight_bits, 2, 16),
+      CIM_FUZZ_FIELD(int, input_bits, 1, 16),
+      CIM_FUZZ_FIELD(double, buffer_energy_per_byte_pj),
+      CIM_FUZZ_FIELD(double, shift_add_energy_pj),
+      CIM_FUZZ_FIELD(double, activation_energy_pj),
+      CIM_FUZZ_FIELD(double, activation_latency_ns),
+      CIM_FUZZ_FIELD(double, htree_energy_per_byte_pj),
+      CIM_FUZZ_FIELD(double, static_power_per_array_w),
+      CIM_FUZZ_FIELD(std::size_t, conv_replication, 1),
+      CIM_FUZZ_FIELD(std::size_t, fault_tolerance.spare_tiles, 4096),
+      CIM_FUZZ_FIELD(std::uint64_t, fault_tolerance.aging.endurance_cycles,
+                     1),
+      CIM_FUZZ_FIELD(double, fault_tolerance.aging.degraded_wear_fraction,
+                     0.0, 0.95),
+      CIM_FUZZ_FIELD(double, fault_tolerance.aging.retire_wear_fraction, 0.8,
+                     1.0),
+      CIM_FUZZ_FIELD(double, fault_tolerance.aging.verify_failure_warn_rate),
+      CIM_FUZZ_FIELD(double, fault_tolerance.aging.systemic_fraction),
+      CIM_FUZZ_FIELD(std::size_t, arrays_per_board, 1),
+      CIM_FUZZ_FIELD(double, board_link_bandwidth_gbps, 0.0),
+      CIM_FUZZ_FIELD(double, board_link_latency_ns),
+  };
+  FuzzField kernels;
+  for (const auto kernel :
+       {device::KernelPolicy::kReference, device::KernelPolicy::kFastBitExact,
+        device::KernelPolicy::kFastNoise}) {
+    kernels.push_back(
+        {"array.kernel=" + std::to_string(static_cast<int>(kernel)),
+         [kernel](DpeParams& p) { p.array.kernel = kernel; }});
+  }
+  fields.push_back(std::move(kernels));
+  FuzzField ft;
+  for (const bool enabled : {false, true}) {
+    ft.push_back({std::string("fault_tolerance.enabled=") +
+                      (enabled ? "1" : "0"),
+                  [enabled](DpeParams& p) {
+                    p.fault_tolerance.enabled = enabled;
+                  }});
+  }
+  fields.push_back(std::move(ft));
+  return fields;
+}
+
+#undef CIM_FUZZ_FIELD
+
+bool FiniteCost(const CostReport& cost) {
+  return std::isfinite(cost.latency_ns) && std::isfinite(cost.energy_pj) &&
+         std::isfinite(cost.bytes_moved);
+}
+
+// Counts what one fuzz run did with its configurations.
+struct FuzzTally {
+  std::size_t rejected = 0;
+  std::size_t ran = 0;
+  std::size_t too_wide = 0;  // accepted, wider than 64x64, not built
+};
+
+// Validate `p`; when accepted, run it end to end and expect success.
+void ExpectAcceptedRuns(const DpeParams& p, const std::string& what,
+                        FuzzTally& tally) {
+  if (!p.Validate().ok()) {
+    ++tally.rejected;
+    return;
+  }
+  if (p.array.rows > 64 || p.array.cols > 64) {
+    ++tally.too_wide;
+    return;
+  }
+  ++tally.ran;
+  Rng rng(23);
+  const nn::Network net = nn::BuildMlp("fuzz", {6, 10, 3}, rng, 0.3);
+  nn::Tensor input({6});
+  for (std::size_t i = 0; i < 6; ++i) {
+    input.vec()[i] = 0.15 * static_cast<double>(i + 1);
+  }
+  auto acc = DpeAccelerator::Create(p, net, Rng(24));
+  ASSERT_TRUE(acc.ok()) << what << ": " << acc.status().message();
+  auto result = (*acc)->Infer(input);
+  ASSERT_TRUE(result.ok()) << what << ": " << result.status().message();
+  for (const double y : result->output.vec()) {
+    EXPECT_TRUE(std::isfinite(y)) << what;
+  }
+  EXPECT_TRUE(FiniteCost(result->cost)) << what;
+  EXPECT_TRUE(FiniteCost((*acc)->program_cost())) << what;
+  auto estimate = AnalyticalDpeModel(p).EstimateInference(net);
+  ASSERT_TRUE(estimate.ok()) << what << ": " << estimate.status().message();
+  EXPECT_TRUE(std::isfinite(estimate->latency_ns) &&
+              std::isfinite(estimate->energy_pj))
+      << what;
+}
+
+DpeParams FuzzBase(bool fault_tolerance) {
+  DpeParams p = DpeParams::Isaac();
+  p.array.rows = 16;
+  p.array.cols = 16;
+  p.array.columns_per_adc = 16;
+  p.worker_threads = 1;
+  p.fault_tolerance.enabled = fault_tolerance;
+  p.fault_tolerance.spare_tiles = fault_tolerance ? 1 : 0;
+  return p;
+}
+
+// Every field's boundary values, one field at a time, on a base with and
+// without fault tolerance (which adds the guard column and spare tiles).
+TEST(ParamsFuzzTest, EveryAcceptedSingleFieldBoundaryRuns) {
+  FuzzTally tally;
+  for (const bool ft : {false, true}) {
+    for (const FuzzField& field : FuzzFields()) {
+      for (const FuzzValue& value : field) {
+        DpeParams p = FuzzBase(ft);
+        value.apply(p);
+        ExpectAcceptedRuns(p, value.label + (ft ? " (ft)" : ""), tally);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(tally.rejected, 0u);
+  EXPECT_GT(tally.ran, 0u);
+  EXPECT_GT(tally.too_wide, 0u);  // rows/cols 4096 are accepted
+}
+
+// Seeded pairs and triples of boundary values across fields: holes that
+// need two fields at once (a guard column on a one-column array, a verify
+// loop that never converges at its iteration cap).
+TEST(ParamsFuzzTest, EveryAcceptedSeededCombinationRuns) {
+  const std::vector<FuzzField> fields = FuzzFields();
+  Rng rng(0xF022);
+  FuzzTally tally;
+  for (int trial = 0; trial < 1000; ++trial) {
+    DpeParams p = FuzzBase(rng.Bernoulli(0.5));
+    std::string what = "trial " + std::to_string(trial) + ":";
+    const std::uint64_t mutations = 2 + rng.NextBounded(2);
+    for (std::uint64_t m = 0; m < mutations; ++m) {
+      const FuzzField& field = fields[rng.NextBounded(fields.size())];
+      const FuzzValue& value = field[rng.NextBounded(field.size())];
+      value.apply(p);
+      what += " " + value.label;
+    }
+    if (p.fault_tolerance.enabled) what += " (ft)";
+    ExpectAcceptedRuns(p, what, tally);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(tally.rejected, 0u);
+  EXPECT_GT(tally.ran, 0u);
 }
 
 }  // namespace

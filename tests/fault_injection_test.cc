@@ -133,7 +133,7 @@ TEST_P(ChaosMidBatch, RecoveryIsDeterministicAndScoped) {
   // the same stuck cells, the element degrades, and the boundary remaps
   // the tile onto the first spare.
   for (std::size_t b = 2; b < 4; ++b) {
-    const FaultReport& report = (*results)[b].fault_report;
+    const ElementFaultReport& report = (*results)[b].fault_report;
     EXPECT_FALSE(report.clean()) << "element " << b;
     EXPECT_EQ(report.detected, 1u) << "element " << b;
     EXPECT_EQ(report.retried, 1u) << "element " << b;
@@ -142,7 +142,7 @@ TEST_P(ChaosMidBatch, RecoveryIsDeterministicAndScoped) {
   // Elements 4..5: layer 1's tile is dead — detected without retry (there
   // is nothing to re-run), degraded, then remapped onto the second spare.
   for (std::size_t b = 4; b < 6; ++b) {
-    const FaultReport& report = (*results)[b].fault_report;
+    const ElementFaultReport& report = (*results)[b].fault_report;
     EXPECT_FALSE(report.clean()) << "element " << b;
     EXPECT_EQ(report.detected, 1u) << "element " << b;
     EXPECT_EQ(report.retried, 0u) << "element " << b;
