@@ -17,12 +17,13 @@
 //                 the thread count — a 1-core host is allowed its flat
 //                 1x). Each leg is timed as the best of 3 repetitions, and
 //                 every repetition must pass the bit-identity check.
-//   injection     the SoA flat NoC path (NocPath::kFlat: pooled flight
-//                 slots, index queues, allocation-free tagged events) must
-//                 sustain >= 4x the packets/sec of the reference path
-//                 (per-event std::function closures) on the same traffic
-//                 (full mode only). Both paths must agree on telemetry —
-//                 that differential check always runs.
+//   injection     noc::MeshNoc's InjectBurst (pooled flight slots, index
+//                 queues, allocation-free tagged events) must sustain >= 4x
+//                 the packets/sec of per-packet Inject on the reference
+//                 mesh (tests/noc_reference.h: per-event std::function
+//                 closures) on the same traffic (full mode only). The two
+//                 must agree on telemetry — that differential check always
+//                 runs.
 //   noc-cost      every multi-tile element reports nonzero NoC
 //                 latency/energy, folded into InferResult::cost, with
 //                 epochs_run exactly B + S - 1 per batch.
@@ -40,6 +41,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/contracts.h"
@@ -48,6 +50,7 @@
 #include "fabric/cosim.h"
 #include "nn/network.h"
 #include "noc/mesh.h"
+#include "noc_reference.h"
 
 namespace {
 
@@ -183,8 +186,10 @@ struct NocRun {
   double total_pkts_per_s = 0.0;
 };
 
-NocRun RunNocPath(cim::noc::NocPath path, std::size_t packets,
-                  std::size_t burst, std::size_t reps) {
+// Mesh is noc::MeshNoc (the flat leg) or noc::ReferenceMesh.
+template <typename Mesh>
+NocRun RunNocPath(std::size_t packets, std::size_t burst, std::size_t reps) {
+  constexpr bool kFlat = std::is_same_v<Mesh, cim::noc::MeshNoc>;
   // Identical pre-generated traffic for both paths: uniform random pairs,
   // mixed QoS, many distinct streams (stresses per-stream latency stats).
   Rng rng(DeriveSeed(kSeed, 0x10C));
@@ -203,16 +208,16 @@ NocRun RunNocPath(cim::noc::NocPath path, std::size_t packets,
 
   // The gated region is the injection path — what the fabric hot loop pays
   // per epoch when it hands a burst of activations to the mesh. The
-  // reference leg uses the pre-PR idiom (per-packet Inject, each arrival
-  // scheduled as a heap-allocated closure); the flat leg uses InjectBurst
-  // (zero-copy buffer handoff: per-packet admission + one tagged event per
-  // burst, with packets moving into pooled flight slots at dispatch). The
-  // drain that follows is timed separately: it runs the same routing
-  // decisions on both paths, so it lands in the end-to-end number but not
-  // the injection-path gate. Each repetition simulates identical work on a
-  // fresh mesh, so window w does the same work in every rep and min-merging
-  // per window filters scheduler preemption spikes on shared hosts
-  // (standard microbench practice).
+  // reference leg uses per-packet Inject on the reference mesh (each
+  // arrival scheduled as a heap-allocated closure); the flat leg uses
+  // MeshNoc's InjectBurst (zero-copy buffer handoff: per-packet admission +
+  // one tagged event per burst, with packets moving into pooled flight
+  // slots at dispatch). The drain that follows is timed separately: it runs
+  // the same routing decisions on both paths, so it lands in the end-to-end
+  // number but not the injection-path gate. Each repetition simulates
+  // identical work on a fresh mesh, so window w does the same work in every
+  // rep and min-merging per window filters scheduler preemption spikes on
+  // shared hosts (standard microbench practice).
   NocRun run;
   std::vector<double> window_s;
   for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -220,8 +225,7 @@ NocRun RunNocPath(cim::noc::NocPath path, std::size_t packets,
     cim::noc::MeshParams params;
     params.width = 8;
     params.height = 8;
-    params.path = path;
-    auto mesh = cim::noc::MeshNoc::Create(params, &queue);
+    auto mesh = Mesh::Create(params, &queue);
     CIM_CHECK(mesh.ok());
     std::uint64_t delivered = 0;
     for (std::uint16_t x = 0; x < 8; ++x) {
@@ -242,7 +246,7 @@ NocRun RunNocPath(cim::noc::NocPath path, std::size_t packets,
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t window = 0; window < windows.size(); ++window) {
       const auto i0 = std::chrono::steady_clock::now();
-      if (path == cim::noc::NocPath::kFlat) {
+      if constexpr (kFlat) {
         CIM_CHECK(mesh->InjectBurst(std::move(windows[window])).ok());
       } else {
         for (cim::noc::Packet& p : windows[window]) {
@@ -347,10 +351,10 @@ int main(int argc, char** argv) {
   // --- injection-path throughput: flat vs reference -----------------------
   const std::size_t noc_packets = smoke ? 4096 : 262144;
   const std::size_t noc_reps = smoke ? 1 : 3;
-  const NocRun ref = RunNocPath(cim::noc::NocPath::kReference, noc_packets,
-                                512, noc_reps);
+  const NocRun ref =
+      RunNocPath<cim::noc::ReferenceMesh>(noc_packets, 512, noc_reps);
   const NocRun flat =
-      RunNocPath(cim::noc::NocPath::kFlat, noc_packets, 512, noc_reps);
+      RunNocPath<cim::noc::MeshNoc>(noc_packets, 512, noc_reps);
   const bool noc_agree =
       ref.delivered == flat.delivered && ref.dropped == flat.dropped;
   std::printf("flat vs reference telemetry agreement: %s\n",

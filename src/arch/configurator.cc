@@ -69,11 +69,7 @@ Expected<ConfigReport> Configurator::Apply(Fabric& fabric,
       }
       const CostReport before = unit.lifetime_cost();
       if (Status s = unit.LoadProgram(*maybe_program); !s.ok()) return s;
-      const CostReport after = unit.lifetime_cost();
-      report.reconfiguration_cost.latency_ns +=
-          after.latency_ns - before.latency_ns;
-      report.reconfiguration_cost.energy_pj +=
-          after.energy_pj - before.energy_pj;
+      report.reconfiguration_cost += unit.lifetime_cost() - before;
       ++report.programs_loaded;
     }
   }

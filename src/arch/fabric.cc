@@ -16,13 +16,7 @@ Expected<std::vector<double>> Tile::Process(std::span<const double> input,
     auto out = mu.Execute(acc);
     if (!out.ok()) return out.status();
     acc = std::move(out.value());
-    const CostReport after = mu.lifetime_cost();
-    if (cost != nullptr) {
-      cost->latency_ns += after.latency_ns - before.latency_ns;
-      cost->energy_pj += after.energy_pj - before.energy_pj;
-      cost->bytes_moved += after.bytes_moved - before.bytes_moved;
-      cost->operations += after.operations - before.operations;
-    }
+    if (cost != nullptr) *cost += mu.lifetime_cost() - before;
   }
   return acc;
 }

@@ -67,6 +67,17 @@ struct CostReport {
     a += b;
     return a;
   }
+  // The cost accrued between two snapshots of one running total:
+  // `after - before`, field by field.
+  friend CostReport operator-(const CostReport& after,
+                              const CostReport& before) {
+    CostReport delta;
+    delta.latency_ns = after.latency_ns - before.latency_ns;
+    delta.energy_pj = after.energy_pj - before.energy_pj;
+    delta.bytes_moved = after.bytes_moved - before.bytes_moved;
+    delta.operations = after.operations - before.operations;
+    return delta;
+  }
 };
 
 }  // namespace cim

@@ -42,6 +42,12 @@ Status CrossbarParams::Validate() const {
                   dac.settle_latency.ns, dac.drive_energy.pj, dac.v_read})) {
     return InvalidArgument("crossbar parameters must be finite");
   }
+  // Each is charged per conversion or drive: a negative one would subtract
+  // from every cost the array reports.
+  if (adc.base_latency.ns < 0.0 || adc.base_energy.pj < 0.0 ||
+      dac.settle_latency.ns < 0.0 || dac.drive_energy.pj < 0.0) {
+    return InvalidArgument("ADC/DAC latencies and energies must be >= 0");
+  }
   if (ir_drop_alpha < 0.0 || ir_drop_alpha >= 1.0) {
     return InvalidArgument("ir_drop_alpha must be in [0, 1)");
   }

@@ -140,11 +140,7 @@ void DataflowExecutor::FireNode(const std::string& node) {
     ++wave_errors_;
     return;
   }
-  const CostReport after = state.unit->lifetime_cost();
-  CostReport delta;
-  delta.latency_ns = after.latency_ns - before.latency_ns;
-  delta.energy_pj = after.energy_pj - before.energy_pj;
-  delta.operations = after.operations - before.operations;
+  const CostReport delta = state.unit->lifetime_cost() - before;
   compute_cost_ += delta;
 
   const std::vector<std::string> successors = graph_.Successors(node);

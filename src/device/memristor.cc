@@ -25,6 +25,11 @@ Status MemristorParams::Validate() const {
                   write_noise_sigma, drift_nu, drift_t0.ns})) {
     return InvalidArgument("memristor parameters must be finite");
   }
+  if (read_latency.ns < 0.0 || set_latency.ns < 0.0 ||
+      reset_latency.ns < 0.0 || read_energy.pj < 0.0 ||
+      write_energy.pj < 0.0) {
+    return InvalidArgument("cell latencies and energies must be >= 0");
+  }
   if (g_on_siemens <= g_off_siemens) {
     return InvalidArgument("g_on must exceed g_off");
   }

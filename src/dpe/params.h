@@ -119,6 +119,12 @@ struct DpeParams {
                     board_link_bandwidth_gbps, board_link_latency_ns})) {
       return InvalidArgument("DPE parameters must be finite");
     }
+    if (buffer_energy_per_byte_pj < 0.0 || shift_add_energy_pj < 0.0 ||
+        activation_energy_pj < 0.0 || activation_latency_ns < 0.0 ||
+        htree_energy_per_byte_pj < 0.0 || static_power_per_array_w < 0.0 ||
+        board_link_latency_ns < 0.0) {
+      return InvalidArgument("DPE latencies and energies must be >= 0");
+    }
     if (arrays_per_board == 0) {
       return InvalidArgument("arrays_per_board == 0");
     }

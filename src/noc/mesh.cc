@@ -20,9 +20,6 @@ MeshNoc::MeshNoc(const MeshParams& params, EventQueue* queue)
       static_cast<std::size_t>(params.width) * params.height;
   nodes_.resize(node_count);
   links_.resize(node_count * kDirectionCount);
-  if (params_.path == NocPath::kFlat) {
-    flat_links_.resize(node_count * kDirectionCount);
-  }
 }
 
 NodeId MeshNoc::Neighbor(NodeId n, Direction dir) {
@@ -47,13 +44,9 @@ Status MeshNoc::AdmitPacket(Packet& packet) {
     return InvalidArgument("packet endpoints outside mesh");
   }
   // When no fault is armed (any_failure_ false) the node checks are
-  // vacuously clear and NextHop cannot fail, so the flat path skips all
-  // three probes on healthy meshes. The reference path runs them
-  // unconditionally: it is the pre-optimization oracle, and its per-packet
-  // injection cost is the baseline bench_fabric_cosim's throughput gate
-  // measures against. Either way both paths reach identical decisions.
-  const bool probe = any_failure_ || params_.path == NocPath::kReference;
-  if (probe && nodes_[NodeIndex(packet.source)].failed) {
+  // vacuously clear and NextHop cannot fail, so healthy meshes skip all
+  // three probes.
+  if (any_failure_ && nodes_[NodeIndex(packet.source)].failed) {
     // Never entered the network: not counted as injected.
     return Unavailable("source node failed");
   }
@@ -61,7 +54,7 @@ Status MeshNoc::AdmitPacket(Packet& packet) {
   ++telemetry_.injected;
   // Source-detectable faults drop here, counted, so conservation
   // (injected == delivered + dropped) holds without waiting for the event.
-  if (probe) {
+  if (any_failure_) {
     if (nodes_[NodeIndex(packet.destination)].failed) {
       Drop(packet, DropReason::kNodeFailed);
       return Unavailable("destination node failed");
@@ -79,27 +72,14 @@ Status MeshNoc::AdmitPacket(Packet& packet) {
 
 Status MeshNoc::Inject(Packet packet) {
   if (Status s = AdmitPacket(packet); !s.ok()) return s;
-  if (params_.path == NocPath::kFlat) {
-    const NodeId source = packet.source;
-    const std::uint32_t idx = AllocFlight(std::move(packet), source, 0);
-    queue_->ScheduleTagAfter(TimeNs(0.0), this, idx);
-  } else {
-    queue_->ScheduleAfter(TimeNs(0.0), [this, packet = std::move(packet)] {
-      ArriveAt(packet, packet.source, 0);
-    });
-  }
+  const NodeId source = packet.source;
+  const std::uint32_t idx = AllocFlight(std::move(packet), source, 0);
+  queue_->ScheduleTagAfter(TimeNs(0.0), this, idx);
   return Status::Ok();
 }
 
 Status MeshNoc::InjectBurst(std::vector<Packet>&& packets) {
   Status first = Status::Ok();
-  if (params_.path == NocPath::kReference) {
-    for (Packet& packet : packets) {
-      Status s = Inject(std::move(packet));
-      if (!s.ok() && first.ok()) first = std::move(s);
-    }
-    return first;
-  }
   // Per-packet admission, as in Inject; the admitted packets are compacted
   // to the front of the caller's buffer, which one tagged event then
   // replays in injection order.
@@ -218,52 +198,6 @@ void MeshNoc::Deliver(Packet&& packet, int hops) {
   }
 }
 
-// --- reference path --------------------------------------------------------
-
-void MeshNoc::ArriveAt(Packet packet, NodeId node, int hops) {
-  CIM_DCHECK(InBounds(node));
-  if (nodes_[NodeIndex(node)].failed) {
-    Drop(packet, DropReason::kNodeFailed);
-    return;
-  }
-  if (node == packet.destination) {
-    Deliver(std::move(packet), hops);
-    return;
-  }
-  // Hop cap breaks detour livelock when a region is fully failed.
-  const int hop_cap = 4 * params_.width * params_.height;
-  if (hops >= hop_cap) {
-    Drop(packet, DropReason::kUnroutable);
-    return;
-  }
-  bool rerouted = false;
-  auto dir = NextHop(node, packet.destination, &rerouted);
-  if (!dir.ok()) {
-    Drop(packet, DropReason::kUnroutable);
-    return;
-  }
-  if (rerouted) ++telemetry_.rerouted_hops;
-  TraverseLink(std::move(packet), node, *dir, hops);
-}
-
-void MeshNoc::TraverseLink(Packet packet, NodeId from, Direction dir,
-                           int hops) {
-  const std::size_t link_idx = LinkIndex(from, dir);
-  Link& link = links_[link_idx];
-  link.queues[static_cast<std::size_t>(packet.qos)].push_back(
-      std::move(packet));
-  link.queued_hops[static_cast<std::size_t>(packet.qos)].push_back(hops);
-  if (!link.drain_scheduled) {
-    link.drain_scheduled = true;
-    const TimeNs when =
-        link.busy_until > queue_->now() ? link.busy_until : queue_->now();
-    queue_->ScheduleAt(when,
-                       [this, link_idx, from, dir] {
-                         DrainLink(link_idx, from, dir);
-                       });
-  }
-}
-
 TimeNs MeshNoc::ServiceHop(std::uint32_t payload_bytes, TimeNs& busy_until) {
   const TimeNs serialization = SerializationDelay(payload_bytes);
   busy_until = queue_->now() + serialization;
@@ -275,64 +209,9 @@ TimeNs MeshNoc::ServiceHop(std::uint32_t payload_bytes, TimeNs& busy_until) {
          serialization;
 }
 
-void MeshNoc::DrainLink(std::size_t link_idx, NodeId from, Direction dir) {
-  Link& link = links_[link_idx];
-  link.drain_scheduled = false;
-
-  // If the link failed while packets were queued, reroute them all.
-  if (link.failed) {
-    for (int cls = 0; cls < kQosClassCount; ++cls) {
-      while (!link.queues[cls].empty()) {
-        Packet packet = std::move(link.queues[cls].front());
-        link.queues[cls].pop_front();
-        const int hops = link.queued_hops[cls].front();
-        link.queued_hops[cls].pop_front();
-        ArriveAt(std::move(packet), from, hops);
-      }
-    }
-    return;
-  }
-
-  // Service the highest-priority non-empty class.
-  for (int cls = 0; cls < kQosClassCount; ++cls) {
-    if (link.queues[cls].empty()) continue;
-    Packet packet = std::move(link.queues[cls].front());
-    link.queues[cls].pop_front();
-    const int hops = link.queued_hops[cls].front();
-    link.queued_hops[cls].pop_front();
-
-    const TimeNs arrival = ServiceHop(packet.payload_bytes, link.busy_until);
-    const NodeId next = Neighbor(from, dir);
-    queue_->ScheduleAt(arrival,
-                       [this, packet = std::move(packet), next, hops] {
-                         ArriveAt(packet, next, hops + 1);
-                       });
-    break;
-  }
-
-  // More traffic pending: schedule the next drain when the link frees.
-  bool any_pending = false;
-  for (const auto& q : link.queues) {
-    if (!q.empty()) any_pending = true;
-  }
-  if (any_pending) {
-    link.drain_scheduled = true;
-    queue_->ScheduleAt(link.busy_until, [this, link_idx, from, dir] {
-      DrainLink(link_idx, from, dir);
-    });
-  }
-}
-
-// --- flat path -------------------------------------------------------------
-//
-// Mirrors the reference path decision for decision (same routing calls, same
-// telemetry updates, same event times, same relative scheduling order), so
-// both produce identical simulations; only the carrier differs — flight
-// indices in reusable pool slots instead of Packets captured in closures.
-
 void MeshNoc::OnTagEvent(std::uint64_t tag) {
   if ((tag & kTagDrainBit) != 0) {
-    FlatDrain(static_cast<std::size_t>(tag & ~kTagDrainBit));
+    Drain(static_cast<std::size_t>(tag & ~kTagDrainBit));
   } else if ((tag & kTagBurstBit) != 0) {
     // One burst event stands in for one arrival event per admitted packet
     // and replays them in injection order. Packets move into flight slots
@@ -348,10 +227,10 @@ void MeshNoc::OnTagEvent(std::uint64_t tag) {
     }
     for (Packet& packet : burst) {
       const NodeId source = packet.source;
-      FlatArrive(AllocFlight(std::move(packet), source, 0));
+      Arrive(AllocFlight(std::move(packet), source, 0));
     }
   } else {
-    FlatArrive(static_cast<std::uint32_t>(tag));
+    Arrive(static_cast<std::uint32_t>(tag));
   }
 }
 
@@ -370,7 +249,7 @@ std::uint32_t MeshNoc::AllocFlight(Packet&& packet, NodeId at, int hops) {
   return idx;
 }
 
-void MeshNoc::FlatArrive(std::uint32_t idx) {
+void MeshNoc::Arrive(std::uint32_t idx) {
   Flight& flight = flights_[idx];
   const NodeId node = flight.at;
   CIM_DCHECK(InBounds(node));
@@ -399,12 +278,12 @@ void MeshNoc::FlatArrive(std::uint32_t idx) {
     return;
   }
   if (rerouted) ++telemetry_.rerouted_hops;
-  FlatTraverse(idx, node, *dir);
+  Traverse(idx, node, *dir);
 }
 
-void MeshNoc::FlatTraverse(std::uint32_t idx, NodeId from, Direction dir) {
+void MeshNoc::Traverse(std::uint32_t idx, NodeId from, Direction dir) {
   const std::size_t link_idx = LinkIndex(from, dir);
-  FlatLink& link = flat_links_[link_idx];
+  Link& link = links_[link_idx];
   const auto cls = static_cast<std::size_t>(flights_[idx].packet.qos);
   link.queue[cls].push_back(idx);
   if (!link.drain_scheduled) {
@@ -415,22 +294,22 @@ void MeshNoc::FlatTraverse(std::uint32_t idx, NodeId from, Direction dir) {
   }
 }
 
-void MeshNoc::FlatDrain(std::size_t link_idx) {
-  FlatLink& link = flat_links_[link_idx];
+void MeshNoc::Drain(std::size_t link_idx) {
+  Link& link = links_[link_idx];
   link.drain_scheduled = false;
   const auto node_idx = link_idx / kDirectionCount;
   const NodeId from{static_cast<std::uint16_t>(node_idx % params_.width),
                     static_cast<std::uint16_t>(node_idx / params_.width)};
   const auto dir = static_cast<Direction>(link_idx % kDirectionCount);
 
-  // If the link failed while packets were queued, reroute them all (same
-  // order as the reference path: class-ascending, FIFO within class).
-  if (links_[link_idx].failed) {
+  // If the link failed while packets were queued, reroute them all:
+  // class-ascending, FIFO within class.
+  if (link.failed) {
     for (int cls = 0; cls < kQosClassCount; ++cls) {
-      // FlatArrive can push onto other links' queues but never this one
+      // Arrive can push onto other links' queues but never this one
       // (NextHop skips failed links), so iterating by index is safe.
       for (std::size_t i = link.head[cls]; i < link.queue[cls].size(); ++i) {
-        FlatArrive(link.queue[cls][i]);
+        Arrive(link.queue[cls][i]);
       }
       link.queue[cls].clear();
       link.head[cls] = 0;

@@ -8,12 +8,12 @@
 // failed and restored at runtime — the basis of the §IV.B failover and §V.A
 // stream-redirection experiments.
 //
-// Two injection-path implementations share the routing, arbitration and
-// telemetry logic (NocPath below): the reference path carries each Packet
-// through per-hop closures, the flat path carries a 32-bit index into a
-// pooled flight table through tagged events. Results are bit-identical; the
-// flat path is what lets fabric-scale co-simulation push millions of packets
-// per run (see bench_fabric_cosim).
+// One carrier moves packets: a packet in flight owns a pooled slot, link
+// queues hold 32-bit slot indices and every hop is an allocation-free tagged
+// event, which is what lets fabric-scale co-simulation push millions of
+// packets per run (see bench_fabric_cosim). An independent closure-per-hop
+// model of the same mesh, tests/noc_reference.h, is the oracle that the
+// noc_test differential and bench_fabric_cosim compare it against.
 //
 // Packets enter through Inject (one packet) or InjectBurst (a whole buffer
 // admitted at one instant) and leave through the per-node delivery handler
@@ -22,7 +22,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -30,21 +29,10 @@
 #include "common/event_queue.h"
 #include "common/stats.h"
 #include "common/status.h"
+#include "common/units.h"
 #include "noc/packet.h"
 
 namespace cim::noc {
-
-// Injection-path policy (same shape as crossbar::KernelPolicy): kReference
-// keeps the original closure-per-hop / deque-of-Packet implementation as the
-// golden model; kFlat (the default) is the SoA hot path — pooled flight
-// slots, per-link index queues, allocation-free tagged events, one event
-// per burst. Both paths draw events from one (when, sequence) order, so
-// deliveries, drops, timestamps and telemetry are bit-identical — pinned by
-// the noc_test differential suite and re-checked by bench_fabric_cosim.
-enum class NocPath : std::uint8_t {
-  kReference = 0,
-  kFlat = 1,
-};
 
 struct MeshParams {
   std::uint16_t width = 4;
@@ -54,10 +42,9 @@ struct MeshParams {
   TimeNs link_latency{2.0};           // wire time-of-flight per hop
   EnergyPj hop_energy_per_byte{1.0};
   EnergyPj router_energy{10.0};       // per packet per hop
-  NocPath path = NocPath::kFlat;
 
   // Energy one packet of `payload_bytes` costs per hop: link energy per
-  // byte plus the router's per-packet energy. Both drains charge it per
+  // byte plus the router's per-packet energy. The drain charges it per
   // serviced hop, and the fabric co-sim attributes hops x it per element.
   [[nodiscard]] double HopEnergyPj(std::uint32_t payload_bytes) const {
     return hop_energy_per_byte.pj * payload_bytes + router_energy.pj;
@@ -65,8 +52,20 @@ struct MeshParams {
 
   [[nodiscard]] Status Validate() const {
     if (width == 0 || height == 0) return InvalidArgument("empty mesh");
+    // A NaN or infinite term would reach every event time (NaN breaks the
+    // EventQueue's heap order) or the hop energy.
+    if (!AllFinite({link_bandwidth_gbps, router_latency.ns, link_latency.ns,
+                    hop_energy_per_byte.pj, router_energy.pj})) {
+      return InvalidArgument("mesh parameters must be finite");
+    }
     if (link_bandwidth_gbps <= 0.0) {
       return InvalidArgument("bandwidth must be positive");
+    }
+    if (router_latency.ns < 0.0 || link_latency.ns < 0.0) {
+      return InvalidArgument("hop latencies must be non-negative");
+    }
+    if (hop_energy_per_byte.pj < 0.0 || router_energy.pj < 0.0) {
+      return InvalidArgument("hop energies must be non-negative");
     }
     return Status::Ok();
   }
@@ -132,11 +131,10 @@ class MeshNoc : public EventQueue::TagHandler {
   // takes the caller's buffer wholesale. Every packet is admitted exactly as
   // by Inject, in buffer order, with the same status and drop accounting;
   // the first non-ok status is returned after the whole buffer is processed.
-  // On the flat path the admitted packets stay in the buffer behind a
-  // single tagged event whose dispatch moves them into flight slots and
-  // replays their arrivals in injection order — the same processing order,
-  // times and decisions as per-packet Inject, for one event instead of N.
-  // On the reference path it is a loop over Inject.
+  // The admitted packets stay in the buffer behind a single tagged event
+  // whose dispatch moves them into flight slots and replays their arrivals
+  // in injection order — the same processing order, times and decisions as
+  // per-packet Inject, for one event instead of N.
   [[nodiscard]] Status InjectBurst(std::vector<Packet>&& packets);
 
   // Fault hooks: fail/restore a node or one directed link.
@@ -148,32 +146,25 @@ class MeshNoc : public EventQueue::TagHandler {
   [[nodiscard]] const RunningStat* StreamLatency(std::uint64_t stream) const;
 
  private:
-  struct Link {
-    bool failed = false;
-    TimeNs busy_until{0.0};
-    // One queue per QoS class, serviced highest priority first
-    // (reference path only; the flat path queues indices in FlatLink).
-    std::array<std::deque<Packet>, kQosClassCount> queues;
-    std::array<std::deque<int>, kQosClassCount> queued_hops;
-    bool drain_scheduled = false;
-  };
   struct Node {
     bool failed = false;
     DeliveryHandler handler;
   };
-
-  // --- flat-path state: a packet in flight owns one pooled slot; link
-  // queues and events carry the 32-bit slot index instead of the Packet.
+  // A packet in flight owns one pooled slot; link queues and events carry
+  // its 32-bit index instead of the Packet.
   struct Flight {
     Packet packet;
     NodeId at;      // node the packet is arriving at / queued to leave from
     int hops = 0;
   };
-  struct FlatLink {
-    TimeNs busy_until{0.0};
+  // One directed link: its fault flag, its occupancy and one index queue
+  // per QoS class, serviced highest priority first. Each queue's head is
+  // the pop cursor and the vector is compacted when it empties, so steady
+  // state never reallocates (and an idle link allocates nothing).
+  struct Link {
+    bool failed = false;
     bool drain_scheduled = false;
-    // Index queues per QoS class; head is the pop cursor and the vector is
-    // compacted when it empties, so steady state never reallocates.
+    TimeNs busy_until{0.0};
     std::array<std::vector<std::uint32_t>, kQosClassCount> queue;
     std::array<std::size_t, kQosClassCount> head{};
   };
@@ -206,7 +197,6 @@ class MeshNoc : public EventQueue::TagHandler {
   [[nodiscard]] Expected<Direction> NextHop(NodeId at, NodeId dst,
                                             bool* rerouted) const;
 
-  // Shared delivery/drop bookkeeping (both paths).
   void Deliver(Packet&& packet, int hops);
   void Drop(const Packet& packet, DropReason reason);
   RunningStat& StreamSlot(std::uint64_t stream);
@@ -215,33 +205,24 @@ class MeshNoc : public EventQueue::TagHandler {
   // Always inlined (defined in mesh.cc, its only user): it runs once per
   // packet on the injection hot path.
   [[nodiscard, gnu::always_inline]] inline Status AdmitPacket(Packet& packet);
-  // One serviced hop, shared by both drains: hold the link for the
-  // packet's serialization, charge the hop to the telemetry, and return
-  // when the packet reaches the next node.
+  // One serviced hop: hold the link for the packet's serialization, charge
+  // the hop to the telemetry, and return when the packet reaches the next
+  // node.
   [[gnu::always_inline]] inline TimeNs ServiceHop(std::uint32_t payload_bytes,
                                                   TimeNs& busy_until);
   void RecomputeAnyFailure();
 
-  // Reference path.
-  void ArriveAt(Packet packet, NodeId node, int hops);
-  void TraverseLink(Packet packet, NodeId from, Direction dir, int hops);
-  void DrainLink(std::size_t link_idx, NodeId from, Direction dir);
-
-  // Flat path.
   void OnTagEvent(std::uint64_t tag) override;
   std::uint32_t AllocFlight(Packet&& packet, NodeId at, int hops);
   void FreeFlight(std::uint32_t idx) { flight_free_.push_back(idx); }
-  void FlatArrive(std::uint32_t idx);
-  void FlatTraverse(std::uint32_t idx, NodeId from, Direction dir);
-  void FlatDrain(std::size_t link_idx);
+  void Arrive(std::uint32_t idx);
+  void Traverse(std::uint32_t idx, NodeId from, Direction dir);
+  void Drain(std::size_t link_idx);
 
   MeshParams params_;
   EventQueue* queue_;
   std::vector<Node> nodes_;
-  // Link fault flags live in links_ for both paths; the reference packet
-  // queues inside are unused when params_.path == kFlat.
-  std::vector<Link> links_;
-  std::vector<FlatLink> flat_links_;
+  std::vector<Link> links_;  // LinkIndex(from, dir)
   std::vector<Flight> flights_;
   std::vector<std::uint32_t> flight_free_;
   // Admitted buffers handed over by InjectBurst, consumed FIFO by their

@@ -407,11 +407,15 @@ TEST(ScalingTest, WriteHidingTradesArraysForThroughput) {
 // --- Validate boundary-value fuzz -------------------------------------------
 //
 // Every numeric CrossbarParams / DpeParams field (cell, ADC, DAC and fault
-// tolerance included) takes 0, -1, NaN and +/-inf (an integer field: 0, -1
-// and its type's min and max), and each of its bounds with the bound's
-// neighbours (+/-1, and +/-1 ulp for a real). A configuration Validate
-// accepts must build an accelerator and run one inference with finite
-// outputs and costs, and the analytical model must price it finitely.
+// tolerance included) takes 0, -1, the most negative finite value, NaN and
+// +/-inf (an integer field: 0, -1 and its type's min and max), and each of
+// its bounds with the bound's neighbours (+/-1, and +/-1 ulp for a real).
+// Every latency and energy field has the bound 0: a negative one that
+// slipped through would shrink the reported cost, by far too little to
+// notice at -1 but below zero at the most negative double. A configuration
+// Validate accepts must build an accelerator and run one inference with
+// finite outputs and finite, non-negative costs, and the analytical model
+// must price it finitely and non-negatively.
 // Arrays run at most 64x64 and worker_threads stays 1, so no case
 // allocates much or starts a thread; a wider accepted array is counted but
 // not built.
@@ -427,7 +431,8 @@ std::vector<T> BoundaryValues(std::initializer_list<T> bounds) {
   std::vector<T> values;
   if constexpr (std::is_floating_point_v<T>) {
     constexpr T kInf = std::numeric_limits<T>::infinity();
-    values = {0.0, -1.0, std::numeric_limits<T>::quiet_NaN(), kInf, -kInf};
+    values = {0.0, -1.0, std::numeric_limits<T>::lowest(),
+              std::numeric_limits<T>::quiet_NaN(), kInf, -kInf};
     for (const T b : bounds) {
       values.insert(values.end(), {b, std::nextafter(b, -kInf),
                                    std::nextafter(b, kInf), b - 1, b + 1});
@@ -468,20 +473,20 @@ std::vector<FuzzField> FuzzFields() {
       CIM_FUZZ_FIELD(double, array.ir_drop_alpha, 0.0, 1.0),
       CIM_FUZZ_FIELD(int, array.adc.bits, 1, 16),
       CIM_FUZZ_FIELD(int, array.adc.reference_bits, 1, 16),
-      CIM_FUZZ_FIELD(double, array.adc.base_latency.ns),
-      CIM_FUZZ_FIELD(double, array.adc.base_energy.pj),
+      CIM_FUZZ_FIELD(double, array.adc.base_latency.ns, 0.0),
+      CIM_FUZZ_FIELD(double, array.adc.base_energy.pj, 0.0),
       CIM_FUZZ_FIELD(int, array.dac.bits, 1, 16),
-      CIM_FUZZ_FIELD(double, array.dac.settle_latency.ns),
-      CIM_FUZZ_FIELD(double, array.dac.drive_energy.pj),
+      CIM_FUZZ_FIELD(double, array.dac.settle_latency.ns, 0.0),
+      CIM_FUZZ_FIELD(double, array.dac.drive_energy.pj, 0.0),
       CIM_FUZZ_FIELD(double, array.dac.v_read, 0.0),
       CIM_FUZZ_FIELD(double, array.cell.g_on_siemens, 1.0 / 2e6),
       CIM_FUZZ_FIELD(double, array.cell.g_off_siemens, 0.0, 1.0 / 2e3),
       CIM_FUZZ_FIELD(int, array.cell.cell_bits, 1, 8),
-      CIM_FUZZ_FIELD(double, array.cell.read_latency.ns),
-      CIM_FUZZ_FIELD(double, array.cell.set_latency.ns),
-      CIM_FUZZ_FIELD(double, array.cell.reset_latency.ns),
-      CIM_FUZZ_FIELD(double, array.cell.read_energy.pj),
-      CIM_FUZZ_FIELD(double, array.cell.write_energy.pj),
+      CIM_FUZZ_FIELD(double, array.cell.read_latency.ns, 0.0),
+      CIM_FUZZ_FIELD(double, array.cell.set_latency.ns, 0.0),
+      CIM_FUZZ_FIELD(double, array.cell.reset_latency.ns, 0.0),
+      CIM_FUZZ_FIELD(double, array.cell.read_energy.pj, 0.0),
+      CIM_FUZZ_FIELD(double, array.cell.write_energy.pj, 0.0),
       CIM_FUZZ_FIELD(double, array.cell.read_noise_sigma, 0.0),
       CIM_FUZZ_FIELD(double, array.cell.write_tolerance),
       CIM_FUZZ_FIELD(int, array.cell.max_write_iterations, 1, 64),
@@ -491,12 +496,12 @@ std::vector<FuzzField> FuzzFields() {
       CIM_FUZZ_FIELD(double, array.cell.drift_t0.ns, 0.0),
       CIM_FUZZ_FIELD(int, weight_bits, 2, 16),
       CIM_FUZZ_FIELD(int, input_bits, 1, 16),
-      CIM_FUZZ_FIELD(double, buffer_energy_per_byte_pj),
-      CIM_FUZZ_FIELD(double, shift_add_energy_pj),
-      CIM_FUZZ_FIELD(double, activation_energy_pj),
-      CIM_FUZZ_FIELD(double, activation_latency_ns),
-      CIM_FUZZ_FIELD(double, htree_energy_per_byte_pj),
-      CIM_FUZZ_FIELD(double, static_power_per_array_w),
+      CIM_FUZZ_FIELD(double, buffer_energy_per_byte_pj, 0.0),
+      CIM_FUZZ_FIELD(double, shift_add_energy_pj, 0.0),
+      CIM_FUZZ_FIELD(double, activation_energy_pj, 0.0),
+      CIM_FUZZ_FIELD(double, activation_latency_ns, 0.0),
+      CIM_FUZZ_FIELD(double, htree_energy_per_byte_pj, 0.0),
+      CIM_FUZZ_FIELD(double, static_power_per_array_w, 0.0),
       CIM_FUZZ_FIELD(std::size_t, conv_replication, 1),
       CIM_FUZZ_FIELD(std::size_t, fault_tolerance.spare_tiles, 4096),
       CIM_FUZZ_FIELD(std::uint64_t, fault_tolerance.aging.endurance_cycles,
@@ -509,7 +514,7 @@ std::vector<FuzzField> FuzzFields() {
       CIM_FUZZ_FIELD(double, fault_tolerance.aging.systemic_fraction),
       CIM_FUZZ_FIELD(std::size_t, arrays_per_board, 1),
       CIM_FUZZ_FIELD(double, board_link_bandwidth_gbps, 0.0),
-      CIM_FUZZ_FIELD(double, board_link_latency_ns),
+      CIM_FUZZ_FIELD(double, board_link_latency_ns, 0.0),
   };
   FuzzField kernels;
   for (const auto kernel :
@@ -534,9 +539,10 @@ std::vector<FuzzField> FuzzFields() {
 
 #undef CIM_FUZZ_FIELD
 
-bool FiniteCost(const CostReport& cost) {
+bool FiniteNonNegativeCost(const CostReport& cost) {
   return std::isfinite(cost.latency_ns) && std::isfinite(cost.energy_pj) &&
-         std::isfinite(cost.bytes_moved);
+         std::isfinite(cost.bytes_moved) && cost.latency_ns >= 0.0 &&
+         cost.energy_pj >= 0.0 && cost.bytes_moved >= 0.0;
 }
 
 // Counts what one fuzz run did with its configurations.
@@ -571,12 +577,13 @@ void ExpectAcceptedRuns(const DpeParams& p, const std::string& what,
   for (const double y : result->output.vec()) {
     EXPECT_TRUE(std::isfinite(y)) << what;
   }
-  EXPECT_TRUE(FiniteCost(result->cost)) << what;
-  EXPECT_TRUE(FiniteCost((*acc)->program_cost())) << what;
+  EXPECT_TRUE(FiniteNonNegativeCost(result->cost)) << what;
+  EXPECT_TRUE(FiniteNonNegativeCost((*acc)->program_cost())) << what;
   auto estimate = AnalyticalDpeModel(p).EstimateInference(net);
   ASSERT_TRUE(estimate.ok()) << what << ": " << estimate.status().message();
   EXPECT_TRUE(std::isfinite(estimate->latency_ns) &&
-              std::isfinite(estimate->energy_pj))
+              std::isfinite(estimate->energy_pj) &&
+              estimate->latency_ns >= 0.0 && estimate->energy_pj >= 0.0)
       << what;
 }
 

@@ -2,11 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/event_queue.h"
 #include "common/rng.h"
 #include "noc/mesh.h"
+#include "noc_reference.h"
 
 namespace cim::noc {
 namespace {
@@ -38,6 +45,30 @@ TEST(MeshParamsTest, Validation) {
   p = SmallMesh();
   p.link_bandwidth_gbps = 0.0;
   EXPECT_FALSE(p.Validate().ok());
+  // NaN slips past a `<= 0` test and would reach every event time; negative
+  // or non-finite latencies and energies would reach every hop's cost.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double (*)(MeshParams&, double)> fields = {
+      [](MeshParams& m, double v) { return m.link_bandwidth_gbps = v; },
+      [](MeshParams& m, double v) { return m.router_latency.ns = v; },
+      [](MeshParams& m, double v) { return m.link_latency.ns = v; },
+      [](MeshParams& m, double v) { return m.hop_energy_per_byte.pj = v; },
+      [](MeshParams& m, double v) { return m.router_energy.pj = v; },
+  };
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    for (const double bad : {kNaN, kInf, -kInf, -1.0}) {
+      p = SmallMesh();
+      fields[f](p, bad);
+      EXPECT_FALSE(p.Validate().ok()) << "field " << f << " = " << bad;
+      EventQueue queue;
+      EXPECT_FALSE(MeshNoc::Create(p, &queue).ok());
+    }
+    // Zero is a legal latency or energy (an ideal wire), not a bandwidth.
+    p = SmallMesh();
+    fields[f](p, 0.0);
+    EXPECT_EQ(p.Validate().ok(), f != 0) << "field " << f << " = 0";
+  }
 }
 
 TEST(MeshNocTest, CreateRequiresQueue) {
@@ -299,117 +330,275 @@ TEST_P(NocDeliveryProperty, AllPacketsDeliveredExactlyOnce) {
 INSTANTIATE_TEST_SUITE_P(TrafficLoads, NocDeliveryProperty,
                          ::testing::Values(10, 100, 1000));
 
-// A burst must be indistinguishable from per-packet injection: same
-// deliveries, drops, times and telemetry — on the flat path (one event
-// replays the admitted buffer) and on the reference path (a loop over
-// Inject). The faulted mesh rejects packets mid-burst: a failed source is
-// refused uncounted, a failed destination drops at admission, a dead-end
-// node drops as unroutable at its source and mid-route, and failed links on
-// XY routes force detours.
-TEST(MeshNocTest, OwnedBurstMatchesPerPacketInjection) {
-  struct Outcome {
-    std::vector<std::uint64_t> ids;
-    std::vector<double> times;
-    std::vector<int> hops;
-    std::vector<std::uint64_t> drop_ids;
-    std::vector<DropReason> drop_reasons;
-    std::uint64_t injected = 0, delivered = 0, dropped = 0, rerouted = 0;
-    double energy_pj = 0.0;
-    ErrorCode first_error = ErrorCode::kOk;
+// --- differential property: MeshNoc against the reference mesh -----------
+//
+// A scenario is a mesh, faults armed before any traffic, and a timeline of
+// actions scheduled on the shared EventQueue: injection windows and fault
+// toggles (fail or restore a node or a link), so faults also land while
+// packets are queued on links and in flight.
+
+struct FaultAction {
+  bool node = false;  // node fault, else link fault
+  NodeId where;
+  Direction dir = Direction::kEast;
+  bool failed = true;
+};
+
+struct TimedAction {
+  TimeNs at{0.0};
+  std::vector<Packet> window;  // injected when non-empty, else `fault`
+  FaultAction fault;
+};
+
+struct Scenario {
+  MeshParams params;
+  std::vector<FaultAction> initial_faults;
+  std::vector<TimedAction> timeline;  // scheduled in this order
+  std::uint64_t streams = 0;          // every stream id is below this
+};
+
+// Everything a carrier exposes, compared field for field (doubles exactly).
+struct Outcome {
+  std::vector<std::tuple<std::uint64_t, double, int>> deliveries;
+  std::vector<std::pair<std::uint64_t, DropReason>> drops;
+  std::vector<ErrorCode> window_errors;  // first non-ok code per window
+  ErrorCode first_error = ErrorCode::kOk;
+  std::uint64_t injected = 0, delivered = 0, dropped = 0, rerouted = 0;
+  std::vector<double> cost;     // latency_ns, energy_pj, bytes_moved, ops
+  std::vector<double> latency;  // StatFields(latency_ns)
+  std::vector<std::vector<double>> streams;  // empty when no stats
+};
+
+std::vector<double> StatFields(const RunningStat& s) {
+  return {static_cast<double>(s.count()), s.sum(), s.mean(), s.variance(),
+          s.min(), s.max()};
+}
+
+enum class Entry { kPerPacket, kBurst };
+
+template <typename Mesh>
+void ApplyFault(Mesh& mesh, const FaultAction& f) {
+  const Status s = f.node ? mesh.SetNodeFailed(f.where, f.failed)
+                          : mesh.SetLinkFailed(f.where, f.dir, f.failed);
+  EXPECT_TRUE(s.ok()) << s.message();
+}
+
+template <typename Mesh>
+Outcome RunScenario(const Scenario& sc, Entry entry) {
+  EventQueue queue;
+  auto created = Mesh::Create(sc.params, &queue);
+  CIM_CHECK(created.ok());
+  Mesh& mesh = *created;
+  Outcome out;
+  for (std::uint16_t x = 0; x < sc.params.width; ++x) {
+    for (std::uint16_t y = 0; y < sc.params.height; ++y) {
+      mesh.SetDeliveryHandler({x, y}, [&out](const Delivery& d) {
+        out.deliveries.emplace_back(d.packet.id, d.delivered_at.ns, d.hops);
+      });
+    }
+  }
+  mesh.SetDropHandler([&out](const Packet& p, DropReason reason) {
+    out.drops.emplace_back(p.id, reason);
+  });
+  for (const FaultAction& f : sc.initial_faults) ApplyFault(mesh, f);
+  for (const TimedAction& action : sc.timeline) {
+    queue.ScheduleAt(action.at, [&mesh, &out, &action, entry] {
+      if (action.window.empty()) {
+        ApplyFault(mesh, action.fault);
+        return;
+      }
+      Status first = Status::Ok();
+      if (entry == Entry::kBurst) {
+        first = mesh.InjectBurst(std::vector<Packet>(action.window));
+      } else {
+        for (const Packet& p : action.window) {
+          Status s = mesh.Inject(p);
+          if (!s.ok() && first.ok()) first = std::move(s);
+        }
+      }
+      out.window_errors.push_back(first.code());
+      if (out.first_error == ErrorCode::kOk) out.first_error = first.code();
+    });
+  }
+  queue.Run();
+  const NocTelemetry& t = mesh.telemetry();
+  out.injected = t.injected;
+  out.delivered = t.delivered;
+  out.dropped = t.dropped;
+  out.rerouted = t.rerouted_hops;
+  out.cost = {t.cost.latency_ns, t.cost.energy_pj, t.cost.bytes_moved,
+              static_cast<double>(t.cost.operations)};
+  out.latency = StatFields(t.latency_ns);
+  for (std::uint64_t stream = 0; stream < sc.streams; ++stream) {
+    const RunningStat* stat = mesh.StreamLatency(stream);
+    out.streams.push_back(stat != nullptr ? StatFields(*stat)
+                                          : std::vector<double>{});
+  }
+  return out;
+}
+
+void ExpectSameOutcome(const Outcome& want, const Outcome& got) {
+  EXPECT_EQ(want.deliveries, got.deliveries);
+  EXPECT_EQ(want.drops, got.drops);
+  EXPECT_EQ(want.window_errors, got.window_errors);
+  EXPECT_EQ(want.first_error, got.first_error);
+  EXPECT_EQ(want.injected, got.injected);
+  EXPECT_EQ(want.delivered, got.delivered);
+  EXPECT_EQ(want.dropped, got.dropped);
+  EXPECT_EQ(want.rerouted, got.rerouted);
+  EXPECT_EQ(want.cost, got.cost);
+  EXPECT_EQ(want.latency, got.latency);
+  EXPECT_EQ(want.streams, got.streams);
+}
+
+// Runs `sc` through MeshNoc per-packet Inject, MeshNoc InjectBurst and the
+// reference mesh; all three must agree. Returns the per-packet outcome.
+Outcome ExpectCarriersAgree(const Scenario& sc) {
+  const Outcome single = RunScenario<MeshNoc>(sc, Entry::kPerPacket);
+  {
+    SCOPED_TRACE("MeshNoc InjectBurst");
+    ExpectSameOutcome(single, RunScenario<MeshNoc>(sc, Entry::kBurst));
+  }
+  {
+    SCOPED_TRACE("reference mesh");
+    ExpectSameOutcome(single, RunScenario<ReferenceMesh>(sc, Entry::kBurst));
+  }
+  EXPECT_EQ(single.injected, single.delivered + single.dropped);
+  return single;
+}
+
+// A random scenario: mesh 1x1..6x6 at a bandwidth slow enough to queue,
+// mixed QoS classes and payload sizes (some endpoints outside the mesh),
+// up to three faults armed before traffic, and a timeline of injection
+// windows interleaved with fault and restore events.
+Scenario RandomScenario(std::uint64_t seed) {
+  Rng rng(seed);
+  Scenario sc;
+  sc.params.width = static_cast<std::uint16_t>(1 + rng.NextBounded(6));
+  sc.params.height = static_cast<std::uint16_t>(1 + rng.NextBounded(6));
+  constexpr std::array<double, 3> kBandwidths = {0.5, 2.0, 16.0};
+  sc.params.link_bandwidth_gbps = kBandwidths[rng.NextBounded(3)];
+  sc.streams = 6;
+  const auto node = [&] {
+    return NodeId{static_cast<std::uint16_t>(rng.NextBounded(sc.params.width)),
+                  static_cast<std::uint16_t>(
+                      rng.NextBounded(sc.params.height))};
   };
-  const auto run = [](NocPath path, bool burst_inject, bool faulted,
-                      std::uint64_t packets) {
-    EventQueue queue;
-    MeshParams params = SmallMesh();
-    params.path = path;
-    auto noc = MeshNoc::Create(params, &queue);
-    Outcome out;
-    for (std::uint16_t x = 0; x < 4; ++x) {
-      for (std::uint16_t y = 0; y < 4; ++y) {
-        noc->SetDeliveryHandler({x, y}, [&out](const Delivery& d) {
-          out.ids.push_back(d.packet.id);
-          out.times.push_back(d.delivered_at.ns);
-          out.hops.push_back(d.hops);
-        });
+  const auto fault = [&](bool failed) {
+    FaultAction f;
+    f.where = node();
+    f.dir = static_cast<Direction>(rng.NextBounded(kDirectionCount));
+    f.failed = failed;
+    const bool link_in_mesh =
+        (f.dir == Direction::kEast && f.where.x + 1 < sc.params.width) ||
+        (f.dir == Direction::kWest && f.where.x > 0) ||
+        (f.dir == Direction::kNorth && f.where.y + 1 < sc.params.height) ||
+        (f.dir == Direction::kSouth && f.where.y > 0);
+    f.node = !link_in_mesh || rng.NextBounded(4) == 0;
+    return f;
+  };
+  for (std::uint64_t n = rng.NextBounded(4); n > 0; --n) {
+    sc.initial_faults.push_back(fault(true));
+  }
+  std::uint64_t next_id = 1;
+  for (std::uint64_t n = 2 + rng.NextBounded(12); n > 0; --n) {
+    TimedAction action;
+    action.at = TimeNs(static_cast<double>(rng.NextBounded(6000)));
+    if (rng.NextBounded(2) == 0) {
+      action.fault = fault(rng.NextBounded(3) != 0);
+    } else {
+      for (std::uint64_t k = 1 + rng.NextBounded(40); k > 0; --k) {
+        Packet p;
+        p.id = next_id++;
+        p.stream_id = rng.NextBounded(sc.streams);
+        p.source = node();
+        p.destination = node();
+        if (rng.NextBounded(40) == 0) p.destination.x = sc.params.width;
+        p.payload_bytes = static_cast<std::uint32_t>(1 + rng.NextBounded(1024));
+        p.qos = static_cast<QosClass>(rng.NextBounded(kQosClassCount));
+        action.window.push_back(std::move(p));
       }
     }
-    noc->SetDropHandler([&out](const Packet& p, DropReason reason) {
-      out.drop_ids.push_back(p.id);
-      out.drop_reasons.push_back(reason);
-    });
+    sc.timeline.push_back(std::move(action));
+  }
+  return sc;
+}
+
+// MeshNoc's two ways in and the independent reference mesh must agree on
+// every delivery (id, time, hops), every drop (id, reason), every window's
+// status, every telemetry field and every stream's latency stats.
+//
+// Two fixed 4x4 scenarios (one window at t = 0) come first. The faulted one
+// rejects packets mid-burst: a failed source is refused uncounted, a failed
+// destination drops at admission, a dead-end node drops as unroutable at
+// its source and mid-route, and failed links on XY routes force detours.
+// The seeded scenarios then fail and restore nodes and links while packets
+// are queued and in flight.
+TEST(MeshNocTest, OwnedBurstMatchesPerPacketInjection) {
+  for (const bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "faulted 4x4 mesh" : "healthy 4x4 mesh");
+    const std::uint64_t packets = faulted ? 60 : 40;
+    Scenario sc;
+    sc.params = SmallMesh();
+    sc.streams = packets + 1;
     if (faulted) {
-      EXPECT_TRUE(noc->SetNodeFailed({2, 2}, true).ok());
-      EXPECT_TRUE(noc->SetNodeFailed({0, 3}, true).ok());
-      EXPECT_TRUE(noc->SetLinkFailed({1, 0}, Direction::kEast, true).ok());
-      EXPECT_TRUE(noc->SetLinkFailed({1, 0}, Direction::kNorth, true).ok());
-      EXPECT_TRUE(noc->SetLinkFailed({2, 1}, Direction::kNorth, true).ok());
+      sc.initial_faults = {{true, {2, 2}}, {true, {0, 3}},
+                           {false, {1, 0}, Direction::kEast},
+                           {false, {1, 0}, Direction::kNorth},
+                           {false, {2, 1}, Direction::kNorth}};
     }
-    std::vector<Packet> burst;
+    TimedAction window;
     Rng rng(41);
     for (std::uint64_t i = 1; i <= packets; ++i) {
       const NodeId src{static_cast<std::uint16_t>(rng.NextBounded(4)),
                        static_cast<std::uint16_t>(rng.NextBounded(4))};
       const NodeId dst{static_cast<std::uint16_t>(rng.NextBounded(4)),
                        static_cast<std::uint16_t>(rng.NextBounded(4))};
-      burst.push_back(MakePacket(i, src, dst));
+      window.window.push_back(MakePacket(i, src, dst));
     }
-    if (burst_inject) {
-      out.first_error = noc->InjectBurst(std::move(burst)).code();
-    } else {
-      for (Packet& p : burst) {
-        const Status s = noc->Inject(std::move(p));
-        if (out.first_error == ErrorCode::kOk) out.first_error = s.code();
-      }
-    }
-    queue.Run();
-    const NocTelemetry& t = noc->telemetry();
-    out.injected = t.injected;
-    out.delivered = t.delivered;
-    out.dropped = t.dropped;
-    out.rerouted = t.rerouted_hops;
-    out.energy_pj = t.cost.energy_pj;
-    return out;
-  };
-  for (const bool faulted : {false, true}) {
-    SCOPED_TRACE(faulted ? "faulted mesh" : "healthy mesh");
-    const std::uint64_t packets = faulted ? 60 : 40;
-    const Outcome flat_single = run(NocPath::kFlat, false, faulted, packets);
-    const Outcome flat_burst = run(NocPath::kFlat, true, faulted, packets);
-    const Outcome ref_burst = run(NocPath::kReference, true, faulted, packets);
-    EXPECT_EQ(flat_single.injected,
-              flat_single.delivered + flat_single.dropped);
+    sc.timeline.push_back(std::move(window));
+    const Outcome out = ExpectCarriersAgree(sc);
     if (faulted) {
       // Every fault kind fires: refused sources, admission drops of both
       // reasons, mid-route drops and detours.
-      EXPECT_LT(flat_single.injected, packets);
-      EXPECT_NE(flat_single.first_error, ErrorCode::kOk);
-      EXPECT_GT(flat_single.dropped, 0u);
-      EXPECT_GT(flat_single.rerouted, 0u);
+      EXPECT_LT(out.injected, packets);
+      EXPECT_NE(out.first_error, ErrorCode::kOk);
+      EXPECT_GT(out.dropped, 0u);
+      EXPECT_GT(out.rerouted, 0u);
       for (const DropReason reason :
            {DropReason::kNodeFailed, DropReason::kUnroutable}) {
-        EXPECT_NE(std::find(flat_single.drop_reasons.begin(),
-                            flat_single.drop_reasons.end(), reason),
-                  flat_single.drop_reasons.end());
+        EXPECT_TRUE(std::any_of(out.drops.begin(), out.drops.end(),
+                                [reason](const auto& drop) {
+                                  return drop.second == reason;
+                                }));
       }
     } else {
-      EXPECT_EQ(flat_single.injected, packets);
-      EXPECT_EQ(flat_single.delivered, packets);
-      EXPECT_EQ(flat_single.first_error, ErrorCode::kOk);
-    }
-    for (const Outcome* other : {&flat_burst, &ref_burst}) {
-      EXPECT_EQ(flat_single.ids, other->ids);
-      EXPECT_EQ(flat_single.times, other->times);
-      EXPECT_EQ(flat_single.hops, other->hops);
-      EXPECT_EQ(flat_single.drop_ids, other->drop_ids);
-      EXPECT_EQ(flat_single.drop_reasons, other->drop_reasons);
-      EXPECT_EQ(flat_single.injected, other->injected);
-      EXPECT_EQ(flat_single.delivered, other->delivered);
-      EXPECT_EQ(flat_single.dropped, other->dropped);
-      EXPECT_EQ(flat_single.rerouted, other->rerouted);
-      EXPECT_EQ(flat_single.energy_pj, other->energy_pj);
-      EXPECT_EQ(flat_single.first_error, other->first_error);
+      EXPECT_EQ(out.injected, packets);
+      EXPECT_EQ(out.delivered, packets);
+      EXPECT_EQ(out.first_error, ErrorCode::kOk);
     }
   }
+
+  // Across the seeds every outcome kind must occur, or the property is
+  // not exercising what it claims to.
+  std::set<ErrorCode> errors;
+  std::set<DropReason> reasons;
+  std::uint64_t rerouted = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Outcome out = ExpectCarriersAgree(RandomScenario(seed));
+    if (HasFailure()) return;
+    errors.insert(out.window_errors.begin(), out.window_errors.end());
+    for (const auto& drop : out.drops) reasons.insert(drop.second);
+    rerouted += out.rerouted;
+  }
+  EXPECT_EQ(errors, (std::set<ErrorCode>{ErrorCode::kOk,
+                                         ErrorCode::kInvalidArgument,
+                                         ErrorCode::kUnavailable,
+                                         ErrorCode::kFailedPrecondition}));
+  EXPECT_EQ(reasons, (std::set<DropReason>{DropReason::kUnroutable,
+                                           DropReason::kNodeFailed}));
+  EXPECT_GT(rerouted, 0u);
 }
 
 // Out-of-bounds packets in a burst surface kInvalidArgument and are
