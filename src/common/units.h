@@ -127,6 +127,27 @@ struct EnergyPj {
   return true;
 }
 
+// Ceilings on the cost of one modelled event: a conversion, a drive pulse,
+// a cell read, set or reset, an activation, a byte moved or a board
+// crossing. Every reported cost is a sum of such events, so a finite but
+// huge per-event figure (up to DBL_MAX passes AllFinite) overflows the
+// first sum it reaches to +inf. One second and one joule are ~10^6 and
+// ~10^10 times the largest per-event figures the models use (a 1 us reset
+// pulse, a 100 pJ write), so no modelled device is refused, and a total
+// stays finite for any event count below ~10^296.
+inline constexpr double kMaxEventLatencyNs = 1e9;  // 1 s
+inline constexpr double kMaxEventEnergyPj = 1e12;  // 1 J
+
+// True when no value exceeds `ceiling` (NaN never does: check AllFinite
+// first).
+[[nodiscard]] inline bool AllAtMost(std::initializer_list<double> values,
+                                    double ceiling) {
+  for (const double v : values) {
+    if (v > ceiling) return false;
+  }
+  return true;
+}
+
 [[nodiscard]] std::string FormatTime(TimeNs t);
 [[nodiscard]] std::string FormatEnergy(EnergyPj e);
 [[nodiscard]] std::string FormatPowerWatts(double watts);

@@ -1,10 +1,10 @@
 // DAC / ADC circuit models for the analog crossbar periphery.
 //
-// The DPE (§VI, ISAAC lineage) feeds inputs through row DACs and senses
-// column currents through shared ADCs. The ADC dominates periphery energy
-// and scales roughly exponentially with resolution, which is why the
-// bit-sliced design keeps per-conversion resolution low — the ABL-ADC
-// ablation bench sweeps exactly this trade-off.
+// The DPE (§VI, ISAAC lineage) feeds inputs bit-serially through 1-bit row
+// DACs and senses column currents through shared ADCs. The ADC dominates
+// periphery energy and scales roughly exponentially with resolution, which
+// is why the bit-sliced design keeps per-conversion resolution low — the
+// ABL-ADC ablation bench sweeps exactly this trade-off.
 #pragma once
 
 #include <algorithm>
@@ -66,17 +66,18 @@ struct AdcParams {
   }
 };
 
+// The row (or column) drivers. ISAAC streams inputs bit-serially through
+// 1-bit DACs, and so does every MVM here: a line is either driven at v_read
+// (code 1) or left at 0 V (code 0). Codes above 1 are rejected
+// (PrepareDrive).
 struct DacParams {
-  // ISAAC streams inputs bit-serially through 1-bit DACs; in [1, 16]
-  // (CrossbarParams::Validate).
-  int bits = 1;
   TimeNs settle_latency{1.0};
   EnergyPj drive_energy{0.2};  // per row per pulse
   double v_read = 0.2;         // read voltage in volts
 
+  // Voltage of a line driven with `code` (0 or 1).
   [[nodiscard]] double LevelVoltage(std::uint64_t code) const {
-    const std::uint64_t max_code = (std::uint64_t{1} << bits) - 1;
-    return v_read * static_cast<double>(code) / static_cast<double>(max_code);
+    return code != 0 ? v_read : 0.0;
   }
 };
 

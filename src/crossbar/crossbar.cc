@@ -1,29 +1,42 @@
 #include "crossbar/crossbar.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/contracts.h"
 
 namespace cim::crossbar {
 namespace {
 
-// Quiet-kernel register block: adds every driven line's terms to sensed
-// lines [k0, k0 + W) of a pre-clamped mirror plane, keeping the W
+// Quiet-kernel register block: adds every driven line's read currents to
+// sensed lines [k0, k0 + W) of a quiet mirror plane, keeping the W
 // accumulators in registers across all driven lines. Each accumulator still
-// adds the lines in drive.lines order, so no FP sum changes.
+// adds the lines in drive.lines order, so no FP sum changes. The block at
+// k0 == 0 also sums the driven lines' read and drive energy (in the same
+// order) in a register alongside the accumulate and returns it; the others
+// return 0.
 template <std::size_t W>
-void AccumulateQuietBlock(const DrivePattern& drive, const double* gain,
-                          std::size_t line_cells, std::size_t k0,
-                          double* __restrict cur) {
+double AccumulateQuietBlock(const DrivePattern& drive, const double* current,
+                            std::size_t line_cells, std::size_t k0,
+                            double* __restrict cur,
+                            const double* line_energy_pj, double drive_pj) {
   double acc[W];
   for (std::size_t j = 0; j < W; ++j) acc[j] = cur[k0 + j];
-  for (const std::size_t l : drive.lines) {
-    const double v = drive.voltages[l];
-    const double* __restrict g = gain + l * line_cells + k0;
-    for (std::size_t j = 0; j < W; ++j) acc[j] += v * g[j];
+  double energy_pj = 0.0;
+  if (k0 == 0) {
+    for (const std::size_t l : drive.lines) {
+      const double* __restrict line = current + l * line_cells;
+      for (std::size_t j = 0; j < W; ++j) acc[j] += line[j];
+      energy_pj += line_energy_pj[l];
+      energy_pj += drive_pj;
+    }
+  } else {
+    for (const std::size_t l : drive.lines) {
+      const double* __restrict line = current + l * line_cells + k0;
+      for (std::size_t j = 0; j < W; ++j) acc[j] += line[j];
+    }
   }
   for (std::size_t j = 0; j < W; ++j) cur[k0 + j] = acc[j];
+  return energy_pj;
 }
 
 }  // namespace
@@ -48,6 +61,13 @@ Status CrossbarParams::Validate() const {
       dac.settle_latency.ns < 0.0 || dac.drive_energy.pj < 0.0) {
     return InvalidArgument("ADC/DAC latencies and energies must be >= 0");
   }
+  if (!AllAtMost({adc.base_latency.ns, dac.settle_latency.ns},
+                 kMaxEventLatencyNs) ||
+      !AllAtMost({adc.base_energy.pj, dac.drive_energy.pj},
+                 kMaxEventEnergyPj)) {
+    return InvalidArgument("an ADC conversion or DAC pulse must cost <= 1 s "
+                           "and <= 1 J");
+  }
   if (ir_drop_alpha < 0.0 || ir_drop_alpha >= 1.0) {
     return InvalidArgument("ir_drop_alpha must be in [0, 1)");
   }
@@ -62,9 +82,6 @@ Status CrossbarParams::Validate() const {
   if (adc.reference_bits < 1 || adc.reference_bits > 16) {
     return InvalidArgument("adc.reference_bits must be in [1, 16]");
   }
-  if (dac.bits < 1 || dac.bits > 16) {
-    return InvalidArgument("dac.bits must be in [1, 16]");
-  }
   // A negative read voltage makes the ADC's full scale negative (Encode's
   // clamp range inverted); zero drives no current, so every MVM reads 0.
   if (dac.v_read <= 0.0) {
@@ -73,48 +90,34 @@ Status CrossbarParams::Validate() const {
   return cell.Validate();
 }
 
-Status PrepareDrive(const DacParams& dac,
-                    std::span<const std::uint64_t> codes, DrivePattern* out) {
+Status PrepareDrive(std::span<const std::uint64_t> codes,
+                    DrivePattern* out) {
   CIM_CHECK(out != nullptr);
-  CIM_REQUIRE(dac.bits >= 1 && dac.bits <= 16,
-              InvalidArgument("dac.bits must be in [1, 16]"));
-  const std::uint64_t max_code = (std::uint64_t{1} << dac.bits) - 1;
   for (std::uint64_t code : codes) {
-    CIM_REQUIRE(code <= max_code, OutOfRange("DAC code exceeds dac.bits"));
+    CIM_REQUIRE(code <= 1, OutOfRange("DAC code exceeds the 1-bit DAC"));
   }
-  // Every level's voltage, computed once per thread and DAC instead of one
-  // division per line: the entries are LevelVoltage's own results, so the
-  // lookup is bit-identical to it. The key compares v_read bitwise, so a
-  // table is reused only for exactly the DAC that built it.
-  struct LevelTable {
-    int bits = 0;
-    std::uint64_t v_read_bits = 0;
-    std::vector<double> voltages;
-  };
-  thread_local LevelTable table;
-  const auto v_read_bits = std::bit_cast<std::uint64_t>(dac.v_read);
-  if (table.bits != dac.bits || table.v_read_bits != v_read_bits) {
-    table.voltages.resize(max_code + 1);
-    for (std::uint64_t code = 0; code <= max_code; ++code) {
-      table.voltages[code] = dac.LevelVoltage(code);
-    }
-    table.bits = dac.bits;
-    table.v_read_bits = v_read_bits;
-  }
-  out->voltages.resize(codes.size());
+  out->bits.resize(codes.size());
+  LoadDriveBit(codes, 0, out);
+  return Status::Ok();
+}
+
+void LoadDriveBit(std::span<const std::uint64_t> codes, int bit,
+                  DrivePattern* out) {
+  CIM_DCHECK(out->bits.size() >= codes.size());
   // Branch-free list build: every index is written, and only a driven
   // line's advances the count — bit-serial drive bits are coin flips, so a
   // data-dependent branch here would mispredict on half the lines.
   out->lines.resize(codes.size());
+  std::uint8_t* __restrict bits = out->bits.data();
+  std::size_t* __restrict lines = out->lines.data();
   std::size_t driven = 0;
   for (std::size_t i = 0; i < codes.size(); ++i) {
-    const double v = table.voltages[codes[i]];
-    out->voltages[i] = v;
-    out->lines[driven] = i;
-    driven += v != 0.0 ? 1 : 0;
+    const auto b = static_cast<std::uint8_t>((codes[i] >> bit) & 1U);
+    bits[i] = b;
+    lines[driven] = i;
+    driven += b;
   }
   out->lines.resize(driven);
-  return Status::Ok();
 }
 
 Expected<Crossbar> Crossbar::Create(const CrossbarParams& params, Rng rng) {
@@ -146,12 +149,10 @@ double Crossbar::EffectiveConductance(const device::MemristorCell& cell) const {
   return g;
 }
 
-double Crossbar::MirrorConductance(const device::MemristorCell& cell) const {
+double Crossbar::MirrorEntry(const device::MemristorCell& cell) const {
   const double g = EffectiveConductance(cell);
-  // A noisy read clamps g * factor, so it needs the raw g; a quiet read is
-  // the clamped g itself, so a quiet array stores it pre-clamped.
   if (noise_.enabled()) return g;
-  return std::clamp(g, 0.0, ReadCeiling());
+  return params_.dac.v_read * std::clamp(g, 0.0, ReadCeiling());
 }
 
 void Crossbar::RefreshMirror() {
@@ -164,7 +165,7 @@ void Crossbar::RefreshMirror() {
     double row_energy = 0.0;
     for (std::size_t c = 0; c < cols; ++c) {
       const device::MemristorCell& cell = cells_[r * cols + c];
-      const double g = MirrorConductance(cell);
+      const double g = MirrorEntry(cell);
       gain_[r * cols + c] = g;
       gain_transposed_[c * rows + r] = g;
       // Read energy is ohmic off the stored (pre-fault-override)
@@ -182,7 +183,7 @@ void Crossbar::RefreshMirrorCell(std::size_t row, std::size_t col) {
   const std::size_t cols = params_.cols;
   const double energy_per_gon =
       params_.cell.read_energy.pj / params_.cell.g_on_siemens;
-  const double g = MirrorConductance(cells_[row * cols + col]);
+  const double g = MirrorEntry(cells_[row * cols + col]);
   gain_[row * cols + col] = g;
   gain_transposed_[col * rows + row] = g;
   // Re-sum the touched row/column energies from scratch (instead of a
@@ -265,6 +266,7 @@ std::vector<double> Crossbar::IdealColumnCurrents(
   // mirror: the mirror-invalidation tests compare cycles against this.
   std::vector<double> currents(params_.cols, 0.0);
   for (std::size_t r = 0; r < params_.rows; ++r) {
+    CIM_CHECK(row_codes[r] <= 1);
     const double v = params_.dac.LevelVoltage(row_codes[r]);
     if (v == 0.0) continue;
     for (std::size_t c = 0; c < params_.cols; ++c) {
@@ -274,10 +276,9 @@ std::vector<double> Crossbar::IdealColumnCurrents(
   return currents;
 }
 
-void Crossbar::AccumulateReference(const DrivePattern& drive,
-                                   CycleDirection dir, Rng& rng,
-                                   std::span<double> currents,
-                                   double& energy_pj) {
+double Crossbar::AccumulateReference(const DrivePattern& drive,
+                                     CycleDirection dir, Rng& rng,
+                                     std::span<double> currents) {
   // Driven line l starts at cells_[l * line_stride] and its cells sit
   // cell_stride apart: a row of adjacent cells forward, a column of
   // cols-strided cells transposed.
@@ -285,8 +286,9 @@ void Crossbar::AccumulateReference(const DrivePattern& drive,
   const std::size_t line_stride = forward ? params_.cols : 1;
   const std::size_t cell_stride = forward ? 1 : params_.cols;
   const std::size_t line_cells = SensedLines(dir);
+  double energy_pj = 0.0;
   for (std::size_t l = 0; l < DrivenLines(dir); ++l) {
-    const double v = drive.voltages[l];
+    const double v = params_.dac.LevelVoltage(drive.bits[l]);
     if (v == 0.0) continue;
     const device::MemristorCell* line = cells_.data() + l * line_stride;
     for (std::size_t k = 0; k < line_cells; ++k) {
@@ -297,18 +299,22 @@ void Crossbar::AccumulateReference(const DrivePattern& drive,
     }
     energy_pj += params_.dac.drive_energy.pj;
   }
+  return energy_pj;
 }
 
-void Crossbar::AccumulateFast(const DrivePattern& drive, CycleDirection dir,
-                              std::size_t sensed, Rng& rng,
-                              std::span<double> currents, double& energy_pj) {
+double Crossbar::AccumulateFast(const DrivePattern& drive, CycleDirection dir,
+                                std::size_t sensed, Rng& rng,
+                                std::span<double> currents) {
   // The mirror plane whose lines are contiguous in this direction (the
   // column-major copy keeps a transposed line unit stride too) and its
-  // per-line read-energy sums.
+  // per-line read-energy sums. Every cell on a driven line conducts, sensed
+  // or not, so each driven line adds its whole line's read energy and one
+  // drive pulse, in drive.lines order.
   const bool forward = dir == CycleDirection::kForward;
   const double* gain = forward ? gain_.data() : gain_transposed_.data();
   const double* line_energy_pj = forward ? row_read_energy_pj_.data()
                                          : col_read_energy_pj_.data();
+  const double drive_pj = params_.dac.drive_energy.pj;
   const std::size_t line_cells = SensedLines(dir);
   // __restrict: the mirror, the scratch buffer and the accumulator never
   // alias, and saying so is what lets the dense loops below vectorize
@@ -329,50 +335,56 @@ void Crossbar::AccumulateFast(const DrivePattern& drive, CycleDirection dir,
     // currents are never read. The two loops split the sampling from the
     // arithmetic, so the second loop auto-vectorizes.
     const double ceiling = ReadCeiling();
+    const double v = params_.dac.v_read;
     thread_local std::vector<double> factors;
     if (factors.size() < sensed) factors.resize(sensed);
     double* __restrict f = factors.data();
+    double energy_pj = 0.0;
     for (const std::size_t l : drive.lines) {
-      const double v = drive.voltages[l];
       const double* __restrict g_line = gain + l * line_cells;
       noise_.FillFactors(rng, f, sensed, line_cells);
       for (std::size_t k = 0; k < sensed; ++k) {
         cur[k] += v * std::clamp(g_line[k] * f[k], 0.0, ceiling);
       }
+      energy_pj += line_energy_pj[l];
+      energy_pj += drive_pj;
     }
-  } else {
-    // Quiet: the mirror holds the read conductance pre-clamped, so a cell's
-    // term is one multiply-add. Register-blocked over the sensed lines, so
-    // the accumulators are loaded and stored once per cycle instead of once
-    // per driven line: blocks of 16 (eight SSE2 registers), then one block
-    // per set bit of the remainder (8, 4, 2, 1), so a narrow sensed width
-    // such as a DPE tile's 12 or 24 logical columns stays blocked too.
-    std::size_t k = 0;
-    for (; k + 16 <= sensed; k += 16) {
-      AccumulateQuietBlock<16>(drive, gain, line_cells, k, cur);
-    }
-    const std::size_t rest = sensed - k;
-    if ((rest & 8) != 0) {
-      AccumulateQuietBlock<8>(drive, gain, line_cells, k, cur);
-      k += 8;
-    }
-    if ((rest & 4) != 0) {
-      AccumulateQuietBlock<4>(drive, gain, line_cells, k, cur);
-      k += 4;
-    }
-    if ((rest & 2) != 0) {
-      AccumulateQuietBlock<2>(drive, gain, line_cells, k, cur);
-      k += 2;
-    }
-    if ((rest & 1) != 0) {
-      AccumulateQuietBlock<1>(drive, gain, line_cells, k, cur);
-    }
+    return energy_pj;
   }
-  // Every cell on a driven line conducts, sensed or not.
-  for (const std::size_t l : drive.lines) {
-    energy_pj += line_energy_pj[l];
-    energy_pj += params_.dac.drive_energy.pj;
+  // Quiet: the mirror holds each cell's read current, so a cell's term is
+  // one add. Register-blocked over the sensed lines, so the accumulators
+  // are loaded and stored once per cycle instead of once per driven line:
+  // blocks of 16 (eight SSE2 registers), then one block per set bit of the
+  // remainder (8, 4, 2, 1), so a narrow sensed width such as a DPE tile's
+  // 12 or 24 logical columns stays blocked too. sensed >= 1, so the first
+  // block (k == 0), which returns the energy sum, always runs.
+  double energy_pj = 0.0;
+  std::size_t k = 0;
+  for (; k + 16 <= sensed; k += 16) {
+    energy_pj += AccumulateQuietBlock<16>(drive, gain, line_cells, k, cur,
+                                          line_energy_pj, drive_pj);
   }
+  const std::size_t rest = sensed - k;
+  if ((rest & 8) != 0) {
+    energy_pj += AccumulateQuietBlock<8>(drive, gain, line_cells, k, cur,
+                                         line_energy_pj, drive_pj);
+    k += 8;
+  }
+  if ((rest & 4) != 0) {
+    energy_pj += AccumulateQuietBlock<4>(drive, gain, line_cells, k, cur,
+                                         line_energy_pj, drive_pj);
+    k += 4;
+  }
+  if ((rest & 2) != 0) {
+    energy_pj += AccumulateQuietBlock<2>(drive, gain, line_cells, k, cur,
+                                         line_energy_pj, drive_pj);
+    k += 2;
+  }
+  if ((rest & 1) != 0) {
+    energy_pj += AccumulateQuietBlock<1>(drive, gain, line_cells, k, cur,
+                                         line_energy_pj, drive_pj);
+  }
+  return energy_pj;
 }
 
 Expected<AnalogCycleResult> Crossbar::Cycle(
@@ -399,7 +411,7 @@ Expected<AnalogCycleResult> Crossbar::CycleCodes(
   CIM_REQUIRE(sensed <= SensedLines(dir),
               InvalidArgument("sensed line count exceeds the array"));
   thread_local DrivePattern drive;
-  CIM_RETURN_IF_ERROR(PrepareDrive(params_.dac, codes, &drive));
+  CIM_RETURN_IF_ERROR(PrepareDrive(codes, &drive));
   AnalogCycleResult result;
   result.column_codes.assign(SensedLines(dir), 0);
   auto cost = CycleDriven(drive, dir, sensed, result.column_codes, noise_rng);
@@ -416,7 +428,7 @@ Expected<CostReport> Crossbar::CycleDriven(const DrivePattern& drive,
   Rng& rng = noise_rng != nullptr ? *noise_rng : rng_;
   const std::size_t driven_lines = DrivenLines(dir);
   const std::size_t sensed_lines = SensedLines(dir);
-  CIM_REQUIRE(drive.voltages.size() == driven_lines,
+  CIM_REQUIRE(drive.bits.size() == driven_lines,
               InvalidArgument("drive pattern size mismatch"));
   CIM_REQUIRE(sensed <= sensed_lines,
               InvalidArgument("sensed line count exceeds the array"));
@@ -435,16 +447,13 @@ Expected<CostReport> Crossbar::CycleDriven(const DrivePattern& drive,
   if (currents.size() < sensed_lines) currents.resize(sensed_lines);
   std::fill_n(currents.begin(), reference ? sensed_lines : sensed, 0.0);
   CostReport cost;
-  double energy_pj = 0.0;
-  if (reference) {
-    AccumulateReference(drive, dir, rng,
-                        std::span<double>(currents).first(sensed_lines),
-                        energy_pj);
-  } else {
-    AccumulateFast(drive, dir, sensed, rng,
-                   std::span<double>(currents).first(sensed), energy_pj);
-  }
-  cost.energy_pj = energy_pj;
+  cost.energy_pj =
+      reference
+          ? AccumulateReference(
+                drive, dir, rng,
+                std::span<double>(currents).first(sensed_lines))
+          : AccumulateFast(drive, dir, sensed, rng,
+                           std::span<double>(currents).first(sensed));
   const std::size_t active = drive.active();
 
   // First-order IR drop: attenuate with the fraction of simultaneously

@@ -1,26 +1,27 @@
 // Analog memristor crossbar array.
 //
-// A rows x cols grid of MemristorCell with line DACs and shared ADCs.
-// One analog cycle applies voltages on all rows simultaneously and senses
-// every column current — a full matrix-vector multiply in O(1) array time,
-// which is the physical basis of the paper's CIM performance claims: the
-// weights never move, so the "memory bandwidth" of the operation is the
-// whole array refreshed every cycle. The array is bidirectional: the same
-// cycle run the other way drives the columns and senses the rows (the DPE
-// in-situ training property), so one kernel and one cycle driver serve both
-// directions, parameterised by CycleDirection.
+// A rows x cols grid of MemristorCell with 1-bit line DACs and shared ADCs.
+// Inputs stream bit-serially: one analog cycle drives every line whose bit
+// is set at v_read, all simultaneously, and senses every column current — a
+// full matrix-vector multiply in O(1) array time, which is the physical
+// basis of the paper's CIM performance claims: the weights never move, so
+// the "memory bandwidth" of the operation is the whole array refreshed
+// every cycle. The array is bidirectional: the same cycle run the other way
+// drives the columns and senses the rows (the DPE in-situ training
+// property), so one kernel and one cycle driver serve both directions,
+// parameterised by CycleDirection.
 //
 // Kernel structure: the cell grid is the array-of-structs source of truth
 // (program/verify, wear, drift, faults all live on MemristorCell), but the
-// cycle hot loop runs on a structure-of-arrays mirror — a contiguous
-// fault-adjusted conductance plane (pre-clamped to the read ceiling on a
-// quiet array) plus per-row/per-column read-energy sums — refreshed
-// whenever a mutation (ProgramLevels / ProgramCell / Age / InjectCellFault)
-// dirties it. Which kernel runs — and which correctness
-// contract it carries — is selected by CrossbarParams::kernel (see
-// device::KernelPolicy): the per-cell reference walk, the bit-identical SoA
-// fast path, or the statistically-equivalent fast-noise path whose lognormal
-// sampling is owned by device::NoiseModel.
+// cycle hot loop runs on a structure-of-arrays mirror — a contiguous plane
+// of fault-adjusted conductances (on a quiet array, each cell's read
+// current v_read * g with g clamped to the read ceiling) plus per-row /
+// per-column read-energy sums — refreshed whenever a mutation
+// (ProgramLevels / ProgramCell / Age / InjectCellFault) dirties it. Which
+// kernel runs — and which correctness contract it carries — is selected by
+// CrossbarParams::kernel (see device::KernelPolicy): the per-cell reference
+// walk, the bit-identical SoA fast path, or the statistically-equivalent
+// fast-noise path whose lognormal sampling is owned by device::NoiseModel.
 #pragma once
 
 #include <algorithm>
@@ -95,26 +96,32 @@ struct AnalogCycleResult {
   CostReport cost;
 };
 
-// Precomputed drive pattern for one analog cycle: per-line DAC voltages
-// plus the driven-line list — the ascending indices of the nonzero-voltage
-// lines. The MVM engine builds one pattern per input bit and shares it
-// across every (slice, plane) array, so code validation, voltage expansion
-// and finding the driven lines are paid once per bit instead of once per
-// array per bit; the fast kernel then walks only the listed lines.
+// Precomputed drive pattern for one analog cycle of the 1-bit DACs: one
+// drive bit per line (1 = driven at v_read, 0 = at 0 V) plus the
+// driven-line list — the ascending indices of the lines whose bit is set.
+// The MVM engine builds one pattern per input bit and shares it across
+// every (slice, plane) array, so finding the driven lines is paid once per
+// bit instead of once per array per bit; the fast kernel then walks only
+// the listed lines, and the reference kernel scans the bits.
 struct DrivePattern {
-  std::vector<double> voltages;
+  std::vector<std::uint8_t> bits;
   std::vector<std::size_t> lines;
-  // Number of driven (nonzero-voltage) lines.
+  // Number of driven lines.
   [[nodiscard]] std::size_t active() const { return lines.size(); }
 };
 
-// Validate `dac.bits` (in [1, 16]) and `codes` against it (every code <
-// 2^dac.bits) and expand them into per-line voltages (looked up in a
-// per-thread table of the DAC's level voltages) and the driven-line list in
-// `out` (reusing its storage).
-[[nodiscard]] Status PrepareDrive(const DacParams& dac,
-                                  std::span<const std::uint64_t> codes,
+// Validate `codes` (each 0 or 1: the DACs are 1-bit) and load them into
+// `out` (reusing its storage) as one drive bit per line.
+[[nodiscard]] Status PrepareDrive(std::span<const std::uint64_t> codes,
                                   DrivePattern* out);
+
+// Drive the first codes.size() lines of `out` with bit `bit` of each code
+// and rebuild the driven-line list from them; lines past codes.size() keep
+// the bit they have, which must be 0 (out->bits needs at least
+// codes.size() entries). The MVM engine's bit-serial sweep loads each input
+// bit this way, visiting only its logical lines.
+void LoadDriveBit(std::span<const std::uint64_t> codes, int bit,
+                  DrivePattern* out);
 
 class Crossbar {
  public:
@@ -139,7 +146,7 @@ class Crossbar {
                                                  std::uint64_t level);
 
   // One analog cycle: drive every row with a DAC code (row_codes.size() ==
-  // rows, each < 2^dac_bits), sense and digitize the first `active_cols`
+  // rows, each 0 or 1), sense and digitize the first `active_cols`
   // columns (0 = all). Column gating lets narrow logical matrices skip ADC
   // conversions for unused columns — and, under the fast kernels, the host
   // work for them; the noise stream advances as if every column were read.
@@ -167,8 +174,8 @@ class Crossbar {
 
   // The one cycle driver behind Cycle and CycleTranspose, taking a
   // pre-validated drive pattern (see PrepareDrive) — the MVM engine's fused
-  // bit-sweep entry point. `drive` holds one voltage per driven line of
-  // `dir`; the first `sensed` lines of the other side are digitised
+  // bit-sweep entry point. `drive` holds one bit per driven line of `dir`;
+  // the first `sensed` lines of the other side are digitised
   // (0 = all) and their ADC codes written to codes[0, sensed), which must
   // fit (entries past `sensed` are left as they are). Returns the cycle's
   // cost. Allocation-free once warm: the caller owns the code buffer and
@@ -221,11 +228,13 @@ class Crossbar {
   // Fault-adjusted conductance a read of this cell sees before noise.
   [[nodiscard]] double EffectiveConductance(
       const device::MemristorCell& cell) const;
-  // The value the SoA mirror caches per cell: EffectiveConductance, clamped
-  // to [0, ReadCeiling()] on a quiet array (read_noise_sigma 0), where that
-  // clamped value is exactly what every read returns.
-  [[nodiscard]] double MirrorConductance(
-      const device::MemristorCell& cell) const;
+  // The value the SoA mirror caches per cell. On a noisy array it is
+  // EffectiveConductance itself: a read clamps g * factor, so it needs the
+  // raw g. On a quiet array (read_noise_sigma 0) every read returns g
+  // clamped to [0, ReadCeiling()], so the mirror holds the cell's read
+  // current v_read * clamp(g) — the very product the cycle would form, so a
+  // quiet cell's term is one add.
+  [[nodiscard]] double MirrorEntry(const device::MemristorCell& cell) const;
   // Soft physical ceiling on a read's conductance, as MemristorCell::Read
   // applies it.
   [[nodiscard]] double ReadCeiling() const {
@@ -257,38 +266,39 @@ class Crossbar {
 
   // The two kernels behind CycleDriven, one per correctness contract, each
   // serving both directions: walk the driven lines, accumulate the sensed
-  // lines' noisy currents into `currents` and read+drive energy into
-  // `energy_pj`. AccumulateReference reads cells_ (the source of truth, not
-  // the mirror) and scans every line's voltage, so it stays an independent
-  // oracle. AccumulateFast walks only drive.lines — the same lines in the
-  // same ascending order the scan visits, so the noise draws and every
-  // sensed line's FP sum keep their order. It serves
-  // kFastBitExact (identical codes to kReference, enforced by
-  // mvm_kernel_test) and kFastNoise (statistically equivalent,
-  // noise_equivalence_test + bench gate); noise_.FillFactors owns the
-  // difference. It runs on the mirror plane whose lines are contiguous in
-  // `dir` and is sense-gated: it evaluates only the sensed prefix
-  // [0, sensed) the ADC digitises, while the noise stream still advances
-  // for every cell of a driven line, so the codes and the post-cycle stream
-  // match the reference kernel, which reads every cell. On a quiet array
-  // it is a register-blocked multiply-add over the pre-clamped mirror:
-  // each block of sensed-line accumulators stays in registers across every
-  // driven line.
-  void AccumulateReference(const DrivePattern& drive, CycleDirection dir,
-                           Rng& rng, std::span<double> currents,
-                           double& energy_pj);
-  void AccumulateFast(const DrivePattern& drive, CycleDirection dir,
-                      std::size_t sensed, Rng& rng,
-                      std::span<double> currents, double& energy_pj);
+  // lines' noisy currents into `currents` and return the read+drive energy.
+  // AccumulateReference reads cells_ (the source of truth, not the mirror)
+  // and scans every line's drive bit, so it stays an independent oracle.
+  // AccumulateFast walks only drive.lines — the same lines in the same
+  // ascending order the scan visits, so the noise draws and every sensed
+  // line's FP sum keep their order. It serves kFastBitExact (identical
+  // codes to kReference, enforced by mvm_kernel_test) and kFastNoise
+  // (statistically equivalent, noise_equivalence_test + bench gate);
+  // noise_.FillFactors owns the difference. It runs on the mirror plane
+  // whose lines are contiguous in `dir` and is sense-gated: it evaluates
+  // only the sensed prefix [0, sensed) the ADC digitises, while the noise
+  // stream still advances for every cell of a driven line, so the codes and
+  // the post-cycle stream match the reference kernel, which reads every
+  // cell. On a quiet array it is a register-blocked add over the mirror's
+  // read currents: each block of sensed-line accumulators stays in
+  // registers across every driven line, and the energy sum rides along in
+  // the first block's line loop.
+  [[nodiscard]] double AccumulateReference(const DrivePattern& drive,
+                                           CycleDirection dir, Rng& rng,
+                                           std::span<double> currents);
+  [[nodiscard]] double AccumulateFast(const DrivePattern& drive,
+                                      CycleDirection dir, std::size_t sensed,
+                                      Rng& rng, std::span<double> currents);
 
   CrossbarParams params_;
   // Sampling strategy for the fast kernels' read-noise factors, fixed at
   // construction from (cell.read_noise_sigma, kernel policy).
   device::NoiseModel noise_;
   std::vector<device::MemristorCell> cells_;
-  // SoA mirror of cells_: contiguous MirrorConductance values (row major,
-  // plus a column-major copy so the transpose direction also walks unit
-  // stride; pre-clamped on a quiet array, so its cycle needs no clamp) and
+  // SoA mirror of cells_: contiguous MirrorEntry values (row major, plus a
+  // column-major copy so the transpose direction also walks unit stride;
+  // read currents on a quiet array, so its cycle needs no clamp and no
+  // multiply) and
   // per-row / per-column read-energy sums (a cycle's ohmic read energy
   // depends only on the stored conductances, so it folds into one add per
   // driven line instead of one multiply-add per cell).

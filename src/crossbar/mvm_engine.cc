@@ -34,6 +34,33 @@ std::uint64_t PlaneDigit(std::int64_t code, int plane, int slice,
 // stuck clusters (~24 cells on 64-row tiles, ~48 on 128x128).
 constexpr double kGuardMargin = 1.5;
 
+// Digit sums of one input bit's cycles, by ADC code. Within a bit every
+// (slice, plane) array shares the driven-line count, the IR-drop
+// attenuation and the full scale, so a sensed line's digit sum is a pure
+// function of its code: each distinct code is decoded once per bit, not
+// once per array and line. An entry is valid only while its epoch is the
+// table's, and the epoch advances with every bit, so a new bit (or another
+// engine on this thread) starts from an empty table without clearing it.
+// Per thread, so a Compute on an external stream mutates no engine state.
+struct DigitTable {
+  struct Entry {
+    std::uint64_t epoch = 0;
+    double digit_sum = 0.0;
+  };
+  std::vector<Entry> entries;
+  std::uint64_t epoch = 0;
+};
+
+// This thread's table, sized for `adc_bits` codes and emptied for a new
+// bit.
+DigitTable& DigitTableForBit(int adc_bits) {
+  thread_local DigitTable table;
+  const std::size_t codes = std::size_t{1} << adc_bits;
+  if (table.entries.size() != codes) table.entries.assign(codes, {});
+  ++table.epoch;
+  return table;
+}
+
 }  // namespace
 
 Status MvmEngineParams::Validate() const {
@@ -45,10 +72,6 @@ Status MvmEngineParams::Validate() const {
   }
   if (weight_range <= 0.0 || input_range <= 0.0) {
     return InvalidArgument("ranges must be positive");
-  }
-  if (array.dac.bits != 1) {
-    return InvalidArgument("the MVM engine drives inputs bit-serially and "
-                           "requires 1-bit DACs");
   }
   return array.Validate();
 }
@@ -74,6 +97,7 @@ Expected<MvmEngine> MvmEngine::Create(const MvmEngineParams& params,
     if (!xbar.ok()) return xbar.status();
     engine.arrays_.push_back(std::move(xbar.value()));
   }
+  engine.InitGuardSpread();
   return engine;
 }
 
@@ -234,22 +258,20 @@ Status MvmEngine::BitSweep(CycleDirection dir,
   const double g_step = array.cell.LevelStep();
   const int cell_bits = array.cell.cell_bits;
   const double full_scale = arrays_.front().FullScaleCurrent(dir);
-  std::vector<std::uint64_t> line_codes(lines, 0);
   // One code buffer for every cycle of the sweep.
   std::vector<std::uint64_t> sensed_codes(accum.size(), 0);
+  // The accumulators and the energy sum live apart from `cost` (which the
+  // compiler must assume may alias accum) for the whole sweep.
+  double* __restrict acc = accum.data();
+  double energy_pj = cost.energy_pj;
 
-  // Fused bit-sweep: one drive pattern per input bit, validated and
-  // expanded to voltages and the driven-line list once, then shared by
-  // every (slice, plane) array's cycle — instead of each of the 2 * slices
-  // arrays re-validating the same codes.
+  // Fused bit-sweep: one drive pattern per input bit, loaded from the
+  // engine's logical lines only (the physical lines past codes.size() stay
+  // undriven), then shared by every (slice, plane) array's cycle.
   DrivePattern drive;
+  drive.bits.assign(lines, 0);
   for (int b = 0; b < params_.input_bits; ++b) {
-    // Only the engine's logical lines carry input; the physical lines past
-    // codes.size() stay at their initial 0.
-    for (std::size_t l = 0; l < codes.size(); ++l) {
-      line_codes[l] = (codes[l] >> b) & 1ULL;
-    }
-    CIM_RETURN_IF_ERROR(PrepareDrive(array.dac, line_codes, &drive));
+    LoadDriveBit(codes, b, &drive);
     // The digital periphery calibrates the array's IR-drop attenuation out:
     // it depends only on the known number of driven lines.
     const std::size_t active = drive.active();
@@ -257,6 +279,9 @@ Status MvmEngine::BitSweep(CycleDirection dir,
         1.0 - array.ir_drop_alpha * static_cast<double>(active) /
                   static_cast<double>(lines);
     const double bit_weight = Pow2(b);
+    DigitTable& digits = DigitTableForBit(array.adc.bits);
+    DigitTable::Entry* const table = digits.entries.data();
+    const std::uint64_t epoch = digits.epoch;
 
     double cycle_latency = 0.0;
     for (int s = 0; s < params_.slices(); ++s) {
@@ -267,25 +292,30 @@ Status MvmEngine::BitSweep(CycleDirection dir,
         if (!cycle.ok()) return cycle.status();
         // All (slice, plane) arrays fire in parallel within the bit cycle.
         cycle_latency = std::max(cycle_latency, cycle->latency_ns);
-        cost.energy_pj += cycle->energy_pj;
+        energy_pj += cycle->energy_pj;
         cost.operations += cycle->operations;
-        const double line_sign = (plane == 0 ? 1.0 : -1.0) * sign;
+        const double weight = (plane == 0 ? 1.0 : -1.0) * sign * slice_weight;
         for (std::size_t k = 0; k < accum.size(); ++k) {
-          const double sensed =
-              array.adc.Decode(sensed_codes[k], full_scale);
-          const double corrected = sensed / attenuation -
-                                   static_cast<double>(active) * v_read *
-                                       array.cell.g_off_siemens;
-          // A negative corrected sum is a zero digit sum.
-          const auto digit_sum = static_cast<double>(
-              RoundHalfAway(corrected / (v_read * g_step)));
-          accum[k] += line_sign * slice_weight * digit_sum;
-          cost.energy_pj += params_.shift_add_energy.pj;
+          DigitTable::Entry& entry = table[sensed_codes[k]];
+          if (entry.epoch != epoch) {
+            const double sensed =
+                array.adc.Decode(sensed_codes[k], full_scale);
+            const double corrected = sensed / attenuation -
+                                     static_cast<double>(active) * v_read *
+                                         array.cell.g_off_siemens;
+            // A negative corrected sum is a zero digit sum.
+            entry.digit_sum = static_cast<double>(
+                RoundHalfAway(corrected / (v_read * g_step)));
+            entry.epoch = epoch;
+          }
+          acc[k] += weight * entry.digit_sum;
+          energy_pj += params_.shift_add_energy.pj;
         }
       }
     }
     cost.latency_ns += cycle_latency + params_.shift_add_latency.ns;
   }
+  cost.energy_pj = energy_pj;
   return Status::Ok();
 }
 
@@ -335,7 +365,7 @@ Expected<MvmResult> MvmEngine::Compute(std::span<const double> x,
   return result;
 }
 
-double MvmEngine::GuardThreshold(double sum_x_codes) const {
+void MvmEngine::InitGuardSpread() {
   // Fault-free residual spread in digit units, per sensed cycle:
   //   * half an ADC LSB (amplified by the attenuation correction) plus half
   //     a digit of rounding,
@@ -348,11 +378,10 @@ double MvmEngine::GuardThreshold(double sum_x_codes) const {
   const double adc_lsb_digits =
       full_scale / static_cast<double>((1ULL << array.adc.bits) - 1) /
       (1.0 - array.ir_drop_alpha) / (v_read * g_step);
-  const double rho =
-      0.5 * (adc_lsb_digits + 1.0) +
-      array.cell.read_noise_sigma *
-          (array.cell.g_on_siemens / g_step) *
-          std::sqrt(static_cast<double>(in_dim_));
+  guard_rho_ = 0.5 * (adc_lsb_digits + 1.0) +
+               array.cell.read_noise_sigma *
+                   (array.cell.g_on_siemens / g_step) *
+                   std::sqrt(static_cast<double>(in_dim_));
 
   // Each cycle's digit error is weighted 2^(bit + slice*cell_bits) by the
   // shift-and-add; independent cycles add in quadrature (two planes).
@@ -363,8 +392,10 @@ double MvmEngine::GuardThreshold(double sum_x_codes) const {
       weight_sq += 2.0 * std::pow(4.0, b + s * cell_bits);
     }
   }
-  const double w_rms = std::sqrt(weight_sq);
+  guard_w_rms_ = std::sqrt(weight_sq);
+}
 
+double MvmEngine::GuardThreshold(double sum_x_codes) const {
   // The residual mixes out_dim unit-weight columns with one guard column
   // amplified by guard_scale_; the guard's own rounding (half a code per
   // row) couples through the input code mass.
@@ -372,7 +403,7 @@ double MvmEngine::GuardThreshold(double sum_x_codes) const {
   const double column_mix =
       std::sqrt(static_cast<double>(out_dim_) + s * s);
   return kGuardMargin * OutputScale() *
-         (rho * column_mix * w_rms + 0.5 * s * sum_x_codes);
+         (guard_rho_ * column_mix * guard_w_rms_ + 0.5 * s * sum_x_codes);
 }
 
 Expected<MvmResult> MvmEngine::ComputeTranspose(std::span<const double> e,

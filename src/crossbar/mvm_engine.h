@@ -151,9 +151,11 @@ class MvmEngine {
   // through every (slice, plane) array in direction `dir`: per input bit, a
   // shared drive pattern, one analog cycle per array sensing accum.size()
   // lines, and the shift-and-add of sign * 2^(bit + slice*cell_bits) *
-  // digit sum (negated on the negative plane) into `accum`. Cycle cost adds
-  // into `cost`. Compute runs one forward sweep; ComputeTranspose runs a
-  // transpose sweep per sign of the error.
+  // digit sum (negated on the negative plane) into `accum`. A digit sum
+  // depends only on the ADC code within a bit, so each distinct code is
+  // decoded once per bit (a per-thread table). Cycle cost adds into `cost`.
+  // Compute runs one forward sweep; ComputeTranspose runs a transpose sweep
+  // per sign of the error.
   [[nodiscard]] Status BitSweep(CycleDirection dir,
                                 std::span<const std::uint64_t> codes,
                                 double sign, Rng* noise_rng,
@@ -162,6 +164,11 @@ class MvmEngine {
   // Weight step x input step: what one unit of accumulated digit sum is
   // worth in output units.
   [[nodiscard]] double OutputScale() const;
+
+  // The guard threshold's input-independent terms, computed once at Create
+  // from the params and in_dim: the per-cycle digit-error spread rho and
+  // the shift-and-add weights' root-sum-square.
+  void InitGuardSpread();
 
   // Fault-free residual spread estimate behind the guard threshold;
   // `sum_x_codes` is the current input's total code mass.
@@ -183,6 +190,9 @@ class MvmEngine {
   // Integer downscale applied to the guard column's row sums so they fit a
   // weight code (1 until row sums overflow).
   std::int64_t guard_scale_ = 0;
+  // InitGuardSpread's results.
+  double guard_rho_ = 0.0;
+  double guard_w_rms_ = 0.0;
   bool programmed_ = false;
 };
 

@@ -30,6 +30,12 @@ Status MemristorParams::Validate() const {
       write_energy.pj < 0.0) {
     return InvalidArgument("cell latencies and energies must be >= 0");
   }
+  if (!AllAtMost({read_latency.ns, set_latency.ns, reset_latency.ns},
+                 kMaxEventLatencyNs) ||
+      !AllAtMost({read_energy.pj, write_energy.pj}, kMaxEventEnergyPj)) {
+    return InvalidArgument("a cell read or write pulse must cost <= 1 s and "
+                           "<= 1 J");
+  }
   if (g_on_siemens <= g_off_siemens) {
     return InvalidArgument("g_on must exceed g_off");
   }
@@ -47,6 +53,12 @@ Status MemristorParams::Validate() const {
   }
   // Age divides by it, and a negative one raises a negative base to -nu.
   if (drift_t0.ns <= 0.0) return InvalidArgument("drift_t0 must be positive");
+  // Age models decay toward g_off (0 = no drift; it has no rising drift to
+  // give a negative exponent). Measured RRAM/PCM exponents are ~0.001-0.1;
+  // past 1 a cell would decay faster than 1/t.
+  if (drift_nu < 0.0 || drift_nu > 1.0) {
+    return InvalidArgument("drift_nu must be in [0, 1]");
+  }
   return Status::Ok();
 }
 

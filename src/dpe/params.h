@@ -96,7 +96,6 @@ struct DpeParams {
     p.array.cell.read_energy = EnergyPj(0.01);  // low-voltage in-situ MAC
     p.array.cell.write_energy = EnergyPj(100.0);
     p.array.adc.bits = 8;
-    p.array.dac.bits = 1;
     p.array.columns_per_adc = 128;
     return p;
   }
@@ -125,6 +124,19 @@ struct DpeParams {
         board_link_latency_ns < 0.0) {
       return InvalidArgument("DPE latencies and energies must be >= 0");
     }
+    if (!AllAtMost({activation_latency_ns, board_link_latency_ns},
+                   kMaxEventLatencyNs) ||
+        !AllAtMost({buffer_energy_per_byte_pj, shift_add_energy_pj,
+                    activation_energy_pj, htree_energy_per_byte_pj},
+                   kMaxEventEnergyPj)) {
+      return InvalidArgument("a DPE event must cost <= 1 s and <= 1 J");
+    }
+    // An ISAAC array leaks ~0.24 mW; at 1 W each, a board of 8192 arrays
+    // would draw 8 kW. Static energy multiplies this by the array count
+    // and the run time, so it needs a ceiling as the event costs do.
+    if (static_power_per_array_w > 1.0) {
+      return InvalidArgument("static_power_per_array_w must be <= 1 W");
+    }
     if (arrays_per_board == 0) {
       return InvalidArgument("arrays_per_board == 0");
     }
@@ -140,7 +152,7 @@ struct DpeParams {
     if (fault_tolerance.enabled && array.cols < 2) {
       return InvalidArgument("the guard column needs a second array column");
     }
-    // Accept only what the engines run (precision, 1-bit DACs, the array).
+    // Accept only what the engines run (precision and the array).
     return EngineParams().Validate();
   }
 

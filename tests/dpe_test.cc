@@ -71,7 +71,7 @@ TEST(DpeParamsTest, RejectsZeroConvReplicationAndNonPositiveBoardLink) {
 }
 
 // What the boundary fuzz below found: configurations Validate accepted but
-// DpeAccelerator::Create refused (engine precision and DAC limits, a guard
+// DpeAccelerator::Create refused (engine precision limits, a guard
 // column with no spare column) or could not finish (spare ids past 32 bits
 // allocate until bad_alloc).
 TEST(DpeParamsTest, RejectsWhatTheAcceleratorCannotRun) {
@@ -80,7 +80,8 @@ TEST(DpeParamsTest, RejectsWhatTheAcceleratorCannotRun) {
   const std::vector<std::pair<const char*, void (*)(DpeParams&)>> cases = {
       {"weight_bits 17", [](DpeParams& p) { p.weight_bits = 17; }},
       {"input_bits 17", [](DpeParams& p) { p.input_bits = 17; }},
-      {"2-bit DAC", [](DpeParams& p) { p.array.dac.bits = 2; }},
+      {"DAC read voltage 0",
+       [](DpeParams& p) { p.array.dac.v_read = 0.0; }},
       {"guard column on a 1-column array",
        [](DpeParams& p) {
          p.array.cols = 1;
@@ -407,12 +408,15 @@ TEST(ScalingTest, WriteHidingTradesArraysForThroughput) {
 // --- Validate boundary-value fuzz -------------------------------------------
 //
 // Every numeric CrossbarParams / DpeParams field (cell, ADC, DAC and fault
-// tolerance included) takes 0, -1, the most negative finite value, NaN and
-// +/-inf (an integer field: 0, -1 and its type's min and max), and each of
-// its bounds with the bound's neighbours (+/-1, and +/-1 ulp for a real).
-// Every latency and energy field has the bound 0: a negative one that
-// slipped through would shrink the reported cost, by far too little to
-// notice at -1 but below zero at the most negative double. A configuration
+// tolerance included) takes 0, -1, the most negative and the largest
+// finite values, NaN and +/-inf (an integer field: 0, -1 and its type's min
+// and max), and each of its bounds with the bound's neighbours (+/-1, and
+// +/-1 ulp for a real). Every latency and energy field has the bound 0: a
+// negative one that slipped through would shrink the reported cost, by far
+// too little to notice at -1 but below zero at the most negative double.
+// Each also has its per-event ceiling (common/units.h) as a bound: the
+// largest double is finite, passes every finiteness check and overflows
+// the first cost sum it reaches to +inf. A configuration
 // Validate accepts must build an accelerator and run one inference with
 // finite outputs and finite, non-negative costs, and the analytical model
 // must price it finitely and non-negatively.
@@ -432,6 +436,7 @@ std::vector<T> BoundaryValues(std::initializer_list<T> bounds) {
   if constexpr (std::is_floating_point_v<T>) {
     constexpr T kInf = std::numeric_limits<T>::infinity();
     values = {0.0, -1.0, std::numeric_limits<T>::lowest(),
+              std::numeric_limits<T>::max(),
               std::numeric_limits<T>::quiet_NaN(), kInf, -kInf};
     for (const T b : bounds) {
       values.insert(values.end(), {b, std::nextafter(b, -kInf),
@@ -466,6 +471,8 @@ FuzzField Field(const char* name, Get get, std::initializer_list<T> bounds) {
            {__VA_ARGS__})
 
 std::vector<FuzzField> FuzzFields() {
+  constexpr double kSecond = kMaxEventLatencyNs;
+  constexpr double kJoule = kMaxEventEnergyPj;
   std::vector<FuzzField> fields = {
       CIM_FUZZ_FIELD(std::size_t, array.rows, 1, 4096),
       CIM_FUZZ_FIELD(std::size_t, array.cols, 1, 2, 4096),
@@ -473,35 +480,34 @@ std::vector<FuzzField> FuzzFields() {
       CIM_FUZZ_FIELD(double, array.ir_drop_alpha, 0.0, 1.0),
       CIM_FUZZ_FIELD(int, array.adc.bits, 1, 16),
       CIM_FUZZ_FIELD(int, array.adc.reference_bits, 1, 16),
-      CIM_FUZZ_FIELD(double, array.adc.base_latency.ns, 0.0),
-      CIM_FUZZ_FIELD(double, array.adc.base_energy.pj, 0.0),
-      CIM_FUZZ_FIELD(int, array.dac.bits, 1, 16),
-      CIM_FUZZ_FIELD(double, array.dac.settle_latency.ns, 0.0),
-      CIM_FUZZ_FIELD(double, array.dac.drive_energy.pj, 0.0),
+      CIM_FUZZ_FIELD(double, array.adc.base_latency.ns, 0.0, kSecond),
+      CIM_FUZZ_FIELD(double, array.adc.base_energy.pj, 0.0, kJoule),
+      CIM_FUZZ_FIELD(double, array.dac.settle_latency.ns, 0.0, kSecond),
+      CIM_FUZZ_FIELD(double, array.dac.drive_energy.pj, 0.0, kJoule),
       CIM_FUZZ_FIELD(double, array.dac.v_read, 0.0),
       CIM_FUZZ_FIELD(double, array.cell.g_on_siemens, 1.0 / 2e6),
       CIM_FUZZ_FIELD(double, array.cell.g_off_siemens, 0.0, 1.0 / 2e3),
       CIM_FUZZ_FIELD(int, array.cell.cell_bits, 1, 8),
-      CIM_FUZZ_FIELD(double, array.cell.read_latency.ns, 0.0),
-      CIM_FUZZ_FIELD(double, array.cell.set_latency.ns, 0.0),
-      CIM_FUZZ_FIELD(double, array.cell.reset_latency.ns, 0.0),
-      CIM_FUZZ_FIELD(double, array.cell.read_energy.pj, 0.0),
-      CIM_FUZZ_FIELD(double, array.cell.write_energy.pj, 0.0),
+      CIM_FUZZ_FIELD(double, array.cell.read_latency.ns, 0.0, kSecond),
+      CIM_FUZZ_FIELD(double, array.cell.set_latency.ns, 0.0, kSecond),
+      CIM_FUZZ_FIELD(double, array.cell.reset_latency.ns, 0.0, kSecond),
+      CIM_FUZZ_FIELD(double, array.cell.read_energy.pj, 0.0, kJoule),
+      CIM_FUZZ_FIELD(double, array.cell.write_energy.pj, 0.0, kJoule),
       CIM_FUZZ_FIELD(double, array.cell.read_noise_sigma, 0.0),
       CIM_FUZZ_FIELD(double, array.cell.write_tolerance),
       CIM_FUZZ_FIELD(int, array.cell.max_write_iterations, 1, 64),
       CIM_FUZZ_FIELD(double, array.cell.write_noise_sigma, 0.0),
       CIM_FUZZ_FIELD(std::uint64_t, array.cell.endurance_cycles, 1),
-      CIM_FUZZ_FIELD(double, array.cell.drift_nu),
+      CIM_FUZZ_FIELD(double, array.cell.drift_nu, 0.0, 1.0),
       CIM_FUZZ_FIELD(double, array.cell.drift_t0.ns, 0.0),
       CIM_FUZZ_FIELD(int, weight_bits, 2, 16),
       CIM_FUZZ_FIELD(int, input_bits, 1, 16),
-      CIM_FUZZ_FIELD(double, buffer_energy_per_byte_pj, 0.0),
-      CIM_FUZZ_FIELD(double, shift_add_energy_pj, 0.0),
-      CIM_FUZZ_FIELD(double, activation_energy_pj, 0.0),
-      CIM_FUZZ_FIELD(double, activation_latency_ns, 0.0),
-      CIM_FUZZ_FIELD(double, htree_energy_per_byte_pj, 0.0),
-      CIM_FUZZ_FIELD(double, static_power_per_array_w, 0.0),
+      CIM_FUZZ_FIELD(double, buffer_energy_per_byte_pj, 0.0, kJoule),
+      CIM_FUZZ_FIELD(double, shift_add_energy_pj, 0.0, kJoule),
+      CIM_FUZZ_FIELD(double, activation_energy_pj, 0.0, kJoule),
+      CIM_FUZZ_FIELD(double, activation_latency_ns, 0.0, kSecond),
+      CIM_FUZZ_FIELD(double, htree_energy_per_byte_pj, 0.0, kJoule),
+      CIM_FUZZ_FIELD(double, static_power_per_array_w, 0.0, 1.0),
       CIM_FUZZ_FIELD(std::size_t, conv_replication, 1),
       CIM_FUZZ_FIELD(std::size_t, fault_tolerance.spare_tiles, 4096),
       CIM_FUZZ_FIELD(std::uint64_t, fault_tolerance.aging.endurance_cycles,
@@ -514,7 +520,7 @@ std::vector<FuzzField> FuzzFields() {
       CIM_FUZZ_FIELD(double, fault_tolerance.aging.systemic_fraction),
       CIM_FUZZ_FIELD(std::size_t, arrays_per_board, 1),
       CIM_FUZZ_FIELD(double, board_link_bandwidth_gbps, 0.0),
-      CIM_FUZZ_FIELD(double, board_link_latency_ns, 0.0),
+      CIM_FUZZ_FIELD(double, board_link_latency_ns, 0.0, kSecond),
   };
   FuzzField kernels;
   for (const auto kernel :

@@ -3,7 +3,9 @@
 // quantized product.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -46,7 +48,10 @@ TEST(MvmEngineParamsTest, Validation) {
   p.weight_bits = 1;
   EXPECT_FALSE(p.Validate().ok());
   p = QuietParams();
-  p.array.dac.bits = 2;
+  p.input_bits = 0;
+  EXPECT_FALSE(p.Validate().ok());
+  p = QuietParams();
+  p.array.dac.v_read = 0.0;
   EXPECT_FALSE(p.Validate().ok());
   p = QuietParams();
   p.input_range = -1.0;
@@ -235,6 +240,131 @@ TEST(MvmEngineTest, TransposeValidation) {
   ASSERT_TRUE(engine->ProgramWeights(std::vector<double>(16, 0.1)).ok());
   std::vector<double> wrong(5, 0.0);
   EXPECT_FALSE(engine->ComputeTranspose(wrong).ok());
+}
+
+// The bit-serial sweep's bytes, pinned: FNV-1a checksums of y, the four
+// cost fields and the guard verdict of Compute and ComputeTranspose,
+// computed before the sweep's periphery was restructured (the 1-bit drive
+// list, the quiet read-current mirror, the per-bit digit table and the
+// register-resident energy sums). Every device kind, guard on and off, and
+// ADC widths 1, 8 and 16 run on a 40x24 array with 37x21 logical lines, so
+// physical lines past the logical ones exist on both sides. The inputs
+// include an all-zero vector (no bit drives a line), a vector of even codes
+// (bit 0 drives none) and a non-negative error (the negative transpose
+// sweep drives none); each runs once on an external stream and once on the
+// engine's own.
+class Fnv1a {
+ public:
+  void Add(std::uint64_t bits) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (bits >> (8 * i)) & 0xFFU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void Add(double x) { Add(std::bit_cast<std::uint64_t>(x)); }
+  void Add(const MvmResult& r) {
+    for (const double y : r.y) Add(y);
+    Add(r.cost.latency_ns);
+    Add(r.cost.energy_pj);
+    Add(r.cost.bytes_moved);
+    Add(r.cost.operations);
+    Add(std::uint64_t{r.guard_checked} << 1 | std::uint64_t{r.guard_ok});
+    Add(r.guard_residual);
+    Add(r.guard_threshold);
+  }
+  [[nodiscard]] std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+enum class SweepDevice { kQuiet, kNoisyBitExact, kFastNoise };
+
+std::uint64_t SweepChecksum(SweepDevice device, bool guard, int adc_bits) {
+  constexpr std::size_t kIn = 37;
+  constexpr std::size_t kOut = 21;
+  MvmEngineParams p;
+  p.array.rows = 40;
+  p.array.cols = 24;
+  p.array.adc.bits = adc_bits;
+  p.guard_column = guard;
+  p.array.kernel = device == SweepDevice::kFastNoise
+                       ? device::KernelPolicy::kFastNoise
+                       : device::KernelPolicy::kFastBitExact;
+  if (device == SweepDevice::kQuiet) p.array.cell.read_noise_sigma = 0.0;
+  auto engine = MvmEngine::Create(p, kIn, kOut, Rng(0x5EE9));
+  EXPECT_TRUE(engine.ok());
+  Rng rng(0xB175);
+  EXPECT_TRUE(engine->ProgramWeights(RandomMatrix(kIn * kOut, rng)).ok());
+
+  std::vector<std::vector<double>> inputs = {RandomInput(kIn, rng),
+                                             std::vector<double>(kIn, 0.0),
+                                             std::vector<double>(kIn, 1.0)};
+  std::vector<double> even(kIn);
+  for (std::size_t i = 0; i < kIn; ++i) {
+    even[i] = static_cast<double>(2 * rng.NextBounded(128)) / 255.0;
+  }
+  inputs.push_back(even);
+  std::vector<double> signed_error(kOut);
+  for (double& v : signed_error) v = rng.Uniform(-1.0, 1.0);
+  const std::vector<std::vector<double>> errors = {
+      signed_error, RandomInput(kOut, rng), std::vector<double>(kOut, 0.0)};
+
+  Fnv1a fnv;
+  for (const auto& x : inputs) {
+    Rng noise(0xC0DE);
+    auto external = engine->Compute(x, &noise);
+    auto internal = engine->Compute(x);
+    EXPECT_TRUE(external.ok() && internal.ok());
+    fnv.Add(*external);
+    fnv.Add(*internal);
+  }
+  for (const auto& e : errors) {
+    Rng noise(0xDEC0);
+    auto external = engine->ComputeTranspose(e, &noise);
+    auto internal = engine->ComputeTranspose(e);
+    EXPECT_TRUE(external.ok() && internal.ok());
+    fnv.Add(*external);
+    fnv.Add(*internal);
+  }
+  return fnv.hash();
+}
+
+TEST(MvmEngineTest, BitSweepBytesArePinned) {
+  struct Pin {
+    SweepDevice device;
+    bool guard;
+    int adc_bits;
+    std::uint64_t checksum;
+  };
+  const std::vector<Pin> pins = {
+      {SweepDevice::kQuiet, false, 1, 0xB9F29A287272A499ULL},
+      {SweepDevice::kQuiet, false, 8, 0x2A64C646DA74FD49ULL},
+      {SweepDevice::kQuiet, false, 16, 0x2FEC362F05484125ULL},
+      {SweepDevice::kQuiet, true, 1, 0x0FD266719D324021ULL},
+      {SweepDevice::kQuiet, true, 8, 0x72558C424AABC771ULL},
+      {SweepDevice::kQuiet, true, 16, 0xCD90C1FDDBE4411DULL},
+      {SweepDevice::kNoisyBitExact, false, 1, 0xB9F29A287272A499ULL},
+      {SweepDevice::kNoisyBitExact, false, 8, 0xCE279B67D10A740FULL},
+      {SweepDevice::kNoisyBitExact, false, 16, 0x6FBF87E74D665D00ULL},
+      {SweepDevice::kNoisyBitExact, true, 1, 0x4BC003353B03DF59ULL},
+      {SweepDevice::kNoisyBitExact, true, 8, 0x787F1DF751926E50ULL},
+      {SweepDevice::kNoisyBitExact, true, 16, 0xA844863BCD99142BULL},
+      {SweepDevice::kFastNoise, false, 1, 0xB9F29A287272A499ULL},
+      {SweepDevice::kFastNoise, false, 8, 0x6A337B1D5C65B52CULL},
+      {SweepDevice::kFastNoise, false, 16, 0xE06B2169B9CC9AB8ULL},
+      {SweepDevice::kFastNoise, true, 1, 0x4BC003353B03DF59ULL},
+      {SweepDevice::kFastNoise, true, 8, 0x045A86636463659BULL},
+      {SweepDevice::kFastNoise, true, 16, 0x3874F25AB143C0FCULL},
+  };
+  for (const Pin& pin : pins) {
+    const std::uint64_t got = SweepChecksum(pin.device, pin.guard,
+                                            pin.adc_bits);
+    EXPECT_EQ(got, pin.checksum)
+        << "device " << static_cast<int>(pin.device) << " guard "
+        << pin.guard << " adc.bits " << pin.adc_bits << ": got 0x"
+        << std::hex << std::uppercase << got;
+  }
 }
 
 // Property sweep: analog result tracks the golden quantized product within

@@ -413,29 +413,58 @@ TEST(KernelDifferentialTest, QuietRawCyclesBitIdenticalAcrossBlockWidths) {
 }
 
 // The fast kernel walks DrivePattern::lines instead of scanning every
-// voltage, so the list must name exactly the nonzero-voltage lines, in
-// ascending (reference scan) order, and a reused pattern must forget the
-// previous drive's lines.
+// drive bit, so the list must name exactly the driven lines, in ascending
+// (reference scan) order, and a reused pattern must forget the previous
+// drive's lines. The DACs are 1-bit: a code above 1 is rejected, and so
+// is a cycle driven with one.
 TEST(DrivePatternTest, PrepareDriveListsExactlyTheDrivenLinesInOrder) {
-  DacParams dac;
-  dac.bits = 2;
   DrivePattern drive;
-  const std::vector<std::uint64_t> codes = {0, 3, 0, 1, 2, 0, 0, 3};
-  ASSERT_TRUE(PrepareDrive(dac, codes, &drive).ok());
-  ASSERT_EQ(drive.voltages.size(), codes.size());
-  std::vector<std::size_t> nonzero;
+  const std::vector<std::uint64_t> codes = {0, 1, 0, 1, 1, 0, 0, 1};
+  ASSERT_TRUE(PrepareDrive(codes, &drive).ok());
+  ASSERT_EQ(drive.bits.size(), codes.size());
+  std::vector<std::size_t> driven;
   for (std::size_t l = 0; l < codes.size(); ++l) {
-    EXPECT_EQ(drive.voltages[l], dac.LevelVoltage(codes[l]));
-    if (drive.voltages[l] != 0.0) nonzero.push_back(l);
+    EXPECT_EQ(drive.bits[l], codes[l]);
+    if (drive.bits[l] != 0) driven.push_back(l);
   }
   EXPECT_EQ(drive.lines, (std::vector<std::size_t>{1, 3, 4, 7}));
-  EXPECT_EQ(drive.lines, nonzero);
+  EXPECT_EQ(drive.lines, driven);
   EXPECT_EQ(drive.active(), drive.lines.size());
 
   const std::vector<std::uint64_t> sparse = {0, 0, 0, 0, 0, 1, 0, 0};
-  ASSERT_TRUE(PrepareDrive(dac, sparse, &drive).ok());
+  ASSERT_TRUE(PrepareDrive(sparse, &drive).ok());
   EXPECT_EQ(drive.lines, (std::vector<std::size_t>{5}));
   EXPECT_EQ(drive.active(), 1U);
+
+  const std::vector<std::uint64_t> two = {0, 1, 2, 0};
+  EXPECT_EQ(PrepareDrive(two, &drive).code(), ErrorCode::kOutOfRange);
+  CrossbarPair twins = MakeCrossbarTwins(4, 5);
+  EXPECT_EQ(twins.fast.Cycle(two).status().code(), ErrorCode::kOutOfRange);
+  const std::vector<std::uint64_t> column_two = {0, 0, 2, 0, 0};
+  EXPECT_EQ(twins.reference.CycleTranspose(column_two).status().code(),
+            ErrorCode::kOutOfRange);
+}
+
+// LoadDriveBit drives only the first codes.size() lines, from one bit of
+// each code, and leaves the lines past them undriven: the MVM engine's
+// sweep loads each input bit of its logical lines into a wider array's
+// pattern this way.
+TEST(DrivePatternTest, LoadDriveBitDrivesOnlyTheLogicalLines) {
+  const std::vector<std::uint64_t> codes = {0b101, 0b010, 0b000, 0b111, 0b100};
+  DrivePattern drive;
+  drive.bits.assign(8, 0);
+  const std::vector<std::vector<std::size_t>> expected = {
+      {0, 3}, {1, 3}, {0, 3, 4}, {}};
+  for (int bit = 0; bit < 4; ++bit) {
+    LoadDriveBit(codes, bit, &drive);
+    EXPECT_EQ(drive.lines, expected[static_cast<std::size_t>(bit)])
+        << "bit " << bit;
+    ASSERT_EQ(drive.bits.size(), 8U);
+    for (std::size_t l = 0; l < drive.bits.size(); ++l) {
+      const std::uint64_t want = l < codes.size() ? (codes[l] >> bit) & 1 : 0;
+      EXPECT_EQ(drive.bits[l], want) << "bit " << bit << " line " << l;
+    }
+  }
 }
 
 // An all-zero drive lists no line, so no cell conducts: the cycle costs
@@ -451,9 +480,8 @@ TEST(DrivePatternTest, AllZeroDriveHasNoDrivenLinesAndNoReadEnergy) {
       const std::size_t driven = forward ? p.rows : p.cols;
       const std::size_t sensed_lines = forward ? p.cols : p.rows;
       DrivePattern drive;
-      ASSERT_TRUE(PrepareDrive(p.dac,
-                               std::vector<std::uint64_t>(driven, 0), &drive)
-                      .ok());
+      ASSERT_TRUE(
+          PrepareDrive(std::vector<std::uint64_t>(driven, 0), &drive).ok());
       EXPECT_TRUE(drive.lines.empty());
       EXPECT_EQ(drive.active(), 0U);
       for (const std::size_t sensed : {std::size_t{0}, std::size_t{5}}) {
