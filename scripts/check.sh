@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One-shot local mirror of CI: configure + build + ctest + cimlint for a
-# preset, plus clang-tidy over src/ when it is installed; the
+# preset, plus clang-tidy over src/ and tools/ when it is installed; the
 # relwithdebinfo leg adds the full-mode bench gates and the perfbench
 # digest gate. Reproduces a red CI run in one command.
 #
@@ -112,10 +112,10 @@ run_clang_tidy() {
     echo "==> clang-tidy not installed; skipping (CI runs it on changed files)"
     return 0
   fi
-  echo "==> clang-tidy (src/)"
+  echo "==> clang-tidy (src/ and tools/)"
   local build_dir="build/relwithdebinfo"
   [[ -f "$build_dir/compile_commands.json" ]] || cmake --preset relwithdebinfo
-  find src -name '*.cc' -print0 |
+  find src tools -name '*.cc' -print0 |
     xargs -0 -P "$(nproc)" -n 4 clang-tidy -p "$build_dir" --quiet
 }
 

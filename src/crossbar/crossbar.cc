@@ -1,11 +1,16 @@
 #include "crossbar/crossbar.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/contracts.h"
 
 namespace cim::crossbar {
 namespace {
+
+// The forward cell stride as a compile-time 1, so the fast kernel's forward
+// loops compile to unit-stride code (transposed, the stride is cols).
+using UnitStride = std::integral_constant<std::size_t, 1>;
 
 // Quiet-kernel register block: adds every driven line's read currents to
 // sensed lines [k0, k0 + W) of a quiet mirror plane, keeping the W
@@ -14,25 +19,26 @@ namespace {
 // k0 == 0 also sums the driven lines' read and drive energy (in the same
 // order) in a register alongside the accumulate and returns it; the others
 // return 0.
-template <std::size_t W>
+template <std::size_t W, class Stride>
 double AccumulateQuietBlock(const DrivePattern& drive, const double* current,
-                            std::size_t line_cells, std::size_t k0,
-                            double* __restrict cur,
+                            std::size_t line_stride, Stride cell_stride,
+                            std::size_t k0, double* __restrict cur,
                             const double* line_energy_pj, double drive_pj) {
   double acc[W];
   for (std::size_t j = 0; j < W; ++j) acc[j] = cur[k0 + j];
+  const double* block = current + k0 * cell_stride;
   double energy_pj = 0.0;
   if (k0 == 0) {
     for (const std::size_t l : drive.lines) {
-      const double* __restrict line = current + l * line_cells;
-      for (std::size_t j = 0; j < W; ++j) acc[j] += line[j];
+      const double* __restrict line = block + l * line_stride;
+      for (std::size_t j = 0; j < W; ++j) acc[j] += line[j * cell_stride];
       energy_pj += line_energy_pj[l];
       energy_pj += drive_pj;
     }
   } else {
     for (const std::size_t l : drive.lines) {
-      const double* __restrict line = current + l * line_cells + k0;
-      for (std::size_t j = 0; j < W; ++j) acc[j] += line[j];
+      const double* __restrict line = block + l * line_stride;
+      for (std::size_t j = 0; j < W; ++j) acc[j] += line[j * cell_stride];
     }
   }
   for (std::size_t j = 0; j < W; ++j) cur[k0 + j] = acc[j];
@@ -134,7 +140,6 @@ Crossbar::Crossbar(const CrossbarParams& params, Rng rng)
     cells_.emplace_back(params_.cell);
   }
   gain_.resize(params_.rows * params_.cols);
-  gain_transposed_.resize(params_.rows * params_.cols);
   row_read_energy_pj_.resize(params_.rows);
   col_read_energy_pj_.resize(params_.cols);
   RefreshMirror();
@@ -165,9 +170,7 @@ void Crossbar::RefreshMirror() {
     double row_energy = 0.0;
     for (std::size_t c = 0; c < cols; ++c) {
       const device::MemristorCell& cell = cells_[r * cols + c];
-      const double g = MirrorEntry(cell);
-      gain_[r * cols + c] = g;
-      gain_transposed_[c * rows + r] = g;
+      gain_[r * cols + c] = MirrorEntry(cell);
       // Read energy is ohmic off the stored (pre-fault-override)
       // conductance — mirrors MemristorCell::Read.
       const double e = cell.true_conductance() * energy_per_gon;
@@ -183,9 +186,7 @@ void Crossbar::RefreshMirrorCell(std::size_t row, std::size_t col) {
   const std::size_t cols = params_.cols;
   const double energy_per_gon =
       params_.cell.read_energy.pj / params_.cell.g_on_siemens;
-  const double g = MirrorEntry(cells_[row * cols + col]);
-  gain_[row * cols + col] = g;
-  gain_transposed_[col * rows + row] = g;
+  gain_[row * cols + col] = MirrorEntry(cells_[row * cols + col]);
   // Re-sum the touched row/column energies from scratch (instead of a
   // cheaper add-the-delta) so the mirror depends only on the current cell
   // state, never on the mutation history — FP deltas would drift.
@@ -279,12 +280,8 @@ std::vector<double> Crossbar::IdealColumnCurrents(
 double Crossbar::AccumulateReference(const DrivePattern& drive,
                                      CycleDirection dir, Rng& rng,
                                      std::span<double> currents) {
-  // Driven line l starts at cells_[l * line_stride] and its cells sit
-  // cell_stride apart: a row of adjacent cells forward, a column of
-  // cols-strided cells transposed.
-  const bool forward = dir == CycleDirection::kForward;
-  const std::size_t line_stride = forward ? params_.cols : 1;
-  const std::size_t cell_stride = forward ? 1 : params_.cols;
+  const std::size_t line_stride = LineStride(dir);
+  const std::size_t cell_stride = CellStride(dir);
   const std::size_t line_cells = SensedLines(dir);
   double energy_pj = 0.0;
   for (std::size_t l = 0; l < DrivenLines(dir); ++l) {
@@ -302,20 +299,21 @@ double Crossbar::AccumulateReference(const DrivePattern& drive,
   return energy_pj;
 }
 
+template <class Stride>
 double Crossbar::AccumulateFast(const DrivePattern& drive, CycleDirection dir,
-                                std::size_t sensed, Rng& rng,
-                                std::span<double> currents) {
-  // The mirror plane whose lines are contiguous in this direction (the
-  // column-major copy keeps a transposed line unit stride too) and its
+                                Stride cell_stride, std::size_t sensed,
+                                Rng& rng, std::span<double> currents) {
+  // The one mirror plane, walked by the reference kernel's rule, and the
   // per-line read-energy sums. Every cell on a driven line conducts, sensed
   // or not, so each driven line adds its whole line's read energy and one
   // drive pulse, in drive.lines order.
-  const bool forward = dir == CycleDirection::kForward;
-  const double* gain = forward ? gain_.data() : gain_transposed_.data();
-  const double* line_energy_pj = forward ? row_read_energy_pj_.data()
-                                         : col_read_energy_pj_.data();
+  CIM_DCHECK(cell_stride == CellStride(dir));
+  const double* gain = gain_.data();
+  const std::size_t line_stride = LineStride(dir);
+  const double* line_energy_pj = dir == CycleDirection::kForward
+                                     ? row_read_energy_pj_.data()
+                                     : col_read_energy_pj_.data();
   const double drive_pj = params_.dac.drive_energy.pj;
-  const std::size_t line_cells = SensedLines(dir);
   // __restrict: the mirror, the scratch buffer and the accumulator never
   // alias, and saying so is what lets the dense loops below vectorize
   // without runtime overlap checks.
@@ -330,9 +328,9 @@ double Crossbar::AccumulateFast(const DrivePattern& drive, CycleDirection dir,
     // scratch buffer — under kFastBitExact in the same order the reference
     // kernel consumes the stream (advancing past every cell of a driven
     // line, sensed or not), under kFastNoise as one tile window per line —
-    // then run a dense accumulate over the contiguous conductance mirror
-    // for cells [0, sensed) only: the ADC never converts the rest, so their
-    // currents are never read. The two loops split the sampling from the
+    // then run a dense accumulate over the line's mirror entries for cells
+    // [0, sensed) only: the ADC never converts the rest, so their currents
+    // are never read. The two loops split the sampling from the
     // arithmetic, so the second loop auto-vectorizes.
     const double ceiling = ReadCeiling();
     const double v = params_.dac.v_read;
@@ -341,10 +339,10 @@ double Crossbar::AccumulateFast(const DrivePattern& drive, CycleDirection dir,
     double* __restrict f = factors.data();
     double energy_pj = 0.0;
     for (const std::size_t l : drive.lines) {
-      const double* __restrict g_line = gain + l * line_cells;
-      noise_.FillFactors(rng, f, sensed, line_cells);
+      const double* __restrict g_line = gain + l * line_stride;
+      noise_.FillFactors(rng, f, sensed, SensedLines(dir));
       for (std::size_t k = 0; k < sensed; ++k) {
-        cur[k] += v * std::clamp(g_line[k] * f[k], 0.0, ceiling);
+        cur[k] += v * std::clamp(g_line[k * cell_stride] * f[k], 0.0, ceiling);
       }
       energy_pj += line_energy_pj[l];
       energy_pj += drive_pj;
@@ -360,30 +358,18 @@ double Crossbar::AccumulateFast(const DrivePattern& drive, CycleDirection dir,
   // block (k == 0), which returns the energy sum, always runs.
   double energy_pj = 0.0;
   std::size_t k = 0;
-  for (; k + 16 <= sensed; k += 16) {
-    energy_pj += AccumulateQuietBlock<16>(drive, gain, line_cells, k, cur,
-                                          line_energy_pj, drive_pj);
-  }
+  const auto block = [&](auto width) {
+    energy_pj += AccumulateQuietBlock<width>(drive, gain, line_stride,
+                                             cell_stride, k, cur,
+                                             line_energy_pj, drive_pj);
+    k += width;
+  };
+  while (k + 16 <= sensed) block(std::integral_constant<std::size_t, 16>{});
   const std::size_t rest = sensed - k;
-  if ((rest & 8) != 0) {
-    energy_pj += AccumulateQuietBlock<8>(drive, gain, line_cells, k, cur,
-                                         line_energy_pj, drive_pj);
-    k += 8;
-  }
-  if ((rest & 4) != 0) {
-    energy_pj += AccumulateQuietBlock<4>(drive, gain, line_cells, k, cur,
-                                         line_energy_pj, drive_pj);
-    k += 4;
-  }
-  if ((rest & 2) != 0) {
-    energy_pj += AccumulateQuietBlock<2>(drive, gain, line_cells, k, cur,
-                                         line_energy_pj, drive_pj);
-    k += 2;
-  }
-  if ((rest & 1) != 0) {
-    energy_pj += AccumulateQuietBlock<1>(drive, gain, line_cells, k, cur,
-                                         line_energy_pj, drive_pj);
-  }
+  if ((rest & 8) != 0) block(std::integral_constant<std::size_t, 8>{});
+  if ((rest & 4) != 0) block(std::integral_constant<std::size_t, 4>{});
+  if ((rest & 2) != 0) block(std::integral_constant<std::size_t, 2>{});
+  if ((rest & 1) != 0) block(std::integral_constant<std::size_t, 1>{});
   return energy_pj;
 }
 
@@ -443,17 +429,21 @@ Expected<CostReport> Crossbar::CycleDriven(const DrivePattern& drive,
   // every sensed line). The scratch is per thread, so concurrent cycles
   // (each with its own Rng) share no state, crossbar or otherwise.
   const bool reference = params_.kernel == device::KernelPolicy::kReference;
+  const std::size_t summed = reference ? sensed_lines : sensed;
   thread_local std::vector<double> currents;
   if (currents.size() < sensed_lines) currents.resize(sensed_lines);
-  std::fill_n(currents.begin(), reference ? sensed_lines : sensed, 0.0);
+  std::fill_n(currents.begin(), summed, 0.0);
+  const std::span<double> sums = std::span<double>(currents).first(summed);
   CostReport cost;
-  cost.energy_pj =
-      reference
-          ? AccumulateReference(
-                drive, dir, rng,
-                std::span<double>(currents).first(sensed_lines))
-          : AccumulateFast(drive, dir, sensed, rng,
-                           std::span<double>(currents).first(sensed));
+  if (reference) {
+    cost.energy_pj = AccumulateReference(drive, dir, rng, sums);
+  } else if (dir == CycleDirection::kForward) {
+    cost.energy_pj =
+        AccumulateFast(drive, dir, UnitStride{}, sensed, rng, sums);
+  } else {
+    cost.energy_pj =
+        AccumulateFast(drive, dir, params_.cols, sensed, rng, sums);
+  }
   const std::size_t active = drive.active();
 
   // First-order IR drop: attenuate with the fraction of simultaneously

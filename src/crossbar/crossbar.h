@@ -13,7 +13,7 @@
 //
 // Kernel structure: the cell grid is the array-of-structs source of truth
 // (program/verify, wear, drift, faults all live on MemristorCell), but the
-// cycle hot loop runs on a structure-of-arrays mirror — a contiguous plane
+// cycle hot loop runs on a structure-of-arrays mirror — one row-major plane
 // of fault-adjusted conductances (on a quiet array, each cell's read
 // current v_read * g with g clamped to the read ceiling) plus per-row /
 // per-column read-energy sums — refreshed whenever a mutation
@@ -85,8 +85,8 @@ struct CrossbarParams {
 // Which way a cycle runs through the array. kForward drives the rows and
 // senses the columns (y = W^T x); kTranspose drives the columns and senses
 // the rows (g = W e). Everything direction-dependent — drive width, sensed
-// width, full scale, IR-drop divisor, which mirror plane is contiguous —
-// follows from it.
+// width, full scale, IR-drop divisor, the strides a line walk takes through
+// the row-major cell grid and mirror — follows from it.
 enum class CycleDirection { kForward, kTranspose };
 
 // Result of one analog MVM cycle: raw ADC codes per sensed line (columns
@@ -263,6 +263,15 @@ class Crossbar {
   [[nodiscard]] std::size_t SensedLines(CycleDirection dir) const {
     return dir == CycleDirection::kForward ? params_.cols : params_.rows;
   }
+  // Both kernels' one addressing rule over a row-major plane (cells_ or
+  // gain_): driven line l's cell k sits at l * LineStride + k * CellStride,
+  // which is (cols, 1) forward and (1, cols) transposed.
+  [[nodiscard]] std::size_t LineStride(CycleDirection dir) const {
+    return dir == CycleDirection::kForward ? params_.cols : 1;
+  }
+  [[nodiscard]] std::size_t CellStride(CycleDirection dir) const {
+    return dir == CycleDirection::kForward ? 1 : params_.cols;
+  }
 
   // The two kernels behind CycleDriven, one per correctness contract, each
   // serving both directions: walk the driven lines, accumulate the sensed
@@ -274,36 +283,36 @@ class Crossbar {
   // line's FP sum keep their order. It serves kFastBitExact (identical
   // codes to kReference, enforced by mvm_kernel_test) and kFastNoise
   // (statistically equivalent, noise_equivalence_test + bench gate);
-  // noise_.FillFactors owns the difference. It runs on the mirror plane
-  // whose lines are contiguous in `dir` and is sense-gated: it evaluates
-  // only the sensed prefix [0, sensed) the ADC digitises, while the noise
-  // stream still advances for every cell of a driven line, so the codes and
-  // the post-cycle stream match the reference kernel, which reads every
-  // cell. On a quiet array it is a register-blocked add over the mirror's
-  // read currents: each block of sensed-line accumulators stays in
-  // registers across every driven line, and the energy sum rides along in
-  // the first block's line loop.
+  // noise_.FillFactors owns the difference. It walks the one mirror plane
+  // by the same stride rule, with `cell_stride` the compile-time 1 forward
+  // (so those loops compile to unit-stride code) and cols transposed. It
+  // is sense-gated: it evaluates only the sensed prefix [0, sensed) the ADC
+  // digitises, while the noise stream still advances for every cell of a
+  // driven line, so the codes and the post-cycle stream match the
+  // reference kernel, which reads every cell. On a quiet array it is a
+  // register-blocked add over the mirror's read currents: each block of
+  // sensed-line accumulators stays in registers across every driven line,
+  // and the energy sum rides along in the first block's line loop.
   [[nodiscard]] double AccumulateReference(const DrivePattern& drive,
                                            CycleDirection dir, Rng& rng,
                                            std::span<double> currents);
+  template <class Stride>
   [[nodiscard]] double AccumulateFast(const DrivePattern& drive,
-                                      CycleDirection dir, std::size_t sensed,
-                                      Rng& rng, std::span<double> currents);
+                                      CycleDirection dir, Stride cell_stride,
+                                      std::size_t sensed, Rng& rng,
+                                      std::span<double> currents);
 
   CrossbarParams params_;
   // Sampling strategy for the fast kernels' read-noise factors, fixed at
   // construction from (cell.read_noise_sigma, kernel policy).
   device::NoiseModel noise_;
   std::vector<device::MemristorCell> cells_;
-  // SoA mirror of cells_: contiguous MirrorEntry values (row major, plus a
-  // column-major copy so the transpose direction also walks unit stride;
-  // read currents on a quiet array, so its cycle needs no clamp and no
-  // multiply) and
-  // per-row / per-column read-energy sums (a cycle's ohmic read energy
+  // SoA mirror of cells_: one row-major plane of MirrorEntry values (read
+  // currents on a quiet array, so its cycle needs no clamp and no multiply)
+  // and per-row / per-column read-energy sums (a cycle's ohmic read energy
   // depends only on the stored conductances, so it folds into one add per
   // driven line instead of one multiply-add per cell).
   std::vector<double> gain_;
-  std::vector<double> gain_transposed_;
   std::vector<double> row_read_energy_pj_;
   std::vector<double> col_read_energy_pj_;
   Rng rng_;

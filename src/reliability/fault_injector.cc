@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <tuple>
 
+#include "common/units.h"
+
 namespace cim::reliability {
 namespace {
 
@@ -45,12 +47,23 @@ Status FaultScenario::Validate() const {
         return InvalidArgument("plane must be 0 or 1");
       }
     }
+    // NaN fails every range check below, so it is refused first: a NaN
+    // drift ages every cell to a NaN conductance (and every cost after it
+    // to NaN), and a NaN probability arms a transient that never fires.
+    if (!AllFinite({spec.drift_ns, spec.probability, spec.magnitude})) {
+      return InvalidArgument(
+          "drift_ns, probability and magnitude must be finite");
+    }
     if (spec.kind == FaultKind::kDriftBurst && spec.drift_ns <= 0.0) {
       return InvalidArgument("drift burst needs drift_ns > 0");
     }
     if (spec.kind == FaultKind::kTransientMvm &&
         (spec.probability < 0.0 || spec.probability > 1.0)) {
       return InvalidArgument("transient probability must be in [0, 1]");
+    }
+    // The perturbation's sign is drawn per event; the magnitude scales it.
+    if (spec.kind == FaultKind::kTransientMvm && spec.magnitude < 0.0) {
+      return InvalidArgument("transient magnitude must be >= 0");
     }
   }
   return Status::Ok();

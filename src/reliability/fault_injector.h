@@ -72,10 +72,11 @@ struct FaultSpec {
   std::size_t row = kAnyIndex;
   std::size_t col = kAnyIndex;
   int plane = 0;
-  // kDriftBurst: equivalent idle time of drift applied at once.
+  // kDriftBurst: equivalent idle time of drift applied at once (> 0).
   double drift_ns = 0.0;
-  // kTransientMvm: per-(tile, call) corruption probability and relative
-  // perturbation magnitude.
+  // kTransientMvm: per-(tile, call) corruption probability (in [0, 1]) and
+  // relative perturbation magnitude (>= 0; each event draws its sign).
+  // Validate refuses a non-finite value in any of these three fields.
   double probability = 1.0;
   double magnitude = 0.5;
 };

@@ -10,8 +10,14 @@
 // (the tsan preset runs it under ThreadSanitizer).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iomanip>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "dpe/accelerator.h"
@@ -454,6 +460,102 @@ TEST(FaultInjectorTest, TransientDecisionIsPure) {
   }
   EXPECT_TRUE(any_hit);
   EXPECT_EQ(a.log().Fingerprint(), b.log().Fingerprint());
+}
+
+// Boundary values of one real-valued FaultSpec field: NaN, +-inf, 0, -1,
+// the extreme finite values, and each bound with its 1-ulp neighbours.
+std::vector<double> SpecBoundaryValues(std::initializer_list<double> bounds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {std::numeric_limits<double>::quiet_NaN(),
+                                kInf,
+                                -kInf,
+                                0.0,
+                                -1.0,
+                                std::numeric_limits<double>::lowest(),
+                                std::numeric_limits<double>::max()};
+  for (const double b : bounds) {
+    values.insert(values.end(),
+                  {b, std::nextafter(b, -kInf), std::nextafter(b, kInf)});
+  }
+  return values;
+}
+
+// Each real-valued FaultSpec field takes its boundary values, alone, on a
+// spec of the kind that reads it, with and without fault tolerance: Arm
+// must refuse every non-finite value, and every scenario it accepts must
+// run one InferBatch with finite, non-negative costs and finite outputs.
+// (Before the finiteness checks a NaN drift_ns armed and turned every cost
+// after the burst into NaN, and a NaN probability armed a transient that
+// never fired.)
+TEST(FaultScenarioFuzzTest, EveryAcceptedBoundaryScenarioRunsFinite) {
+  struct Case {
+    std::string label;
+    double value;
+    FaultSpec spec;
+  };
+  std::vector<Case> cases;
+  const auto add = [&cases](const char* name, FaultKind kind,
+                            double FaultSpec::*field,
+                            std::initializer_list<double> bounds) {
+    for (const double v : SpecBoundaryValues(bounds)) {
+      FaultSpec spec;
+      spec.kind = kind;
+      spec.target = "dpe.layer0";
+      spec.tile = 0;
+      spec.*field = v;
+      std::ostringstream label;
+      label << name << "=" << std::setprecision(17) << v;
+      cases.push_back({label.str(), v, spec});
+    }
+  };
+  add("drift_ns", FaultKind::kDriftBurst, &FaultSpec::drift_ns, {0.0});
+  add("probability", FaultKind::kTransientMvm, &FaultSpec::probability,
+      {0.0, 1.0});
+  add("magnitude", FaultKind::kTransientMvm, &FaultSpec::magnitude, {0.0});
+
+  Rng rng(61);
+  const nn::Network net = nn::BuildMlp("fuzz", {16, 24, 8}, rng, 0.3);
+  const std::vector<nn::Tensor> inputs = MakeInputs({16}, 2, rng);
+  std::size_t rejected = 0;
+  std::size_t ran = 0;
+  for (const bool ft : {false, true}) {
+    DpeParams p = ft ? FtParams(1, /*spares=*/1) : DpeParams::Isaac();
+    p.array.rows = 32;  // small arrays keep the sanitizer legs quick
+    p.array.cols = 32;
+    p.array.columns_per_adc = 32;
+    p.worker_threads = 1;
+    for (const Case& c : cases) {
+      const std::string what = c.label + (ft ? " (ft)" : "");
+      auto acc = DpeAccelerator::Create(p, net, Rng(62));
+      ASSERT_TRUE(acc.ok()) << what << ": " << acc.status().message();
+      FaultScenario scenario;
+      scenario.specs.push_back(c.spec);
+      FaultInjector injector(scenario);
+      ASSERT_TRUE((*acc)->AttachFaultInjector(&injector).ok()) << what;
+      if (!injector.Arm().ok()) {
+        ++rejected;
+        continue;
+      }
+      EXPECT_TRUE(std::isfinite(c.value)) << what << " armed";
+      ++ran;
+      auto results = (*acc)->InferBatch(inputs);
+      ASSERT_TRUE(results.ok()) << what << ": " << results.status().message();
+      for (const InferResult& r : *results) {
+        EXPECT_TRUE(std::isfinite(r.cost.latency_ns) &&
+                    std::isfinite(r.cost.energy_pj) &&
+                    std::isfinite(r.cost.bytes_moved))
+            << what;
+        EXPECT_TRUE(r.cost.latency_ns >= 0.0 && r.cost.energy_pj >= 0.0 &&
+                    r.cost.bytes_moved >= 0.0)
+            << what;
+        for (const double y : r.output.vec()) {
+          EXPECT_TRUE(std::isfinite(y)) << what << " output";
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(ran, 0u);
 }
 
 }  // namespace

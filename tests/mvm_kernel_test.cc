@@ -32,8 +32,10 @@ constexpr std::uint64_t kSeed = 0xC1D4'57A6ULL;
 
 MvmEngineParams NoisyEngineParams(device::KernelPolicy kernel, bool guard) {
   MvmEngineParams p;
+  // Non-square, so a transposed walk that swapped the row and column
+  // strides of the one row-major mirror plane would read the wrong cells.
   p.array.rows = 32;
-  p.array.cols = 32;
+  p.array.cols = 40;
   p.array.kernel = kernel;
   p.guard_column = guard;
   // Defaults keep read noise on (sigma 0.02): the differential contract is
@@ -227,28 +229,33 @@ TEST(KernelDifferentialTest, QuietForwardAndTransposeBitIdentical) {
   }
 }
 
-// Every mutation kind reaches the quiet mirror: single-cell programs (via
-// UpdateWeights), stuck-on and stuck-off faults refresh one cell and its
-// line energies, aging refreshes the whole plane.
+// Every mutation kind reaches the mirror, quiet and noisy: single-cell
+// programs (via UpdateWeights), stuck-on and stuck-off faults refresh one
+// cell and its line energies, aging refreshes the whole plane. Each stage
+// runs forward and transposed sweeps.
 TEST(KernelDifferentialTest, QuietBitIdenticalAfterEveryMutationKind) {
-  EnginePair twins = MakeTwins(/*guard=*/false, 24, 20, Device::kQuiet);
-  Rng wrng(kSeed + 14);
-  const std::vector<double> w = RandomWeights(24 * 20, wrng);
-  ASSERT_TRUE(twins.fast.UpdateWeights(w).ok());
-  ASSERT_TRUE(twins.reference.UpdateWeights(w).ok());
-  ExpectSweepsBitIdentical(twins, 24, 20, kSeed + 15, "after UpdateWeights");
+  for (const Device kind : {Device::kQuiet, Device::kNoisy}) {
+    SCOPED_TRACE(kind == Device::kQuiet ? "quiet device" : "noisy device");
+    EnginePair twins = MakeTwins(/*guard=*/false, 24, 20, kind);
+    Rng wrng(kSeed + 14);
+    const std::vector<double> w = RandomWeights(24 * 20, wrng);
+    ASSERT_TRUE(twins.fast.UpdateWeights(w).ok());
+    ASSERT_TRUE(twins.reference.UpdateWeights(w).ok());
+    ExpectSweepsBitIdentical(twins, 24, 20, kSeed + 15,
+                             "after UpdateWeights");
 
-  for (MvmEngine* engine : {&twins.fast, &twins.reference}) {
-    engine->InjectCellFault(0, 3, 7, device::CellFault::kStuckOn);
-    engine->InjectCellFault(1, 3, 7, device::CellFault::kStuckOn);
-    engine->InjectCellFault(0, 9, 2, device::CellFault::kStuckOff);
-    engine->InjectCellFault(1, 15, 15, device::CellFault::kStuckOff);
+    for (MvmEngine* engine : {&twins.fast, &twins.reference}) {
+      engine->InjectCellFault(0, 3, 7, device::CellFault::kStuckOn);
+      engine->InjectCellFault(1, 3, 7, device::CellFault::kStuckOn);
+      engine->InjectCellFault(0, 9, 2, device::CellFault::kStuckOff);
+      engine->InjectCellFault(1, 15, 15, device::CellFault::kStuckOff);
+    }
+    ExpectSweepsBitIdentical(twins, 24, 20, kSeed + 16, "after faults");
+
+    twins.fast.Age(TimeNs::Micros(50.0));
+    twins.reference.Age(TimeNs::Micros(50.0));
+    ExpectSweepsBitIdentical(twins, 24, 20, kSeed + 17, "after Age");
   }
-  ExpectSweepsBitIdentical(twins, 24, 20, kSeed + 16, "after faults");
-
-  twins.fast.Age(TimeNs::Micros(50.0));
-  twins.reference.Age(TimeNs::Micros(50.0));
-  ExpectSweepsBitIdentical(twins, 24, 20, kSeed + 17, "after Age");
 }
 
 // -- Raw crossbar codes -----------------------------------------------------
