@@ -1,9 +1,8 @@
 #include "arch/fabric.h"
 
 #include <limits>
+#include <string>
 #include <utility>
-
-#include "common/contracts.h"
 
 namespace cim::arch {
 
@@ -32,52 +31,75 @@ CostReport Tile::lifetime_cost() const {
   return total;
 }
 
-Expected<std::unique_ptr<Fabric>> Fabric::Create(const FabricParams& params) {
-  if (Status s = params.Validate(); !s.ok()) return s;
-  std::unique_ptr<Fabric> fabric(new Fabric(params));
-  auto noc = noc::MeshNoc::Create(params.mesh, &fabric->queue_);
+Expected<std::unique_ptr<TileGrid>> TileGrid::Create(
+    const noc::MeshParams& mesh, const MicroUnitParams& micro_unit,
+    std::size_t micro_units_per_tile,
+    noc::MeshNoc::DeliveryHandler on_delivery,
+    noc::MeshNoc::DropHandler on_drop) {
+  std::unique_ptr<TileGrid> grid(new TileGrid());
+  auto noc = noc::MeshNoc::Create(mesh, &grid->queue_);
   if (!noc.ok()) return noc.status();
-  fabric->noc_ = std::make_unique<noc::MeshNoc>(std::move(noc.value()));
-
-  for (std::uint16_t y = 0; y < params.mesh.height; ++y) {
-    for (std::uint16_t x = 0; x < params.mesh.width; ++x) {
+  grid->noc_.emplace(std::move(noc.value()));
+  for (std::uint16_t y = 0; y < mesh.height; ++y) {
+    for (std::uint16_t x = 0; x < mesh.width; ++x) {
       std::vector<MicroUnit> units;
-      for (std::size_t i = 0; i < params.micro_units_per_tile; ++i) {
-        MicroUnitParams mu_params = params.micro_unit;
+      for (std::size_t i = 0; i < micro_units_per_tile; ++i) {
+        MicroUnitParams mu_params = micro_unit;
         mu_params.name = "mu(" + std::to_string(x) + "," + std::to_string(y) +
                          ")#" + std::to_string(i);
         auto mu = MicroUnit::Create(mu_params);
         if (!mu.ok()) return mu.status();
         units.push_back(std::move(mu.value()));
       }
-      fabric->tiles_.emplace_back(noc::NodeId{x, y}, std::move(units));
-      fabric->WireNode(noc::NodeId{x, y});
+      grid->tiles_.emplace_back(std::move(units));
+      grid->noc_->SetDeliveryHandler({x, y}, on_delivery);
     }
   }
+  grid->noc_->SetDropHandler(std::move(on_drop));
+  return grid;
+}
+
+Expected<Tile*> TileGrid::TileAt(noc::NodeId node) {
+  const noc::MeshParams& mesh = noc_->params();
+  if (node.x >= mesh.width || node.y >= mesh.height) {
+    return OutOfRange("tile coordinate outside fabric");
+  }
+  return &tiles_[static_cast<std::size_t>(node.y) * mesh.width + node.x];
+}
+
+CostReport TileGrid::TotalCost() const {
+  CostReport total = noc_->telemetry().cost;
+  for (const Tile& tile : tiles_) total += tile.lifetime_cost();
+  return total;
+}
+
+Expected<std::unique_ptr<Fabric>> Fabric::Create(const FabricParams& params) {
+  if (Status s = params.Validate(); !s.ok()) return s;
+  std::unique_ptr<Fabric> fabric(new Fabric(params));
   Fabric* self = fabric.get();
-  fabric->noc_->SetDropHandler(
+  auto grid = TileGrid::Create(
+      params.mesh, params.micro_unit, params.micro_units_per_tile,
+      [self](const noc::Delivery& delivery) {
+        if (delivery.packet.kind == noc::PayloadKind::kCode) {
+          self->HandleCodePacket(delivery);
+        } else {
+          self->HandleDataPacket(delivery);
+        }
+      },
       [self](const noc::Packet& packet, noc::DropReason) {
-        self->inflight_.erase(packet.id);
-        ++self->stats_[packet.stream_id].failed;
+        // Only the fabric's own data packets belong to a stream; a dropped
+        // code packet is counted in the mesh telemetry alone.
+        if (self->inflight_.erase(packet.id) > 0) {
+          ++self->streams_.at(packet.stream_id).stats.failed;
+        }
       });
+  if (!grid.ok()) return grid.status();
+  fabric->grid_ = std::move(grid.value());
   return fabric;
 }
 
 Fabric::Fabric(const FabricParams& params)
     : params_(params), cipher_(params.cipher_key) {}
-
-void Fabric::WireNode(noc::NodeId node) {
-  noc_->SetDeliveryHandler(
-      node, [this](const noc::Delivery& delivery) { OnDelivery(delivery); });
-}
-
-Expected<Tile*> Fabric::TileAt(noc::NodeId node) {
-  if (node.x >= params_.mesh.width || node.y >= params_.mesh.height) {
-    return OutOfRange("tile coordinate outside fabric");
-  }
-  return &tiles_[static_cast<std::size_t>(node.y) * params_.mesh.width +
-                 node.x];
-}
 
 Status Fabric::ConfigureStream(std::uint64_t stream_id,
                                std::vector<noc::NodeId> path,
@@ -86,7 +108,7 @@ Status Fabric::ConfigureStream(std::uint64_t stream_id,
   for (noc::NodeId n : path) {
     if (auto tile = TileAt(n); !tile.ok()) return tile.status();
   }
-  StreamConfig& cfg = streams_[stream_id];
+  Stream& cfg = streams_[stream_id];
   cfg.path = std::move(path);
   cfg.entry = cfg.path.front();
   cfg.qos = qos;
@@ -100,7 +122,7 @@ Status Fabric::ConfigureDynamicStream(std::uint64_t stream_id,
                                       noc::QosClass qos) {
   if (!resolver) return InvalidArgument("resolver required");
   if (auto tile = TileAt(entry); !tile.ok()) return tile.status();
-  StreamConfig& cfg = streams_[stream_id];
+  Stream& cfg = streams_[stream_id];
   cfg.resolver = std::move(resolver);
   cfg.entry = entry;
   cfg.qos = qos;
@@ -135,26 +157,23 @@ Status Fabric::InjectData(std::uint64_t stream_id,
                           std::vector<double> payload) {
   auto it = streams_.find(stream_id);
   if (it == streams_.end()) return NotFound("stream not configured");
-  StreamStats& stats = stats_[stream_id];
-  ++stats.injected;
-  const noc::NodeId entry = it->second.entry;
-  const TimeNs start = queue_.now();
-  queue_.ScheduleAfter(
-      TimeNs(0.0), [this, stream_id, entry, start,
+  Stream& cfg = it->second;
+  ++cfg.stats.injected;
+  const TimeNs start = queue().now();
+  queue().ScheduleAfter(
+      TimeNs(0.0), [this, stream_id, &cfg, entry = cfg.entry, start,
                     payload = std::move(payload)]() mutable {
         // Process at the entry node with path index 0.
-        ProcessAt(stream_id, entry, 0, std::move(payload), start);
+        ProcessAt(stream_id, cfg, entry, 0, std::move(payload), start);
       });
   return Status::Ok();
 }
 
-void Fabric::ProcessAt(std::uint64_t stream_id, noc::NodeId node,
+// Streams are never torn down, so `cfg` outlives every event below.
+void Fabric::ProcessAt(std::uint64_t stream_id, Stream& cfg, noc::NodeId node,
                        std::size_t path_index, std::vector<double> payload,
                        TimeNs start) {
-  auto cfg_it = streams_.find(stream_id);
-  if (cfg_it == streams_.end()) return;
-  StreamConfig& cfg = cfg_it->second;
-  StreamStats& stats = stats_[stream_id];
+  StreamStats& stats = cfg.stats;
 
   auto tile = TileAt(node);
   if (!tile.ok() || (*tile)->failed()) {
@@ -168,7 +187,7 @@ void Fabric::ProcessAt(std::uint64_t stream_id, noc::NodeId node,
     return;
   }
   stats.compute_cost += delta;
-  const TimeNs done_at = queue_.now() + TimeNs(delta.latency_ns);
+  const TimeNs done_at = queue().now() + TimeNs(delta.latency_ns);
 
   // Decide the next hop.
   std::optional<noc::NodeId> next;
@@ -182,11 +201,11 @@ void Fabric::ProcessAt(std::uint64_t stream_id, noc::NodeId node,
     ++stats.completed;
     stats.end_to_end_latency_ns.Add((done_at - start).ns);
     if (cfg.sink) {
-      queue_.ScheduleAt(done_at,
-                        [sink = cfg.sink, result = std::move(*processed),
-                         done_at]() mutable {
-                          sink(std::move(result), done_at);
-                        });
+      queue().ScheduleAt(done_at,
+                         [sink = cfg.sink, result = std::move(*processed),
+                          done_at]() mutable {
+                           sink(std::move(result), done_at);
+                         });
     }
     return;
   }
@@ -194,18 +213,15 @@ void Fabric::ProcessAt(std::uint64_t stream_id, noc::NodeId node,
   // Forward over the mesh after processing completes.
   const noc::NodeId next_node = *next;
   const std::size_t next_index = path_index + 1;
-  queue_.ScheduleAt(done_at, [this, stream_id, node, next_node, next_index,
-                              start, result = std::move(*processed)] {
-    // Streams are never torn down today; operator[] here would silently
-    // materialize a default stream if that ever changes.
-    const auto fwd_it = streams_.find(stream_id);
-    CIM_CHECK(fwd_it != streams_.end());
+  queue().ScheduleAt(done_at, [this, &cfg, stream_id, node, next_node,
+                               next_index, start,
+                               result = std::move(*processed)] {
     noc::Packet packet;
     packet.id = next_packet_id_++;
     packet.stream_id = stream_id;
     packet.source = node;
     packet.destination = next_node;
-    packet.qos = fwd_it->second.qos;
+    packet.qos = cfg.qos;
     packet.kind = noc::PayloadKind::kData;
     packet.inline_payload = SerializeVector(result);
     packet.payload_bytes =
@@ -214,7 +230,7 @@ void Fabric::ProcessAt(std::uint64_t stream_id, noc::NodeId node,
     if (params_.enforce_partitions) {
       if (Status s = partitions_.Admit(packet); !s.ok()) {
         ++rejected_injections_;
-        ++stats_[stream_id].failed;
+        ++cfg.stats.failed;
         return;
       }
     }
@@ -222,25 +238,17 @@ void Fabric::ProcessAt(std::uint64_t stream_id, noc::NodeId node,
       packet.encrypted = true;
       const CostReport cipher_cost =
           cipher_.Apply(packet.inline_payload, packet.id);
-      stats_[stream_id].compute_cost += cipher_cost;
+      cfg.stats.compute_cost += cipher_cost;
     }
     inflight_[packet.id] = InFlight{start, next_index};
     const std::uint64_t packet_id = packet.id;
-    if (Status s = noc_->Inject(std::move(packet)); !s.ok()) {
+    if (Status s = noc().Inject(std::move(packet)); !s.ok()) {
       // Injection-time drops (failed destination, cut-off source) already
       // ran the drop handler, which erased the inflight entry and counted
       // the failure; count here only when the mesh never saw the packet.
-      if (inflight_.erase(packet_id) > 0) ++stats_[stream_id].failed;
+      if (inflight_.erase(packet_id) > 0) ++cfg.stats.failed;
     }
   });
-}
-
-void Fabric::OnDelivery(const noc::Delivery& delivery) {
-  if (delivery.packet.kind == noc::PayloadKind::kCode) {
-    HandleCodePacket(delivery);
-  } else {
-    HandleDataPacket(delivery);
-  }
 }
 
 void Fabric::HandleDataPacket(const noc::Delivery& delivery) {
@@ -252,17 +260,19 @@ void Fabric::HandleDataPacket(const noc::Delivery& delivery) {
   const InFlight hop = it->second;
   inflight_.erase(it);
 
+  Stream& cfg = streams_.at(packet.stream_id);
+  StreamStats& stats = cfg.stats;
   if (packet.encrypted) {
     const CostReport cipher_cost =
         cipher_.Apply(packet.inline_payload, packet.id);
-    stats_[packet.stream_id].compute_cost += cipher_cost;
+    stats.compute_cost += cipher_cost;
   }
   auto payload = DeserializeVector(packet.inline_payload);
   if (!payload.ok()) {
-    ++stats_[packet.stream_id].failed;
+    ++stats.failed;
     return;
   }
-  ProcessAt(packet.stream_id, packet.destination, hop.path_index,
+  ProcessAt(packet.stream_id, cfg, packet.destination, hop.path_index,
             std::move(payload.value()), hop.start);
 }
 
@@ -290,7 +300,7 @@ Status Fabric::SendProgram(noc::NodeId source, noc::NodeId dst,
   if (params_.authenticate_code) {
     packet.auth_tag = cipher_.Tag(packet.inline_payload, packet.id);
   }
-  return noc_->Inject(std::move(packet));
+  return noc().Inject(std::move(packet));
 }
 
 void Fabric::HandleCodePacket(const noc::Delivery& delivery) {
@@ -323,18 +333,12 @@ Status Fabric::FailTile(noc::NodeId node) {
   auto tile = TileAt(node);
   if (!tile.ok()) return tile.status();
   (*tile)->SetFailed(true);
-  return noc_->SetNodeFailed(node, true);
+  return noc().SetNodeFailed(node, true);
 }
 
 const StreamStats* Fabric::StatsFor(std::uint64_t stream_id) const {
-  const auto it = stats_.find(stream_id);
-  return it == stats_.end() ? nullptr : &it->second;
-}
-
-CostReport Fabric::TotalCost() const {
-  CostReport total = noc_->telemetry().cost;
-  for (const Tile& tile : tiles_) total += tile.lifetime_cost();
-  return total;
+  const auto it = streams_.find(stream_id);
+  return it == streams_.end() ? nullptr : &it->second.stats;
 }
 
 }  // namespace cim::arch

@@ -1,7 +1,9 @@
 // CIM fabric: tiles of micro-units on a packet mesh (Figs 3-5).
 //
-// A Tile couples a mesh node with a pipeline of micro-units. The Fabric owns
-// the event queue, the NoC, the tiles, and the stream configuration:
+// A TileGrid is the substrate: one event queue, one mesh and a Tile (a
+// pipeline of micro-units) per mesh node. The Fabric programs one grid
+// with streams; the dataflow executor places a DAG on another. The Fabric
+// holds the stream configuration:
 //   * static dataflow — a stream follows a pre-configured tile path,
 //   * dynamic dataflow — a per-stream resolver picks the next hop from the
 //     current node and payload (routing as a function of state and data),
@@ -28,17 +30,13 @@ namespace cim::arch {
 
 class Tile {
  public:
-  Tile(noc::NodeId node, std::vector<MicroUnit> micro_units)
-      : node_(node), micro_units_(std::move(micro_units)) {}
+  explicit Tile(std::vector<MicroUnit> micro_units)
+      : micro_units_(std::move(micro_units)) {}
 
-  [[nodiscard]] noc::NodeId node() const { return node_; }
   [[nodiscard]] std::size_t micro_unit_count() const {
     return micro_units_.size();
   }
   [[nodiscard]] MicroUnit& micro_unit(std::size_t i) {
-    return micro_units_.at(i);
-  }
-  [[nodiscard]] const MicroUnit& micro_unit(std::size_t i) const {
     return micro_units_.at(i);
   }
 
@@ -53,9 +51,39 @@ class Tile {
   [[nodiscard]] CostReport lifetime_cost() const;
 
  private:
-  noc::NodeId node_;
   std::vector<MicroUnit> micro_units_;
   bool failed_ = false;
+};
+
+class TileGrid {
+ public:
+  // Tile (x, y) holds `micro_units_per_tile` units built from `micro_unit`
+  // and named "mu(x,y)#i". `on_delivery` is installed on every mesh node
+  // and `on_drop` as the mesh's drop handler.
+  [[nodiscard]] static Expected<std::unique_ptr<TileGrid>> Create(
+      const noc::MeshParams& mesh, const MicroUnitParams& micro_unit,
+      std::size_t micro_units_per_tile,
+      noc::MeshNoc::DeliveryHandler on_delivery,
+      noc::MeshNoc::DropHandler on_drop);
+
+  // The queue's events hold the mesh's address, so the grid never moves.
+  TileGrid(const TileGrid&) = delete;
+  TileGrid& operator=(const TileGrid&) = delete;
+
+  [[nodiscard]] EventQueue& queue() { return queue_; }
+  [[nodiscard]] noc::MeshNoc& noc() { return *noc_; }
+
+  [[nodiscard]] Expected<Tile*> TileAt(noc::NodeId node);
+
+  // The mesh's cost plus every tile's lifetime cost, in row-major order.
+  [[nodiscard]] CostReport TotalCost() const;
+
+ private:
+  TileGrid() = default;
+
+  EventQueue queue_;
+  std::optional<noc::MeshNoc> noc_;
+  std::vector<Tile> tiles_;  // row-major
 };
 
 struct FabricParams {
@@ -95,12 +123,14 @@ class Fabric {
   [[nodiscard]] static Expected<std::unique_ptr<Fabric>> Create(
       const FabricParams& params);
 
-  [[nodiscard]] EventQueue& queue() { return queue_; }
-  [[nodiscard]] noc::MeshNoc& noc() { return *noc_; }
+  [[nodiscard]] EventQueue& queue() { return grid_->queue(); }
+  [[nodiscard]] noc::MeshNoc& noc() { return grid_->noc(); }
   [[nodiscard]] const FabricParams& params() const { return params_; }
   [[nodiscard]] noc::PartitionManager& partitions() { return partitions_; }
 
-  [[nodiscard]] Expected<Tile*> TileAt(noc::NodeId node);
+  [[nodiscard]] Expected<Tile*> TileAt(noc::NodeId node) {
+    return grid_->TileAt(node);
+  }
 
   // --- stream configuration ---------------------------------------------
   // Static dataflow: the payload visits every node on `path` in order and
@@ -129,6 +159,7 @@ class Fabric {
   Status FailTile(noc::NodeId node);
 
   // --- introspection -----------------------------------------------------
+  // Null for a stream that was never configured.
   [[nodiscard]] const StreamStats* StatsFor(std::uint64_t stream_id) const;
   [[nodiscard]] std::uint64_t rejected_injections() const {
     return rejected_injections_;
@@ -137,28 +168,26 @@ class Fabric {
     return rejected_code_loads_;
   }
   // Total fabric-side compute cost (all tiles) plus NoC cost.
-  [[nodiscard]] CostReport TotalCost() const;
+  [[nodiscard]] CostReport TotalCost() const { return grid_->TotalCost(); }
 
  private:
   explicit Fabric(const FabricParams& params);
-  void WireNode(noc::NodeId node);
-  void OnDelivery(const noc::Delivery& delivery);
   void HandleDataPacket(const noc::Delivery& delivery);
   void HandleCodePacket(const noc::Delivery& delivery);
-  // Run the payload through the tile at `node`, then either forward it to
-  // the next hop or fire the stream sink.
-  void ProcessAt(std::uint64_t stream_id, noc::NodeId node,
-                 std::size_t path_index, std::vector<double> payload,
-                 TimeNs start);
-
-  struct StreamConfig {
+  struct Stream {
     std::vector<noc::NodeId> path;  // static streams
     RouteResolver resolver;         // dynamic streams
     noc::NodeId entry;
     noc::QosClass qos = noc::QosClass::kBulk;
     Sink sink;
     bool dynamic = false;
+    StreamStats stats;
   };
+  // Run the payload through the tile at `node`, then either forward it to
+  // the next hop or fire the stream sink.
+  void ProcessAt(std::uint64_t stream_id, Stream& cfg, noc::NodeId node,
+                 std::size_t path_index, std::vector<double> payload,
+                 TimeNs start);
   // A data packet on the mesh between two hops of its stream.
   struct InFlight {
     TimeNs start;            // stream inject time
@@ -166,13 +195,10 @@ class Fabric {
   };
 
   FabricParams params_;
-  EventQueue queue_;
-  std::unique_ptr<noc::MeshNoc> noc_;
-  std::vector<Tile> tiles_;
+  std::unique_ptr<TileGrid> grid_;
   noc::PartitionManager partitions_;
   noc::StreamCipher cipher_;
-  std::map<std::uint64_t, StreamConfig> streams_;
-  std::map<std::uint64_t, StreamStats> stats_;
+  std::map<std::uint64_t, Stream> streams_;
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t rejected_injections_ = 0;
   std::uint64_t rejected_code_loads_ = 0;

@@ -57,7 +57,6 @@ class MicroUnit {
   Status ConfigureMvm(const crossbar::MvmEngineParams& engine_params,
                       std::size_t in_dim, std::size_t out_dim,
                       std::span<const double> weights, Rng rng);
-  [[nodiscard]] bool has_mvm() const { return mvm_.has_value(); }
 
   // --- execution ---------------------------------------------------------
   // Run the loaded program over `input`; returns the transformed vector.

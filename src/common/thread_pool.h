@@ -44,6 +44,11 @@ namespace cim {
   return (threads == 0 ? HardwareConcurrency() : threads) - 1;
 }
 
+// The most host threads a `worker_threads` setting may ask for. Far above
+// any host this simulator runs on; a larger value is a typo that would
+// start that many pool threads.
+inline constexpr std::size_t kMaxWorkerThreads = 256;
+
 class ThreadPool {
  public:
   // Per-worker counters since construction, exposed so a host-time

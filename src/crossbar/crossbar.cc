@@ -135,14 +135,19 @@ Crossbar::Crossbar(const CrossbarParams& params, Rng rng)
     : params_(params),
       noise_(params.cell.read_noise_sigma, params.kernel),
       rng_(rng) {
-  cells_.reserve(params_.rows * params_.cols);
-  for (std::size_t i = 0; i < params_.rows * params_.cols; ++i) {
-    cells_.emplace_back(params_.cell);
-  }
-  gain_.resize(params_.rows * params_.cols);
-  row_read_energy_pj_.resize(params_.rows);
-  col_read_energy_pj_.resize(params_.cols);
-  RefreshMirror();
+  // Every cell starts as the same fresh g_off cell: one mirror entry, and
+  // per line the sequential sum of equal terms RefreshMirror would build.
+  const device::MemristorCell fresh(params_.cell);
+  cells_.assign(params_.rows * params_.cols, fresh);
+  gain_.assign(params_.rows * params_.cols, MirrorEntry(fresh));
+  const double e = fresh.true_conductance() *
+                   (params_.cell.read_energy.pj / params_.cell.g_on_siemens);
+  double row_energy = 0.0;
+  for (std::size_t c = 0; c < params_.cols; ++c) row_energy += e;
+  double col_energy = 0.0;
+  for (std::size_t r = 0; r < params_.rows; ++r) col_energy += e;
+  row_read_energy_pj_.assign(params_.rows, row_energy);
+  col_read_energy_pj_.assign(params_.cols, col_energy);
 }
 
 double Crossbar::EffectiveConductance(const device::MemristorCell& cell) const {

@@ -1,5 +1,6 @@
 #include "dataflow/executor.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace cim::dataflow {
@@ -9,22 +10,58 @@ Expected<std::unique_ptr<DataflowExecutor>> DataflowExecutor::Create(
     Rng rng) {
   if (Status s = graph.Validate(); !s.ok()) return s;
   if (Status s = params.mesh.Validate(); !s.ok()) return s;
+  // Each node takes the next free micro-unit slot of its tile, so a tile
+  // holds as many slots as the placement puts nodes on one tile.
+  std::map<std::uint32_t, std::size_t> load;  // (y << 16 | x) -> nodes
+  std::vector<std::size_t> slot_of;           // by graph.nodes() position
   for (const GraphNode& node : graph.nodes()) {
-    if (!placement.tiles.contains(node.name)) {
-      return NotFound("node '" + node.name + "' missing from placement");
-    }
+    auto tile = placement.TileOf(node.name);
+    if (!tile.ok()) return tile.status();
+    slot_of.push_back(load[(std::uint32_t{tile->y} << 16) | tile->x]++);
   }
-  std::unique_ptr<DataflowExecutor> exec(
-      new DataflowExecutor(params, std::move(graph), std::move(placement)));
-  auto noc = noc::MeshNoc::Create(params.mesh, &exec->queue_);
-  if (!noc.ok()) return noc.status();
-  exec->noc_ = std::make_unique<noc::MeshNoc>(std::move(noc.value()));
+  auto order = graph.TopologicalOrder();
+  if (!order.ok()) return order.status();
 
-  for (const GraphNode& node : exec->graph_.nodes()) {
-    NodeState state;
-    auto unit = arch::MicroUnit::Create(params.micro_unit);
-    if (!unit.ok()) return unit.status();
-    state.unit = std::make_unique<arch::MicroUnit>(std::move(unit.value()));
+  std::unique_ptr<DataflowExecutor> exec(new DataflowExecutor());
+  DataflowExecutor* self = exec.get();
+  auto grid = arch::TileGrid::Create(
+      params.mesh, params.micro_unit,
+      *std::max_element(slot_of.begin(), slot_of.end()) + 1,
+      [self](const noc::Delivery& delivery) {
+        // Packets carry the destination node's topological index; an index
+        // past the graph means a corrupted or foreign packet.
+        const std::size_t node = delivery.packet.stream_id;
+        auto payload = arch::DeserializeVector(delivery.packet.inline_payload);
+        if (node >= self->nodes_.size() || !payload.ok()) {
+          ++self->wave_errors_;
+          return;
+        }
+        self->DeliverInput(node, *payload);
+      },
+      {});
+  if (!grid.ok()) return grid.status();
+  exec->grid_ = std::move(grid.value());
+
+  exec->nodes_.resize(order->size());
+  for (std::size_t i = 0; i < order->size(); ++i) {
+    exec->index_of_.emplace((*order)[i], i);
+  }
+  for (const Edge& edge : graph.edges()) {
+    const std::size_t to = exec->index_of_.at(edge.to);
+    exec->nodes_[exec->index_of_.at(edge.from)].successors.push_back(to);
+    ++exec->nodes_[to].in_degree;
+  }
+  // Program the nodes (and fork their MVM streams) in graph order.
+  for (std::size_t n = 0; n < graph.nodes().size(); ++n) {
+    const GraphNode& node = graph.nodes()[n];
+    NodeState& state = exec->nodes_[exec->index_of_.at(node.name)];
+    state.name = node.name;
+    state.tile = placement.tiles.at(node.name);
+    auto tile = exec->grid_->TileAt(state.tile);
+    if (!tile.ok()) {
+      return InvalidArgument("node '" + node.name + "' placed off the mesh");
+    }
+    state.unit = &(*tile)->micro_unit(slot_of[n]);
     if (Status s = state.unit->LoadProgram(node.program); !s.ok()) return s;
     if (node.mvm.has_value()) {
       if (Status s = state.unit->ConfigureMvm(
@@ -34,86 +71,43 @@ Expected<std::unique_ptr<DataflowExecutor>> DataflowExecutor::Create(
         return s;
       }
     }
-    state.tile = exec->placement_.tiles.at(node.name);
-    exec->states_.emplace(node.name, std::move(state));
-  }
-
-  // Wire a delivery handler per tile: the packet's stream_id indexes the
-  // destination node by topological position.
-  auto order = exec->graph_.TopologicalOrder();
-  if (!order.ok()) return order.status();
-  DataflowExecutor* self = exec.get();
-  const std::vector<std::string> node_order = *order;
-  for (std::size_t i = 0; i < node_order.size(); ++i) {
-    exec->states_.at(node_order[i]).topo_index = i;
-  }
-  for (std::uint16_t y = 0; y < params.mesh.height; ++y) {
-    for (std::uint16_t x = 0; x < params.mesh.width; ++x) {
-      exec->noc_->SetDeliveryHandler(
-          {x, y}, [self, node_order](const noc::Delivery& delivery) {
-            const std::size_t node_index = delivery.packet.stream_id;
-            if (node_index >= node_order.size()) {
-              // Packets carry the destination node's topological index; an
-              // index past the graph means a corrupted or foreign packet.
-              ++self->wave_errors_;
-              return;
-            }
-            auto payload =
-                arch::DeserializeVector(delivery.packet.inline_payload);
-            if (!payload.ok()) {
-              ++self->wave_errors_;
-              return;
-            }
-            self->DeliverInput(node_order[node_index], *payload);
-          });
-    }
   }
   return exec;
 }
-
-DataflowExecutor::DataflowExecutor(const ExecutorParams& params,
-                                   DataflowGraph graph, Placement placement)
-    : params_(params),
-      graph_(std::move(graph)),
-      placement_(std::move(placement)) {}
 
 Expected<std::map<std::string, std::vector<double>>>
 DataflowExecutor::RunWave(
     const std::map<std::string, std::vector<double>>& source_inputs) {
   // Check every name before delivering any: a rejected wave must not fire
   // a micro-unit or leave packets queued for the next wave.
-  for (const std::string& source : graph_.Sources()) {
-    if (!source_inputs.contains(source)) {
-      return InvalidArgument("missing input for source '" + source + "'");
+  for (const NodeState& node : nodes_) {
+    if (node.in_degree == 0 && !source_inputs.contains(node.name)) {
+      return InvalidArgument("missing input for source '" + node.name + "'");
     }
   }
   for (const auto& [name, payload] : source_inputs) {
-    if (graph_.FindNode(name) == nullptr) {
-      return InvalidArgument("'" + name + "' is not a graph node");
-    }
-    if (graph_.InDegree(name) != 0) {
+    const auto it = index_of_.find(name);
+    if (it == index_of_.end() || nodes_[it->second].in_degree != 0) {
       return InvalidArgument("'" + name + "' is not a source node");
     }
   }
   // Reset wave state.
   sink_outputs_.clear();
-  for (auto& [name, state] : states_) {
-    state.pending_inputs = graph_.InDegree(name);
-    state.accumulator.clear();
-    state.fired = false;
+  for (NodeState& node : nodes_) {
+    node.pending_inputs = node.in_degree;
+    node.accumulator.clear();
+    node.fired = false;
   }
   for (const auto& [name, payload] : source_inputs) {
-    DeliverInput(name, payload);
+    DeliverInput(index_of_.at(name), payload);
   }
-  queue_.Run();
+  grid_->queue().Run();
   return sink_outputs_;
 }
 
-void DataflowExecutor::DeliverInput(const std::string& node,
+void DataflowExecutor::DeliverInput(std::size_t node,
                                     std::span<const double> payload) {
-  auto it = states_.find(node);
-  if (it == states_.end()) return;
-  NodeState& state = it->second;
+  NodeState& state = nodes_[node];
   // Join rule: element-wise accumulate all incoming payloads.
   if (state.accumulator.empty()) {
     state.accumulator.assign(payload.begin(), payload.end());
@@ -132,8 +126,8 @@ void DataflowExecutor::DeliverInput(const std::string& node,
   }
 }
 
-void DataflowExecutor::FireNode(const std::string& node) {
-  NodeState& state = states_.at(node);
+void DataflowExecutor::FireNode(std::size_t node) {
+  NodeState& state = nodes_[node];
   const CostReport before = state.unit->lifetime_cost();
   auto output = state.unit->Execute(state.accumulator);
   if (!output.ok()) {
@@ -143,42 +137,42 @@ void DataflowExecutor::FireNode(const std::string& node) {
   const CostReport delta = state.unit->lifetime_cost() - before;
   compute_cost_ += delta;
 
-  const std::vector<std::string> successors = graph_.Successors(node);
-  if (successors.empty()) {
-    sink_outputs_[node] = std::move(output.value());
+  if (state.successors.empty()) {
+    sink_outputs_[state.name] = std::move(output.value());
     return;
   }
   // Emit to every successor after the node's processing latency.
-  for (const std::string& succ : successors) {
+  EventQueue& queue = grid_->queue();
+  for (const std::size_t succ : state.successors) {
     noc::Packet packet;
     packet.id = next_packet_id_++;
-    packet.stream_id = states_.at(succ).topo_index;
+    packet.stream_id = succ;
     packet.source = state.tile;
-    packet.destination = placement_.tiles.at(succ);
+    packet.destination = nodes_[succ].tile;
     packet.kind = noc::PayloadKind::kData;
     packet.inline_payload = arch::SerializeVector(*output);
     packet.payload_bytes =
         static_cast<std::uint32_t>(packet.inline_payload.size());
     if (packet.source == packet.destination) {
       // Same tile: hand over directly after the processing delay.
-      queue_.ScheduleAfter(
+      queue.ScheduleAfter(
           TimeNs(delta.latency_ns),
           [this, succ, payload = *output] { DeliverInput(succ, payload); });
     } else {
-      queue_.ScheduleAfter(TimeNs(delta.latency_ns),
-                           [this, packet = std::move(packet)]() mutable {
-                             if (!noc_->Inject(std::move(packet)).ok()) {
-                               ++wave_errors_;
-                             }
-                           });
+      queue.ScheduleAfter(TimeNs(delta.latency_ns),
+                          [this, packet = std::move(packet)]() mutable {
+                            if (!grid_->noc().Inject(std::move(packet)).ok()) {
+                              ++wave_errors_;
+                            }
+                          });
     }
   }
 }
 
 Status DataflowExecutor::FailNode(const std::string& name) {
-  auto it = states_.find(name);
-  if (it == states_.end()) return NotFound("node");
-  it->second.unit->SetFailed(true);
+  const auto it = index_of_.find(name);
+  if (it == index_of_.end()) return NotFound("node");
+  nodes_[it->second].unit->SetFailed(true);
   return Status::Ok();
 }
 

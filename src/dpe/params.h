@@ -10,6 +10,7 @@
 
 #include "common/quantize.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "common/units.h"
 #include "crossbar/mvm_engine.h"
 #include "reliability/aging_monitor.h"
@@ -139,6 +140,9 @@ struct DpeParams {
     }
     if (arrays_per_board == 0) {
       return InvalidArgument("arrays_per_board == 0");
+    }
+    if (worker_threads > kMaxWorkerThreads) {
+      return InvalidArgument("worker_threads must be <= 256");
     }
     // Both divide: conv MVM waves are CeilDiv(pixels, conv_replication),
     // and a board crossing takes bytes / board_link_bandwidth_gbps ns.

@@ -85,6 +85,9 @@ Expected<SweepWorkload> SweepWorkload::Make(const WorkloadParams& p,
 }
 
 Status DriverParams::Validate() const {
+  if (worker_threads > kMaxWorkerThreads) {
+    return InvalidArgument("worker_threads must be <= 256");
+  }
   if (Status s = base.Validate(); !s.ok()) return s;
   return workload.Validate();
 }

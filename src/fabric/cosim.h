@@ -59,7 +59,12 @@ struct FabricParams {
   // from (seed, tile index).
   std::uint64_t seed = 0x5EEDFAB;
 
-  [[nodiscard]] Status Validate() const { return partition.Validate(); }
+  [[nodiscard]] Status Validate() const {
+    if (worker_threads > kMaxWorkerThreads) {
+      return InvalidArgument("worker_threads must be <= 256");
+    }
+    return partition.Validate();
+  }
 };
 
 class FabricCoSim {

@@ -38,8 +38,9 @@ Response MakeResponse(const PendingRequest& request, Outcome outcome,
 
 Status BatchingParams::Validate() const {
   if (max_batch == 0) return InvalidArgument("max_batch must be > 0");
-  if (window_ns < 0.0 || min_window_ns < 0.0) {
-    return InvalidArgument("batching windows must be >= 0");
+  if (!AllFinite({window_ns, min_window_ns}) || window_ns < 0.0 ||
+      min_window_ns < 0.0) {
+    return InvalidArgument("batching windows must be finite and >= 0");
   }
   if (min_window_ns > kMaxWindowNs) {
     return InvalidArgument("min_window_ns > 800 us");
@@ -62,17 +63,26 @@ Status AdmissionParams::Validate() const {
 }
 
 Status RetryParams::Validate() const {
-  if (base_backoff_ns <= 0.0) {
-    return InvalidArgument("base_backoff_ns must be > 0");
+  // A retry waits base * 2^(attempt-1) * (1 + jitter): finite ceilings keep
+  // that wait, and so every response latency, finite.
+  if (!AllFinite({base_backoff_ns, jitter_fraction})) {
+    return InvalidArgument("retry backoff must be finite");
   }
-  if (jitter_fraction < 0.0) {
-    return InvalidArgument("jitter_fraction must be >= 0");
+  if (base_backoff_ns <= 0.0 || base_backoff_ns > kMaxEventLatencyNs) {
+    return InvalidArgument("base_backoff_ns must be in (0, 1 s]");
+  }
+  if (jitter_fraction < 0.0 || jitter_fraction > 1.0) {
+    return InvalidArgument("jitter_fraction must be in [0, 1]");
   }
   return Status::Ok();
 }
 
 Status SlaLoopParams::Validate() const {
   if (!enabled) return Status::Ok();
+  if (!AllFinite({target_latency_ns, release_fraction, max_degraded_fraction,
+                  quarantine_ns})) {
+    return InvalidArgument("SLA parameters must be finite");
+  }
   if (target_latency_ns <= 0.0) {
     return InvalidArgument("target_latency_ns must be > 0");
   }
@@ -169,6 +179,12 @@ Expected<RequestId> DpeService::Submit(const SubmitArgs& args) {
        args.input.size() != params_.expected_input_elements)) {
     ++stats_.rejected_invalid;
     return InvalidArgument("request tensor has the wrong shape");
+  }
+  // A NaN arrival passes the `< 0` "now" test and a NaN deadline reads as
+  // "no deadline"; an infinite arrival would move the clock to +inf.
+  if (!std::isfinite(args.arrival_ns) || std::isnan(args.deadline_ns)) {
+    ++stats_.rejected_invalid;
+    return InvalidArgument("arrival_ns must be finite, deadline_ns not NaN");
   }
   if (authority_ != nullptr) {
     if (args.capability.partition != tenant->partition) {

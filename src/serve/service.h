@@ -75,8 +75,9 @@ struct RetryParams {
   // Service-level re-dispatches of a fault-flagged result (on top of the
   // accelerator's internal per-tile retry).
   std::uint32_t max_retries = 2;
-  double base_backoff_ns = 100e3;  // first retry waits ~base, then doubles
-  double jitter_fraction = 0.25;   // uniform extra in [0, fraction * wait)
+  double base_backoff_ns = 100e3;  // first retry waits ~base (<= 1 s), then
+                                   // doubles
+  double jitter_fraction = 0.25;   // in [0, 1]: extra in [0, fraction * wait)
 
   [[nodiscard]] Status Validate() const;
 };
@@ -122,8 +123,10 @@ struct SubmitArgs {
   TenantId tenant = 0;
   nn::Tensor input;
   // Virtual arrival time; negative = "now" (the service's virtual frontier).
+  // Non-finite values are rejected (kInvalidArgument).
   double arrival_ns = -1.0;
   // Deadline relative to arrival; kNoDeadline disables shedding for it.
+  // NaN is rejected (kInvalidArgument).
   double deadline_ns = kNoDeadline;
   // Checked against the tenant's partition when an authority is wired.
   security::Capability capability;

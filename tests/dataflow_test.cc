@@ -203,6 +203,44 @@ TEST(ExecutorTest, FailedNodeDropsWave) {
   EXPECT_GT((*exec)->wave_errors(), 0u);
 }
 
+TEST(ExecutorTest, OffMeshPlacementRejected) {
+  auto pipeline = MakePipeline({ScaleNode("in", 1.0), ScaleNode("out", 1.0)});
+  ASSERT_TRUE(pipeline.ok());
+  Placement placement;
+  placement.tiles = {{"in", {0, 0}}, {"out", {9, 9}}};  // 4x4 mesh
+  EXPECT_EQ(DataflowExecutor::Create(SmallExecutor(), *pipeline, placement,
+                                     Rng(7))
+                .status()
+                .code(),
+            ErrorCode::kInvalidArgument);
+}
+
+TEST(ExecutorTest, NodesSharingATileKeepTheirOwnMicroUnits) {
+  // Three stages on one tile: each runs its own program on its own slot,
+  // and the hand-overs never touch the mesh.
+  auto pipeline = MakePipeline({ScaleNode("a", 2.0), ScaleNode("b", 3.0),
+                                ScaleNode("c", 5.0)});
+  ASSERT_TRUE(pipeline.ok());
+  auto placement = PlaceGraph(*pipeline, PlacerParams{1, 1, 3});
+  ASSERT_TRUE(placement.ok());
+  auto exec = DataflowExecutor::Create(SmallExecutor(), *pipeline,
+                                       *placement, Rng(8));
+  ASSERT_TRUE(exec.ok());
+  ASSERT_TRUE((*exec)->FailNode("c").ok());
+  auto failed = (*exec)->RunWave({{"a", {1.0}}});
+  ASSERT_TRUE(failed.ok());
+  EXPECT_TRUE(failed->empty());
+  EXPECT_EQ((*exec)->noc_telemetry().injected, 0u);
+
+  auto healthy = DataflowExecutor::Create(SmallExecutor(), *pipeline,
+                                          *placement, Rng(8));
+  ASSERT_TRUE(healthy.ok());
+  auto outputs = (*healthy)->RunWave({{"a", {1.0}}});
+  ASSERT_TRUE(outputs.ok());
+  EXPECT_DOUBLE_EQ(outputs->at("c")[0], 30.0);
+  EXPECT_EQ((*healthy)->wave_errors(), 0u);
+}
+
 TEST(ExecutorTest, MvmNodeExecutesOnCrossbars) {
   crossbar::MvmEngineParams engine;
   engine.array.rows = 16;

@@ -45,6 +45,20 @@ TEST(DpeParamsTest, IsaacDefaultsValidate) {
 // Both values are divisors downstream (conv MVM waves, board-crossing
 // time), so the models must refuse them at their entry points. Only the
 // returned status is checked: nothing here runs an inference.
+// Validate only: an out-of-range count must never reach a thread pool.
+TEST(DpeParamsTest, WorkerThreadsBounded) {
+  DpeParams p = DpeParams::Isaac();
+  for (const std::size_t threads : {std::size_t{0}, kMaxWorkerThreads}) {
+    p.worker_threads = threads;
+    EXPECT_TRUE(p.Validate().ok()) << threads;
+  }
+  for (const std::size_t threads :
+       {kMaxWorkerThreads + 1, std::size_t{1} << 40, ~std::size_t{0}}) {
+    p.worker_threads = threads;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << threads;
+  }
+}
+
 TEST(DpeParamsTest, RejectsZeroConvReplicationAndNonPositiveBoardLink) {
   Rng rng(19);
   const nn::Network cnn = nn::BuildCnn("tiny", 1, 8, 8, 4, rng);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "device/noise_model.h"
 #include "gtest/gtest.h"
 
@@ -247,6 +248,20 @@ TEST(Artifact, GoldenJsonIsByteStable) {
       "  \"pareto_front\": [0]\n"
       "}\n";
   EXPECT_EQ(WriteSweepJson(artifact), expected);
+}
+
+// Validate only: an out-of-range count must never reach a thread pool.
+TEST(SweepDriver, WorkerThreadsBounded) {
+  DriverParams p;
+  for (const std::size_t threads : {std::size_t{0}, kMaxWorkerThreads}) {
+    p.worker_threads = threads;
+    EXPECT_TRUE(p.Validate().ok()) << threads;
+  }
+  for (const std::size_t threads :
+       {kMaxWorkerThreads + 1, std::size_t{1} << 40, ~std::size_t{0}}) {
+    p.worker_threads = threads;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << threads;
+  }
 }
 
 TEST(SweepDriver, ResultsAreInGridOrderWithSaneObjectives) {

@@ -57,6 +57,20 @@ void ExpectResultsBitIdentical(const dpe::InferResult& a,
 
 // --- partitioner ----------------------------------------------------------
 
+// Validate only: an out-of-range count must never reach a thread pool.
+TEST(FabricParamsTest, WorkerThreadsBounded) {
+  FabricParams p;
+  for (const std::size_t threads : {std::size_t{0}, kMaxWorkerThreads}) {
+    p.worker_threads = threads;
+    EXPECT_TRUE(p.Validate().ok()) << threads;
+  }
+  for (const std::size_t threads :
+       {kMaxWorkerThreads + 1, std::size_t{1} << 40, ~std::size_t{0}}) {
+    p.worker_threads = threads;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << threads;
+  }
+}
+
 TEST(PartitionTest, DefaultsToOneStagePerMvmLayer) {
   const nn::Network net = TwoLayerMlp();
   FabricPartitionParams params;  // 2x2 grid, stages=0, column_splits=1

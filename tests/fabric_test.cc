@@ -162,6 +162,30 @@ TEST(FabricTest, UnauthenticatedCodeRejected) {
   EXPECT_EQ(f.rejected_code_loads(), 1u);
 }
 
+// A code packet belongs to no data stream: its drop is counted by the mesh
+// alone, even when a data stream uses id 0 (the control plane's id).
+TEST(FabricTest, DroppedCodePacketIsNoStreamFailure) {
+  auto fabric = Fabric::Create(SmallFabric());
+  ASSERT_TRUE(fabric.ok());
+  Fabric& f = **fabric;
+  ASSERT_TRUE(f.FailTile({2, 0}).ok());
+  const Program program{{OpCode::kMulScalar, 7.0}};
+  EXPECT_FALSE(f.SendProgram({0, 0}, {2, 0}, 0, program).ok());
+  f.queue().Run();
+  EXPECT_EQ(f.noc().telemetry().dropped, 1u);
+  EXPECT_EQ(f.StatsFor(0), nullptr);
+
+  LoadScaleProgram(f, {0, 0}, 1.0);
+  ASSERT_TRUE(f.ConfigureStream(0, {{0, 0}}).ok());
+  EXPECT_FALSE(f.SendProgram({0, 0}, {2, 0}, 0, program).ok());
+  f.queue().Run();
+  EXPECT_EQ(f.noc().telemetry().dropped, 2u);
+  const StreamStats* stats = f.StatsFor(0);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->injected, 0u);
+  EXPECT_EQ(stats->failed, 0u);
+}
+
 TEST(FabricTest, SendProgramRejectsMicroUnitIndexBeyondHeader) {
   auto fabric = Fabric::Create(SmallFabric());
   ASSERT_TRUE(fabric.ok());

@@ -204,6 +204,32 @@ TEST(GuardianTest, PerPayloadRetryBudgetExhausts) {
   EXPECT_EQ(delivered, 1);
 }
 
+// A code packet dropped on its way to a failed tile is no loss of the
+// guardian's stream, even on id 0, so nothing is re-injected.
+TEST(GuardianTest, DroppedCodePacketTriggersNoRetry) {
+  auto fabric = arch::Fabric::Create(GuardianFabric());
+  ASSERT_TRUE(fabric.ok());
+  arch::Fabric& f = **fabric;
+  LoadIdentity(f, {0, 0});
+  LoadIdentity(f, {1, 0});
+  int delivered = 0;
+  auto guardian = StreamGuardian::Create(
+      &f, 0, {{0, 0}, {1, 0}}, {},
+      [&](std::vector<double>, TimeNs) { ++delivered; });
+  ASSERT_TRUE(guardian.ok());
+  ASSERT_TRUE(f.FailTile({3, 3}).ok());
+  ASSERT_TRUE((*guardian)->Inject({1.0}).ok());
+  EXPECT_FALSE(
+      f.SendProgram({0, 0}, {3, 3}, 0, {{arch::OpCode::kMulScalar, 2.0}})
+          .ok());
+  (*guardian)->Poll();
+  f.queue().Run();
+  (*guardian)->Poll();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ((*guardian)->stats().retried, 0u);
+  EXPECT_EQ((*guardian)->outstanding(), 0u);
+}
+
 TEST(GuardianTest, CreateValidation) {
   auto fabric = arch::Fabric::Create(GuardianFabric());
   ASSERT_TRUE(fabric.ok());

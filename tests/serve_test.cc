@@ -6,8 +6,14 @@
 // counts.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <iomanip>
+#include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -652,6 +658,141 @@ TEST(SlaRuleTest, FloorOfOneTurnsQualityOff) {
   AddResults(window, 2, 800.0, /*degraded=*/true);
   EXPECT_EQ(JudgeSla(SlaRule(1000.0, 2, 1.0), window), SlaAction::kNone);
 }
+
+TEST(DpeServiceTest, SubmitRejectsNonFiniteArrivalAndNaNDeadline) {
+  Harness h = MakeHarness(QuietParams(), 1);
+  CollectResponses(h);
+  ASSERT_TRUE(h.service->AddTenant({.id = 1, .name = "a"}).ok());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  SubmitArgs args;
+  args.tenant = 1;
+  args.input = MakeInput(0);
+  for (const double arrival : {kNaN, kInf, -kInf}) {
+    args.arrival_ns = arrival;
+    EXPECT_EQ(h.service->Submit(args).status().code(),
+              ErrorCode::kInvalidArgument)
+        << arrival;
+  }
+  args.arrival_ns = 0.0;
+  args.deadline_ns = kNaN;
+  EXPECT_EQ(h.service->Submit(args).status().code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(h.service->stats().rejected_invalid, 4u);
+
+  args.deadline_ns = serve::kNoDeadline;  // +inf: no deadline, still valid
+  ASSERT_TRUE(h.service->Submit(args).ok());
+  EXPECT_GT(h.service->RunUntilIdle(), 0u);
+  ASSERT_EQ(h.responses.size(), 1u);
+  EXPECT_TRUE(h.responses[0].served());
+  EXPECT_TRUE(std::isfinite(h.responses[0].latency_ns()));
+  EXPECT_TRUE(std::isfinite(h.service->virtual_now_ns()));
+}
+
+// ServeParams boundary fuzz, in the style of dpe_test's ParamsFuzzTest:
+// each real-valued field, one at a time, takes NaN, +-inf, 0, -1, the
+// largest double and each bound with its neighbours. Validate must reject
+// every non-finite value, and every accepted value must survive Create plus
+// a short open-loop run under a persistent degrading fault (so retries,
+// backoff and SLA relocation all run) with finite response latencies.
+struct ServeFuzzValue {
+  std::string label;  // "<field>=<value>"
+  std::function<void(ServeParams&)> apply;
+};
+
+template <typename Get>
+void AddServeField(std::vector<ServeFuzzValue>& values, const char* name,
+                   Get get, std::initializer_list<double> bounds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> v = {0.0,  -1.0, std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::quiet_NaN(),
+                           kInf, -kInf};
+  for (const double b : bounds) {
+    v.insert(v.end(), {b, std::nextafter(b, -kInf), std::nextafter(b, kInf)});
+  }
+  for (const double x : v) {
+    std::ostringstream label;
+    label << name << "=" << std::setprecision(17) << x;
+    values.push_back({label.str(), [get, x](ServeParams& p) { get(p) = x; }});
+  }
+}
+
+#define CIM_SERVE_FIELD(values, path, ...)                           \
+  AddServeField(values, #path,                                       \
+                [](ServeParams& p) -> double& { return p.path; }, \
+                {__VA_ARGS__})
+
+ServeParams ServeFuzzBase() {
+  ServeParams params = QuietParams();
+  params.retry.max_retries = 2;
+  params.sla.enabled = true;
+  params.sla.min_samples = 4;
+  params.sla.evaluate_every = 4;
+  return params;
+}
+
+// Runs `params` open-loop for 12 requests under DegradeScenario and expects
+// every response latency and the virtual clock to stay finite.
+void ExpectOpenLoopRunIsFinite(const ServeParams& params,
+                               const std::string& what) {
+  Harness h = MakeHarness(params, 1, nullptr, /*fault_tolerant=*/true,
+                          /*spares=*/0);
+  ASSERT_TRUE(h.service != nullptr) << what;
+  CollectResponses(h);
+  ASSERT_TRUE(h.service->AddTenant({.id = 1, .name = "a"}).ok());
+  FaultInjector injector(DegradeScenario());
+  ASSERT_TRUE(h.accelerator->AttachFaultInjector(&injector).ok());
+  ASSERT_TRUE(injector.Arm().ok());
+  std::size_t admitted = 0;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    SubmitArgs args;
+    args.tenant = 1;
+    args.input = MakeInput(i);
+    args.arrival_ns = static_cast<double>(i) * 50e3;
+    // A quarantined tenant's submissions are refused (kUnavailable).
+    if (h.service->Submit(args).ok()) ++admitted;
+  }
+  static_cast<void>(h.service->RunUntilIdle());
+  EXPECT_GT(admitted, 0u) << what;
+  EXPECT_EQ(h.responses.size(), admitted) << what;
+  for (const Response& r : h.responses) {
+    EXPECT_TRUE(std::isfinite(r.latency_ns()) && r.latency_ns() >= 0.0)
+        << what << ": latency " << r.latency_ns();
+  }
+  EXPECT_TRUE(std::isfinite(h.service->virtual_now_ns())) << what;
+}
+
+TEST(ServeParamsFuzzTest, EveryAcceptedSingleFieldBoundaryRuns) {
+  std::vector<ServeFuzzValue> values;
+  CIM_SERVE_FIELD(values, batching.window_ns, 25e3, 800e3);
+  CIM_SERVE_FIELD(values, batching.min_window_ns, 200e3, 800e3);
+  CIM_SERVE_FIELD(values, retry.base_backoff_ns, 1e9);
+  CIM_SERVE_FIELD(values, retry.jitter_fraction, 1.0);
+  CIM_SERVE_FIELD(values, sla.target_latency_ns, 2e6);
+  CIM_SERVE_FIELD(values, sla.release_fraction, 1.0);
+  CIM_SERVE_FIELD(values, sla.max_degraded_fraction, 1.0);
+  CIM_SERVE_FIELD(values, sla.quarantine_ns, 2e6);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const ServeFuzzValue& value : values) {
+    ServeParams params = ServeFuzzBase();
+    value.apply(params);
+    const bool non_finite = value.label.find("nan") != std::string::npos ||
+                            value.label.find("inf") != std::string::npos;
+    if (!params.Validate().ok()) {
+      ++rejected;
+      continue;
+    }
+    EXPECT_FALSE(non_finite) << value.label << " accepted";
+    ++accepted;
+    ExpectOpenLoopRunIsFinite(params, value.label);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+#undef CIM_SERVE_FIELD
 
 }  // namespace
 }  // namespace cim
