@@ -32,10 +32,9 @@ CostReport Tile::lifetime_cost() const {
 }
 
 Expected<std::unique_ptr<TileGrid>> TileGrid::Create(
-    const noc::MeshParams& mesh, const MicroUnitParams& micro_unit,
-    std::size_t micro_units_per_tile,
-    noc::MeshNoc::DeliveryHandler on_delivery,
-    noc::MeshNoc::DropHandler on_drop) {
+    const noc::MeshParams& mesh, noc::MeshNoc::DeliveryHandler on_delivery,
+    noc::MeshNoc::DropHandler on_drop, const MicroUnitParams& micro_unit,
+    std::size_t micro_units_per_tile) {
   std::unique_ptr<TileGrid> grid(new TileGrid());
   auto noc = noc::MeshNoc::Create(mesh, &grid->queue_);
   if (!noc.ok()) return noc.status();
@@ -78,7 +77,7 @@ Expected<std::unique_ptr<Fabric>> Fabric::Create(const FabricParams& params) {
   std::unique_ptr<Fabric> fabric(new Fabric(params));
   Fabric* self = fabric.get();
   auto grid = TileGrid::Create(
-      params.mesh, params.micro_unit, params.micro_units_per_tile,
+      params.mesh,
       [self](const noc::Delivery& delivery) {
         if (delivery.packet.kind == noc::PayloadKind::kCode) {
           self->HandleCodePacket(delivery);
@@ -92,7 +91,8 @@ Expected<std::unique_ptr<Fabric>> Fabric::Create(const FabricParams& params) {
         if (self->inflight_.erase(packet.id) > 0) {
           ++self->streams_.at(packet.stream_id).stats.failed;
         }
-      });
+      },
+      params.micro_unit, params.micro_units_per_tile);
   if (!grid.ok()) return grid.status();
   fabric->grid_ = std::move(grid.value());
   return fabric;

@@ -1,8 +1,10 @@
 // CIM fabric: tiles of micro-units on a packet mesh (Figs 3-5).
 //
 // A TileGrid is the substrate: one event queue, one mesh and a Tile (a
-// pipeline of micro-units) per mesh node. The Fabric programs one grid
-// with streams; the dataflow executor places a DAG on another. The Fabric
+// pipeline of micro-units, possibly none) per mesh node. It has three
+// users: the Fabric programs a grid with streams, the dataflow executor
+// places a DAG on one, and fabric::FabricCoSim runs partitioned
+// accelerators over one whose tiles are bare mesh endpoints. The Fabric
 // holds the stream configuration:
 //   * static dataflow — a stream follows a pre-configured tile path,
 //   * dynamic dataflow — a per-stream resolver picks the next hop from the
@@ -57,14 +59,14 @@ class Tile {
 
 class TileGrid {
  public:
-  // Tile (x, y) holds `micro_units_per_tile` units built from `micro_unit`
-  // and named "mu(x,y)#i". `on_delivery` is installed on every mesh node
-  // and `on_drop` as the mesh's drop handler.
+  // `on_delivery` is installed on every mesh node and `on_drop` as the
+  // mesh's drop handler. Tile (x, y) holds `micro_units_per_tile` units
+  // built from `micro_unit` and named "mu(x,y)#i"; with none, the tiles are
+  // bare mesh endpoints.
   [[nodiscard]] static Expected<std::unique_ptr<TileGrid>> Create(
-      const noc::MeshParams& mesh, const MicroUnitParams& micro_unit,
-      std::size_t micro_units_per_tile,
-      noc::MeshNoc::DeliveryHandler on_delivery,
-      noc::MeshNoc::DropHandler on_drop);
+      const noc::MeshParams& mesh, noc::MeshNoc::DeliveryHandler on_delivery,
+      noc::MeshNoc::DropHandler on_drop, const MicroUnitParams& micro_unit = {},
+      std::size_t micro_units_per_tile = 0);
 
   // The queue's events hold the mesh's address, so the grid never moves.
   TileGrid(const TileGrid&) = delete;
@@ -96,8 +98,9 @@ struct FabricParams {
   std::uint64_t cipher_key = 0x5ca1ab1edeadbeefULL;
 
   [[nodiscard]] Status Validate() const {
-    if (micro_units_per_tile == 0) {
-      return InvalidArgument("micro_units_per_tile == 0");
+    // A code packet addresses its micro-unit with one byte.
+    if (micro_units_per_tile == 0 || micro_units_per_tile > 256) {
+      return InvalidArgument("micro_units_per_tile must be in [1, 256]");
     }
     if (Status s = mesh.Validate(); !s.ok()) return s;
     return micro_unit.Validate();

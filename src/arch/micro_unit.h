@@ -17,6 +17,7 @@
 #include "arch/program.h"
 #include "common/stats.h"
 #include "common/status.h"
+#include "common/units.h"
 #include "crossbar/mvm_engine.h"
 
 namespace cim::arch {
@@ -33,8 +34,24 @@ struct MicroUnitParams {
   TimeNs program_load_latency{100.0};
 
   [[nodiscard]] Status Validate() const {
-    if (local_slots == 0) return InvalidArgument("need >= 1 local slot");
+    // The constructor allocates every slot up front.
+    if (local_slots == 0 || local_slots > 4096) {
+      return InvalidArgument("local_slots must be in [1, 4096]");
+    }
     if (max_vector_len == 0) return InvalidArgument("max_vector_len == 0");
+    // A NaN latency would reach event times; each cost is one event.
+    if (!AllFinite({alu_energy_per_element.pj, alu_latency_per_element.ns,
+                    program_load_energy.pj, program_load_latency.ns}) ||
+        alu_energy_per_element.pj < 0.0 || alu_latency_per_element.ns < 0.0 ||
+        program_load_energy.pj < 0.0 || program_load_latency.ns < 0.0) {
+      return InvalidArgument("micro-unit costs must be finite and >= 0");
+    }
+    if (!AllAtMost({alu_energy_per_element.pj, program_load_energy.pj},
+                   kMaxEventEnergyPj) ||
+        !AllAtMost({alu_latency_per_element.ns, program_load_latency.ns},
+                   kMaxEventLatencyNs)) {
+      return InvalidArgument("a micro-unit event must cost <= 1 s and <= 1 J");
+    }
     return Status::Ok();
   }
 };

@@ -44,7 +44,7 @@ Expected<EngineCost> CpuModel::EstimateInference(
     cost.energy_pj += flops * params_.energy_per_flop_pj +
                       dram_bytes * params_.dram_energy_per_byte_pj;
     // Pool layers: comparator flops roughly equal to their output count.
-    if (p.kind == "pool") {
+    if (p.kind == nn::LayerKind::kPool) {
       cost.energy_pj += static_cast<double>(p.out_elements) *
                         params_.energy_per_flop_pj;
     }

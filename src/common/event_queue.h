@@ -8,9 +8,10 @@
 // Two scheduling flavours share one (when, sequence) ordering:
 //   ScheduleAt/ScheduleAfter   capture arbitrary state in a std::function —
 //                              convenient, but each event may heap-allocate.
-//                              Both users of arch::TileGrid (arch::Fabric
-//                              and the dataflow executor) and tests (the
-//                              reference mesh among them) use it.
+//                              arch::Fabric, the dataflow executor and
+//                              tests (the reference mesh among them) use
+//                              it; fabric::FabricCoSim schedules nothing
+//                              but mesh traffic.
 //   ScheduleTagAt/TagAfter     allocation-free: the event stores only a
 //                              TagHandler* and an opaque 64-bit tag, and the
 //                              handler decodes the tag on dispatch. This is

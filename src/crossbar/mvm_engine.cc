@@ -70,8 +70,19 @@ Status MvmEngineParams::Validate() const {
   if (input_bits < 1 || input_bits > 16) {
     return InvalidArgument("input_bits must be in [1, 16]");
   }
+  // An infinite range quantizes every code to 0 and makes OutputScale
+  // (the product of the ranges' steps) infinite, so every output reads NaN.
+  if (!AllFinite({weight_range, input_range, weight_range * input_range})) {
+    return InvalidArgument("ranges and their product must be finite");
+  }
   if (weight_range <= 0.0 || input_range <= 0.0) {
     return InvalidArgument("ranges must be positive");
+  }
+  if (!AllFinite({shift_add_energy.pj, shift_add_latency.ns}) ||
+      shift_add_energy.pj < 0.0 || shift_add_latency.ns < 0.0 ||
+      shift_add_energy.pj > kMaxEventEnergyPj ||
+      shift_add_latency.ns > kMaxEventLatencyNs) {
+    return InvalidArgument("shift-add costs must be in [0, 1 J] and [0, 1 s]");
   }
   return array.Validate();
 }

@@ -25,8 +25,7 @@ Expected<std::unique_ptr<DataflowExecutor>> DataflowExecutor::Create(
   std::unique_ptr<DataflowExecutor> exec(new DataflowExecutor());
   DataflowExecutor* self = exec.get();
   auto grid = arch::TileGrid::Create(
-      params.mesh, params.micro_unit,
-      *std::max_element(slot_of.begin(), slot_of.end()) + 1,
+      params.mesh,
       [self](const noc::Delivery& delivery) {
         // Packets carry the destination node's topological index; an index
         // past the graph means a corrupted or foreign packet.
@@ -38,7 +37,8 @@ Expected<std::unique_ptr<DataflowExecutor>> DataflowExecutor::Create(
         }
         self->DeliverInput(node, *payload);
       },
-      {});
+      {}, params.micro_unit,
+      *std::max_element(slot_of.begin(), slot_of.end()) + 1);
   if (!grid.ok()) return grid.status();
   exec->grid_ = std::move(grid.value());
 

@@ -69,7 +69,7 @@ Expected<InferenceEstimate> AnalyticalDpeModel::EstimateInference(
   double bottleneck_latency = 0.0;
 
   for (const LayerMapping& m : *mappings) {
-    if (m.kind == "pool") {
+    if (m.kind == nn::LayerKind::kPool) {
       // Digital comparator pass, pipelined with the conv layers.
       const double elements = static_cast<double>(m.mvm_invocations) *
                               static_cast<double>(m.out_dim);
@@ -91,8 +91,8 @@ Expected<InferenceEstimate> AnalyticalDpeModel::EstimateInference(
 
     // Serialized invocations after replication.
     const std::size_t replication =
-        m.kind == "conv" ? params_.conv_replication : 1;
-    const std::uint64_t serialized = m.kind == "conv"
+        m.kind == nn::LayerKind::kConv ? params_.conv_replication : 1;
+    const std::uint64_t serialized = m.kind == nn::LayerKind::kConv
                                          ? params_.ConvWaves(m.mvm_invocations)
                                          : m.mvm_invocations;
 

@@ -37,7 +37,7 @@ struct InferenceEstimate {
 // Per-layer mapping decisions, exposed for DESIGN.md-style introspection
 // and the scaling model.
 struct LayerMapping {
-  std::string kind;        // "dense" / "conv" / "pool"
+  nn::LayerKind kind = nn::LayerKind::kDense;
   std::size_t in_dim = 0;  // MVM rows (ic*k*k for conv)
   std::size_t out_dim = 0; // MVM cols
   std::size_t row_tiles = 0;

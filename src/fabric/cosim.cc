@@ -10,9 +10,7 @@
 namespace cim::fabric {
 
 FabricCoSim::FabricCoSim(const FabricParams& params, FabricPlan plan)
-    : params_(params),
-      plan_(std::move(plan)),
-      pool_(WorkersForThreads(params.worker_threads)) {}
+    : plan_(std::move(plan)), pool_(WorkersForThreads(params.worker_threads)) {}
 
 Expected<std::unique_ptr<FabricCoSim>> FabricCoSim::Create(
     const FabricParams& params, const nn::Network& net) {
@@ -25,11 +23,15 @@ Expected<std::unique_ptr<FabricCoSim>> FabricCoSim::Create(
   noc::MeshParams mesh;
   mesh.width = params.partition.grid_width;
   mesh.height = params.partition.grid_height;
-  auto noc = noc::MeshNoc::Create(mesh, &sim->queue_);
-  if (!noc.ok()) return noc.status();
-  // Emplaced before any event is scheduled; the mesh never moves again, so
-  // the tag-handler pointer inside future events stays valid.
-  sim->noc_.emplace(std::move(*noc));
+  FabricCoSim* self = sim.get();
+  auto grid = arch::TileGrid::Create(
+      mesh,
+      [self](const noc::Delivery& delivery) { self->OnDelivery(delivery); },
+      [self](const noc::Packet& packet, noc::DropReason) {
+        self->OnDrop(packet);
+      });
+  if (!grid.ok()) return grid.status();
+  sim->grid_ = std::move(grid.value());
 
   dpe::DpeParams tile_params = params.dpe;
   tile_params.worker_threads = 1;  // tiles are the unit of host parallelism
@@ -40,28 +42,12 @@ Expected<std::unique_ptr<FabricCoSim>> FabricCoSim::Create(
                                              Rng(DeriveSeed(params.seed, i)));
     if (!accel.ok()) return accel.status();
     sim->tiles_.push_back(std::move(*accel));
-    sim->noc_->SetDeliveryHandler(
-        spec.node, [raw = sim.get()](const noc::Delivery& delivery) {
-          raw->OnDelivery(delivery);
-        });
   }
-  sim->noc_->SetDropHandler(
-      [raw = sim.get()](const noc::Packet& packet, noc::DropReason) {
-        raw->OnDrop(packet);
-      });
-
   return sim;
 }
 
-std::size_t FabricCoSim::ElementOf(std::uint64_t packet_id) const {
-  const std::uint64_t per_element =
-      static_cast<std::uint64_t>(plan_.stage_count) * plan_.splits_per_stage *
-      plan_.splits_per_stage;
-  return static_cast<std::size_t>(packet_id / per_element);
-}
-
 void FabricCoSim::OnDelivery(const noc::Delivery& delivery) {
-  const std::size_t b = ElementOf(delivery.packet.id);
+  const std::uint64_t b = delivery.packet.stream_id;
   if (b >= elements_.size()) return;  // not fabric traffic
   // id = ((b * S + stage) * K + src) * K + dst, as minted by InferBatch.
   const std::size_t K = plan_.splits_per_stage;
@@ -89,7 +75,7 @@ void FabricCoSim::OnDelivery(const noc::Delivery& delivery) {
   // Per-element energy attribution: the mesh's per-hop charge, once per hop.
   const double hops = static_cast<double>(delivery.hops);
   const double energy =
-      hops * noc_->params().HopEnergyPj(delivery.packet.payload_bytes);
+      hops * grid_->noc().params().HopEnergyPj(delivery.packet.payload_bytes);
   const double bytes = hops * delivery.packet.payload_bytes;
   el.result.noc_cost.energy_pj += energy;
   el.result.cost.energy_pj += energy;
@@ -100,7 +86,7 @@ void FabricCoSim::OnDelivery(const noc::Delivery& delivery) {
 }
 
 void FabricCoSim::OnDrop(const noc::Packet& packet) {
-  const std::size_t b = ElementOf(packet.id);
+  const std::uint64_t b = packet.stream_id;
   if (b >= elements_.size()) return;
   ElementState& el = elements_[b];
   ++el.packets_dropped;
@@ -160,7 +146,7 @@ Expected<std::vector<dpe::InferResult>> FabricCoSim::InferBatch(
 
     // Barrier: merge in canonical (stage, split) order, mint packets in
     // canonical (stage, src, dst) order.
-    const TimeNs epoch_start = queue_.now();
+    const TimeNs epoch_start = grid_->queue().now();
     double max_compute_ns = 0.0;
     packets.clear();
     for (std::size_t i = 0; i < tasks.size();) {
@@ -209,8 +195,6 @@ Expected<std::vector<dpe::InferResult>> FabricCoSim::InferBatch(
             packets.push_back(std::move(p));
           }
         }
-      } else if (K == 1) {
-        el.result.output = std::move(split_out[0]);
       } else {
         nn::Tensor out(plan_.output_shape);
         for (std::size_t k = 0; k < K; ++k) {
@@ -225,16 +209,16 @@ Expected<std::vector<dpe::InferResult>> FabricCoSim::InferBatch(
     // Exchange: the clock advances to the epoch's compute horizon, packets
     // inject there in canonical order, and the event queue drains — every
     // delivery time is a pure function of this epoch's canonical sequence.
-    queue_.RunUntil(epoch_start + TimeNs(max_compute_ns));
+    grid_->queue().RunUntil(epoch_start + TimeNs(max_compute_ns));
     if (!packets.empty()) {
       // One burst: the mesh takes the whole buffer, so injection is
       // validation + one event; `packets` is left moved-from and the
       // clear() at the top of the next epoch re-arms it.
-      Status s = noc_->InjectBurst(std::move(packets));
+      Status s = grid_->noc().InjectBurst(std::move(packets));
       // Drops at injection (failed destination / cut source) already
       // degraded the element via OnDrop; only a malformed packet is fatal.
       if (!s.ok() && s.code() == ErrorCode::kInvalidArgument) return s;
-      queue_.Run();
+      grid_->queue().Run();
     }
     for (std::size_t s = 0; s + 1 < S && s <= e; ++s) {
       const std::size_t b = e - s;

@@ -2,6 +2,9 @@
 // DpeAccelerator work on host threads while their activations travel the
 // mesh NoC as packets — per-hop contention, virtual-channel QoS and link
 // failures shape the end-to-end latency/energy a fabric experiment reports.
+// The event queue and the mesh belong to an arch::TileGrid, the substrate
+// arch::Fabric and the dataflow executor also run on; here its tiles are
+// bare mesh endpoints, and each packet's stream_id is its batch element.
 //
 // Epoch-barrier conservative scheme (the determinism contract of PRs 2–4,
 // extended to a distributed simulation):
@@ -28,11 +31,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "common/event_queue.h"
+#include "arch/fabric.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "dpe/accelerator.h"
@@ -85,21 +87,21 @@ class FabricCoSim {
       std::span<const nn::Tensor> inputs);
 
   [[nodiscard]] const FabricPlan& plan() const { return plan_; }
-  [[nodiscard]] const noc::MeshNoc& noc() const { return *noc_; }
+  [[nodiscard]] const noc::MeshNoc& noc() const { return grid_->noc(); }
   [[nodiscard]] const noc::NocTelemetry& noc_telemetry() const {
-    return noc_->telemetry();
+    return grid_->noc().telemetry();
   }
   // Virtual time consumed so far (advances across batches).
-  [[nodiscard]] TimeNs now() const { return queue_.now(); }
+  [[nodiscard]] TimeNs now() const { return grid_->queue().now(); }
   [[nodiscard]] std::uint64_t epochs_run() const { return epochs_run_; }
 
   // Fault hooks, applied between epochs (passthrough to the mesh).
   [[nodiscard]] Status SetLinkFailed(noc::NodeId from, noc::Direction dir,
                                      bool failed) {
-    return noc_->SetLinkFailed(from, dir, failed);
+    return grid_->noc().SetLinkFailed(from, dir, failed);
   }
   [[nodiscard]] Status SetNodeFailed(noc::NodeId node, bool failed) {
-    return noc_->SetNodeFailed(node, failed);
+    return grid_->noc().SetNodeFailed(node, failed);
   }
 
  private:
@@ -115,19 +117,15 @@ class FabricCoSim {
 
   FabricCoSim(const FabricParams& params, FabricPlan plan);
 
-  // Decode a packet id minted by InferBatch back to its batch element.
-  [[nodiscard]] std::size_t ElementOf(std::uint64_t packet_id) const;
-
-  // Mesh hooks: the co-simulator receives on every tile node, and every
-  // drop (all of its packets are addressed to tile nodes).
+  // The grid's handlers: every delivery and every drop. A packet's
+  // stream_id is its batch element.
   void OnDelivery(const noc::Delivery& delivery);
   void OnDrop(const noc::Packet& packet);
 
-  FabricParams params_;
   FabricPlan plan_;
-  EventQueue queue_;
-  std::optional<noc::MeshNoc> noc_;
-  // One serial accelerator per tile, in plan_.tiles order.
+  // Owns the event queue and the mesh; its tiles are bare mesh endpoints.
+  std::unique_ptr<arch::TileGrid> grid_;
+  // One serial accelerator per plan tile, in plan_.tiles order.
   std::vector<std::unique_ptr<dpe::DpeAccelerator>> tiles_;
   ThreadPool pool_;
   std::vector<ElementState> elements_;

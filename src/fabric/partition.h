@@ -20,6 +20,7 @@
 
 #include "common/status.h"
 #include "nn/network.h"
+#include "noc/mesh.h"
 #include "noc/packet.h"
 
 namespace cim::fabric {
@@ -37,7 +38,14 @@ struct FabricPartitionParams {
     if (grid_width == 0 || grid_height == 0) {
       return InvalidArgument("empty fabric grid");
     }
-    if (column_splits == 0) return InvalidArgument("column_splits must be >=1");
+    // The grid is the co-simulated mesh, and every tile needs a node.
+    const std::size_t nodes = std::size_t{grid_width} * grid_height;
+    if (nodes > noc::MeshParams::kMaxMeshNodes) {
+      return InvalidArgument("a fabric grid holds at most 65536 nodes");
+    }
+    if (column_splits == 0 || column_splits > nodes || stages > nodes) {
+      return InvalidArgument("stages and column_splits must fit the grid");
+    }
     return Status::Ok();
   }
 };

@@ -23,7 +23,7 @@ LayerProfile ProfileLayer(const Layer& layer, std::vector<std::size_t> in) {
   p.in_shape = std::move(in);
   const std::vector<std::size_t>& s = p.in_shape;
   if (const auto* dense = std::get_if<DenseLayer>(&layer)) {
-    p.kind = "dense";
+    p.kind = LayerKind::kDense;
     if (s.size() == 1 && s[0] == dense->in_features) {
       p.out_shape = {dense->out_features};
     }
@@ -32,7 +32,7 @@ LayerProfile ProfileLayer(const Layer& layer, std::vector<std::size_t> in) {
              dense->out_features;
     p.weight_count = dense->weights.size() + dense->bias.size();
   } else if (const auto* conv = std::get_if<Conv2dLayer>(&layer)) {
-    p.kind = "conv";
+    p.kind = LayerKind::kConv;
     if (s.size() == 3 && s[0] == conv->in_channels &&
         s[1] + 2 * conv->padding >= conv->kernel &&
         s[2] + 2 * conv->padding >= conv->kernel) {
@@ -47,7 +47,7 @@ LayerProfile ProfileLayer(const Layer& layer, std::vector<std::size_t> in) {
     }
     p.weight_count = conv->weights.size() + conv->bias.size();
   } else if (const auto* pool = std::get_if<MaxPoolLayer>(&layer)) {
-    p.kind = "pool";
+    p.kind = LayerKind::kPool;
     if (s.size() == 3 && s[1] >= pool->window && s[2] >= pool->window) {
       p.out_shape = {s[0], OutDim(s[1], pool->window, pool->stride, 0),
                      OutDim(s[2], pool->window, pool->stride, 0)};

@@ -85,12 +85,15 @@ struct Network {
 // unit share it.
 [[nodiscard]] Tensor MaxPool(const Tensor& input, const MaxPoolLayer& pool);
 
+// Which Layer alternative a profile or mapping describes.
+enum class LayerKind : std::uint8_t { kDense, kConv, kPool };
+
 // Geometry and operation/traffic profile of one layer. ProfileNetwork is the
 // one walk over a network's shapes: the float model, the behavioural and
 // analytical DPE, the fabric partitioner and the baselines all read layer
 // geometry from it.
 struct LayerProfile {
-  std::string kind;            // "dense" / "conv" / "pool"
+  LayerKind kind = LayerKind::kDense;
   // Shape the layer consumes, after the implicit conv→dense flatten, and
   // the shape it produces.
   std::vector<std::size_t> in_shape;

@@ -1,5 +1,7 @@
 #include "noc/link_cipher.h"
 
+#include "common/hash.h"
+
 namespace cim::noc {
 
 CostReport StreamCipher::Apply(std::span<std::uint8_t> data,
@@ -26,18 +28,9 @@ CostReport StreamCipher::Apply(std::span<std::uint8_t> data,
 std::uint32_t StreamCipher::Tag(std::span<const std::uint8_t> data,
                                 std::uint64_t nonce) const {
   // Keyed FNV-1a over (key, nonce, data), folded to 32 bits.
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ key_;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(nonce);
-  for (std::uint8_t byte : data) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  }
+  std::uint64_t h = kFnvOffsetBasis ^ key_;
+  FnvMixU64(h, nonce);
+  for (std::uint8_t byte : data) FnvMixByte(h, byte);
   return static_cast<std::uint32_t>(h ^ (h >> 32));
 }
 

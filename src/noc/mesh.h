@@ -50,22 +50,34 @@ struct MeshParams {
     return hop_energy_per_byte.pj * payload_bytes + router_energy.pj;
   }
 
+  static constexpr std::size_t kMaxMeshNodes = 65536;
+
   [[nodiscard]] Status Validate() const {
     if (width == 0 || height == 0) return InvalidArgument("empty mesh");
+    // Create allocates every node and its four links up front.
+    if (std::size_t{width} * height > kMaxMeshNodes) {
+      return InvalidArgument("a mesh holds at most 65536 nodes");
+    }
     // A NaN or infinite term would reach every event time (NaN breaks the
     // EventQueue's heap order) or the hop energy.
     if (!AllFinite({link_bandwidth_gbps, router_latency.ns, link_latency.ns,
                     hop_energy_per_byte.pj, router_energy.pj})) {
       return InvalidArgument("mesh parameters must be finite");
     }
-    if (link_bandwidth_gbps <= 0.0) {
-      return InvalidArgument("bandwidth must be positive");
+    // One byte's serialization is an event too: at most 1 s.
+    if (link_bandwidth_gbps < 1.0 / kMaxEventLatencyNs) {
+      return InvalidArgument("bandwidth must be >= 1 B/s");
     }
     if (router_latency.ns < 0.0 || link_latency.ns < 0.0) {
       return InvalidArgument("hop latencies must be non-negative");
     }
     if (hop_energy_per_byte.pj < 0.0 || router_energy.pj < 0.0) {
       return InvalidArgument("hop energies must be non-negative");
+    }
+    if (!AllAtMost({router_latency.ns, link_latency.ns}, kMaxEventLatencyNs) ||
+        !AllAtMost({hop_energy_per_byte.pj, router_energy.pj},
+                   kMaxEventEnergyPj)) {
+      return InvalidArgument("a hop event must cost <= 1 s and <= 1 J");
     }
     return Status::Ok();
   }

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 
 namespace cim::reliability {
@@ -20,14 +21,8 @@ namespace cim::reliability {
 // FNV-1a over the raw double bits; order-sensitive, deterministic.
 [[nodiscard]] inline std::uint64_t PayloadChecksum(
     std::span<const double> payload) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (double v : payload) {
-    const auto bits = std::bit_cast<std::uint64_t>(v);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xFF;
-      h *= 0x100000001b3ULL;
-    }
-  }
+  std::uint64_t h = kFnvOffsetBasis;
+  for (double v : payload) FnvMixU64(h, std::bit_cast<std::uint64_t>(v));
   return h;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <tuple>
 
+#include "common/hash.h"
 #include "common/units.h"
 
 namespace cim::reliability {
@@ -24,13 +25,6 @@ constexpr std::uint64_t kTransientSalt = 0x72610000ULL;
 [[nodiscard]] auto CanonicalKey(const FaultEvent& e) {
   return std::tie(e.step, e.spec_index, e.target, e.tile, e.call, e.row,
                   e.col, e.plane);
-}
-
-void HashU64(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001b3ULL;
-  }
 }
 
 }  // namespace
@@ -88,20 +82,17 @@ std::vector<FaultEvent> FaultLog::Events() const {
 }
 
 std::uint64_t FaultLog::Fingerprint() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = kFnvOffsetBasis;
   for (const FaultEvent& e : Events()) {
-    HashU64(h, static_cast<std::uint64_t>(e.kind));
-    HashU64(h, e.spec_index);
-    for (char c : e.target) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ULL;
-    }
-    HashU64(h, e.step);
-    HashU64(h, e.tile);
-    HashU64(h, e.row);
-    HashU64(h, e.col);
-    HashU64(h, static_cast<std::uint64_t>(e.plane));
-    HashU64(h, e.call);
+    FnvMixU64(h, static_cast<std::uint64_t>(e.kind));
+    FnvMixU64(h, e.spec_index);
+    for (char c : e.target) FnvMixByte(h, static_cast<unsigned char>(c));
+    FnvMixU64(h, e.step);
+    FnvMixU64(h, e.tile);
+    FnvMixU64(h, e.row);
+    FnvMixU64(h, e.col);
+    FnvMixU64(h, static_cast<std::uint64_t>(e.plane));
+    FnvMixU64(h, e.call);
   }
   return h;
 }

@@ -37,7 +37,9 @@ Response MakeResponse(const PendingRequest& request, Outcome outcome,
 }  // namespace
 
 Status BatchingParams::Validate() const {
-  if (max_batch == 0) return InvalidArgument("max_batch must be > 0");
+  if (max_batch == 0 || max_batch > 4096) {
+    return InvalidArgument("max_batch must be in [1, 4096]");
+  }
   if (!AllFinite({window_ns, min_window_ns}) || window_ns < 0.0 ||
       min_window_ns < 0.0) {
     return InvalidArgument("batching windows must be finite and >= 0");
@@ -65,6 +67,7 @@ Status AdmissionParams::Validate() const {
 Status RetryParams::Validate() const {
   // A retry waits base * 2^(attempt-1) * (1 + jitter): finite ceilings keep
   // that wait, and so every response latency, finite.
+  if (max_retries > 64) return InvalidArgument("max_retries must be <= 64");
   if (!AllFinite({base_backoff_ns, jitter_fraction})) {
     return InvalidArgument("retry backoff must be finite");
   }
@@ -354,10 +357,10 @@ void DpeService::RunSlaLoop() {
         // load earlier (lower watermark).
         window_ns_ = std::max(params_.batching.min_window_ns,
                               window_ns_ * kWindowShrink);
-        watermark_ =
-            watermark_ > params_.admission.min_watermark + kWatermarkStep
-                ? watermark_ - kWatermarkStep
-                : params_.admission.min_watermark;
+        // watermark_ stays in [min_watermark, max_watermark], so neither
+        // step can wrap, even at the type's largest value.
+        watermark_ -= std::min(kWatermarkStep,
+                               watermark_ - params_.admission.min_watermark);
         ++stats_.sla_scale_up;
         break;
       }
@@ -365,8 +368,8 @@ void DpeService::RunSlaLoop() {
         // Comfortably under target: recover batching efficiency and admit
         // more load.
         window_ns_ = std::min(kMaxWindowNs, window_ns_ * kWindowGrow);
-        watermark_ = std::min(params_.admission.max_watermark,
-                              watermark_ + kWatermarkStep);
+        watermark_ += std::min(kWatermarkStep,
+                               params_.admission.max_watermark - watermark_);
         ++stats_.sla_scale_down;
         break;
       case SlaAction::kRelocate:

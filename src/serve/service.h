@@ -53,7 +53,7 @@
 namespace cim::serve {
 
 struct BatchingParams {
-  std::size_t max_batch = 8;
+  std::size_t max_batch = 8;  // in [1, 4096]; a pump reserves this many
   double window_ns = 200e3;  // initial coalescing window
   // Lower bound for the SLA loop's window adaptation; the upper bound is
   // fixed at 800 us (service.cc).
@@ -74,7 +74,7 @@ struct AdmissionParams {
 struct RetryParams {
   // Service-level re-dispatches of a fault-flagged result (on top of the
   // accelerator's internal per-tile retry).
-  std::uint32_t max_retries = 2;
+  std::uint32_t max_retries = 2;  // <= 64, so every backoff stays finite
   double base_backoff_ns = 100e3;  // first retry waits ~base (<= 1 s), then
                                    // doubles
   double jitter_fraction = 0.25;   // in [0, 1]: extra in [0, fraction * wait)

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "arch/micro_unit.h"
@@ -157,6 +158,62 @@ TEST(MicroUnitTest, FailedUnitRefusesWork) {
   EXPECT_EQ(mu->LoadProgram({}).code(), ErrorCode::kUnavailable);
   mu->SetFailed(false);
   EXPECT_TRUE(mu->Execute(std::vector<double>{1.0}).ok());
+}
+
+// Validate only for over-bound counts: local_slots = SIZE_MAX would make
+// the constructor's slot vector throw.
+TEST(MicroUnitParamsTest, CountsAndCostsBounded) {
+  MicroUnitParams p;
+  p.local_slots = 4096;
+  EXPECT_TRUE(p.Validate().ok());
+  for (const std::size_t slots :
+       {std::size_t{0}, std::size_t{4097},
+        std::numeric_limits<std::size_t>::max()}) {
+    p.local_slots = slots;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << slots;
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const std::vector<std::pair<double (*)(MicroUnitParams&, double), double>>
+      costs = {
+          {[](MicroUnitParams& m, double v) {
+             return m.alu_energy_per_element.pj = v;
+           },
+           kMaxEventEnergyPj},
+          {[](MicroUnitParams& m, double v) {
+             return m.alu_latency_per_element.ns = v;
+           },
+           kMaxEventLatencyNs},
+          {[](MicroUnitParams& m, double v) {
+             return m.program_load_energy.pj = v;
+           },
+           kMaxEventEnergyPj},
+          {[](MicroUnitParams& m, double v) {
+             return m.program_load_latency.ns = v;
+           },
+           kMaxEventLatencyNs},
+      };
+  for (const auto& [set, ceiling] : costs) {
+    for (const double ok : {0.0, ceiling}) {
+      MicroUnitParams q;
+      set(q, ok);
+      EXPECT_TRUE(q.Validate().ok()) << ok;
+      auto mu = MicroUnit::Create(q);
+      ASSERT_TRUE(mu.ok());
+      ASSERT_TRUE(mu->LoadProgram({{OpCode::kAddScalar, 1.0}}).ok());
+      ASSERT_TRUE(mu->Execute(std::vector<double>(4, 1.0)).ok());
+      EXPECT_TRUE(std::isfinite(mu->lifetime_cost().latency_ns) &&
+                  std::isfinite(mu->lifetime_cost().energy_pj));
+    }
+    for (const double bad :
+         {-1.0, std::numeric_limits<double>::quiet_NaN(), kInf, -kInf,
+          std::nextafter(ceiling, kMax), kMax}) {
+      MicroUnitParams q;
+      set(q, bad);
+      EXPECT_EQ(q.Validate().code(), ErrorCode::kInvalidArgument) << bad;
+      EXPECT_FALSE(MicroUnit::Create(q).ok()) << bad;
+    }
+  }
 }
 
 TEST(MicroUnitTest, CostAccumulates) {

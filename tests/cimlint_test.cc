@@ -130,6 +130,38 @@ TEST(RawThreadRule, AllowedInThreadPoolHeaderAndSuppressible) {
   EXPECT_TRUE(RuleFindings(LintFiles(files), "raw-thread").empty());
 }
 
+// ---------------------------------------------------------------------------
+// second-mesh
+// ---------------------------------------------------------------------------
+
+TEST(SecondMeshRule, FiresOnMeshCreateInLibraryCode) {
+  const Files files = {
+      {"src/fabric/cosim.cc",
+       "auto noc = noc::MeshNoc::Create(mesh, &queue_);\n"
+       "auto b = cim::noc::MeshNoc :: Create (mesh, &q);\n"}};
+  const auto findings = RuleFindings(LintFiles(files), "second-mesh");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].line, 1u);
+  EXPECT_EQ(findings[1].line, 2u);
+}
+
+TEST(SecondMeshRule, AllowedInTileGridBenchesTestsAndSuppressible) {
+  const Files files = {
+      {"src/arch/fabric.cc", "auto noc = noc::MeshNoc::Create(mesh, &q);\n"},
+      {"src/noc/mesh.cc",
+       "Expected<MeshNoc> MeshNoc::Create(const MeshParams& params,\n"
+       "                                  EventQueue* queue) {}\n"},
+      {"bench/bench_x.cc", "auto noc = noc::MeshNoc::Create(p, &q);\n"},
+      {"tests/noc_test.cc", "auto noc = MeshNoc::Create(p, &q);\n"},
+      {"perfbench/probes.cc", "auto m = cim::noc::MeshNoc::Create(p, &q);\n"},
+      {"src/dataflow/executor.cc",
+       "// Builds no MeshNoc::Create(...) of its own.\n"
+       "auto grid = arch::TileGrid::Create(mesh, on_delivery, {});\n"
+       "// cimlint: allow(second-mesh)\n"
+       "auto probe = noc::MeshNoc::Create(mesh, &q);\n"}};
+  EXPECT_TRUE(RuleFindings(LintFiles(files), "second-mesh").empty());
+}
+
 TEST(RawThreadRule, DoesNotFireOnPoolUsageOrIdentifiers) {
   const Files files = {{"src/ok.cc",
                         "#include \"common/thread_pool.h\"\n"

@@ -4,17 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <functional>
-#include <iomanip>
 #include <limits>
 #include <numeric>
-#include <set>
-#include <sstream>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "boundary_values.h"
 #include "dpe/accelerator.h"
 #include "dpe/analytical.h"
 #include "dpe/scaling.h"
@@ -160,7 +156,7 @@ TEST(AnalyticalModelTest, ConvMappingCountsPixels) {
   const nn::Network net = nn::BuildCnn("c", 1, 28, 28, 10, rng);
   auto mappings = model.MapNetwork(net);
   ASSERT_TRUE(mappings.ok());
-  EXPECT_EQ((*mappings)[0].kind, "conv");
+  EXPECT_EQ((*mappings)[0].kind, nn::LayerKind::kConv);
   EXPECT_EQ((*mappings)[0].mvm_invocations, 28u * 28);
 }
 
@@ -319,7 +315,8 @@ TEST(AcceleratorTest, BehaviouralAndAnalyticalAgreeOnArrayCounts) {
     std::size_t analytical = 0;
     for (const LayerMapping& m : *mappings) {
       analytical +=
-          m.kind == "conv" ? m.arrays / params.conv_replication : m.arrays;
+          m.kind == nn::LayerKind::kConv ? m.arrays / params.conv_replication
+                                         : m.arrays;
     }
     auto acc = DpeAccelerator::Create(params, net, Rng(22));
     ASSERT_TRUE(acc.ok()) << net.name;
@@ -438,103 +435,60 @@ TEST(ScalingTest, WriteHidingTradesArraysForThroughput) {
 // allocates much or starts a thread; a wider accepted array is counted but
 // not built.
 
-struct FuzzValue {
-  std::string label;  // "<field>=<value>"
-  std::function<void(DpeParams&)> apply;
-};
+using FuzzValue = fuzz::FuzzValue<DpeParams>;
 using FuzzField = std::vector<FuzzValue>;
-
-template <typename T>
-std::vector<T> BoundaryValues(std::initializer_list<T> bounds) {
-  std::vector<T> values;
-  if constexpr (std::is_floating_point_v<T>) {
-    constexpr T kInf = std::numeric_limits<T>::infinity();
-    values = {0.0, -1.0, std::numeric_limits<T>::lowest(),
-              std::numeric_limits<T>::max(),
-              std::numeric_limits<T>::quiet_NaN(), kInf, -kInf};
-    for (const T b : bounds) {
-      values.insert(values.end(), {b, std::nextafter(b, -kInf),
-                                   std::nextafter(b, kInf), b - 1, b + 1});
-    }
-  } else {
-    values = {T{0}, static_cast<T>(-1), std::numeric_limits<T>::min(),
-              std::numeric_limits<T>::max()};
-    for (const T b : bounds) {
-      values.insert(values.end(), {b, static_cast<T>(b - 1),
-                                   static_cast<T>(b + 1)});
-    }
-  }
-  return values;
-}
-
-template <typename T, typename Get>
-FuzzField Field(const char* name, Get get, std::initializer_list<T> bounds) {
-  FuzzField field;
-  std::set<std::string> seen;
-  for (const T v : BoundaryValues<T>(bounds)) {
-    std::ostringstream label;
-    label << name << "=" << std::setprecision(17) << +v;
-    if (!seen.insert(label.str()).second) continue;
-    field.push_back({label.str(), [get, v](DpeParams& p) { get(p) = v; }});
-  }
-  return field;
-}
-
-#define CIM_FUZZ_FIELD(T, path, ...)                                  \
-  Field<T>(#path, [](DpeParams& p) -> T& { return p.path; }, \
-           {__VA_ARGS__})
 
 std::vector<FuzzField> FuzzFields() {
   constexpr double kSecond = kMaxEventLatencyNs;
   constexpr double kJoule = kMaxEventEnergyPj;
   std::vector<FuzzField> fields = {
-      CIM_FUZZ_FIELD(std::size_t, array.rows, 1, 4096),
-      CIM_FUZZ_FIELD(std::size_t, array.cols, 1, 2, 4096),
-      CIM_FUZZ_FIELD(std::size_t, array.columns_per_adc, 1),
-      CIM_FUZZ_FIELD(double, array.ir_drop_alpha, 0.0, 1.0),
-      CIM_FUZZ_FIELD(int, array.adc.bits, 1, 16),
-      CIM_FUZZ_FIELD(int, array.adc.reference_bits, 1, 16),
-      CIM_FUZZ_FIELD(double, array.adc.base_latency.ns, 0.0, kSecond),
-      CIM_FUZZ_FIELD(double, array.adc.base_energy.pj, 0.0, kJoule),
-      CIM_FUZZ_FIELD(double, array.dac.settle_latency.ns, 0.0, kSecond),
-      CIM_FUZZ_FIELD(double, array.dac.drive_energy.pj, 0.0, kJoule),
-      CIM_FUZZ_FIELD(double, array.dac.v_read, 0.0),
-      CIM_FUZZ_FIELD(double, array.cell.g_on_siemens, 1.0 / 2e6),
-      CIM_FUZZ_FIELD(double, array.cell.g_off_siemens, 0.0, 1.0 / 2e3),
-      CIM_FUZZ_FIELD(int, array.cell.cell_bits, 1, 8),
-      CIM_FUZZ_FIELD(double, array.cell.read_latency.ns, 0.0, kSecond),
-      CIM_FUZZ_FIELD(double, array.cell.set_latency.ns, 0.0, kSecond),
-      CIM_FUZZ_FIELD(double, array.cell.reset_latency.ns, 0.0, kSecond),
-      CIM_FUZZ_FIELD(double, array.cell.read_energy.pj, 0.0, kJoule),
-      CIM_FUZZ_FIELD(double, array.cell.write_energy.pj, 0.0, kJoule),
-      CIM_FUZZ_FIELD(double, array.cell.read_noise_sigma, 0.0),
-      CIM_FUZZ_FIELD(double, array.cell.write_tolerance),
-      CIM_FUZZ_FIELD(int, array.cell.max_write_iterations, 1, 64),
-      CIM_FUZZ_FIELD(double, array.cell.write_noise_sigma, 0.0),
-      CIM_FUZZ_FIELD(std::uint64_t, array.cell.endurance_cycles, 1),
-      CIM_FUZZ_FIELD(double, array.cell.drift_nu, 0.0, 1.0),
-      CIM_FUZZ_FIELD(double, array.cell.drift_t0.ns, 0.0),
-      CIM_FUZZ_FIELD(int, weight_bits, 2, 16),
-      CIM_FUZZ_FIELD(int, input_bits, 1, 16),
-      CIM_FUZZ_FIELD(double, buffer_energy_per_byte_pj, 0.0, kJoule),
-      CIM_FUZZ_FIELD(double, shift_add_energy_pj, 0.0, kJoule),
-      CIM_FUZZ_FIELD(double, activation_energy_pj, 0.0, kJoule),
-      CIM_FUZZ_FIELD(double, activation_latency_ns, 0.0, kSecond),
-      CIM_FUZZ_FIELD(double, htree_energy_per_byte_pj, 0.0, kJoule),
-      CIM_FUZZ_FIELD(double, static_power_per_array_w, 0.0, 1.0),
-      CIM_FUZZ_FIELD(std::size_t, conv_replication, 1),
-      CIM_FUZZ_FIELD(std::size_t, fault_tolerance.spare_tiles, 4096),
-      CIM_FUZZ_FIELD(std::uint64_t, fault_tolerance.aging.endurance_cycles,
+      CIM_FIELD_VALUES(DpeParams, array.rows, 1, 4096),
+      CIM_FIELD_VALUES(DpeParams, array.cols, 1, 2, 4096),
+      CIM_FIELD_VALUES(DpeParams, array.columns_per_adc, 1),
+      CIM_FIELD_VALUES(DpeParams, array.ir_drop_alpha, 0.0, 1.0),
+      CIM_FIELD_VALUES(DpeParams, array.adc.bits, 1, 16),
+      CIM_FIELD_VALUES(DpeParams, array.adc.reference_bits, 1, 16),
+      CIM_FIELD_VALUES(DpeParams, array.adc.base_latency.ns, 0.0, kSecond),
+      CIM_FIELD_VALUES(DpeParams, array.adc.base_energy.pj, 0.0, kJoule),
+      CIM_FIELD_VALUES(DpeParams, array.dac.settle_latency.ns, 0.0, kSecond),
+      CIM_FIELD_VALUES(DpeParams, array.dac.drive_energy.pj, 0.0, kJoule),
+      CIM_FIELD_VALUES(DpeParams, array.dac.v_read, 0.0),
+      CIM_FIELD_VALUES(DpeParams, array.cell.g_on_siemens, 1.0 / 2e6),
+      CIM_FIELD_VALUES(DpeParams, array.cell.g_off_siemens, 0.0, 1.0 / 2e3),
+      CIM_FIELD_VALUES(DpeParams, array.cell.cell_bits, 1, 8),
+      CIM_FIELD_VALUES(DpeParams, array.cell.read_latency.ns, 0.0, kSecond),
+      CIM_FIELD_VALUES(DpeParams, array.cell.set_latency.ns, 0.0, kSecond),
+      CIM_FIELD_VALUES(DpeParams, array.cell.reset_latency.ns, 0.0, kSecond),
+      CIM_FIELD_VALUES(DpeParams, array.cell.read_energy.pj, 0.0, kJoule),
+      CIM_FIELD_VALUES(DpeParams, array.cell.write_energy.pj, 0.0, kJoule),
+      CIM_FIELD_VALUES(DpeParams, array.cell.read_noise_sigma, 0.0),
+      CIM_FIELD_VALUES(DpeParams, array.cell.write_tolerance),
+      CIM_FIELD_VALUES(DpeParams, array.cell.max_write_iterations, 1, 64),
+      CIM_FIELD_VALUES(DpeParams, array.cell.write_noise_sigma, 0.0),
+      CIM_FIELD_VALUES(DpeParams, array.cell.endurance_cycles, 1),
+      CIM_FIELD_VALUES(DpeParams, array.cell.drift_nu, 0.0, 1.0),
+      CIM_FIELD_VALUES(DpeParams, array.cell.drift_t0.ns, 0.0),
+      CIM_FIELD_VALUES(DpeParams, weight_bits, 2, 16),
+      CIM_FIELD_VALUES(DpeParams, input_bits, 1, 16),
+      CIM_FIELD_VALUES(DpeParams, buffer_energy_per_byte_pj, 0.0, kJoule),
+      CIM_FIELD_VALUES(DpeParams, shift_add_energy_pj, 0.0, kJoule),
+      CIM_FIELD_VALUES(DpeParams, activation_energy_pj, 0.0, kJoule),
+      CIM_FIELD_VALUES(DpeParams, activation_latency_ns, 0.0, kSecond),
+      CIM_FIELD_VALUES(DpeParams, htree_energy_per_byte_pj, 0.0, kJoule),
+      CIM_FIELD_VALUES(DpeParams, static_power_per_array_w, 0.0, 1.0),
+      CIM_FIELD_VALUES(DpeParams, conv_replication, 1),
+      CIM_FIELD_VALUES(DpeParams, fault_tolerance.spare_tiles, 4096),
+      CIM_FIELD_VALUES(DpeParams, fault_tolerance.aging.endurance_cycles,
                      1),
-      CIM_FUZZ_FIELD(double, fault_tolerance.aging.degraded_wear_fraction,
+      CIM_FIELD_VALUES(DpeParams, fault_tolerance.aging.degraded_wear_fraction,
                      0.0, 0.95),
-      CIM_FUZZ_FIELD(double, fault_tolerance.aging.retire_wear_fraction, 0.8,
+      CIM_FIELD_VALUES(DpeParams, fault_tolerance.aging.retire_wear_fraction, 0.8,
                      1.0),
-      CIM_FUZZ_FIELD(double, fault_tolerance.aging.verify_failure_warn_rate),
-      CIM_FUZZ_FIELD(double, fault_tolerance.aging.systemic_fraction),
-      CIM_FUZZ_FIELD(std::size_t, arrays_per_board, 1),
-      CIM_FUZZ_FIELD(double, board_link_bandwidth_gbps, 0.0),
-      CIM_FUZZ_FIELD(double, board_link_latency_ns, 0.0, kSecond),
+      CIM_FIELD_VALUES(DpeParams, fault_tolerance.aging.verify_failure_warn_rate),
+      CIM_FIELD_VALUES(DpeParams, fault_tolerance.aging.systemic_fraction),
+      CIM_FIELD_VALUES(DpeParams, arrays_per_board, 1),
+      CIM_FIELD_VALUES(DpeParams, board_link_bandwidth_gbps, 0.0),
+      CIM_FIELD_VALUES(DpeParams, board_link_latency_ns, 0.0, kSecond),
   };
   FuzzField kernels;
   for (const auto kernel :
@@ -556,8 +510,6 @@ std::vector<FuzzField> FuzzFields() {
   fields.push_back(std::move(ft));
   return fields;
 }
-
-#undef CIM_FUZZ_FIELD
 
 bool FiniteNonNegativeCost(const CostReport& cost) {
   return std::isfinite(cost.latency_ns) && std::isfinite(cost.energy_pj) &&

@@ -5,9 +5,13 @@
 // leg (tsan included) runs it.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "boundary_values.h"
 #include "dpe/accelerator.h"
 #include "fabric/cosim.h"
 #include "fabric/partition.h"
@@ -69,6 +73,77 @@ TEST(FabricParamsTest, WorkerThreadsBounded) {
     p.worker_threads = threads;
     EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << threads;
   }
+}
+
+// Validate only: the grid is the co-simulated mesh, so it shares the
+// mesh's 65536-node bound, and no count may exceed the grid.
+TEST(FabricParamsTest, GridAndCountsBounded) {
+  FabricParams p;
+  p.partition.grid_width = 256;
+  p.partition.grid_height = 256;
+  EXPECT_TRUE(p.Validate().ok());
+  p.partition.grid_width = 65535;
+  p.partition.grid_height = 65535;
+  EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument);
+  p = FabricParams{};  // 2 x 2
+  p.partition.column_splits = 4;
+  EXPECT_TRUE(p.Validate().ok());
+  p.partition.column_splits = std::size_t{1} << 63;
+  EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument);
+  p.partition.column_splits = 1;
+  p.partition.stages = 5;
+  EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument);
+}
+
+// Boundary fuzz of the partition fields (boundary_values.h; worker_threads
+// is covered above, Validate only). Every accepted value must survive
+// Create plus one InferBatch with finite outputs and costs; over-bound
+// grids are only validated.
+TEST(FabricParamsTest, EveryAcceptedPartitionBoundaryRuns) {
+  const nn::Network net = TwoLayerMlp();
+  Rng rng(41);
+  const std::vector<nn::Tensor> inputs = MakeInputs({16}, 2, rng);
+  std::vector<fuzz::FuzzValue<FabricPartitionParams>> values;
+  // The other side stays 2, so 32768 is the 65536-node bound; the 2 x 2
+  // grid holds 4 tiles, and the MLP has 2 MVM layers.
+  for (const auto& field :
+       {CIM_FIELD_VALUES(FabricPartitionParams, grid_width, 1, 32768),
+        CIM_FIELD_VALUES(FabricPartitionParams, grid_height, 1, 32768),
+        CIM_FIELD_VALUES(FabricPartitionParams, stages, 1, 2, 4),
+        CIM_FIELD_VALUES(FabricPartitionParams, column_splits, 1, 2, 4)}) {
+    values.insert(values.end(), field.begin(), field.end());
+  }
+  std::size_t ran = 0;
+  std::size_t rejected = 0;
+  for (const auto& value : values) {
+    FabricParams params = NoiselessParams();
+    params.worker_threads = 1;
+    value.apply(params.partition);
+    if (!params.Validate().ok()) {
+      ++rejected;
+      continue;
+    }
+    auto fabric = FabricCoSim::Create(params, net);
+    if (!fabric.ok()) {
+      // A valid grid the plan does not fit (too many stages or splits).
+      EXPECT_EQ(fabric.status().code(), ErrorCode::kInvalidArgument)
+          << value.label;
+      continue;
+    }
+    ++ran;
+    auto results = (*fabric)->InferBatch(inputs);
+    ASSERT_TRUE(results.ok()) << value.label;
+    for (const dpe::InferResult& r : *results) {
+      for (const double y : r.output.vec()) {
+        EXPECT_TRUE(std::isfinite(y)) << value.label;
+      }
+      EXPECT_TRUE(std::isfinite(r.cost.latency_ns) &&
+                  std::isfinite(r.cost.energy_pj) && r.cost.latency_ns > 0.0)
+          << value.label;
+    }
+  }
+  EXPECT_GT(ran, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(PartitionTest, DefaultsToOneStagePerMvmLayer) {
@@ -140,34 +215,80 @@ TEST(PartitionTest, RejectsColumnSplitOfMultiLayerStage) {
 
 // --- golden: fabric output == single accelerator output -------------------
 
+// A seeded property over partitions: every valid stages x column_splits
+// combination (column_splits in {1, 2, 3}) of a three-layer MLP, and every
+// stage count of a 1x12x12 CNN at one split, on an exact-fit grid and on a
+// random larger one whose extra nodes hold no plan tile, must reproduce one
+// noiseless accelerator's outputs bit for bit, shape included.
 TEST(FabricCoSimTest, NoiselessPartitionMatchesSingleAcceleratorBitForBit) {
-  const nn::Network net = TwoLayerMlp();
-  FabricParams params = NoiselessParams();
-  params.partition.column_splits = 2;  // 2 stages x 2 splits on a 2x2 grid
-  params.worker_threads = 1;
-
-  auto fabric = FabricCoSim::Create(params, net);
-  ASSERT_TRUE(fabric.ok());
-
-  dpe::DpeParams single = params.dpe;
-  single.worker_threads = 1;
-  auto accel = dpe::DpeAccelerator::Create(single, net, Rng(1));
-  ASSERT_TRUE(accel.ok());
-
-  Rng rng(31);
-  const std::vector<nn::Tensor> inputs = MakeInputs({16}, 4, rng);
-  auto results = (*fabric)->InferBatch(inputs);
-  ASSERT_TRUE(results.ok());
-  ASSERT_EQ(results->size(), inputs.size());
-  for (std::size_t b = 0; b < inputs.size(); ++b) {
-    auto reference = (*accel)->Infer(inputs[b]);
-    ASSERT_TRUE(reference.ok());
-    ASSERT_EQ((*results)[b].output.size(), reference->output.size());
-    for (std::size_t i = 0; i < reference->output.size(); ++i) {
-      EXPECT_EQ((*results)[b].output[i], reference->output[i])
-          << "element " << b << " output " << i;
+  Rng net_rng(7);
+  const nn::Network mlp = nn::BuildMlp("fab3", {16, 24, 20, 10}, net_rng);
+  const nn::Network cnn = nn::BuildCnn("cnn", 1, 12, 12, 10, net_rng);
+  Rng rng(0xFAB5);
+  std::size_t runs = 0;
+  for (const nn::Network* net : {&mlp, &cnn}) {
+    auto profiles = nn::ProfileNetwork(*net);
+    ASSERT_TRUE(profiles.ok());
+    std::size_t mvm_layers = 0;
+    for (const nn::LayerProfile& layer : *profiles) {
+      if (layer.kind != nn::LayerKind::kPool) ++mvm_layers;
+    }
+    dpe::DpeParams single = NoiselessParams().dpe;
+    single.worker_threads = 1;
+    auto accel = dpe::DpeAccelerator::Create(single, *net, Rng(1));
+    ASSERT_TRUE(accel.ok());
+    const std::vector<nn::Tensor> inputs =
+        MakeInputs(net->input_shape, 3, rng);
+    std::vector<dpe::InferResult> reference;
+    for (const nn::Tensor& input : inputs) {
+      auto r = (*accel)->Infer(input);
+      ASSERT_TRUE(r.ok());
+      reference.push_back(std::move(*r));
+    }
+    const std::size_t max_splits = net == &mlp ? 3 : 1;
+    for (std::size_t stages = 1; stages <= mvm_layers; ++stages) {
+      for (std::size_t splits = 1; splits <= max_splits; ++splits) {
+        // A split stage must hold exactly one dense layer.
+        if (splits > 1 && stages != mvm_layers) continue;
+        const std::size_t tiles = stages * splits;
+        const std::size_t wide = tiles + 1 + rng.NextBounded(4);
+        const std::size_t width = 1 + rng.NextBounded(wide);
+        for (const auto& [w, h] :
+             {std::pair{tiles, std::size_t{1}},
+              std::pair{width, (wide + width - 1) / width}}) {
+          const std::string what =
+              net->name + " stages=" + std::to_string(stages) +
+              " splits=" + std::to_string(splits) + " grid=" +
+              std::to_string(w) + "x" + std::to_string(h);
+          FabricParams params = NoiselessParams();
+          params.partition.grid_width = static_cast<std::uint16_t>(w);
+          params.partition.grid_height = static_cast<std::uint16_t>(h);
+          params.partition.stages = stages;
+          params.partition.column_splits = splits;
+          params.worker_threads = 1 + rng.NextBounded(3);
+          params.seed = rng.NextU64();
+          auto fabric = FabricCoSim::Create(params, *net);
+          ASSERT_TRUE(fabric.ok()) << what << ": "
+                                   << fabric.status().message();
+          auto results = (*fabric)->InferBatch(inputs);
+          ASSERT_TRUE(results.ok()) << what;
+          ASSERT_EQ(results->size(), inputs.size()) << what;
+          ++runs;
+          for (std::size_t b = 0; b < inputs.size(); ++b) {
+            const nn::Tensor& out = (*results)[b].output;
+            EXPECT_EQ(out.shape(), reference[b].output.shape()) << what;
+            ASSERT_EQ(out.size(), reference[b].output.size()) << what;
+            for (std::size_t i = 0; i < out.size(); ++i) {
+              EXPECT_EQ(out[i], reference[b].output[i])
+                  << what << " element " << b << " output " << i;
+            }
+            EXPECT_EQ((*results)[b].fault_report.degraded, 0u) << what;
+          }
+        }
+      }
     }
   }
+  EXPECT_GE(runs, 10u);
 }
 
 // --- NoC cost shows up in InferResult -------------------------------------

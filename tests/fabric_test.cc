@@ -2,11 +2,15 @@
 // streams, security enforcement, and tile failures.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "arch/fabric.h"
+#include "boundary_values.h"
 #include "byte_mutator.h"
 #include "common/rng.h"
 
@@ -33,6 +37,108 @@ TEST(FabricTest, CreateValidatesParams) {
   FabricParams p = SmallFabric();
   p.micro_units_per_tile = 0;
   EXPECT_FALSE(Fabric::Create(p).ok());
+}
+
+// Validate only: a 65535 x 65535 mesh would allocate ~4.3e9 nodes, and a
+// code packet addresses a micro-unit with one byte.
+TEST(FabricTest, SubstrateSizesBounded) {
+  FabricParams p = SmallFabric();
+  p.micro_units_per_tile = 256;
+  EXPECT_TRUE(p.Validate().ok());
+  for (const std::size_t units :
+       {std::size_t{257}, std::numeric_limits<std::size_t>::max()}) {
+    p.micro_units_per_tile = units;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << units;
+  }
+  p = SmallFabric();
+  p.mesh.width = 65535;
+  p.mesh.height = 65535;
+  EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument);
+  p = SmallFabric();
+  p.micro_unit.local_slots = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument);
+  p = SmallFabric();
+  p.micro_unit.alu_latency_per_element =
+      TimeNs(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument);
+}
+
+// FabricParams boundary fuzz, in the style of dpe_test's ParamsFuzzTest:
+// one field at a time takes its boundary values (boundary_values.h).
+// Over-bound sizes are only validated, never built. Every accepted value
+// must survive Create plus one stream from (0, 0) to the far corner with a
+// finite, non-negative latency.
+TEST(FabricParamsFuzzTest, EveryAcceptedSingleFieldBoundaryRuns) {
+  constexpr double kSecond = kMaxEventLatencyNs;
+  constexpr double kJoule = kMaxEventEnergyPj;
+  std::vector<fuzz::FuzzValue<FabricParams>> values;
+  // The other side stays 4, so 16384 is the 65536-node bound.
+  for (const auto& field : {
+           CIM_FIELD_VALUES(FabricParams, mesh.width, 1, 16384),
+           CIM_FIELD_VALUES(FabricParams, mesh.height, 1, 16384),
+           CIM_FIELD_VALUES(FabricParams, mesh.link_bandwidth_gbps,
+                            1.0 / kSecond),
+           CIM_FIELD_VALUES(FabricParams, mesh.router_latency.ns, kSecond),
+           CIM_FIELD_VALUES(FabricParams, mesh.link_latency.ns, kSecond),
+           CIM_FIELD_VALUES(FabricParams, mesh.hop_energy_per_byte.pj, kJoule),
+           CIM_FIELD_VALUES(FabricParams, mesh.router_energy.pj, kJoule),
+           CIM_FIELD_VALUES(FabricParams, micro_units_per_tile, 1, 256),
+           CIM_FIELD_VALUES(FabricParams, micro_unit.local_slots, 1, 4096),
+           CIM_FIELD_VALUES(FabricParams, micro_unit.max_vector_len, 1),
+           CIM_FIELD_VALUES(FabricParams,
+                            micro_unit.alu_energy_per_element.pj, kJoule),
+           CIM_FIELD_VALUES(FabricParams,
+                            micro_unit.alu_latency_per_element.ns, kSecond),
+           CIM_FIELD_VALUES(FabricParams, micro_unit.program_load_energy.pj,
+                            kJoule),
+           CIM_FIELD_VALUES(FabricParams, micro_unit.program_load_latency.ns,
+                            kSecond),
+       }) {
+    values.insert(values.end(), field.begin(), field.end());
+  }
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const auto& value : values) {
+    FabricParams params = SmallFabric();
+    value.apply(params);
+    if (!params.Validate().ok()) {
+      ++rejected;
+      EXPECT_FALSE(Fabric::Create(params).ok()) << value.label;
+      continue;
+    }
+    const bool non_finite = value.label.find("nan") != std::string::npos ||
+                            value.label.find("inf") != std::string::npos;
+    EXPECT_FALSE(non_finite) << value.label << " accepted";
+    ++accepted;
+    auto fabric = Fabric::Create(params);
+    ASSERT_TRUE(fabric.ok()) << value.label;
+    Fabric& f = **fabric;
+    const noc::NodeId far{
+        static_cast<std::uint16_t>(params.mesh.width - 1),
+        static_cast<std::uint16_t>(params.mesh.height - 1)};
+    LoadScaleProgram(f, {0, 0}, 2.0);
+    LoadScaleProgram(f, far, 3.0);
+    ASSERT_TRUE(f.ConfigureStream(1, {{0, 0}, far}).ok()) << value.label;
+    std::optional<std::vector<double>> result;
+    ASSERT_TRUE(f.SetStreamSink(1, [&](std::vector<double> payload, TimeNs) {
+                   result = std::move(payload);
+                 }).ok());
+    ASSERT_TRUE(f.InjectData(1, {1.5}).ok()) << value.label;
+    f.queue().Run();
+    ASSERT_TRUE(result.has_value()) << value.label;
+    EXPECT_EQ((*result)[0], 9.0) << value.label;  // 1.5 * 2 * 3
+    const StreamStats* stats = f.StatsFor(1);
+    ASSERT_NE(stats, nullptr);
+    EXPECT_EQ(stats->completed, 1u) << value.label;
+    const double latency = stats->end_to_end_latency_ns.mean();
+    EXPECT_TRUE(std::isfinite(latency) && latency >= 0.0)
+        << value.label << ": " << latency;
+    const CostReport total = f.TotalCost();
+    EXPECT_TRUE(std::isfinite(total.energy_pj) && total.energy_pj >= 0.0)
+        << value.label;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(FabricTest, StaticStreamFlowsThroughPath) {

@@ -6,9 +6,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "boundary_values.h"
 #include "common/rng.h"
 #include "crossbar/mvm_engine.h"
 
@@ -56,6 +59,66 @@ TEST(MvmEngineParamsTest, Validation) {
   p = QuietParams();
   p.input_range = -1.0;
   EXPECT_FALSE(p.Validate().ok());
+  // Infinite ranges make every output NaN; the shift-add costs are per-event
+  // charges with the common/units.h ceilings.
+  p = QuietParams();
+  p.weight_range = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(p.Validate().ok());
+  p = QuietParams();
+  p.shift_add_energy = EnergyPj(-1.0);
+  EXPECT_FALSE(p.Validate().ok());
+  p.shift_add_energy = EnergyPj(std::nextafter(kMaxEventEnergyPj, 2e12));
+  EXPECT_FALSE(p.Validate().ok());
+  p = QuietParams();
+  p.shift_add_latency = TimeNs(-1.0);
+  EXPECT_FALSE(p.Validate().ok());
+  p.shift_add_latency = TimeNs(std::nextafter(kMaxEventLatencyNs, 2e9));
+  EXPECT_FALSE(p.Validate().ok());
+}
+
+// Boundary fuzz over the engine's own real-valued fields, in the style of
+// dpe_test's ParamsFuzzTest: one field at a time takes its boundary values
+// (boundary_values.h). Validate must reject every non-finite value, and
+// every accepted value must survive Create, ProgramWeights and one Compute
+// with finite outputs and a finite, non-negative cost.
+TEST(MvmEngineParamsFuzzTest, EveryAcceptedSingleFieldBoundaryRuns) {
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const auto& field :
+       {CIM_FIELD_VALUES(MvmEngineParams, weight_range, 1.0),
+        CIM_FIELD_VALUES(MvmEngineParams, input_range, 1.0),
+        CIM_FIELD_VALUES(MvmEngineParams, shift_add_energy.pj, 0.0,
+                         kMaxEventEnergyPj),
+        CIM_FIELD_VALUES(MvmEngineParams, shift_add_latency.ns, 0.0,
+                         kMaxEventLatencyNs)}) {
+    for (const auto& value : field) {
+      const std::string& what = value.label;
+      MvmEngineParams p = QuietParams(8, 8);
+      value.apply(p);
+      if (!p.Validate().ok()) {
+        ++rejected;
+        continue;
+      }
+      EXPECT_TRUE(what.find("nan") == std::string::npos &&
+                  what.find("inf") == std::string::npos)
+          << what << " accepted";
+      ++accepted;
+      auto engine = MvmEngine::Create(p, 4, 4, Rng(31));
+      ASSERT_TRUE(engine.ok()) << what;
+      Rng rng(32);
+      ASSERT_TRUE(engine->ProgramWeights(RandomMatrix(16, rng)).ok()) << what;
+      auto result = engine->Compute(RandomInput(4, rng));
+      ASSERT_TRUE(result.ok()) << what;
+      for (const double y : result->y) EXPECT_TRUE(std::isfinite(y)) << what;
+      EXPECT_TRUE(std::isfinite(result->cost.latency_ns) &&
+                  std::isfinite(result->cost.energy_pj) &&
+                  result->cost.latency_ns >= 0.0 &&
+                  result->cost.energy_pj >= 0.0)
+          << what;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(MvmEngineTest, CreateRejectsOversizedDims) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <string>
@@ -68,6 +69,52 @@ TEST(MeshParamsTest, Validation) {
     p = SmallMesh();
     fields[f](p, 0.0);
     EXPECT_EQ(p.Validate().ok(), f != 0) << "field " << f << " = 0";
+  }
+}
+
+// Validate only: an over-bound mesh is never built (65535 x 65535 would
+// allocate ~4.3e9 nodes and four links per node).
+TEST(MeshParamsTest, SizeAndPerEventCostsBounded) {
+  EXPECT_TRUE(SmallMesh(256, 256).Validate().ok());
+  EXPECT_TRUE(SmallMesh(65535, 1).Validate().ok());
+  for (const auto& [w, h] : {std::pair<std::uint16_t, std::uint16_t>{257, 256},
+                            {256, 257},
+                            {65535, 2},
+                            {65535, 65535}}) {
+    EXPECT_EQ(SmallMesh(w, h).Validate().code(), ErrorCode::kInvalidArgument)
+        << w << "x" << h;
+  }
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const std::vector<std::pair<double (*)(MeshParams&, double), double>>
+      ceilings = {
+          {[](MeshParams& m, double v) { return m.router_latency.ns = v; },
+           kMaxEventLatencyNs},
+          {[](MeshParams& m, double v) { return m.link_latency.ns = v; },
+           kMaxEventLatencyNs},
+          {[](MeshParams& m, double v) {
+             return m.hop_energy_per_byte.pj = v;
+           },
+           kMaxEventEnergyPj},
+          {[](MeshParams& m, double v) { return m.router_energy.pj = v; },
+           kMaxEventEnergyPj},
+      };
+  for (const auto& [set, ceiling] : ceilings) {
+    MeshParams p = SmallMesh();
+    set(p, ceiling);
+    EXPECT_TRUE(p.Validate().ok()) << ceiling;
+    for (const double over : {std::nextafter(ceiling, kMax), kMax}) {
+      set(p, over);
+      EXPECT_FALSE(p.Validate().ok()) << over;
+    }
+  }
+  // One byte's serialization is capped at 1 s: bandwidth >= 1e-9 GB/s.
+  MeshParams p = SmallMesh();
+  p.link_bandwidth_gbps = 1.0 / kMaxEventLatencyNs;
+  EXPECT_TRUE(p.Validate().ok());
+  for (const double slow : {std::nextafter(1.0 / kMaxEventLatencyNs, 0.0),
+                            std::numeric_limits<double>::denorm_min()}) {
+    p.link_bandwidth_gbps = slow;
+    EXPECT_FALSE(p.Validate().ok()) << slow;
   }
 }
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "boundary_values.h"
 #include "common/rng.h"
 #include "dpe/accelerator.h"
 #include "nn/network.h"
@@ -695,10 +696,7 @@ TEST(DpeServiceTest, SubmitRejectsNonFiniteArrivalAndNaNDeadline) {
 // every non-finite value, and every accepted value must survive Create plus
 // a short open-loop run under a persistent degrading fault (so retries,
 // backoff and SLA relocation all run) with finite response latencies.
-struct ServeFuzzValue {
-  std::string label;  // "<field>=<value>"
-  std::function<void(ServeParams&)> apply;
-};
+using ServeFuzzValue = fuzz::FuzzValue<ServeParams>;
 
 template <typename Get>
 void AddServeField(std::vector<ServeFuzzValue>& values, const char* name,
@@ -731,10 +729,11 @@ ServeParams ServeFuzzBase() {
   return params;
 }
 
-// Runs `params` open-loop for 12 requests under DegradeScenario and expects
-// every response latency and the virtual clock to stay finite.
+// Runs `params` open-loop for `requests` requests under DegradeScenario and
+// expects every response latency and the virtual clock to stay finite.
 void ExpectOpenLoopRunIsFinite(const ServeParams& params,
-                               const std::string& what) {
+                               const std::string& what,
+                               std::uint64_t requests = 12) {
   Harness h = MakeHarness(params, 1, nullptr, /*fault_tolerant=*/true,
                           /*spares=*/0);
   ASSERT_TRUE(h.service != nullptr) << what;
@@ -744,7 +743,7 @@ void ExpectOpenLoopRunIsFinite(const ServeParams& params,
   ASSERT_TRUE(h.accelerator->AttachFaultInjector(&injector).ok());
   ASSERT_TRUE(injector.Arm().ok());
   std::size_t admitted = 0;
-  for (std::uint64_t i = 0; i < 12; ++i) {
+  for (std::uint64_t i = 0; i < requests; ++i) {
     SubmitArgs args;
     args.tenant = 1;
     args.input = MakeInput(i);
@@ -792,7 +791,103 @@ TEST(ServeParamsFuzzTest, EveryAcceptedSingleFieldBoundaryRuns) {
   EXPECT_GT(rejected, 0u);
 }
 
+// The integer fields, one at a time, at their boundary values
+// (boundary_values.h: 0, -1, the type's min and max, and each bound +/-1).
+// Each field's first bound is 1, so 0, 1 and 2 are covered; the admission
+// bounds are the base's own watermarks (8 <= 64 <= 256) and the SLA counts
+// sit at the base's 4. Runs are 5 requests long: every one of them retries
+// up to max_retries times, so 64 retries already cost 320 inferences.
+TEST(ServeParamsFuzzTest, EveryAcceptedIntegerBoundaryRuns) {
+  std::vector<ServeFuzzValue> values;
+  for (const auto& field :
+       {CIM_FIELD_VALUES(ServeParams, batching.max_batch, 1, 4096),
+        CIM_FIELD_VALUES(ServeParams, retry.max_retries, 1, 64),
+        CIM_FIELD_VALUES(ServeParams, admission.watermark, 1, 8, 256),
+        CIM_FIELD_VALUES(ServeParams, admission.min_watermark, 1, 64),
+        CIM_FIELD_VALUES(ServeParams, admission.max_watermark, 1, 64),
+        CIM_FIELD_VALUES(ServeParams, sla.min_samples, 1, 4),
+        CIM_FIELD_VALUES(ServeParams, sla.evaluate_every, 1, 4)}) {
+    values.insert(values.end(), field.begin(), field.end());
+  }
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const ServeFuzzValue& value : values) {
+    ServeParams params = ServeFuzzBase();
+    value.apply(params);
+    if (!params.Validate().ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ExpectOpenLoopRunIsFinite(params, value.label, 5);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 #undef CIM_SERVE_FIELD
+
+// The SLA loop steps the watermark by 8 within [min, max]: at the type's
+// largest value a step must saturate, not wrap (SIZE_MAX + 8 read 7).
+TEST(DpeServiceTest, WatermarkStepsSaturateAtTheTypeMax) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  for (const bool scale_down : {true, false}) {
+    ServeParams params = QuietParams();
+    params.sla.enabled = true;
+    params.sla.min_samples = 1;
+    params.sla.evaluate_every = 1;
+    // Far above every latency (scale down), or far below it (scale up).
+    params.sla.target_latency_ns = scale_down ? 1e12 : 1e-3;
+    params.admission.watermark = kMax;
+    params.admission.max_watermark = kMax;
+    params.admission.min_watermark = scale_down ? 8 : kMax - 3;
+    ASSERT_TRUE(params.Validate().ok());
+    Harness h = MakeHarness(params, 1);
+    CollectResponses(h);
+    ASSERT_TRUE(h.service->AddTenant({.id = 1, .name = "a"}).ok());
+    SubmitArgs args;
+    args.tenant = 1;
+    args.input = MakeInput(1);
+    ASSERT_TRUE(h.service->Submit(args).ok());
+    static_cast<void>(h.service->RunUntilIdle());
+    const auto stats = h.service->stats();
+    EXPECT_EQ(scale_down ? stats.sla_scale_down : stats.sla_scale_up, 1u);
+    EXPECT_EQ(stats.watermark, scale_down ? kMax : kMax - 3);
+  }
+}
+
+// A retry waits base * 2^(attempt-1): past 64 retries nothing keeps that
+// finite, and a pump reserves max_batch slots, so both are bounded.
+TEST(ServeParamsFuzzTest, RetryAndBatchCountsAreBounded) {
+  ServeParams params = ServeFuzzBase();
+  params.retry.max_retries = 64;
+  EXPECT_TRUE(params.Validate().ok());
+  for (const std::uint32_t retries :
+       {65u, 2000u, std::numeric_limits<std::uint32_t>::max()}) {
+    params.retry.max_retries = retries;
+    EXPECT_EQ(params.Validate().code(), ErrorCode::kInvalidArgument)
+        << "max_retries=" << retries;
+  }
+  // The longest wait the bound allows stays finite at the largest base and
+  // jitter.
+  serve::RetryParams longest;
+  longest.max_retries = 64;
+  longest.base_backoff_ns = kMaxEventLatencyNs;
+  longest.jitter_fraction = 1.0;
+  ASSERT_TRUE(longest.Validate().ok());
+  EXPECT_TRUE(
+      std::isfinite(serve::BackoffNs(longest, 1, 1, longest.max_retries)));
+  params = ServeFuzzBase();
+  params.batching.max_batch = 4096;
+  EXPECT_TRUE(params.Validate().ok());
+  for (const std::size_t batch :
+       {std::size_t{4097}, std::numeric_limits<std::size_t>::max()}) {
+    params.batching.max_batch = batch;
+    EXPECT_EQ(params.Validate().code(), ErrorCode::kInvalidArgument)
+        << "max_batch=" << batch;
+  }
+}
 
 }  // namespace
 }  // namespace cim

@@ -358,6 +358,26 @@ void CheckRawThread(FileContext& ctx, std::vector<Finding>& findings) {
   }
 }
 
+void CheckSecondMesh(FileContext& ctx, std::vector<Finding>& findings) {
+  // bench/, tests/ and perfbench/ build bare meshes on purpose; the library
+  // builds its one mesh in arch::TileGrid (noc/mesh.cc defines Create).
+  const std::string& path = ctx.file->repo_path;
+  if (!StartsWith(path, "src/") || path == "src/arch/fabric.cc" ||
+      path == "src/noc/mesh.cc") {
+    return;
+  }
+  static const std::regex kMeshCreate(R"(\bMeshNoc\s*::\s*Create\s*\()");
+  for (std::size_t i = 0; i < ctx.stripped.code.size(); ++i) {
+    if (std::regex_search(ctx.stripped.code[i], kMeshCreate)) {
+      Report(ctx, i, "second-mesh", "",
+             "MeshNoc::Create outside arch::TileGrid; hold an "
+             "arch::TileGrid (arch/fabric.h) so the queue, the mesh and "
+             "its wiring exist once",
+             findings);
+    }
+  }
+}
+
 void CheckMagicUnitLiteral(FileContext& ctx, std::vector<Finding>& findings) {
   // Only model code is in scope: tests/benches build ad-hoc unit values as
   // test vectors, and the two parameter headers are the sanctioned homes
@@ -1106,6 +1126,7 @@ constexpr RuleInfo kRules[] = {
     {"pragma-once", "header missing #pragma once"},
     {"raw-rng", "RNG source outside common/rng.h"},
     {"raw-thread", "thread primitive outside common/thread_pool.h"},
+    {"second-mesh", "MeshNoc::Create in src/ outside arch::TileGrid"},
     {"stale-suppression", "suppression comment matching no finding"},
     {"thread-local-in-parallel", "thread_local use inside a parallel region"},
     {"unordered-iteration", "order-dependent write under unordered iteration"},
@@ -1248,6 +1269,7 @@ std::vector<Finding> LintFiles(const std::vector<SourceFile>& files,
     CheckUsingNamespace(ctx, findings);
     CheckRawRng(ctx, findings);
     CheckRawThread(ctx, findings);
+    CheckSecondMesh(ctx, findings);
     CheckMagicUnitLiteral(ctx, findings);
     CheckBannedFunctions(ctx, findings);
     CheckUnusedStatus(ctx, status_functions, findings);

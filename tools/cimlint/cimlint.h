@@ -44,6 +44,12 @@
 //                          accounting stay in one audited place (and so
 //                          the determinism rules of DESIGN.md § Threading
 //                          are enforceable).
+//   second-mesh            A `MeshNoc::Create(` in src/ outside
+//                          src/arch/fabric.cc (arch::TileGrid, the one
+//                          substrate under every fabric) and
+//                          src/noc/mesh.cc (its definition). bench/,
+//                          tests/ and perfbench/ build bare meshes on
+//                          purpose and are out of scope.
 //   using-namespace-header `using namespace` in a header.
 //   pragma-once            Header missing `#pragma once`.
 //   magic-unit-literal     A nonzero numeric literal passed directly to a
