@@ -9,6 +9,9 @@
 //      quiet-device bit-exact path must be >= 4x the reference kernel, and
 //      the noisy-device fast-noise path must be >= 5x (the libm wall the
 //      bit-exact contract could not cross).
+//   3. Fast-noise MVMs at serve-openloop's tile shapes (16x24 and 24x8,
+//      guard column on), printed without a gate: narrow tiles where the
+//      per-line noise fetch is a large share of the cycle.
 // End-to-end InferBatch host time is perfbench's infer-noisy workload.
 //
 // Before any timing, two correctness gates run (exit 1 on failure):
@@ -113,11 +116,13 @@ MvmEngineParams EngineParams(double sigma, KernelPolicy kernel) {
   return p;
 }
 
-MvmEngine MakeProgrammedEngine(const MvmEngineParams& params) {
-  auto engine = MvmEngine::Create(params, 128, 128, Rng(kSeed + 2));
+MvmEngine MakeProgrammedEngine(const MvmEngineParams& params,
+                               std::size_t in_dim = 128,
+                               std::size_t out_dim = 128) {
+  auto engine = MvmEngine::Create(params, in_dim, out_dim, Rng(kSeed + 2));
   CIM_CHECK(engine.ok());
   Rng weight_rng(kSeed + 3);
-  std::vector<double> w(128 * 128);
+  std::vector<double> w(in_dim * out_dim);
   for (double& v : w) v = weight_rng.Uniform(-1.0, 1.0);
   CIM_CHECK(engine->ProgramWeights(w).ok());
   return std::move(engine.value());
@@ -259,10 +264,11 @@ double MeasureCycleNsPerCell(const CrossbarParams& params, double min_s) {
   return per_call * 1e9 / static_cast<double>(params.rows * params.cols);
 }
 
-double MeasureMvmUs(const MvmEngineParams& params, double min_s) {
-  MvmEngine engine = MakeProgrammedEngine(params);
+double MeasureMvmUs(const MvmEngineParams& params, double min_s,
+                    std::size_t in_dim = 128, std::size_t out_dim = 128) {
+  MvmEngine engine = MakeProgrammedEngine(params, in_dim, out_dim);
   Rng in_rng(kSeed + 6);
-  std::vector<double> x(128);
+  std::vector<double> x(in_dim);
   for (double& v : x) v = in_rng.Uniform(0.0, 1.0);
   Rng noise(kSeed + 7);
   const double per_call = TimePerCall(
@@ -344,6 +350,23 @@ int main(int argc, char** argv) {
                 p.ref_us, p.bit_exact_us, p.fast_noise_us,
                 p.bit_exact_speedup(), p.fast_noise_speedup());
     mvms.push_back(p);
+  }
+
+  // Serve-shaped tiles: the layers serve-openloop runs (16x24 and 24x8 on
+  // an ISAAC array, ABFT guard column on), where each driven line senses
+  // only 25 or 9 columns and the per-line noise fetch, not the
+  // accumulate, dominates. Printed for the log; no gate.
+  std::printf("\n== serve-shaped tile MVM, fast-noise, guard column on "
+              "(us per MVM) ==\n");
+  std::printf("%-7s %11s\n", "shape", "fast-noise");
+  cim::dpe::DpeParams serve = cim::dpe::DpeParams::Isaac();
+  serve.array.kernel = KernelPolicy::kFastNoise;
+  serve.fault_tolerance.enabled = true;
+  for (const auto& [in_dim, out_dim] :
+       {std::pair<std::size_t, std::size_t>{16, 24}, {24, 8}}) {
+    const double us =
+        MeasureMvmUs(serve.EngineParams(), min_s, in_dim, out_dim);
+    std::printf("%3zux%-3zu %11.1f\n", in_dim, out_dim, us);
   }
 
   std::printf(

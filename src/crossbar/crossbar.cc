@@ -1,6 +1,7 @@
 #include "crossbar/crossbar.h"
 
 #include <algorithm>
+#include <string>
 #include <type_traits>
 
 #include "common/contracts.h"
@@ -51,8 +52,9 @@ Status CrossbarParams::Validate() const {
   if (rows == 0 || cols == 0) {
     return InvalidArgument("crossbar dimensions must be non-zero");
   }
-  if (rows > 4096 || cols > 4096) {
-    return InvalidArgument("crossbar dimensions above 4096 are not modelled");
+  if (rows > kMaxLines || cols > kMaxLines) {
+    return InvalidArgument("crossbar dimensions above " +
+                           std::to_string(kMaxLines) + " are not modelled");
   }
   if (columns_per_adc == 0) {
     return InvalidArgument("columns_per_adc must be non-zero");
@@ -319,7 +321,7 @@ double Crossbar::AccumulateFast(const DrivePattern& drive, CycleDirection dir,
                                      ? row_read_energy_pj_.data()
                                      : col_read_energy_pj_.data();
   const double drive_pj = params_.dac.drive_energy.pj;
-  // __restrict: the mirror, the scratch buffer and the accumulator never
+  // __restrict: the mirror, the noise factors and the accumulator never
   // alias, and saying so is what lets the dense loops below vectorize
   // without runtime overlap checks.
   double* __restrict cur = currents.data();
@@ -329,23 +331,24 @@ double Crossbar::AccumulateFast(const DrivePattern& drive, CycleDirection dir,
   // vectorizing across sensed lines or blocking them cannot reorder any FP
   // sum.
   if (noise_.enabled()) {
-    // Per driven line: draw the sensed prefix's noise factors into a
-    // scratch buffer — under kFastBitExact in the same order the reference
-    // kernel consumes the stream (advancing past every cell of a driven
-    // line, sensed or not), under kFastNoise as one tile window per line —
-    // then run a dense accumulate over the line's mirror entries for cells
-    // [0, sensed) only: the ADC never converts the rest, so their currents
-    // are never read. The two loops split the sampling from the
-    // arithmetic, so the second loop auto-vectorizes.
+    // Per driven line: take the sensed prefix's noise factors — under
+    // kFastBitExact drawn into a scratch buffer in the same order the
+    // reference kernel consumes the stream (advancing past every cell of a
+    // driven line, sensed or not), under kFastNoise the shared tile's
+    // window read in place, one rotation draw per line — then run a dense
+    // accumulate over the line's mirror entries for cells [0, sensed)
+    // only: the ADC never converts the rest, so their currents are never
+    // read. The two steps split the sampling from the arithmetic, so the
+    // accumulate auto-vectorizes.
     const double ceiling = ReadCeiling();
     const double v = params_.dac.v_read;
-    thread_local std::vector<double> factors;
-    if (factors.size() < sensed) factors.resize(sensed);
-    double* __restrict f = factors.data();
+    thread_local std::vector<double> scratch;
+    if (scratch.size() < sensed) scratch.resize(sensed);
     double energy_pj = 0.0;
     for (const std::size_t l : drive.lines) {
       const double* __restrict g_line = gain + l * line_stride;
-      noise_.FillFactors(rng, f, sensed, SensedLines(dir));
+      const double* __restrict f =
+          noise_.Factors(rng, scratch.data(), sensed, SensedLines(dir));
       for (std::size_t k = 0; k < sensed; ++k) {
         cur[k] += v * std::clamp(g_line[k * cell_stride] * f[k], 0.0, ceiling);
       }

@@ -40,6 +40,13 @@
 namespace cim::crossbar {
 
 struct CrossbarParams {
+  // The most rows or cols an array may have. The fast-noise kernel reads
+  // a line's noise factors in place from the shared tile, which holds one
+  // line of wrap tail past its end; a wider array would read past it.
+  static constexpr std::size_t kMaxLines = device::kMaxLineCells;
+  static_assert(kMaxLines <= device::kMaxLineCells,
+                "an array line must fit the noise tile's wrap tail");
+
   std::size_t rows = 128;
   std::size_t cols = 128;
   device::MemristorParams cell;
@@ -282,8 +289,10 @@ class Crossbar {
   // ascending order the scan visits, so the noise draws and every sensed
   // line's FP sum keep their order. It serves kFastBitExact (identical
   // codes to kReference, enforced by mvm_kernel_test) and kFastNoise
-  // (statistically equivalent, noise_equivalence_test + bench gate);
-  // noise_.FillFactors owns the difference. It walks the one mirror plane
+  // (statistically equivalent, noise_equivalence_test + bench gate) with
+  // one noisy loop; noise_.Factors owns the difference (libm draws into a
+  // scratch buffer, or the shared tile's window read in place, one
+  // pointer per driven line). It walks the one mirror plane
   // by the same stride rule, with `cell_stride` the compile-time 1 forward
   // (so those loops compile to unit-stride code) and cols transposed. It
   // is sense-gated: it evaluates only the sensed prefix [0, sensed) the ADC

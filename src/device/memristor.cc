@@ -124,7 +124,7 @@ ReadResult MemristorCell::Read(const MemristorParams& p,
   if (p.read_noise_sigma > 0.0) {
     // The golden per-cell reference draw: this call DEFINES the noise
     // stream the bit-exact kernels must reproduce, so it stays a direct
-    // draw rather than routing through NoiseModel::FillFactors.
+    // draw rather than routing through NoiseModel::Factors.
     // cimlint: allow(lognormal-in-hot-path)
     g *= rng.LogNormal(0.0, p.read_noise_sigma);
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <mutex>
 #include <numbers>
 #include <unordered_map>
@@ -49,7 +48,7 @@ constexpr double kPHigh = 1.0 - kPLow;
 
 // The helpers below build the noise tile (one pass per sigma per process)
 // and back the detail:: test hooks; they are not on the per-cell serving
-// path, which is a plain tile copy.
+// path, which reads the tile in place.
 
 // Central-region rational polynomial; accurate for |q| <= 0.5 - kPLow
 // (the region InverseNormalCdfImpl routes here).
@@ -89,10 +88,13 @@ inline double TailInverseCdf(double u) {
   return CentralInverseCdf(u - 0.5);
 }
 
-// The kFastNoise tile for `sigma`, a pure function of it.
+// The kFastNoise tile for `sigma`, a pure function of it, followed by its
+// wrap tail.
 std::vector<double> BuildTile(double sigma) {
   constexpr std::size_t kTileSize = NoiseModel::kTileSize;
-  std::vector<double> tile(kTileSize);
+  static_assert(kMaxLineCells <= kTileSize,
+                "the wrap tail repeats the tile's head");
+  std::vector<double> tile(kTileSize + kMaxLineCells);
   // Midpoint-quantile lattice: tile[i] = exp(sigma * Phi^-1((i+0.5)/N)).
   // Its empirical CDF tracks the contract distribution within 1/(2N) —
   // orders of magnitude below the KS gate — and unlike an iid-sampled pool
@@ -114,6 +116,10 @@ std::vector<double> BuildTile(double sigma) {
         DeriveSeed(kShuffleSeed, static_cast<std::uint64_t>(i)) % (i + 1));
     std::swap(tile[i], tile[j]);
   }
+  // The wrap tail: a window at rotation r reads tile[r, r + n) in place for
+  // any n <= kMaxLineCells, exactly the entries a wrap-around read of the
+  // lattice would.
+  std::copy_n(tile.begin(), kMaxLineCells, tile.begin() + kTileSize);
   return tile;
 }
 
@@ -179,26 +185,12 @@ NoiseModel::NoiseModel(double sigma, KernelPolicy policy)
 
 void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n_used,
                              std::size_t n_total) const {
-  CIM_DCHECK(n_used <= n_total);
-  if (policy_ == KernelPolicy::kFastNoise) {
-    CIM_DCHECK(tile_ != nullptr);
-    // One serial draw per call rotates the tile to a fresh window, so
-    // successive rows and cycles see decorrelated factor sequences; the
-    // per-factor cost is an L2-resident copy instead of a libm pipeline.
-    static_assert((kTileSize & (kTileSize - 1)) == 0,
-                  "tile rotation uses a power-of-two mask");
-    std::size_t offset =
-        static_cast<std::size_t>(rng.NextU64()) & (kTileSize - 1);
-    std::size_t written = 0;
-    while (written < n_used) {
-      const std::size_t take = std::min(n_used - written, kTileSize - offset);
-      std::memcpy(out + written, tile_->data() + offset,
-                  take * sizeof(double));
-      written += take;
-      offset = 0;
-    }
-    return;
-  }
+  const double* factors = Factors(rng, out, n_used, n_total);
+  if (factors != out) std::copy_n(factors, n_used, out);
+}
+
+void NoiseModel::FillExact(Rng& rng, double* out, std::size_t n_used,
+                           std::size_t n_total) const {
   // Bit-exact contract: reproduce the reference kernel's LogNormal stream
   // draw for draw; the unsensed tail only advances it.
   for (std::size_t i = 0; i < n_used; ++i) {

@@ -21,9 +21,9 @@
 //                               individual draws differ from the
 //                               reference stream.
 //
-// NoiseModel owns both halves: FillFactors() is the sampler the fast
-// kernels call, and CheckEquivalence() is the gate the differential suite
-// and the bench use to enforce the kFastNoise contract.
+// NoiseModel owns both halves: Factors() is the sampler the fast kernel
+// calls, and CheckEquivalence() is the gate the differential suite and the
+// bench use to enforce the kFastNoise contract.
 //
 // The kFastNoise tile is a pure function of sigma, so there is one tile per
 // sigma per process: every model with that sigma holds the same immutable
@@ -31,7 +31,10 @@
 // bit pattern. The cache keeps only weak references — a tile lives while
 // some model (some crossbar) uses it, so tile memory is bounded by the
 // distinct live sigma values, and an accelerator's arrays, spares and remaps
-// all read one L2-resident tile instead of a private copy each.
+// all read one L2-resident tile instead of a private copy each. The tile is
+// stored with a wrap tail — entries [kTileSize, kTileSize + kMaxLineCells)
+// repeat entries [0, kMaxLineCells) — so every line's window, at any
+// rotation, is contiguous and the kernel reads it in place.
 #pragma once
 
 #include <cstddef>
@@ -41,9 +44,16 @@
 #include <string>
 #include <vector>
 
+#include "common/contracts.h"
 #include "common/rng.h"
 
 namespace cim::device {
+
+// The widest line any analog array drives or senses: the bound
+// crossbar::CrossbarParams::Validate puts on rows and cols, and the length
+// of the noise tile's wrap tail. One constant, so an array wider than the
+// tail cannot be configured (crossbar static_asserts the tie).
+inline constexpr std::size_t kMaxLineCells = 4096;
 
 enum class KernelPolicy : std::uint8_t {
   kReference = 0,
@@ -77,27 +87,45 @@ class NoiseModel {
   }
   // The shared noise tile this model serves from (empty unless kFastNoise
   // with sigma > 0). Read-only: models with equal sigma see the same span.
+  // Exactly kTileSize entries: the wrap tail is storage, not lattice.
   [[nodiscard]] std::span<const double> tile() const {
     if (!tile_) return {};
-    return *tile_;
+    return std::span<const double>(*tile_).first(kTileSize);
   }
 
-  // Fill out[0..n_used) with the multiplicative read-noise factors of the
-  // first n_used cells of a driven line of n_total cells, advancing `rng`
-  // exactly as sampling all n_total would. The stream advances for every
-  // cell of a driven line; only the sensed prefix is evaluated.
+  // The multiplicative read-noise factors of the first n_used cells of a
+  // driven line of n_total cells, advancing `rng` exactly as sampling all
+  // n_total would. The stream advances for every cell of a driven line;
+  // only the sensed prefix is evaluated. Returns a pointer to n_used
+  // factors, valid until the next call with the same `scratch`.
   //
   //   kReference / kFastBitExact: draws n_used LogNormals from `rng`, in
-  //     order, then discards the Gaussians of the remaining n_total - n_used
-  //     cells (Rng::DiscardGaussians) — bit-identical to the reference
-  //     kernel's stream, which reads every cell.
-  //   kFastNoise: consumes exactly ONE u64 from `rng` (the tile rotation)
-  //     whatever the widths, and copies n_used consecutive entries of the
-  //     shared noise tile, wrapping around — per-factor cost is an L2 load,
-  //     not libm.
+  //     order, into scratch[0..n_used), then discards the Gaussians of the
+  //     remaining n_total - n_used cells (Rng::DiscardGaussians) —
+  //     bit-identical to the reference kernel's stream, which reads every
+  //     cell — and returns `scratch`.
+  //   kFastNoise: consumes exactly ONE u64 from `rng` (the tile rotation
+  //     r = NextU64() & (kTileSize - 1)) whatever the widths, and returns
+  //     the tile's window at r in place: n_used <= kMaxLineCells
+  //     consecutive entries, contiguous across the tile's end thanks to the
+  //     wrap tail. No factor is copied or computed; `scratch` is untouched.
   //
   // Callers pass one call per driven line; the serial draw keeps successive
   // lines (and successive cycles) on decorrelated tile windows.
+  [[nodiscard]] const double* Factors(Rng& rng, double* scratch,
+                                      std::size_t n_used,
+                                      std::size_t n_total) const {
+    CIM_DCHECK(n_used <= n_total);
+    if (policy_ == KernelPolicy::kFastNoise) {
+      CIM_DCHECK(tile_ != nullptr && n_used <= kMaxLineCells);
+      return tile_->data() + (rng.NextU64() & (kTileSize - 1));
+    }
+    FillExact(rng, scratch, n_used, n_total);
+    return scratch;
+  }
+
+  // Factors() copied into out[0..n_used): the same draws and the same
+  // values, for callers that want the factors in their own buffer.
   void FillFactors(Rng& rng, double* out, std::size_t n_used,
                    std::size_t n_total) const;
   // Every cell of the line sensed.
@@ -133,8 +161,16 @@ class NoiseModel {
  private:
   double sigma_ = 0.0;
   KernelPolicy policy_ = KernelPolicy::kFastBitExact;
-  // Shared with every other model of the same sigma; never written after
-  // construction, so concurrent FillFactors calls need no synchronisation.
+  // The bit-exact policies' libm path: LogNormal draws into out[0..n_used),
+  // then the unsensed tail's Gaussians discarded.
+  void FillExact(Rng& rng, double* out, std::size_t n_used,
+                 std::size_t n_total) const;
+
+  static_assert((kTileSize & (kTileSize - 1)) == 0,
+                "tile rotation uses a power-of-two mask");
+  // kTileSize lattice entries plus the kMaxLineCells wrap tail. Shared with
+  // every other model of the same sigma; never written after construction,
+  // so concurrent Factors calls need no synchronisation.
   std::shared_ptr<const std::vector<double>> tile_;
 };
 

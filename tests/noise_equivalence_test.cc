@@ -11,18 +11,22 @@
 //                       biases);
 //   3. network level  — end-to-end DPE top-1 agreement with the golden
 //                       digital model matches the bit-exact kernel's.
-// Plus the one-tile-per-sigma sharing contract (pinned tile bytes, sharing
-// across models and across concurrently constructing threads) and pinned
+// Plus the in-place window contract (Factors() reads the tile's wrap tail
+// exactly as FillFactors() copies it, across the tile's end), the
+// one-tile-per-sigma sharing contract (pinned tile bytes, sharing across
+// models and across concurrently constructing threads) and pinned
 // accuracy checks for the detail:: building blocks the noise tile is
 // constructed from.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <latch>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -110,10 +114,10 @@ TEST(NoiseEquivalence, BitExactPoliciesReproduceReferenceStream) {
 
 TEST(NoiseEquivalence, TileWraparoundAndDeterminism) {
   const NoiseModel model(kSigma, KernelPolicy::kFastNoise);
-  // A draw longer than the tile must wrap and stay within the lognormal
-  // support.
+  // A draw as wide as the widest line stays within the lognormal support.
+  // (Windows across the tile's end: WindowEqualsCopyAcrossTheTileEnd.)
   Rng rng(0xE0A5);
-  std::vector<double> factors(NoiseModel::kTileSize + 1000);
+  std::vector<double> factors(device::kMaxLineCells);
   model.FillFactors(rng, factors.data(), factors.size());
   for (const double f : factors) {
     ASSERT_TRUE(std::isfinite(f));
@@ -129,6 +133,84 @@ TEST(NoiseEquivalence, TileWraparoundAndDeterminism) {
   Rng manual(0xE0A5);
   manual.NextU64();
   EXPECT_EQ(rng.NextU64(), manual.NextU64());
+}
+
+// A seed whose Rng's first word puts the kFastNoise rotation at `rotation`.
+std::uint64_t SeedForRotation(std::size_t rotation) {
+  for (std::uint64_t seed = 1; seed < (std::uint64_t{1} << 24); ++seed) {
+    Rng rng(seed);
+    if ((rng.NextU64() & (NoiseModel::kTileSize - 1)) == rotation) return seed;
+  }
+  ADD_FAILURE() << "no seed below 2^24 rotates to " << rotation;
+  return 0;
+}
+
+TEST(NoiseEquivalence, WindowEqualsCopyAcrossTheTileEnd) {
+  // Factors() serves a kFastNoise line in place from the tile's wrap tail;
+  // FillFactors() copies that window. At rotations at and near the tile's
+  // end both must hold the wrap-around read of the lattice, entry for
+  // entry, and each must consume exactly one rng word.
+  constexpr std::size_t kN = NoiseModel::kTileSize;
+  const NoiseModel model(kSigma, KernelPolicy::kFastNoise);
+  const std::span<const double> tile = model.tile();
+  ASSERT_EQ(tile.size(), kN);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{9}, std::size_t{25},
+                              std::size_t{128}, device::kMaxLineCells}) {
+    for (const std::size_t rotation : {kN - 1, kN - n}) {
+      SCOPED_TRACE("width " + std::to_string(n) + ", rotation " +
+                   std::to_string(rotation));
+      const std::uint64_t seed = SeedForRotation(rotation);
+      ASSERT_NE(seed, 0u);
+      std::vector<double> expected(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        expected[i] = tile[(rotation + i) % kN];
+      }
+      // Widths up to the line bound, with an unsensed tail where one fits.
+      const std::size_t n_total = std::min(n + 7, device::kMaxLineCells);
+
+      Rng in_place(seed);
+      std::vector<double> scratch(n, -1.0);
+      const double* window =
+          model.Factors(in_place, scratch.data(), n, n_total);
+      EXPECT_EQ(window, tile.data() + rotation);
+      EXPECT_EQ(std::vector<double>(window, window + n), expected);
+      EXPECT_EQ(scratch, std::vector<double>(n, -1.0));  // untouched
+
+      Rng copied(seed);
+      std::vector<double> out(n);
+      model.FillFactors(copied, out.data(), n, n_total);
+      EXPECT_EQ(out, expected);
+
+      Rng manual(seed);
+      manual.NextU64();
+      const std::uint64_t next = manual.NextU64();
+      EXPECT_EQ(in_place.NextU64(), next);
+      EXPECT_EQ(copied.NextU64(), next);
+    }
+  }
+}
+
+TEST(NoiseEquivalence, BitExactFactorsFillScratchThroughLibm) {
+  // Under the bit-exact policies Factors() returns `scratch`, holding the
+  // LogNormal draws of the sensed prefix with the unsensed tail's Gaussians
+  // discarded — the reference kernel's stream, bit for bit.
+  for (const KernelPolicy policy :
+       {KernelPolicy::kReference, KernelPolicy::kFastBitExact}) {
+    SCOPED_TRACE(device::KernelPolicyName(policy));
+    const NoiseModel model(kSigma, policy);
+    constexpr std::size_t kUsed = 25;
+    constexpr std::size_t kTotal = 40;
+    Rng rng(0xE0A6);
+    std::vector<double> scratch(kUsed);
+    EXPECT_EQ(model.Factors(rng, scratch.data(), kUsed, kTotal),
+              scratch.data());
+    Rng replay(0xE0A6);
+    for (std::size_t i = 0; i < kUsed; ++i) {
+      EXPECT_EQ(scratch[i], replay.LogNormal(0.0, kSigma)) << "factor " << i;
+    }
+    replay.DiscardGaussians(kTotal - kUsed);
+    EXPECT_EQ(rng.NextU64(), replay.NextU64());
+  }
 }
 
 // FNV-1a over the tile's IEEE-754 bytes (little-endian per entry).

@@ -1,11 +1,13 @@
 // cim::serve::DpeService pins: dynamic-batching coalescing, watermark
 // rejection under overload, expired-deadline shedding, the deterministic
 // retry-backoff schedule, per-tenant weighted-fair isolation, capability
-// enforcement, the SLA rule (JudgeSla) and its closed loop, and
-// bit-identity of outputs AND virtual latencies across accelerator thread
-// counts.
+// enforcement, the SLA rule (JudgeSla) and its closed loop, bit-identity
+// of outputs AND virtual latencies across accelerator thread counts, and
+// byte identity of the fast-noise serving path to a direct InferBatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -427,6 +429,103 @@ TEST(DpeServiceTest, AcceleratorThreadCountDoesNotChangeResponses) {
   EXPECT_EQ(one_stats.batches, four_stats.batches);
   EXPECT_EQ(one_stats.batched_elements, four_stats.batched_elements);
   EXPECT_EQ(one_stats.completed_clean, four_stats.completed_clean);
+}
+
+// Byte identity of two doubles (distinguishes -0.0 and NaN payloads,
+// which operator== does not).
+bool SameBytes(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(DpeServiceTest, FastNoiseServiceMatchesDirectInferBatch) {
+  // Differential: the service adds queueing, batching and virtual time, but
+  // no arithmetic. On the serving device (kFastNoise kernel, ABFT guard
+  // column on, no fault injector) every response's output and cost must be
+  // byte-equal to one direct InferBatch over the same inputs in submission
+  // order, whatever the batching window and accelerator thread count.
+  constexpr std::size_t kServeInput = 16;
+  constexpr std::size_t kRequests = 40;
+  const auto net = [] {
+    Rng rng(0x5E12F3);
+    return nn::BuildMlp("serve-fast-noise", {kServeInput, 24, 8}, rng, 0.35);
+  };
+  const auto serving_device = [](std::size_t threads) {
+    DpeParams params = AccelParams(threads, /*fault_tolerant=*/true, 4);
+    params.array.kernel = device::KernelPolicy::kFastNoise;
+    return params;
+  };
+  std::vector<nn::Tensor> inputs;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    Rng rng(DeriveSeed(0xD1FF, i));
+    nn::Tensor t({kServeInput});
+    for (auto& v : t.vec()) v = rng.Uniform(0.0, 1.0);
+    inputs.push_back(std::move(t));
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    auto direct_acc =
+        DpeAccelerator::Create(serving_device(threads), net(), Rng(42));
+    ASSERT_TRUE(direct_acc.ok());
+    auto direct = (*direct_acc)->InferBatch(inputs);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_EQ(direct->size(), kRequests);
+    for (const double window_ns : {0.0, 200e3}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", window " +
+                   std::to_string(window_ns) + " ns");
+      ServeParams params = QuietParams();
+      params.expected_input_elements = kServeInput;
+      params.batching.window_ns = window_ns;
+      params.batching.min_window_ns = 0.0;
+      Harness h;
+      auto acc =
+          DpeAccelerator::Create(serving_device(threads), net(), Rng(42));
+      ASSERT_TRUE(acc.ok());
+      h.accelerator = std::move(*acc);
+      auto service = DpeService::Create(params, h.accelerator.get());
+      ASSERT_TRUE(service.ok());
+      h.service = std::move(*service);
+      CollectResponses(h);
+      ASSERT_TRUE(h.service->AddTenant({.id = 1, .name = "a"}).ok());
+      std::vector<serve::RequestId> ids;
+      for (std::size_t i = 0; i < kRequests; ++i) {
+        SubmitArgs args;
+        args.tenant = 1;
+        args.input = inputs[i];
+        args.arrival_ns = static_cast<double>(i) * 30e3;
+        auto id = h.service->Submit(args);
+        ASSERT_TRUE(id.ok());
+        ids.push_back(*id);
+      }
+      EXPECT_GT(h.service->RunUntilIdle(), 0u);
+      ASSERT_EQ(h.responses.size(), kRequests);
+      // Window 0 dispatches each request alone; 200 us coalesces several.
+      if (window_ns == 0.0) {
+        EXPECT_EQ(h.service->stats().batches, kRequests);
+      } else {
+        EXPECT_LT(h.service->stats().batches, kRequests);
+      }
+      for (const Response& r : h.responses) {
+        const auto at = std::find(ids.begin(), ids.end(), r.id);
+        ASSERT_NE(at, ids.end());
+        const auto i = static_cast<std::size_t>(at - ids.begin());
+        const dpe::InferResult& want = (*direct)[i];
+        EXPECT_TRUE(r.served()) << "request " << i;
+        ASSERT_EQ(r.output.size(), want.output.size()) << "request " << i;
+        for (std::size_t k = 0; k < want.output.size(); ++k) {
+          EXPECT_TRUE(SameBytes(r.output[k], want.output[k]))
+              << "request " << i << " element " << k << ": "
+              << r.output[k] << " vs " << want.output[k];
+        }
+        EXPECT_TRUE(SameBytes(r.cost.latency_ns, want.cost.latency_ns))
+            << "request " << i;
+        EXPECT_TRUE(SameBytes(r.cost.energy_pj, want.cost.energy_pj))
+            << "request " << i;
+        EXPECT_TRUE(SameBytes(r.cost.bytes_moved, want.cost.bytes_moved))
+            << "request " << i;
+        EXPECT_EQ(r.cost.operations, want.cost.operations)
+            << "request " << i;
+      }
+    }
+  }
 }
 
 TEST(DpeServiceTest, ClosedLoopHandlerMaySubmitReentrantly) {

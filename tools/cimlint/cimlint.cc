@@ -524,7 +524,7 @@ void CheckLogNormalInHotPath(FileContext& ctx,
                              std::vector<Finding>& findings) {
   // The analog hot paths (crossbar cycle kernels and the device read path
   // feeding them) must source read-noise factors through
-  // device::NoiseModel::FillFactors so the kernel policy — reference /
+  // device::NoiseModel::Factors so the kernel policy — reference /
   // fast-bit-exact / fast-noise — stays in control of the sampler and its
   // equivalence contract. noise_model.cc is the sanctioned home of the
   // direct draw; the golden per-cell reference path justifies its own draw
@@ -540,7 +540,7 @@ void CheckLogNormalInHotPath(FileContext& ctx,
     if (!std::regex_search(ctx.stripped.code[i], kLogNormal)) continue;
     Report(ctx, i, "lognormal-in-hot-path", "",
            "direct LogNormal draw in an analog hot path; route sampling "
-           "through device::NoiseModel::FillFactors so the kernel policy "
+           "through device::NoiseModel::Factors so the kernel policy "
            "owns the sampler, or justify with `// cimlint: "
            "allow(lognormal-in-hot-path)`",
            findings);

@@ -81,7 +81,7 @@
 //                          src/crossbar/ or src/device/ outside
 //                          device/noise_model.cc. Read-noise sampling in
 //                          the analog hot paths goes through
-//                          NoiseModel::FillFactors so the kernel policy
+//                          NoiseModel::Factors so the kernel policy
 //                          (reference / fast-bit-exact / fast-noise) owns
 //                          the sampler and its equivalence contract. The
 //                          golden per-cell reference draw is justified
