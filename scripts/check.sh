@@ -56,8 +56,8 @@ run_preset() {
   fi
   # One ctest run per leg: the relwithdebinfo and asan-ubsan presets have
   # no filter, so every labelled suite and replay gate runs here once; the
-  # tsan preset's filter selects the concurrency, serve, fabric and dse
-  # labels.
+  # tsan preset's filter selects the concurrency, serve, fabric, dse and
+  # footprint labels.
   echo "==> [$preset] ctest"
   ctest --preset "$preset"
   if [[ "$preset" == "relwithdebinfo" ]]; then

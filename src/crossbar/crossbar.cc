@@ -1,6 +1,8 @@
 #include "crossbar/crossbar.h"
 
 #include <algorithm>
+#include <bit>
+#include <optional>
 #include <string>
 #include <type_traits>
 
@@ -139,10 +141,12 @@ Crossbar::Crossbar(const CrossbarParams& params, Rng rng)
       rng_(rng) {
   // Every cell starts as the same fresh g_off cell: one mirror entry, and
   // per line the sequential sum of equal terms RefreshMirror would build.
-  const device::MemristorCell fresh(params_.cell);
-  cells_.assign(params_.rows * params_.cols, fresh);
-  gain_.assign(params_.rows * params_.cols, MirrorEntry(fresh));
-  const double e = fresh.true_conductance() *
+  const device::CellState fresh = device::FreshCell(params_.cell);
+  const std::size_t cells = params_.rows * params_.cols;
+  conductance_.assign(cells, fresh.conductance_siemens);
+  faults_.assign((cells + 3) / 4, 0);  // 0 is CellFault::kNone
+  gain_.assign(cells, MirrorEntry(fresh));
+  const double e = fresh.conductance_siemens *
                    (params_.cell.read_energy.pj / params_.cell.g_on_siemens);
   double row_energy = 0.0;
   for (std::size_t c = 0; c < params_.cols; ++c) row_energy += e;
@@ -152,16 +156,28 @@ Crossbar::Crossbar(const CrossbarParams& params, Rng rng)
   col_read_energy_pj_.assign(params_.cols, col_energy);
 }
 
-double Crossbar::EffectiveConductance(const device::MemristorCell& cell) const {
-  double g = cell.true_conductance();
-  if (cell.fault() == device::CellFault::kStuckOn) g = params_.cell.g_on_siemens;
-  if (cell.fault() == device::CellFault::kStuckOff) {
+void Crossbar::SetFault(std::size_t i, device::CellFault fault) {
+  const int shift = static_cast<int>(2 * (i % 4));
+  std::uint8_t& byte = faults_[i / 4];
+  byte = static_cast<std::uint8_t>((byte & ~(3U << shift)) |
+                                   (static_cast<unsigned>(fault) << shift));
+}
+
+void Crossbar::StoreCell(std::size_t i, const device::CellState& cell) {
+  conductance_[i] = cell.conductance_siemens;
+  SetFault(i, cell.fault);
+}
+
+double Crossbar::EffectiveConductance(const device::CellState& cell) const {
+  double g = cell.conductance_siemens;
+  if (cell.fault == device::CellFault::kStuckOn) g = params_.cell.g_on_siemens;
+  if (cell.fault == device::CellFault::kStuckOff) {
     g = params_.cell.g_off_siemens;
   }
   return g;
 }
 
-double Crossbar::MirrorEntry(const device::MemristorCell& cell) const {
+double Crossbar::MirrorEntry(const device::CellState& cell) const {
   const double g = EffectiveConductance(cell);
   if (noise_.enabled()) return g;
   return params_.dac.v_read * std::clamp(g, 0.0, ReadCeiling());
@@ -176,11 +192,11 @@ void Crossbar::RefreshMirror() {
   for (std::size_t r = 0; r < rows; ++r) {
     double row_energy = 0.0;
     for (std::size_t c = 0; c < cols; ++c) {
-      const device::MemristorCell& cell = cells_[r * cols + c];
-      gain_[r * cols + c] = MirrorEntry(cell);
+      const std::size_t i = r * cols + c;
+      gain_[i] = MirrorEntry(CellAt(i));
       // Read energy is ohmic off the stored (pre-fault-override)
-      // conductance — mirrors MemristorCell::Read.
-      const double e = cell.true_conductance() * energy_per_gon;
+      // conductance — mirrors device::ReadCell.
+      const double e = conductance_[i] * energy_per_gon;
       row_energy += e;
       col_read_energy_pj_[c] += e;
     }
@@ -193,18 +209,18 @@ void Crossbar::RefreshMirrorCell(std::size_t row, std::size_t col) {
   const std::size_t cols = params_.cols;
   const double energy_per_gon =
       params_.cell.read_energy.pj / params_.cell.g_on_siemens;
-  gain_[row * cols + col] = MirrorEntry(cells_[row * cols + col]);
+  gain_[row * cols + col] = MirrorEntry(CellAt(row * cols + col));
   // Re-sum the touched row/column energies from scratch (instead of a
   // cheaper add-the-delta) so the mirror depends only on the current cell
   // state, never on the mutation history — FP deltas would drift.
   double row_energy = 0.0;
   for (std::size_t c = 0; c < cols; ++c) {
-    row_energy += cells_[row * cols + c].true_conductance() * energy_per_gon;
+    row_energy += conductance_[row * cols + c] * energy_per_gon;
   }
   row_read_energy_pj_[row] = row_energy;
   double col_energy = 0.0;
   for (std::size_t r = 0; r < rows; ++r) {
-    col_energy += cells_[r * cols + col].true_conductance() * energy_per_gon;
+    col_energy += conductance_[r * cols + col] * energy_per_gon;
   }
   col_read_energy_pj_[col] = col_energy;
 }
@@ -219,14 +235,24 @@ Expected<CostReport> Crossbar::ProgramLevels(
                 OutOfRange("cell level exceeds cell_bits"));
   }
 
+  // One pass writes every cell once; the side table's cells (ascending,
+  // as this walk is) add their one-at-a-time writes.
+  ++program_passes_;
+  auto extra = extra_writes_.cbegin();
   CostReport total;
   for (std::size_t r = 0; r < params_.rows; ++r) {
     double row_latency = 0.0;
     for (std::size_t c = 0; c < params_.cols; ++c) {
+      const std::size_t i = r * params_.cols + c;
+      std::uint64_t writes = program_passes_;
+      if (extra != extra_writes_.cend() && extra->cell == i) {
+        writes += extra->writes;
+        ++extra;
+      }
+      device::CellState cell = CellAt(i);
       const device::ProgramResult pr =
-          cells_[r * params_.cols + c].Program(params_.cell,
-                                               levels[r * params_.cols + c],
-                                               rng_);
+          device::ProgramCell(params_.cell, levels[i], writes, cell, rng_);
+      StoreCell(i, cell);
       ++write_attempts_;
       if (!pr.verified) ++write_verify_failures_;
       total.energy_pj += pr.energy.pj;
@@ -249,8 +275,21 @@ Expected<CostReport> Crossbar::ProgramCell(std::size_t row, std::size_t col,
               OutOfRange("cell coordinate"));
   CIM_REQUIRE(level <= params_.cell.levels() - 1,
               OutOfRange("cell level exceeds cell_bits"));
-  const device::ProgramResult pr =
-      cells_[row * params_.cols + col].Program(params_.cell, level, rng_);
+  // This cell's side-table entry (made on its first single-cell write)
+  // counts one more write.
+  const std::size_t i = row * params_.cols + col;
+  auto extra = std::lower_bound(
+      extra_writes_.begin(), extra_writes_.end(), i,
+      [](const ExtraWrites& e, std::size_t cell) { return e.cell < cell; });
+  if (extra == extra_writes_.end() || extra->cell != i) {
+    extra = extra_writes_.insert(
+        extra, ExtraWrites{static_cast<std::uint32_t>(i), 0});
+  }
+  ++extra->writes;
+  device::CellState cell = CellAt(i);
+  const device::ProgramResult pr = device::ProgramCell(
+      params_.cell, level, program_passes_ + extra->writes, cell, rng_);
+  StoreCell(i, cell);
   ++write_attempts_;
   if (!pr.verified) ++write_verify_failures_;
   RefreshMirrorCell(row, col);
@@ -270,15 +309,15 @@ double Crossbar::FullScaleCurrent(CycleDirection dir) const {
 std::vector<double> Crossbar::IdealColumnCurrents(
     std::span<const std::uint64_t> row_codes) const {
   CIM_CHECK(row_codes.size() == params_.rows);
-  // Deliberately computed off cells_ (the source of truth), not the SoA
-  // mirror: the mirror-invalidation tests compare cycles against this.
+  // Deliberately computed off the cell planes (the source of truth), not
+  // the mirror: the mirror-invalidation tests compare cycles against this.
   std::vector<double> currents(params_.cols, 0.0);
   for (std::size_t r = 0; r < params_.rows; ++r) {
     CIM_CHECK(row_codes[r] <= 1);
     const double v = params_.dac.LevelVoltage(row_codes[r]);
     if (v == 0.0) continue;
     for (std::size_t c = 0; c < params_.cols; ++c) {
-      currents[c] += v * EffectiveConductance(cells_[r * params_.cols + c]);
+      currents[c] += v * EffectiveConductance(CellAt(r * params_.cols + c));
     }
   }
   return currents;
@@ -294,10 +333,9 @@ double Crossbar::AccumulateReference(const DrivePattern& drive,
   for (std::size_t l = 0; l < DrivenLines(dir); ++l) {
     const double v = params_.dac.LevelVoltage(drive.bits[l]);
     if (v == 0.0) continue;
-    const device::MemristorCell* line = cells_.data() + l * line_stride;
     for (std::size_t k = 0; k < line_cells; ++k) {
-      const device::ReadResult rr = line[k * cell_stride].Read(params_.cell,
-                                                               rng);
+      const device::ReadResult rr = device::ReadCell(
+          params_.cell, CellAt(l * line_stride + k * cell_stride), rng);
       currents[k] += v * rr.conductance_siemens;
       energy_pj += rr.energy.pj;
     }
@@ -474,23 +512,38 @@ Expected<CostReport> Crossbar::CycleDriven(const DrivePattern& drive,
 }
 
 void Crossbar::Age(TimeNs elapsed) {
-  for (auto& cell : cells_) cell.Age(params_.cell, elapsed);
+  // Every cell shares one drift factor; when nothing ages, the planes and
+  // so the mirror stay as they are.
+  const std::optional<double> factor = device::DriftFactor(params_.cell,
+                                                           elapsed);
+  if (!factor) return;
+  for (double& g : conductance_) g = device::Drifted(params_.cell, g, *factor);
   RefreshMirror();
 }
 
 void Crossbar::InjectCellFault(std::size_t row, std::size_t col,
                                device::CellFault fault) {
   CIM_CHECK(row < params_.rows && col < params_.cols);
-  cells_[row * params_.cols + col].InjectFault(fault);
+  SetFault(row * params_.cols + col, fault);
   RefreshMirrorCell(row, col);
 }
 
 std::size_t Crossbar::CountFaultedCells() const {
+  // A cell is faulted when either bit of its code is set; the pad past the
+  // last cell stays 0.
   std::size_t n = 0;
-  for (const auto& cell : cells_) {
-    if (cell.fault() != device::CellFault::kNone) ++n;
+  for (const std::uint8_t byte : faults_) {
+    n += static_cast<std::size_t>(
+        std::popcount(static_cast<unsigned>((byte | (byte >> 1)) & 0x55U)));
   }
   return n;
+}
+
+std::size_t Crossbar::resident_bytes() const {
+  return (conductance_.capacity() + gain_.capacity() +
+          row_read_energy_pj_.capacity() + col_read_energy_pj_.capacity()) *
+             sizeof(double) +
+         faults_.capacity() + extra_writes_.capacity() * sizeof(ExtraWrites);
 }
 
 }  // namespace cim::crossbar

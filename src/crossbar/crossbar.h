@@ -1,26 +1,29 @@
 // Analog memristor crossbar array.
 //
-// A rows x cols grid of MemristorCell with 1-bit line DACs and shared ADCs.
-// Inputs stream bit-serially: one analog cycle drives every line whose bit
-// is set at v_read, all simultaneously, and senses every column current — a
-// full matrix-vector multiply in O(1) array time, which is the physical
-// basis of the paper's CIM performance claims: the weights never move, so
-// the "memory bandwidth" of the operation is the whole array refreshed
-// every cycle. The array is bidirectional: the same cycle run the other way
-// drives the columns and senses the rows (the DPE in-situ training
-// property), so one kernel and one cycle driver serve both directions,
-// parameterised by CycleDirection.
+// A rows x cols grid of memristor cells with 1-bit line DACs and shared
+// ADCs. Inputs stream bit-serially: one analog cycle drives every line
+// whose bit is set at v_read, all simultaneously, and senses every column
+// current — a full matrix-vector multiply in O(1) array time, which is the
+// physical basis of the paper's CIM performance claims: the weights never
+// move, so the "memory bandwidth" of the operation is the whole array
+// refreshed every cycle. The array is bidirectional: the same cycle run the
+// other way drives the columns and senses the rows (the DPE in-situ
+// training property), so one kernel and one cycle driver serve both
+// directions, parameterised by CycleDirection.
 //
-// Kernel structure: the cell grid is the array-of-structs source of truth
-// (program/verify, wear, drift, faults all live on MemristorCell), but the
-// cycle hot loop runs on a structure-of-arrays mirror — one row-major plane
-// of fault-adjusted conductances (on a quiet array, each cell's read
-// current v_read * g with g clamped to the read ceiling) plus per-row /
-// per-column read-energy sums — refreshed whenever a mutation
-// (ProgramLevels / ProgramCell / Age / InjectCellFault) dirties it. Which
-// kernel runs — and which correctness contract it carries — is selected by
+// Kernel structure: the cell state is kept as planes, with no per-cell
+// struct — row-major stored conductances, a 2-bit fault code per cell, and
+// write counts as one per-array program-pass count plus a side table of
+// single-cell writes. The device cell physics (device::ProgramCell,
+// ReadCell, Drifted) update it one cell at a time. It is the source of
+// truth, but the cycle hot loop runs on a mirror — one row-major plane of
+// fault-adjusted conductances (on a quiet array, each cell's read current
+// v_read * g with g clamped to the read ceiling) plus per-row / per-column
+// read-energy sums — refreshed whenever a mutation (ProgramLevels /
+// ProgramCell / Age / InjectCellFault) dirties it. Which kernel runs — and
+// which correctness contract it carries — is selected by
 // CrossbarParams::kernel (see device::KernelPolicy): the per-cell reference
-// walk, the bit-identical SoA fast path, or the statistically-equivalent
+// walk, the bit-identical mirror fast path, or the statistically-equivalent
 // fast-noise path whose lognormal sampling is owned by device::NoiseModel.
 #pragma once
 
@@ -60,7 +63,7 @@ struct CrossbarParams {
   // grows with simultaneously driven rows.
   double ir_drop_alpha = 0.02;
   // Which cycle kernel runs and which correctness contract it carries:
-  //   kReference    — original array-of-structs per-cell walk (golden).
+  //   kReference    — per-cell walk over the cell planes (golden).
   //   kFastBitExact — SoA fast path, bit-identical column codes / transpose
   //                   row codes to kReference (the kernel differential test
   //                   enforces it; only cycle energy differs in the last
@@ -222,37 +225,49 @@ class Crossbar {
     return write_verify_failures_;
   }
 
-  // Direct cell access for white-box tests.
-  [[nodiscard]] const device::MemristorCell& cell(std::size_t row,
-                                                  std::size_t col) const {
-    CIM_DCHECK(row < params_.rows && col < params_.cols);
-    return cells_[row * params_.cols + col];
-  }
+  // Host bytes this array's cell state holds: the capacity of its
+  // conductance, mirror and fault planes, its per-line read-energy sums and
+  // its per-cell write-count side table.
+  [[nodiscard]] std::size_t resident_bytes() const;
 
  private:
   Crossbar(const CrossbarParams& params, Rng rng);
 
+  // Cell i's (row-major index) entries in the conductance and fault
+  // planes, as one cell's state for the device::*Cell physics.
+  [[nodiscard]] device::CellState CellAt(std::size_t i) const {
+    return {conductance_[i], FaultAt(i)};
+  }
+  // Cell i's 2-bit fault code: faults_ packs four cells to a byte.
+  [[nodiscard]] device::CellFault FaultAt(std::size_t i) const {
+    return static_cast<device::CellFault>((faults_[i / 4] >> (2 * (i % 4))) &
+                                          3U);
+  }
+  void SetFault(std::size_t i, device::CellFault fault);
+  // Store `cell` back into cell i's plane entries.
+  void StoreCell(std::size_t i, const device::CellState& cell);
+
   // Fault-adjusted conductance a read of this cell sees before noise.
   [[nodiscard]] double EffectiveConductance(
-      const device::MemristorCell& cell) const;
+      const device::CellState& cell) const;
   // The value the SoA mirror caches per cell. On a noisy array it is
   // EffectiveConductance itself: a read clamps g * factor, so it needs the
   // raw g. On a quiet array (read_noise_sigma 0) every read returns g
   // clamped to [0, ReadCeiling()], so the mirror holds the cell's read
   // current v_read * clamp(g) — the very product the cycle would form, so a
   // quiet cell's term is one add.
-  [[nodiscard]] double MirrorEntry(const device::MemristorCell& cell) const;
-  // Soft physical ceiling on a read's conductance, as MemristorCell::Read
+  [[nodiscard]] double MirrorEntry(const device::CellState& cell) const;
+  // Soft physical ceiling on a read's conductance, as device::ReadCell
   // applies it.
   [[nodiscard]] double ReadCeiling() const {
     return params_.cell.g_on_siemens * 1.5;
   }
 
-  // Rebuild the whole SoA mirror from cells_ (after ProgramLevels / Age),
-  // or just the entries touched by cell (row, col) (after ProgramCell /
-  // InjectCellFault). Mutations refresh eagerly, never lazily, so cycles
-  // with external noise streams stay free of any crossbar-state writes and
-  // remain safe to run concurrently.
+  // Rebuild the whole SoA mirror from the cell planes (after ProgramLevels
+  // / Age), or just the entries touched by cell (row, col) (after
+  // ProgramCell / InjectCellFault). Mutations refresh eagerly, never
+  // lazily, so cycles with external noise streams stay free of any
+  // crossbar-state writes and remain safe to run concurrently.
   void RefreshMirror();
   void RefreshMirrorCell(std::size_t row, std::size_t col);
 
@@ -270,9 +285,9 @@ class Crossbar {
   [[nodiscard]] std::size_t SensedLines(CycleDirection dir) const {
     return dir == CycleDirection::kForward ? params_.cols : params_.rows;
   }
-  // Both kernels' one addressing rule over a row-major plane (cells_ or
-  // gain_): driven line l's cell k sits at l * LineStride + k * CellStride,
-  // which is (cols, 1) forward and (1, cols) transposed.
+  // Both kernels' one addressing rule over a row-major plane (the cell
+  // planes or gain_): driven line l's cell k sits at l * LineStride +
+  // k * CellStride, which is (cols, 1) forward and (1, cols) transposed.
   [[nodiscard]] std::size_t LineStride(CycleDirection dir) const {
     return dir == CycleDirection::kForward ? params_.cols : 1;
   }
@@ -283,8 +298,9 @@ class Crossbar {
   // The two kernels behind CycleDriven, one per correctness contract, each
   // serving both directions: walk the driven lines, accumulate the sensed
   // lines' noisy currents into `currents` and return the read+drive energy.
-  // AccumulateReference reads cells_ (the source of truth, not the mirror)
-  // and scans every line's drive bit, so it stays an independent oracle.
+  // AccumulateReference reads the conductance and fault planes (the source
+  // of truth, not the mirror) and scans every line's drive bit, so it
+  // stays an independent oracle.
   // AccumulateFast walks only drive.lines — the same lines in the same
   // ascending order the scan visits, so the noise draws and every sensed
   // line's FP sum keep their order. It serves kFastBitExact (identical
@@ -315,12 +331,30 @@ class Crossbar {
   // Sampling strategy for the fast kernels' read-noise factors, fixed at
   // construction from (cell.read_noise_sigma, kernel policy).
   device::NoiseModel noise_;
-  std::vector<device::MemristorCell> cells_;
-  // SoA mirror of cells_: one row-major plane of MirrorEntry values (read
-  // currents on a quiet array, so its cycle needs no clamp and no multiply)
-  // and per-row / per-column read-energy sums (a cycle's ohmic read energy
-  // depends only on the stored conductances, so it folds into one add per
-  // driven line instead of one multiply-add per cell).
+  // The cell state, as planes (no per-cell struct): row-major stored
+  // conductances, and each cell's device::CellFault in 2 bits, four cells
+  // to a byte.
+  std::vector<double> conductance_;
+  std::vector<std::uint8_t> faults_;
+  // Write counts. ProgramLevels writes every cell once, so it bumps one
+  // per-array pass count; ProgramCell writes one cell, whose extra writes go
+  // to a side table sorted by cell index. A cell's write count is
+  // program_passes_ plus its extra writes (none when it has no entry), so
+  // the wear-out check sees the exact per-cell count.
+  struct ExtraWrites {
+    std::uint32_t cell;
+    std::uint64_t writes;
+  };
+  static_assert(CrossbarParams::kMaxLines * CrossbarParams::kMaxLines <=
+                    std::size_t{1} << 32,
+                "a cell index must fit ExtraWrites::cell");
+  std::uint64_t program_passes_ = 0;
+  std::vector<ExtraWrites> extra_writes_;
+  // The mirror of the cell planes: one row-major plane of MirrorEntry
+  // values (read currents on a quiet array, so its cycle needs no clamp and
+  // no multiply) and per-row / per-column read-energy sums (a cycle's ohmic
+  // read energy depends only on the stored conductances, so it folds into
+  // one add per driven line instead of one multiply-add per cell).
   std::vector<double> gain_;
   std::vector<double> row_read_energy_pj_;
   std::vector<double> col_read_energy_pj_;

@@ -533,6 +533,12 @@ EngineWriteStats MvmEngine::write_stats() const {
   return stats;
 }
 
+std::size_t MvmEngine::resident_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& xbar : arrays_) bytes += xbar.resident_bytes();
+  return bytes;
+}
+
 void MvmEngine::Age(TimeNs elapsed) {
   for (auto& xbar : arrays_) xbar.Age(elapsed);
 }

@@ -138,6 +138,10 @@ class MvmEngine {
   // Program-verify telemetry summed over every plane/slice array.
   [[nodiscard]] EngineWriteStats write_stats() const;
 
+  // Host bytes of cell state summed over every plane/slice array (see
+  // Crossbar::resident_bytes).
+  [[nodiscard]] std::size_t resident_bytes() const;
+
   void Age(TimeNs elapsed);
 
  private:

@@ -46,6 +46,11 @@ Status MemristorParams::Validate() const {
   if (read_noise_sigma < 0.0 || write_noise_sigma < 0.0) {
     return InvalidArgument("noise sigmas must be non-negative");
   }
+  // A negative tolerance admits no conductance, not even the exact target:
+  // every program call would pulse max_write_iterations times and fail.
+  if (write_tolerance < 0.0) {
+    return InvalidArgument("write_tolerance must be non-negative");
+  }
   // The cap bounds every program call: past it, a loop that cannot verify
   // (a tolerance below the write noise) would pulse each cell ~2^31 times.
   if (max_write_iterations < 1 || max_write_iterations > 64) {
@@ -62,47 +67,50 @@ Status MemristorParams::Validate() const {
   return Status::Ok();
 }
 
-ProgramResult MemristorCell::Program(const MemristorParams& p,
-                                     std::uint64_t level, Rng& rng) {
+ProgramResult ProgramCell(const MemristorParams& p, std::uint64_t level,
+                          std::uint64_t write_cycles, CellState& cell,
+                          Rng& rng) {
   CIM_DCHECK(level < p.levels());
   const double target = p.LevelConductance(level);
   const double step = p.LevelStep();
   const double tolerance = p.write_tolerance * step;
 
   ProgramResult result;
-  ++write_cycles_;
 
   // Wear-out: past the endurance budget the cell collapses into a stuck
   // fault with probability growing per extra cycle.
-  if (p.endurance_cycles > 0 && write_cycles_ > p.endurance_cycles &&
-      fault_ == CellFault::kNone) {
-    const double excess = static_cast<double>(write_cycles_ -
+  if (p.endurance_cycles > 0 && write_cycles > p.endurance_cycles &&
+      cell.fault == CellFault::kNone) {
+    const double excess = static_cast<double>(write_cycles -
                                               p.endurance_cycles) /
                           static_cast<double>(p.endurance_cycles);
     if (rng.Bernoulli(std::min(1.0, excess))) {
-      fault_ = rng.Bernoulli(0.5) ? CellFault::kStuckOn : CellFault::kStuckOff;
+      cell.fault =
+          rng.Bernoulli(0.5) ? CellFault::kStuckOn : CellFault::kStuckOff;
     }
   }
 
   for (int iter = 0; iter < p.max_write_iterations; ++iter) {
     // Each iteration is one program pulse plus one verify read.
-    const bool increasing = target > conductance_;
+    const bool increasing = target > cell.conductance_siemens;
     result.latency += increasing ? p.set_latency : p.reset_latency;
     result.latency += p.read_latency;
     result.energy += p.write_energy + p.read_energy;
     ++result.iterations;
 
-    if (fault_ != CellFault::kNone) {
-      conductance_ = fault_ == CellFault::kStuckOn ? p.g_on_siemens
-                                                   : p.g_off_siemens;
+    if (cell.fault != CellFault::kNone) {
+      cell.conductance_siemens = cell.fault == CellFault::kStuckOn
+                                     ? p.g_on_siemens
+                                     : p.g_off_siemens;
       continue;  // pulses do nothing; verify keeps failing
     }
 
     // Pulse moves conductance toward the target with programming noise.
     const double noise = rng.Gaussian(0.0, p.write_noise_sigma * step);
-    conductance_ = std::clamp(target + noise, p.g_off_siemens, p.g_on_siemens);
+    cell.conductance_siemens =
+        std::clamp(target + noise, p.g_off_siemens, p.g_on_siemens);
 
-    if (std::fabs(conductance_ - target) <= tolerance) {
+    if (std::fabs(cell.conductance_siemens - target) <= tolerance) {
       result.verified = true;
       break;
     }
@@ -110,17 +118,17 @@ ProgramResult MemristorCell::Program(const MemristorParams& p,
   return result;
 }
 
-ReadResult MemristorCell::Read(const MemristorParams& p,
-                               Rng& rng) const {
+ReadResult ReadCell(const MemristorParams& p, const CellState& cell,
+                    Rng& rng) {
   ReadResult result;
   result.latency = p.read_latency;
   // Read energy is ohmic (V^2 * G * t): proportional to the cell's
   // conductance, with read_energy specifying the cost at g_on. Cells at
   // g_off cost ~1000x less — unused array regions are nearly free.
-  result.energy = p.read_energy * (conductance_ / p.g_on_siemens);
-  double g = conductance_;
-  if (fault_ == CellFault::kStuckOn) g = p.g_on_siemens;
-  if (fault_ == CellFault::kStuckOff) g = p.g_off_siemens;
+  result.energy = p.read_energy * (cell.conductance_siemens / p.g_on_siemens);
+  double g = cell.conductance_siemens;
+  if (cell.fault == CellFault::kStuckOn) g = p.g_on_siemens;
+  if (cell.fault == CellFault::kStuckOff) g = p.g_off_siemens;
   if (p.read_noise_sigma > 0.0) {
     // The golden per-cell reference draw: this call DEFINES the noise
     // stream the bit-exact kernels must reproduce, so it stays a direct
@@ -133,14 +141,10 @@ ReadResult MemristorCell::Read(const MemristorParams& p,
   return result;
 }
 
-void MemristorCell::Age(const MemristorParams& p, TimeNs elapsed) {
-  if (elapsed.ns <= 0.0 || p.drift_nu <= 0.0) return;
+std::optional<double> DriftFactor(const MemristorParams& p, TimeNs elapsed) {
+  if (elapsed.ns <= 0.0 || p.drift_nu <= 0.0) return std::nullopt;
   // Power-law decay toward g_off: g -> g_off + (g - g_off) * (1+t/t0)^-nu.
-  const double factor =
-      std::pow(1.0 + elapsed.ns / p.drift_t0.ns, -p.drift_nu);
-  conductance_ = p.g_off_siemens + (conductance_ - p.g_off_siemens) * factor;
+  return std::pow(1.0 + elapsed.ns / p.drift_t0.ns, -p.drift_nu);
 }
-
-void MemristorCell::InjectFault(CellFault fault) { fault_ = fault; }
 
 }  // namespace cim::device

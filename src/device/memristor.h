@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -90,39 +91,46 @@ struct ReadResult {
   EnergyPj energy;
 };
 
-// The cell is deliberately tiny (state only); the shared MemristorParams is
-// passed into every operation rather than stored, so arrays of millions of
-// cells stay compact and cells remain trivially relocatable with their
-// owning array.
-class MemristorCell {
- public:
-  explicit MemristorCell(const MemristorParams& params)
-      : conductance_(params.g_off_siemens) {}
-
-  // Program the cell to `level` (0 .. levels-1) with a write-verify loop.
-  // Programming a faulted cell reports success=false but still costs time
-  // and energy (the controller cannot know until it verifies).
-  ProgramResult Program(const MemristorParams& params, std::uint64_t level,
-                        Rng& rng);
-
-  // Read the instantaneous (noisy) conductance.
-  ReadResult Read(const MemristorParams& params, Rng& rng) const;
-
-  // Noise-free conductance — used by golden models and tests.
-  [[nodiscard]] double true_conductance() const { return conductance_; }
-
-  // Apply drift for `elapsed` of idle time.
-  void Age(const MemristorParams& params, TimeNs elapsed);
-
-  // Fault handling.
-  [[nodiscard]] CellFault fault() const { return fault_; }
-  void InjectFault(CellFault fault);
-  [[nodiscard]] std::uint64_t write_cycles() const { return write_cycles_; }
-
- private:
-  double conductance_;
-  CellFault fault_ = CellFault::kNone;
-  std::uint64_t write_cycles_ = 0;
+// One cell's state as its owning array's planes hold it: the stored
+// conductance and the fault. The shared MemristorParams is passed into every
+// operation rather than stored, and the cell's write count lives with the
+// array too, so an array of millions of cells keeps its state as a few
+// planes with no per-cell struct. These functions are the cell physics; the
+// crossbar loads one cell's plane entries into a CellState, applies them and
+// stores the result back.
+struct CellState {
+  double conductance_siemens = 0.0;
+  CellFault fault = CellFault::kNone;
 };
+
+// A never-programmed cell: at g_off, healthy.
+[[nodiscard]] inline CellState FreshCell(const MemristorParams& p) {
+  return {p.g_off_siemens, CellFault::kNone};
+}
+
+// Program `cell` to `level` (0 .. levels-1) with a write-verify loop.
+// `write_cycles` is the cell's write count including this write: past
+// endurance_cycles the cell may wear out into a stuck fault. Programming a
+// faulted cell reports verified=false but still costs time and energy (the
+// controller cannot know until it verifies).
+ProgramResult ProgramCell(const MemristorParams& p, std::uint64_t level,
+                          std::uint64_t write_cycles, CellState& cell,
+                          Rng& rng);
+
+// Read the instantaneous (noisy) conductance.
+[[nodiscard]] ReadResult ReadCell(const MemristorParams& p,
+                                  const CellState& cell, Rng& rng);
+
+// Drift over `elapsed` of idle time: the factor (1 + t/t0)^-nu every cell
+// of an array shares, or nullopt when nothing ages (elapsed <= 0 or
+// drift_nu == 0).
+[[nodiscard]] std::optional<double> DriftFactor(const MemristorParams& p,
+                                                TimeNs elapsed);
+
+// A conductance after drift by `factor`: power-law decay toward g_off.
+[[nodiscard]] inline double Drifted(const MemristorParams& p,
+                                    double conductance, double factor) {
+  return p.g_off_siemens + (conductance - p.g_off_siemens) * factor;
+}
 
 }  // namespace cim::device

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iomanip>
@@ -9,9 +10,13 @@
 #include <numeric>
 #include <vector>
 
+#include "common/contracts.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "crossbar/adc.h"
 #include "crossbar/crossbar.h"
+#include "crossbar/mvm_engine.h"
+#include "dpe/params.h"
 
 namespace cim::crossbar {
 namespace {
@@ -407,6 +412,162 @@ TEST(CrossbarTest, CycleLatencyIsTheSharedRule) {
   p.columns_per_adc = 16;
   EXPECT_EQ(p.CycleLatencyNs(24), p.CycleLatencyNs(16));
   EXPECT_EQ(p.CycleLatencyNs(128), p.CycleLatencyNs(16));
+}
+
+// --- Resident cell state ----------------------------------------------------
+//
+// A cell costs the host its stored conductance and its mirror entry (16 B)
+// plus a 2-bit fault code; the per-line read-energy sums and a few
+// single-cell write counts are O(rows + cols). That holds on quiet and noisy
+// ISAAC arrays before programming, after it, after a fault cluster and after
+// ProgramCell writes, and an MVM engine's figure is its arrays' sum.
+
+std::size_t ResidentBound(const CrossbarParams& p) {
+  const std::size_t cells = p.rows * p.cols;
+  return 16 * cells + (2 * cells + 7) / 8 + 16 * (p.rows + p.cols);
+}
+
+TEST(CrossbarTest, ResidentBytesBoundedPerCell) {
+  for (const bool noisy : {false, true}) {
+    CrossbarParams p = dpe::DpeParams::Isaac().array;
+    if (!noisy) p.cell.read_noise_sigma = 0.0;
+    const std::size_t bound = ResidentBound(p);
+    auto xbar = Crossbar::Create(p, Rng(31));
+    ASSERT_TRUE(xbar.ok());
+    EXPECT_LE(xbar->resident_bytes(), bound) << "fresh, noisy " << noisy;
+    EXPECT_GE(xbar->resident_bytes(), 16 * p.rows * p.cols);
+
+    Rng data(32);
+    std::vector<std::uint64_t> levels(p.rows * p.cols);
+    for (auto& level : levels) level = data.NextBounded(p.cell.levels());
+    ASSERT_TRUE(xbar->ProgramLevels(levels).ok());
+    EXPECT_LE(xbar->resident_bytes(), bound) << "programmed, noisy " << noisy;
+
+    for (std::size_t r = 40; r < 48; ++r) {
+      for (std::size_t c = 60; c < 68; ++c) {
+        xbar->InjectCellFault(r, c, (r + c) % 2 == 0
+                                        ? device::CellFault::kStuckOn
+                                        : device::CellFault::kStuckOff);
+      }
+    }
+    ASSERT_EQ(xbar->CountFaultedCells(), 64u);
+    EXPECT_LE(xbar->resident_bytes(), bound) << "faulted, noisy " << noisy;
+
+    for (std::size_t k = 0; k < 16; ++k) {
+      ASSERT_TRUE(xbar->ProgramCell(7 * k, 8 * k + 3, k % 4).ok());
+      ASSERT_TRUE(xbar->ProgramCell(7 * k, 8 * k + 3, (k + 1) % 4).ok());
+    }
+    EXPECT_LE(xbar->resident_bytes(), bound) << "rewritten, noisy " << noisy;
+
+    MvmEngineParams engine_params = dpe::DpeParams::Isaac().EngineParams();
+    engine_params.array = p;
+    auto engine = MvmEngine::Create(engine_params, p.rows, p.cols, Rng(33));
+    ASSERT_TRUE(engine.ok());
+    const std::size_t arrays =
+        2 * static_cast<std::size_t>(engine_params.slices());
+    auto lone = Crossbar::Create(p, Rng(34));
+    ASSERT_TRUE(lone.ok());
+    EXPECT_EQ(engine->resident_bytes(), arrays * lone->resident_bytes());
+    EXPECT_LE(engine->resident_bytes(), arrays * bound);
+  }
+}
+
+// --- Mutation-path byte pin --------------------------------------------------
+//
+// The perfbench digests never fault a cell, reprogram one cell, wear a cell
+// out or age an array, so this pins what those paths report, bit for bit:
+// FNV-1a over the program costs, the write-verify telemetry, the faulted-cell
+// count after every step, and every code and cost of forward and transposed
+// cycles (full and gated) afterwards. The array is 13x21, so a row/column
+// stride swap shows.
+
+void MixDouble(std::uint64_t& h, double v) {
+  FnvMixU64(h, std::bit_cast<std::uint64_t>(v));
+}
+
+void MixCost(std::uint64_t& h, const CostReport& cost) {
+  MixDouble(h, cost.latency_ns);
+  MixDouble(h, cost.energy_pj);
+  MixDouble(h, cost.bytes_moved);
+  FnvMixU64(h, cost.operations);
+}
+
+std::uint64_t MutationPathChecksum(bool noisy, device::KernelPolicy kernel) {
+  CrossbarParams p;
+  p.rows = 13;
+  p.cols = 21;
+  p.kernel = kernel;
+  p.cell.endurance_cycles = 3;  // the repeated passes below wear cells out
+  if (!noisy) p.cell.read_noise_sigma = 0.0;
+  auto xbar = Crossbar::Create(p, Rng(0x5EED));
+  CIM_CHECK(xbar.ok());
+  std::uint64_t h = kFnvOffsetBasis;
+  const auto mix_telemetry = [&] {
+    FnvMixU64(h, xbar->write_attempts());
+    FnvMixU64(h, xbar->write_verify_failures());
+    FnvMixU64(h, xbar->CountFaultedCells());
+  };
+  const auto mix_program = [&](const Expected<CostReport>& cost) {
+    CIM_CHECK(cost.ok());
+    MixCost(h, *cost);
+    mix_telemetry();
+  };
+  Rng data(77);
+  std::vector<std::uint64_t> levels(p.rows * p.cols);
+  const auto program_random = [&] {
+    for (auto& level : levels) level = data.NextBounded(p.cell.levels());
+    mix_program(xbar->ProgramLevels(levels));
+  };
+
+  program_random();
+  xbar->InjectCellFault(2, 5, device::CellFault::kStuckOn);
+  xbar->InjectCellFault(7, 0, device::CellFault::kStuckOff);
+  xbar->InjectCellFault(12, 20, device::CellFault::kStuckOn);
+  mix_telemetry();
+  mix_program(xbar->ProgramCell(2, 5, 0));   // faulted
+  mix_program(xbar->ProgramCell(4, 11, 3));  // healthy
+  for (int pass = 0; pass < 4; ++pass) program_random();
+  CIM_CHECK(xbar->CountFaultedCells() > 3);  // wear-out fired
+  xbar->Age(TimeNs::Seconds(1.0));
+  mix_telemetry();
+
+  std::vector<std::uint64_t> row_bits(p.rows);
+  std::vector<std::uint64_t> col_bits(p.cols);
+  const auto mix_cycle = [&](const Expected<AnalogCycleResult>& cycle) {
+    CIM_CHECK(cycle.ok());
+    for (const std::uint64_t code : cycle->column_codes) FnvMixU64(h, code);
+    MixCost(h, cycle->cost);
+  };
+  for (int trial = 0; trial < 4; ++trial) {
+    for (auto& bit : row_bits) bit = data.NextBounded(2);
+    for (auto& bit : col_bits) bit = data.NextBounded(2);
+    mix_cycle(xbar->Cycle(row_bits));
+    mix_cycle(xbar->Cycle(row_bits, 17));
+    mix_cycle(xbar->CycleTranspose(col_bits));
+    mix_cycle(xbar->CycleTranspose(col_bits, 9));
+  }
+  return h;
+}
+
+TEST(CrossbarTest, MutationPathBytesArePinned) {
+  struct Pin {
+    bool noisy;
+    device::KernelPolicy kernel;
+    std::uint64_t checksum;
+  };
+  const std::vector<Pin> pins = {
+      {false, device::KernelPolicy::kReference, 0xAB39AEF0C7A5249AULL},
+      {false, device::KernelPolicy::kFastBitExact, 0x51A0337397CCF9CCULL},
+      {true, device::KernelPolicy::kReference, 0x45D7F73F63B25B5FULL},
+      {true, device::KernelPolicy::kFastBitExact, 0xDB6CEE196AB01F61ULL},
+  };
+  for (const Pin& pin : pins) {
+    const std::uint64_t got = MutationPathChecksum(pin.noisy, pin.kernel);
+    EXPECT_EQ(got, pin.checksum)
+        << (pin.noisy ? "noisy" : "quiet") << " kernel "
+        << static_cast<int>(pin.kernel) << ": got 0x" << std::hex
+        << std::uppercase << got;
+  }
 }
 
 }  // namespace

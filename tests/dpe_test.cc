@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "boundary_values.h"
+#include "device/memristor.h"
 #include "dpe/accelerator.h"
 #include "dpe/analytical.h"
 #include "dpe/scaling.h"
@@ -462,7 +463,7 @@ std::vector<FuzzField> FuzzFields() {
       CIM_FIELD_VALUES(DpeParams, array.cell.read_energy.pj, 0.0, kJoule),
       CIM_FIELD_VALUES(DpeParams, array.cell.write_energy.pj, 0.0, kJoule),
       CIM_FIELD_VALUES(DpeParams, array.cell.read_noise_sigma, 0.0),
-      CIM_FIELD_VALUES(DpeParams, array.cell.write_tolerance),
+      CIM_FIELD_VALUES(DpeParams, array.cell.write_tolerance, 0.0),
       CIM_FIELD_VALUES(DpeParams, array.cell.max_write_iterations, 1, 64),
       CIM_FIELD_VALUES(DpeParams, array.cell.write_noise_sigma, 0.0),
       CIM_FIELD_VALUES(DpeParams, array.cell.endurance_cycles, 1),
@@ -536,6 +537,14 @@ void ExpectAcceptedRuns(const DpeParams& p, const std::string& what,
     return;
   }
   ++tally.ran;
+  // An accepted cell must be able to verify a write: with the write noise
+  // off, programming a fresh cell to level 0 (g_off) lands on its target.
+  device::MemristorParams exact = p.array.cell;
+  exact.write_noise_sigma = 0.0;
+  device::CellState cell = device::FreshCell(exact);
+  Rng write_rng(25);
+  EXPECT_TRUE(device::ProgramCell(exact, 0, 1, cell, write_rng).verified)
+      << what;
   Rng rng(23);
   const nn::Network net = nn::BuildMlp("fuzz", {6, 10, 3}, rng, 0.3);
   nn::Tensor input({6});
