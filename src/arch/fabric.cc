@@ -1,23 +1,23 @@
 #include "arch/fabric.h"
 
+#include <algorithm>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
+
+#include "common/contracts.h"
 
 namespace cim::arch {
 
-Expected<std::vector<double>> Tile::Process(std::span<const double> input,
-                                            CostReport* cost) {
+Status Tile::Process(std::vector<double>* payload, CostReport* cost) {
   if (failed_) return Unavailable("tile failed");
-  std::vector<double> acc(input.begin(), input.end());
   for (MicroUnit& mu : micro_units_) {
     const CostReport before = mu.lifetime_cost();
-    auto out = mu.Execute(acc);
-    if (!out.ok()) return out.status();
-    acc = std::move(out.value());
+    if (Status s = mu.Execute(payload); !s.ok()) return s;
     if (cost != nullptr) *cost += mu.lifetime_cost() - before;
   }
-  return acc;
+  return Status::Ok();
 }
 
 void Tile::SetFailed(bool failed) {
@@ -78,7 +78,7 @@ Expected<std::unique_ptr<Fabric>> Fabric::Create(const FabricParams& params) {
   Fabric* self = fabric.get();
   auto grid = TileGrid::Create(
       params.mesh,
-      [self](const noc::Delivery& delivery) {
+      [self](noc::Delivery& delivery) {
         if (delivery.packet.kind == noc::PayloadKind::kCode) {
           self->HandleCodePacket(delivery);
         } else {
@@ -88,8 +88,9 @@ Expected<std::unique_ptr<Fabric>> Fabric::Create(const FabricParams& params) {
       [self](const noc::Packet& packet, noc::DropReason) {
         // Only the fabric's own data packets belong to a stream; a dropped
         // code packet is counted in the mesh telemetry alone.
-        if (self->inflight_.erase(packet.id) > 0) {
-          ++self->streams_.at(packet.stream_id).stats.failed;
+        InFlight flight;
+        if (self->UntrackInFlight(packet.id, &flight)) {
+          ++flight.stream->stats.failed;
         }
       },
       params.micro_unit, params.micro_units_per_tile);
@@ -109,6 +110,7 @@ Status Fabric::ConfigureStream(std::uint64_t stream_id,
     if (auto tile = TileAt(n); !tile.ok()) return tile.status();
   }
   Stream& cfg = streams_[stream_id];
+  cfg.id = stream_id;
   cfg.path = std::move(path);
   cfg.entry = cfg.path.front();
   cfg.qos = qos;
@@ -123,6 +125,7 @@ Status Fabric::ConfigureDynamicStream(std::uint64_t stream_id,
   if (!resolver) return InvalidArgument("resolver required");
   if (auto tile = TileAt(entry); !tile.ok()) return tile.status();
   Stream& cfg = streams_[stream_id];
+  cfg.id = stream_id;
   cfg.resolver = std::move(resolver);
   cfg.entry = entry;
   cfg.qos = qos;
@@ -133,7 +136,8 @@ Status Fabric::ConfigureDynamicStream(std::uint64_t stream_id,
 Status Fabric::SetStreamSink(std::uint64_t stream_id, Sink sink) {
   auto it = streams_.find(stream_id);
   if (it == streams_.end()) return NotFound("stream not configured");
-  it->second.sink = std::move(sink);
+  it->second.sink =
+      sink ? std::make_shared<const Sink>(std::move(sink)) : nullptr;
   return Status::Ok();
 }
 
@@ -159,121 +163,211 @@ Status Fabric::InjectData(std::uint64_t stream_id,
   if (it == streams_.end()) return NotFound("stream not configured");
   Stream& cfg = it->second;
   ++cfg.stats.injected;
-  const TimeNs start = queue().now();
-  queue().ScheduleAfter(
-      TimeNs(0.0), [this, stream_id, &cfg, entry = cfg.entry, start,
-                    payload = std::move(payload)]() mutable {
-        // Process at the entry node with path index 0.
-        ProcessAt(stream_id, cfg, entry, 0, std::move(payload), start);
-      });
+  const std::uint32_t h = AllocHop();
+  Hop& hop = hops_[h];
+  hop.stream = &cfg;
+  hop.node = cfg.entry;
+  hop.path_index = 0;
+  hop.start = queue().now();
+  hop.payload = std::move(payload);
+  queue().ScheduleTagAfter(TimeNs(0.0), this, kTagProcess | h);
   return Status::Ok();
 }
 
-// Streams are never torn down, so `cfg` outlives every event below.
-void Fabric::ProcessAt(std::uint64_t stream_id, Stream& cfg, noc::NodeId node,
-                       std::size_t path_index, std::vector<double> payload,
-                       TimeNs start) {
+void Fabric::OnTagEvent(std::uint64_t tag) {
+  const auto h = static_cast<std::uint32_t>(tag & ~kTagKindMask);
+  switch (tag & kTagKindMask) {
+    case kTagProcess: ProcessAt(h); break;
+    case kTagForward: Forward(h); break;
+    default: RunSink(h); break;
+  }
+}
+
+void Fabric::ProcessAt(std::uint32_t h) {
+  Stream& cfg = *hops_[h].stream;
   StreamStats& stats = cfg.stats;
+  const noc::NodeId node = hops_[h].node;
 
   auto tile = TileAt(node);
-  if (!tile.ok() || (*tile)->failed()) {
-    ++stats.failed;
-    return;
-  }
   CostReport delta;
-  auto processed = (*tile)->Process(payload, &delta);
-  if (!processed.ok()) {
+  if (!tile.ok() || (*tile)->failed() ||
+      !(*tile)->Process(&hops_[h].payload, &delta).ok()) {
     ++stats.failed;
+    FreeHop(h);
     return;
   }
   stats.compute_cost += delta;
   const TimeNs done_at = queue().now() + TimeNs(delta.latency_ns);
 
-  // Decide the next hop.
+  // Decide the next hop. The resolver may inject, which can grow hops_:
+  // the payload's buffer survives that (a vector move keeps its buffer),
+  // but no Hop& does, so the record is looked up again afterwards.
+  static_assert(std::is_nothrow_move_constructible_v<Hop>,
+                "growing hops_ must move each payload's buffer, not copy it");
   std::optional<noc::NodeId> next;
+  const std::size_t path_index = hops_[h].path_index;
   if (cfg.dynamic) {
-    next = cfg.resolver(node, *processed);
+    next = cfg.resolver(node, hops_[h].payload);
   } else if (path_index + 1 < cfg.path.size()) {
     next = cfg.path[path_index + 1];
   }
+  Hop& hop = hops_[h];
 
   if (!next.has_value()) {
     ++stats.completed;
-    stats.end_to_end_latency_ns.Add((done_at - start).ns);
-    if (cfg.sink) {
-      queue().ScheduleAt(done_at,
-                         [sink = cfg.sink, result = std::move(*processed),
-                          done_at]() mutable {
-                           sink(std::move(result), done_at);
-                         });
+    stats.end_to_end_latency_ns.Add((done_at - hop.start).ns);
+    if (!cfg.sink) {
+      FreeHop(h);
+      return;
     }
+    hop.sink = cfg.sink;
+    queue().ScheduleTagAt(done_at, this, kTagSink | h);
     return;
   }
-
   // Forward over the mesh after processing completes.
-  const noc::NodeId next_node = *next;
-  const std::size_t next_index = path_index + 1;
-  queue().ScheduleAt(done_at, [this, &cfg, stream_id, node, next_node,
-                               next_index, start,
-                               result = std::move(*processed)] {
-    noc::Packet packet;
-    packet.id = next_packet_id_++;
-    packet.stream_id = stream_id;
-    packet.source = node;
-    packet.destination = next_node;
-    packet.qos = cfg.qos;
-    packet.kind = noc::PayloadKind::kData;
-    packet.inline_payload = SerializeVector(result);
-    packet.payload_bytes =
-        static_cast<std::uint32_t>(packet.inline_payload.size());
-
-    if (params_.enforce_partitions) {
-      if (Status s = partitions_.Admit(packet); !s.ok()) {
-        ++rejected_injections_;
-        ++cfg.stats.failed;
-        return;
-      }
-    }
-    if (params_.encrypt_data) {
-      packet.encrypted = true;
-      const CostReport cipher_cost =
-          cipher_.Apply(packet.inline_payload, packet.id);
-      cfg.stats.compute_cost += cipher_cost;
-    }
-    inflight_[packet.id] = InFlight{start, next_index};
-    const std::uint64_t packet_id = packet.id;
-    if (Status s = noc().Inject(std::move(packet)); !s.ok()) {
-      // Injection-time drops (failed destination, cut-off source) already
-      // ran the drop handler, which erased the inflight entry and counted
-      // the failure; count here only when the mesh never saw the packet.
-      if (inflight_.erase(packet_id) > 0) ++cfg.stats.failed;
-    }
-  });
+  hop.next = *next;
+  hop.path_index = path_index + 1;
+  queue().ScheduleTagAt(done_at, this, kTagForward | h);
 }
 
-void Fabric::HandleDataPacket(const noc::Delivery& delivery) {
-  noc::Packet packet = delivery.packet;
-  const auto it = inflight_.find(packet.id);
-  if (it == inflight_.end()) {
+void Fabric::Forward(std::uint32_t h) {
+  const Hop& hop = hops_[h];
+  Stream& cfg = *hop.stream;
+  noc::Packet packet;
+  packet.id = next_packet_id_++;
+  packet.stream_id = cfg.id;
+  packet.source = hop.node;
+  packet.destination = hop.next;
+  packet.qos = cfg.qos;
+  packet.kind = noc::PayloadKind::kData;
+  packet.inline_payload = TakeBuffer();
+  SerializeVector(hop.payload, &packet.inline_payload);
+  packet.payload_bytes =
+      static_cast<std::uint32_t>(packet.inline_payload.size());
+  const InFlight flight{&cfg, hop.start, hop.path_index};
+  FreeHop(h);  // the payload rides in the packet from here on
+
+  if (params_.enforce_partitions) {
+    if (Status s = partitions_.Admit(packet); !s.ok()) {
+      ++rejected_injections_;
+      ++cfg.stats.failed;
+      RecycleBuffer(std::move(packet.inline_payload));
+      return;
+    }
+  }
+  if (params_.encrypt_data) {
+    packet.encrypted = true;
+    const CostReport cipher_cost =
+        cipher_.Apply(packet.inline_payload, packet.id);
+    cfg.stats.compute_cost += cipher_cost;
+  }
+  TrackInFlight(packet.id, flight);
+  const std::uint64_t packet_id = packet.id;
+  if (Status s = noc().Inject(std::move(packet)); !s.ok()) {
+    // Injection-time drops (failed destination, cut-off source) already
+    // ran the drop handler, which untracked the packet and counted the
+    // failure; count here only when the mesh never saw the packet.
+    InFlight untracked;
+    if (UntrackInFlight(packet_id, &untracked)) ++cfg.stats.failed;
+  }
+}
+
+void Fabric::RunSink(std::uint32_t h) {
+  // Everything leaves the record before the sink runs: the sink may inject.
+  Hop& hop = hops_[h];
+  const std::shared_ptr<const Sink> sink = std::move(hop.sink);
+  std::vector<double> payload = std::move(hop.payload);
+  FreeHop(h);
+  // The event was scheduled at the completion time, so it runs then.
+  (*sink)(std::move(payload), queue().now());
+}
+
+void Fabric::HandleDataPacket(noc::Delivery& delivery) {
+  noc::Packet& packet = delivery.packet;
+  InFlight flight;
+  if (!UntrackInFlight(packet.id, &flight)) {
     return;  // unknown packet (e.g. injected directly into the NoC)
   }
-  const InFlight hop = it->second;
-  inflight_.erase(it);
-
-  Stream& cfg = streams_.at(packet.stream_id);
-  StreamStats& stats = cfg.stats;
+  StreamStats& stats = flight.stream->stats;
   if (packet.encrypted) {
     const CostReport cipher_cost =
         cipher_.Apply(packet.inline_payload, packet.id);
     stats.compute_cost += cipher_cost;
   }
-  auto payload = DeserializeVector(packet.inline_payload);
-  if (!payload.ok()) {
+  const std::uint32_t h = AllocHop();
+  Hop& hop = hops_[h];
+  const Status decoded = DeserializeVector(packet.inline_payload, &hop.payload);
+  RecycleBuffer(std::move(packet.inline_payload));
+  if (!decoded.ok()) {
     ++stats.failed;
+    FreeHop(h);
     return;
   }
-  ProcessAt(packet.stream_id, cfg, packet.destination, hop.path_index,
-            std::move(payload.value()), hop.start);
+  hop.stream = flight.stream;
+  hop.node = packet.destination;
+  hop.path_index = flight.path_index;
+  hop.start = flight.start;
+  ProcessAt(h);
+}
+
+std::uint32_t Fabric::AllocHop() {
+  if (!free_hops_.empty()) {
+    const std::uint32_t h = free_hops_.back();
+    free_hops_.pop_back();
+    return h;
+  }
+  hops_.emplace_back();
+  return static_cast<std::uint32_t>(hops_.size() - 1);
+}
+
+std::vector<std::uint8_t> Fabric::TakeBuffer() {
+  if (spare_buffers_.empty()) return {};
+  std::vector<std::uint8_t> buffer = std::move(spare_buffers_.back());
+  spare_buffers_.pop_back();
+  return buffer;
+}
+
+void Fabric::TrackInFlight(std::uint64_t packet_id, const InFlight& flight) {
+  CIM_DCHECK(packet_id >= inflight_end_);  // ids are handed out in order
+  if (inflight_head_ == inflight_end_) {
+    inflight_head_ = inflight_end_ = packet_id;
+  }
+  if (packet_id - inflight_head_ >= inflight_.size()) {
+    std::size_t size = std::max<std::size_t>(64, inflight_.size());
+    while (packet_id - inflight_head_ >= size) size *= 2;
+    std::vector<InFlight> grown(size);
+    for (std::uint64_t id = inflight_head_; id < inflight_end_; ++id) {
+      grown[id & (size - 1)] = inflight_[id & (inflight_.size() - 1)];
+    }
+    inflight_ = std::move(grown);
+  }
+  // Every slot but the live packets' is empty (untracking clears its slot,
+  // growing copies only live ones), so ids skipped since the last tracked
+  // packet, such as code packets', already read as not in flight.
+  inflight_[packet_id & (inflight_.size() - 1)] = flight;
+  inflight_end_ = packet_id + 1;
+}
+
+bool Fabric::UntrackInFlight(std::uint64_t packet_id, InFlight* flight) {
+  if (packet_id < inflight_head_ || packet_id >= inflight_end_) return false;
+  const std::uint64_t mask = inflight_.size() - 1;
+  InFlight& slot = inflight_[packet_id & mask];
+  if (slot.stream == nullptr) return false;
+  *flight = slot;
+  slot = InFlight{};
+  while (inflight_head_ < inflight_end_ &&
+         inflight_[inflight_head_ & mask].stream == nullptr) {
+    ++inflight_head_;
+  }
+  return true;
+}
+
+std::size_t Fabric::packets_in_flight() const {
+  std::size_t live = 0;
+  for (std::uint64_t id = inflight_head_; id < inflight_end_; ++id) {
+    if (inflight_[id & (inflight_.size() - 1)].stream != nullptr) ++live;
+  }
+  return live;
 }
 
 Status Fabric::SendProgram(noc::NodeId source, noc::NodeId dst,

@@ -42,10 +42,9 @@ class Tile {
     return micro_units_.at(i);
   }
 
-  // Run the payload through every micro-unit in pipeline order. Returns the
-  // transformed payload; the cost delta is added to *cost.
-  [[nodiscard]] Expected<std::vector<double>> Process(
-      std::span<const double> input, CostReport* cost);
+  // Run *payload through every micro-unit in pipeline order, in place; the
+  // cost delta is added to *cost.
+  [[nodiscard]] Status Process(std::vector<double>* payload, CostReport* cost);
 
   void SetFailed(bool failed);
   [[nodiscard]] bool failed() const { return failed_; }
@@ -115,7 +114,12 @@ struct StreamStats {
   CostReport compute_cost;
 };
 
-class Fabric {
+// Every payload hop is allocation-free once the pools have grown: a payload
+// waits for its next step (processing at its entry tile, leaving a tile, its
+// sink) in a pooled hop record named by a tagged event, crosses the mesh
+// serialized into a recycled byte buffer (decrypted in place on arrival),
+// and is tracked meanwhile in a ring keyed by packet id.
+class Fabric : public EventQueue::TagHandler {
  public:
   using Sink =
       std::function<void(std::vector<double> payload, TimeNs completed_at)>;
@@ -172,30 +176,73 @@ class Fabric {
   }
   // Total fabric-side compute cost (all tiles) plus NoC cost.
   [[nodiscard]] CostReport TotalCost() const { return grid_->TotalCost(); }
+  // Data packets on the mesh between two hops of their stream.
+  [[nodiscard]] std::size_t packets_in_flight() const;
 
  private:
-  explicit Fabric(const FabricParams& params);
-  void HandleDataPacket(const noc::Delivery& delivery);
-  void HandleCodePacket(const noc::Delivery& delivery);
   struct Stream {
+    std::uint64_t id = 0;
     std::vector<noc::NodeId> path;  // static streams
     RouteResolver resolver;         // dynamic streams
     noc::NodeId entry;
     noc::QosClass qos = noc::QosClass::kBulk;
-    Sink sink;
+    // Shared with every completion scheduled while it was set, so a later
+    // SetStreamSink leaves those completions on the sink they were given.
+    std::shared_ptr<const Sink> sink;
     bool dynamic = false;
     StreamStats stats;
   };
-  // Run the payload through the tile at `node`, then either forward it to
-  // the next hop or fire the stream sink.
-  void ProcessAt(std::uint64_t stream_id, Stream& cfg, noc::NodeId node,
-                 std::size_t path_index, std::vector<double> payload,
-                 TimeNs start);
-  // A data packet on the mesh between two hops of its stream.
-  struct InFlight {
-    TimeNs start;            // stream inject time
-    std::size_t path_index;  // hop the packet is heading to
+  // A payload waiting for its stream's next event: processing at `node`
+  // (path index `path_index`), leaving `node` for `next` (`path_index` is
+  // then next's index), or reaching `sink`. Records are pooled and keep
+  // their payload capacity. Streams are never torn down, so `stream`
+  // outlives the record.
+  struct Hop {
+    Stream* stream = nullptr;
+    noc::NodeId node;
+    noc::NodeId next;
+    std::size_t path_index = 0;
+    TimeNs start{0.0};  // stream inject time
+    std::vector<double> payload;
+    std::shared_ptr<const Sink> sink;
   };
+  // A data packet on the mesh between two hops of its stream; live iff
+  // `stream` is set.
+  struct InFlight {
+    Stream* stream = nullptr;
+    TimeNs start{0.0};           // stream inject time
+    std::size_t path_index = 0;  // hop the packet is heading to
+  };
+  // Tag encoding: the event kind in the top two bits, the hop record's index
+  // below. All three kinds share the queue's one sequence counter.
+  static constexpr std::uint64_t kTagProcess = 0;
+  static constexpr std::uint64_t kTagForward = 1ULL << 62;
+  static constexpr std::uint64_t kTagSink = 2ULL << 62;
+  static constexpr std::uint64_t kTagKindMask = 3ULL << 62;
+
+  explicit Fabric(const FabricParams& params);
+  void OnTagEvent(std::uint64_t tag) override;
+  void HandleDataPacket(noc::Delivery& delivery);
+  void HandleCodePacket(const noc::Delivery& delivery);
+  // Run hop `h`'s payload through the tile at its node, then schedule its
+  // forward step or its sink, or free the record.
+  void ProcessAt(std::uint32_t h);
+  // Serialize hop `h`'s payload into a packet to its next node and inject it.
+  void Forward(std::uint32_t h);
+  void RunSink(std::uint32_t h);
+
+  std::uint32_t AllocHop();
+  void FreeHop(std::uint32_t h) { free_hops_.push_back(h); }
+  std::vector<std::uint8_t> TakeBuffer();
+  void RecycleBuffer(std::vector<std::uint8_t>&& buffer) {
+    spare_buffers_.push_back(std::move(buffer));
+  }
+  // The in-flight ring covers the packet ids [inflight_head_, inflight_end_)
+  // at slot id mod size (a power of two); ids in it that are not data
+  // packets on the mesh hold no stream. It grows to the span of live ids.
+  void TrackInFlight(std::uint64_t packet_id, const InFlight& flight);
+  // Removes and returns the packet's record; false if it has none.
+  bool UntrackInFlight(std::uint64_t packet_id, InFlight* flight);
 
   FabricParams params_;
   std::unique_ptr<TileGrid> grid_;
@@ -205,7 +252,12 @@ class Fabric {
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t rejected_injections_ = 0;
   std::uint64_t rejected_code_loads_ = 0;
-  std::map<std::uint64_t, InFlight> inflight_;  // keyed by packet id
+  std::vector<Hop> hops_;
+  std::vector<std::uint32_t> free_hops_;
+  std::vector<std::vector<std::uint8_t>> spare_buffers_;
+  std::vector<InFlight> inflight_;
+  std::uint64_t inflight_head_ = 0;
+  std::uint64_t inflight_end_ = 0;
 };
 
 }  // namespace cim::arch

@@ -55,13 +55,12 @@ Status MicroUnit::ConfigureMvm(const crossbar::MvmEngineParams& engine_params,
   return Status::Ok();
 }
 
-Expected<std::vector<double>> MicroUnit::Execute(
-    std::span<const double> input) {
+Status MicroUnit::Execute(std::vector<double>* payload) {
   if (failed_) return Unavailable("micro-unit failed");
-  if (input.size() > params_.max_vector_len) {
+  if (payload->size() > params_.max_vector_len) {
     return InvalidArgument("input exceeds max_vector_len");
   }
-  std::vector<double> acc(input.begin(), input.end());
+  std::vector<double>& acc = *payload;
 
   const auto alu_pass = [this](std::size_t elements) {
     cost_.energy_pj +=
@@ -135,7 +134,7 @@ Expected<std::vector<double>> MicroUnit::Execute(
       }
     }
   }
-  return acc;
+  return Status::Ok();
 }
 
 Expected<std::vector<double>> MicroUnit::ReadSlot(std::size_t slot) const {

@@ -76,9 +76,9 @@ class MicroUnit {
                       std::span<const double> weights, Rng rng);
 
   // --- execution ---------------------------------------------------------
-  // Run the loaded program over `input`; returns the transformed vector.
-  [[nodiscard]] Expected<std::vector<double>> Execute(
-      std::span<const double> input);
+  // Run the loaded program over *payload, in place. On error the payload
+  // is unspecified, and the cost of the instructions that ran is charged.
+  [[nodiscard]] Status Execute(std::vector<double>* payload);
 
   // --- state & health ----------------------------------------------------
   [[nodiscard]] const CostReport& lifetime_cost() const { return cost_; }

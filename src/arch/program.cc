@@ -6,8 +6,11 @@
 namespace cim::arch {
 namespace {
 
-void AppendU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xFF);
+// Little-endian stores into a buffer already sized for them; each returns
+// the position after the value.
+std::uint8_t* StoreU32(std::uint8_t* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) *out++ = (v >> (8 * i)) & 0xFF;
+  return out;
 }
 
 std::uint32_t ReadU32(std::span<const std::uint8_t> bytes) {
@@ -16,26 +19,33 @@ std::uint32_t ReadU32(std::span<const std::uint8_t> bytes) {
   return v;
 }
 
-void AppendF64(std::vector<std::uint8_t>& out, double value) {
+// The f64 bits go on the wire least significant byte first, which on the
+// little-endian hosts the simulator builds for (see link_cipher.cc) is
+// their order in memory: one eight-byte copy per element.
+static_assert(std::endian::native == std::endian::little,
+              "StoreF64/ReadF64 copy f64 bits in host byte order");
+
+std::uint8_t* StoreF64(std::uint8_t* out, double value) {
   const auto bits = std::bit_cast<std::uint64_t>(value);
-  for (int i = 0; i < 8; ++i) out.push_back((bits >> (8 * i)) & 0xFF);
+  std::memcpy(out, &bits, 8);
+  return out + 8;
 }
 
 double ReadF64(std::span<const std::uint8_t> bytes) {
   std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) bits |= std::uint64_t{bytes[i]} << (8 * i);
+  std::memcpy(&bits, bytes.data(), 8);
   return std::bit_cast<double>(bits);
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> SerializeProgram(const Program& p) {
-  std::vector<std::uint8_t> out;
-  out.reserve(4 + p.size() * 9);
-  AppendU32(out, static_cast<std::uint32_t>(p.size()));
+  std::vector<std::uint8_t> out(4 + p.size() * 9);
+  std::uint8_t* at =
+      StoreU32(out.data(), static_cast<std::uint32_t>(p.size()));
   for (const Instruction& inst : p) {
-    out.push_back(static_cast<std::uint8_t>(inst.op));
-    AppendF64(out, inst.operand);
+    *at++ = static_cast<std::uint8_t>(inst.op);
+    at = StoreF64(at, inst.operand);
   }
   return out;
 }
@@ -61,26 +71,28 @@ Expected<Program> DeserializeProgram(std::span<const std::uint8_t> bytes) {
   return p;
 }
 
-std::vector<std::uint8_t> SerializeVector(std::span<const double> values) {
-  std::vector<std::uint8_t> out;
-  out.reserve(4 + values.size() * 8);
-  AppendU32(out, static_cast<std::uint32_t>(values.size()));
-  for (double v : values) AppendF64(out, v);
-  return out;
+void SerializeVector(std::span<const double> values,
+                     std::vector<std::uint8_t>* out) {
+  out->resize(4 + values.size() * 8);
+  std::uint8_t* at =
+      StoreU32(out->data(), static_cast<std::uint32_t>(values.size()));
+  for (double v : values) at = StoreF64(at, v);
 }
 
-Expected<std::vector<double>> DeserializeVector(
-    std::span<const std::uint8_t> bytes) {
+Status DeserializeVector(std::span<const std::uint8_t> bytes,
+                         std::vector<double>* out) {
   if (bytes.size() < 4) return InvalidArgument("vector payload too short");
   const std::uint32_t count = ReadU32(bytes);
   if (bytes.size() != 4 + static_cast<std::size_t>(count) * 8) {
     return InvalidArgument("vector payload size mismatch");
   }
-  std::vector<double> values(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    values[i] = ReadF64(bytes.subspan(4 + static_cast<std::size_t>(i) * 8, 8));
+  out->resize(count);
+  std::span<const std::uint8_t> at = bytes.subspan(4);
+  for (double& v : *out) {
+    v = ReadF64(at);
+    at = at.subspan(8);
   }
-  return values;
+  return Status::Ok();
 }
 
 }  // namespace cim::arch

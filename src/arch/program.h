@@ -45,10 +45,14 @@ using Program = std::vector<Instruction>;
 [[nodiscard]] Expected<Program> DeserializeProgram(
     std::span<const std::uint8_t> bytes);
 
-// Vector payload <-> bytes helpers for data packets.
-[[nodiscard]] std::vector<std::uint8_t> SerializeVector(
-    std::span<const double> values);
-[[nodiscard]] Expected<std::vector<double>> DeserializeVector(
-    std::span<const std::uint8_t> bytes);
+// Vector payload <-> bytes for data packets: [u32 count] then the f64 bits,
+// little-endian. Both write into a buffer the caller owns and resize it to
+// fit, so a recycled buffer keeps its capacity and a steady stream of
+// same-sized payloads allocates nothing. A failed decode leaves *out
+// unspecified.
+void SerializeVector(std::span<const double> values,
+                     std::vector<std::uint8_t>* out);
+[[nodiscard]] Status DeserializeVector(std::span<const std::uint8_t> bytes,
+                                       std::vector<double>* out);
 
 }  // namespace cim::arch

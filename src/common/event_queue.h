@@ -8,15 +8,15 @@
 // Two scheduling flavours share one (when, sequence) ordering:
 //   ScheduleAt/ScheduleAfter   capture arbitrary state in a std::function —
 //                              convenient, but each event may heap-allocate.
-//                              arch::Fabric, the dataflow executor and
-//                              tests (the reference mesh among them) use
-//                              it; fabric::FabricCoSim schedules nothing
-//                              but mesh traffic.
+//                              The dataflow executor and tests (the
+//                              reference mesh among them) use it.
 //   ScheduleTagAt/TagAfter     allocation-free: the event stores only a
 //                              TagHandler* and an opaque 64-bit tag, and the
 //                              handler decodes the tag on dispatch. This is
 //                              the packet-granular NoC hot path; noc::MeshNoc
-//                              schedules nothing else.
+//                              and arch::Fabric (its stream hops) schedule
+//                              nothing else, and fabric::FabricCoSim
+//                              schedules nothing but mesh traffic.
 // Because both flavours draw from the same sequence counter, a simulation
 // that mixes them (or is ported from one to the other call-for-call) keeps
 // the exact same execution order.

@@ -30,12 +30,14 @@ Expected<std::unique_ptr<DataflowExecutor>> DataflowExecutor::Create(
         // Packets carry the destination node's topological index; an index
         // past the graph means a corrupted or foreign packet.
         const std::size_t node = delivery.packet.stream_id;
-        auto payload = arch::DeserializeVector(delivery.packet.inline_payload);
-        if (node >= self->nodes_.size() || !payload.ok()) {
+        std::vector<double> payload;
+        if (node >= self->nodes_.size() ||
+            !arch::DeserializeVector(delivery.packet.inline_payload, &payload)
+                 .ok()) {
           ++self->wave_errors_;
           return;
         }
-        self->DeliverInput(node, *payload);
+        self->DeliverInput(node, payload);
       },
       {}, params.micro_unit,
       *std::max_element(slot_of.begin(), slot_of.end()) + 1);
@@ -129,8 +131,9 @@ void DataflowExecutor::DeliverInput(std::size_t node,
 void DataflowExecutor::FireNode(std::size_t node) {
   NodeState& state = nodes_[node];
   const CostReport before = state.unit->lifetime_cost();
-  auto output = state.unit->Execute(state.accumulator);
-  if (!output.ok()) {
+  // The node fires once per wave, so it runs its accumulator in place.
+  std::vector<double>& output = state.accumulator;
+  if (!state.unit->Execute(&output).ok()) {
     ++wave_errors_;
     return;
   }
@@ -138,7 +141,7 @@ void DataflowExecutor::FireNode(std::size_t node) {
   compute_cost_ += delta;
 
   if (state.successors.empty()) {
-    sink_outputs_[state.name] = std::move(output.value());
+    sink_outputs_[state.name] = std::move(output);
     return;
   }
   // Emit to every successor after the node's processing latency.
@@ -150,14 +153,14 @@ void DataflowExecutor::FireNode(std::size_t node) {
     packet.source = state.tile;
     packet.destination = nodes_[succ].tile;
     packet.kind = noc::PayloadKind::kData;
-    packet.inline_payload = arch::SerializeVector(*output);
+    arch::SerializeVector(output, &packet.inline_payload);
     packet.payload_bytes =
         static_cast<std::uint32_t>(packet.inline_payload.size());
     if (packet.source == packet.destination) {
       // Same tile: hand over directly after the processing delay.
       queue.ScheduleAfter(
           TimeNs(delta.latency_ns),
-          [this, succ, payload = *output] { DeliverInput(succ, payload); });
+          [this, succ, payload = output] { DeliverInput(succ, payload); });
     } else {
       queue.ScheduleAfter(TimeNs(delta.latency_ns),
                           [this, packet = std::move(packet)]() mutable {

@@ -194,7 +194,8 @@ void MeshNoc::Deliver(Packet&& packet, int hops) {
   StreamSlot(packet.stream_id).Add(latency);
   const Node& dst = nodes_[NodeIndex(packet.destination)];
   if (dst.handler) {
-    dst.handler(Delivery{std::move(packet), queue_->now(), hops});
+    Delivery delivery{std::move(packet), queue_->now(), hops};
+    dst.handler(delivery);
   }
 }
 

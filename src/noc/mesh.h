@@ -110,7 +110,11 @@ struct NocTelemetry {
 
 class MeshNoc : public EventQueue::TagHandler {
  public:
-  using DeliveryHandler = std::function<void(const Delivery&)>;
+  // A delivery handler gets the Delivery by mutable reference: the packet
+  // is the receiver's to keep, so it may take the packet's buffer (say, to
+  // recycle it) instead of copying it. Handlers that take a const
+  // Delivery& bind unchanged.
+  using DeliveryHandler = std::function<void(Delivery&)>;
   using DropHandler = std::function<void(const Packet&, DropReason)>;
 
   [[nodiscard]] static Expected<MeshNoc> Create(const MeshParams& params,

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -15,6 +17,19 @@ namespace cim::arch {
 namespace {
 
 MicroUnitParams DefaultParams() { return MicroUnitParams{}; }
+
+// Execute runs a payload in place; the tests read the result by value.
+Expected<std::vector<double>> ExecuteCopy(MicroUnit& mu,
+                                          std::vector<double> payload) {
+  if (Status s = mu.Execute(&payload); !s.ok()) return s;
+  return payload;
+}
+
+std::vector<std::uint8_t> Encode(std::span<const double> values) {
+  std::vector<std::uint8_t> bytes;
+  SerializeVector(values, &bytes);
+  return bytes;
+}
 
 crossbar::MvmEngineParams QuietEngine() {
   crossbar::MvmEngineParams p;
@@ -54,15 +69,56 @@ TEST(ProgramSerdesTest, RejectsTruncatedAndCorrupt) {
 
 TEST(VectorSerdesTest, RoundTrip) {
   const std::vector<double> values{1.5, -2.25, 0.0, 1e-9, 1e12};
-  auto decoded = DeserializeVector(SerializeVector(values));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, values);
+  const std::vector<std::uint8_t> bytes = Encode(values);
+  // A u32 count, then each value's f64 bits, little-endian.
+  ASSERT_EQ(bytes.size(), 4u + 8u * values.size());
+  EXPECT_EQ(bytes[0], 5u);
+  EXPECT_EQ(bytes[1] | bytes[2] | bytes[3], 0u);
+  EXPECT_EQ(bytes[4 + 7], 0x3F);  // 1.5 = 0x3FF8000000000000
+  EXPECT_EQ(bytes[4 + 6], 0xF8);
+  std::vector<double> decoded;
+  ASSERT_TRUE(DeserializeVector(bytes, &decoded).ok());
+  EXPECT_EQ(decoded, values);
 }
 
 TEST(VectorSerdesTest, EmptyVector) {
-  auto decoded = DeserializeVector(SerializeVector(std::vector<double>{}));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->empty());
+  std::vector<double> decoded;
+  ASSERT_TRUE(DeserializeVector(Encode(std::vector<double>{}), &decoded).ok());
+  EXPECT_TRUE(decoded.empty());
+}
+
+// The fabric serializes every hop into a recycled buffer and decodes into a
+// recycled payload vector: whatever either held before must not leak into
+// the result.
+TEST(VectorSerdesTest, ReusedBuffersHoldExactlyTheNewPayload) {
+  const std::vector<double> longer{1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  const std::vector<double> shorter{-0.5, 7.25};
+  std::vector<std::uint8_t> bytes;
+  SerializeVector(longer, &bytes);
+  SerializeVector(shorter, &bytes);  // a longer buffer shrinks
+  EXPECT_EQ(bytes, Encode(shorter));
+  SerializeVector(std::vector<double>{}, &bytes);
+  EXPECT_EQ(bytes, (std::vector<std::uint8_t>{0, 0, 0, 0}));
+
+  std::vector<double> decoded = longer;  // decode into a non-empty vector
+  ASSERT_TRUE(DeserializeVector(Encode(shorter), &decoded).ok());
+  EXPECT_EQ(decoded, shorter);
+  ASSERT_TRUE(DeserializeVector(Encode(longer), &decoded).ok());
+  EXPECT_EQ(decoded, longer);
+  // An empty payload round-trips through a buffer that held one.
+  ASSERT_TRUE(DeserializeVector(bytes, &decoded).ok());
+  EXPECT_TRUE(decoded.empty());
+}
+
+TEST(VectorSerdesTest, RejectsShortAndMismatchedBuffers) {
+  std::vector<double> decoded;
+  EXPECT_EQ(DeserializeVector(std::vector<std::uint8_t>{5, 0, 0}, &decoded)
+                .code(),
+            ErrorCode::kInvalidArgument);
+  std::vector<std::uint8_t> bytes = Encode(std::vector<double>{1.0, 2.0});
+  bytes.pop_back();
+  EXPECT_EQ(DeserializeVector(bytes, &decoded).code(),
+            ErrorCode::kInvalidArgument);
 }
 
 TEST(MicroUnitTest, ScalarPipeline) {
@@ -72,7 +128,7 @@ TEST(MicroUnitTest, ScalarPipeline) {
                                {OpCode::kAddScalar, 1.0},
                                {OpCode::kRelu, 0.0}})
                   .ok());
-  auto out = mu->Execute(std::vector<double>{1.0, -2.0});
+  auto out = ExecuteCopy(*mu, std::vector<double>{1.0, -2.0});
   ASSERT_TRUE(out.ok());
   EXPECT_DOUBLE_EQ((*out)[0], 4.0);   // 1*3+1
   EXPECT_DOUBLE_EQ((*out)[1], 0.0);   // relu(-5)
@@ -82,11 +138,11 @@ TEST(MicroUnitTest, SigmoidAndClamp) {
   auto mu = MicroUnit::Create(DefaultParams());
   ASSERT_TRUE(mu.ok());
   ASSERT_TRUE(mu->LoadProgram({{OpCode::kSigmoid, 0.0}}).ok());
-  auto out = mu->Execute(std::vector<double>{0.0});
+  auto out = ExecuteCopy(*mu, std::vector<double>{0.0});
   ASSERT_TRUE(out.ok());
   EXPECT_DOUBLE_EQ((*out)[0], 0.5);
   ASSERT_TRUE(mu->LoadProgram({{OpCode::kClamp01, 0.0}}).ok());
-  auto clamped = mu->Execute(std::vector<double>{-3.0, 0.4, 7.0});
+  auto clamped = ExecuteCopy(*mu, std::vector<double>{-3.0, 0.4, 7.0});
   ASSERT_TRUE(clamped.ok());
   EXPECT_DOUBLE_EQ((*clamped)[0], 0.0);
   EXPECT_DOUBLE_EQ((*clamped)[1], 0.4);
@@ -97,10 +153,10 @@ TEST(MicroUnitTest, LocalSlotsPersistAcrossExecutions) {
   auto mu = MicroUnit::Create(DefaultParams());
   ASSERT_TRUE(mu.ok());
   ASSERT_TRUE(mu->LoadProgram({{OpCode::kStoreLocal, 1.0}}).ok());
-  ASSERT_TRUE(mu->Execute(std::vector<double>{9.0, 8.0}).ok());
+  ASSERT_TRUE(ExecuteCopy(*mu, std::vector<double>{9.0, 8.0}).ok());
   // New program reads back the stored state (persistence, §II.B).
   ASSERT_TRUE(mu->LoadProgram({{OpCode::kLoadLocal, 1.0}}).ok());
-  auto out = mu->Execute(std::vector<double>{0.0, 0.0});
+  auto out = ExecuteCopy(*mu, std::vector<double>{0.0, 0.0});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, (std::vector<double>{9.0, 8.0}));
 }
@@ -110,7 +166,7 @@ TEST(MicroUnitTest, AddLocalAccumulates) {
   ASSERT_TRUE(mu.ok());
   ASSERT_TRUE(mu->WriteSlot(0, std::vector<double>{1.0, 2.0}).ok());
   ASSERT_TRUE(mu->LoadProgram({{OpCode::kAddLocal, 0.0}}).ok());
-  auto out = mu->Execute(std::vector<double>{10.0, 20.0});
+  auto out = ExecuteCopy(*mu, std::vector<double>{10.0, 20.0});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, (std::vector<double>{11.0, 22.0}));
 }
@@ -122,7 +178,7 @@ TEST(MicroUnitTest, MvmOpUsesConfiguredEngine) {
   const std::vector<double> weights{0.5, 0.0, 0.0, 0.5};
   ASSERT_TRUE(mu->ConfigureMvm(QuietEngine(), 2, 2, weights, Rng(3)).ok());
   ASSERT_TRUE(mu->LoadProgram({{OpCode::kMvm, 0.0}}).ok());
-  auto out = mu->Execute(std::vector<double>{1.0, 0.5});
+  auto out = ExecuteCopy(*mu, std::vector<double>{1.0, 0.5});
   ASSERT_TRUE(out.ok());
   EXPECT_NEAR((*out)[0], 0.5, 0.1);
   EXPECT_NEAR((*out)[1], 0.25, 0.1);
@@ -132,7 +188,7 @@ TEST(MicroUnitTest, MvmWithoutEngineFails) {
   auto mu = MicroUnit::Create(DefaultParams());
   ASSERT_TRUE(mu.ok());
   ASSERT_TRUE(mu->LoadProgram({{OpCode::kMvm, 0.0}}).ok());
-  EXPECT_EQ(mu->Execute(std::vector<double>{1.0}).status().code(),
+  EXPECT_EQ(ExecuteCopy(*mu, std::vector<double>{1.0}).status().code(),
             ErrorCode::kFailedPrecondition);
 }
 
@@ -141,7 +197,7 @@ TEST(MicroUnitTest, ProgramFromBytes) {
   ASSERT_TRUE(mu.ok());
   const Program program{{OpCode::kAddScalar, 5.0}};
   ASSERT_TRUE(mu->LoadProgramBytes(SerializeProgram(program)).ok());
-  auto out = mu->Execute(std::vector<double>{1.0});
+  auto out = ExecuteCopy(*mu, std::vector<double>{1.0});
   ASSERT_TRUE(out.ok());
   EXPECT_DOUBLE_EQ((*out)[0], 6.0);
   // Garbage bytes rejected.
@@ -153,11 +209,11 @@ TEST(MicroUnitTest, FailedUnitRefusesWork) {
   ASSERT_TRUE(mu.ok());
   ASSERT_TRUE(mu->LoadProgram({{OpCode::kNop, 0.0}}).ok());
   mu->SetFailed(true);
-  EXPECT_EQ(mu->Execute(std::vector<double>{1.0}).status().code(),
+  EXPECT_EQ(ExecuteCopy(*mu, std::vector<double>{1.0}).status().code(),
             ErrorCode::kUnavailable);
   EXPECT_EQ(mu->LoadProgram({}).code(), ErrorCode::kUnavailable);
   mu->SetFailed(false);
-  EXPECT_TRUE(mu->Execute(std::vector<double>{1.0}).ok());
+  EXPECT_TRUE(ExecuteCopy(*mu, std::vector<double>{1.0}).ok());
 }
 
 // Validate only for over-bound counts: local_slots = SIZE_MAX would make
@@ -201,7 +257,7 @@ TEST(MicroUnitParamsTest, CountsAndCostsBounded) {
       auto mu = MicroUnit::Create(q);
       ASSERT_TRUE(mu.ok());
       ASSERT_TRUE(mu->LoadProgram({{OpCode::kAddScalar, 1.0}}).ok());
-      ASSERT_TRUE(mu->Execute(std::vector<double>(4, 1.0)).ok());
+      ASSERT_TRUE(ExecuteCopy(*mu, std::vector<double>(4, 1.0)).ok());
       EXPECT_TRUE(std::isfinite(mu->lifetime_cost().latency_ns) &&
                   std::isfinite(mu->lifetime_cost().energy_pj));
     }
@@ -223,7 +279,7 @@ TEST(MicroUnitTest, CostAccumulates) {
                                {OpCode::kMulScalar, 2.0}})
                   .ok());
   const CostReport before = mu->lifetime_cost();
-  ASSERT_TRUE(mu->Execute(std::vector<double>(8, 1.0)).ok());
+  ASSERT_TRUE(ExecuteCopy(*mu, std::vector<double>(8, 1.0)).ok());
   const CostReport after = mu->lifetime_cost();
   EXPECT_GT(after.energy_pj, before.energy_pj);
   EXPECT_EQ(after.operations - before.operations, 16u);  // 2 ops x 8 elems
@@ -235,7 +291,7 @@ TEST(MicroUnitTest, InputSizeGuard) {
   auto mu = MicroUnit::Create(params);
   ASSERT_TRUE(mu.ok());
   ASSERT_TRUE(mu->LoadProgram({}).ok());
-  EXPECT_FALSE(mu->Execute(std::vector<double>(5, 0.0)).ok());
+  EXPECT_FALSE(ExecuteCopy(*mu, std::vector<double>(5, 0.0)).ok());
 }
 
 TEST(MicroUnitTest, SlotBoundsChecked) {
@@ -244,7 +300,7 @@ TEST(MicroUnitTest, SlotBoundsChecked) {
   EXPECT_FALSE(mu->ReadSlot(99).ok());
   EXPECT_FALSE(mu->WriteSlot(99, std::vector<double>{1.0}).ok());
   ASSERT_TRUE(mu->LoadProgram({{OpCode::kLoadLocal, 99.0}}).ok());
-  EXPECT_FALSE(mu->Execute(std::vector<double>{1.0}).ok());
+  EXPECT_FALSE(ExecuteCopy(*mu, std::vector<double>{1.0}).ok());
   // Operands arrive as raw doubles in kCode payloads: negative, NaN and
   // huge ones must be refused before any integer conversion.
   for (const OpCode op :
@@ -252,7 +308,7 @@ TEST(MicroUnitTest, SlotBoundsChecked) {
     for (const double operand :
          {-1.0, std::numeric_limits<double>::quiet_NaN(), 1e300}) {
       ASSERT_TRUE(mu->LoadProgram({{op, operand}}).ok());
-      auto result = mu->Execute(std::vector<double>{1.0});
+      auto result = ExecuteCopy(*mu, std::vector<double>{1.0});
       ASSERT_FALSE(result.ok()) << static_cast<int>(op) << " " << operand;
       EXPECT_EQ(result.status().code(), ErrorCode::kOutOfRange);
     }
@@ -287,17 +343,20 @@ TEST(ProgramSerdesTest, MutatedEncodingsDecodeExactlyOrAreRejected) {
 }
 
 TEST(VectorSerdesTest, MutatedEncodingsDecodeExactlyOrAreRejected) {
-  const auto valid = SerializeVector(std::vector<double>{1.5, -2.25, 0.0,
-                                                         1e-9, 1e12});
+  const auto valid = Encode(std::vector<double>{1.5, -2.25, 0.0, 1e-9, 1e12});
+  // One decode target and one encode buffer for every mutant, as the
+  // fabric reuses its hop buffers.
+  std::vector<double> decoded;
+  std::vector<std::uint8_t> reencoded;
   for (const std::uint64_t seed : kFuzzSeeds) {
     Rng rng(seed);
     int accepted = 0;
     for (int i = 0; i < kMutantsPerSeed; ++i) {
       const auto mutant = fuzz::Mutate(valid, 0, rng);
-      auto decoded = DeserializeVector(mutant);
-      if (!decoded.ok()) continue;
+      if (!DeserializeVector(mutant, &decoded).ok()) continue;
       ++accepted;
-      EXPECT_EQ(SerializeVector(*decoded), mutant)
+      SerializeVector(decoded, &reencoded);
+      EXPECT_EQ(reencoded, mutant)
           << "seed " << seed << " mutant " << i;
     }
     EXPECT_GT(accepted, 0) << "seed " << seed;

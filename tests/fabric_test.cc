@@ -2,6 +2,7 @@
 // streams, security enforcement, and tile failures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -442,6 +443,168 @@ TEST(FabricTest, FailedTileBreaksStreamUntilRedirected) {
   ASSERT_TRUE(f.InjectData(1, {1.0}).ok());
   f.queue().Run();
   EXPECT_EQ(completions, 1);
+}
+
+// A data packet the mesh drops between two hops is one stream failure, and
+// its in-flight record goes with it; the stream itself keeps working.
+TEST(FabricTest, DataPacketDroppedMidRouteIsOneStreamFailure) {
+  FabricParams params = SmallFabric();
+  params.mesh.height = 1;  // a row: a failed link leaves no detour
+  auto fabric = Fabric::Create(params);
+  ASSERT_TRUE(fabric.ok());
+  Fabric& f = **fabric;
+  LoadScaleProgram(f, {0, 0}, 2.0);
+  LoadScaleProgram(f, {3, 0}, 3.0);
+  ASSERT_TRUE(f.ConfigureStream(1, {{0, 0}, {3, 0}}).ok());
+  std::vector<double> results;
+  ASSERT_TRUE(f.SetStreamSink(1, [&](std::vector<double> payload, TimeNs) {
+                 results.push_back(payload.at(0));
+               }).ok());
+
+  ASSERT_TRUE(f.InjectData(1, {1.0}).ok());
+  for (int i = 0; i < 100 && f.packets_in_flight() == 0; ++i) {
+    ASSERT_TRUE(f.queue().Step());
+  }
+  ASSERT_EQ(f.packets_in_flight(), 1u);
+  // The packet is on its way out of (0, 0); it dies at (1, 0).
+  ASSERT_TRUE(f.noc().SetLinkFailed({1, 0}, noc::Direction::kEast, true).ok());
+  f.queue().Run();
+  EXPECT_EQ(f.noc().telemetry().dropped, 1u);
+  EXPECT_EQ(f.packets_in_flight(), 0u);
+  const StreamStats* stats = f.StatsFor(1);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->failed, 1u);
+  EXPECT_EQ(stats->completed, 0u);
+
+  ASSERT_TRUE(
+      f.noc().SetLinkFailed({1, 0}, noc::Direction::kEast, false).ok());
+  ASSERT_TRUE(f.InjectData(1, {5.0}).ok());
+  f.queue().Run();
+  EXPECT_EQ(results, (std::vector<double>{30.0}));
+  EXPECT_EQ(stats->failed, 1u);
+  EXPECT_EQ(stats->completed, 1u);
+  EXPECT_EQ(stats->injected, stats->completed + stats->failed);
+  EXPECT_EQ(f.packets_in_flight(), 0u);
+}
+
+TEST(FabricTest, DataPacketToTileFailedInFlightIsOneStreamFailure) {
+  auto fabric = Fabric::Create(SmallFabric());
+  ASSERT_TRUE(fabric.ok());
+  Fabric& f = **fabric;
+  LoadScaleProgram(f, {0, 0}, 2.0);
+  LoadScaleProgram(f, {3, 3}, 3.0);
+  LoadScaleProgram(f, {3, 0}, 3.0);
+  ASSERT_TRUE(f.ConfigureStream(1, {{0, 0}, {3, 3}}).ok());
+  std::vector<double> results;
+  ASSERT_TRUE(f.SetStreamSink(1, [&](std::vector<double> payload, TimeNs) {
+                 results.push_back(payload.at(0));
+               }).ok());
+
+  ASSERT_TRUE(f.InjectData(1, {1.0}).ok());
+  for (int i = 0; i < 100 && f.packets_in_flight() == 0; ++i) {
+    ASSERT_TRUE(f.queue().Step());
+  }
+  ASSERT_EQ(f.packets_in_flight(), 1u);
+  ASSERT_TRUE(f.FailTile({3, 3}).ok());
+  f.queue().Run();
+  EXPECT_EQ(f.noc().telemetry().dropped, 1u);
+  EXPECT_EQ(f.packets_in_flight(), 0u);
+  const StreamStats* stats = f.StatsFor(1);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->failed, 1u);
+
+  ASSERT_TRUE(f.RedirectStream(1, {{0, 0}, {3, 0}}).ok());
+  ASSERT_TRUE(f.InjectData(1, {5.0}).ok());
+  f.queue().Run();
+  EXPECT_EQ(results, (std::vector<double>{30.0}));
+  EXPECT_EQ(stats->completed, 1u);
+  EXPECT_EQ(stats->injected, stats->completed + stats->failed);
+  EXPECT_EQ(f.packets_in_flight(), 0u);
+}
+
+// Hundreds of payloads injected at one instant are all on the mesh at once,
+// so the in-flight ring grows several times while holding live packets,
+// and a code packet takes an id in the middle of theirs.
+TEST(FabricTest, BurstOfPayloadsAllCompleteWithTheirValues) {
+  constexpr std::size_t kPayloads = 600;
+  auto fabric = Fabric::Create(SmallFabric());
+  ASSERT_TRUE(fabric.ok());
+  Fabric& f = **fabric;
+  LoadScaleProgram(f, {0, 0}, 2.0);
+  LoadScaleProgram(f, {3, 3}, 3.0);
+  ASSERT_TRUE(f.ConfigureStream(1, {{0, 0}, {3, 3}}).ok());
+  std::vector<int> seen(kPayloads, 0);
+  std::size_t wrong = 0;
+  ASSERT_TRUE(f.SetStreamSink(1, [&](std::vector<double> payload, TimeNs) {
+                 const auto i = static_cast<std::size_t>(payload.at(0) / 6.0);
+                 const auto x = static_cast<double>(i);
+                 if (i >= kPayloads ||
+                     payload != std::vector<double>{6.0 * x, -3.0 * x}) {
+                   ++wrong;
+                   return;
+                 }
+                 ++seen[i];
+               }).ok());
+  for (std::size_t i = 0; i < kPayloads; ++i) {
+    const auto x = static_cast<double>(i);
+    ASSERT_TRUE(f.InjectData(1, {x, -0.5 * x}).ok());
+  }
+  std::size_t peak = 0;
+  bool sent_code = false;
+  while (f.queue().Step()) {
+    peak = std::max(peak, f.packets_in_flight());
+    if (!sent_code && f.packets_in_flight() == kPayloads / 2) {
+      sent_code = true;
+      ASSERT_TRUE(
+          f.SendProgram({1, 1}, {2, 1}, 0, {{OpCode::kNop, 0.0}}).ok());
+    }
+  }
+  EXPECT_TRUE(sent_code);
+  EXPECT_EQ(peak, kPayloads);
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+            static_cast<std::ptrdiff_t>(kPayloads));
+  const StreamStats* stats = f.StatsFor(1);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->injected, kPayloads);
+  EXPECT_EQ(stats->completed, kPayloads);
+  EXPECT_EQ(stats->failed, 0u);
+  EXPECT_EQ(f.noc().telemetry().delivered, kPayloads + 1);
+  EXPECT_EQ(f.packets_in_flight(), 0u);
+}
+
+// A completion goes to the sink that was set when its payload completed,
+// even if the sink is replaced before the completion event runs, and a
+// sink may inject into its own stream.
+TEST(FabricTest, CompletionKeepsItsSinkAndSinksMayInject) {
+  auto fabric = Fabric::Create(SmallFabric());
+  ASSERT_TRUE(fabric.ok());
+  Fabric& f = **fabric;
+  LoadScaleProgram(f, {0, 0}, 2.0);
+  LoadScaleProgram(f, {1, 0}, 3.0);
+  ASSERT_TRUE(f.ConfigureStream(1, {{0, 0}, {1, 0}}).ok());
+  std::vector<double> first, second;
+  ASSERT_TRUE(f.SetStreamSink(1, [&](std::vector<double> payload, TimeNs) {
+                 first.push_back(payload.at(0));
+                 if (first.size() == 1) {
+                   ASSERT_TRUE(f.InjectData(1, {payload.at(0)}).ok());
+                 }
+               }).ok());
+  ASSERT_TRUE(f.InjectData(1, {1.0}).ok());
+  const StreamStats* stats = f.StatsFor(1);
+  ASSERT_NE(stats, nullptr);
+  for (int i = 0; i < 100 && stats->completed == 0; ++i) {
+    ASSERT_TRUE(f.queue().Step());
+  }
+  ASSERT_EQ(stats->completed, 1u);
+  ASSERT_TRUE(first.empty());  // completed; its sink event is pending
+  ASSERT_TRUE(f.SetStreamSink(1, [&](std::vector<double> payload, TimeNs) {
+                 second.push_back(payload.at(0));
+               }).ok());
+  f.queue().Run();
+  EXPECT_EQ(first, (std::vector<double>{6.0}));
+  EXPECT_EQ(second, (std::vector<double>{36.0}));  // reinjected 6 x 2 x 3
+  EXPECT_EQ(stats->completed, 2u);
 }
 
 TEST(FabricTest, RedirectValidation) {

@@ -217,7 +217,8 @@ class ReferenceMesh {
     StreamSlot(packet.stream_id).Add(latency);
     const Node& dst = nodes_[NodeIndex(packet.destination)];
     if (dst.handler) {
-      dst.handler(Delivery{std::move(packet), queue_->now(), hops});
+      Delivery delivery{std::move(packet), queue_->now(), hops};
+      dst.handler(delivery);
     }
   }
 

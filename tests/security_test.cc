@@ -2,8 +2,12 @@
 // partition admission, plus the security layer's capability tokens.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/hash.h"
+#include "common/rng.h"
 #include "noc/link_cipher.h"
 #include "noc/partition.h"
 #include "security/capability.h"
@@ -86,6 +90,56 @@ TEST(StreamCipherTest, TagBoundToNonceAndKey) {
   const std::uint32_t tag = cipher.Tag(data, 5);
   EXPECT_FALSE(cipher.Verify(data, 6, tag));
   EXPECT_FALSE(other.Verify(data, 5, tag));
+}
+
+// The byte-at-a-time keystream XOR that StreamCipher::Apply ran before it
+// went word-wise: keystream byte i is byte i % 8 of the generator's word
+// i / 8, least significant first. Kept here as the oracle for the faster
+// loop.
+void ByteWiseApply(std::uint64_t key, std::span<std::uint8_t> data,
+                   std::uint64_t nonce) {
+  Rng keystream(key ^ (nonce * 0x9e3779b97f4a7c15ULL));
+  std::size_t i = 0;
+  while (i < data.size()) {
+    std::uint64_t word = keystream.NextU64();
+    for (int b = 0; b < 8 && i < data.size(); ++b, ++i) {
+      data[i] ^= static_cast<std::uint8_t>(word & 0xFF);
+      word >>= 8;
+    }
+  }
+}
+
+TEST(StreamCipherTest, WordWiseApplyMatchesByteWiseOracle) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(68);  // one stream-dataflow payload: 4 + 8 x 8 bytes
+  lengths.push_back(1000);
+  // Tags fold into one checksum, computed before Apply went word-wise: the
+  // tag path must not move with it.
+  std::uint64_t tags = kFnvOffsetBasis;
+  for (const std::uint64_t key : {0ULL, 0x1234ULL, 0x5ca1ab1edeadbeefULL}) {
+    const StreamCipher cipher(key);
+    for (const std::uint64_t nonce : {0ULL, 7ULL, ~0ULL}) {
+      for (const std::size_t n : lengths) {
+        // One byte of lead-in puts the span off word alignment.
+        Rng rng(n * 31 + nonce);
+        std::vector<std::uint8_t> plain(n + 1);
+        for (std::uint8_t& b : plain) {
+          b = static_cast<std::uint8_t>(rng.NextU64());
+        }
+        std::vector<std::uint8_t> fast = plain;
+        std::vector<std::uint8_t> oracle = plain;
+        const CostReport cost =
+            cipher.Apply(std::span(fast).subspan(1), nonce);
+        ByteWiseApply(key, std::span(oracle).subspan(1), nonce);
+        EXPECT_EQ(fast, oracle) << "key " << key << " nonce " << nonce
+                                << " length " << n;
+        EXPECT_EQ(cost.operations, n);
+        FnvMixU64(tags, cipher.Tag(std::span(plain).subspan(1), nonce));
+      }
+    }
+  }
+  EXPECT_EQ(tags, 0x1fdafe233d4f498ULL);
 }
 
 TEST(CapabilityTest, IssueAndCheckAccess) {
