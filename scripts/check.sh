@@ -7,6 +7,9 @@
 # Usage:
 #   scripts/check.sh                 # relwithdebinfo (the tier-1 gate)
 #   scripts/check.sh asan-ubsan      # sanitizer matrix leg
+#   scripts/check.sh x86-64-v3       # byte pins, goldens and replays built
+#                                    # for an FMA target (SKIPPED on a host
+#                                    # without x86-64-v3)
 #   scripts/check.sh all             # every CI leg in sequence
 #   scripts/check.sh --lint-only     # cimlint scan + docs links, nothing else
 #   scripts/check.sh --bench-gates   # full-mode bench gates + perfbench digest
@@ -107,6 +110,30 @@ run_digest_gate() {
   done
 }
 
+# The FP-contraction leg: the x86-64-v3 preset builds for a target with
+# FMA (and AVX2), where a compiler allowed to contract would fuse a*b+c, and
+# its test preset runs the bytepin, golden and replay labels; then the
+# perfbench digest gate runs on a perfbench tree configured with the same
+# -march (CMake reads CXXFLAGS when it first configures that tree). Every
+# value they pin must come out byte-equal to the default x86-64 build. A
+# host that cannot run x86-64-v3 code prints SKIPPED with the missing
+# feature.
+run_isa_leg() {
+  local feature
+  for feature in avx2 fma bmi2 movbe; do
+    if ! grep -qw "$feature" /proc/cpuinfo 2>/dev/null; then
+      echo "==> [x86-64-v3] SKIPPED (host CPU lacks $feature)"
+      return 0
+    fi
+  done
+  run_preset x86-64-v3
+  (
+    export CXXFLAGS=-march=x86-64-v3
+    export CARGO_TARGET_DIR=build/x86-64-v3/perfbench-tree
+    run_digest_gate
+  )
+}
+
 run_clang_tidy() {
   if ! command -v clang-tidy >/dev/null 2>&1; then
     echo "==> clang-tidy not installed; skipping (CI runs it on changed files)"
@@ -137,7 +164,11 @@ case "$target" in
     run_preset asan-ubsan
     run_preset tsan
     run_preset werror
+    run_isa_leg
     run_clang_tidy
+    ;;
+  x86-64-v3)
+    run_isa_leg
     ;;
   *)
     run_preset "$target"

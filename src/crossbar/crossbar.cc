@@ -236,36 +236,56 @@ Expected<CostReport> Crossbar::ProgramLevels(
   }
 
   // One pass writes every cell once; the side table's cells (ascending,
-  // as this walk is) add their one-at-a-time writes.
+  // as this walk is) add their one-at-a-time writes. The pass also
+  // rebuilds the mirror: each cell's entry and read energy are stored as it
+  // is written, in RefreshMirror's row-major order, so every row and column
+  // sum adds the same terms in the same order.
   ++program_passes_;
+  const device::WriteVerifyPlan plan(params_.cell);
+  const std::size_t rows = params_.rows;
+  const std::size_t cols = params_.cols;
+  const double energy_per_gon =
+      params_.cell.read_energy.pj / params_.cell.g_on_siemens;
+  std::fill(col_read_energy_pj_.begin(), col_read_energy_pj_.end(), 0.0);
   auto extra = extra_writes_.cbegin();
+  std::uint64_t failures = 0;
   CostReport total;
-  for (std::size_t r = 0; r < params_.rows; ++r) {
+  for (std::size_t r = 0; r < rows; ++r) {
     double row_latency = 0.0;
-    for (std::size_t c = 0; c < params_.cols; ++c) {
-      const std::size_t i = r * params_.cols + c;
+    double row_energy = 0.0;
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t i = r * cols + c;
       std::uint64_t writes = program_passes_;
       if (extra != extra_writes_.cend() && extra->cell == i) {
         writes += extra->writes;
         ++extra;
       }
       device::CellState cell = CellAt(i);
+      const device::CellFault fault = cell.fault;
       const device::ProgramResult pr =
-          device::ProgramCell(params_.cell, levels[i], writes, cell, rng_);
-      StoreCell(i, cell);
-      ++write_attempts_;
-      if (!pr.verified) ++write_verify_failures_;
+          device::ProgramCell(plan, levels[i], writes, cell, rng_);
+      conductance_[i] = cell.conductance_siemens;
+      // Only wear-out changes a fault code, so the packed byte is
+      // rewritten only then.
+      if (cell.fault != fault) SetFault(i, cell.fault);
+      if (!pr.verified) ++failures;
       total.energy_pj += pr.energy.pj;
       // A row's cells program in parallel (write verify is per row).
       row_latency = std::max(row_latency, pr.latency.ns);
-      ++total.operations;
+      gain_[i] = MirrorEntry(cell);
+      const double e = cell.conductance_siemens * energy_per_gon;
+      row_energy += e;
+      col_read_energy_pj_[c] += e;
     }
     total.latency_ns += row_latency;  // rows are written serially
+    row_read_energy_pj_[r] = row_energy;
   }
+  total.operations = levels.size();
+  write_attempts_ += levels.size();
+  write_verify_failures_ += failures;
   // The level matrix itself had to reach the array from outside.
   total.bytes_moved += static_cast<double>(levels.size()) *
                        static_cast<double>(params_.cell.cell_bits) / 8.0;
-  RefreshMirror();
   return total;
 }
 

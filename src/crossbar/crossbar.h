@@ -225,6 +225,21 @@ class Crossbar {
     return write_verify_failures_;
   }
 
+  // Read-only views of the cell planes and of the mirror the fast kernels
+  // run on, so a test can recompute the mirror from the planes.
+  [[nodiscard]] device::CellState cell(std::size_t row,
+                                       std::size_t col) const {
+    CIM_CHECK(row < params_.rows && col < params_.cols);
+    return CellAt(row * params_.cols + col);
+  }
+  [[nodiscard]] std::span<const double> mirror() const { return gain_; }
+  [[nodiscard]] std::span<const double> row_read_energy_pj() const {
+    return row_read_energy_pj_;
+  }
+  [[nodiscard]] std::span<const double> col_read_energy_pj() const {
+    return col_read_energy_pj_;
+  }
+
   // Host bytes this array's cell state holds: the capacity of its
   // conductance, mirror and fault planes, its per-line read-energy sums and
   // its per-cell write-count side table.
@@ -263,9 +278,10 @@ class Crossbar {
     return params_.cell.g_on_siemens * 1.5;
   }
 
-  // Rebuild the whole SoA mirror from the cell planes (after ProgramLevels
-  // / Age), or just the entries touched by cell (row, col) (after
-  // ProgramCell / InjectCellFault). Mutations refresh eagerly, never
+  // Rebuild the whole SoA mirror from the cell planes (after Age; a
+  // ProgramLevels pass rebuilds it by the same rule as it writes), or just
+  // the entries touched by cell (row, col) (after ProgramCell /
+  // InjectCellFault). Mutations refresh eagerly, never
   // lazily, so cycles with external noise streams stay free of any
   // crossbar-state writes and remain safe to run concurrently.
   void RefreshMirror();

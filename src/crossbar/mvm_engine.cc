@@ -20,11 +20,15 @@ double Pow2(int e) {
 // Sign-magnitude split of a weight code over the differential pair: digit
 // `slice` (base 2^cell_bits) of |code| sits on the plane matching the
 // code's sign (0 = positive, 1 = negative); the other plane holds 0.
+// Branch-free: a weight's sign is a coin flip, so a branch on it would
+// mispredict on half the cells of a programming pass.
 std::uint64_t PlaneDigit(std::int64_t code, int plane, int slice,
                          int cell_bits) {
-  if ((code < 0) != (plane == 1)) return 0;
   const auto magnitude = static_cast<std::uint64_t>(code >= 0 ? code : -code);
-  return (magnitude >> (slice * cell_bits)) & ((1ULL << cell_bits) - 1);
+  const std::uint64_t digit =
+      (magnitude >> (slice * cell_bits)) & ((1ULL << cell_bits) - 1);
+  const bool on_plane = (code < 0) == (plane == 1);
+  return digit & (0 - static_cast<std::uint64_t>(on_plane));
 }
 
 // ABFT guard threshold multiplier over the analytic fault-free residual
@@ -167,11 +171,14 @@ Expected<CostReport> MvmEngine::ProgramWeights(
   const int cell_bits = params_.array.cell.cell_bits;
   const std::size_t cols = params_.array.cols;
 
+  // One level matrix serves every (slice, plane) array: each pass rewrites
+  // the same logical cells (and guard column), and the cells past them stay
+  // at level 0.
+  std::vector<std::uint64_t> levels(params_.array.rows * cols, 0);
   CostReport total;
   for (int s = 0; s < params_.slices(); ++s) {
     CostReport plane_cost[2];
     for (int plane = 0; plane < 2; ++plane) {
-      std::vector<std::uint64_t> levels(params_.array.rows * cols, 0);
       for (std::size_t r = 0; r < in_dim_; ++r) {
         for (std::size_t c = 0; c < out_dim_; ++c) {
           levels[r * cols + c] = PlaneDigit(weight_codes_[r * out_dim_ + c],

@@ -67,55 +67,22 @@ Status MemristorParams::Validate() const {
   return Status::Ok();
 }
 
+WriteVerifyPlan::WriteVerifyPlan(const MemristorParams& p) : params(p) {
+  const double step = p.LevelStep();
+  noise_sigma = p.write_noise_sigma * step;
+  tolerance = p.write_tolerance * step;
+  CIM_DCHECK(p.levels() <= target.size());
+  const std::uint64_t levels =
+      std::min<std::uint64_t>(p.levels(), target.size());
+  for (std::uint64_t level = 0; level < levels; ++level) {
+    target[level] = p.LevelConductance(level);
+  }
+}
+
 ProgramResult ProgramCell(const MemristorParams& p, std::uint64_t level,
                           std::uint64_t write_cycles, CellState& cell,
                           Rng& rng) {
-  CIM_DCHECK(level < p.levels());
-  const double target = p.LevelConductance(level);
-  const double step = p.LevelStep();
-  const double tolerance = p.write_tolerance * step;
-
-  ProgramResult result;
-
-  // Wear-out: past the endurance budget the cell collapses into a stuck
-  // fault with probability growing per extra cycle.
-  if (p.endurance_cycles > 0 && write_cycles > p.endurance_cycles &&
-      cell.fault == CellFault::kNone) {
-    const double excess = static_cast<double>(write_cycles -
-                                              p.endurance_cycles) /
-                          static_cast<double>(p.endurance_cycles);
-    if (rng.Bernoulli(std::min(1.0, excess))) {
-      cell.fault =
-          rng.Bernoulli(0.5) ? CellFault::kStuckOn : CellFault::kStuckOff;
-    }
-  }
-
-  for (int iter = 0; iter < p.max_write_iterations; ++iter) {
-    // Each iteration is one program pulse plus one verify read.
-    const bool increasing = target > cell.conductance_siemens;
-    result.latency += increasing ? p.set_latency : p.reset_latency;
-    result.latency += p.read_latency;
-    result.energy += p.write_energy + p.read_energy;
-    ++result.iterations;
-
-    if (cell.fault != CellFault::kNone) {
-      cell.conductance_siemens = cell.fault == CellFault::kStuckOn
-                                     ? p.g_on_siemens
-                                     : p.g_off_siemens;
-      continue;  // pulses do nothing; verify keeps failing
-    }
-
-    // Pulse moves conductance toward the target with programming noise.
-    const double noise = rng.Gaussian(0.0, p.write_noise_sigma * step);
-    cell.conductance_siemens =
-        std::clamp(target + noise, p.g_off_siemens, p.g_on_siemens);
-
-    if (std::fabs(cell.conductance_siemens - target) <= tolerance) {
-      result.verified = true;
-      break;
-    }
-  }
-  return result;
+  return ProgramCell(WriteVerifyPlan(p), level, write_cycles, cell, rng);
 }
 
 ReadResult ReadCell(const MemristorParams& p, const CellState& cell,

@@ -14,9 +14,13 @@
 //   * per-operation energy accounting.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 
+#include "common/contracts.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/units.h"
@@ -108,11 +112,80 @@ struct CellState {
   return {p.g_off_siemens, CellFault::kNone};
 }
 
+// The constants of one write-verify pass: every level's target
+// conductance, the per-pulse noise sigma and the verify tolerance, each
+// computed once with the expressions a lone cell write uses, so every value
+// is bit-identical to a per-call recompute. A crossbar builds one per
+// program pass and runs every cell of it through the one per-cell rule
+// below. `p` must outlive the plan.
+struct WriteVerifyPlan {
+  explicit WriteVerifyPlan(const MemristorParams& p);
+
+  const MemristorParams& params;
+  double noise_sigma = 0.0;  // write_noise_sigma * LevelStep()
+  double tolerance = 0.0;    // write_tolerance * LevelStep()
+  // LevelConductance(level) for level < levels() (cell_bits <= 8).
+  std::array<double, 256> target{};
+};
+
 // Program `cell` to `level` (0 .. levels-1) with a write-verify loop.
 // `write_cycles` is the cell's write count including this write: past
 // endurance_cycles the cell may wear out into a stuck fault. Programming a
 // faulted cell reports verified=false but still costs time and energy (the
-// controller cannot know until it verifies).
+// controller cannot know until it verifies). Inline so a crossbar's
+// program pass runs it without a call per cell.
+inline ProgramResult ProgramCell(const WriteVerifyPlan& plan,
+                                 std::uint64_t level,
+                                 std::uint64_t write_cycles, CellState& cell,
+                                 Rng& rng) {
+  const MemristorParams& p = plan.params;
+  CIM_DCHECK(level < p.levels());
+  const double target = plan.target[level];
+
+  ProgramResult result;
+
+  // Wear-out: past the endurance budget the cell collapses into a stuck
+  // fault with probability growing per extra cycle.
+  if (p.endurance_cycles > 0 && write_cycles > p.endurance_cycles &&
+      cell.fault == CellFault::kNone) {
+    const double excess = static_cast<double>(write_cycles -
+                                              p.endurance_cycles) /
+                          static_cast<double>(p.endurance_cycles);
+    if (rng.Bernoulli(std::min(1.0, excess))) {
+      cell.fault =
+          rng.Bernoulli(0.5) ? CellFault::kStuckOn : CellFault::kStuckOff;
+    }
+  }
+
+  for (int iter = 0; iter < p.max_write_iterations; ++iter) {
+    // Each iteration is one program pulse plus one verify read.
+    const bool increasing = target > cell.conductance_siemens;
+    result.latency += increasing ? p.set_latency : p.reset_latency;
+    result.latency += p.read_latency;
+    result.energy += p.write_energy + p.read_energy;
+    ++result.iterations;
+
+    if (cell.fault != CellFault::kNone) {
+      cell.conductance_siemens = cell.fault == CellFault::kStuckOn
+                                     ? p.g_on_siemens
+                                     : p.g_off_siemens;
+      continue;  // pulses do nothing; verify keeps failing
+    }
+
+    // Pulse moves conductance toward the target with programming noise.
+    const double noise = rng.Gaussian(0.0, plan.noise_sigma);
+    cell.conductance_siemens =
+        std::clamp(target + noise, p.g_off_siemens, p.g_on_siemens);
+
+    if (std::fabs(cell.conductance_siemens - target) <= plan.tolerance) {
+      result.verified = true;
+      break;
+    }
+  }
+  return result;
+}
+
+// One cell write on its own: ProgramCell under a plan built for it.
 ProgramResult ProgramCell(const MemristorParams& p, std::uint64_t level,
                           std::uint64_t write_cycles, CellState& cell,
                           Rng& rng);

@@ -45,6 +45,13 @@ Expected<std::unique_ptr<DpeAccelerator>> DpeAccelerator::Create(
     acc->monitor_.emplace(std::move(monitor.value()));
   }
 
+  // Fork first: every layer's engine tiles are created before any array is
+  // programmed, each tile's RNG (and through it each array's) forked from
+  // `rng` in (layer, tile) order. Programming draws only on those per-array
+  // streams, so ProgramTiles may run the tiles on any thread in any order.
+  // matrices[k] is mvm-layer k's weight matrix; im2col owns the conv ones.
+  std::vector<std::span<const double>> matrices;
+  std::vector<std::vector<double>> im2col(net.layers.size());
   for (std::size_t li = 0; li < net.layers.size(); ++li) {
     const nn::Layer& layer = net.layers[li];
     MappedMvmLayer mapped;
@@ -52,17 +59,19 @@ Expected<std::unique_ptr<DpeAccelerator>> DpeAccelerator::Create(
     // the per-tile noise-stream numbering.
     mapped.calls_per_inference = acc->profiles_[li].mvm_calls;
     if (const auto* dense = std::get_if<nn::DenseLayer>(&layer)) {
-      if (Status s = acc->MapMatrix(dense->weights, dense->in_features,
-                                    dense->out_features, rng, &mapped);
+      if (Status s = acc->MapMatrix(dense->in_features, dense->out_features,
+                                    rng, &mapped);
           !s.ok()) {
         return s;
       }
       acc->mvm_layers_.push_back(std::move(mapped));
+      matrices.push_back(dense->weights);
     } else if (const auto* conv = std::get_if<nn::Conv2dLayer>(&layer)) {
       // im2col weight matrix: (ic*k*k) x oc, row-major.
       const std::size_t k = conv->kernel;
       const std::size_t in_dim = conv->in_channels * k * k;
-      std::vector<double> matrix(in_dim * conv->out_channels, 0.0);
+      std::vector<double>& matrix = im2col[li];
+      matrix.assign(in_dim * conv->out_channels, 0.0);
       for (std::size_t oc = 0; oc < conv->out_channels; ++oc) {
         for (std::size_t ic = 0; ic < conv->in_channels; ++ic) {
           for (std::size_t ky = 0; ky < k; ++ky) {
@@ -75,17 +84,18 @@ Expected<std::unique_ptr<DpeAccelerator>> DpeAccelerator::Create(
           }
         }
       }
-      if (Status s = acc->MapMatrix(matrix, in_dim, conv->out_channels, rng,
-                                    &mapped);
+      if (Status s = acc->MapMatrix(in_dim, conv->out_channels, rng, &mapped);
           !s.ok()) {
         return s;
       }
       acc->mvm_layers_.push_back(std::move(mapped));
+      matrices.push_back(matrix);
     }
   }
   for (std::size_t i = 0; i < acc->mvm_layers_.size(); ++i) {
     acc->mvm_layers_[i].target = "dpe.layer" + std::to_string(i);
   }
+  if (Status s = acc->ProgramTiles(matrices); !s.ok()) return s;
 
   // Pre-provision the spares pool; ids continue after the active tiles.
   if (acc->monitor_) {
@@ -102,8 +112,7 @@ Expected<std::unique_ptr<DpeAccelerator>> DpeAccelerator::Create(
   return acc;
 }
 
-Status DpeAccelerator::MapMatrix(std::span<const double> matrix,
-                                 std::size_t in_dim, std::size_t out_dim,
+Status DpeAccelerator::MapMatrix(std::size_t in_dim, std::size_t out_dim,
                                  Rng& rng, MappedMvmLayer* mapped) {
   const std::size_t rows = params_.array.rows;
   mapped->in_dim = in_dim;
@@ -123,20 +132,6 @@ Status DpeAccelerator::MapMatrix(std::span<const double> matrix,
       auto engine = crossbar::MvmEngine::Create(engine_params, r_len, c_len,
                                                 rng.Fork());
       if (!engine.ok()) return engine.status();
-      // Extract the submatrix.
-      std::vector<double> sub(r_len * c_len);
-      for (std::size_t r = 0; r < r_len; ++r) {
-        for (std::size_t c = 0; c < c_len; ++c) {
-          sub[r * c_len + c] = matrix[(r0 + r) * out_dim + (c0 + c)];
-        }
-      }
-      auto cost = engine->ProgramWeights(sub);
-      if (!cost.ok()) return cost.status();
-      // Tiles program in parallel across engines; serialize within none.
-      program_cost_.energy_pj += cost->energy_pj;
-      program_cost_.latency_ns =
-          std::max(program_cost_.latency_ns, cost->latency_ns);
-      program_cost_.operations += cost->operations;
       arrays_used_ += 2 * static_cast<std::size_t>(engine_params.slices());
       EngineTile tile{std::move(engine.value()), r0, c0, r_len, c_len,
                       DeriveSeed(root_seed_, next_tile_index_),
@@ -145,13 +140,59 @@ Status DpeAccelerator::MapMatrix(std::span<const double> matrix,
       tile.base_seed = tile.noise_seed;
       if (ft_enabled()) {
         tile.unit_id = static_cast<std::uint32_t>(next_tile_index_);
-        tile.submatrix = std::move(sub);  // kept for spare reprogramming
         tile.ft = std::make_unique<TileFtState>();
         if (Status s = monitor_->AddUnit(tile.unit_id); !s.ok()) return s;
       }
       ++next_tile_index_;
       mapped->tiles.push_back(std::move(tile));
     }
+  }
+  return Status::Ok();
+}
+
+Status DpeAccelerator::ProgramTiles(
+    std::span<const std::span<const double>> matrices) {
+  CIM_CHECK(matrices.size() == mvm_layers_.size());
+  struct Job {
+    EngineTile* tile;
+    std::span<const double> matrix;
+    std::size_t out_dim;  // the matrix's row stride
+  };
+  std::vector<Job> jobs;
+  for (std::size_t k = 0; k < mvm_layers_.size(); ++k) {
+    for (EngineTile& tile : mvm_layers_[k].tiles) {
+      jobs.push_back({&tile, matrices[k], mvm_layers_[k].out_dim});
+    }
+  }
+  // Each job touches only its own tile's engine and arrays (each array
+  // programs on its own RNG), and writes only its own slot.
+  std::vector<std::optional<Expected<CostReport>>> costs(jobs.size());
+  const auto program = [&](std::size_t j) {
+    const Job& job = jobs[j];
+    EngineTile& tile = *job.tile;
+    std::vector<double> sub(tile.in * tile.out);
+    for (std::size_t r = 0; r < tile.in; ++r) {
+      for (std::size_t c = 0; c < tile.out; ++c) {
+        sub[r * tile.out + c] =
+            job.matrix[(tile.row_offset + r) * job.out_dim +
+                       (tile.col_offset + c)];
+      }
+    }
+    costs[j].emplace(tile.engine.ProgramWeights(sub));
+    if (ft_enabled()) tile.submatrix = std::move(sub);  // for spare remaps
+  };
+  pool_.ParallelFor(jobs.size(), program);
+
+  // Fold in (layer, tile) order, so every sum adds in the same order at
+  // any thread count. Tiles program in parallel across engines: the
+  // latency is the slowest tile's.
+  for (const std::optional<Expected<CostReport>>& cost : costs) {
+    if (!cost->ok()) return cost->status();
+    const CostReport& c = **cost;
+    program_cost_.energy_pj += c.energy_pj;
+    program_cost_.latency_ns = std::max(program_cost_.latency_ns, c.latency_ns);
+    program_cost_.bytes_moved += c.bytes_moved;
+    program_cost_.operations += c.operations;
   }
   return Status::Ok();
 }

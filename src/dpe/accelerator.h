@@ -187,9 +187,16 @@ class DpeAccelerator {
   };
   DpeAccelerator(const DpeParams& params, const nn::Network& net);
 
-  // Split an (in_dim x out_dim) matrix over crossbar-sized engine tiles.
-  Status MapMatrix(std::span<const double> matrix, std::size_t in_dim,
-                   std::size_t out_dim, Rng& rng, MappedMvmLayer* mapped);
+  // Split an (in_dim x out_dim) matrix over crossbar-sized engine tiles:
+  // create each tile's engine on a stream forked from `rng`, unprogrammed.
+  Status MapMatrix(std::size_t in_dim, std::size_t out_dim, Rng& rng,
+                   MappedMvmLayer* mapped);
+
+  // Program every mapped tile with its block of matrices[k] (mvm layer k's
+  // row-major in_dim x out_dim weights) through the pool's ParallelFor,
+  // then fold each tile's cost into program_cost_ in (layer, tile) order.
+  // Returns the first error in that order.
+  Status ProgramTiles(std::span<const std::span<const double>> matrices);
 
   // Run one tiled MVM for call number `stream_offset` (relative to the
   // layer's committed_calls); returns out_dim partial sums (bias not

@@ -35,9 +35,23 @@ Status SweepSpec::Validate() const {
       return InvalidArgument("cell_bits entries must be in [1, 8]");
     }
   }
+  // Same ceiling as FaultToleranceParams: every spare is a monitored unit.
+  for (std::size_t spares : spare_tiles) {
+    if (spares > 4096) {
+      return InvalidArgument("spare_tiles entries must be <= 4096");
+    }
+  }
+  // Written so NaN fails too.
   for (double sigma : noise_sigmas) {
-    if (sigma < 0.0 || sigma > 1.0) {
+    if (!(sigma >= 0.0 && sigma <= 1.0)) {
       return InvalidArgument("noise_sigmas entries must be in [0, 1]");
+    }
+  }
+  for (device::KernelPolicy kernel : kernels) {
+    if (kernel != device::KernelPolicy::kReference &&
+        kernel != device::KernelPolicy::kFastBitExact &&
+        kernel != device::KernelPolicy::kFastNoise) {
+      return InvalidArgument("kernels entries must name a KernelPolicy");
     }
   }
   if (PointCount() == 0) return InvalidArgument("empty sweep grid");

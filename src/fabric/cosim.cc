@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "common/contracts.h"
@@ -35,13 +36,21 @@ Expected<std::unique_ptr<FabricCoSim>> FabricCoSim::Create(
 
   dpe::DpeParams tile_params = params.dpe;
   tile_params.worker_threads = 1;  // tiles are the unit of host parallelism
-  sim->tiles_.reserve(sim->plan_.tiles.size());
-  for (std::size_t i = 0; i < sim->plan_.tiles.size(); ++i) {
-    const TileSpec& spec = sim->plan_.tiles[i];
-    auto accel = dpe::DpeAccelerator::Create(tile_params, spec.subnet,
-                                             Rng(DeriveSeed(params.seed, i)));
-    if (!accel.ok()) return accel.status();
-    sim->tiles_.push_back(std::move(*accel));
+  // Each tile's accelerator is created (and programmed) on its own stream
+  // (seed, tile index), so the tiles build on any thread; errors are
+  // reported in tile order.
+  const std::size_t n = sim->plan_.tiles.size();
+  std::vector<std::optional<Expected<std::unique_ptr<dpe::DpeAccelerator>>>>
+      made(n);
+  sim->pool_.ParallelFor(n, [&](std::size_t i) {
+    made[i].emplace(dpe::DpeAccelerator::Create(
+        tile_params, sim->plan_.tiles[i].subnet,
+        Rng(DeriveSeed(params.seed, i))));
+  });
+  sim->tiles_.reserve(n);
+  for (auto& accel : made) {
+    if (!accel->ok()) return accel->status();
+    sim->tiles_.push_back(std::move(accel->value()));
   }
   return sim;
 }

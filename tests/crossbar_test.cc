@@ -8,6 +8,7 @@
 #include <iomanip>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/contracts.h"
@@ -469,6 +470,99 @@ TEST(CrossbarTest, ResidentBytesBoundedPerCell) {
     ASSERT_TRUE(lone.ok());
     EXPECT_EQ(engine->resident_bytes(), arrays * lone->resident_bytes());
     EXPECT_LE(engine->resident_bytes(), arrays * bound);
+  }
+}
+
+// --- Mirror refresh oracle ---------------------------------------------------
+//
+// A ProgramLevels pass rebuilds the mirror as it writes each cell. Every
+// mirror entry and both read-energy vectors must equal, bit for bit, the
+// full-refresh rule recomputed here from the cell planes: the fault-adjusted
+// conductance (on a quiet array, v_read times it clamped to the read
+// ceiling), and the ohmic read energy of the stored conductance summed
+// along each row in column order and down each column in row order.
+
+std::size_t MirrorMismatches(const Crossbar& xbar, std::string* first) {
+  const CrossbarParams& p = xbar.params();
+  const bool noisy = p.cell.read_noise_sigma > 0.0;
+  const double energy_per_gon = p.cell.read_energy.pj / p.cell.g_on_siemens;
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  std::size_t mismatches = 0;
+  const auto note = [&](const std::string& where) {
+    if (mismatches++ == 0) *first = where;
+  };
+  std::vector<double> col_energy(p.cols, 0.0);
+  for (std::size_t r = 0; r < p.rows; ++r) {
+    double row_energy = 0.0;
+    for (std::size_t c = 0; c < p.cols; ++c) {
+      const device::CellState cell = xbar.cell(r, c);
+      double g = cell.conductance_siemens;
+      if (cell.fault == device::CellFault::kStuckOn) g = p.cell.g_on_siemens;
+      if (cell.fault == device::CellFault::kStuckOff) g = p.cell.g_off_siemens;
+      const double entry =
+          noisy ? g
+                : p.dac.v_read * std::clamp(g, 0.0, p.cell.g_on_siemens * 1.5);
+      if (!same(xbar.mirror()[r * p.cols + c], entry)) {
+        note("mirror (" + std::to_string(r) + ", " + std::to_string(c) + ")");
+      }
+      const double e = cell.conductance_siemens * energy_per_gon;
+      row_energy += e;
+      col_energy[c] += e;
+    }
+    if (!same(xbar.row_read_energy_pj()[r], row_energy)) {
+      note("row energy " + std::to_string(r));
+    }
+  }
+  for (std::size_t c = 0; c < p.cols; ++c) {
+    if (!same(xbar.col_read_energy_pj()[c], col_energy[c])) {
+      note("column energy " + std::to_string(c));
+    }
+  }
+  return mismatches;
+}
+
+TEST(CrossbarTest, ProgramPassRefreshesMirrorLikeTheFullRefresh) {
+  for (const bool noisy : {false, true}) {
+    CrossbarParams p;
+    p.rows = 67;
+    p.cols = 45;
+    if (!noisy) p.cell.read_noise_sigma = 0.0;
+    auto xbar = Crossbar::Create(p, Rng(0xA11));
+    ASSERT_TRUE(xbar.ok());
+    Rng data(0xA12);
+    std::vector<std::uint64_t> levels(p.rows * p.cols);
+    const auto program_random = [&] {
+      for (auto& level : levels) level = data.NextBounded(p.cell.levels());
+      ASSERT_TRUE(xbar->ProgramLevels(levels).ok());
+    };
+    std::string first;
+    const auto expect_oracle = [&](const char* step) {
+      EXPECT_EQ(MirrorMismatches(*xbar, &first), 0u)
+          << (noisy ? "noisy" : "quiet") << ", " << step << ": first at "
+          << first;
+    };
+
+    program_random();
+    expect_oracle("first pass");
+    // Stuck cells, then a reprogram over them.
+    for (std::size_t k = 0; k < 24; ++k) {
+      xbar->InjectCellFault((5 * k) % p.rows, (7 * k + 3) % p.cols,
+                            k % 2 == 0 ? device::CellFault::kStuckOn
+                                       : device::CellFault::kStuckOff);
+    }
+    program_random();
+    expect_oracle("pass over stuck cells");
+    // Single-cell writes fill the side table; the next pass counts them.
+    for (std::size_t k = 0; k < 16; ++k) {
+      ASSERT_TRUE(xbar->ProgramCell((3 * k) % p.rows, (11 * k) % p.cols,
+                                    k % p.cell.levels())
+                      .ok());
+    }
+    expect_oracle("single-cell writes");
+    program_random();
+    expect_oracle("pass after single-cell writes");
   }
 }
 

@@ -5,8 +5,13 @@
 // ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/contracts.h"
+#include "common/hash.h"
 #include "dpe/accelerator.h"
 #include "nn/network.h"
 
@@ -183,6 +188,91 @@ TEST(InferBatchTest, PoolWorkersFollowWorkerThreads) {
   // holds a pool with no workers.
   EXPECT_EQ((*serial)->thread_pool()->worker_count(), 0u);
   EXPECT_EQ((*parallel)->thread_pool()->worker_count(), 3u);
+}
+
+// --- Programming at any thread count ----------------------------------------
+//
+// Create programs every engine tile through the pool and folds
+// program_cost() in (layer, tile) order, so the cost and every programmed
+// cell are the same at any worker_threads. A quiet Infer reads every
+// programmed array: its output and cost pin the cells. The checksum (FNV-1a
+// over program_cost()'s energy, latency and operations, then the Infer's
+// outputs and cost) was computed while Create still programmed one tile
+// after another; program_cost()'s bytes are the level matrices that reached
+// the arrays.
+
+void MixDouble(std::uint64_t& h, double v) {
+  FnvMixU64(h, std::bit_cast<std::uint64_t>(v));
+}
+
+struct ProgramRun {
+  std::uint64_t checksum = kFnvOffsetBasis;
+  double bytes_moved = 0.0;
+  double level_bytes = 0.0;  // arrays_used x one array's level matrix
+};
+
+ProgramRun ProgramAndInfer(const nn::Network& net, bool fault_tolerance,
+                           std::size_t worker_threads) {
+  DpeParams p = DpeParams::Isaac();
+  p.array.cell.read_noise_sigma = 0.0;
+  p.worker_threads = worker_threads;
+  p.fault_tolerance.enabled = fault_tolerance;
+  p.fault_tolerance.spare_tiles = fault_tolerance ? 2 : 0;
+  auto acc = DpeAccelerator::Create(p, net, Rng(0xC0DE));
+  CIM_CHECK(acc.ok());
+  ProgramRun run;
+  const CostReport& cost = (*acc)->program_cost();
+  MixDouble(run.checksum, cost.energy_pj);
+  MixDouble(run.checksum, cost.latency_ns);
+  FnvMixU64(run.checksum, cost.operations);
+  run.bytes_moved = cost.bytes_moved;
+  run.level_bytes = static_cast<double>((*acc)->arrays_used()) *
+                    static_cast<double>(p.array.rows * p.array.cols) *
+                    static_cast<double>(p.array.cell.cell_bits) / 8.0;
+
+  Rng rng(0xFEED);
+  nn::Tensor input(net.input_shape);
+  for (double& v : input.vec()) v = rng.Uniform(0.0, 1.0);
+  auto result = (*acc)->Infer(input);
+  CIM_CHECK(result.ok());
+  for (const double v : result->output.vec()) MixDouble(run.checksum, v);
+  MixDouble(run.checksum, result->cost.energy_pj);
+  MixDouble(run.checksum, result->cost.latency_ns);
+  FnvMixU64(run.checksum, result->cost.operations);
+  return run;
+}
+
+TEST(ProgramThreads, CreateBytesArePinnedAtEveryThreadCount) {
+  Rng mlp_rng(61);
+  const nn::Network mlp =
+      nn::BuildMlp("pin-mlp", {192, 256, 128, 32}, mlp_rng, 0.16);
+  Rng cnn_rng(62);
+  const nn::Network cnn = nn::BuildCnn("pin-cnn", 1, 12, 12, 10, cnn_rng);
+  struct Pin {
+    const nn::Network* net;
+    bool fault_tolerance;
+    std::uint64_t checksum;
+  };
+  const std::vector<Pin> pins = {
+      {&mlp, false, 0x00A4E4089997CC20ULL},
+      {&mlp, true, 0x545133A3CCC82A6FULL},
+      {&cnn, false, 0xFC984D697F3C6C6DULL},
+      {&cnn, true, 0x4BD7D4CFB2A055AAULL},
+  };
+  for (const Pin& pin : pins) {
+    for (const std::size_t threads : {1, 2, 8}) {
+      const ProgramRun run =
+          ProgramAndInfer(*pin.net, pin.fault_tolerance, threads);
+      const std::string what = pin.net->name + " ft " +
+                               std::to_string(pin.fault_tolerance) +
+                               " threads " + std::to_string(threads);
+      EXPECT_EQ(run.checksum, pin.checksum)
+          << what << ": got 0x" << std::hex << std::uppercase
+          << run.checksum;
+      EXPECT_EQ(run.bytes_moved, run.level_bytes) << what;
+      EXPECT_GT(run.bytes_moved, 0.0) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -16,10 +16,15 @@
 #include "dse/pareto.h"
 #include "dse/spec.h"
 
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "boundary_values.h"
+#include "common/contracts.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "device/noise_model.h"
@@ -114,6 +119,17 @@ TEST(SweepSpec, ValidateRejectsBadAxes) {
   EXPECT_FALSE(bad.Validate().ok());
   bad = TinySpec();
   bad.noise_sigmas = {-0.1};
+  EXPECT_FALSE(bad.Validate().ok());
+  // Regression inputs from SweepSpecFuzz: each was accepted here and then
+  // refused by ExpandGrid (or labelled "unknown").
+  bad = TinySpec();
+  bad.noise_sigmas = {std::nan("")};
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = TinySpec();
+  bad.spare_tiles = {4097};
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = TinySpec();
+  bad.kernels = {static_cast<KernelPolicy>(3)};
   EXPECT_FALSE(bad.Validate().ok());
 }
 
@@ -304,6 +320,147 @@ TEST(SweepDriver, ArtifactIsByteIdenticalAtAnyThreadCount) {
         MakeArtifact("smoke", spec, **driver, *std::move(results))));
   }
   EXPECT_EQ(jsons[0], jsons[1]);
+}
+
+
+// --- SweepSpec boundary-value fuzz ---------------------------------------------
+//
+// Every axis takes boundary_values.h values (a one-entry axis on a
+// one-point spec), one axis at a time and in seeded pairs and triples.
+// SweepSpec::Validate must refuse every single-axis value whose point
+// ExpandGrid refuses on a valid base, and a spec ExpandGrid accepts must
+// evaluate end to end: both Creates (the point and its noise-free twin),
+// the eval inferences, and finite objectives. Points above 64x64 are
+// counted but not evaluated, so no case allocates much; the driver runs
+// serially on a short eval set.
+
+using SpecValue = fuzz::FuzzValue<SweepSpec>;
+using SpecField = std::vector<SpecValue>;
+
+SweepSpec OnePointSpec() {
+  SweepSpec spec;
+  spec.crossbar_sizes = {16};
+  spec.adc_bits = {8};
+  spec.cell_bits = {2};
+  spec.spare_tiles = {0};
+  spec.noise_sigmas = {0.05};
+  spec.kernels = {KernelPolicy::kFastNoise};
+  return spec;
+}
+
+std::vector<SpecField> SpecFields() {
+  std::vector<SpecField> fields = {
+      CIM_FIELD_VALUES(SweepSpec, crossbar_sizes[0], 1, 2, 64, 4096),
+      CIM_FIELD_VALUES(SweepSpec, adc_bits[0], 1, 16),
+      CIM_FIELD_VALUES(SweepSpec, cell_bits[0], 1, 8),
+      CIM_FIELD_VALUES(SweepSpec, spare_tiles[0], 1, 4096),
+      CIM_FIELD_VALUES(SweepSpec, noise_sigmas[0], 0.0, 1.0),
+  };
+  SpecField kernels;
+  for (const int k : {0, 1, 2, 3, 255}) {
+    kernels.push_back({"kernels[0]=" + std::to_string(k), [k](SweepSpec& s) {
+                         s.kernels[0] = static_cast<KernelPolicy>(k);
+                       }});
+  }
+  fields.push_back(std::move(kernels));
+  return fields;
+}
+
+struct SpecTally {
+  std::size_t rejected = 0;
+  std::size_t ran = 0;
+  std::size_t too_wide = 0;  // accepted, wider than 64x64, not evaluated
+};
+
+const SweepDriver& FuzzDriver() {
+  static const std::unique_ptr<SweepDriver> driver = [] {
+    DriverParams params;
+    params.worker_threads = 1;
+    params.fault_cells = 2;  // spares then have something to recover
+    params.workload.eval_samples = 4;
+    auto made = SweepDriver::Create(params);
+    CIM_CHECK(made.ok());
+    return std::move(made.value());
+  }();
+  return *driver;
+}
+
+void ExpectAcceptedSpecRuns(const SweepSpec& spec, const std::string& what,
+                            SpecTally& tally) {
+  const SweepDriver& driver = FuzzDriver();
+  auto points = ExpandGrid(spec, driver.params().base);
+  if (!points.ok()) {
+    ++tally.rejected;
+    return;
+  }
+  ASSERT_TRUE(spec.Validate().ok()) << what;
+  for (const DesignPoint& point : *points) {
+    if (point.crossbar_size > 64) {
+      ++tally.too_wide;
+      return;
+    }
+  }
+  ++tally.ran;
+  auto results = driver.Run(spec);
+  ASSERT_TRUE(results.ok()) << what << ": " << results.status().message();
+  ASSERT_EQ(results->size(), points->size()) << what;
+  for (const PointResult& r : *results) {
+    EXPECT_TRUE(std::isfinite(r.objectives.accuracy) &&
+                std::isfinite(r.objectives.latency_ns) &&
+                std::isfinite(r.objectives.energy_pj) &&
+                std::isfinite(r.objectives.area_mm2) &&
+                std::isfinite(r.noise_self_agreement))
+        << what;
+    EXPECT_GE(r.objectives.accuracy, 0.0) << what;
+    EXPECT_LE(r.objectives.accuracy, 1.0) << what;
+    EXPECT_GT(r.objectives.latency_ns, 0.0) << what;
+    EXPECT_GT(r.objectives.energy_pj, 0.0) << what;
+    EXPECT_GT(r.objectives.area_mm2, 0.0) << what;
+  }
+}
+
+TEST(SweepSpecFuzz, EveryAcceptedSingleAxisBoundaryRuns) {
+  SpecTally tally;
+  for (const SpecField& field : SpecFields()) {
+    for (const SpecValue& value : field) {
+      SweepSpec spec = OnePointSpec();
+      value.apply(spec);
+      // On a valid base and an otherwise valid one-point spec, only the
+      // fuzzed axis can make ExpandGrid refuse, so Validate must refuse
+      // exactly those values.
+      EXPECT_EQ(spec.Validate().ok(),
+                ExpandGrid(spec, FuzzDriver().params().base).ok())
+          << value.label;
+      ExpectAcceptedSpecRuns(spec, value.label, tally);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(tally.rejected, 0u);
+  EXPECT_GT(tally.ran, 0u);
+  EXPECT_GT(tally.too_wide, 0u);  // crossbar size 4096 is accepted
+}
+
+// Seeded pairs and triples across axes, for holes that need two at once
+// (spare tiles, and so a guard column, on a one-column array).
+TEST(SweepSpecFuzz, EveryAcceptedSeededCombinationRuns) {
+  const std::vector<SpecField> fields = SpecFields();
+  Rng rng(0xD5E);
+  SpecTally tally;
+  for (int trial = 0; trial < 300; ++trial) {
+    SweepSpec spec = OnePointSpec();
+    std::string what = "trial " + std::to_string(trial) + ":";
+    const std::uint64_t mutations = 2 + rng.NextBounded(2);
+    for (std::uint64_t m = 0; m < mutations; ++m) {
+      const SpecField& field = fields[rng.NextBounded(fields.size())];
+      const SpecValue& value = field[rng.NextBounded(field.size())];
+      value.apply(spec);
+      what += " " + value.label;
+    }
+    ExpectAcceptedSpecRuns(spec, what, tally);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(tally.rejected, 0u);
+  EXPECT_GT(tally.ran, 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // leg (tsan included) runs it.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "boundary_values.h"
+#include "common/hash.h"
 #include "dpe/accelerator.h"
 #include "fabric/cosim.h"
 #include "fabric/partition.h"
@@ -354,6 +356,38 @@ TEST_P(FabricThreads, BatchIsBitIdenticalToSerialRun) {
             (*b)->noc_telemetry().delivered);
   EXPECT_EQ((*a)->now().ns, (*b)->now().ns);
   EXPECT_EQ((*a)->epochs_run(), (*b)->epochs_run());
+}
+
+// Create builds (and programs) the tile accelerators through the pool, so
+// the pin covers it: FNV-1a over one InferBatch's outputs, costs, NoC costs
+// and degrade counts, computed while Create still built one tile after
+// another.
+TEST_P(FabricThreads, CreateThenInferBatchBytesArePinned) {
+  const nn::Network net = TwoLayerMlp();
+  Rng rng(43);
+  const std::vector<nn::Tensor> inputs = MakeInputs({16}, 4, rng);
+  FabricParams params;
+  params.partition.column_splits = 2;
+  params.worker_threads = GetParam();
+  auto fabric = FabricCoSim::Create(params, net);
+  ASSERT_TRUE(fabric.ok());
+  auto results = (*fabric)->InferBatch(inputs);
+  ASSERT_TRUE(results.ok());
+  std::uint64_t h = kFnvOffsetBasis;
+  const auto mix = [&h](double v) {
+    FnvMixU64(h, std::bit_cast<std::uint64_t>(v));
+  };
+  for (const dpe::InferResult& r : *results) {
+    for (const double v : r.output.vec()) mix(v);
+    for (const CostReport* cost : {&r.cost, &r.noc_cost}) {
+      mix(cost->latency_ns);
+      mix(cost->energy_pj);
+      mix(cost->bytes_moved);
+      FnvMixU64(h, cost->operations);
+    }
+    FnvMixU64(h, r.fault_report.degraded);
+  }
+  EXPECT_EQ(h, 0xCCFAD99686B6F3F2ULL) << "got 0x" << std::hex << std::uppercase << h;
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, FabricThreads,
